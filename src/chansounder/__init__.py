@@ -35,7 +35,7 @@ from .charmetrics import (
 )
 from .config import CampaignConfig, load_config
 from .corrmath import CorrelationResult, acf, ccf, fast_pccf, pacf, pccf
-from .frames import ImpulseResponseFrame, IqFrame, TriggerEvent
+from .frames import FrameSeries, ImpulseResponseFrame, IqFrame, TriggerEvent
 from .seqgen import (
     Sequence,
     bind_rate,
@@ -69,6 +69,7 @@ __all__ = [
     "CorrelationResult",
     "DopplerMap",
     "DownsampledResponse",
+    "FrameSeries",
     "ImpulseResponseFrame",
     "IqFrame",
     "Sequence",

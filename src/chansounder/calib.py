@@ -20,11 +20,11 @@ reduce the effective rate accordingly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import ImpulseResponseFrame
+from .frames import FrameSeries, ImpulseResponseFrame
 
 DEFAULT_GAIN_CAP_DB = 40.0
 
@@ -76,7 +76,7 @@ def through_calibrate(
 
     Parameters
     ----------
-    frames : iterable
+    frames : FrameSeries or iterable
         Impulse-response frames (or bare vectors) measured with the
         antennas replaced by a direct connection.  They are averaged
         coherently before inversion, so the more frames the lower the
@@ -85,17 +85,12 @@ def through_calibrate(
         Maximum per-bin inversion gain.  Bins whose inverse would exceed
         the cap are clamped to it (phase preserved) and flagged.
     """
-    vecs = []
-    for fr in frames:
-        v = fr.h if isinstance(fr, ImpulseResponseFrame) else np.asarray(fr)
-        vecs.append(np.asarray(v, dtype=np.complex128))
-    if not vecs:
+    series = FrameSeries.of(frames)
+    if not len(series):
         raise ValueError("through calibration needs at least one frame")
-    n = len(vecs[0])
-    if any(len(v) != n for v in vecs):
-        raise ValueError("through-calibration frames must share one length")
+    n = series.n_seq
 
-    avg = np.mean(np.stack(vecs), axis=0)
+    avg = np.mean(series.h, axis=0)
     h_freq = np.fft.fft(avg)
     cap = 10.0 ** (gain_cap_db / 20.0)
 
@@ -112,7 +107,7 @@ def through_calibrate(
         h_ftt=np.fft.ifft(inv),
         source="through",
         gain_cap_db=gain_cap_db,
-        created_from=len(vecs),
+        created_from=len(series),
         clamped_bins=np.flatnonzero(clamped),
     )
 
@@ -133,9 +128,9 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
     band is untouched, and running the operation twice is a no-op the
     second time.
 
-    Accepts an :class:`ImpulseResponseFrame` (returns a new frame) or a
-    bare spectrum vector in FFT bin order (returns the patched
-    spectrum).
+    Accepts an :class:`ImpulseResponseFrame` or a :class:`FrameSeries`
+    (returns a new one with every row patched) or bare spectra in FFT
+    bin order along the last axis (returns the patched spectra).
     """
     if not 0 < suppression_bw_hz < fs / 4:
         raise ValueError(
@@ -143,14 +138,11 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
             f"got {suppression_bw_hz}"
         )
 
-    is_frame = isinstance(x, ImpulseResponseFrame)
-    spec = np.fft.fft(x.h) if is_frame else np.array(x, dtype=np.complex128, copy=True)
-    if spec.ndim != 1:
-        raise ValueError("spectrum must be a 1-d vector")
-    n = len(spec)
+    is_frame = isinstance(x, (ImpulseResponseFrame, FrameSeries))
+    spec = np.fft.fft(x.h, axis=-1) if is_frame else np.array(x, dtype=np.complex128, ndmin=1)
+    n = spec.shape[-1]
     n_b = _dc_bin_count(suppression_bw_hz, fs, n)
 
-    shifted = np.fft.fftshift(spec)
     center = n // 2  # DC bin position in centered order
     g0 = center - n_b // 2
     g1 = g0 + n_b  # one past the gap
@@ -163,17 +155,13 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
 
     idx = np.arange(g0, g1)
     w = (idx - left) / (right - left)
-    shifted[idx] = (1.0 - w) * shifted[left] + w * shifted[right]
+    # Centered position c is FFT bin (c - n // 2) mod n; patch in FFT order.
+    gap, lo, hi = (idx - center) % n, (left - center) % n, (right - center) % n
+    spec[..., gap] = (1.0 - w) * spec[..., lo, None] + w * spec[..., hi, None]
 
-    patched = np.fft.ifftshift(shifted)
     if is_frame:
-        return ImpulseResponseFrame(
-            h=np.fft.ifft(patched),
-            t_i=x.t_i,
-            sequence_index=x.sequence_index,
-            corrected=x.corrected,
-        )
-    return patched
+        return replace(x, h=np.fft.ifft(spec, axis=-1, out=spec))
+    return spec
 
 
 @dataclass

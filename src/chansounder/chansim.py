@@ -115,10 +115,9 @@ def apply_channel(frame: IqFrame, model: ChannelModel) -> IqFrame:
     if model.cable is not None:
         y = np.convolve(y, model.cable)[: len(x)]
 
-    if model.cfo_hz:
-        y = _rotate(y, model.cfo_hz, frame.fs, frame.start_index)
-
     out = IqFrame(y, frame.fs, frame.f_c, frame.start_index)
+    if model.cfo_hz:
+        out = apply_cfo(out, model.cfo_hz)
     if model.snr_db is not None:
         out = add_awgn(out, model.snr_db, model.seed)
     return out

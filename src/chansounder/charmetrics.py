@@ -1,6 +1,7 @@
 """Channel characterization metrics over an impulse-response series.
 
-All metrics consume the frame series produced by the sounding pipeline.
+All metrics consume the frame series produced by the sounding pipeline
+(a :class:`FrameSeries`, or a list of frames or bare vectors).
 Delay-domain statistics (power delay profile, mean delay, RMS delay
 spread, dynamic range) come from averaging |h|^2 over frames.
 Frequency-domain statistics (magnitude percentiles, coherence
@@ -18,29 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import ImpulseResponseFrame
+from .frames import FrameSeries
 
 #: Propagation speed used for Doppler-to-velocity and distance conversions.
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def _frame_matrix(frames) -> np.ndarray:
-    """Stack a frame series into an (n_frames, n_seq) complex matrix."""
-    rows = []
-    for fr in frames:
-        v = fr.h if isinstance(fr, ImpulseResponseFrame) else np.asarray(fr)
-        rows.append(np.asarray(v, dtype=np.complex128))
-    if not rows:
-        raise ValueError("metric needs at least one impulse-response frame")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("impulse-response frames must share one length")
-    return np.stack(rows)
-
-
 def pdp(frames) -> np.ndarray:
     """Power delay profile: mean of |h[tau]|^2 over the frame series."""
-    m = _frame_matrix(frames)
+    m = FrameSeries.of(frames).h
+    if not len(m):
+        raise ValueError("metric needs at least one impulse-response frame")
     return np.mean(np.abs(m) ** 2, axis=0)
 
 
@@ -84,7 +73,9 @@ class FrequencyStats:
 
 def frequency_response_stats(frames, fs: float) -> FrequencyStats:
     """Percentile levels (10/50/90 %) of pooled |H(f)| in dB."""
-    m = _frame_matrix(frames)
+    m = FrameSeries.of(frames).h
+    if not len(m):
+        raise ValueError("metric needs at least one impulse-response frame")
     spectra = np.fft.fft(m, axis=1)
     mags = np.abs(spectra)
     if not mags.max() > 0:
@@ -169,16 +160,16 @@ def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
     """
     if not t_seq > 0:
         raise ValueError("sequence period must be positive")
-    fr = list(frames)
-    if len(fr) < 2:
+    series = FrameSeries.of(frames)
+    if len(series) < 2:
         raise ValueError("Doppler analysis needs at least two frames")
-    idx = [f.sequence_index for f in fr]
-    if any(b <= a for a, b in zip(idx, idx[1:])):
+    idx = series.sequence_index
+    if np.any(idx[1:] <= idx[:-1]):
         raise ValueError("frames must be sorted by sequence index, without duplicates")
 
-    m = _frame_matrix(fr)
-    span = idx[-1] - idx[0] + 1
-    missing = span - len(fr)
+    m = series.h
+    span = int(idx[-1] - idx[0]) + 1
+    missing = span - len(series)
     if missing:
         if not zero_fill:
             raise ValueError(
@@ -186,7 +177,7 @@ def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
                 "to analyze anyway"
             )
         full = np.zeros((span, m.shape[1]), dtype=np.complex128)
-        full[np.asarray(idx) - idx[0]] = m
+        full[idx - idx[0]] = m
         m = full
 
     spec = np.fft.fftshift(np.fft.fft(m, axis=0), axes=0)
@@ -337,14 +328,14 @@ def characterize(
     is off.  ``d_ref_m`` enables the free-space range estimate;
     ``f_c`` enables the speed conversion of the Doppler spread.
     """
-    fr = list(frames)
-    p = pdp(fr)
+    series = FrameSeries.of(frames)
+    p = pdp(series)
     n_seq = len(p)
     t_s = 1.0 / fs
     t_seq = n_seq * t_s
 
-    stats = frequency_response_stats(fr, fs)
-    bc, crossed = coherence_bandwidth(fr, fs, threshold=bc_threshold)
+    stats = frequency_response_stats(series, fs)
+    bc, crossed = coherence_bandwidth(series, fs, threshold=bc_threshold)
     dr = measured_dynamic_range(p)
 
     notes: list[str] = []
@@ -352,11 +343,11 @@ def characterize(
     spread = None
     t_c = None
     speed = None
-    if len(fr) < 2:
+    if len(series) < 2:
         notes.append("doppler: skipped, fewer than two frames")
     else:
         try:
-            dmap = doppler_map(fr, t_seq, zero_fill=doppler_zero_fill)
+            dmap = doppler_map(series, t_seq, zero_fill=doppler_zero_fill)
         except ValueError as exc:
             notes.append(f"doppler: skipped, {exc}")
     if dmap is not None:
@@ -366,7 +357,7 @@ def characterize(
             speed = doppler_to_speed(spread, f_c)
 
     return CharacterizationReport(
-        n_frames=len(fr),
+        n_frames=len(series),
         n_seq=n_seq,
         fs=fs,
         t_seq=t_seq,

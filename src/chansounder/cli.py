@@ -21,9 +21,8 @@ import sys
 
 from . import charmetrics, framestore, sounder, wire
 from .calib import through_calibrate
-from .chansim import apply_channel, inject_disruption
 from .config import CampaignConfig, load_config
-from .seqgen import descriptor as seq_descriptor, from_descriptor
+from .seqgen import descriptor as seq_descriptor
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,6 +108,8 @@ def _require(value, flag: str):
 
 
 def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
+    if not frames:
+        raise ValueError("no sequence periods survived gating; nothing to write")
     out = _require(cfg.out, "--out")
     path = out + ".frames"
     framestore.write_frames(
@@ -119,6 +120,25 @@ def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
         total_sequences=total_sequences,
     )
     return path
+
+
+def _characterize(cfg: CampaignConfig, frames, fs: float) -> str:
+    """Run the configured metric suite and return the report text; with
+    an output path, also write the report and the CSV files."""
+    report = charmetrics.characterize(
+        frames,
+        fs,
+        f_c=cfg.center_frequency,
+        bc_threshold=cfg.bc_threshold,
+        doppler_zero_fill=cfg.doppler_zero_fill,
+        d_ref_m=cfg.max_distance_ref_m,
+    )
+    text = charmetrics.report_text(report)
+    if cfg.out:
+        with open(cfg.out + ".report.txt", "w", encoding="utf-8") as f:
+            f.write(text)
+        charmetrics.export_csv(report, cfg.out)
+    return text
 
 
 def cmd_stimulate(cfg: CampaignConfig) -> int:
@@ -132,15 +152,7 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
         return 0 if summary.complete else 1
 
     out = _require(cfg.out, "--out")
-    seq = cfg.make_sequence()
-    capture = sounder.stimulate_capture(
-        seq, cfg.num_sequences(), cfg.sample_rate, cfg.center_frequency
-    )
-    capture = apply_channel(capture, cfg.channel_model())
-    events = cfg.trigger_events()
-    if events:
-        capture, events = inject_disruption(capture, events, cfg.corrupt_span)
-    capture = sounder.quantize_capture(capture)
+    seq, capture, events = sounder.capture_campaign(cfg)
     framestore.write_capture(
         out, capture, sequence_descriptor=seq_descriptor(seq), seed_note=f"seed={cfg.seed}"
     )
@@ -153,18 +165,11 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
 def cmd_correlate(cfg: CampaignConfig) -> int:
     if cfg.endpoint:
         frames, summary = wire.consume_correlation(cfg.endpoint, cfg)
-        total = summary.samples_received // cfg.make_sequence().n_seq
+        total = summary.samples_received // frames.n_seq
     else:
         path = _require(cfg.input, "--input")
         capture, meta = framestore.read_capture(path)
-        seq = cfg.make_sequence()
-        if meta.sequence_descriptor:
-            if cfg.sequence_pinned() and seq_descriptor(seq) != meta.sequence_descriptor:
-                raise ValueError(
-                    f"capture was stimulated with {meta.sequence_descriptor!r} but the "
-                    f"configuration pins {seq_descriptor(seq)!r}"
-                )
-            seq = from_descriptor(meta.sequence_descriptor)
+        seq = cfg.stream_sequence(meta.sequence_descriptor, "capture")
         if cfg.explicit & {"sample_rate"} and capture.fs != cfg.sample_rate:
             raise ValueError(
                 f"capture was recorded at {capture.fs} Hz but the configuration "
@@ -176,45 +181,23 @@ def cmd_correlate(cfg: CampaignConfig) -> int:
             events = framestore.read_trigger_log(path + ".triggers")
         except FileNotFoundError:
             pass
-        frames = sounder.frames_from_capture(
-            capture,
-            seq,
-            events=events,
-            profile=cfg.load_profile(),
-            discard_first=cfg.discard_first,
-            dc_suppression_hz=cfg.dc_suppression_hz,
-            dc_position=cfg.dc_position,
-        )
+        frames = sounder.correlate_campaign(cfg, capture, seq, events)
         total = len(capture) // seq.n_seq
-    if not frames:
-        raise ValueError("no sequence periods survived gating; nothing to write")
     path = _write_series(cfg, frames, total)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     return 0
 
 
 def cmd_sound(cfg: CampaignConfig) -> int:
-    frames = sounder.run_sounding(cfg)
-    if not frames:
-        raise ValueError("no sequence periods survived gating; nothing to report")
+    seq, capture, events = sounder.capture_campaign(cfg)
+    frames = sounder.correlate_campaign(cfg, capture, seq, events)
+    del capture  # release the raw stream before characterization
     total = cfg.num_sequences()
     path = _write_series(cfg, frames, total)
-    events = cfg.trigger_events()
     if events:
         framestore.write_trigger_log(cfg.out + ".triggers", events)
 
-    report = charmetrics.characterize(
-        frames,
-        cfg.sample_rate,
-        f_c=cfg.center_frequency,
-        bc_threshold=cfg.bc_threshold,
-        doppler_zero_fill=cfg.doppler_zero_fill,
-        d_ref_m=cfg.max_distance_ref_m,
-    )
-    text = charmetrics.report_text(report)
-    with open(cfg.out + ".report.txt", "w", encoding="utf-8") as f:
-        f.write(text)
-    charmetrics.export_csv(report, cfg.out)
+    text = _characterize(cfg, frames, cfg.sample_rate)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     sys.stdout.write(text)
     return 0
@@ -232,10 +215,7 @@ def cmd_calibrate(cfg: CampaignConfig) -> int:
             "with delay 0, gain 1, no Doppler (cable and noise are allowed)"
         )
     cfg = _uncalibrated(cfg)
-    frames = sounder.run_sounding(cfg)
-    if not frames:
-        raise ValueError("no sequence periods survived gating; cannot calibrate")
-    profile = through_calibrate(frames, gain_cap_db=cfg.gain_cap_db)
+    profile = through_calibrate(sounder.run_sounding(cfg), gain_cap_db=cfg.gain_cap_db)
     framestore.write_profile(out, profile)
     print(
         f"profile from {profile.created_from} frames, "
@@ -256,21 +236,7 @@ def _uncalibrated(cfg: CampaignConfig) -> CampaignConfig:
 def cmd_characterize(cfg: CampaignConfig) -> int:
     path = _require(cfg.input, "--input")
     frames, meta = framestore.read_frames(path)
-    fs = 1.0 / meta.t_s
-    report = charmetrics.characterize(
-        frames,
-        fs,
-        f_c=cfg.center_frequency,
-        bc_threshold=cfg.bc_threshold,
-        doppler_zero_fill=cfg.doppler_zero_fill,
-        d_ref_m=cfg.max_distance_ref_m,
-    )
-    text = charmetrics.report_text(report)
-    if cfg.out:
-        with open(cfg.out + ".report.txt", "w", encoding="utf-8") as f:
-            f.write(text)
-        charmetrics.export_csv(report, cfg.out)
-    sys.stdout.write(text)
+    sys.stdout.write(_characterize(cfg, frames, 1.0 / meta.t_s))
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import framestore
 from .chansim import ChannelModel, ChannelTap
 from .frames import TriggerEvent
-from .seqgen import Sequence, generate_fzc, generate_mls
+from .seqgen import Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
 
 _SEQUENCE_KEYS = {
     "sequence.family",
@@ -63,7 +63,6 @@ class CampaignConfig:
     discard_first: bool = True
     dc_suppression_hz: float = 0.0
     dc_position: str = "before"
-    downsample_threshold_db: float | None = None
     doppler_zero_fill: bool = False
     bc_threshold: float = 0.5
     max_distance_ref_m: float | None = None
@@ -86,6 +85,26 @@ class CampaignConfig:
     def sequence_pinned(self) -> bool:
         """True when the configuration explicitly names a sequence."""
         return bool(self.explicit & _SEQUENCE_KEYS)
+
+    def stream_sequence(self, stream_descriptor: str, source: str, error=ValueError, strict=False):
+        """The sequence a capture or peer (``source``) was stimulated with:
+        its descriptor, or the local sequence when it is empty (unknown).
+        A pinned sequence that differs from the descriptor or, when
+        ``strict``, that an empty descriptor leaves unconfirmed, and an
+        unusable descriptor raise ``error``."""
+        local = self.make_sequence()
+        pinned_mismatch = self.sequence_pinned() and descriptor(local) != stream_descriptor
+        if pinned_mismatch and (stream_descriptor or strict):
+            raise error(
+                f"{source} was stimulated with {stream_descriptor!r} but the "
+                f"configuration pins {descriptor(local)!r}"
+            )
+        if not stream_descriptor:
+            return local
+        try:
+            return from_descriptor(stream_descriptor)
+        except ValueError as exc:
+            raise error(f"{source} sequence descriptor is unusable: {exc}") from exc
 
     def num_sequences(self) -> int:
         if self.n_sequences is not None:
@@ -172,25 +191,47 @@ def _parse_triggers(value: str, where: str) -> list[tuple[int, str, str]]:
     return out
 
 
+def _parse_optional_str(value: str) -> str | None:
+    return value.strip() or None
+
+
+#: Keys that set one field through one parser: key -> (field, parser).
+_PLAIN_KEYS = {
+    "sequence.length": ("length", int),
+    "sequence.root": ("root", int),
+    "sequence.register_length": ("register_length", int),
+    "sample_rate": ("sample_rate", float),
+    "center_frequency": ("center_frequency", float),
+    "channel.snr_db": ("snr_db", _parse_optional_float),
+    "channel.cfo_hz": ("cfo_hz", float),
+    "seed": ("seed", int),
+    "trigger_log": ("trigger_log", _parse_optional_str),
+    "corrupt_span": ("corrupt_span", int),
+    "calibration": ("calibration", _parse_optional_str),
+    "gain_cap_db": ("gain_cap_db", float),
+    "dc_suppression_hz": ("dc_suppression_hz", float),
+    "bc_threshold": ("bc_threshold", float),
+    "max_distance_ref_m": ("max_distance_ref_m", _parse_optional_float),
+    "out": ("out", _parse_optional_str),
+    "input": ("input", _parse_optional_str),
+    "endpoint": ("endpoint", _parse_optional_str),
+    "chunk_samples": ("chunk_samples", int),
+    "timeout": ("timeout", float),
+}
+
+
 def _apply_key(cfg: CampaignConfig, key: str, value: str, where: str) -> None:
     try:
-        if key == "sequence.family":
+        if key in _PLAIN_KEYS:
+            name, parse = _PLAIN_KEYS[key]
+            setattr(cfg, name, parse(value))
+        elif key == "sequence.family":
             v = value.strip().lower()
             if v not in ("fzc", "mls"):
                 raise ValueError(f"sequence family must be fzc or mls, got {value!r}")
             cfg.family = v
-        elif key == "sequence.length":
-            cfg.length = int(value)
-        elif key == "sequence.root":
-            cfg.root = int(value)
-        elif key == "sequence.register_length":
-            cfg.register_length = int(value)
         elif key == "sequence.taps":
             cfg.taps = tuple(int(t) for t in value.replace(".", ",").split(",") if t.strip())
-        elif key == "sample_rate":
-            cfg.sample_rate = float(value)
-        elif key == "center_frequency":
-            cfg.center_frequency = float(value)
         elif key == "n_sequences":
             cfg.n_sequences = None if value.strip().lower() == "none" else int(value)
         elif key == "duration":
@@ -202,49 +243,17 @@ def _apply_key(cfg: CampaignConfig, key: str, value: str, where: str) -> None:
         elif key == "channel.cable":
             items = [complex(p.strip()) for p in value.split(",") if p.strip()]
             cfg.cable = items if items else None
-        elif key == "channel.snr_db":
-            cfg.snr_db = _parse_optional_float(value)
-        elif key == "channel.cfo_hz":
-            cfg.cfo_hz = float(value)
-        elif key == "seed":
-            cfg.seed = int(value)
         elif key == "triggers":
             cfg.triggers = _parse_triggers(value, where)
-        elif key == "trigger_log":
-            cfg.trigger_log = value.strip() or None
-        elif key == "corrupt_span":
-            cfg.corrupt_span = int(value)
-        elif key == "calibration":
-            cfg.calibration = value.strip() or None
-        elif key == "gain_cap_db":
-            cfg.gain_cap_db = float(value)
         elif key == "discard_first":
             cfg.discard_first = _parse_bool(value, where)
-        elif key == "dc_suppression_hz":
-            cfg.dc_suppression_hz = float(value)
         elif key == "dc_position":
             v = value.strip().lower()
             if v not in ("before", "after"):
                 raise ValueError(f"dc_position must be before or after, got {value!r}")
             cfg.dc_position = v
-        elif key == "downsample_threshold_db":
-            cfg.downsample_threshold_db = _parse_optional_float(value)
         elif key == "doppler_zero_fill":
             cfg.doppler_zero_fill = _parse_bool(value, where)
-        elif key == "bc_threshold":
-            cfg.bc_threshold = float(value)
-        elif key == "max_distance_ref_m":
-            cfg.max_distance_ref_m = _parse_optional_float(value)
-        elif key == "out":
-            cfg.out = value.strip() or None
-        elif key == "input":
-            cfg.input = value.strip() or None
-        elif key == "endpoint":
-            cfg.endpoint = value.strip() or None
-        elif key == "chunk_samples":
-            cfg.chunk_samples = int(value)
-        elif key == "timeout":
-            cfg.timeout = float(value)
         else:
             raise KeyError(key)
     except KeyError:

@@ -29,6 +29,7 @@ class CorrelationResult:
     For periodic results ``values[k]`` is the correlation at lag ``k``
     (lag_zero_index is 0 and negative lags alias to ``N - k``).  For
     aperiodic results the lag of ``values[i]`` is ``i - lag_zero_index``.
+    Batched :func:`fast_pccf` results carry the lags along the last axis.
     """
 
     values: np.ndarray
@@ -36,11 +37,11 @@ class CorrelationResult:
     periodic: bool
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     @property
     def lags(self) -> np.ndarray:
-        return np.arange(len(self.values)) - self.lag_zero_index
+        return np.arange(len(self)) - self.lag_zero_index
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -81,15 +82,18 @@ def fast_pccf(a, b) -> CorrelationResult:
     """Periodic cross-correlation via FFT.
 
     Matches :func:`pccf` to within ``1e-9 * N * max|a| * max|b|``
-    absolute error for double inputs.
+    absolute error for double inputs.  ``a`` may also be a stack (..., N)
+    of vectors, each correlated against ``b`` with the bits of one call.
     """
-    av = _as_vector(a, "a")
+    av = np.atleast_1d(a)
     bv = _as_vector(b, "b")
-    if len(av) != len(bv):
+    if av.shape[-1] != len(bv):
         raise ValueError(
-            f"periodic correlation requires equal lengths, got {len(av)} and {len(bv)}"
+            f"periodic correlation requires equal lengths, got {av.shape[-1]} and {len(bv)}"
         )
-    values = np.fft.ifft(np.fft.fft(av) * np.conj(np.fft.fft(bv)))
+    spec = np.fft.fft(av, axis=-1).astype(np.complex128, copy=False)
+    spec *= np.conj(np.fft.fft(bv))
+    values = np.fft.ifft(spec, axis=-1, out=spec)
     return CorrelationResult(values=values, lag_zero_index=0, periodic=True)
 
 

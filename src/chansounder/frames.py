@@ -4,7 +4,8 @@ An :class:`IqFrame` carries a block of complex baseband samples together
 with the sample rate and the absolute index of its first sample, so that
 any stage can reconstruct absolute time without extra bookkeeping.  An
 :class:`ImpulseResponseFrame` is one correlator output: a delay-domain
-snapshot of the channel stamped with its measurement time.  A
+snapshot of the channel stamped with its measurement time, and a
+:class:`FrameSeries` a whole run of them as one matrix.  A
 :class:`TriggerEvent` marks a receiver fault (buffer overflow or an
 external marker) at a known absolute sample index.
 """
@@ -125,3 +126,75 @@ class ImpulseResponseFrame:
     @property
     def n_seq(self) -> int:
         return len(self.h)
+
+
+@dataclass(eq=False)
+class FrameSeries:
+    """A series of impulse-response frames held as one matrix.
+
+    ``h`` is an (F, N) complex128 matrix with one response per row;
+    ``sequence_index`` (int64), ``t_i`` (float64) and ``corrected``
+    (bool, a scalar applies to every row) hold one entry per row.
+    Indexing or iterating yields the rows as :class:`ImpulseResponseFrame`
+    objects and a slice yields a shorter series.  The arrays are
+    read-only views, so a series never changes once built.
+    """
+
+    h: np.ndarray
+    sequence_index: np.ndarray
+    t_i: np.ndarray
+    corrected: np.ndarray = False
+
+    def __post_init__(self) -> None:
+        h = np.asarray(self.h, dtype=np.complex128)
+        if h.ndim != 2:
+            raise ValueError("frame series responses must form an (F, N) matrix")
+        index = np.asarray(self.sequence_index, dtype=np.int64)
+        t_i = np.asarray(self.t_i, dtype=np.float64)
+        if index.shape != (len(h),) or t_i.shape != (len(h),):
+            raise ValueError("frame series needs one sequence index and one t_i per frame")
+        if np.any(index < 0):
+            raise ValueError("sequence_index must be non-negative")
+        # broadcast_to returns read-only views of the same memory.
+        self.h = np.broadcast_to(h, h.shape)
+        self.sequence_index = np.broadcast_to(index, index.shape)
+        self.t_i = np.broadcast_to(t_i, t_i.shape)
+        self.corrected = np.broadcast_to(np.asarray(self.corrected, dtype=bool), (len(h),))
+
+    @classmethod
+    def of(cls, frames) -> "FrameSeries":
+        """The given series itself, or frames (or bare vectors, indexed
+        ``0 .. F-1`` at ``t_i = 0``) stacked into one, possibly empty, series."""
+        if isinstance(frames, FrameSeries):
+            return frames
+        rows = [
+            fr if isinstance(fr, ImpulseResponseFrame) else ImpulseResponseFrame(fr, 0.0, i)
+            for i, fr in enumerate(frames)
+        ]
+        if not rows:
+            return cls(np.empty((0, 0)), [], [])
+        if any(fr.n_seq != rows[0].n_seq for fr in rows):
+            raise ValueError("all frames in a series must share one length")
+        return cls(
+            h=np.stack([fr.h for fr in rows]),
+            sequence_index=[fr.sequence_index for fr in rows],
+            t_i=[fr.t_i for fr in rows],
+            corrected=[fr.corrected for fr in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FrameSeries(self.h[i], self.sequence_index[i], self.t_i[i], self.corrected[i])
+        return ImpulseResponseFrame(
+            h=self.h[i],
+            t_i=float(self.t_i[i]),
+            sequence_index=int(self.sequence_index[i]),
+            corrected=bool(self.corrected[i]),
+        )
+
+    @property
+    def n_seq(self) -> int:
+        return self.h.shape[1]

@@ -18,17 +18,21 @@ files.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calib import CalibrationProfile
-from .frames import ImpulseResponseFrame, IqFrame, TriggerEvent
+from .frames import FrameSeries, IqFrame, TriggerEvent
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
 PROFILE_MAGIC = b"CSP1"
+#: ``write_frames`` packs records in slices of about this size, so it
+#: never holds a second copy of the whole series.
+_WRITE_SLICE_BYTES = 1 << 20
 
 
 def _write_kv(path: str, pairs: list[tuple[str, str]]) -> None:
@@ -141,54 +145,32 @@ class FrameSeriesMeta:
     total_sequences: int
 
 
-_RECORD_HEAD = struct.Struct("<qdB")
+def _record_dtype(n_seq: int) -> np.dtype:
+    """One frame-series record; its fields are the :class:`FrameSeries` fields."""
+    return np.dtype(
+        [("sequence_index", "<i8"), ("t_i", "<f8"), ("corrected", "u1"), ("h", "<c16", (n_seq,))]
+    )
 
 
-def write_frames(
-    path: str,
-    frames: list[ImpulseResponseFrame],
-    t_s: float,
-    calibration: str = "",
-    total_sequences: int | None = None,
-) -> None:
-    """Write an impulse-response series with its grid metadata.
+def _positive(parse):
+    """A header field parser that also demands a finite value above zero."""
 
-    ``total_sequences`` records how many periods the stimulation run
-    contained (including gated-out ones); it defaults to one past the
-    highest stored index.
-    """
-    if not frames:
-        raise ValueError("refusing to write an empty frame series")
-    n_seq = frames[0].n_seq
-    if any(fr.n_seq != n_seq for fr in frames):
-        raise ValueError("all frames in a series must share one length")
-    if total_sequences is None:
-        total_sequences = max(fr.sequence_index for fr in frames) + 1
+    def parse_positive(text: str):
+        value = parse(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"must be positive and finite, got {value}")
+        return value
 
-    header = (
-        f"n_records={len(frames)}\n"
-        f"n_seq={n_seq}\n"
-        f"t_s={t_s!r}\n"
-        f"t_seq={n_seq * t_s!r}\n"
-        f"calibration={calibration}\n"
-        f"total_sequences={total_sequences}\n"
-    ).encode("utf-8")
-
-    with open(path, "wb") as f:
-        f.write(FRAMES_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for fr in frames:
-            f.write(_RECORD_HEAD.pack(fr.sequence_index, fr.t_i, 1 if fr.corrected else 0))
-            f.write(np.asarray(fr.h).astype("<c16").tobytes())
+    return parse_positive
 
 
-def read_frames(path: str) -> tuple[list[ImpulseResponseFrame], FrameSeriesMeta]:
-    """Read a frame series written by :func:`write_frames`."""
+def _read_container(path: str, magic: bytes, kind: str, fields: dict) -> tuple[dict, memoryview]:
+    """Parse a container's magic and header; return the header values
+    (``fields`` maps each required key to its parser) and the payload."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != FRAMES_MAGIC:
-        raise ValueError(f"{path} is not a frame-series file (bad magic)")
+    if blob[:4] != magic:
+        raise ValueError(f"{path} is not a {kind} file (bad magic)")
     if len(blob) < 8:
         raise ValueError(f"{path} is truncated before the header")
     (header_len,) = struct.unpack_from("<I", blob, 4)
@@ -200,42 +182,90 @@ def read_frames(path: str) -> tuple[list[ImpulseResponseFrame], FrameSeriesMeta]
         if line:
             key, _, value = line.partition("=")
             kv[key] = value
-    try:
-        n_records = int(kv["n_records"])
-        n_seq = int(kv["n_seq"])
-        t_s = float(kv["t_s"])
-        t_seq = float(kv["t_seq"])
-        total_sequences = int(kv["total_sequences"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: frame-series header is missing {exc}") from exc
+    for key, parse in fields.items():
+        if key not in kv:
+            raise ValueError(f"{path}: {kind} header is missing {key!r}")
+        try:
+            kv[key] = parse(kv[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {kind} header field {key}: {exc}") from None
+    return kv, memoryview(blob)[header_end:]
 
-    record_size = _RECORD_HEAD.size + 16 * n_seq
-    frames: list[ImpulseResponseFrame] = []
-    off = header_end
-    for i in range(n_records):
-        if off + record_size > len(blob):
-            raise ValueError(f"{path} is truncated at record {i} of {n_records}")
-        seq_index, t_i, corrected = _RECORD_HEAD.unpack_from(blob, off)
-        h = np.frombuffer(
-            blob, dtype="<c16", count=n_seq, offset=off + _RECORD_HEAD.size
-        ).astype(np.complex128)
-        frames.append(
-            ImpulseResponseFrame(
-                h=h, t_i=t_i, sequence_index=seq_index, corrected=bool(corrected)
-            )
-        )
-        off += record_size
-    if off != len(blob):
-        raise ValueError(f"{path} has {len(blob) - off} trailing bytes after the records")
 
-    meta = FrameSeriesMeta(
-        n_seq=n_seq,
-        t_s=t_s,
-        t_seq=t_seq,
-        calibration=kv.get("calibration", ""),
-        total_sequences=total_sequences,
+def write_frames(
+    path: str,
+    frames,
+    t_s: float,
+    calibration: str = "",
+    total_sequences: int | None = None,
+) -> None:
+    """Write an impulse-response series with its grid metadata.
+
+    ``frames`` is a :class:`FrameSeries` or a list of frames.
+    ``total_sequences`` records how many periods the stimulation run
+    contained (including gated-out ones); it defaults to one past the
+    highest stored index.
+    """
+    series = FrameSeries.of(frames)
+    if not len(series):
+        raise ValueError("refusing to write an empty frame series")
+    n_seq = series.n_seq
+    if total_sequences is None:
+        total_sequences = int(series.sequence_index.max()) + 1
+
+    header = (
+        f"n_records={len(series)}\n"
+        f"n_seq={n_seq}\n"
+        f"t_s={t_s!r}\n"
+        f"t_seq={n_seq * t_s!r}\n"
+        f"calibration={calibration}\n"
+        f"total_sequences={total_sequences}\n"
+    ).encode("utf-8")
+
+    dtype = _record_dtype(n_seq)
+    step = max(1, _WRITE_SLICE_BYTES // dtype.itemsize)
+    with open(path, "wb") as f:
+        f.write(FRAMES_MAGIC)
+        f.write(struct.pack("<I", len(header)))
+        f.write(header)
+        for lo in range(0, len(series), step):
+            part = series[lo : lo + step]
+            f.write(np.rec.fromarrays([getattr(part, n) for n in dtype.names], dtype=dtype))
+
+
+def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
+    """Read a frame series written by :func:`write_frames`."""
+    kv, payload = _read_container(
+        path,
+        FRAMES_MAGIC,
+        "frame-series",
+        {
+            "n_records": _positive(int),
+            "n_seq": _positive(int),
+            "t_s": _positive(float),
+            "t_seq": _positive(float),
+            "total_sequences": int,
+        },
     )
-    return frames, meta
+    n_records = kv["n_records"]
+    record = _record_dtype(kv["n_seq"])
+    whole = len(payload) // record.itemsize
+    if whole < n_records:
+        raise ValueError(f"{path} is truncated at record {whole} of {n_records}")
+    if len(payload) > n_records * record.itemsize:
+        raise ValueError(
+            f"{path} has {len(payload) - n_records * record.itemsize} trailing bytes after the records"
+        )
+    records = np.frombuffer(payload, dtype=record)
+    series = FrameSeries(**{name: records[name].copy() for name in record.names})
+    meta = FrameSeriesMeta(
+        n_seq=kv["n_seq"],
+        t_s=kv["t_s"],
+        t_seq=kv["t_seq"],
+        calibration=kv.get("calibration", ""),
+        total_sequences=kv["total_sequences"],
+    )
+    return series, meta
 
 
 def write_trigger_log(path: str, events: list[TriggerEvent]) -> None:
@@ -291,35 +321,19 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
 
 def read_profile(path: str) -> CalibrationProfile:
     """Read a calibration profile written by :func:`write_profile`."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != PROFILE_MAGIC:
-        raise ValueError(f"{path} is not a calibration-profile file (bad magic)")
-    if len(blob) < 8:
-        raise ValueError(f"{path} is truncated before the header")
-    (header_len,) = struct.unpack_from("<I", blob, 4)
-    header_end = 8 + header_len
-    if len(blob) < header_end:
-        raise ValueError(f"{path} is truncated inside the header")
-    kv: dict[str, str] = {}
-    for line in blob[8:header_end].decode("utf-8").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            kv[key] = value
-    try:
-        n_seq = int(kv["n_seq"])
-        source = kv["source"]
-        gain_cap_db = float(kv["gain_cap_db"])
-        created_from = int(kv["created_from"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: profile header is missing {exc}") from exc
+    kv, payload = _read_container(
+        path,
+        PROFILE_MAGIC,
+        "calibration-profile",
+        {"n_seq": _positive(int), "source": str, "gain_cap_db": float, "created_from": int},
+    )
+    n_seq = kv["n_seq"]
     clamped_text = kv.get("clamped_bins", "")
     clamped = (
         np.array([int(t) for t in clamped_text.split(".")], dtype=np.int64)
         if clamped_text
         else np.empty(0, dtype=np.int64)
     )
-    payload = blob[header_end:]
     if len(payload) != 16 * n_seq:
         raise ValueError(
             f"{path} payload is {len(payload)} bytes, expected {16 * n_seq}"
@@ -327,8 +341,8 @@ def read_profile(path: str) -> CalibrationProfile:
     h_ftt = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return CalibrationProfile(
         h_ftt=h_ftt,
-        source=source,
-        gain_cap_db=gain_cap_db,
-        created_from=created_from,
+        source=kv["source"],
+        gain_cap_db=kv["gain_cap_db"],
+        created_from=kv["created_from"],
         clamped_bins=clamped,
     )

@@ -23,6 +23,7 @@ the in-process path.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, Sequence as SequenceType
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import chansim
 from .calib import CalibrationProfile, remove_dc_bias
 from .corrmath import fast_pccf
-from .frames import ImpulseResponseFrame, IqFrame, TriggerEvent
+from .frames import FrameSeries, IqFrame, TriggerEvent
 from .seqgen import Sequence
 
 
@@ -83,13 +84,14 @@ def sequence_gate(
     frame: IqFrame,
     events: SequenceType[TriggerEvent],
     n_seq: int,
-) -> tuple[list[np.ndarray], list[int]]:
+) -> tuple[np.ndarray, list[int]]:
     """Cut the stream into sequence periods and drop damaged ones.
 
     A period is dropped when any trigger event's corrupted span
     ``[sample_index, sample_index + span)`` overlaps it, and also when
     the frame does not cover it completely.  Returns the surviving
-    period sample blocks together with their period indices (strictly
+    periods as the rows of an (F, n_seq) block matrix (a view of the
+    samples when none is dropped) with their period indices (strictly
     increasing).  Absolute sample index 0 is a period boundary by
     construction of :func:`stimulate`.
     """
@@ -98,45 +100,43 @@ def sequence_gate(
     lo, hi = frame.start_index, frame.end_index
 
     first = -(-lo // n_seq)  # first period fully inside the frame
-    last = hi // n_seq  # one past the last full period
-    tainted: set[int] = set()
+    last = max(first, hi // n_seq)  # one past the last full period
+    keep = np.ones(last - first, dtype=bool)
     for ev in events:
         span = max(1, ev.span)
         k0 = ev.sample_index // n_seq
         k1 = (ev.sample_index + span - 1) // n_seq
-        tainted.update(range(k0, k1 + 1))
+        keep[max(k0 - first, 0) : max(k1 + 1 - first, 0)] = False
 
+    a = first * n_seq - lo
     x = np.asarray(frame.samples)
-    blocks: list[np.ndarray] = []
-    kept: list[int] = []
-    for k in range(first, last):
-        if k in tainted:
-            continue
-        a = k * n_seq - lo
-        blocks.append(x[a : a + n_seq])
-        kept.append(k)
-    return blocks, kept
+    blocks = x[a : a + (last - first) * n_seq].reshape(last - first, n_seq)
+    kept = (first + np.flatnonzero(keep)).tolist()
+    return (blocks if keep.all() else blocks[keep]), kept
 
 
 def correlate_sequence(block: np.ndarray, seq: Sequence) -> np.ndarray:
-    """Periodic cross-correlation of one period against the reference."""
-    block = np.asarray(block)
-    if len(block) != seq.n_seq:
+    """Periodic cross-correlation of one period, or of each row of a
+    block matrix, against the reference."""
+    block = np.atleast_1d(block)
+    if block.shape[-1] != seq.n_seq:
         raise ValueError(
-            f"period block has {len(block)} samples, sequence needs {seq.n_seq}"
+            f"period block has {block.shape[-1]} samples, sequence needs {seq.n_seq}"
         )
     return fast_pccf(block, seq.samples).values
 
 
-def normalize(y_corr: np.ndarray, n_seq: int) -> np.ndarray:
+def normalize(y_corr: np.ndarray, n_seq: int, out: np.ndarray | None = None) -> np.ndarray:
     """Scale raw correlation to channel-gain units (divide by N).
 
     For an MLS this leaves the known ``v_oop / N`` bias floor that
     shrinks with sequence length; for an FZC there is no bias at all.
+    ``out`` receives the result when given (pass ``y_corr`` itself to
+    scale in place).
     """
     if n_seq < 1:
         raise ValueError("sequence length must be positive")
-    return np.asarray(y_corr) / n_seq
+    return np.divide(np.asarray(y_corr), n_seq, out=out)
 
 
 def measurement_time(sequence_index: int, t_seq: float, t_s: float) -> float:
@@ -144,25 +144,23 @@ def measurement_time(sequence_index: int, t_seq: float, t_s: float) -> float:
     return (sequence_index + 1) * t_seq - t_s
 
 
-def correct_ftt(
-    frame: ImpulseResponseFrame, profile: CalibrationProfile | None
-) -> ImpulseResponseFrame:
-    """Apply a forward-transmission correction profile to one frame.
+def correct_ftt(frames, profile: CalibrationProfile | None):
+    """Apply a forward-transmission correction profile to one
+    :class:`ImpulseResponseFrame` or to every row of a :class:`FrameSeries`.
 
-    With no profile the frame passes through untouched (and keeps its
+    With no profile the input passes through untouched (and keeps its
     uncorrected flag).  Correction is circular convolution with the
     profile filter, done in the frequency domain.
     """
     if profile is None:
-        return frame
-    if profile.n_seq != frame.n_seq:
+        return frames
+    if profile.n_seq != frames.n_seq:
         raise ValueError(
-            f"profile length {profile.n_seq} does not match frame length {frame.n_seq}"
+            f"profile length {profile.n_seq} does not match frame length {frames.n_seq}"
         )
-    h = np.fft.ifft(np.fft.fft(frame.h) * profile.spectrum())
-    return ImpulseResponseFrame(
-        h=h, t_i=frame.t_i, sequence_index=frame.sequence_index, corrected=True
-    )
+    spec = np.fft.fft(frames.h, axis=-1).astype(np.complex128, copy=False)
+    spec *= profile.spectrum()
+    return replace(frames, h=np.fft.ifft(spec, axis=-1, out=spec), corrected=True)
 
 
 def frames_from_capture(
@@ -173,7 +171,7 @@ def frames_from_capture(
     discard_first: bool = True,
     dc_suppression_hz: float = 0.0,
     dc_position: str = "before",
-) -> list[ImpulseResponseFrame]:
+) -> FrameSeries:
     """Run the full correlation side over a captured stream.
 
     ``discard_first`` drops sequence period 0, which a real receiver
@@ -181,58 +179,53 @@ def frames_from_capture(
     the only one whose delayed multipath replicas come from silence
     rather than from the previous repetition).  ``dc_suppression_hz``
     enables DC-bias removal on every frame; ``dc_position`` chooses
-    whether that happens before or after the profile correction.
+    whether that happens before or after the profile correction.  Every
+    stage runs once over the whole (F, N) block matrix of kept periods.
     """
     if dc_position not in ("before", "after"):
         raise ValueError("dc_position must be 'before' or 'after'")
     n_seq = seq.n_seq
     t_s = 1.0 / capture.fs
-    t_seq = n_seq * t_s
 
     blocks, kept = sequence_gate(capture, events, n_seq)
-    out: list[ImpulseResponseFrame] = []
-    for block, k in zip(blocks, kept):
-        if discard_first and k == 0:
-            continue
-        h = normalize(correlate_sequence(block, seq), n_seq)
-        fr = ImpulseResponseFrame(
-            h=h,
-            t_i=measurement_time(k, t_seq, t_s),
-            sequence_index=k,
-            corrected=False,
-        )
-        if dc_suppression_hz > 0.0 and dc_position == "before":
-            fr = remove_dc_bias(fr, dc_suppression_hz, capture.fs)
-        fr = correct_ftt(fr, profile)
-        if dc_suppression_hz > 0.0 and dc_position == "after":
-            fr = remove_dc_bias(fr, dc_suppression_hz, capture.fs)
-        out.append(fr)
-    return out
+    if discard_first and kept[:1] == [0]:
+        blocks, kept = blocks[1:], kept[1:]
+    h = correlate_sequence(blocks, seq)
+    index = np.asarray(kept, dtype=np.int64)
+    series = FrameSeries(
+        h=normalize(h, n_seq, out=h),
+        sequence_index=index,
+        t_i=measurement_time(index, n_seq * t_s, t_s),
+    )
+    # Release the (possibly copied) blocks and the raw matrix, so each
+    # correction below holds only its input and output matrices.
+    del blocks, h
+    if dc_suppression_hz > 0.0 and dc_position == "before":
+        series = remove_dc_bias(series, dc_suppression_hz, capture.fs)
+    series = correct_ftt(series, profile)
+    if dc_suppression_hz > 0.0 and dc_position == "after":
+        series = remove_dc_bias(series, dc_suppression_hz, capture.fs)
+    return series
 
 
-def run_sounding(config, model: chansim.ChannelModel | None = None) -> list[ImpulseResponseFrame]:
-    """Full single-process sounding run driven by a campaign config.
-
-    Builds the stimulation stream, passes it through the configured (or
-    given) channel model, injects any configured trigger faults,
-    quantizes to capture precision, and runs the correlation side.
-    """
+def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
+    """The configured campaign's sequence, its quantized capture through
+    the configured channel, and the injected trigger events re-stamped
+    with the spans they corrupted."""
     seq = config.make_sequence()
-    fs = config.sample_rate
-    n_reps = config.num_sequences()
-
-    x = stimulate_capture(seq, n_reps, fs, config.center_frequency)
-    if model is None:
-        model = config.channel_model()
-    y = chansim.apply_channel(x, model)
-
+    x = stimulate_capture(seq, config.num_sequences(), config.sample_rate, config.center_frequency)
+    y = chansim.apply_channel(x, config.channel_model())
     events = config.trigger_events()
     if events:
         y, events = chansim.inject_disruption(y, events, config.corrupt_span)
+    return seq, quantize_capture(y), events
 
-    y = quantize_capture(y)
+
+def correlate_campaign(config, capture: IqFrame, seq: Sequence, events) -> FrameSeries:
+    """Run :func:`frames_from_capture` with the configured profile,
+    first-period discard and DC-bias settings."""
     return frames_from_capture(
-        y,
+        capture,
         seq,
         events=events,
         profile=config.load_profile(),
@@ -240,3 +233,10 @@ def run_sounding(config, model: chansim.ChannelModel | None = None) -> list[Impu
         dc_suppression_hz=config.dc_suppression_hz,
         dc_position=config.dc_position,
     )
+
+
+def run_sounding(config) -> FrameSeries:
+    """Full single-process sounding run driven by a campaign config:
+    :func:`capture_campaign`, then :func:`correlate_campaign`."""
+    seq, capture, events = capture_campaign(config)
+    return correlate_campaign(config, capture, seq, events)

@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sounder
-from .chansim import apply_channel, inject_disruption
 from .frames import IqFrame, TriggerEvent
 from .seqgen import descriptor as seq_descriptor
-from .seqgen import from_descriptor
 
 PROTOCOL_VERSION = 1
 MSG_HELLO = 1
@@ -353,15 +351,7 @@ def serve_stimulation(config, endpoint=None) -> StimulationSummary:
     sample format before transmission, so the peer receives exactly
     what a capture file of the same campaign would contain.
     """
-    seq = config.make_sequence()
-    capture = sounder.stimulate_capture(
-        seq, config.num_sequences(), config.sample_rate, config.center_frequency
-    )
-    capture = apply_channel(capture, config.channel_model())
-    events = config.trigger_events()
-    if events:
-        capture, events = inject_disruption(capture, events, config.corrupt_span)
-    capture = sounder.quantize_capture(capture)
+    seq, capture, events = sounder.capture_campaign(config)
     return serve_capture(
         capture,
         seq_descriptor(seq),
@@ -441,24 +431,6 @@ def consume_correlation(endpoint, config):
             f"peer samples at {hello.fs} Hz but the local configuration expects "
             f"{config.sample_rate} Hz"
         )
-    local = config.make_sequence()
-    if config.sequence_pinned() and seq_descriptor(local) != hello.sequence_descriptor:
-        raise HelloMismatchError(
-            f"peer stimulates with {hello.sequence_descriptor!r} but the local "
-            f"configuration pins {seq_descriptor(local)!r}"
-        )
-    try:
-        seq = from_descriptor(hello.sequence_descriptor) if hello.sequence_descriptor else local
-    except ValueError as exc:
-        raise HelloMismatchError(f"peer sequence descriptor is unusable: {exc}") from exc
-
-    frames = sounder.frames_from_capture(
-        capture,
-        seq,
-        events=summary.triggers,
-        profile=config.load_profile(),
-        discard_first=config.discard_first,
-        dc_suppression_hz=config.dc_suppression_hz,
-        dc_position=config.dc_position,
-    )
+    seq = config.stream_sequence(hello.sequence_descriptor, "peer", HelloMismatchError, strict=True)
+    frames = sounder.correlate_campaign(config, capture, seq, summary.triggers)
     return frames, summary

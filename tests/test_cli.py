@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -117,6 +118,13 @@ class TestStimulateCorrelate:
         frames, _ = framestore.read_frames(out + ".frames")
         assert 4 not in [f.sequence_index for f in frames]
 
+    def test_sound_logs_the_corrupted_span(self, tmp_path):
+        cfg = small_config(tmp_path, "triggers = 300:overflow:buf\ncorrupt_span = 8\n")
+        out = str(tmp_path / "s")
+        assert main(["sound", "--config", cfg, "--out", out]) == 0
+        events = framestore.read_trigger_log(out + ".triggers")
+        assert [(e.sample_index, e.span) for e in events] == [(300, 8)]
+
     def test_capture_descriptor_wins_when_unpinned(self, tmp_path):
         cfg = small_config(tmp_path)
         cap = str(tmp_path / "cap.iq")
@@ -218,6 +226,43 @@ class TestErrorPaths:
         )
         assert rc == 2
         assert "2000000" in capsys.readouterr().err
+
+
+    def test_characterize_rejects_zero_sample_period(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["sound", "--config", small_config(tmp_path), "--out", out]) == 0
+        blob = open(out + ".frames", "rb").read()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        header = blob[8 : 8 + header_len].replace(b"t_s=1e-06", b"t_s=0.000")
+        with open(out + ".frames", "wb") as f:
+            f.write(blob[:8] + header + blob[8 + header_len :])
+        capsys.readouterr()
+        assert main(["characterize", "--input", out + ".frames"]) == 2
+        assert "t_s" in capsys.readouterr().err
+
+    def test_wire_total_counts_periods_of_the_adopted_sequence(self, tmp_path, capsys):
+        # The local side names no sequence, so it adopts the peer's
+        # 64-sample one instead of its 1024-sample default.
+        lsock = socket.create_server(("127.0.0.1", 0))
+        port = lsock.getsockname()[1]
+        cfg = small_config(tmp_path)
+
+        def serve():
+            import chansounder.config as cfgmod
+            import chansounder.wire as wiremod
+
+            wiremod.serve_stimulation(cfgmod.load_config(cfg), lsock)
+            lsock.close()
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        out = str(tmp_path / "live")
+        rc = main(["correlate", "--endpoint", f"127.0.0.1:{port}", "--out", out])
+        t.join(timeout=10.0)
+        assert rc == 0
+        assert "kept 11 of 12" in capsys.readouterr().out
+        _, meta = framestore.read_frames(out + ".frames")
+        assert meta.n_seq == 64 and meta.total_sequences == 12
 
 
 class TestFlagOverrides:

@@ -104,6 +104,11 @@ endpoint = 127.0.0.1:7000
         with pytest.raises(ValueError, match=r"c\.cfg:2: unknown config key 'bogus_key'"):
             load_config(path)
 
+    def test_downsample_threshold_key_is_gone(self, tmp_path):
+        path = write(tmp_path / "c.cfg", "downsample_threshold_db = -20\n")
+        with pytest.raises(ValueError, match="unknown config key 'downsample_threshold_db'"):
+            load_config(path)
+
     def test_missing_equals_sign(self, tmp_path):
         path = write(tmp_path / "c.cfg", "just some words\n")
         with pytest.raises(ValueError, match=r"c\.cfg:1"):

@@ -4,10 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chansounder import framestore as fsio
 from chansounder.calib import CalibrationProfile, through_calibrate
-from chansounder.frames import ImpulseResponseFrame, IqFrame, TriggerEvent
+from chansounder.frames import FrameSeries, ImpulseResponseFrame, IqFrame, TriggerEvent
 
 
 class TestCapture:
@@ -256,3 +258,138 @@ class TestProfile:
         fsio.write_frames(path, frames, t_s=1e-6)
         with pytest.raises(ValueError, match="magic"):
             fsio.read_profile(path)
+
+
+def container(magic, header, payload=b""):
+    """Assemble a frame-series or profile container by hand."""
+    head = header.encode("utf-8")
+    return magic + struct.pack("<I", len(head)) + head + payload
+
+
+def frames_header(**fields):
+    values = {"n_records": "1", "n_seq": "2", "t_s": "1e-06", "t_seq": "2e-06", "total_sequences": "1"}
+    values.update(fields)
+    return "".join(f"{k}={v}\n" for k, v in values.items())
+
+
+def record(index=0, n_seq=2):
+    return struct.pack("<qdB", index, 1e-6, 0) + np.zeros(n_seq, dtype="<c16").tobytes()
+
+
+class TestFrameSeriesContainer:
+    def test_series_round_trip_keeps_flags_and_list_bytes(self, tmp_path, rng):
+        frames = TestFrameSeries().make_series(rng)
+        series = FrameSeries.of(frames)
+        from_list, from_series = str(tmp_path / "a.frames"), str(tmp_path / "b.frames")
+        fsio.write_frames(from_list, frames, t_s=1e-6, calibration="p.csp", total_sequences=9)
+        fsio.write_frames(from_series, series, t_s=1e-6, calibration="p.csp", total_sequences=9)
+        assert open(from_list, "rb").read() == open(from_series, "rb").read()
+
+        back, meta = fsio.read_frames(from_series)
+        assert isinstance(back, FrameSeries)
+        assert np.array_equal(back.h, series.h)
+        assert np.array_equal(back.sequence_index, series.sequence_index)
+        assert np.array_equal(back.t_i, series.t_i)
+        assert back.corrected.tolist() == [True, False, True, False, True]
+        assert meta.total_sequences == 9
+
+    def test_sliced_write_gives_same_bytes(self, tmp_path, rng, monkeypatch):
+        frames = TestFrameSeries().make_series(rng)
+        whole, sliced = str(tmp_path / "a.frames"), str(tmp_path / "b.frames")
+        fsio.write_frames(whole, frames, t_s=1e-6)
+        monkeypatch.setattr(fsio, "_WRITE_SLICE_BYTES", 300)  # two records per slice
+        fsio.write_frames(sliced, frames, t_s=1e-6)
+        assert open(whole, "rb").read() == open(sliced, "rb").read()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_seq", "0"),
+            ("t_s", "0"),
+            ("t_s", "nan"),
+            ("t_s", "inf"),
+            ("t_s", "-1e-06"),
+            ("t_seq", "0"),
+            ("n_records", "0"),
+            ("n_records", "-1"),
+            ("n_seq", "two"),
+        ],
+    )
+    def test_hostile_header_rejected(self, tmp_path, field, value):
+        path = tmp_path / "bad.frames"
+        path.write_bytes(container(fsio.FRAMES_MAGIC, frames_header(**{field: value}), record()))
+        with pytest.raises(ValueError, match=field):
+            fsio.read_frames(str(path))
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.frames"
+        path.write_bytes(container(fsio.FRAMES_MAGIC, "n_records=1\nn_seq=2\n", record()))
+        with pytest.raises(ValueError, match="missing 't_s'"):
+            fsio.read_frames(str(path))
+
+    def test_negative_sequence_index_rejected(self, tmp_path):
+        path = tmp_path / "bad.frames"
+        path.write_bytes(container(fsio.FRAMES_MAGIC, frames_header(), record(index=-3)))
+        with pytest.raises(ValueError, match="non-negative"):
+            fsio.read_frames(str(path))
+
+    def test_profile_with_zero_length_rejected(self, tmp_path):
+        path = tmp_path / "bad.csp"
+        path.write_bytes(
+            container(fsio.PROFILE_MAGIC, "n_seq=0\nsource=x\ngain_cap_db=40.0\ncreated_from=1\n")
+        )
+        with pytest.raises(ValueError, match="n_seq"):
+            fsio.read_profile(str(path))
+
+
+def _valid_frames_blob(tmp_path):
+    frames = [ImpulseResponseFrame(np.arange(3) + 1j, 1e-6 * (i + 1), i, i == 1) for i in range(2)]
+    path = str(tmp_path / "valid.frames")
+    fsio.write_frames(path, frames, t_s=1e-6)
+    return open(path, "rb").read()
+
+
+def _valid_profile_blob(tmp_path):
+    path = str(tmp_path / "valid.csp")
+    fsio.write_profile(path, TestProfile().make_profile(None))
+    return open(path, "rb").read()
+
+
+def _parses_or_value_error(reader, path, blob):
+    with open(path, "wb") as f:
+        f.write(blob)
+    try:
+        reader(path)
+    except ValueError:
+        pass
+
+
+_READERS = [("frames", fsio.read_frames, _valid_frames_blob), ("csp", fsio.read_profile, _valid_profile_blob)]
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestContainerFuzz:
+    """Any byte string either parses or raises ValueError, never another error."""
+
+    @_FUZZ
+    @given(which=st.sampled_from(_READERS), blob=st.binary(max_size=200), magic=st.booleans())
+    def test_arbitrary_bytes(self, tmp_path, which, blob, magic):
+        kind, reader, valid = which
+        if magic:
+            blob = (fsio.FRAMES_MAGIC if kind == "frames" else fsio.PROFILE_MAGIC) + blob
+        _parses_or_value_error(reader, str(tmp_path / f"fuzz.{kind}"), blob)
+
+    @_FUZZ
+    @given(
+        which=st.sampled_from(_READERS),
+        edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=6),
+        cut=st.integers(0, 400),
+        insert=st.binary(max_size=16),
+    )
+    def test_mutated_valid_files(self, tmp_path, which, edits, cut, insert):
+        kind, reader, valid = which
+        blob = bytearray(valid(tmp_path))
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        blob[cut % (len(blob) + 1) : cut % (len(blob) + 1)] = insert
+        _parses_or_value_error(reader, str(tmp_path / f"fuzz.{kind}"), bytes(blob))

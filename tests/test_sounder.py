@@ -3,9 +3,11 @@ timestamps, profile correction, and the composed offline run."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansounder import chansim
-from chansounder.calib import identity_profile, through_calibrate
+from chansounder.calib import identity_profile, remove_dc_bias, through_calibrate
 from chansounder.config import CampaignConfig
 from chansounder.frames import ImpulseResponseFrame, IqFrame, TriggerEvent
 from chansounder.seqgen import generate_fzc, generate_mls
@@ -21,6 +23,8 @@ from chansounder.sounder import (
     stimulate,
     stimulate_capture,
 )
+
+from conftest import random_complex
 
 FS = 1e6
 
@@ -265,3 +269,77 @@ class TestRunSounding:
         frames = run_sounding(cfg)
         assert 4 not in [f.sequence_index for f in frames]
         assert [f.sequence_index for f in frames] == [1, 2, 3, 5, 6, 7, 8, 9]
+
+
+class TestBatchedEqualsPerFrame:
+    """frames_from_capture runs each stage once over the block matrix of
+    kept periods; row by row it must give exactly the bits of the
+    per-period composition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_per_frame_composition(self, data):
+        n_seq = data.draw(st.sampled_from([16, 31, 64]), label="n_seq")
+        start = data.draw(st.integers(0, 2 * n_seq), label="start_index")
+        length = data.draw(st.integers(0, 8 * n_seq), label="samples")
+        events = [
+            TriggerEvent(start + p, "overflow", span)
+            for p, span in data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, max(length - 1, 0)), st.integers(1, 2 * n_seq)),
+                    max_size=4 if length else 0,
+                ),
+                label="triggers",
+            )
+        ]
+        discard_first = data.draw(st.booleans(), label="discard_first")
+        dc_hz = data.draw(st.sampled_from([0.0, 3 * FS / n_seq]), label="dc_suppression_hz")
+        dc_position = data.draw(st.sampled_from(["before", "after"]), label="dc_position")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        profile = (
+            through_calibrate([random_complex(rng, n_seq)])
+            if data.draw(st.booleans(), label="profile")
+            else None
+        )
+        seq = generate_fzc(n_seq, 3)
+        samples = random_complex(rng, length).astype(np.complex64).astype(np.complex128)
+        capture = IqFrame(samples, FS, 0.0, start)
+
+        got = frames_from_capture(
+            capture,
+            seq,
+            events=events,
+            profile=profile,
+            discard_first=discard_first,
+            dc_suppression_hz=dc_hz,
+            dc_position=dc_position,
+        )
+
+        tainted = {
+            k
+            for ev in events
+            for k in range(ev.sample_index // n_seq, (ev.sample_index + ev.span - 1) // n_seq + 1)
+        }
+        first, last = -(-start // n_seq), (start + length) // n_seq
+        kept = [
+            k
+            for k in range(first, last)
+            if k not in tainted and not (discard_first and k == 0)
+        ]
+        assert [fr.sequence_index for fr in got] == kept
+        assert got.h.shape == (len(kept), n_seq)
+        for k, fr in zip(kept, got):
+            block = samples[k * n_seq - start : (k + 1) * n_seq - start]
+            want = ImpulseResponseFrame(
+                h=normalize(correlate_sequence(block, seq), n_seq),
+                t_i=measurement_time(k, n_seq / FS, 1 / FS),
+                sequence_index=k,
+            )
+            if dc_hz and dc_position == "before":
+                want = remove_dc_bias(want, dc_hz, FS)
+            want = correct_ftt(want, profile)
+            if dc_hz and dc_position == "after":
+                want = remove_dc_bias(want, dc_hz, FS)
+            assert np.array_equal(fr.h, want.h)
+            assert fr.t_i == want.t_i
+            assert fr.corrected == want.corrected == (profile is not None)

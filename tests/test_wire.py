@@ -407,6 +407,31 @@ class TestHandshakeChecks:
         assert summary.hello.sequence_descriptor == "fzc:n=64:u=7"
         assert len(frames) == 2
 
+    def start_without_descriptor(self, cfg):
+        _, capture, events = sounder.capture_campaign(cfg)
+        lsock = socket.create_server(("127.0.0.1", 0))
+        port = lsock.getsockname()[1]
+        t = threading.Thread(
+            target=wire.serve_capture, args=(capture, "", lsock, events), daemon=True
+        )
+        t.start()
+        return f"127.0.0.1:{port}", t
+
+    def test_pinned_sequence_needs_peer_descriptor(self):
+        endpoint, t = self.start_without_descriptor(self.make_served_config())
+        local = self.make_served_config()
+        local.explicit.add("sequence.root")  # same sequence, but pinned
+        with pytest.raises(HelloMismatchError, match="pins"):
+            wire.consume_correlation(endpoint, local)
+        t.join(timeout=10.0)
+
+    def test_unpinned_local_fills_in_missing_descriptor(self):
+        endpoint, t = self.start_without_descriptor(self.make_served_config())
+        frames, summary = wire.consume_correlation(endpoint, self.make_served_config())
+        t.join(timeout=10.0)
+        assert summary.hello.sequence_descriptor == ""
+        assert len(frames) == 2
+
     def test_timeout_with_no_peer(self):
         lsock = socket.create_server(("127.0.0.1", 0))
         with lsock:
