@@ -54,7 +54,6 @@ from .sounder import (
     normalize,
     run_sounding,
     sequence_gate,
-    stimulate,
     stimulate_capture,
 )
 
@@ -113,7 +112,6 @@ __all__ = [
     "rms_delay_spread",
     "run_sounding",
     "sequence_gate",
-    "stimulate",
     "stimulate_capture",
     "through_calibrate",
 ]

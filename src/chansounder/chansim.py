@@ -101,16 +101,14 @@ def apply_channel(frame: IqFrame, model: ChannelModel) -> IqFrame:
             f"tap delay {max_tap_delay} does not fit in a frame of {len(x)} samples"
         )
 
-    y = np.zeros(len(x), dtype=np.complex128)
+    n = len(x)
+    y = np.zeros(n, dtype=np.complex128)
     for tap in model.taps:
-        delayed = np.zeros(len(x), dtype=np.complex128)
-        if tap.delay == 0:
-            delayed[:] = x
-        else:
-            delayed[tap.delay:] = x[:-tap.delay]
+        d = tap.delay
+        part = x[: n - d]
         if tap.doppler_hz != 0.0:
-            delayed = _rotate(delayed, tap.doppler_hz, frame.fs, frame.start_index)
-        y += tap.gain * delayed
+            part = _rotate(part, tap.doppler_hz, frame.fs, frame.start_index + d)
+        y[d:] += tap.gain * part
 
     if model.cable is not None:
         y = np.convolve(y, model.cable)[: len(x)]
@@ -175,6 +173,8 @@ def add_awgn(frame: IqFrame, snr_db: float, seed: int = 0) -> IqFrame:
     value for a given absolute sample index depends only on (seed,
     index), never on frame boundaries.
     """
+    if not np.isfinite(snr_db):
+        raise ValueError(f"SNR must be finite, got {snr_db} dB")
     sigma2 = 10.0 ** (-snr_db / 10.0)
     z = _complex_noise_at(seed, frame.start_index, len(frame.samples))
     y = np.asarray(frame.samples, dtype=np.complex128) + np.sqrt(sigma2) * z

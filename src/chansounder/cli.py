@@ -11,7 +11,8 @@ Five subcommands cover the measurement workflow:
   resulting correction profile.
 * ``characterize``: compute the metric suite over a stored frame series.
 
-Every flag mirrors a config-file key and wins over it.
+Every flag sets the config key it names, through that key's parser, and
+wins over the config file.
 """
 
 from __future__ import annotations
@@ -25,29 +26,32 @@ from .config import CampaignConfig, load_config
 from .seqgen import descriptor as seq_descriptor
 
 
+#: Flags that set one config key each: flag -> (key, help).
+_FLAGS = {
+    "--seed": ("seed", "noise seed"),
+    "--out": ("out", "output path (or base path)"),
+    "--input": ("input", "input capture or frame-series path"),
+    "--endpoint": ("endpoint", "host:port for the wire link"),
+    "--calibration": ("calibration", "calibration profile to apply"),
+    "--duration": ("duration", "campaign length in seconds"),
+    "--fs": ("sample_rate", "sample rate in Hz"),
+    "--sequence": ("sequence.family", "sequence family: fzc or mls"),
+    "--length": ("sequence.length", "sequence length (fzc)"),
+    "--root": ("sequence.root", "sequence root (fzc)"),
+    "--taps": (
+        "sequence.taps",
+        "mls register taps, comma separated (implies --sequence mls and a "
+        "register length of the largest tap)",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chansounder",
         description="correlative channel sounding against a simulated channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="campaign config file")
-        p.add_argument("--seed", type=int, help="noise seed")
-        p.add_argument("--out", help="output path (or base path)")
-        p.add_argument("--input", help="input capture or frame-series path")
-        p.add_argument("--endpoint", help="host:port for the wire link")
-        p.add_argument("--calibration", help="calibration profile to apply")
-        p.add_argument("--duration", type=float, help="campaign length in seconds")
-        p.add_argument("--fs", type=float, help="sample rate in Hz")
-        p.add_argument("--sequence", choices=("fzc", "mls"), help="sequence family")
-        p.add_argument("--length", type=int, help="sequence length (fzc)")
-        p.add_argument("--root", type=int, help="sequence root (fzc)")
-        p.add_argument(
-            "--taps", help="mls register taps, comma separated (implies --length via 2**l-1)"
-        )
-
     for name, help_text in (
         ("stimulate", "generate and record or serve the stimulation stream"),
         ("correlate", "correlate a capture file or live stream into frames"),
@@ -55,49 +59,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ("calibrate", "measure a through connection and store its profile"),
         ("characterize", "compute channel metrics over stored frames"),
     ):
-        add_common(sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="campaign config file")
+        for flag, (key, flag_help) in _FLAGS.items():
+            p.add_argument(flag, help=f"{flag_help}; sets {key}")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     cfg = load_config(args.config) if args.config else CampaignConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.explicit.add("seed")
-    if args.out is not None:
-        cfg.out = args.out
-        cfg.explicit.add("out")
-    if args.input is not None:
-        cfg.input = args.input
-        cfg.explicit.add("input")
-    if args.endpoint is not None:
-        cfg.endpoint = args.endpoint
-        cfg.explicit.add("endpoint")
-    if args.calibration is not None:
-        cfg.calibration = args.calibration
-        cfg.explicit.add("calibration")
-    if args.duration is not None:
-        cfg.duration = args.duration
-        cfg.n_sequences = None
-        cfg.explicit.add("duration")
-    if args.fs is not None:
-        cfg.sample_rate = args.fs
-        cfg.explicit.add("sample_rate")
-    if args.sequence is not None:
-        cfg.family = args.sequence
-        cfg.explicit.add("sequence.family")
-    if args.length is not None:
-        cfg.length = args.length
-        cfg.explicit.add("sequence.length")
-    if args.root is not None:
-        cfg.root = args.root
-        cfg.explicit.add("sequence.root")
+    for flag, (key, _) in _FLAGS.items():
+        value = getattr(args, flag[2:])
+        if value is not None:
+            cfg.set_key(key, value, flag)
     if args.taps is not None:
-        taps = tuple(int(t) for t in args.taps.replace(".", ",").split(",") if t.strip())
-        cfg.taps = taps
-        cfg.register_length = max(taps)
-        cfg.family = "mls"
-        cfg.explicit.update({"sequence.taps", "sequence.family"})
+        cfg.set_key("sequence.family", "mls", "--taps")
+        cfg.register_length = max(cfg.taps, default=cfg.register_length)
     return cfg
 
 
@@ -214,7 +191,11 @@ def cmd_calibrate(cfg: CampaignConfig) -> int:
             "calibration needs a through connection: exactly one channel tap "
             "with delay 0, gain 1, no Doppler (cable and noise are allowed)"
         )
-    cfg = _uncalibrated(cfg)
+    if cfg.calibration is not None:
+        raise ValueError(
+            "calibration runs must not themselves apply a profile; drop the "
+            "calibration key"
+        )
     profile = through_calibrate(sounder.run_sounding(cfg), gain_cap_db=cfg.gain_cap_db)
     framestore.write_profile(out, profile)
     print(
@@ -222,15 +203,6 @@ def cmd_calibrate(cfg: CampaignConfig) -> int:
         f"{len(profile.clamped_bins)} clamped bin(s) -> {out}"
     )
     return 0
-
-
-def _uncalibrated(cfg: CampaignConfig) -> CampaignConfig:
-    if cfg.calibration is not None:
-        raise ValueError(
-            "calibration runs must not themselves apply a profile; drop the "
-            "calibration key"
-        )
-    return cfg
 
 
 def cmd_characterize(cfg: CampaignConfig) -> int:

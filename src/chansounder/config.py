@@ -75,6 +75,21 @@ class CampaignConfig:
 
     explicit: set = field(default_factory=set, repr=False, compare=False)
 
+    def set_key(self, key: str, value: str, where: str) -> None:
+        """Set config key ``key`` from its text ``value``; ``where`` (a file
+        and line, or a flag) prefixes any error.  A duration clears the
+        sequence count, so the later of the two wins."""
+        if key not in _KEYS:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        name, parse = _KEYS[key]
+        try:
+            setattr(self, name, parse(value))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if key == "duration" and self.duration is not None:
+            self.n_sequences = None
+        self.explicit.add(key)
+
     def make_sequence(self) -> Sequence:
         if self.family == "fzc":
             return generate_fzc(self.length, self.root)
@@ -145,20 +160,46 @@ class CampaignConfig:
         return framestore.read_profile(self.calibration)
 
 
-def _parse_bool(value: str, where: str) -> bool:
+def _parse_bool(value: str) -> bool:
     v = value.strip().lower()
     if v in ("true", "yes", "on", "1"):
         return True
     if v in ("false", "no", "off", "0"):
         return False
-    raise ValueError(f"{where}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _parse_choice(what: str, *choices: str):
+    def parse(value: str) -> str:
+        v = value.strip().lower()
+        if v not in choices:
+            raise ValueError(f"{what} must be {' or '.join(choices)}, got {value!r}")
+        return v
+
+    return parse
 
 
 def _parse_optional_float(value: str) -> float | None:
     return None if value.strip().lower() in ("", "none") else float(value)
 
 
-def _parse_channel_taps(value: str, where: str) -> list[tuple]:
+def _parse_optional_int(value: str) -> int | None:
+    return None if value.strip().lower() == "none" else int(value)
+
+
+def _parse_optional_str(value: str) -> str | None:
+    return value.strip() or None
+
+
+def _parse_mls_taps(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.replace(".", ",").split(",") if t.strip())
+
+
+def _parse_cable(value: str) -> list[complex] | None:
+    return [complex(p.strip()) for p in value.split(",") if p.strip()] or None
+
+
+def _parse_channel_taps(value: str) -> list[tuple]:
     taps = []
     for part in value.split(";"):
         part = part.strip()
@@ -166,19 +207,17 @@ def _parse_channel_taps(value: str, where: str) -> list[tuple]:
             continue
         fields = [p.strip() for p in part.split(":")]
         if len(fields) not in (2, 3):
-            raise ValueError(
-                f"{where}: channel tap must be delay:gain[:doppler_hz], got {part!r}"
-            )
+            raise ValueError(f"channel tap must be delay:gain[:doppler_hz], got {part!r}")
         delay = int(fields[0])
         gain = complex(fields[1])
         doppler = float(fields[2]) if len(fields) == 3 else 0.0
         taps.append((delay, gain, doppler))
     if not taps:
-        raise ValueError(f"{where}: channel.taps must name at least one tap")
+        raise ValueError("channel.taps must name at least one tap")
     return taps
 
 
-def _parse_triggers(value: str, where: str) -> list[tuple[int, str, str]]:
+def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
     out = []
     for part in value.split(";"):
         part = part.strip()
@@ -186,30 +225,38 @@ def _parse_triggers(value: str, where: str) -> list[tuple[int, str, str]]:
             continue
         fields = part.split(":", 2)
         if len(fields) < 2:
-            raise ValueError(f"{where}: trigger must be index:kind[:note], got {part!r}")
+            raise ValueError(f"trigger must be index:kind[:note], got {part!r}")
         out.append((int(fields[0]), fields[1].strip(), fields[2] if len(fields) > 2 else ""))
     return out
 
 
-def _parse_optional_str(value: str) -> str | None:
-    return value.strip() or None
-
-
-#: Keys that set one field through one parser: key -> (field, parser).
-_PLAIN_KEYS = {
+#: Every campaign setting, as config-file key -> (field, parser).  The
+#: file loader and the command-line flags both set keys through
+#: :meth:`CampaignConfig.set_key`, so each key has this one parser.
+_KEYS = {
+    "sequence.family": ("family", _parse_choice("sequence family", "fzc", "mls")),
     "sequence.length": ("length", int),
     "sequence.root": ("root", int),
     "sequence.register_length": ("register_length", int),
+    "sequence.taps": ("taps", _parse_mls_taps),
     "sample_rate": ("sample_rate", float),
     "center_frequency": ("center_frequency", float),
+    "n_sequences": ("n_sequences", _parse_optional_int),
+    "duration": ("duration", _parse_optional_float),
+    "channel.taps": ("channel_taps", _parse_channel_taps),
     "channel.snr_db": ("snr_db", _parse_optional_float),
     "channel.cfo_hz": ("cfo_hz", float),
+    "channel.cable": ("cable", _parse_cable),
     "seed": ("seed", int),
+    "triggers": ("triggers", _parse_triggers),
     "trigger_log": ("trigger_log", _parse_optional_str),
     "corrupt_span": ("corrupt_span", int),
     "calibration": ("calibration", _parse_optional_str),
     "gain_cap_db": ("gain_cap_db", float),
+    "discard_first": ("discard_first", _parse_bool),
     "dc_suppression_hz": ("dc_suppression_hz", float),
+    "dc_position": ("dc_position", _parse_choice("dc_position", "before", "after")),
+    "doppler_zero_fill": ("doppler_zero_fill", _parse_bool),
     "bc_threshold": ("bc_threshold", float),
     "max_distance_ref_m": ("max_distance_ref_m", _parse_optional_float),
     "out": ("out", _parse_optional_str),
@@ -218,49 +265,6 @@ _PLAIN_KEYS = {
     "chunk_samples": ("chunk_samples", int),
     "timeout": ("timeout", float),
 }
-
-
-def _apply_key(cfg: CampaignConfig, key: str, value: str, where: str) -> None:
-    try:
-        if key in _PLAIN_KEYS:
-            name, parse = _PLAIN_KEYS[key]
-            setattr(cfg, name, parse(value))
-        elif key == "sequence.family":
-            v = value.strip().lower()
-            if v not in ("fzc", "mls"):
-                raise ValueError(f"sequence family must be fzc or mls, got {value!r}")
-            cfg.family = v
-        elif key == "sequence.taps":
-            cfg.taps = tuple(int(t) for t in value.replace(".", ",").split(",") if t.strip())
-        elif key == "n_sequences":
-            cfg.n_sequences = None if value.strip().lower() == "none" else int(value)
-        elif key == "duration":
-            cfg.duration = _parse_optional_float(value)
-            if cfg.duration is not None:
-                cfg.n_sequences = None
-        elif key == "channel.taps":
-            cfg.channel_taps = _parse_channel_taps(value, where)
-        elif key == "channel.cable":
-            items = [complex(p.strip()) for p in value.split(",") if p.strip()]
-            cfg.cable = items if items else None
-        elif key == "triggers":
-            cfg.triggers = _parse_triggers(value, where)
-        elif key == "discard_first":
-            cfg.discard_first = _parse_bool(value, where)
-        elif key == "dc_position":
-            v = value.strip().lower()
-            if v not in ("before", "after"):
-                raise ValueError(f"dc_position must be before or after, got {value!r}")
-            cfg.dc_position = v
-        elif key == "doppler_zero_fill":
-            cfg.doppler_zero_fill = _parse_bool(value, where)
-        else:
-            raise KeyError(key)
-    except KeyError:
-        raise ValueError(f"{where}: unknown config key {key!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    cfg.explicit.add(key)
 
 
 def _load_into(cfg: CampaignConfig, path: str, seen: tuple[str, ...]) -> None:
@@ -284,7 +288,7 @@ def _load_into(cfg: CampaignConfig, path: str, seen: tuple[str, ...]) -> None:
                 target = value if os.path.isabs(value) else os.path.join(base, value)
                 _load_into(cfg, target, seen + (real,))
             else:
-                _apply_key(cfg, key, value, where)
+                cfg.set_key(key, value, where)
 
 
 def load_config(path: str) -> CampaignConfig:

@@ -53,16 +53,6 @@ class IqFrame:
         return len(self.samples)
 
     @property
-    def t0(self) -> float:
-        """Absolute time of the first sample in seconds."""
-        return self.start_index / self.fs
-
-    @property
-    def duration(self) -> float:
-        """Frame length in seconds."""
-        return len(self.samples) / self.fs
-
-    @property
     def end_index(self) -> int:
         """Absolute index one past the last sample."""
         return self.start_index + len(self.samples)

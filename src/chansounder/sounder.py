@@ -24,7 +24,7 @@ the in-process path.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator, Sequence as SequenceType
+from typing import Sequence as SequenceType
 
 import numpy as np
 
@@ -35,38 +35,13 @@ from .frames import FrameSeries, IqFrame, TriggerEvent
 from .seqgen import Sequence
 
 
-def stimulate(
-    seq: Sequence,
-    n_reps: int,
-    fs: float,
-    f_c: float = 0.0,
-    sequences_per_frame: int | None = None,
-) -> Iterator[IqFrame]:
-    """Yield frames of whole-sequence repetitions, ``n_reps`` in total.
-
-    Frames carry consecutive start indices beginning at 0, so sequence
-    period ``i`` always occupies absolute samples
-    ``[i * n_seq, (i + 1) * n_seq)``.
-    """
+def stimulate_capture(seq: Sequence, n_reps: int, fs: float, f_c: float = 0.0) -> IqFrame:
+    """One frame holding ``n_reps`` repetitions of the sequence from
+    absolute index 0, so sequence period ``i`` occupies absolute samples
+    ``[i * n_seq, (i + 1) * n_seq)``."""
     if n_reps < 1:
         raise ValueError("need at least one sequence repetition")
-    if sequences_per_frame is not None and sequences_per_frame < 1:
-        raise ValueError("sequences_per_frame must be positive")
-    per = n_reps if sequences_per_frame is None else sequences_per_frame
-    emitted = 0
-    start = 0
-    while emitted < n_reps:
-        take = min(per, n_reps - emitted)
-        samples = np.tile(seq.samples, take)
-        yield IqFrame(samples, fs, f_c, start_index=start)
-        emitted += take
-        start += take * seq.n_seq
-
-
-def stimulate_capture(seq: Sequence, n_reps: int, fs: float, f_c: float = 0.0) -> IqFrame:
-    """One frame holding the full stimulation stream."""
-    frames = list(stimulate(seq, n_reps, fs, f_c))
-    return frames[0]
+    return IqFrame(np.tile(seq.samples, n_reps), fs, f_c)
 
 
 def quantize_capture(frame: IqFrame) -> IqFrame:
@@ -76,8 +51,11 @@ def quantize_capture(frame: IqFrame) -> IqFrame:
     in-process path applies the same rounding so all three transports
     produce bit-identical correlator input.
     """
-    q = np.asarray(frame.samples).astype(np.complex64).astype(np.complex128)
-    return IqFrame(q, frame.fs, frame.f_c, frame.start_index)
+    with np.errstate(over="ignore"):
+        q = np.asarray(frame.samples).astype(np.complex64)
+    if not np.isfinite(q.view(np.float32)).all():
+        raise ValueError("capture samples are not finite in 32-bit float precision")
+    return IqFrame(q.astype(np.complex128), frame.fs, frame.f_c, frame.start_index)
 
 
 def sequence_gate(
@@ -93,7 +71,7 @@ def sequence_gate(
     periods as the rows of an (F, n_seq) block matrix (a view of the
     samples when none is dropped) with their period indices (strictly
     increasing).  Absolute sample index 0 is a period boundary by
-    construction of :func:`stimulate`.
+    construction of :func:`stimulate_capture`.
     """
     if n_seq < 1:
         raise ValueError("sequence length must be positive")
@@ -214,7 +192,20 @@ def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
     with the spans they corrupted."""
     seq = config.make_sequence()
     x = stimulate_capture(seq, config.num_sequences(), config.sample_rate, config.center_frequency)
-    y = chansim.apply_channel(x, config.channel_model())
+    model = config.channel_model()
+    if model.max_delay() >= seq.n_seq:
+        raise ValueError(
+            f"channel reaches back {model.max_delay()} samples, which wraps around "
+            f"the {seq.n_seq}-sample sequence period"
+        )
+    doppler_limit = x.fs / (2 * seq.n_seq)
+    for tap in model.taps:
+        if abs(tap.doppler_hz) >= doppler_limit:
+            raise ValueError(
+                f"Doppler shift {tap.doppler_hz} Hz aliases: one snapshot per "
+                f"{seq.n_seq}-sample period resolves |Doppler| < {doppler_limit} Hz"
+            )
+    y = chansim.apply_channel(x, model)
     events = config.trigger_events()
     if events:
         y, events = chansim.inject_disruption(y, events, config.corrupt_span)

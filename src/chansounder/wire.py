@@ -285,8 +285,9 @@ def serve_capture(
     mid-stream yields a summary with ``complete=False`` rather than an
     exception.
     """
-    if chunk_samples < 1:
-        raise ValueError("chunk_samples must be positive")
+    max_chunk = (MAX_MESSAGE_BYTES - 1 - _CHUNK_HEAD.size) // 8
+    if not 1 <= chunk_samples <= max_chunk:
+        raise ValueError(f"chunk_samples must lie in 1..{max_chunk}, got {chunk_samples}")
     lsock, owned = _listening_socket(endpoint)
     name = "%s:%d" % lsock.getsockname()[:2]
     evs = sorted(events, key=lambda e: e.sample_index)

@@ -18,6 +18,12 @@ from conftest import random_complex
 
 
 class TestThroughCalibrate:
+    def test_rejects_negative_gain_cap(self):
+        h = np.zeros(16, dtype=complex)
+        h[0] = 1.0
+        with pytest.raises(ValueError, match="gain cap"):
+            through_calibrate([h], gain_cap_db=-1.0)
+
     def test_inverts_known_response(self):
         n = 64
         h = np.zeros(n, dtype=complex)

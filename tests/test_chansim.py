@@ -104,6 +104,11 @@ class TestCfo:
 
 
 class TestAwgn:
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="SNR must be finite"):
+            add_awgn(frame_of(np.ones(8)), snr_db)
+
     def test_deterministic(self, rng):
         x = random_complex(rng, 200)
         y1 = add_awgn(frame_of(x), 20.0, seed=5).samples

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from chansounder import framestore
-from chansounder.cli import main
+from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
+from chansounder.config import load_config
 
 
 def small_config(tmp_path, extra=""):
@@ -292,3 +293,68 @@ class TestFlagOverrides:
         assert rc == 0
         _, meta = framestore.read_frames(out + ".frames")
         assert meta.n_seq == 31
+
+
+#: One value per flag row, as given on the command line.
+FLAG_VALUES = {
+    "--seed": "5",
+    "--out": "run",
+    "--input": "cap.iq",
+    "--endpoint": "127.0.0.1:7000",
+    "--calibration": "prof.csp",
+    "--duration": "0.5",
+    "--fs": "2e6",
+    "--sequence": "MLS",
+    "--length": "64",
+    "--root": "5",
+    "--taps": "5,3",
+}
+
+
+def config_of(argv):
+    return _config_from_args(_build_parser().parse_args(argv))
+
+
+class TestFlagTable:
+    def test_every_flag_has_a_value_here(self):
+        assert set(FLAG_VALUES) == set(_FLAGS)
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    def test_flag_equals_config_line(self, tmp_path, flag):
+        key, value = _FLAGS[flag][0], FLAG_VALUES[flag]
+        text = f"{key} = {value}\n"
+        if flag == "--taps":  # the one flag with an implication
+            text += "sequence.family = mls\n"
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        from_file = load_config(str(path))
+        if flag == "--taps":
+            from_file.register_length = 5
+        from_flag = config_of(["sound", flag, value])
+        assert from_flag == from_file
+        assert from_flag.explicit == from_file.explicit
+
+    def test_string_flag_is_stripped_and_empty_means_unset(self):
+        assert config_of(["sound", "--out", " run "]).out == "run"
+        cfg = config_of(["sound", "--calibration", ""])
+        assert cfg.calibration is None and "calibration" in cfg.explicit
+
+    def test_empty_taps_flag_reports_the_empty_tap_set(self, tmp_path, capsys):
+        assert main(["sound", "--taps", "", "--out", str(tmp_path / "x")]) == 2
+        assert "tap set must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--fs", "abc", "could not convert string to float: 'abc'"),
+            ("--seed", "1.5", "invalid literal for int()"),
+            ("--sequence", "gold", "fzc or mls"),
+            ("--taps", "5,x", "invalid literal for int()"),
+        ],
+    )
+    def test_bad_flag_value_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value, message):
+        rc = main(["sound", flag, value, "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flag}: ")
+        assert message in err

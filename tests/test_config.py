@@ -1,8 +1,11 @@
 """Campaign configuration parsing tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from chansounder.config import CampaignConfig, load_config
+from chansounder.config import _KEYS, CampaignConfig, load_config
 
 
 def write(path, text):
@@ -149,6 +152,21 @@ endpoint = 127.0.0.1:7000
         with pytest.raises(ValueError, match="fzc or mls"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        ["discard_first = maybe", "channel.taps = 0:1:2:3", "triggers = 500", "seed = x"],
+    )
+    def test_bad_value_names_its_location_once(self, tmp_path, line):
+        path = write(tmp_path / "c.cfg", line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:1: ")
+        assert str(info.value).count("c.cfg:1") == 1
+
+    def test_duration_then_count_wins_in_file_order(self, tmp_path):
+        path = write(tmp_path / "c.cfg", "duration = 0.1024\nn_sequences = 7\n")
+        assert load_config(path).num_sequences() == 7
+
     def test_empty_cable_means_none(self, tmp_path):
         path = write(tmp_path / "c.cfg", "channel.cable =\n")
         assert load_config(path).cable is None
@@ -254,3 +272,16 @@ class TestExplicitTracking:
         for line in ("sequence.family = fzc", "sequence.length = 64", "sequence.root = 3"):
             path = write(tmp_path / "c.cfg", line + "\n")
             assert load_config(path).sequence_pinned()
+
+
+class TestKeyTable:
+    def test_every_field_has_one_key(self):
+        fields = [name for name, _ in _KEYS.values()]
+        assert len(fields) == len(set(fields))
+        assert set(fields) == set(CampaignConfig.__dataclass_fields__) - {"explicit"}
+
+    def test_readme_block_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        named = re.findall(r"^#?\s*([\w.]+)\s*=", block, flags=re.M)
+        assert sorted(named) == sorted(_KEYS)

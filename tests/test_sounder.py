@@ -20,7 +20,6 @@ from chansounder.sounder import (
     quantize_capture,
     run_sounding,
     sequence_gate,
-    stimulate,
     stimulate_capture,
 )
 
@@ -30,14 +29,6 @@ FS = 1e6
 
 
 class TestStimulate:
-    def test_repetitions_and_indices(self):
-        seq = generate_fzc(16, 3)
-        frames = list(stimulate(seq, 5, FS, sequences_per_frame=2))
-        assert [len(f) for f in frames] == [32, 32, 16]
-        assert [f.start_index for f in frames] == [0, 32, 64]
-        whole = np.concatenate([f.samples for f in frames])
-        assert np.array_equal(whole, np.tile(seq.samples, 5))
-
     def test_single_frame_capture(self):
         seq = generate_fzc(8, 3)
         cap = stimulate_capture(seq, 4, FS, f_c=5.8e9)
@@ -45,15 +36,21 @@ class TestStimulate:
         assert cap.f_c == 5.8e9
         assert cap.start_index == 0
 
-    def test_validation(self):
-        seq = generate_fzc(8, 3)
-        with pytest.raises(ValueError):
-            list(stimulate(seq, 0, FS))
-        with pytest.raises(ValueError):
-            list(stimulate(seq, 2, FS, sequences_per_frame=0))
+    def test_capture_repeats_the_sequence(self):
+        seq = generate_fzc(16, 3)
+        cap = stimulate_capture(seq, 5, FS)
+        assert np.array_equal(cap.samples, np.tile(seq.samples, 5))
+        with pytest.raises(ValueError, match="at least one"):
+            stimulate_capture(seq, 0, FS)
 
 
 class TestQuantize:
+    @pytest.mark.parametrize("bad", [1e40, float("nan"), 1j * float("inf")])
+    def test_rejects_non_finite_float32(self, bad):
+        x = np.array([1.0 + 0j, bad, 0.5j])
+        with pytest.raises(ValueError, match="not finite"):
+            quantize_capture(IqFrame(x, FS))
+
     def test_idempotent(self, rng):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         once = quantize_capture(IqFrame(x, FS)).samples
@@ -269,6 +266,43 @@ class TestRunSounding:
         frames = run_sounding(cfg)
         assert 4 not in [f.sequence_index for f in frames]
         assert [f.sequence_index for f in frames] == [1, 2, 3, 5, 6, 7, 8, 9]
+
+
+class TestCampaignLimits:
+    def small(self, **fields):
+        cfg = CampaignConfig(length=64, root=7, n_sequences=4, cable=None)
+        for name, value in fields.items():
+            setattr(cfg, name, value)
+        return cfg
+
+    def test_delay_must_stay_below_the_period(self):
+        cfg = self.small(channel_taps=[(0, 1, 0.0), (64, 0.5, 0.0)])
+        with pytest.raises(ValueError, match="wraps around"):
+            run_sounding(cfg)
+        # the cable counts: delay 62 plus a 3-tap cable reaches back 64
+        cfg = self.small(channel_taps=[(62, 1, 0.0)], cable=[1, 0, 0.25])
+        with pytest.raises(ValueError, match="wraps around"):
+            run_sounding(cfg)
+        cfg = self.small(channel_taps=[(61, 1, 0.0)], cable=[1, 0, 0.25])
+        assert len(run_sounding(cfg)) == 3
+
+    def test_doppler_must_stay_below_half_the_period_rate(self):
+        # 1 MSps over 64 samples: |Doppler| must stay below 7812.5 Hz
+        for f in (7812.5, -7812.5, 9000.0):
+            cfg = self.small(channel_taps=[(0, 1, 0.0), (3, 0.5, f)])
+            with pytest.raises(ValueError, match="aliases"):
+                run_sounding(cfg)
+        cfg = self.small(channel_taps=[(0, 1, 0.0), (3, 0.5, -7812.0)])
+        assert len(run_sounding(cfg)) == 3
+
+    def test_sample_rate_is_checked_before_the_doppler_limit(self):
+        with pytest.raises(ValueError, match="sample rate must be positive"):
+            run_sounding(self.small(sample_rate=-5.0))
+
+    def test_overflowing_gain_is_rejected(self):
+        cfg = self.small(channel_taps=[(0, 1e40, 0.0)])
+        with pytest.raises(ValueError, match="not finite"):
+            run_sounding(cfg)
 
 
 class TestBatchedEqualsPerFrame:

@@ -286,6 +286,25 @@ def serve_in_thread(capture, desc, events=(), chunk_samples=4096):
     return f"127.0.0.1:{port}", t, box
 
 
+class TestServeArguments:
+    def test_chunk_ceiling_checked_before_listening(self):
+        # A chunk message body is 13 bytes plus 8 per sample, so this is the
+        # largest chunk the peer accepts; one more sample and it would
+        # reject every chunk.  The check comes before the listener, so no
+        # peer is needed.
+        assert len(body_of(encode_iq_chunk(0, np.zeros(5, np.complex64)))) == 13 + 8 * 5
+        ceiling = (wire.MAX_MESSAGE_BYTES - 13) // 8
+        capture = IqFrame(np.zeros(8, dtype=complex), 1e6)
+        for bad in (0, ceiling + 1):
+            with pytest.raises(ValueError, match="chunk_samples"):
+                wire.serve_capture(
+                    capture, "", "127.0.0.1:0", chunk_samples=bad, timeout=0.01
+                )
+        # the ceiling itself passes the check and waits for a peer
+        with pytest.raises(TimeoutError):
+            wire.serve_capture(capture, "", "127.0.0.1:0", chunk_samples=ceiling, timeout=0.01)
+
+
 class TestLoopback:
     def test_stream_matches_offline_bitwise(self):
         seq = generate_fzc(64, 7)
