@@ -85,8 +85,6 @@ def _require(value, flag: str):
 
 
 def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
-    if not frames:
-        raise ValueError("no sequence periods survived gating; nothing to write")
     out = _require(cfg.out, "--out")
     path = out + ".frames"
     framestore.write_frames(
@@ -97,6 +95,12 @@ def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
         total_sequences=total_sequences,
     )
     return path
+
+
+def _nonempty(frames):
+    if not frames:
+        raise ValueError("no sequence periods survived gating; nothing to write")
+    return frames
 
 
 def _characterize(cfg: CampaignConfig, frames, fs: float) -> str:
@@ -131,50 +135,34 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
     out = _require(cfg.out, "--out")
     seq, capture, events = sounder.capture_campaign(cfg)
     framestore.write_capture(
-        out, capture, sequence_descriptor=seq_descriptor(seq), seed_note=f"seed={cfg.seed}"
+        out, capture, seq_descriptor(seq), seed_note=f"seed={cfg.seed}", events=events
     )
-    if events:
-        framestore.write_trigger_log(out + ".triggers", events)
     print(f"wrote {len(capture)} samples to {out}")
     return 0
 
 
 def cmd_correlate(cfg: CampaignConfig) -> int:
     if cfg.endpoint:
-        frames, summary = wire.consume_correlation(cfg.endpoint, cfg)
-        total = summary.samples_received // frames.n_seq
+        received = wire.consume_stream(cfg.endpoint, timeout=cfg.timeout)
     else:
-        path = _require(cfg.input, "--input")
-        capture, meta = framestore.read_capture(path)
-        seq = cfg.stream_sequence(meta.sequence_descriptor, "capture")
-        if cfg.explicit & {"sample_rate"} and capture.fs != cfg.sample_rate:
-            raise ValueError(
-                f"capture was recorded at {capture.fs} Hz but the configuration "
-                f"expects {cfg.sample_rate} Hz"
-            )
-        cfg.sample_rate = capture.fs
-        events = []
-        try:
-            events = framestore.read_trigger_log(path + ".triggers")
-        except FileNotFoundError:
-            pass
-        frames = sounder.correlate_campaign(cfg, capture, seq, events)
-        total = len(capture) // seq.n_seq
-    path = _write_series(cfg, frames, total)
+        received = framestore.read_capture(_require(cfg.input, "--input"))
+    frames, total = sounder.correlate_received(cfg, *received)
+    path = _write_series(cfg, _nonempty(frames), total)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     return 0
 
 
 def cmd_sound(cfg: CampaignConfig) -> int:
+    out = _require(cfg.out, "--out")
     seq, capture, events = sounder.capture_campaign(cfg)
-    frames = sounder.correlate_campaign(cfg, capture, seq, events)
+    frames = _nonempty(sounder.correlate_campaign(cfg, capture, seq, events))
     del capture  # release the raw stream before characterization
+    # Characterize first: a setting only that stage checks then fails
+    # before any file is written.
+    text = _characterize(cfg, frames, cfg.sample_rate)
     total = cfg.num_sequences()
     path = _write_series(cfg, frames, total)
-    if events:
-        framestore.write_trigger_log(cfg.out + ".triggers", events)
-
-    text = _characterize(cfg, frames, cfg.sample_rate)
+    framestore.write_trigger_sidecar(out, events)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     sys.stdout.write(text)
     return 0

@@ -101,12 +101,22 @@ class CampaignConfig:
         """True when the configuration explicitly names a sequence."""
         return bool(self.explicit & _SEQUENCE_KEYS)
 
-    def stream_sequence(self, stream_descriptor: str, source: str, error=ValueError, strict=False):
-        """The sequence a capture or peer (``source``) was stimulated with:
-        its descriptor, or the local sequence when it is empty (unknown).
-        A pinned sequence that differs from the descriptor or, when
-        ``strict``, that an empty descriptor leaves unconfirmed, and an
-        unusable descriptor raise ``error``."""
+    def stream_sequence(
+        self, stream_descriptor: str, fs: float, source: str, error=ValueError, strict=False
+    ) -> Sequence:
+        """Adopt the sample rate ``fs`` of a capture or peer (``source``) and
+        return the sequence it was stimulated with: its descriptor, or the
+        local sequence when that is empty (unknown).  An explicit (when
+        ``strict``, any) local rate other than ``fs``, a pinned sequence
+        that differs from the descriptor or, when ``strict``, that an empty
+        descriptor leaves unconfirmed, and an unusable descriptor raise
+        ``error``."""
+        if (strict or "sample_rate" in self.explicit) and fs != self.sample_rate:
+            raise error(
+                f"{source} samples at {fs} Hz but the configuration expects "
+                f"{self.sample_rate} Hz"
+            )
+        self.sample_rate = fs
         local = self.make_sequence()
         pinned_mismatch = self.sequence_pinned() and descriptor(local) != stream_descriptor
         if pinned_mismatch and (stream_descriptor or strict):

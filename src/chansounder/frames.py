@@ -28,7 +28,7 @@ class IqFrame:
     samples : np.ndarray
         Complex sample vector.
     fs : float
-        Sample rate in Hz.  Must be positive.
+        Sample rate in Hz.  Must be positive and finite.
     f_c : float
         Center frequency in Hz.  Zero for pure baseband work.
     start_index : int
@@ -44,8 +44,8 @@ class IqFrame:
         self.samples = np.asarray(self.samples)
         if self.samples.ndim != 1:
             raise ValueError("IqFrame samples must be a 1-d vector")
-        if not self.fs > 0:
-            raise ValueError(f"sample rate must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise ValueError(f"sample rate must be positive and finite, got {self.fs}")
         if self.start_index < 0:
             raise ValueError("start_index must be non-negative")
 

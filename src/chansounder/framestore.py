@@ -4,7 +4,9 @@ Capture files are raw interleaved little-endian 32-bit float IQ pairs
 (the native format of most recording front ends) with a mandatory text
 sidecar ``<path>.meta`` naming the format version, sample rate, center
 frequency, start index, stimulation sequence descriptor and seed
-provenance.  A capture without its sidecar is not readable.
+provenance, and an optional trigger log ``<path>.triggers``.  A capture
+without its ``.meta`` is not readable; this module is the only code that
+names either sidecar.
 
 Frame-series and profile files are small binary containers: a 4-byte
 magic, a length-prefixed text header of key=value lines, then fixed
@@ -19,8 +21,10 @@ files.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,40 +39,33 @@ PROFILE_MAGIC = b"CSP1"
 _WRITE_SLICE_BYTES = 1 << 20
 
 
-def _write_kv(path: str, pairs: list[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in pairs:
-            f.write(f"{key}={value}\n")
-
-
-def _read_kv(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value
-    return out
-
-
 @dataclass
 class CaptureMeta:
-    """Sidecar contents of a capture file."""
+    """A capture file's sidecars: the ``.meta`` text and the events of the
+    optional ``.triggers`` log.  The class attributes are the rules by
+    which :func:`sounder.correlate_received` adopts its stream parameters."""
 
-    sample_rate: float
-    center_frequency: float
-    start_index: int
     sequence_descriptor: str
     seed_note: str
+    triggers: list[TriggerEvent] = field(default_factory=list)
     version: int = CAPTURE_VERSION
+
+    source: ClassVar[str] = "capture"
+    mismatch_error: ClassVar[type] = ValueError
+    strict: ClassVar[bool] = False
 
 
 def sidecar_path(path: str) -> str:
     return path + ".meta"
+
+
+def write_trigger_sidecar(path: str, events: list[TriggerEvent]) -> None:
+    """Write the events to ``<path>.triggers``, or remove a stale log
+    when there are none."""
+    if events:
+        write_trigger_log(path + ".triggers", events)
+    elif os.path.exists(path + ".triggers"):
+        os.remove(path + ".triggers")
 
 
 def write_capture(
@@ -76,43 +73,44 @@ def write_capture(
     frame: IqFrame,
     sequence_descriptor: str = "",
     seed_note: str = "",
+    events: list[TriggerEvent] = (),
 ) -> None:
-    """Write an IQ capture: float32 payload plus text sidecar."""
+    """Write an IQ capture: float32 payload, text sidecar and trigger log."""
     payload = np.asarray(frame.samples).astype("<c8").tobytes()
     with open(path, "wb") as f:
         f.write(payload)
-    _write_kv(
-        sidecar_path(path),
-        [
-            ("format_version", str(CAPTURE_VERSION)),
-            ("sample_rate", repr(float(frame.fs))),
-            ("center_frequency", repr(float(frame.f_c))),
-            ("start_index", str(frame.start_index)),
-            ("sequence", sequence_descriptor),
-            ("seed_note", seed_note),
-        ],
-    )
+    with open(sidecar_path(path), "w", encoding="utf-8") as f:
+        f.write(
+            f"format_version={CAPTURE_VERSION}\n"
+            f"sample_rate={float(frame.fs)!r}\n"
+            f"center_frequency={float(frame.f_c)!r}\n"
+            f"start_index={frame.start_index}\n"
+            f"sequence={sequence_descriptor}\n"
+            f"seed_note={seed_note}\n"
+        )
+    write_trigger_sidecar(path, events)
 
 
 def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
-    """Read an IQ capture and its mandatory sidecar."""
+    """Read an IQ capture, its mandatory sidecar and its trigger log."""
     try:
-        kv = _read_kv(sidecar_path(path))
+        with open(sidecar_path(path), "r", encoding="utf-8") as f:
+            text = f.read()
     except FileNotFoundError:
         raise ValueError(
             f"capture {path} has no sidecar {sidecar_path(path)}; refusing to "
             "guess the sample rate"
         ) from None
-    try:
-        version = int(kv["format_version"])
-        fs = float(kv["sample_rate"])
-        f_c = float(kv["center_frequency"])
-        start_index = int(kv.get("start_index", "0"))
-    except KeyError as exc:
-        raise ValueError(f"capture sidecar {sidecar_path(path)} is missing {exc}") from exc
-    if version != CAPTURE_VERSION:
+    fields = {
+        "format_version": int,
+        "sample_rate": _finite(float, positive=True),
+        "center_frequency": _finite(float),
+    }
+    kv = _parse_header(text, sidecar_path(path), "capture sidecar", fields)
+    if kv["format_version"] != CAPTURE_VERSION:
         raise ValueError(
-            f"unsupported capture format version {version} (supported: {CAPTURE_VERSION})"
+            f"unsupported capture format version {kv['format_version']} "
+            f"(supported: {CAPTURE_VERSION})"
         )
 
     with open(path, "rb") as f:
@@ -123,15 +121,14 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
             "whole number of float32 IQ pairs"
         )
     samples = np.frombuffer(raw, dtype="<c8").astype(np.complex128)
-    meta = CaptureMeta(
-        sample_rate=fs,
-        center_frequency=f_c,
-        start_index=start_index,
-        sequence_descriptor=kv.get("sequence", ""),
-        seed_note=kv.get("seed_note", ""),
-        version=version,
+    frame = IqFrame(
+        samples, kv["sample_rate"], kv["center_frequency"], int(kv.get("start_index", "0"))
     )
-    return IqFrame(samples, fs, f_c, start_index), meta
+    log = path + ".triggers"
+    events = read_trigger_log(log) if os.path.exists(log) else []
+    return frame, CaptureMeta(
+        kv.get("sequence", ""), kv.get("seed_note", ""), events, kv["format_version"]
+    )
 
 
 @dataclass
@@ -152,21 +149,43 @@ def _record_dtype(n_seq: int) -> np.dtype:
     )
 
 
-def _positive(parse):
-    """A header field parser that also demands a finite value above zero."""
+def _finite(parse, positive: bool = False):
+    """A header field parser that also demands a finite value (and, when
+    ``positive``, one above zero)."""
 
-    def parse_positive(text: str):
+    def parse_finite(text: str):
         value = parse(text)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"must be positive and finite, got {value}")
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise ValueError(f"must be {'positive and ' if positive else ''}finite, got {value}")
         return value
 
-    return parse_positive
+    return parse_finite
+
+
+def _parse_header(text: str, where: str, kind: str, fields: dict) -> dict:
+    """Parse ``key=value`` lines (blank and ``#`` lines skipped); ``fields``
+    maps each required key to its parser, other keys stay text."""
+    kv: dict = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        kv[key.strip()] = value
+    for key, parse in fields.items():
+        if key not in kv:
+            raise ValueError(f"{where}: {kind} is missing {key!r}")
+        try:
+            kv[key] = parse(kv[key])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {kind} field {key}: {exc}") from None
+    return kv
 
 
 def _read_container(path: str, magic: bytes, kind: str, fields: dict) -> tuple[dict, memoryview]:
     """Parse a container's magic and header; return the header values
-    (``fields`` maps each required key to its parser) and the payload."""
+    (see :func:`_parse_header`) and the payload."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != magic:
@@ -177,18 +196,7 @@ def _read_container(path: str, magic: bytes, kind: str, fields: dict) -> tuple[d
     header_end = 8 + header_len
     if len(blob) < header_end:
         raise ValueError(f"{path} is truncated inside the header")
-    kv: dict[str, str] = {}
-    for line in blob[8:header_end].decode("utf-8").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            kv[key] = value
-    for key, parse in fields.items():
-        if key not in kv:
-            raise ValueError(f"{path}: {kind} header is missing {key!r}")
-        try:
-            kv[key] = parse(kv[key])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {kind} header field {key}: {exc}") from None
+    kv = _parse_header(blob[8:header_end].decode("utf-8"), path, f"{kind} header", fields)
     return kv, memoryview(blob)[header_end:]
 
 
@@ -240,10 +248,10 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
         FRAMES_MAGIC,
         "frame-series",
         {
-            "n_records": _positive(int),
-            "n_seq": _positive(int),
-            "t_s": _positive(float),
-            "t_seq": _positive(float),
+            "n_records": _finite(int, positive=True),
+            "n_seq": _finite(int, positive=True),
+            "t_s": _finite(float, positive=True),
+            "t_seq": _finite(float, positive=True),
             "total_sequences": int,
         },
     )
@@ -325,7 +333,7 @@ def read_profile(path: str) -> CalibrationProfile:
         path,
         PROFILE_MAGIC,
         "calibration-profile",
-        {"n_seq": _positive(int), "source": str, "gain_cap_db": float, "created_from": int},
+        {"n_seq": _finite(int, positive=True), "source": str, "gain_cap_db": float, "created_from": int},
     )
     n_seq = kv["n_seq"]
     clamped_text = kv.get("clamped_bins", "")

@@ -226,6 +226,18 @@ def correlate_campaign(config, capture: IqFrame, seq: Sequence, events) -> Frame
     )
 
 
+def correlate_received(config, capture: IqFrame, record) -> tuple[FrameSeries, int]:
+    """Correlate a capture read from a file or received on the wire, with
+    the :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
+    ``record`` that came with it: adopt its sample rate and sequence by
+    the record's rules (:meth:`CampaignConfig.stream_sequence`), gate by
+    its triggers, and return the frames and the periods the capture spans."""
+    seq = config.stream_sequence(
+        record.sequence_descriptor, capture.fs, record.source, record.mismatch_error, record.strict
+    )
+    return correlate_campaign(config, capture, seq, record.triggers), len(capture) // seq.n_seq
+
+
 def run_sounding(config) -> FrameSeries:
     """Full single-process sounding run driven by a campaign config:
     :func:`capture_campaign`, then :func:`correlate_campaign`."""

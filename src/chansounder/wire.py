@@ -26,6 +26,7 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -242,11 +243,22 @@ class StimulationSummary:
 
 @dataclass
 class ConsumeSummary:
-    """Stream bookkeeping from the correlation side."""
+    """What a received stream carried besides its samples: the trigger
+    events and the handshake."""
 
-    samples_received: int
     triggers: list[TriggerEvent] = field(default_factory=list)
     hello: Hello | None = None
+
+    # The rules :func:`sounder.correlate_received` adopts a peer's stream
+    # parameters by: any local sample rate and a pinned sequence must be
+    # confirmed by the HELLO.
+    source: ClassVar[str] = "peer"
+    mismatch_error: ClassVar[type] = HelloMismatchError
+    strict: ClassVar[bool] = True
+
+    @property
+    def sequence_descriptor(self) -> str:
+        return self.hello.sequence_descriptor
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -304,29 +316,19 @@ def serve_capture(
         with conn:
             conn.settimeout(timeout)
             try:
-                conn.sendall(
-                    encode_hello(
-                        Hello(
-                            fs=capture.fs,
-                            f_c=capture.f_c,
-                            sequence_descriptor=sequence_descriptor,
-                        )
-                    )
-                )
+                conn.sendall(encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor)))
                 x = np.asarray(capture.samples)
-                ev_pos = 0
+                # Each trigger goes out ahead of the chunk holding its sample.
                 for a in range(0, len(x), chunk_samples):
                     b = min(a + chunk_samples, len(x))
-                    while ev_pos < len(evs) and evs[ev_pos].sample_index < capture.start_index + b:
-                        conn.sendall(encode_trigger(evs[ev_pos]))
-                        ev_pos += 1
+                    while triggers < len(evs) and evs[triggers].sample_index < capture.start_index + b:
+                        conn.sendall(encode_trigger(evs[triggers]))
                         triggers += 1
                     conn.sendall(encode_iq_chunk(capture.start_index + a, x[a:b]))
                     chunks += 1
                     sent += b - a
-                while ev_pos < len(evs):
-                    conn.sendall(encode_trigger(evs[ev_pos]))
-                    ev_pos += 1
+                for ev in evs[triggers:]:
+                    conn.sendall(encode_trigger(ev))
                     triggers += 1
                 conn.sendall(encode_end(sent))
                 complete = True
@@ -384,7 +386,6 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
         parts: list[np.ndarray] = []
         triggers: list[TriggerEvent] = []
         received = 0
-        total = None
         while True:
             msg = read_message(stream)
             if msg is None:
@@ -395,7 +396,10 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
                 triggers.append(msg)
                 continue
             if isinstance(msg, End):
-                total = msg.total_samples
+                if msg.total_samples != received:
+                    raise WireProtocolError(
+                        f"END declares {msg.total_samples} samples but {received} were delivered"
+                    )
                 break
             if msg.start_index != received:
                 raise WireProtocolError(
@@ -404,20 +408,14 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
                 )
             parts.append(msg.samples)
             received += len(msg.samples)
-        if total != received:
-            raise WireProtocolError(
-                f"END declares {total} samples but {received} were delivered"
-            )
 
     samples = np.concatenate(parts) if parts else np.empty(0, dtype=np.complex128)
-    frame = IqFrame(samples, hello.fs, hello.f_c, 0)
-    return frame, ConsumeSummary(
-        samples_received=received, triggers=triggers, hello=hello
-    )
+    return IqFrame(samples, hello.fs, hello.f_c, 0), ConsumeSummary(triggers, hello)
 
 
 def consume_correlation(endpoint, config):
-    """Receive a stimulation stream and run the correlation side on it.
+    """Receive a stimulation stream and run the correlation side on it
+    (:func:`sounder.correlate_received`).
 
     The handshake is validated against the local configuration: sample
     rates must agree, and if the configuration pins a sequence it must
@@ -425,13 +423,5 @@ def consume_correlation(endpoint, config):
     adopted).  Returns ``(frames, summary)``.
     """
     capture, summary = consume_stream(endpoint, timeout=config.timeout)
-    hello = summary.hello
-
-    if hello.fs != config.sample_rate:
-        raise HelloMismatchError(
-            f"peer samples at {hello.fs} Hz but the local configuration expects "
-            f"{config.sample_rate} Hz"
-        )
-    seq = config.stream_sequence(hello.sequence_descriptor, "peer", HelloMismatchError, strict=True)
-    frames = sounder.correlate_campaign(config, capture, seq, summary.triggers)
+    frames, _ = sounder.correlate_received(config, capture, summary)
     return frames, summary

@@ -148,6 +148,67 @@ class TestStimulateCorrelate:
         assert "pins" in capsys.readouterr().err
 
 
+class TestCaptureSidecarFlow:
+    """The capture's sidecars are written and read by framestore alone."""
+
+    def test_stale_trigger_log_is_removed_by_the_next_stimulate(self, tmp_path, capsys):
+        # 316 + 8 corrupted samples straddle periods 4 and 5 of 64 samples.
+        cap = str(tmp_path / "cap.iq")
+        cfg = small_config(tmp_path, "n_sequences = 20\ntriggers = 316:overflow:buf\ncorrupt_span = 8\n")
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        cfg = small_config(tmp_path, "n_sequences = 20\n")
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        capsys.readouterr()
+        assert main(["correlate", "--config", cfg, "--input", cap, "--out", str(tmp_path / "f")]) == 0
+        assert "kept 19 of 20" in capsys.readouterr().out
+        assert not (tmp_path / "cap.iq.triggers").exists()
+
+    def test_nonfinite_sidecar_sample_rate_fails_before_writing(self, tmp_path, capsys):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path), "--out", cap]) == 0
+        meta = tmp_path / "cap.iq.meta"
+        meta.write_text(meta.read_text().replace("sample_rate=1000000.0", "sample_rate=inf"))
+        out = str(tmp_path / "f")
+        assert main(["correlate", "--input", cap, "--out", out]) == 2
+        assert "sample_rate" in capsys.readouterr().err
+        assert not (tmp_path / "f.frames").exists()
+
+    @pytest.mark.parametrize("command", ["stimulate", "sound"])
+    def test_infinite_sample_rate_fails_before_writing(self, tmp_path, capsys, command):
+        out = str(tmp_path / "r")
+        assert main([command, "--config", small_config(tmp_path), "--fs", "inf", "--out", out]) == 2
+        assert "sample rate must be positive and finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    def test_unpinned_correlate_adopts_the_capture_sample_rate(self, tmp_path):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path), "--fs", "2e6", "--out", cap]) == 0
+        out = str(tmp_path / "f")
+        assert main(["correlate", "--input", cap, "--out", out]) == 0
+        assert framestore.read_frames(out + ".frames")[1].t_s == 5e-7
+
+    def test_sound_characterizes_before_it_writes(self, tmp_path, capsys):
+        out = str(tmp_path / "bt")
+        rc = main(["sound", "--config", small_config(tmp_path, "bc_threshold = 2\n"), "--out", out])
+        assert rc == 2
+        assert "threshold" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    def test_sound_with_no_surviving_period_has_nothing_to_write(self, tmp_path, capsys):
+        out = str(tmp_path / "one")
+        assert main(["sound", "--config", small_config(tmp_path, "n_sequences = 1\n"), "--out", out]) == 2
+        assert "nothing to write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    def test_sound_without_events_removes_a_stale_trigger_log(self, tmp_path):
+        out = str(tmp_path / "s")
+        cfg = small_config(tmp_path, "triggers = 300:overflow:buf\n")
+        assert main(["sound", "--config", cfg, "--out", out]) == 0
+        assert (tmp_path / "s.triggers").exists()
+        assert main(["sound", "--config", small_config(tmp_path), "--out", out]) == 0
+        assert not (tmp_path / "s.triggers").exists()
+
+
 class TestWireFlow:
     def test_two_process_link(self, tmp_path):
         # stimulation side in a thread, correlation side in the foreground

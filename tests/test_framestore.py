@@ -1,5 +1,6 @@
 """Round-trip and corruption tests for the on-disk formats."""
 
+import math
 import struct
 
 import numpy as np
@@ -71,6 +72,73 @@ class TestCapture:
         with open(path + ".meta", "a") as f:
             f.write("no equals sign here\n")
         with pytest.raises(ValueError, match="key=value"):
+            fsio.read_capture(path)
+
+
+class TestCaptureSidecars:
+    """``write_capture``/``read_capture`` own both sidecars: the ``.meta``
+    text, range-checked, and the optional ``.triggers`` log."""
+
+    def write(self, tmp_path, events=()):
+        path = str(tmp_path / "a.iq")
+        frame = IqFrame(np.arange(8) + 1j, fs=1e6, f_c=5.8e9, start_index=64)
+        fsio.write_capture(path, frame, "fzc:n=8:u=3", "seed=0", events=events)
+        return path
+
+    def test_trigger_events_travel_in_the_meta(self, tmp_path):
+        events = [TriggerEvent(70, "external", 4, "marker"), TriggerEvent(66, "overflow", 2)]
+        path = self.write(tmp_path, events)
+        frame, meta = fsio.read_capture(path)
+        assert [(e.sample_index, e.kind, e.span, e.note) for e in meta.triggers] == [
+            (66, "overflow", 2, ""),
+            (70, "external", 4, "marker"),
+        ]
+        assert frame.start_index == 64
+
+    def test_no_log_means_no_events(self, tmp_path):
+        path = self.write(tmp_path)
+        assert not (tmp_path / "a.iq.triggers").exists()
+        assert fsio.read_capture(path)[1].triggers == []
+
+    def test_rewrite_without_events_removes_the_stale_log(self, tmp_path):
+        path = self.write(tmp_path, [TriggerEvent(70)])
+        assert (tmp_path / "a.iq.triggers").exists()
+        self.write(tmp_path)
+        assert not (tmp_path / "a.iq.triggers").exists()
+        assert fsio.read_capture(path)[1].triggers == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_rate", "inf"),
+            ("sample_rate", "nan"),
+            ("sample_rate", "0.0"),
+            ("sample_rate", "-1000000.0"),
+            ("sample_rate", "fast"),
+            ("center_frequency", "inf"),
+            ("center_frequency", "-inf"),
+            ("center_frequency", "nan"),
+            ("format_version", "one"),
+        ],
+    )
+    def test_hostile_sidecar_value_rejected(self, tmp_path, field, value):
+        path = self.write(tmp_path)
+        meta = tmp_path / "a.iq.meta"
+        lines = [
+            f"{field}={value}" if ln.startswith(field + "=") else ln
+            for ln in meta.read_text().splitlines()
+        ]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=field):
+            fsio.read_capture(path)
+
+    @pytest.mark.parametrize("field", ["format_version", "sample_rate", "center_frequency"])
+    def test_missing_sidecar_field_rejected(self, tmp_path, field):
+        path = self.write(tmp_path)
+        meta = tmp_path / "a.iq.meta"
+        lines = [ln for ln in meta.read_text().splitlines() if not ln.startswith(field + "=")]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"missing '{field}'"):
             fsio.read_capture(path)
 
 
@@ -364,7 +432,41 @@ def _parses_or_value_error(reader, path, blob):
         pass
 
 
-_READERS = [("frames", fsio.read_frames, _valid_frames_blob), ("csp", fsio.read_profile, _valid_profile_blob)]
+def _valid_capture_file(tmp_path, suffix):
+    path = str(tmp_path / "valid.iq")
+    frame = IqFrame(np.arange(4) + 1j, fs=1e6, f_c=5.8e9)
+    fsio.write_capture(path, frame, "fzc:n=4:u=1", "seed=0", events=[TriggerEvent(2, "external", 1, "x")])
+    return (tmp_path / f"valid.iq{suffix}").read_bytes()
+
+
+def _read_capture_checked(path):
+    """``read_capture``, plus what every capture that parses must satisfy."""
+    frame, _ = fsio.read_capture(path)
+    assert math.isfinite(frame.fs) and frame.fs > 0
+
+
+def _read_fuzzed_meta(path):
+    """``path`` holds ``.meta`` bytes: read them beside a valid payload."""
+    capture = path[: -len(".meta")]
+    with open(capture, "wb") as f:
+        f.write(bytes(16))
+    _read_capture_checked(capture)
+
+
+def _read_fuzzed_payload(path):
+    """``path`` holds payload bytes: read them beside a valid ``.meta``."""
+    with open(path + ".meta", "w") as f:
+        f.write("format_version=1\nsample_rate=1000000.0\ncenter_frequency=0.0\n")
+    _read_capture_checked(path)
+
+
+_READERS = [
+    ("frames", fsio.read_frames, _valid_frames_blob),
+    ("csp", fsio.read_profile, _valid_profile_blob),
+    ("iq.meta", _read_fuzzed_meta, lambda tmp_path: _valid_capture_file(tmp_path, ".meta")),
+    ("iq", _read_fuzzed_payload, lambda tmp_path: _valid_capture_file(tmp_path, "")),
+    ("triggers", fsio.read_trigger_log, lambda tmp_path: _valid_capture_file(tmp_path, ".triggers")),
+]
 _FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from chansounder import sounder, wire
 from chansounder.chansim import apply_channel
 from chansounder.config import CampaignConfig
+from chansounder.framestore import CaptureMeta
 from chansounder.frames import IqFrame, TriggerEvent
 from chansounder.seqgen import descriptor, generate_fzc
 from chansounder.wire import (
@@ -468,3 +469,50 @@ class TestEndpointParsing:
         for text in ("nocolon", ":90", "host:", "host:abc", "host:70000"):
             with pytest.raises(ValueError):
                 wire.parse_endpoint(text)
+
+
+class TestOneCorrelationPath:
+    """``sounder.correlate_received`` correlates a capture file's and a wire
+    stream's capture alike; only the record's adoption rules differ."""
+
+    def campaign(self):
+        cfg = CampaignConfig()
+        cfg.length = 64
+        cfg.n_sequences = 6
+        cfg.channel_taps = [(0, 1 + 0j, 0.0), (2, 0.25j, 0.0)]
+        cfg.cable = None
+        cfg.triggers = [(2 * 64 + 5, "overflow", "")]
+        cfg.corrupt_span = 4
+        seq, capture, events = sounder.capture_campaign(cfg)
+        desc = descriptor(seq)
+        summary = wire.ConsumeSummary(events, Hello(capture.fs, capture.f_c, desc))
+        return capture, CaptureMeta(desc, "", events), summary
+
+    def test_file_and_wire_records_give_the_same_frames(self):
+        capture, meta, summary = self.campaign()
+        a, total_a = sounder.correlate_received(CampaignConfig(), capture, meta)
+        b, total_b = sounder.correlate_received(CampaignConfig(), capture, summary)
+        assert total_a == total_b == 6
+        assert a.sequence_index.tolist() == b.sequence_index.tolist() == [1, 3, 4, 5]
+        assert np.array_equal(a.h, b.h) and np.array_equal(a.t_i, b.t_i)
+
+    def test_a_capture_file_sets_an_unstated_local_rate(self):
+        capture, meta, _ = self.campaign()
+        local = CampaignConfig()
+        local.sample_rate = 2e6
+        sounder.correlate_received(local, capture, meta)
+        assert local.sample_rate == capture.fs
+
+    def test_a_capture_file_must_match_an_explicit_rate(self):
+        capture, meta, _ = self.campaign()
+        local = CampaignConfig()
+        local.set_key("sample_rate", "2e6", "--fs")
+        with pytest.raises(ValueError, match="capture samples at 1000000.0 Hz"):
+            sounder.correlate_received(local, capture, meta)
+
+    def test_the_wire_must_match_any_local_rate(self):
+        capture, _, summary = self.campaign()
+        local = CampaignConfig()
+        local.sample_rate = 2e6
+        with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
+            sounder.correlate_received(local, capture, summary)
