@@ -8,10 +8,11 @@ events that corrupt a span of samples.
 
 Every operation is a pure function of (input frame, parameters): the
 noise for absolute sample index n is derived from a counter-based
-generator positioned at n, so splitting a stream into chunks and
-processing them independently yields bit-identical output to a single
-pass.  That property is what lets the offline and the two-process wire
-pipelines agree exactly.
+generator positioned at n, and the rotations are anchored to n as well,
+so a stream processed in chunks, each with the channel's
+``max_delay()`` samples of lead-in, yields bit-identical output to a
+single pass.  That property is what lets every transport produce its
+capture in blocks and still agree exactly.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def apply_channel(frame: IqFrame, model: ChannelModel) -> IqFrame:
 
     The output frame keeps the input's sample rate, center frequency,
     and start index.  Tap delays and the cable response reach back to
-    zeros before the frame start, so this operation wants the whole
-    stimulation stream (which begins at absolute index 0) rather than a
-    chunk of it; the memoryless operations (Doppler and CFO rotation,
-    noise) are chunk-invariant on their own.
+    zeros before the frame start, so only output samples at least
+    ``model.max_delay()`` past the frame start (or all of them, for a
+    frame that starts the stream at absolute index 0) equal the
+    whole-stream output; :class:`sounder.CaptureStream` feeds each chunk
+    with that lead-in.  The memoryless operations (Doppler and CFO
+    rotation, noise) are chunk-invariant on their own.
     """
     x = np.asarray(frame.samples, dtype=np.complex128)
     max_tap_delay = max(t.delay for t in model.taps)
@@ -181,22 +184,20 @@ def add_awgn(frame: IqFrame, snr_db: float, seed: int = 0) -> IqFrame:
     return IqFrame(y, frame.fs, frame.f_c, frame.start_index)
 
 
-def inject_disruption(
-    frame: IqFrame, events: list[TriggerEvent], corrupt_span: int
-) -> tuple[IqFrame, list[TriggerEvent]]:
-    """Zero out ``corrupt_span`` samples at each trigger position.
+def stamp_disruption(
+    events: list[TriggerEvent], corrupt_span: int, lo: int, hi: int
+) -> list[TriggerEvent]:
+    """The events re-stamped with the span they corrupt in the stream
+    ``[lo, hi)``: ``corrupt_span`` samples, clamped at the stream end.
 
-    Returns the damaged frame and the events re-stamped with the span
-    actually corrupted, sorted by sample index.  Events must fall inside
-    the frame and must not overlap each other.
+    Returns them sorted by sample index.  Events must fall inside the
+    stream and must not overlap each other.
     """
     if corrupt_span < 1:
         raise ValueError("corrupt_span must be at least 1")
-    evs = sorted(events, key=lambda e: e.sample_index)
-    lo, hi = frame.start_index, frame.end_index
     last_end = None
     stamped = []
-    for ev in evs:
+    for ev in sorted(events, key=lambda e: e.sample_index):
         if not (lo <= ev.sample_index < hi):
             raise ValueError(
                 f"trigger at sample {ev.sample_index} lies outside the frame "
@@ -209,9 +210,32 @@ def inject_disruption(
             )
         last_end = ev.sample_index + span
         stamped.append(replace(ev, span=span))
+    return stamped
 
-    y = np.array(frame.samples, dtype=np.complex128, copy=True)
+
+def zero_spans(frame: IqFrame, stamped: list[TriggerEvent]) -> IqFrame:
+    """Zero each stamped event's span where it overlaps ``frame``; spans
+    may start before the frame or run past its end.  The input frame is
+    left as it is."""
+    y = None
     for ev in stamped:
-        a = ev.sample_index - frame.start_index
-        y[a : a + ev.span] = 0.0
-    return IqFrame(y, frame.fs, frame.f_c, frame.start_index), stamped
+        a = max(ev.sample_index, frame.start_index) - frame.start_index
+        b = min(ev.sample_index + ev.span, frame.end_index) - frame.start_index
+        if a < b:
+            if y is None:
+                y = np.array(frame.samples, dtype=np.complex128, copy=True)
+            y[a:b] = 0.0
+    return frame if y is None else IqFrame(y, frame.fs, frame.f_c, frame.start_index)
+
+
+def inject_disruption(
+    frame: IqFrame, events: list[TriggerEvent], corrupt_span: int
+) -> tuple[IqFrame, list[TriggerEvent]]:
+    """Zero out ``corrupt_span`` samples at each trigger position.
+
+    Returns the damaged frame and the events re-stamped with the span
+    actually corrupted (:func:`stamp_disruption` over the frame), sorted
+    by sample index.
+    """
+    stamped = stamp_disruption(events, corrupt_span, frame.start_index, frame.end_index)
+    return zero_spans(frame, stamped), stamped

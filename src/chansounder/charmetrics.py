@@ -94,7 +94,7 @@ def frequency_response_stats(frames, fs: float) -> FrequencyStats:
 
 
 def coherence_bandwidth(
-    frames, fs: float, threshold: float = 0.5
+    frames, fs: float, threshold: float = 0.5, pdp_vec: np.ndarray | None = None
 ) -> tuple[float, bool]:
     """Coherence bandwidth from the frequency autocorrelation.
 
@@ -104,10 +104,11 @@ def coherence_bandwidth(
     linear interpolation between bins.  Returns ``(bandwidth_hz,
     crossed)``; when the correlation never falls below the threshold
     the full half-span ``fs / 2`` is returned with ``crossed=False``.
+    ``pdp_vec``, when given, is ``pdp(frames)`` computed already.
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    p = pdp(frames)
+    p = pdp(frames) if pdp_vec is None else pdp_vec
     n = len(p)
     r = np.fft.fft(p)
     r0 = r[0].real
@@ -335,7 +336,7 @@ def characterize(
     t_seq = n_seq * t_s
 
     stats = frequency_response_stats(series, fs)
-    bc, crossed = coherence_bandwidth(series, fs, threshold=bc_threshold)
+    bc, crossed = coherence_bandwidth(series, fs, threshold=bc_threshold, pdp_vec=p)
     dr = measured_dynamic_range(p)
 
     notes: list[str] = []
@@ -411,37 +412,31 @@ def report_text(report: CharacterizationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_csv(path: str, header: str, first: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``header``, then one line per row of ``rows`` led by the
+    matching entry of ``first``, each number as its ``repr``."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for lead, row in zip(first.tolist(), rows):
+            f.write(repr(lead) + "," + ",".join(map(repr, row.tolist())) + "\n")
+
+
 def export_csv(report: CharacterizationReport, base_path: str) -> list[str]:
     """Write PDP, PSD and (if present) Doppler-map CSV files.
 
     Returns the list of paths written.  Numbers are rendered with
     ``repr`` so repeated runs produce byte-identical files.
     """
-    written = []
     t_s = 1.0 / report.fs
-
-    path = base_path + ".pdp.csv"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("delay_s,power\n")
-        for i, v in enumerate(report.pdp):
-            f.write(f"{i * t_s!r},{float(v)!r}\n")
-    written.append(path)
-
-    path = base_path + ".psd.csv"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("freq_hz,power\n")
-        for fq, v in zip(report.freq_stats.freqs_hz, report.freq_stats.mean_psd):
-            f.write(f"{float(fq)!r},{float(v)!r}\n")
-    written.append(path)
-
+    delays = np.arange(len(report.pdp)) * t_s
+    tables = [
+        (".pdp.csv", "delay_s,power", delays, report.pdp[:, None]),
+        (".psd.csv", "freq_hz,power", report.freq_stats.freqs_hz, report.freq_stats.mean_psd[:, None]),
+    ]
     if report.doppler is not None:
-        path = base_path + ".doppler.csv"
         dm = report.doppler
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("delay_s," + ",".join(repr(float(fq)) for fq in dm.freqs_hz) + "\n")
-            for tau in range(dm.power.shape[1]):
-                row = dm.power[:, tau]
-                f.write(f"{tau * t_s!r}," + ",".join(repr(float(v)) for v in row) + "\n")
-        written.append(path)
-
-    return written
+        header = "delay_s," + ",".join(map(repr, dm.freqs_hz.tolist()))
+        tables.append((".doppler.csv", header, delays, dm.power.T))
+    for suffix, header, first, rows in tables:
+        _write_csv(base_path + suffix, header, first, rows)
+    return [base_path + suffix for suffix, *_ in tables]

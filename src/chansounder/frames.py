@@ -19,6 +19,13 @@ import numpy as np
 TRIGGER_KINDS = ("overflow", "external")
 
 
+def check_sample_rate(fs: float) -> float:
+    """``fs``, if it is a usable sample rate (positive and finite)."""
+    if not 0 < fs < np.inf:
+        raise ValueError(f"sample rate must be positive and finite, got {fs}")
+    return fs
+
+
 @dataclass
 class IqFrame:
     """A contiguous block of complex baseband samples.
@@ -44,8 +51,7 @@ class IqFrame:
         self.samples = np.asarray(self.samples)
         if self.samples.ndim != 1:
             raise ValueError("IqFrame samples must be a 1-d vector")
-        if not 0 < self.fs < np.inf:
-            raise ValueError(f"sample rate must be positive and finite, got {self.fs}")
+        check_sample_rate(self.fs)
         if self.start_index < 0:
             raise ValueError("start_index must be non-negative")
 

@@ -105,8 +105,9 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
         "format_version": int,
         "sample_rate": _finite(float, positive=True),
         "center_frequency": _finite(float),
+        "start_index": _sample_index,
     }
-    kv = _parse_header(text, sidecar_path(path), "capture sidecar", fields)
+    kv = _parse_header(text, sidecar_path(path), "capture sidecar", fields, {"start_index": "0"})
     if kv["format_version"] != CAPTURE_VERSION:
         raise ValueError(
             f"unsupported capture format version {kv['format_version']} "
@@ -121,9 +122,7 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
             "whole number of float32 IQ pairs"
         )
     samples = np.frombuffer(raw, dtype="<c8").astype(np.complex128)
-    frame = IqFrame(
-        samples, kv["sample_rate"], kv["center_frequency"], int(kv.get("start_index", "0"))
-    )
+    frame = IqFrame(samples, kv["sample_rate"], kv["center_frequency"], kv["start_index"])
     log = path + ".triggers"
     events = read_trigger_log(log) if os.path.exists(log) else []
     return frame, CaptureMeta(
@@ -162,10 +161,21 @@ def _finite(parse, positive: bool = False):
     return parse_finite
 
 
-def _parse_header(text: str, where: str, kind: str, fields: dict) -> dict:
+def _sample_index(text: str) -> int:
+    """A header field parser for an absolute sample index."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return value
+
+
+def _parse_header(
+    text: str, where: str, kind: str, fields: dict, defaults: dict | None = None
+) -> dict:
     """Parse ``key=value`` lines (blank and ``#`` lines skipped); ``fields``
-    maps each required key to its parser, other keys stay text."""
-    kv: dict = {}
+    maps each key to its parser, other keys stay text.  A key of
+    ``fields`` is required unless ``defaults`` gives its text."""
+    kv: dict = dict(defaults or {})
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
@@ -333,7 +343,12 @@ def read_profile(path: str) -> CalibrationProfile:
         path,
         PROFILE_MAGIC,
         "calibration-profile",
-        {"n_seq": _finite(int, positive=True), "source": str, "gain_cap_db": float, "created_from": int},
+        {
+            "n_seq": _finite(int, positive=True),
+            "source": str,
+            "gain_cap_db": _finite(float),
+            "created_from": int,
+        },
     )
     n_seq = kv["n_seq"]
     clamped_text = kv.get("clamped_bins", "")

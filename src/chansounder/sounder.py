@@ -23,25 +23,34 @@ the in-process path.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Sequence as SequenceType
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence as SequenceType
 
 import numpy as np
 
 from . import chansim
 from .calib import CalibrationProfile, remove_dc_bias
 from .corrmath import fast_pccf
-from .frames import FrameSeries, IqFrame, TriggerEvent
+from .frames import FrameSeries, IqFrame, TriggerEvent, check_sample_rate
 from .seqgen import Sequence
 
 
-def stimulate_capture(seq: Sequence, n_reps: int, fs: float, f_c: float = 0.0) -> IqFrame:
-    """One frame holding ``n_reps`` repetitions of the sequence from
-    absolute index 0, so sequence period ``i`` occupies absolute samples
-    ``[i * n_seq, (i + 1) * n_seq)``."""
+def stimulate_capture(
+    seq: Sequence, n_reps: int, fs: float, f_c: float = 0.0, start: int = 0, stop: int | None = None
+) -> IqFrame:
+    """Samples ``start .. stop`` (by default all) of ``n_reps`` repetitions
+    of the sequence from absolute index 0, so sequence period ``i``
+    occupies absolute samples ``[i * n_seq, (i + 1) * n_seq)``."""
     if n_reps < 1:
         raise ValueError("need at least one sequence repetition")
-    return IqFrame(np.tile(seq.samples, n_reps), fs, f_c)
+    total = n_reps * seq.n_seq
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"samples {start}..{stop} lie outside the {total}-sample stream")
+    # the period from offset p on, then whole periods, the last one cut at stop
+    n, p, count = seq.n_seq, start % seq.n_seq, stop - start
+    pieces = [seq.samples[p : p + count]] + [seq.samples[: count - k] for k in range(n - p, count, n)]
+    return IqFrame(np.concatenate(pieces), fs, f_c, start)
 
 
 def quantize_capture(frame: IqFrame) -> IqFrame:
@@ -186,30 +195,83 @@ def frames_from_capture(
     return series
 
 
-def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
-    """The configured campaign's sequence, its quantized capture through
-    the configured channel, and the injected trigger events re-stamped
-    with the spans they corrupted."""
+@dataclass
+class CaptureStream:
+    """A campaign's quantized capture, made in blocks of ``chunk_samples``.
+
+    Iterating runs :func:`stimulate_capture`, the channel, the damage of
+    the stamped trigger ``events`` and :func:`quantize_capture` block by
+    block; each block is made from the ``model.max_delay()`` stimulus
+    samples before it onward, so the blocks put together equal the
+    whole-stream composition bit for bit.  ``fs`` and ``f_c`` describe
+    every block, as they would the whole capture.
+    """
+
+    seq: Sequence
+    n_samples: int
+    fs: float
+    f_c: float
+    model: chansim.ChannelModel
+    events: list[TriggerEvent]
+    chunk_samples: int
+
+    def __iter__(self) -> Iterator[IqFrame]:
+        n_reps = self.n_samples // self.seq.n_seq
+        lead = self.model.max_delay()
+        for a in range(0, self.n_samples, self.chunk_samples):
+            b = min(a + self.chunk_samples, self.n_samples)
+            s = max(0, a - lead)
+            # At least lead + 1 samples: a shorter frame would fail the tap
+            # check of apply_channel and reach np.convolve's path for inputs
+            # shorter than the cable, which the longer whole stream never takes.
+            x = stimulate_capture(
+                self.seq, n_reps, self.fs, self.f_c, s, min(self.n_samples, max(b, s + lead + 1))
+            )
+            y = chansim.apply_channel(x, self.model).samples[a - s : b - s]
+            block = chansim.zero_spans(IqFrame(y, self.fs, self.f_c, a), self.events)
+            yield quantize_capture(block)
+
+
+def capture_stream(config) -> CaptureStream:
+    """The configured campaign's capture as a :class:`CaptureStream`, once
+    the campaign has passed its limit checks (sample rate, excess delay,
+    Doppler) and its trigger events are stamped against the whole stream."""
     seq = config.make_sequence()
-    x = stimulate_capture(seq, config.num_sequences(), config.sample_rate, config.center_frequency)
+    n_samples = config.num_sequences() * seq.n_seq
+    fs = check_sample_rate(config.sample_rate)
     model = config.channel_model()
     if model.max_delay() >= seq.n_seq:
         raise ValueError(
             f"channel reaches back {model.max_delay()} samples, which wraps around "
             f"the {seq.n_seq}-sample sequence period"
         )
-    doppler_limit = x.fs / (2 * seq.n_seq)
+    doppler_limit = fs / (2 * seq.n_seq)
     for tap in model.taps:
         if abs(tap.doppler_hz) >= doppler_limit:
             raise ValueError(
                 f"Doppler shift {tap.doppler_hz} Hz aliases: one snapshot per "
                 f"{seq.n_seq}-sample period resolves |Doppler| < {doppler_limit} Hz"
             )
-    y = chansim.apply_channel(x, model)
     events = config.trigger_events()
     if events:
-        y, events = chansim.inject_disruption(y, events, config.corrupt_span)
-    return seq, quantize_capture(y), events
+        events = chansim.stamp_disruption(events, config.corrupt_span, 0, n_samples)
+    if config.chunk_samples < 1:
+        raise ValueError(f"chunk_samples must be at least 1, got {config.chunk_samples}")
+    return CaptureStream(
+        seq, n_samples, fs, config.center_frequency, model, events, config.chunk_samples
+    )
+
+
+def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
+    """The configured campaign's sequence, its quantized capture through
+    the configured channel (the blocks of :func:`capture_stream` in one
+    array), and the injected trigger events re-stamped with the spans
+    they corrupted."""
+    stream = capture_stream(config)
+    samples = np.empty(stream.n_samples, dtype=np.complex128)
+    for block in stream:
+        samples[block.start_index : block.end_index] = block.samples
+    return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
 
 
 def correlate_campaign(config, capture: IqFrame, seq: Sequence, events) -> FrameSeries:

@@ -23,6 +23,7 @@ subtype), never a bare struct or index error.
 
 from __future__ import annotations
 
+import itertools
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -130,7 +131,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     if len(body) > MAX_MESSAGE_BYTES:
         raise WireProtocolError(f"message of {len(body)} bytes exceeds the size limit")
     mtype = body[0]
-    payload = body[1:]
+    payload = memoryview(body)[1:]
 
     if mtype == MSG_HELLO:
         if len(payload) < _HELLO_HEAD.size:
@@ -148,7 +149,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
         if not (fs > 0) or not np.isfinite(fs) or not np.isfinite(f_c):
             raise WireProtocolError(f"HELLO carries invalid stream parameters fs={fs} f_c={f_c}")
         try:
-            text = desc.decode("utf-8")
+            text = str(desc, "utf-8")
         except UnicodeDecodeError as exc:
             raise WireProtocolError(f"HELLO descriptor is not valid utf-8: {exc}") from None
         return Hello(fs=fs, f_c=f_c, sequence_descriptor=text, protocol_version=version)
@@ -166,8 +167,8 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
             )
         if count == 0:
             raise WireProtocolError("IQ_CHUNK with zero samples")
-        samples = np.frombuffer(data, dtype="<c8").astype(np.complex128)
-        return IqChunk(start_index=start_index, samples=samples)
+        # A complex64 view of the message; the receiver widens once.
+        return IqChunk(start_index=start_index, samples=np.frombuffer(data, dtype="<c8"))
 
     if mtype == MSG_TRIGGER:
         if len(payload) < _TRIGGER_HEAD.size:
@@ -185,7 +186,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
                 f"TRIGGER with invalid position {sample_index} or span {span}"
             )
         try:
-            note_text = note.decode("utf-8")
+            note_text = str(note, "utf-8")
         except UnicodeDecodeError as exc:
             raise WireProtocolError(f"TRIGGER note is not valid utf-8: {exc}") from None
         return TriggerEvent(
@@ -282,7 +283,7 @@ def _listening_socket(endpoint) -> tuple[socket.socket, bool]:
 
 
 def serve_capture(
-    capture: IqFrame,
+    capture: "IqFrame | sounder.CaptureStream",
     sequence_descriptor: str,
     endpoint,
     events: list[TriggerEvent] = (),
@@ -291,7 +292,13 @@ def serve_capture(
 ) -> StimulationSummary:
     """Serve one capture to a single correlation peer.
 
-    ``endpoint`` is a ``host:port`` string or an already-listening
+    ``capture`` is an :class:`IqFrame` or a stream of contiguous blocks
+    with ``fs`` and ``f_c`` attributes (a :class:`sounder.CaptureStream`);
+    each block is sent as it is made, in chunks of at most
+    ``chunk_samples``, so a whole frame goes out in the same chunks as
+    the stream of its ``chunk_samples`` blocks.  The first block is made
+    before listening, so a capture that cannot be made fails before a
+    peer connects.  ``endpoint`` is a ``host:port`` string or an already-listening
     socket (useful for tests on ephemeral ports).  Waits up to
     ``timeout`` seconds for the peer; a peer that disconnects
     mid-stream yields a summary with ``complete=False`` rather than an
@@ -300,6 +307,8 @@ def serve_capture(
     max_chunk = (MAX_MESSAGE_BYTES - 1 - _CHUNK_HEAD.size) // 8
     if not 1 <= chunk_samples <= max_chunk:
         raise ValueError(f"chunk_samples must lie in 1..{max_chunk}, got {chunk_samples}")
+    blocks = iter([capture] if isinstance(capture, IqFrame) else capture)
+    first = list(itertools.islice(blocks, 1))
     lsock, owned = _listening_socket(endpoint)
     name = "%s:%d" % lsock.getsockname()[:2]
     evs = sorted(events, key=lambda e: e.sample_index)
@@ -317,16 +326,17 @@ def serve_capture(
             conn.settimeout(timeout)
             try:
                 conn.sendall(encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor)))
-                x = np.asarray(capture.samples)
-                # Each trigger goes out ahead of the chunk holding its sample.
-                for a in range(0, len(x), chunk_samples):
-                    b = min(a + chunk_samples, len(x))
-                    while triggers < len(evs) and evs[triggers].sample_index < capture.start_index + b:
-                        conn.sendall(encode_trigger(evs[triggers]))
-                        triggers += 1
-                    conn.sendall(encode_iq_chunk(capture.start_index + a, x[a:b]))
-                    chunks += 1
-                    sent += b - a
+                for block in itertools.chain(first, blocks):
+                    x = block.samples
+                    # Each trigger goes out ahead of the chunk holding its sample.
+                    for a in range(0, len(x), chunk_samples):
+                        b = min(a + chunk_samples, len(x))
+                        while triggers < len(evs) and evs[triggers].sample_index < block.start_index + b:
+                            conn.sendall(encode_trigger(evs[triggers]))
+                            triggers += 1
+                        conn.sendall(encode_iq_chunk(block.start_index + a, x[a:b]))
+                        chunks += 1
+                        sent += b - a
                 for ev in evs[triggers:]:
                     conn.sendall(encode_trigger(ev))
                     triggers += 1
@@ -347,19 +357,21 @@ def serve_capture(
 
 
 def serve_stimulation(config, endpoint=None) -> StimulationSummary:
-    """Build the configured stimulation stream and serve it.
+    """Make the configured stimulation stream and serve it.
 
     The stream is generated, passed through the configured channel,
     damaged by any configured trigger faults, and quantized to the wire
-    sample format before transmission, so the peer receives exactly
-    what a capture file of the same campaign would contain.
+    sample format in blocks of ``chunk_samples``
+    (:func:`sounder.capture_stream`), each sent as it is made, so the
+    peer receives exactly what a capture file of the same campaign would
+    contain.
     """
-    seq, capture, events = sounder.capture_campaign(config)
+    stream = sounder.capture_stream(config)
     return serve_capture(
-        capture,
-        seq_descriptor(seq),
+        stream,
+        seq_descriptor(stream.seq),
         endpoint if endpoint is not None else config.endpoint,
-        events=events,
+        events=stream.events,
         chunk_samples=config.chunk_samples,
         timeout=config.timeout,
     )
@@ -370,7 +382,8 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
 
     Verifies chunk contiguity and the END sample count.  Returns the
     reassembled capture frame plus the stream summary (handshake and
-    trigger events).
+    trigger events).  Chunks are held as received, in 32-bit floats, and
+    widened once into the capture.
     """
     host, port = parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
     with socket.create_connection((host, port), timeout=timeout) as sock:
@@ -409,7 +422,9 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
             parts.append(msg.samples)
             received += len(msg.samples)
 
-    samples = np.concatenate(parts) if parts else np.empty(0, dtype=np.complex128)
+    samples = np.empty(received, dtype=np.complex128)
+    if parts:
+        np.concatenate(parts, out=samples)
     return IqFrame(samples, hello.fs, hello.f_c, 0), ConsumeSummary(triggers, hello)
 
 

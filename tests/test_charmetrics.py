@@ -292,7 +292,9 @@ class TestReport:
         rep = cm.characterize(self.make_frames(), fs=1e6)
         base = str(tmp_path / "rep")
         paths = cm.export_csv(rep, base)
-        assert [p.endswith(s) for p, s in zip(paths, (".pdp.csv", ".psd.csv", ".doppler.csv"))]
+        assert len(paths) == 3 and all(
+            p.endswith(s) for p, s in zip(paths, (".pdp.csv", ".psd.csv", ".doppler.csv"))
+        )
         blobs1 = [open(p, "rb").read() for p in paths]
         cm.export_csv(rep, base)
         blobs2 = [open(p, "rb").read() for p in paths]
@@ -300,3 +302,41 @@ class TestReport:
         pdp_lines = blobs1[0].decode().splitlines()
         assert pdp_lines[0] == "delay_s,power"
         assert len(pdp_lines) == 17
+
+    def test_export_csv_matches_per_value_repr(self, tmp_path):
+        # the rendering the one row writer replaced: one repr(float(v)) per
+        # value and the delay as i * t_s
+        rep = cm.characterize(self.make_frames(), fs=3e6)
+        paths = cm.export_csv(rep, str(tmp_path / "rep"))
+        t_s = 1.0 / rep.fs
+        dm = rep.doppler
+        want = [
+            "delay_s,power\n"
+            + "".join(f"{i * t_s!r},{float(v)!r}\n" for i, v in enumerate(rep.pdp)),
+            "freq_hz,power\n"
+            + "".join(
+                f"{float(f)!r},{float(v)!r}\n"
+                for f, v in zip(rep.freq_stats.freqs_hz, rep.freq_stats.mean_psd)
+            ),
+            "delay_s," + ",".join(repr(float(f)) for f in dm.freqs_hz) + "\n"
+            + "".join(
+                f"{tau * t_s!r}," + ",".join(repr(float(v)) for v in dm.power[:, tau]) + "\n"
+                for tau in range(dm.power.shape[1])
+            ),
+        ]
+        assert [open(p, encoding="utf-8").read() for p in paths] == want
+
+    def test_pdp_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_pdp(frames):
+            calls.append(1)
+            return pdp(frames)
+
+        pdp = cm.pdp
+        monkeypatch.setattr(cm, "pdp", counting_pdp)
+        rep = cm.characterize(self.make_frames(), fs=1e6)
+        assert len(calls) == 1
+        assert (rep.coherence_bw_hz, rep.coherence_bw_crossed) == cm.coherence_bandwidth(
+            self.make_frames(), 1e6
+        )

@@ -142,6 +142,21 @@ class TestCaptureSidecars:
             fsio.read_capture(path)
 
 
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_hostile_start_index_names_the_sidecar_field(self, tmp_path, value):
+        path = self.write(tmp_path)
+        meta = tmp_path / "a.iq.meta"
+        meta.write_text(meta.read_text().replace("start_index=64", f"start_index={value}"))
+        with pytest.raises(ValueError, match=r"a\.iq\.meta: capture sidecar field start_index"):
+            fsio.read_capture(path)
+
+    def test_start_index_is_optional(self, tmp_path):
+        path = self.write(tmp_path)
+        meta = tmp_path / "a.iq.meta"
+        meta.write_text(meta.read_text().replace("start_index=64\n", ""))
+        assert fsio.read_capture(path)[0].start_index == 0
+
+
 class TestFrameSeries:
     def make_series(self, rng, n=8, count=5):
         frames = []
@@ -310,6 +325,16 @@ class TestProfile:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValueError, match="magic"):
             fsio.read_profile(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gain_cap_rejected(self, tmp_path, rng, value):
+        path = tmp_path / "cal.csp"
+        fsio.write_profile(str(path), self.make_profile(rng))
+        blob = path.read_bytes()
+        # same header length, so the payload stays where it was
+        path.write_bytes(blob.replace(b"gain_cap_db=40.0", b"gain_cap_db=" + value.encode().rjust(4)))
+        with pytest.raises(ValueError, match=r"cal\.csp: calibration-profile header field gain_cap_db"):
+            fsio.read_profile(str(path))
 
     def test_payload_size_checked(self, tmp_path, rng):
         path = str(tmp_path / "cal.csp")

@@ -12,6 +12,8 @@ from chansounder.config import CampaignConfig
 from chansounder.frames import ImpulseResponseFrame, IqFrame, TriggerEvent
 from chansounder.seqgen import generate_fzc, generate_mls
 from chansounder.sounder import (
+    capture_campaign,
+    capture_stream,
     correct_ftt,
     correlate_sequence,
     frames_from_capture,
@@ -42,6 +44,16 @@ class TestStimulate:
         assert np.array_equal(cap.samples, np.tile(seq.samples, 5))
         with pytest.raises(ValueError, match="at least one"):
             stimulate_capture(seq, 0, FS)
+
+    def test_range_is_a_slice_of_the_whole_stream(self):
+        seq = generate_fzc(16, 3)
+        whole = np.tile(seq.samples, 5)
+        for start, stop in [(0, 0), (0, 80), (5, 6), (13, 19), (16, 48), (30, 79), (79, 80)]:
+            cap = stimulate_capture(seq, 5, FS, 1.0, start, stop)
+            assert np.array_equal(cap.samples, whole[start:stop])
+            assert cap.start_index == start and cap.f_c == 1.0
+        with pytest.raises(ValueError, match="outside"):
+            stimulate_capture(seq, 5, FS, 0.0, 70, 81)
 
 
 class TestQuantize:
@@ -377,3 +389,144 @@ class TestBatchedEqualsPerFrame:
             assert np.array_equal(fr.h, want.h)
             assert fr.t_i == want.t_i
             assert fr.corrected == want.corrected == (profile is not None)
+
+
+def whole_stream_capture(cfg):
+    """The reference capture: the channel over the whole stimulation
+    stream in one pass, then the trigger damage and quantization."""
+    seq = cfg.make_sequence()
+    x = stimulate_capture(seq, cfg.num_sequences(), cfg.sample_rate, cfg.center_frequency)
+    y = chansim.apply_channel(x, cfg.channel_model())
+    events = cfg.trigger_events()
+    if events:
+        y, events = chansim.inject_disruption(y, events, cfg.corrupt_span)
+    return quantize_capture(y), events
+
+
+class TestCaptureStream:
+    """capture_stream makes the capture in chunk_samples blocks; put
+    together they must give the whole-stream capture bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_the_whole_stream_bitwise(self, data):
+        family, n_seq = data.draw(
+            st.sampled_from([("fzc", 16), ("mls", 31), ("fzc", 64)]), label="sequence"
+        )
+        n_reps = data.draw(st.integers(1, 5), label="n_reps")
+        total = n_seq * n_reps
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cable = None
+        if data.draw(st.booleans(), label="cable"):
+            cable = list(random_complex(rng, data.draw(st.integers(1, 4), label="cable taps")))
+        cable_delay = len(cable) - 1 if cable else 0
+        doppler_limit = FS / (2 * n_seq)
+        taps = [
+            (delay, complex(random_complex(rng, 1)[0]), doppler * doppler_limit)
+            for delay, doppler in data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, n_seq - 1 - cable_delay),
+                        st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+                label="taps (delay, Doppler / limit)",
+            )
+        ]
+        corrupt_span = data.draw(st.integers(1, 2 * n_seq), label="corrupt_span")
+        triggers, end = [], 0
+        for i in sorted(set(data.draw(st.lists(st.integers(0, total - 1), max_size=4)))):
+            if i >= end:  # spans must not overlap
+                triggers.append((i, "overflow", ""))
+                end = i + corrupt_span
+        cfg = CampaignConfig(
+            family=family,
+            length=n_seq,
+            register_length=5,
+            n_sequences=n_reps,
+            channel_taps=taps,
+            cable=cable,
+            cfo_hz=data.draw(st.one_of(st.just(0.0), st.floats(-0.49, 0.49)), label="cfo") * FS,
+            snr_db=data.draw(st.one_of(st.none(), st.floats(0.0, 40.0)), label="snr_db"),
+            seed=data.draw(st.integers(0, 2**31 - 1), label="noise seed"),
+            triggers=triggers,
+            corrupt_span=corrupt_span,
+        )
+        lead = cfg.channel_model().max_delay()
+        cfg.chunk_samples = data.draw(
+            st.one_of(
+                st.just(1),
+                st.integers(1, max(1, lead)),  # shorter than the channel's reach
+                st.integers(1, 3 * n_seq),  # cuts periods
+                st.integers(total, total + 40),  # one block
+            ),
+            label="chunk_samples",
+        )
+        want, want_events = whole_stream_capture(cfg)
+
+        stream = capture_stream(cfg)
+        blocks = list(stream)
+        assert [b.start_index for b in blocks] == list(range(0, total, cfg.chunk_samples))
+        assert [len(b) for b in blocks[:-1]] == [cfg.chunk_samples] * (len(blocks) - 1)
+        got = np.concatenate([b.samples for b in blocks])
+        assert got.tobytes() == want.samples.tobytes()
+        assert [(e.sample_index, e.span) for e in stream.events] == [
+            (e.sample_index, e.span) for e in want_events
+        ]
+        _, capture, _ = capture_campaign(cfg)
+        assert capture.samples.tobytes() == want.samples.tobytes()
+
+    def test_spans_crossing_block_edges(self):
+        cfg = CampaignConfig(length=16, n_sequences=8, cable=None, snr_db=None)
+        cfg.channel_taps = [(0, 1, 0.0)]
+        cfg.triggers = [(5, "overflow", ""), (30, "external", ""), (120, "overflow", "")]
+        cfg.corrupt_span = 20
+        cfg.chunk_samples = 7
+        stream = capture_stream(cfg)
+        # stamped once against the whole stream: the last span is clamped there
+        assert [(e.sample_index, e.span) for e in stream.events] == [(5, 20), (30, 20), (120, 8)]
+        got = np.concatenate([b.samples for b in stream])
+        dead = np.zeros(128, dtype=bool)
+        dead[5:25] = dead[30:50] = dead[120:] = True
+        assert np.all(got[dead] == 0) and np.all(got[~dead] != 0)
+
+    def test_one_sample_blocks_under_a_long_channel(self):
+        cfg = CampaignConfig(length=64, n_sequences=3, snr_db=10.0, cfo_hz=1234.5)
+        cfg.channel_taps = [(0, 1, 0.0), (40, 0.5j, 2000.0)]
+        cfg.chunk_samples = 1
+        blocks = list(capture_stream(cfg))
+        assert len(blocks) == 192 and all(len(b) == 1 for b in blocks)
+        got = np.concatenate([b.samples for b in blocks])
+        assert got.tobytes() == whole_stream_capture(cfg)[0].samples.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_first_blocks_shorter_than_the_cable(self, chunk):
+        # the first blocks are shorter than the five-tap cable alone
+        rng = np.random.default_rng(chunk)
+        cfg = CampaignConfig(length=16, n_sequences=2, cable=list(random_complex(rng, 5)))
+        cfg.channel_taps = [(0, 0.7 - 0.2j, 0.0)]
+        cfg.chunk_samples = chunk
+        got = np.concatenate([b.samples for b in capture_stream(cfg)])
+        assert got.tobytes() == whole_stream_capture(cfg)[0].samples.tobytes()
+
+    def test_limit_checks_come_first_in_their_order(self):
+        # a bad sample rate is reported before an excess delay, and that
+        # before an aliasing Doppler tap; none needs a block to be made
+        cfg = CampaignConfig(length=64, n_sequences=2, cable=None, sample_rate=-1.0)
+        cfg.channel_taps = [(64, 1, 0.0), (0, 1, 1e9)]
+        with pytest.raises(ValueError, match="sample rate must be positive"):
+            capture_stream(cfg)
+        cfg.sample_rate = FS
+        with pytest.raises(ValueError, match="wraps around"):
+            capture_stream(cfg)
+        cfg.channel_taps = [(0, 1, 1e9)]
+        with pytest.raises(ValueError, match="aliases"):
+            capture_stream(cfg)
+
+    def test_chunk_samples_must_be_positive(self):
+        cfg = CampaignConfig(length=16, n_sequences=2)
+        cfg.chunk_samples = 0
+        with pytest.raises(ValueError, match="chunk_samples must be at least 1"):
+            capture_campaign(cfg)

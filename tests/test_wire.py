@@ -4,6 +4,7 @@ import io
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -516,3 +517,63 @@ class TestOneCorrelationPath:
         local.sample_rate = 2e6
         with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
             sounder.correlate_received(local, capture, summary)
+
+
+class TestStreamedCapture:
+    def test_one_sample_chunks_equal_offline(self):
+        # every block is shorter than the channel's 13-sample reach
+        cfg = CampaignConfig(length=32, n_sequences=4, snr_db=15.0, seed=3)
+        cfg.channel_taps = [(0, 1, 0.0), (11, 0.5j, 3000.0)]
+        cfg.triggers = [(40, "overflow", "cut")]
+        cfg.corrupt_span = 30
+        cfg.chunk_samples = 1
+        offline = sounder.run_sounding(cfg)
+
+        lsock = socket.create_server(("127.0.0.1", 0))
+        port = lsock.getsockname()[1]
+        box = {}
+        t = threading.Thread(
+            target=lambda: box.update(summary=wire.serve_stimulation(cfg, lsock)), daemon=True
+        )
+        t.start()
+        frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+
+        assert box["summary"].chunks_sent == 128 and box["summary"].complete
+        assert [(e.sample_index, e.span) for e in summary.triggers] == [(40, 30)]
+        assert len(frames) == len(offline) == 1
+        assert np.array_equal(frames.h, offline.h)
+        assert np.array_equal(frames.sequence_index, offline.sequence_index)
+
+    def test_unmakeable_stream_fails_before_listening(self):
+        # the first block is made before the listener opens, so no peer is needed
+        cfg = CampaignConfig(length=32, n_sequences=2, cfo_hz=2e6)
+        with pytest.raises(ValueError, match="not representable"):
+            wire.serve_stimulation(cfg, "127.0.0.1:0")
+
+
+class TestReceiveMemory:
+    def test_stream_is_widened_once(self):
+        # The chunks are held in their 8-byte wire form and widened once
+        # into the 16-byte capture: about 24 bytes per sample at the peak,
+        # where widening every chunk and concatenating needs about 32.
+        n, step = 1 << 18, 4096
+        x = (np.arange(n) % 251 + 1j * (np.arange(n) % 13)).astype(np.complex64)
+        blobs = (
+            [encode_hello(Hello(1e6, 0.0, ""))]
+            + [encode_iq_chunk(a, x[a : a + step]) for a in range(0, n, step)]
+            + [encode_end(n)]
+        )
+        endpoint, t = run_raw_server(blobs)
+        tracemalloc.start()
+        try:
+            capture, _ = wire.consume_stream(endpoint, timeout=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert capture.samples.dtype == np.complex128
+        assert np.array_equal(capture.samples, x)
+        assert peak / n < 26
