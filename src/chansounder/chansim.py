@@ -130,7 +130,7 @@ def apply_cfo(frame: IqFrame, cfo_hz: float) -> IqFrame:
     The rotation phase is anchored to absolute time via the frame start
     index, so chunked application agrees with a single pass.
     """
-    if abs(cfo_hz) >= frame.fs / 2:
+    if not abs(cfo_hz) < frame.fs / 2:
         raise ValueError(
             f"CFO {cfo_hz} Hz is not representable at sample rate {frame.fs} Hz"
         )

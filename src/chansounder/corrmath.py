@@ -82,16 +82,17 @@ def fast_pccf(a, b) -> CorrelationResult:
     """Periodic cross-correlation via FFT.
 
     Matches :func:`pccf` to within ``1e-9 * N * max|a| * max|b|``
-    absolute error for double inputs.  ``a`` may also be a stack (..., N)
-    of vectors, each correlated against ``b`` with the bits of one call.
+    absolute error.  ``a`` may be a stack (..., N), each row with the bits
+    of one call; it is copied once to complex128, the one widening of a
+    complex64 capture, and the FFTs transform that copy in place.
     """
-    av = np.atleast_1d(a)
+    spec = np.array(a, dtype=np.complex128, ndmin=1)
     bv = _as_vector(b, "b")
-    if av.shape[-1] != len(bv):
+    if spec.shape[-1] != len(bv):
         raise ValueError(
-            f"periodic correlation requires equal lengths, got {av.shape[-1]} and {len(bv)}"
+            f"periodic correlation requires equal lengths, got {spec.shape[-1]} and {len(bv)}"
         )
-    spec = np.fft.fft(av, axis=-1).astype(np.complex128, copy=False)
+    np.fft.fft(spec, axis=-1, out=spec)
     spec *= np.conj(np.fft.fft(bv))
     values = np.fft.ifft(spec, axis=-1, out=spec)
     return CorrelationResult(values=values, lag_zero_index=0, periodic=True)

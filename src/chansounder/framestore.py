@@ -76,9 +76,8 @@ def write_capture(
     events: list[TriggerEvent] = (),
 ) -> None:
     """Write an IQ capture: float32 payload, text sidecar and trigger log."""
-    payload = np.asarray(frame.samples).astype("<c8").tobytes()
     with open(path, "wb") as f:
-        f.write(payload)
+        np.asarray(frame.samples, dtype="<c8").tofile(f)
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         f.write(
             f"format_version={CAPTURE_VERSION}\n"
@@ -92,7 +91,7 @@ def write_capture(
 
 
 def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
-    """Read an IQ capture, its mandatory sidecar and its trigger log."""
+    """Read an IQ capture (complex64, as stored), its sidecar and trigger log."""
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as f:
             text = f.read()
@@ -115,13 +114,13 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
         )
 
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) % 8 != 0:
-        raise ValueError(
-            f"capture payload {path} is truncated: {len(raw)} bytes is not a "
-            "whole number of float32 IQ pairs"
-        )
-    samples = np.frombuffer(raw, dtype="<c8").astype(np.complex128)
+        size = os.fstat(f.fileno()).st_size
+        if size % 8 != 0:
+            raise ValueError(
+                f"capture payload {path} is truncated: {size} bytes is not a "
+                "whole number of float32 IQ pairs"
+            )
+        samples = np.fromfile(f, dtype="<c8")
     frame = IqFrame(samples, kv["sample_rate"], kv["center_frequency"], kv["start_index"])
     log = path + ".triggers"
     events = read_trigger_log(log) if os.path.exists(log) else []
@@ -169,6 +168,11 @@ def _sample_index(text: str) -> int:
     return value
 
 
+def _bins(text: str) -> np.ndarray:
+    """A header field parser for ``.``-separated non-negative bin numbers."""
+    return np.array([_sample_index(t) for t in text.split(".")] if text else [], dtype=np.int64)
+
+
 def _parse_header(
     text: str, where: str, kind: str, fields: dict, defaults: dict | None = None
 ) -> dict:
@@ -188,12 +192,14 @@ def _parse_header(
             raise ValueError(f"{where}: {kind} is missing {key!r}")
         try:
             kv[key] = parse(kv[key])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: {kind} field {key}: {exc}") from None
     return kv
 
 
-def _read_container(path: str, magic: bytes, kind: str, fields: dict) -> tuple[dict, memoryview]:
+def _read_container(
+    path: str, magic: bytes, kind: str, fields: dict, defaults: dict | None = None
+) -> tuple[dict, memoryview]:
     """Parse a container's magic and header; return the header values
     (see :func:`_parse_header`) and the payload."""
     with open(path, "rb") as f:
@@ -206,7 +212,7 @@ def _read_container(path: str, magic: bytes, kind: str, fields: dict) -> tuple[d
     header_end = 8 + header_len
     if len(blob) < header_end:
         raise ValueError(f"{path} is truncated inside the header")
-    kv = _parse_header(blob[8:header_end].decode("utf-8"), path, f"{kind} header", fields)
+    kv = _parse_header(blob[8:header_end].decode("utf-8"), path, f"{kind} header", fields, defaults)
     return kv, memoryview(blob)[header_end:]
 
 
@@ -262,7 +268,7 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
             "n_seq": _finite(int, positive=True),
             "t_s": _finite(float, positive=True),
             "t_seq": _finite(float, positive=True),
-            "total_sequences": int,
+            "total_sequences": _sample_index,
         },
     )
     n_records = kv["n_records"]
@@ -347,16 +353,16 @@ def read_profile(path: str) -> CalibrationProfile:
             "n_seq": _finite(int, positive=True),
             "source": str,
             "gain_cap_db": _finite(float),
-            "created_from": int,
+            "created_from": _sample_index,
+            "clamped_bins": _bins,
         },
+        {"clamped_bins": ""},
     )
-    n_seq = kv["n_seq"]
-    clamped_text = kv.get("clamped_bins", "")
-    clamped = (
-        np.array([int(t) for t in clamped_text.split(".")], dtype=np.int64)
-        if clamped_text
-        else np.empty(0, dtype=np.int64)
-    )
+    n_seq, clamped = kv["n_seq"], kv["clamped_bins"]
+    if len(clamped) and clamped.max() >= n_seq:
+        raise ValueError(
+            f"{path}: calibration-profile header field clamped_bins: bin {clamped.max()} >= n_seq={n_seq}"
+        )
     if len(payload) != 16 * n_seq:
         raise ValueError(
             f"{path} payload is {len(payload)} bytes, expected {16 * n_seq}"

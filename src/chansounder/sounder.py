@@ -16,9 +16,9 @@ natural time axis for Doppler analysis across frames.
 
 All stages are pure functions over immutable frames, so their
 composition is deterministic no matter how the stream is chunked or
-which process runs which half; the capture file and wire paths quantize
-samples to 32-bit floats at the same point to stay bit-identical with
-the in-process path.
+which process runs which half.  A capture is complex64 on every
+transport, from :func:`quantize_capture` to the correlator, and only
+:func:`corrmath.fast_pccf` widens it.
 """
 
 from __future__ import annotations
@@ -54,17 +54,14 @@ def stimulate_capture(
 
 
 def quantize_capture(frame: IqFrame) -> IqFrame:
-    """Round samples through 32-bit float precision.
-
-    Capture files and wire chunks carry interleaved 32-bit floats; the
-    in-process path applies the same rounding so all three transports
-    produce bit-identical correlator input.
-    """
+    """Round samples to complex64, the capture format of every transport:
+    capture files and wire chunks carry it and the in-process path keeps
+    it, so all three give the correlator the same array."""
     with np.errstate(over="ignore"):
         q = np.asarray(frame.samples).astype(np.complex64)
     if not np.isfinite(q.view(np.float32)).all():
         raise ValueError("capture samples are not finite in 32-bit float precision")
-    return IqFrame(q.astype(np.complex128), frame.fs, frame.f_c, frame.start_index)
+    return IqFrame(q, frame.fs, frame.f_c, frame.start_index)
 
 
 def sequence_gate(
@@ -96,8 +93,7 @@ def sequence_gate(
         keep[max(k0 - first, 0) : max(k1 + 1 - first, 0)] = False
 
     a = first * n_seq - lo
-    x = np.asarray(frame.samples)
-    blocks = x[a : a + (last - first) * n_seq].reshape(last - first, n_seq)
+    blocks = frame.samples[a : a + (last - first) * n_seq].reshape(last - first, n_seq)
     kept = (first + np.flatnonzero(keep)).tolist()
     return (blocks if keep.all() else blocks[keep]), kept
 
@@ -247,7 +243,7 @@ def capture_stream(config) -> CaptureStream:
         )
     doppler_limit = fs / (2 * seq.n_seq)
     for tap in model.taps:
-        if abs(tap.doppler_hz) >= doppler_limit:
+        if not abs(tap.doppler_hz) < doppler_limit:
             raise ValueError(
                 f"Doppler shift {tap.doppler_hz} Hz aliases: one snapshot per "
                 f"{seq.n_seq}-sample period resolves |Doppler| < {doppler_limit} Hz"
@@ -263,12 +259,12 @@ def capture_stream(config) -> CaptureStream:
 
 
 def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
-    """The configured campaign's sequence, its quantized capture through
-    the configured channel (the blocks of :func:`capture_stream` in one
-    array), and the injected trigger events re-stamped with the spans
-    they corrupted."""
+    """The configured campaign's sequence, its quantized complex64
+    capture through the configured channel (the blocks of
+    :func:`capture_stream` in one array), and the injected trigger events
+    re-stamped with the spans they corrupted."""
     stream = capture_stream(config)
-    samples = np.empty(stream.n_samples, dtype=np.complex128)
+    samples = np.empty(stream.n_samples, dtype=np.complex64)
     for block in stream:
         samples[block.start_index : block.end_index] = block.samples
     return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events

@@ -97,7 +97,7 @@ def encode_hello(hello: Hello) -> bytes:
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
-    payload = np.asarray(samples).astype("<c8").tobytes()
+    payload = np.asarray(samples, dtype="<c8").tobytes()
     body = bytes([MSG_IQ_CHUNK]) + _CHUNK_HEAD.pack(start_index, len(samples)) + payload
     return _frame(body)
 
@@ -119,7 +119,8 @@ def encode_end(total_samples: int) -> bytes:
 
 
 def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
-    """Decode one message body (without the length prefix).
+    """Decode one message body (without the length prefix); an IQ_CHUNK's
+    samples are a complex64 view of it, the capture format of every transport.
 
     Raises :class:`WireProtocolError` on any structural violation.
     """
@@ -167,7 +168,6 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
             )
         if count == 0:
             raise WireProtocolError("IQ_CHUNK with zero samples")
-        # A complex64 view of the message; the receiver widens once.
         return IqChunk(start_index=start_index, samples=np.frombuffer(data, dtype="<c8"))
 
     if mtype == MSG_TRIGGER:
@@ -382,19 +382,18 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
 
     Verifies chunk contiguity and the END sample count.  Returns the
     reassembled capture frame plus the stream summary (handshake and
-    trigger events).  Chunks are held as received, in 32-bit floats, and
-    widened once into the capture.
+    trigger events).  The chunks are joined as received into one
+    complex64 capture, the capture format of every transport.
     """
     host, port = parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.settimeout(timeout)
         stream = sock.makefile("rb")
-        msg = read_message(stream)
-        if msg is None:
+        hello = read_message(stream)
+        if hello is None:
             raise WireProtocolError("peer closed the stream before HELLO")
-        if not isinstance(msg, Hello):
-            raise WireProtocolError(f"expected HELLO first, got {type(msg).__name__}")
-        hello = msg
+        if not isinstance(hello, Hello):
+            raise WireProtocolError(f"expected HELLO first, got {type(hello).__name__}")
 
         parts: list[np.ndarray] = []
         triggers: list[TriggerEvent] = []
@@ -422,9 +421,7 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
             parts.append(msg.samples)
             received += len(msg.samples)
 
-    samples = np.empty(received, dtype=np.complex128)
-    if parts:
-        np.concatenate(parts, out=samples)
+    samples = np.concatenate(parts) if parts else np.empty(0, dtype=np.complex64)
     return IqFrame(samples, hello.fs, hello.f_c, 0), ConsumeSummary(triggers, hello)
 
 

@@ -97,6 +97,10 @@ class TestCfo:
         with pytest.raises(ValueError, match="not representable"):
             apply_cfo(frame_of(np.ones(4)), FS / 2)
 
+    def test_nan_cfo_rejected(self):
+        with pytest.raises(ValueError, match="CFO nan Hz is not representable"):
+            apply_cfo(frame_of(np.ones(4)), float("nan"))
+
     def test_channel_applies_the_same_cfo_limit(self):
         model = ChannelModel(taps=[ChannelTap(0, 1.0)], cfo_hz=0.7 * FS)
         with pytest.raises(ValueError, match="not representable"):

@@ -113,3 +113,32 @@ def test_input_validation():
         ccf(np.array([]), np.ones(3))
     with pytest.raises(ValueError, match="1-d"):
         pccf(np.ones((2, 2)), np.ones((2, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 300), st.sampled_from([1023, 1024, 4096])),
+    rows=st.sampled_from([None, 1, 3]),
+    kind=st.sampled_from(["complex128", "float64", "int64"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_matches_out_of_place_formula_bitwise(n, rows, kind, seed):
+    """fast_pccf widens ``a`` and transforms the copy in place; for double
+    and integer input that gives the bits of transforming ``a`` out of place."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = {"complex128": a, "float64": a.real.copy(), "int64": np.rint(100 * a.real).astype(np.int64)}[kind]
+    b = random_complex(rng, n)
+    spec = np.fft.fft(a, axis=-1).astype(np.complex128, copy=False)
+    spec *= np.conj(np.fft.fft(b))
+    want = np.fft.ifft(spec, axis=-1)
+    assert np.array_equal(fast_pccf(a, b).values.view(np.uint64), want.view(np.uint64))
+
+
+def test_single_precision_input_is_transformed_in_double(rng):
+    a = random_complex(rng, (3, 256)).astype(np.complex64)
+    b = random_complex(rng, 256)
+    got = fast_pccf(a, b).values
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, fast_pccf(a.astype(np.complex128), b).values)

@@ -31,6 +31,14 @@ class TestCapture:
         assert meta.seed_note == "seed=0"
         assert meta.version == fsio.CAPTURE_VERSION
 
+    def test_strided_samples_are_written_in_order(self, tmp_path, rng):
+        frame = self.make_frame(rng)
+        path = str(tmp_path / "a.iq")
+        fsio.write_capture(path, IqFrame(frame.samples[::2], fs=1e6))
+        back, _ = fsio.read_capture(path)
+        assert back.samples.dtype == np.complex64
+        assert np.array_equal(back.samples, frame.samples[::2])
+
     def test_write_is_deterministic(self, tmp_path, rng):
         frame = self.make_frame(rng)
         p1, p2 = str(tmp_path / "a.iq"), str(tmp_path / "b.iq")
@@ -406,6 +414,7 @@ class TestFrameSeriesContainer:
             ("n_records", "0"),
             ("n_records", "-1"),
             ("n_seq", "two"),
+            ("total_sequences", "-7"),
         ],
     )
     def test_hostile_header_rejected(self, tmp_path, field, value):
@@ -425,6 +434,26 @@ class TestFrameSeriesContainer:
         path.write_bytes(container(fsio.FRAMES_MAGIC, frames_header(), record(index=-3)))
         with pytest.raises(ValueError, match="non-negative"):
             fsio.read_frames(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("clamped_bins", "a.b", "invalid literal"),
+            ("clamped_bins", "-3", "must be non-negative, got -3"),
+            ("clamped_bins", "1.99", "bin 99 >= n_seq=8"),
+            ("clamped_bins", "8", "bin 8 >= n_seq=8"),
+            ("clamped_bins", "99999999999999999999", "too large"),
+            ("created_from", "-4", "must be non-negative, got -4"),
+        ],
+    )
+    def test_hostile_profile_header_names_the_field(self, tmp_path, field, value, message):
+        values = {"n_seq": "8", "source": "x", "gain_cap_db": "40.0", "created_from": "1", "clamped_bins": "7"}
+        values[field] = value
+        header = "".join(f"{k}={v}\n" for k, v in values.items())
+        path = tmp_path / "bad.csp"
+        path.write_bytes(container(fsio.PROFILE_MAGIC, header, bytes(16 * 8)))
+        with pytest.raises(ValueError, match=rf"bad\.csp: calibration-profile header field {field}: .*{message}"):
+            fsio.read_profile(str(path))
 
     def test_profile_with_zero_length_rejected(self, tmp_path):
         path = tmp_path / "bad.csp"

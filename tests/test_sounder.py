@@ -72,7 +72,7 @@ class TestQuantize:
     def test_rounds_to_float32(self):
         x = np.array([1 + 1e-12 + 0j])
         q = quantize_capture(IqFrame(x, FS)).samples
-        assert q[0] == np.complex64(x[0])
+        assert q.dtype == np.complex64 and q[0] == np.complex64(x[0])
 
 
 class TestGate:
@@ -307,6 +307,15 @@ class TestCampaignLimits:
         cfg = self.small(channel_taps=[(0, 1, 0.0), (3, 0.5, -7812.0)])
         assert len(run_sounding(cfg)) == 3
 
+    def test_nan_doppler_is_rejected(self):
+        cfg = self.small(channel_taps=[(0, 1, 0.0), (3, 0.5, float("nan"))])
+        with pytest.raises(ValueError, match="Doppler shift nan Hz aliases"):
+            run_sounding(cfg)
+
+    def test_nan_cfo_is_rejected(self):
+        with pytest.raises(ValueError, match="CFO nan Hz is not representable"):
+            run_sounding(self.small(cfo_hz=float("nan")))
+
     def test_sample_rate_is_checked_before_the_doppler_limit(self):
         with pytest.raises(ValueError, match="sample rate must be positive"):
             run_sounding(self.small(sample_rate=-5.0))
@@ -320,7 +329,9 @@ class TestCampaignLimits:
 class TestBatchedEqualsPerFrame:
     """frames_from_capture runs each stage once over the block matrix of
     kept periods; row by row it must give exactly the bits of the
-    per-period composition."""
+    per-period composition over the complex128 widening of each period,
+    whether the capture is complex64, the format of every transport, or
+    already widened."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -348,8 +359,9 @@ class TestBatchedEqualsPerFrame:
             else None
         )
         seq = generate_fzc(n_seq, 3)
-        samples = random_complex(rng, length).astype(np.complex64).astype(np.complex128)
-        capture = IqFrame(samples, FS, 0.0, start)
+        samples = random_complex(rng, length).astype(np.complex64)
+        dtype = data.draw(st.sampled_from([np.complex64, np.complex128]), label="capture dtype")
+        capture = IqFrame(samples.astype(dtype), FS, 0.0, start)
 
         got = frames_from_capture(
             capture,
@@ -375,7 +387,7 @@ class TestBatchedEqualsPerFrame:
         assert [fr.sequence_index for fr in got] == kept
         assert got.h.shape == (len(kept), n_seq)
         for k, fr in zip(kept, got):
-            block = samples[k * n_seq - start : (k + 1) * n_seq - start]
+            block = samples[k * n_seq - start : (k + 1) * n_seq - start].astype(np.complex128)
             want = ImpulseResponseFrame(
                 h=normalize(correlate_sequence(block, seq), n_seq),
                 t_i=measurement_time(k, n_seq / FS, 1 / FS),
@@ -386,7 +398,7 @@ class TestBatchedEqualsPerFrame:
             want = correct_ftt(want, profile)
             if dc_hz and dc_position == "after":
                 want = remove_dc_bias(want, dc_hz, FS)
-            assert np.array_equal(fr.h, want.h)
+            assert np.array_equal(fr.h.view(np.uint64), want.h.view(np.uint64))
             assert fr.t_i == want.t_i
             assert fr.corrected == want.corrected == (profile is not None)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chansounder import sounder, wire
+from chansounder import framestore, sounder, wire
 from chansounder.chansim import apply_channel
 from chansounder.config import CampaignConfig
 from chansounder.framestore import CaptureMeta
@@ -60,6 +60,8 @@ class TestRoundTrips:
         assert back.start_index == 12345
         # float32 on the wire: the payload must round-trip bit-exactly
         assert np.array_equal(back.samples, x.astype(np.complex128))
+        # a strided view goes out in sample order
+        assert encode_iq_chunk(0, x[::3]) == encode_iq_chunk(0, x[::3].copy())
 
     def test_trigger_with_unicode_note(self):
         ev = TriggerEvent(987654321, "external", 40, "见 marker µ")
@@ -511,6 +513,18 @@ class TestOneCorrelationPath:
         with pytest.raises(ValueError, match="capture samples at 1000000.0 Hz"):
             sounder.correlate_received(local, capture, meta)
 
+    def test_every_transport_holds_the_same_complex64_capture(self, tmp_path):
+        capture, meta, _ = self.campaign()
+        path = str(tmp_path / "c.iq")
+        framestore.write_capture(path, capture, meta.sequence_descriptor)
+        from_file, _ = framestore.read_capture(path)
+        endpoint, t, _ = serve_in_thread(capture, meta.sequence_descriptor, chunk_samples=100)
+        from_wire, _ = wire.consume_stream(endpoint, timeout=10.0)
+        t.join(timeout=10.0)
+        for got in (capture, from_file, from_wire):
+            assert got.samples.dtype == np.complex64
+            assert np.array_equal(got.samples.view(np.uint64), capture.samples.view(np.uint64))
+
     def test_the_wire_must_match_any_local_rate(self):
         capture, _, summary = self.campaign()
         local = CampaignConfig()
@@ -552,20 +566,38 @@ class TestStreamedCapture:
         with pytest.raises(ValueError, match="not representable"):
             wire.serve_stimulation(cfg, "127.0.0.1:0")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"cfo_hz": float("nan")}, "CFO nan Hz is not representable"),
+            ({"channel_taps": [(0, 1, 0.0), (3, 0.5, float("nan"))]}, "Doppler shift nan Hz aliases"),
+        ],
+    )
+    def test_nan_cfo_or_doppler_fails_before_listening(self, fields, message):
+        cfg = CampaignConfig(length=32, n_sequences=2, timeout=0.5, **fields)
+        with pytest.raises(ValueError, match=message):
+            wire.serve_stimulation(cfg, "127.0.0.1:0")
+
+
+def serve_raw_stream(x, desc="", step=4096):
+    """Serve ``x`` as one wire stream in ``step``-sample chunks; return
+    (endpoint, thread)."""
+    blobs = (
+        [encode_hello(Hello(1e6, 0.0, desc))]
+        + [encode_iq_chunk(a, x[a : a + step]) for a in range(0, len(x), step)]
+        + [encode_end(len(x))]
+    )
+    return run_raw_server(blobs)
+
 
 class TestReceiveMemory:
     def test_stream_is_widened_once(self):
-        # The chunks are held in their 8-byte wire form and widened once
-        # into the 16-byte capture: about 24 bytes per sample at the peak,
-        # where widening every chunk and concatenating needs about 32.
-        n, step = 1 << 18, 4096
+        # The chunks are held in their 8-byte wire form and joined into the
+        # 8-byte complex64 capture: about 16 bytes per sample at the peak,
+        # where widening the capture to complex128 needs about 24.
+        n = 1 << 18
         x = (np.arange(n) % 251 + 1j * (np.arange(n) % 13)).astype(np.complex64)
-        blobs = (
-            [encode_hello(Hello(1e6, 0.0, ""))]
-            + [encode_iq_chunk(a, x[a : a + step]) for a in range(0, n, step)]
-            + [encode_end(n)]
-        )
-        endpoint, t = run_raw_server(blobs)
+        endpoint, t = serve_raw_stream(x)
         tracemalloc.start()
         try:
             capture, _ = wire.consume_stream(endpoint, timeout=10.0)
@@ -574,6 +606,26 @@ class TestReceiveMemory:
             tracemalloc.stop()
         t.join(timeout=5.0)
         assert not t.is_alive()
-        assert capture.samples.dtype == np.complex128
+        assert capture.samples.dtype == np.complex64
         assert np.array_equal(capture.samples, x)
+        assert peak / n < 18
+
+    def test_receive_and_correlate_in_bounded_memory(self):
+        # The complex64 capture (8 bytes per sample) plus fast_pccf's one
+        # complex128 copy (16) stay below 26 bytes per sample; a capture
+        # widened on receipt needs about 33.
+        seq = generate_fzc(1024, 7)
+        n = 1 << 18
+        x = sounder.quantize_capture(sounder.stimulate_capture(seq, n // 1024, 1e6)).samples
+        endpoint, t = serve_raw_stream(x, descriptor(seq))
+        tracemalloc.start()
+        try:
+            capture, summary = wire.consume_stream(endpoint, timeout=10.0)
+            frames, total = sounder.correlate_received(CampaignConfig(), capture, summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert total == 256 and len(frames) == 255
         assert peak / n < 26
