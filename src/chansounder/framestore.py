@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -34,9 +35,9 @@ from .frames import FrameSeries, IqFrame, TriggerEvent
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
 PROFILE_MAGIC = b"CSP1"
-#: ``write_frames`` packs records in slices of about this size, so it
-#: never holds a second copy of the whole series.
-_WRITE_SLICE_BYTES = 1 << 20
+#: ``write_frames`` packs and ``read_frames`` unpacks records in slices
+#: of about this size, so neither holds a second copy of the whole series.
+_SLICE_BYTES = 1 << 20
 
 
 @dataclass
@@ -197,23 +198,28 @@ def _parse_header(
     return kv
 
 
+@contextmanager
 def _read_container(
     path: str, magic: bytes, kind: str, fields: dict, defaults: dict | None = None
-) -> tuple[dict, memoryview]:
-    """Parse a container's magic and header; return the header values
-    (see :func:`_parse_header`) and the payload."""
+):
+    """Open a container and parse its magic and header, reading nothing
+    else; yield the header values (see :func:`_parse_header`), the open
+    file, positioned at the payload, and the payload's size in bytes."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != magic:
-        raise ValueError(f"{path} is not a {kind} file (bad magic)")
-    if len(blob) < 8:
-        raise ValueError(f"{path} is truncated before the header")
-    (header_len,) = struct.unpack_from("<I", blob, 4)
-    header_end = 8 + header_len
-    if len(blob) < header_end:
-        raise ValueError(f"{path} is truncated inside the header")
-    kv = _parse_header(blob[8:header_end].decode("utf-8"), path, f"{kind} header", fields, defaults)
-    return kv, memoryview(blob)[header_end:]
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if head[:4] != magic:
+            raise ValueError(f"{path} is not a {kind} file (bad magic)")
+        if len(head) < 8:
+            raise ValueError(f"{path} is truncated before the header")
+        (header_len,) = struct.unpack_from("<I", head, 4)
+        header_end = 8 + header_len
+        # checked before the read, so a hostile length allocates nothing
+        if size < header_end:
+            raise ValueError(f"{path} is truncated inside the header")
+        text = f.read(header_len).decode("utf-8")
+        kv = _parse_header(text, path, f"{kind} header", fields, defaults)
+        yield kv, f, size - header_end
 
 
 def write_frames(
@@ -247,7 +253,7 @@ def write_frames(
     ).encode("utf-8")
 
     dtype = _record_dtype(n_seq)
-    step = max(1, _WRITE_SLICE_BYTES // dtype.itemsize)
+    step = max(1, _SLICE_BYTES // dtype.itemsize)
     with open(path, "wb") as f:
         f.write(FRAMES_MAGIC)
         f.write(struct.pack("<I", len(header)))
@@ -258,30 +264,33 @@ def write_frames(
 
 
 def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
-    """Read a frame series written by :func:`write_frames`."""
-    kv, payload = _read_container(
-        path,
-        FRAMES_MAGIC,
-        "frame-series",
-        {
-            "n_records": _finite(int, positive=True),
-            "n_seq": _finite(int, positive=True),
-            "t_s": _finite(float, positive=True),
-            "t_seq": _finite(float, positive=True),
-            "total_sequences": _sample_index,
-        },
-    )
-    n_records = kv["n_records"]
-    record = _record_dtype(kv["n_seq"])
-    whole = len(payload) // record.itemsize
-    if whole < n_records:
-        raise ValueError(f"{path} is truncated at record {whole} of {n_records}")
-    if len(payload) > n_records * record.itemsize:
-        raise ValueError(
-            f"{path} has {len(payload) - n_records * record.itemsize} trailing bytes after the records"
-        )
-    records = np.frombuffer(payload, dtype=record)
-    series = FrameSeries(**{name: records[name].copy() for name in record.names})
+    """Read a frame series written by :func:`write_frames`, slice by
+    slice into the series' own arrays."""
+    fields = {
+        "n_records": _finite(int, positive=True),
+        "n_seq": _finite(int, positive=True),
+        "t_s": _finite(float, positive=True),
+        "t_seq": _finite(float, positive=True),
+        "total_sequences": _sample_index,
+    }
+    with _read_container(path, FRAMES_MAGIC, "frame-series", fields) as (kv, f, size):
+        n_records = kv["n_records"]
+        record = _record_dtype(kv["n_seq"])
+        whole = size // record.itemsize
+        if whole < n_records:
+            raise ValueError(f"{path} is truncated at record {whole} of {n_records}")
+        if size > n_records * record.itemsize:
+            raise ValueError(
+                f"{path} has {size - n_records * record.itemsize} trailing bytes after the records"
+            )
+        columns = {name: np.empty(n_records, dtype=record.fields[name][0]) for name in record.names}
+        step = max(1, _SLICE_BYTES // record.itemsize)
+        for lo in range(0, n_records, step):
+            part = np.fromfile(f, dtype=record, count=min(step, n_records - lo))
+            for name, column in columns.items():
+                column[lo : lo + len(part)] = part[name]
+            del part  # before the next slice is read, so only one is held
+    series = FrameSeries(**columns)
     meta = FrameSeriesMeta(
         n_seq=kv["n_seq"],
         t_s=kv["t_s"],
@@ -345,29 +354,24 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
 
 def read_profile(path: str) -> CalibrationProfile:
     """Read a calibration profile written by :func:`write_profile`."""
-    kv, payload = _read_container(
-        path,
-        PROFILE_MAGIC,
-        "calibration-profile",
-        {
-            "n_seq": _finite(int, positive=True),
-            "source": str,
-            "gain_cap_db": _finite(float),
-            "created_from": _sample_index,
-            "clamped_bins": _bins,
-        },
-        {"clamped_bins": ""},
-    )
-    n_seq, clamped = kv["n_seq"], kv["clamped_bins"]
-    if len(clamped) and clamped.max() >= n_seq:
-        raise ValueError(
-            f"{path}: calibration-profile header field clamped_bins: bin {clamped.max()} >= n_seq={n_seq}"
-        )
-    if len(payload) != 16 * n_seq:
-        raise ValueError(
-            f"{path} payload is {len(payload)} bytes, expected {16 * n_seq}"
-        )
-    h_ftt = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    fields = {
+        "n_seq": _finite(int, positive=True),
+        "source": str,
+        "gain_cap_db": _finite(float),
+        "created_from": _sample_index,
+        "clamped_bins": _bins,
+    }
+    with _read_container(
+        path, PROFILE_MAGIC, "calibration-profile", fields, {"clamped_bins": ""}
+    ) as (kv, f, size):
+        n_seq, clamped = kv["n_seq"], kv["clamped_bins"]
+        if len(clamped) and clamped.max() >= n_seq:
+            raise ValueError(
+                f"{path}: calibration-profile header field clamped_bins: bin {clamped.max()} >= n_seq={n_seq}"
+            )
+        if size != 16 * n_seq:
+            raise ValueError(f"{path} payload is {size} bytes, expected {16 * n_seq}")
+        h_ftt = np.fromfile(f, dtype="<c16").astype(np.complex128)
     return CalibrationProfile(
         h_ftt=h_ftt,
         source=kv["source"],

@@ -160,13 +160,16 @@ def frames_from_capture(
     ``discard_first`` drops sequence period 0, which a real receiver
     records before the channel is fully rung up (the first period is
     the only one whose delayed multipath replicas come from silence
-    rather than from the previous repetition).  ``dc_suppression_hz``
-    enables DC-bias removal on every frame; ``dc_position`` chooses
+    rather than from the previous repetition).  A positive
+    ``dc_suppression_hz`` enables DC-bias removal on every frame (0 keeps
+    it off; a negative or NaN value is rejected); ``dc_position`` chooses
     whether that happens before or after the profile correction.  Every
     stage runs once over the whole (F, N) block matrix of kept periods.
     """
     if dc_position not in ("before", "after"):
         raise ValueError("dc_position must be 'before' or 'after'")
+    if not dc_suppression_hz >= 0.0:
+        raise ValueError(f"dc_suppression_hz must be non-negative, got {dc_suppression_hz}")
     n_seq = seq.n_seq
     t_s = 1.0 / capture.fs
 
@@ -195,12 +198,18 @@ def frames_from_capture(
 class CaptureStream:
     """A campaign's quantized capture, made in blocks of ``chunk_samples``.
 
-    Iterating runs :func:`stimulate_capture`, the channel, the damage of
-    the stamped trigger ``events`` and :func:`quantize_capture` block by
-    block; each block is made from the ``model.max_delay()`` stimulus
-    samples before it onward, so the blocks put together equal the
-    whole-stream composition bit for bit.  ``fs`` and ``f_c`` describe
-    every block, as they would the whole capture.
+    Iterating yields the blocks of :func:`stimulate_capture` through the
+    channel, with the damage of the stamped trigger ``events``, quantized
+    by :func:`quantize_capture`; put together they equal that
+    whole-stream composition bit for bit.  Without Doppler taps the
+    taps and cable are computed once, over the ring-up plus one sequence
+    period (the channel output repeats with the stimulus from sample
+    ``model.max_delay()`` on), and every block is cut from that; with no
+    CFO and no noise, from its quantized copy.  With a Doppler tap each
+    block runs the channel over the ``model.max_delay()`` stimulus
+    samples before it onward.  CFO, noise, the damage and quantization
+    run per block.  ``fs`` and ``f_c`` describe every block, as they
+    would the whole capture.
     """
 
     seq: Sequence
@@ -212,20 +221,46 @@ class CaptureStream:
     chunk_samples: int
 
     def __iter__(self) -> Iterator[IqFrame]:
-        n_reps = self.n_samples // self.seq.n_seq
-        lead = self.model.max_delay()
+        n, lead = self.seq.n_seq, self.model.max_delay()
+        n_reps = self.n_samples // n
+        cfo, snr = self.model.cfo_hz, self.model.snr_db
+        channel = replace(self.model, cfo_hz=0.0, snr_db=None)
+        period = None
+        if all(tap.doppler_hz == 0 for tap in channel.taps):
+            # The stimulus repeats with period n, so the output of static
+            # taps and the cable does too from sample `lead` on: run the
+            # channel over the ring-up plus one period and cut every block
+            # from that.
+            x = stimulate_capture(self.seq, n_reps, self.fs, self.f_c, 0, min(self.n_samples, n + lead))
+            frame = chansim.apply_channel(x, channel)
+            if not cfo and snr is None:
+                try:
+                    frame = quantize_capture(frame)
+                except ValueError:
+                    pass  # the block that holds the sample raises, as without the shortcut
+            period = frame.samples
         for a in range(0, self.n_samples, self.chunk_samples):
             b = min(a + self.chunk_samples, self.n_samples)
-            s = max(0, a - lead)
-            # At least lead + 1 samples: a shorter frame would fail the tap
-            # check of apply_channel and reach np.convolve's path for inputs
-            # shorter than the cable, which the longer whole stream never takes.
-            x = stimulate_capture(
-                self.seq, n_reps, self.fs, self.f_c, s, min(self.n_samples, max(b, s + lead + 1))
-            )
-            y = chansim.apply_channel(x, self.model).samples[a - s : b - s]
-            block = chansim.zero_spans(IqFrame(y, self.fs, self.f_c, a), self.events)
-            yield quantize_capture(block)
+            if period is None:
+                s = max(0, a - lead)
+                # At least lead + 1 samples: a shorter frame would fail the tap
+                # check of apply_channel and reach np.convolve's path for inputs
+                # shorter than the cable, which the longer whole stream never takes.
+                x = stimulate_capture(
+                    self.seq, n_reps, self.fs, self.f_c, s, min(self.n_samples, max(b, s + lead + 1))
+                )
+                y = chansim.apply_channel(x, channel).samples[a - s : b - s]
+            else:
+                i = np.arange(a, b)
+                y = period[np.where(i < lead, i, lead + (i - lead) % n)]
+            block = IqFrame(y, self.fs, self.f_c, a)
+            if cfo:
+                block = chansim.apply_cfo(block, cfo)
+            if snr is not None:
+                block = chansim.add_awgn(block, snr, self.model.seed)
+            block = chansim.zero_spans(block, self.events)
+            # complex64 here means cut from the quantized period and untouched
+            yield block if block.samples.dtype == np.complex64 else quantize_capture(block)
 
 
 def capture_stream(config) -> CaptureStream:

@@ -105,6 +105,16 @@ class TestStimulateCorrelate:
             assert np.array_equal(fa.h, fb.h)
             assert fa.t_i == fb.t_i and fa.sequence_index == fb.sequence_index
 
+    @pytest.mark.parametrize("dc_hz", ["-5", "nan"])
+    def test_correlate_rejects_negative_or_nan_dc_suppression(self, tmp_path, capsys, dc_hz):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path), "--out", cap]) == 0
+        capsys.readouterr()
+        cfg = small_config(tmp_path, f"dc_suppression_hz = {dc_hz}\n")
+        assert main(["correlate", "--config", cfg, "--input", cap, "--out", str(tmp_path / "f")]) == 2
+        assert "dc_suppression_hz must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "f.frames").exists()
+
     def test_trigger_log_travels_with_capture(self, tmp_path, capsys):
         cfg = small_config(tmp_path, "triggers = 300:overflow:buf\ncorrupt_span = 8\n")
         cap = str(tmp_path / "cap.iq")

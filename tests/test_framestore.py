@@ -1,7 +1,9 @@
 """Round-trip and corruption tests for the on-disk formats."""
 
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,9 +400,36 @@ class TestFrameSeriesContainer:
         frames = TestFrameSeries().make_series(rng)
         whole, sliced = str(tmp_path / "a.frames"), str(tmp_path / "b.frames")
         fsio.write_frames(whole, frames, t_s=1e-6)
-        monkeypatch.setattr(fsio, "_WRITE_SLICE_BYTES", 300)  # two records per slice
+        monkeypatch.setattr(fsio, "_SLICE_BYTES", 300)  # two records per slice
         fsio.write_frames(sliced, frames, t_s=1e-6)
         assert open(whole, "rb").read() == open(sliced, "rb").read()
+
+    def test_sliced_read_gives_same_series(self, tmp_path, rng, monkeypatch):
+        path = str(tmp_path / "a.frames")
+        fsio.write_frames(path, TestFrameSeries().make_series(rng), t_s=1e-6)
+        whole, _ = fsio.read_frames(path)
+        monkeypatch.setattr(fsio, "_SLICE_BYTES", 300)  # two records per slice, the last one alone
+        sliced, _ = fsio.read_frames(path)
+        for name in ("h", "sequence_index", "t_i", "corrected"):
+            assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes()
+
+    def test_read_peaks_near_the_file_size(self, tmp_path):
+        path = str(tmp_path / "big.frames")
+        n_records, n_seq = 300, 4096
+        series = FrameSeries(
+            h=np.ones((n_records, n_seq), dtype=complex), sequence_index=np.arange(n_records), t_i=np.zeros(n_records)
+        )
+        fsio.write_frames(path, series, t_s=1e-6)
+        del series
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            back, _ = fsio.read_frames(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n_records and back.h[-1, -1] == 1
+        assert peak <= 1.1 * size, f"peak {peak} B for a {size} B file"
 
     @pytest.mark.parametrize(
         "field, value",

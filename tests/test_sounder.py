@@ -249,6 +249,14 @@ class TestFramesFromCapture:
         with pytest.raises(ValueError, match="dc_position"):
             frames_from_capture(cap, seq, dc_suppression_hz=100.0, dc_position="middle")
 
+    @pytest.mark.parametrize("dc_hz", [-5.0, float("nan")])
+    def test_negative_or_nan_dc_suppression_rejected(self, dc_hz):
+        # neither may silently turn DC removal off, as 0 does
+        seq = generate_fzc(16, 3)
+        cap = stimulate_capture(seq, 3, FS)
+        with pytest.raises(ValueError, match="dc_suppression_hz must be non-negative"):
+            frames_from_capture(cap, seq, dc_suppression_hz=dc_hz)
+
 
 class TestRunSounding:
     def test_reference_campaign_recovers_taps(self):
@@ -415,58 +423,78 @@ def whole_stream_capture(cfg):
     return quantize_capture(y), events
 
 
+def draw_campaign(data, static=False, min_reps=1):
+    """A small random campaign: FZC or MLS, taps (static only, if asked),
+    an optional cable, CFO, noise and non-overlapping triggers."""
+    family, n_seq = data.draw(
+        st.sampled_from([("fzc", 16), ("mls", 31), ("fzc", 64)]), label="sequence"
+    )
+    n_reps = data.draw(st.integers(min_reps, 5), label="n_reps")
+    total = n_seq * n_reps
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cable = None
+    if data.draw(st.booleans(), label="cable"):
+        cable = list(random_complex(rng, data.draw(st.integers(1, 4), label="cable taps")))
+    cable_delay = len(cable) - 1 if cable else 0
+    doppler_limit = FS / (2 * n_seq)
+    doppler = st.just(0.0) if static else st.one_of(st.just(0.0), st.floats(-0.99, 0.99))
+    taps = [
+        (delay, complex(random_complex(rng, 1)[0]), f * doppler_limit)
+        for delay, f in data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n_seq - 1 - cable_delay), doppler), min_size=1, max_size=4
+            ),
+            label="taps (delay, Doppler / limit)",
+        )
+    ]
+    corrupt_span = data.draw(st.integers(1, 2 * n_seq), label="corrupt_span")
+    triggers, end = [], 0
+    for i in sorted(set(data.draw(st.lists(st.integers(0, total - 1), max_size=4)))):
+        if i >= end:  # spans must not overlap
+            triggers.append((i, "overflow", ""))
+            end = i + corrupt_span
+    return CampaignConfig(
+        family=family,
+        length=n_seq,
+        register_length=5,
+        n_sequences=n_reps,
+        channel_taps=taps,
+        cable=cable,
+        cfo_hz=data.draw(st.one_of(st.just(0.0), st.floats(-0.49, 0.49)), label="cfo") * FS,
+        snr_db=data.draw(st.one_of(st.none(), st.floats(0.0, 40.0)), label="snr_db"),
+        seed=data.draw(st.integers(0, 2**31 - 1), label="noise seed"),
+        triggers=triggers,
+        corrupt_span=corrupt_span,
+    )
+
+
 class TestCaptureStream:
     """capture_stream makes the capture in chunk_samples blocks; put
     together they must give the whole-stream capture bit for bit."""
 
+    def check_blocks(self, cfg):
+        total = cfg.num_sequences() * cfg.make_sequence().n_seq
+        want, want_events = whole_stream_capture(cfg)
+
+        stream = capture_stream(cfg)
+        blocks = list(stream)
+        assert [b.start_index for b in blocks] == list(range(0, total, cfg.chunk_samples))
+        assert [len(b) for b in blocks[:-1]] == [cfg.chunk_samples] * (len(blocks) - 1)
+        assert all(b.samples.dtype == np.complex64 for b in blocks)
+        got = np.concatenate([b.samples for b in blocks])
+        assert got.tobytes() == want.samples.tobytes()
+        assert [(e.sample_index, e.span) for e in stream.events] == [
+            (e.sample_index, e.span) for e in want_events
+        ]
+        _, capture, _ = capture_campaign(cfg)
+        assert capture.samples.tobytes() == want.samples.tobytes()
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_blocks_equal_the_whole_stream_bitwise(self, data):
-        family, n_seq = data.draw(
-            st.sampled_from([("fzc", 16), ("mls", 31), ("fzc", 64)]), label="sequence"
-        )
-        n_reps = data.draw(st.integers(1, 5), label="n_reps")
-        total = n_seq * n_reps
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        cable = None
-        if data.draw(st.booleans(), label="cable"):
-            cable = list(random_complex(rng, data.draw(st.integers(1, 4), label="cable taps")))
-        cable_delay = len(cable) - 1 if cable else 0
-        doppler_limit = FS / (2 * n_seq)
-        taps = [
-            (delay, complex(random_complex(rng, 1)[0]), doppler * doppler_limit)
-            for delay, doppler in data.draw(
-                st.lists(
-                    st.tuples(
-                        st.integers(0, n_seq - 1 - cable_delay),
-                        st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),
-                    ),
-                    min_size=1,
-                    max_size=4,
-                ),
-                label="taps (delay, Doppler / limit)",
-            )
-        ]
-        corrupt_span = data.draw(st.integers(1, 2 * n_seq), label="corrupt_span")
-        triggers, end = [], 0
-        for i in sorted(set(data.draw(st.lists(st.integers(0, total - 1), max_size=4)))):
-            if i >= end:  # spans must not overlap
-                triggers.append((i, "overflow", ""))
-                end = i + corrupt_span
-        cfg = CampaignConfig(
-            family=family,
-            length=n_seq,
-            register_length=5,
-            n_sequences=n_reps,
-            channel_taps=taps,
-            cable=cable,
-            cfo_hz=data.draw(st.one_of(st.just(0.0), st.floats(-0.49, 0.49)), label="cfo") * FS,
-            snr_db=data.draw(st.one_of(st.none(), st.floats(0.0, 40.0)), label="snr_db"),
-            seed=data.draw(st.integers(0, 2**31 - 1), label="noise seed"),
-            triggers=triggers,
-            corrupt_span=corrupt_span,
-        )
-        lead = cfg.channel_model().max_delay()
+        cfg = draw_campaign(data)
+        n_seq, lead = cfg.make_sequence().n_seq, cfg.channel_model().max_delay()
+        total = cfg.num_sequences() * n_seq
         cfg.chunk_samples = data.draw(
             st.one_of(
                 st.just(1),
@@ -476,19 +504,54 @@ class TestCaptureStream:
             ),
             label="chunk_samples",
         )
-        want, want_events = whole_stream_capture(cfg)
+        self.check_blocks(cfg)
 
-        stream = capture_stream(cfg)
-        blocks = list(stream)
-        assert [b.start_index for b in blocks] == list(range(0, total, cfg.chunk_samples))
-        assert [len(b) for b in blocks[:-1]] == [cfg.chunk_samples] * (len(blocks) - 1)
-        got = np.concatenate([b.samples for b in blocks])
-        assert got.tobytes() == want.samples.tobytes()
-        assert [(e.sample_index, e.span) for e in stream.events] == [
-            (e.sample_index, e.span) for e in want_events
-        ]
-        _, capture, _ = capture_campaign(cfg)
-        assert capture.samples.tobytes() == want.samples.tobytes()
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_static_channel_blocks_cut_from_one_period_equal_the_whole_stream(self, data):
+        # without Doppler taps every block is cut from the channel output
+        # over the ring-up plus one period; blocks that end or start right
+        # at the ring-up or one period past it find an off-by-one there
+        cfg = draw_campaign(data, static=True, min_reps=2)
+        n_seq, lead = cfg.make_sequence().n_seq, cfg.channel_model().max_delay()
+        cfg.chunk_samples = data.draw(
+            st.one_of(
+                st.sampled_from(
+                    [max(1, c) for c in (lead - 1, lead, lead + 1, n_seq + lead - 1, n_seq + lead, n_seq + lead + 1)]
+                ),
+                st.integers(1, 3 * n_seq),
+            ),
+            label="chunk_samples",
+        )
+        self.check_blocks(cfg)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 42, 64, 1000])
+    def test_static_channel_runs_once_per_campaign(self, chunk, monkeypatch):
+        calls, apply_channel = [], chansim.apply_channel
+
+        def counted(frame, model):
+            calls.append(len(frame))
+            return apply_channel(frame, model)
+
+        monkeypatch.setattr(chansim, "apply_channel", counted)
+        cfg = CampaignConfig(length=64, n_sequences=4, snr_db=20.0, chunk_samples=chunk)
+        cfg.channel_taps = [(0, 1, 0.0), (40, 0.5j, 0.0)]
+        n_blocks = len(list(capture_stream(cfg)))
+        assert calls == [64 + cfg.channel_model().max_delay()]
+        # one Doppler tap: the channel runs once per block
+        calls.clear()
+        cfg.channel_taps = [(0, 1, 0.0), (40, 0.5j, 2000.0)]
+        assert len(list(capture_stream(cfg))) == n_blocks == len(calls)
+
+    def test_non_finite_sample_fails_in_its_own_block(self):
+        # samples 0..4 see only the unit tap; the 1e40 tap overflows float32
+        # from sample 5 on, so the block holding sample 5 raises, not sooner
+        cfg = CampaignConfig(length=16, n_sequences=2, cable=None, snr_db=None, chunk_samples=4)
+        cfg.channel_taps = [(0, 1, 0.0), (5, 1e40, 0.0)]
+        blocks = iter(capture_stream(cfg))
+        assert len(next(blocks)) == 4
+        with pytest.raises(ValueError, match="not finite"):
+            next(blocks)
 
     def test_spans_crossing_block_edges(self):
         cfg = CampaignConfig(length=16, n_sequences=8, cable=None, snr_db=None)
