@@ -198,7 +198,8 @@ def downsample_lowpass(x, threshold_db: float, fs: float) -> DownsampledResponse
         raise ValueError("response must be a non-empty 1-d vector")
     n = len(h)
 
-    psd = np.abs(np.fft.fftshift(np.fft.fft(h))) ** 2
+    shifted = np.fft.fftshift(np.fft.fft(h))
+    psd = np.abs(shifted) ** 2
     peak = psd.max()
     if peak == 0.0:
         raise ValueError("cannot locate an occupied band in an all-zero response")
@@ -224,7 +225,6 @@ def downsample_lowpass(x, threshold_db: float, fs: float) -> DownsampledResponse
             band_bins=n,
         )
 
-    shifted = np.fft.fftshift(np.fft.fft(h))
     segment = shifted[band]
     # band_bins / n is the decimation gain: in-band tap amplitudes stay put.
     h_out = np.fft.ifft(np.fft.ifftshift(segment)) * (band_bins / n)

@@ -25,34 +25,43 @@ from .frames import FrameSeries
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def pdp(frames) -> np.ndarray:
-    """Power delay profile: mean of |h[tau]|^2 over the frame series."""
+def _frame_matrix(frames) -> np.ndarray:
+    """The (F, N) response matrix of a frame series of at least one frame."""
     m = FrameSeries.of(frames).h
     if not len(m):
         raise ValueError("metric needs at least one impulse-response frame")
-    return np.mean(np.abs(m) ** 2, axis=0)
+    return m
+
+
+def _weighted_moments(x: np.ndarray, w: np.ndarray, what: str) -> tuple[float, float]:
+    """Mean and RMS width of the axis ``x`` weighted by the powers ``w``;
+    ``what`` names the powers in the error when they hold no energy."""
+    total = w.sum()
+    if not total > 0:
+        raise ValueError(f"{what} has no energy")
+    m1 = (x * w).sum() / total
+    var = ((x - m1) ** 2 * w).sum() / total
+    return float(m1), float(math.sqrt(max(var, 0.0)))
+
+
+def _delay_moments(pdp_vec: np.ndarray, t_s: float) -> tuple[float, float]:
+    p = np.asarray(pdp_vec, dtype=np.float64)
+    return _weighted_moments(np.arange(len(p)) * t_s, p, "power delay profile")
+
+
+def pdp(frames) -> np.ndarray:
+    """Power delay profile: mean of |h[tau]|^2 over the frame series."""
+    return np.mean(np.abs(_frame_matrix(frames)) ** 2, axis=0)
 
 
 def mean_delay(pdp_vec: np.ndarray, t_s: float) -> float:
     """Power-weighted mean excess delay in seconds."""
-    p = np.asarray(pdp_vec, dtype=np.float64)
-    total = p.sum()
-    if not total > 0:
-        raise ValueError("power delay profile has no energy")
-    tau = np.arange(len(p)) * t_s
-    return float((tau * p).sum() / total)
+    return _delay_moments(pdp_vec, t_s)[0]
 
 
 def rms_delay_spread(pdp_vec: np.ndarray, t_s: float) -> float:
     """Power-weighted RMS delay spread in seconds."""
-    p = np.asarray(pdp_vec, dtype=np.float64)
-    total = p.sum()
-    if not total > 0:
-        raise ValueError("power delay profile has no energy")
-    tau = np.arange(len(p)) * t_s
-    m1 = (tau * p).sum() / total
-    var = ((tau - m1) ** 2 * p).sum() / total
-    return float(math.sqrt(max(var, 0.0)))
+    return _delay_moments(pdp_vec, t_s)[1]
 
 
 @dataclass
@@ -73,9 +82,7 @@ class FrequencyStats:
 
 def frequency_response_stats(frames, fs: float) -> FrequencyStats:
     """Percentile levels (10/50/90 %) of pooled |H(f)| in dB."""
-    m = FrameSeries.of(frames).h
-    if not len(m):
-        raise ValueError("metric needs at least one impulse-response frame")
+    m = _frame_matrix(frames)
     spectra = np.fft.fft(m, axis=1)
     mags = np.abs(spectra)
     if not mags.max() > 0:
@@ -94,21 +101,21 @@ def frequency_response_stats(frames, fs: float) -> FrequencyStats:
 
 
 def coherence_bandwidth(
-    frames, fs: float, threshold: float = 0.5, pdp_vec: np.ndarray | None = None
+    pdp_vec: np.ndarray, fs: float, threshold: float = 0.5
 ) -> tuple[float, bool]:
     """Coherence bandwidth from the frequency autocorrelation.
 
     The frequency correlation function is the DFT of the power delay
-    profile; its magnitude is normalized to one at zero frequency lag
-    and scanned outward for the first drop below ``threshold``, with
-    linear interpolation between bins.  Returns ``(bandwidth_hz,
-    crossed)``; when the correlation never falls below the threshold
-    the full half-span ``fs / 2`` is returned with ``crossed=False``.
-    ``pdp_vec``, when given, is ``pdp(frames)`` computed already.
+    profile ``pdp_vec`` (:func:`pdp`); its magnitude is normalized to one
+    at zero frequency lag and scanned outward for the first drop below
+    ``threshold``, with linear interpolation between bins.  Returns
+    ``(bandwidth_hz, crossed)``; when the correlation never falls below
+    the threshold the full half-span ``fs / 2`` is returned with
+    ``crossed=False``.
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    p = pdp(frames) if pdp_vec is None else pdp_vec
+    p = np.asarray(pdp_vec, dtype=np.float64)
     n = len(p)
     r = np.fft.fft(p)
     r0 = r[0].real
@@ -144,11 +151,11 @@ class DopplerMap:
 
     @property
     def resolution_hz(self) -> float:
-        return 1.0 / (self.n_frames * self.t_seq)
+        return doppler_resolution(self.n_frames * self.t_seq)
 
     @property
     def max_hz(self) -> float:
-        return 1.0 / (2.0 * self.t_seq)
+        return max_doppler(self.t_seq)
 
 
 def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
@@ -194,14 +201,7 @@ def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
 
 def doppler_spread(dmap: DopplerMap) -> float:
     """RMS width of the power-weighted Doppler spectrum in Hz."""
-    s = dmap.power.sum(axis=1)
-    total = s.sum()
-    if not total > 0:
-        raise ValueError("Doppler map has no energy")
-    f = dmap.freqs_hz
-    m1 = (f * s).sum() / total
-    var = ((f - m1) ** 2 * s).sum() / total
-    return float(math.sqrt(max(var, 0.0)))
+    return _weighted_moments(dmap.freqs_hz, dmap.power.sum(axis=1), "Doppler map")[1]
 
 
 def coherence_time(spread_hz: float) -> float:
@@ -336,7 +336,7 @@ def characterize(
     t_seq = n_seq * t_s
 
     stats = frequency_response_stats(series, fs)
-    bc, crossed = coherence_bandwidth(series, fs, threshold=bc_threshold, pdp_vec=p)
+    bc, crossed = coherence_bandwidth(p, fs, threshold=bc_threshold)
     dr = measured_dynamic_range(p)
 
     notes: list[str] = []

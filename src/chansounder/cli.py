@@ -155,12 +155,11 @@ def cmd_correlate(cfg: CampaignConfig) -> int:
 def cmd_sound(cfg: CampaignConfig) -> int:
     out = _require(cfg.out, "--out")
     seq, capture, events = sounder.capture_campaign(cfg)
-    frames = _nonempty(sounder.correlate_campaign(cfg, capture, seq, events))
+    frames, total = sounder.correlate_campaign(cfg, capture, seq, events)
     del capture  # release the raw stream before characterization
     # Characterize first: a setting only that stage checks then fails
     # before any file is written.
-    text = _characterize(cfg, frames, cfg.sample_rate)
-    total = cfg.num_sequences()
+    text = _characterize(cfg, _nonempty(frames), cfg.sample_rate)
     path = _write_series(cfg, frames, total)
     framestore.write_trigger_sidecar(out, events)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")

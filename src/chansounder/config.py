@@ -15,63 +15,142 @@ channel with a short cable, 200 repetitions, noise off.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import framestore
 from .chansim import ChannelModel, ChannelTap
 from .frames import TriggerEvent
 from .seqgen import Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
 
-_SEQUENCE_KEYS = {
-    "sequence.family",
-    "sequence.length",
-    "sequence.root",
-    "sequence.register_length",
-    "sequence.taps",
-}
+
+def _parse_bool(value: str) -> bool:
+    v = value.strip().lower()
+    if v in ("true", "yes", "on", "1"):
+        return True
+    if v in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _parse_choice(what: str, *choices: str):
+    def parse(value: str) -> str:
+        v = value.strip().lower()
+        if v not in choices:
+            raise ValueError(f"{what} must be {' or '.join(choices)}, got {value!r}")
+        return v
+
+    return parse
+
+
+def _parse_optional_float(value: str) -> float | None:
+    return None if value.strip().lower() in ("", "none") else float(value)
+
+
+def _parse_optional_int(value: str) -> int | None:
+    return None if value.strip().lower() == "none" else int(value)
+
+
+def _parse_optional_str(value: str) -> str | None:
+    return value.strip() or None
+
+
+def _parse_mls_taps(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.replace(".", ",").split(",") if t.strip())
+
+
+def _parse_cable(value: str) -> list[complex] | None:
+    return [complex(p.strip()) for p in value.split(",") if p.strip()] or None
+
+
+def _parse_channel_taps(value: str) -> list[tuple]:
+    taps = []
+    for part in value.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        items = [p.strip() for p in part.split(":")]
+        if len(items) not in (2, 3):
+            raise ValueError(f"channel tap must be delay:gain[:doppler_hz], got {part!r}")
+        tap = (int(items[0]), complex(items[1]), float(items[2]) if len(items) == 3 else 0.0)
+        ChannelTap(*tap)  # rejects a bad tap here, where set_key adds the file and line
+        taps.append(tap)
+    if not taps:
+        raise ValueError("channel.taps must name at least one tap")
+    return taps
+
+
+def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
+    out = []
+    for part in value.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        items = part.split(":", 2)
+        if len(items) < 2:
+            raise ValueError(f"trigger must be index:kind[:note], got {part!r}")
+        trigger = (int(items[0]), items[1].strip(), items[2] if len(items) > 2 else "")
+        TriggerEvent(*trigger[:2], note=trigger[2])  # likewise a bad index or kind
+        out.append(trigger)
+    return out
+
+
+def _setting(key: str, parse, default=None, factory=None):
+    """A :class:`CampaignConfig` field set by config key ``key`` through
+    ``parse``, defaulting to ``default`` (or to a fresh ``factory()``)."""
+    meta = {"key": key, "parse": parse}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class CampaignConfig:
-    """Everything needed to run one sounding campaign."""
+    """Everything needed to run one sounding campaign.  Each field but
+    ``explicit`` is a setting declared with its config key and parser."""
 
-    family: str = "fzc"
-    length: int = 1024
-    root: int = 7
-    register_length: int = 10
-    taps: tuple[int, ...] | None = None
+    family: str = _setting("sequence.family", _parse_choice("sequence family", "fzc", "mls"), "fzc")
+    length: int = _setting("sequence.length", int, 1024)
+    root: int = _setting("sequence.root", int, 7)
+    register_length: int = _setting("sequence.register_length", int, 10)
+    taps: tuple[int, ...] | None = _setting("sequence.taps", _parse_mls_taps)
 
-    sample_rate: float = 1_000_000.0
-    center_frequency: float = 5.8e9
-    n_sequences: int | None = 200
-    duration: float | None = None
+    sample_rate: float = _setting("sample_rate", float, 1_000_000.0)
+    center_frequency: float = _setting("center_frequency", float, 5.8e9)
+    n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200)
+    duration: float | None = _setting("duration", _parse_optional_float)
 
-    channel_taps: list[tuple] = field(
-        default_factory=lambda: [(0, 1 + 0j, 0.0), (3, 0.5j, 0.0), (11, -0.2 + 0.1j, 0.0)]
+    channel_taps: list[tuple] = _setting(
+        "channel.taps",
+        _parse_channel_taps,
+        factory=lambda: [(0, 1 + 0j, 0.0), (3, 0.5j, 0.0), (11, -0.2 + 0.1j, 0.0)],
     )
-    snr_db: float | None = None
-    cfo_hz: float = 0.0
-    cable: list[complex] | None = field(default_factory=lambda: [1 + 0j, 0j, 0.25 + 0j])
-    seed: int = 0
+    snr_db: float | None = _setting("channel.snr_db", _parse_optional_float)
+    cfo_hz: float = _setting("channel.cfo_hz", float, 0.0)
+    cable: list[complex] | None = _setting(
+        "channel.cable", _parse_cable, factory=lambda: [1 + 0j, 0j, 0.25 + 0j]
+    )
+    seed: int = _setting("seed", int, 0)
 
-    triggers: list[tuple[int, str, str]] = field(default_factory=list)
-    trigger_log: str | None = None
-    corrupt_span: int = 128
+    triggers: list[tuple[int, str, str]] = _setting("triggers", _parse_triggers, factory=list)
+    trigger_log: str | None = _setting("trigger_log", _parse_optional_str)
+    corrupt_span: int = _setting("corrupt_span", int, 128)
 
-    calibration: str | None = None
-    gain_cap_db: float = 40.0
-    discard_first: bool = True
-    dc_suppression_hz: float = 0.0
-    dc_position: str = "before"
-    doppler_zero_fill: bool = False
-    bc_threshold: float = 0.5
-    max_distance_ref_m: float | None = None
+    calibration: str | None = _setting("calibration", _parse_optional_str)
+    gain_cap_db: float = _setting("gain_cap_db", float, 40.0)
+    discard_first: bool = _setting("discard_first", _parse_bool, True)
+    dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0)
+    dc_position: str = _setting(
+        "dc_position", _parse_choice("dc_position", "before", "after"), "before"
+    )
+    doppler_zero_fill: bool = _setting("doppler_zero_fill", _parse_bool, False)
+    bc_threshold: float = _setting("bc_threshold", float, 0.5)
+    max_distance_ref_m: float | None = _setting("max_distance_ref_m", _parse_optional_float)
 
-    out: str | None = None
-    input: str | None = None
-    endpoint: str | None = None
-    chunk_samples: int = 4096
-    timeout: float = 10.0
+    out: str | None = _setting("out", _parse_optional_str)
+    input: str | None = _setting("input", _parse_optional_str)
+    endpoint: str | None = _setting("endpoint", _parse_optional_str)
+    chunk_samples: int = _setting("chunk_samples", int, 4096)
+    timeout: float = _setting("timeout", float, 10.0)
 
     explicit: set = field(default_factory=set, repr=False, compare=False)
 
@@ -170,111 +249,13 @@ class CampaignConfig:
         return framestore.read_profile(self.calibration)
 
 
-def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "yes", "on", "1"):
-        return True
-    if v in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-def _parse_choice(what: str, *choices: str):
-    def parse(value: str) -> str:
-        v = value.strip().lower()
-        if v not in choices:
-            raise ValueError(f"{what} must be {' or '.join(choices)}, got {value!r}")
-        return v
-
-    return parse
-
-
-def _parse_optional_float(value: str) -> float | None:
-    return None if value.strip().lower() in ("", "none") else float(value)
-
-
-def _parse_optional_int(value: str) -> int | None:
-    return None if value.strip().lower() == "none" else int(value)
-
-
-def _parse_optional_str(value: str) -> str | None:
-    return value.strip() or None
-
-
-def _parse_mls_taps(value: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in value.replace(".", ",").split(",") if t.strip())
-
-
-def _parse_cable(value: str) -> list[complex] | None:
-    return [complex(p.strip()) for p in value.split(",") if p.strip()] or None
-
-
-def _parse_channel_taps(value: str) -> list[tuple]:
-    taps = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        fields = [p.strip() for p in part.split(":")]
-        if len(fields) not in (2, 3):
-            raise ValueError(f"channel tap must be delay:gain[:doppler_hz], got {part!r}")
-        delay = int(fields[0])
-        gain = complex(fields[1])
-        doppler = float(fields[2]) if len(fields) == 3 else 0.0
-        taps.append((delay, gain, doppler))
-    if not taps:
-        raise ValueError("channel.taps must name at least one tap")
-    return taps
-
-
-def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
-    out = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        fields = part.split(":", 2)
-        if len(fields) < 2:
-            raise ValueError(f"trigger must be index:kind[:note], got {part!r}")
-        out.append((int(fields[0]), fields[1].strip(), fields[2] if len(fields) > 2 else ""))
-    return out
-
-
 #: Every campaign setting, as config-file key -> (field, parser).  The
 #: file loader and the command-line flags both set keys through
 #: :meth:`CampaignConfig.set_key`, so each key has this one parser.
 _KEYS = {
-    "sequence.family": ("family", _parse_choice("sequence family", "fzc", "mls")),
-    "sequence.length": ("length", int),
-    "sequence.root": ("root", int),
-    "sequence.register_length": ("register_length", int),
-    "sequence.taps": ("taps", _parse_mls_taps),
-    "sample_rate": ("sample_rate", float),
-    "center_frequency": ("center_frequency", float),
-    "n_sequences": ("n_sequences", _parse_optional_int),
-    "duration": ("duration", _parse_optional_float),
-    "channel.taps": ("channel_taps", _parse_channel_taps),
-    "channel.snr_db": ("snr_db", _parse_optional_float),
-    "channel.cfo_hz": ("cfo_hz", float),
-    "channel.cable": ("cable", _parse_cable),
-    "seed": ("seed", int),
-    "triggers": ("triggers", _parse_triggers),
-    "trigger_log": ("trigger_log", _parse_optional_str),
-    "corrupt_span": ("corrupt_span", int),
-    "calibration": ("calibration", _parse_optional_str),
-    "gain_cap_db": ("gain_cap_db", float),
-    "discard_first": ("discard_first", _parse_bool),
-    "dc_suppression_hz": ("dc_suppression_hz", float),
-    "dc_position": ("dc_position", _parse_choice("dc_position", "before", "after")),
-    "doppler_zero_fill": ("doppler_zero_fill", _parse_bool),
-    "bc_threshold": ("bc_threshold", float),
-    "max_distance_ref_m": ("max_distance_ref_m", _parse_optional_float),
-    "out": ("out", _parse_optional_str),
-    "input": ("input", _parse_optional_str),
-    "endpoint": ("endpoint", _parse_optional_str),
-    "chunk_samples": ("chunk_samples", int),
-    "timeout": ("timeout", float),
+    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(CampaignConfig) if f.metadata
 }
+_SEQUENCE_KEYS = {key for key in _KEYS if key.startswith("sequence.")}
 
 
 def _load_into(cfg: CampaignConfig, path: str, seen: tuple[str, ...]) -> None:

@@ -18,6 +18,10 @@ import numpy as np
 
 TRIGGER_KINDS = ("overflow", "external")
 
+#: The capture sample, interleaved little-endian float32 I and Q: what a
+#: capture file and a wire chunk carry and what the correlator is given.
+CAPTURE_DTYPE = np.dtype("<c8")
+
 
 def check_sample_rate(fs: float) -> float:
     """``fs``, if it is a usable sample rate (positive and finite)."""

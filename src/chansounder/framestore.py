@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .calib import CalibrationProfile
-from .frames import FrameSeries, IqFrame, TriggerEvent
+from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
@@ -78,7 +78,7 @@ def write_capture(
 ) -> None:
     """Write an IQ capture: float32 payload, text sidecar and trigger log."""
     with open(path, "wb") as f:
-        np.asarray(frame.samples, dtype="<c8").tofile(f)
+        np.asarray(frame.samples, dtype=CAPTURE_DTYPE).tofile(f)
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         f.write(
             f"format_version={CAPTURE_VERSION}\n"
@@ -116,12 +116,12 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
 
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if size % 8 != 0:
+        if size % CAPTURE_DTYPE.itemsize != 0:
             raise ValueError(
                 f"capture payload {path} is truncated: {size} bytes is not a "
                 "whole number of float32 IQ pairs"
             )
-        samples = np.fromfile(f, dtype="<c8")
+        samples = np.fromfile(f, dtype=CAPTURE_DTYPE)
     frame = IqFrame(samples, kv["sample_rate"], kv["center_frequency"], kv["start_index"])
     log = path + ".triggers"
     events = read_trigger_log(log) if os.path.exists(log) else []

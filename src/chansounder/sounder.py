@@ -30,8 +30,9 @@ import numpy as np
 
 from . import chansim
 from .calib import CalibrationProfile, remove_dc_bias
+from .charmetrics import max_doppler
 from .corrmath import fast_pccf
-from .frames import FrameSeries, IqFrame, TriggerEvent, check_sample_rate
+from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_sample_rate
 from .seqgen import Sequence
 
 
@@ -47,18 +48,16 @@ def stimulate_capture(
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ValueError(f"samples {start}..{stop} lie outside the {total}-sample stream")
-    # the period from offset p on, then whole periods, the last one cut at stop
-    n, p, count = seq.n_seq, start % seq.n_seq, stop - start
-    pieces = [seq.samples[p : p + count]] + [seq.samples[: count - k] for k in range(n - p, count, n)]
-    return IqFrame(np.concatenate(pieces), fs, f_c, start)
+    return IqFrame(seq.samples[np.arange(start, stop) % seq.n_seq], fs, f_c, start)
 
 
 def quantize_capture(frame: IqFrame) -> IqFrame:
-    """Round samples to complex64, the capture format of every transport:
-    capture files and wire chunks carry it and the in-process path keeps
-    it, so all three give the correlator the same array."""
+    """Round samples to :data:`frames.CAPTURE_DTYPE`, the capture format of
+    every transport: capture files and wire chunks carry it and the
+    in-process path keeps it, so all three give the correlator the same
+    array."""
     with np.errstate(over="ignore"):
-        q = np.asarray(frame.samples).astype(np.complex64)
+        q = np.asarray(frame.samples).astype(CAPTURE_DTYPE)
     if not np.isfinite(q.view(np.float32)).all():
         raise ValueError("capture samples are not finite in 32-bit float precision")
     return IqFrame(q, frame.fs, frame.f_c, frame.start_index)
@@ -259,8 +258,8 @@ class CaptureStream:
             if snr is not None:
                 block = chansim.add_awgn(block, snr, self.model.seed)
             block = chansim.zero_spans(block, self.events)
-            # complex64 here means cut from the quantized period and untouched
-            yield block if block.samples.dtype == np.complex64 else quantize_capture(block)
+            # a block still in the capture format was cut, untouched, from the quantized period
+            yield block if block.samples.dtype == CAPTURE_DTYPE else quantize_capture(block)
 
 
 def capture_stream(config) -> CaptureStream:
@@ -276,7 +275,7 @@ def capture_stream(config) -> CaptureStream:
             f"channel reaches back {model.max_delay()} samples, which wraps around "
             f"the {seq.n_seq}-sample sequence period"
         )
-    doppler_limit = fs / (2 * seq.n_seq)
+    doppler_limit = max_doppler(seq.n_seq / fs)
     for tap in model.taps:
         if not abs(tap.doppler_hz) < doppler_limit:
             raise ValueError(
@@ -299,16 +298,19 @@ def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
     :func:`capture_stream` in one array), and the injected trigger events
     re-stamped with the spans they corrupted."""
     stream = capture_stream(config)
-    samples = np.empty(stream.n_samples, dtype=np.complex64)
+    samples = np.empty(stream.n_samples, dtype=CAPTURE_DTYPE)
     for block in stream:
         samples[block.start_index : block.end_index] = block.samples
     return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
 
 
-def correlate_campaign(config, capture: IqFrame, seq: Sequence, events) -> FrameSeries:
+def correlate_campaign(
+    config, capture: IqFrame, seq: Sequence, events
+) -> tuple[FrameSeries, int]:
     """Run :func:`frames_from_capture` with the configured profile,
-    first-period discard and DC-bias settings."""
-    return frames_from_capture(
+    first-period discard and DC-bias settings; return the frames and the
+    number of sequence periods from absolute sample 0 to the capture's end."""
+    frames = frames_from_capture(
         capture,
         seq,
         events=events,
@@ -317,6 +319,7 @@ def correlate_campaign(config, capture: IqFrame, seq: Sequence, events) -> Frame
         dc_suppression_hz=config.dc_suppression_hz,
         dc_position=config.dc_position,
     )
+    return frames, capture.end_index // seq.n_seq
 
 
 def correlate_received(config, capture: IqFrame, record) -> tuple[FrameSeries, int]:
@@ -324,15 +327,15 @@ def correlate_received(config, capture: IqFrame, record) -> tuple[FrameSeries, i
     the :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
     ``record`` that came with it: adopt its sample rate and sequence by
     the record's rules (:meth:`CampaignConfig.stream_sequence`), gate by
-    its triggers, and return the frames and the periods the capture spans."""
+    its triggers, and return :func:`correlate_campaign`'s frames and period count."""
     seq = config.stream_sequence(
         record.sequence_descriptor, capture.fs, record.source, record.mismatch_error, record.strict
     )
-    return correlate_campaign(config, capture, seq, record.triggers), len(capture) // seq.n_seq
+    return correlate_campaign(config, capture, seq, record.triggers)
 
 
 def run_sounding(config) -> FrameSeries:
     """Full single-process sounding run driven by a campaign config:
     :func:`capture_campaign`, then :func:`correlate_campaign`."""
     seq, capture, events = capture_campaign(config)
-    return correlate_campaign(config, capture, seq, events)
+    return correlate_campaign(config, capture, seq, events)[0]

@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import sounder
-from .frames import IqFrame, TriggerEvent
+from .frames import CAPTURE_DTYPE, IqFrame, TriggerEvent
 from .seqgen import descriptor as seq_descriptor
 
 PROTOCOL_VERSION = 1
@@ -97,7 +97,7 @@ def encode_hello(hello: Hello) -> bytes:
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
-    payload = np.asarray(samples, dtype="<c8").tobytes()
+    payload = np.asarray(samples, dtype=CAPTURE_DTYPE).tobytes()
     body = bytes([MSG_IQ_CHUNK]) + _CHUNK_HEAD.pack(start_index, len(samples)) + payload
     return _frame(body)
 
@@ -118,9 +118,29 @@ def encode_end(total_samples: int) -> bytes:
     return _frame(bytes([MSG_END]) + _END_BODY.pack(total_samples))
 
 
+def _fixed_head(payload: memoryview, head: struct.Struct, name: str) -> tuple:
+    """The fields of message ``name``'s fixed header at the start of ``payload``."""
+    if len(payload) < head.size:
+        raise WireProtocolError(f"{name} body is shorter than its fixed header")
+    return head.unpack_from(payload)
+
+
+def _text_tail(payload: memoryview, head: struct.Struct, length: int, what: str) -> str:
+    """The utf-8 text ``what`` that follows the fixed header ``head`` to the
+    end of ``payload`` and that the header declares ``length`` bytes long."""
+    tail = payload[head.size :]
+    if len(tail) != length:
+        raise WireProtocolError(f"{what} length {length} does not match body ({len(tail)} bytes)")
+    try:
+        return str(tail, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireProtocolError(f"{what} is not valid utf-8: {exc}") from None
+
+
 def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     """Decode one message body (without the length prefix); an IQ_CHUNK's
-    samples are a complex64 view of it, the capture format of every transport.
+    samples are a :data:`frames.CAPTURE_DTYPE` view of it, the capture
+    format of every transport.
 
     Raises :class:`WireProtocolError` on any structural violation.
     """
@@ -135,65 +155,43 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     payload = memoryview(body)[1:]
 
     if mtype == MSG_HELLO:
-        if len(payload) < _HELLO_HEAD.size:
-            raise WireProtocolError("HELLO body is shorter than its fixed header")
-        version, fs, f_c, desc_len = _HELLO_HEAD.unpack_from(payload)
+        version, fs, f_c, desc_len = _fixed_head(payload, _HELLO_HEAD, "HELLO")
         if version != PROTOCOL_VERSION:
             raise WireProtocolError(
                 f"unsupported protocol version {version} (supported: {PROTOCOL_VERSION})"
             )
-        desc = payload[_HELLO_HEAD.size :]
-        if len(desc) != desc_len:
-            raise WireProtocolError(
-                f"HELLO descriptor length {desc_len} does not match body ({len(desc)} bytes)"
-            )
+        text = _text_tail(payload, _HELLO_HEAD, desc_len, "HELLO descriptor")
         if not (fs > 0) or not np.isfinite(fs) or not np.isfinite(f_c):
             raise WireProtocolError(f"HELLO carries invalid stream parameters fs={fs} f_c={f_c}")
-        try:
-            text = str(desc, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireProtocolError(f"HELLO descriptor is not valid utf-8: {exc}") from None
         return Hello(fs=fs, f_c=f_c, sequence_descriptor=text, protocol_version=version)
 
     if mtype == MSG_IQ_CHUNK:
-        if len(payload) < _CHUNK_HEAD.size:
-            raise WireProtocolError("IQ_CHUNK body is shorter than its fixed header")
-        start_index, count = _CHUNK_HEAD.unpack_from(payload)
+        start_index, count = _fixed_head(payload, _CHUNK_HEAD, "IQ_CHUNK")
         if start_index < 0:
             raise WireProtocolError(f"IQ_CHUNK start index {start_index} is negative")
         data = payload[_CHUNK_HEAD.size :]
-        if len(data) != 8 * count:
+        if len(data) != CAPTURE_DTYPE.itemsize * count:
             raise WireProtocolError(
                 f"IQ_CHUNK declares {count} samples but carries {len(data)} payload bytes"
             )
         if count == 0:
             raise WireProtocolError("IQ_CHUNK with zero samples")
-        return IqChunk(start_index=start_index, samples=np.frombuffer(data, dtype="<c8"))
+        return IqChunk(start_index=start_index, samples=np.frombuffer(data, dtype=CAPTURE_DTYPE))
 
     if mtype == MSG_TRIGGER:
-        if len(payload) < _TRIGGER_HEAD.size:
-            raise WireProtocolError("TRIGGER body is shorter than its fixed header")
-        sample_index, kind_code, span, note_len = _TRIGGER_HEAD.unpack_from(payload)
-        note = payload[_TRIGGER_HEAD.size :]
-        if len(note) != note_len:
-            raise WireProtocolError(
-                f"TRIGGER note length {note_len} does not match body ({len(note)} bytes)"
-            )
+        sample_index, kind_code, span, note_len = _fixed_head(payload, _TRIGGER_HEAD, "TRIGGER")
+        note = _text_tail(payload, _TRIGGER_HEAD, note_len, "TRIGGER note")
         if kind_code not in _TRIGGER_KIND_NAMES:
             raise WireProtocolError(f"unknown trigger kind code {kind_code}")
         if sample_index < 0 or span < 1:
             raise WireProtocolError(
                 f"TRIGGER with invalid position {sample_index} or span {span}"
             )
-        try:
-            note_text = str(note, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireProtocolError(f"TRIGGER note is not valid utf-8: {exc}") from None
         return TriggerEvent(
             sample_index=sample_index,
             kind=_TRIGGER_KIND_NAMES[kind_code],
             span=span,
-            note=note_text,
+            note=note,
         )
 
     if mtype == MSG_END:
@@ -304,7 +302,7 @@ def serve_capture(
     mid-stream yields a summary with ``complete=False`` rather than an
     exception.
     """
-    max_chunk = (MAX_MESSAGE_BYTES - 1 - _CHUNK_HEAD.size) // 8
+    max_chunk = (MAX_MESSAGE_BYTES - 1 - _CHUNK_HEAD.size) // CAPTURE_DTYPE.itemsize
     if not 1 <= chunk_samples <= max_chunk:
         raise ValueError(f"chunk_samples must lie in 1..{max_chunk}, got {chunk_samples}")
     blocks = iter([capture] if isinstance(capture, IqFrame) else capture)
@@ -421,7 +419,7 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
             parts.append(msg.samples)
             received += len(msg.samples)
 
-    samples = np.concatenate(parts) if parts else np.empty(0, dtype=np.complex64)
+    samples = np.concatenate(parts) if parts else np.empty(0, dtype=CAPTURE_DTYPE)
     return IqFrame(samples, hello.fs, hello.f_c, 0), ConsumeSummary(triggers, hello)
 
 

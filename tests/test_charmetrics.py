@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chansounder import charmetrics as cm
 from chansounder.frames import ImpulseResponseFrame
@@ -88,14 +89,14 @@ class TestCoherenceBandwidth:
         n, d, fs = 1024, 16, 1e6
         h = np.zeros(n, dtype=complex)
         h[0] = h[d] = 1.0 / math.sqrt(2)
-        bc, crossed = cm.coherence_bandwidth([h], fs, threshold=0.5)
+        bc, crossed = cm.coherence_bandwidth(cm.pdp([h]), fs, threshold=0.5)
         assert crossed
         assert bc == pytest.approx(fs / (3 * d), rel=0.01)
 
     def test_single_tap_never_crosses(self):
         h = np.zeros(64, dtype=complex)
         h[3] = 1.0
-        bc, crossed = cm.coherence_bandwidth([h], 1e6)
+        bc, crossed = cm.coherence_bandwidth(cm.pdp([h]), 1e6)
         assert not crossed
         assert bc == 5e5
 
@@ -103,7 +104,7 @@ class TestCoherenceBandwidth:
         h = np.zeros(8, dtype=complex)
         h[0] = 1.0
         with pytest.raises(ValueError, match="threshold"):
-            cm.coherence_bandwidth([h], 1e6, threshold=1.5)
+            cm.coherence_bandwidth(cm.pdp([h]), 1e6, threshold=1.5)
 
     def test_narrower_spread_wider_coherence(self):
         fs = 1e6
@@ -111,7 +112,7 @@ class TestCoherenceBandwidth:
         for d in (4, 16):
             h = np.zeros(256, dtype=complex)
             h[0] = h[d] = 1.0
-            out.append(cm.coherence_bandwidth([h], fs)[0])
+            out.append(cm.coherence_bandwidth(cm.pdp([h]), fs)[0])
         assert out[0] > out[1]
 
 
@@ -240,6 +241,49 @@ def test_percentile_ordering_property(mags):
     assert stats.h10_db <= stats.h50_db <= stats.h90_db
 
 
+def _weights(shape):
+    powers = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_subnormal=False)
+    return hnp.arrays(np.float64, shape, elements=st.one_of(st.just(0.0), powers))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_weights(st.integers(1, 48)), t_s=st.floats(min_value=1e-9, max_value=1e-3))
+def test_delay_moments_equal_their_formulas_exactly(p, t_s):
+    total = p.sum()
+    if not total > 0:
+        with pytest.raises(ValueError, match="power delay profile has no energy"):
+            cm.mean_delay(p, t_s)
+        with pytest.raises(ValueError, match="power delay profile has no energy"):
+            cm.rms_delay_spread(p, t_s)
+        return
+    tau = np.arange(len(p)) * t_s
+    m1 = (tau * p).sum() / total
+    var = ((tau - m1) ** 2 * p).sum() / total
+    assert cm.mean_delay(p, t_s) == float(m1)
+    assert cm.rms_delay_spread(p, t_s) == float(math.sqrt(max(var, 0.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    power=_weights(st.tuples(st.integers(2, 24), st.integers(1, 8))),
+    t_seq=st.floats(min_value=1e-6, max_value=1.0),
+)
+def test_doppler_spread_equals_its_formula_exactly(power, t_seq):
+    freqs = np.fft.fftshift(np.fft.fftfreq(len(power), d=t_seq))
+    dmap = cm.DopplerMap(power=power, freqs_hz=freqs, t_seq=t_seq, n_frames=len(power))
+    s = power.sum(axis=1)
+    total = s.sum()
+    if not total > 0:
+        with pytest.raises(ValueError, match="Doppler map has no energy"):
+            cm.doppler_spread(dmap)
+        return
+    m1 = (freqs * s).sum() / total
+    var = ((freqs - m1) ** 2 * s).sum() / total
+    assert cm.doppler_spread(dmap) == float(math.sqrt(max(var, 0.0)))
+    assert dmap.max_hz == 1.0 / (2.0 * t_seq)
+    assert dmap.resolution_hz == 1.0 / (len(power) * t_seq)
+
+
 class TestReport:
     def make_frames(self):
         t_seq = 16 / 1e6
@@ -338,5 +382,5 @@ class TestReport:
         rep = cm.characterize(self.make_frames(), fs=1e6)
         assert len(calls) == 1
         assert (rep.coherence_bw_hz, rep.coherence_bw_crossed) == cm.coherence_bandwidth(
-            self.make_frames(), 1e6
+            cm.pdp(self.make_frames()), 1e6
         )

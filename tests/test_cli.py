@@ -10,6 +10,7 @@ import pytest
 from chansounder import framestore
 from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import load_config
+from chansounder.frames import IqFrame
 
 
 def small_config(tmp_path, extra=""):
@@ -173,6 +174,21 @@ class TestCaptureSidecarFlow:
         assert "kept 19 of 20" in capsys.readouterr().out
         assert not (tmp_path / "cap.iq.triggers").exists()
 
+    def test_capture_from_a_later_sample_counts_periods_from_sample_0(self, tmp_path, capsys):
+        # A 6-period stream recorded from sample 64 on holds periods 1..5.
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path, "n_sequences = 6\n"), "--out", cap]) == 0
+        capture, meta = framestore.read_capture(cap)
+        late = IqFrame(capture.samples[64:], capture.fs, capture.f_c, 64)
+        framestore.write_capture(cap, late, meta.sequence_descriptor, meta.seed_note)
+        capsys.readouterr()
+        out = str(tmp_path / "f")
+        assert main(["correlate", "--input", cap, "--out", out]) == 0
+        assert "kept 5 of 6" in capsys.readouterr().out
+        frames, fmeta = framestore.read_frames(out + ".frames")
+        assert [f.sequence_index for f in frames] == [1, 2, 3, 4, 5]
+        assert fmeta.total_sequences == 6
+
     def test_nonfinite_sidecar_sample_rate_fails_before_writing(self, tmp_path, capsys):
         cap = str(tmp_path / "cap.iq")
         assert main(["stimulate", "--config", small_config(tmp_path), "--out", cap]) == 0
@@ -272,6 +288,19 @@ class TestErrorPaths:
         bad.write_text("nonsense = 1\n")
         assert main(["sound", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "bad.cfg:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("triggers = 5000:bogus:x", "unknown trigger kind 'bogus'"),
+            ("channel.taps = -1:1", "tap delay must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_bad_trigger_or_tap_reports_location(self, tmp_path, capsys, line, message):
+        cfg = small_config(tmp_path, line + "\n")
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{cfg}:6: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
 
     def test_calibrate_rejects_multipath(self, tmp_path, capsys):
         cfg = small_config(tmp_path)  # two taps

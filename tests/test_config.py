@@ -260,6 +260,25 @@ class TestDerivedQuantities:
         assert CampaignConfig().load_profile() is None
 
 
+class TestValueChecksAtTheirLine:
+    """A trigger or channel tap that its class rejects fails while the file
+    is read, with the file and line, and not later without them."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("triggers = 5000:bogus:x", "unknown trigger kind 'bogus'"),
+            ("triggers = 10:overflow ; -3:external", "trigger sample_index must be non-negative"),
+            ("channel.taps = -1:1", "tap delay must be a non-negative integer, got -1"),
+            ("channel.taps = 0:1 ; -4:0.5j:3", "tap delay must be a non-negative integer, got -4"),
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, line, message):
+        path = write(tmp_path / "c.cfg", f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            load_config(path)
+
+
 class TestExplicitTracking:
     def test_only_touched_keys_marked(self, tmp_path):
         path = write(tmp_path / "c.cfg", "seed = 3\n")
@@ -275,6 +294,42 @@ class TestExplicitTracking:
 
 
 class TestKeyTable:
+    def test_every_key_sets_the_same_field(self):
+        # Written out in full: renaming a key or a field breaks config files.
+        frozen = {
+            "sequence.family": "family",
+            "sequence.length": "length",
+            "sequence.root": "root",
+            "sequence.register_length": "register_length",
+            "sequence.taps": "taps",
+            "sample_rate": "sample_rate",
+            "center_frequency": "center_frequency",
+            "n_sequences": "n_sequences",
+            "duration": "duration",
+            "channel.taps": "channel_taps",
+            "channel.snr_db": "snr_db",
+            "channel.cfo_hz": "cfo_hz",
+            "channel.cable": "cable",
+            "seed": "seed",
+            "triggers": "triggers",
+            "trigger_log": "trigger_log",
+            "corrupt_span": "corrupt_span",
+            "calibration": "calibration",
+            "gain_cap_db": "gain_cap_db",
+            "discard_first": "discard_first",
+            "dc_suppression_hz": "dc_suppression_hz",
+            "dc_position": "dc_position",
+            "doppler_zero_fill": "doppler_zero_fill",
+            "bc_threshold": "bc_threshold",
+            "max_distance_ref_m": "max_distance_ref_m",
+            "out": "out",
+            "input": "input",
+            "endpoint": "endpoint",
+            "chunk_samples": "chunk_samples",
+            "timeout": "timeout",
+        }
+        assert {key: name for key, (name, _) in _KEYS.items()} == frozen
+
     def test_every_field_has_one_key(self):
         fields = [name for name, _ in _KEYS.values()]
         assert len(fields) == len(set(fields))

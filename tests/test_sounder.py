@@ -31,6 +31,18 @@ FS = 1e6
 
 
 class TestStimulate:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), n_reps=st.integers(1, 6), data=st.data())
+    def test_any_span_is_the_tiled_sequence_bitwise(self, n, n_reps, data):
+        seq = generate_fzc(n, 1)
+        start = data.draw(st.integers(0, n * n_reps), label="start")
+        stop = data.draw(st.integers(start, n * n_reps), label="stop")
+        cap = stimulate_capture(seq, n_reps, FS, 0.0, start, stop)
+        expected = np.tile(seq.samples, n_reps)[start:stop]
+        assert cap.samples.dtype == expected.dtype
+        assert cap.samples.tobytes() == expected.tobytes()
+        assert cap.start_index == start
+
     def test_single_frame_capture(self):
         seq = generate_fzc(8, 3)
         cap = stimulate_capture(seq, 4, FS, f_c=5.8e9)

@@ -157,6 +157,57 @@ class TestDecodeErrors:
         self.err("not bytes")
 
 
+def _hello_body(fields, tail=b""):
+    return bytes([wire.MSG_HELLO]) + struct.pack("<HddH", *fields) + tail
+
+
+def _trigger_body(fields, tail=b""):
+    return bytes([wire.MSG_TRIGGER]) + struct.pack("<qBIH", *fields) + tail
+
+
+def _utf8_error(raw: bytes) -> str:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{raw!r} is valid utf-8")
+
+
+#: Malformed HELLO and TRIGGER bodies, each breaking one framing rule,
+#: with the exact message each is rejected with.
+MALFORMED = [
+    (_hello_body((1, 1e6, 0.0, 0))[:-1], "HELLO body is shorter than its fixed header"),
+    (bytes([wire.MSG_HELLO]), "HELLO body is shorter than its fixed header"),
+    (_hello_body((2, 1e6, 0.0, 0)), "unsupported protocol version 2 (supported: 1)"),
+    (_hello_body((1, 1e6, 0.0, 5), b"ab"), "HELLO descriptor length 5 does not match body (2 bytes)"),
+    (_hello_body((1, 1e6, 0.0, 0), b"abc"), "HELLO descriptor length 0 does not match body (3 bytes)"),
+    (_hello_body((1, 0.0, 0.0, 0)), "HELLO carries invalid stream parameters fs=0.0 f_c=0.0"),
+    (_hello_body((1, float("nan"), 0.0, 0)), "HELLO carries invalid stream parameters fs=nan f_c=0.0"),
+    (_hello_body((1, 1e6, float("inf"), 0)), "HELLO carries invalid stream parameters fs=1000000.0 f_c=inf"),
+    (
+        _hello_body((1, 1e6, 0.0, 2), b"\xff\xfe"),
+        "HELLO descriptor is not valid utf-8: " + _utf8_error(b"\xff\xfe"),
+    ),
+    (_trigger_body((5, 0, 1, 0))[:-1], "TRIGGER body is shorter than its fixed header"),
+    (_trigger_body((5, 0, 1, 9), b"hi"), "TRIGGER note length 9 does not match body (2 bytes)"),
+    (_trigger_body((5, 0, 1, 1), b"hi"), "TRIGGER note length 1 does not match body (2 bytes)"),
+    (_trigger_body((5, 7, 1, 0)), "unknown trigger kind code 7"),
+    (_trigger_body((-3, 0, 1, 0)), "TRIGGER with invalid position -3 or span 1"),
+    (_trigger_body((4, 1, 0, 0)), "TRIGGER with invalid position 4 or span 0"),
+    (
+        _trigger_body((5, 0, 1, 3), b"a\xc3("),
+        "TRIGGER note is not valid utf-8: " + _utf8_error(b"a\xc3("),
+    ),
+]
+
+
+@pytest.mark.parametrize("body, message", MALFORMED)
+def test_malformed_header_or_text_tail_keeps_its_message(body, message):
+    with pytest.raises(WireProtocolError) as info:
+        decode_message(body)
+    assert str(info.value) == message
+
+
 class TestReadMessage:
     def test_clean_eof_returns_none(self):
         assert read_message(io.BytesIO(b"")) is None
