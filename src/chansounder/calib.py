@@ -55,6 +55,11 @@ class CalibrationProfile:
     def n_seq(self) -> int:
         return len(self.h_ftt)
 
+    def check_length(self, n_seq: int) -> None:
+        """Raise unless the profile corrects ``n_seq``-sample frames."""
+        if self.n_seq != n_seq:
+            raise ValueError(f"profile length {self.n_seq} does not match frame length {n_seq}")
+
     def spectrum(self) -> np.ndarray:
         """Frequency response of the correction filter."""
         return np.fft.fft(self.h_ftt)

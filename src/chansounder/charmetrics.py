@@ -24,6 +24,10 @@ from .frames import FrameSeries
 #: Propagation speed used for Doppler-to-velocity and distance conversions.
 SPEED_OF_LIGHT = 299_792_458.0
 
+#: Rows (or columns) per FFT call: each (F, N) metric holds its one
+#: float64 result matrix plus a complex batch of this many rows (columns).
+_BATCH = 32
+
 
 def _frame_matrix(frames) -> np.ndarray:
     """The (F, N) response matrix of a frame series of at least one frame."""
@@ -31,6 +35,16 @@ def _frame_matrix(frames) -> np.ndarray:
     if not len(m):
         raise ValueError("metric needs at least one impulse-response frame")
     return m
+
+
+def _batches(n: int, least: int = 1) -> list[slice]:
+    """``range(n)`` cut into slices of ``_BATCH`` entries, but of at least
+    ``least``: a shorter last slice joins the one before it."""
+    step = max(_BATCH, least)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < least:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _weighted_moments(x: np.ndarray, w: np.ndarray, what: str) -> tuple[float, float]:
@@ -51,7 +65,8 @@ def _delay_moments(pdp_vec: np.ndarray, t_s: float) -> tuple[float, float]:
 
 def pdp(frames) -> np.ndarray:
     """Power delay profile: mean of |h[tau]|^2 over the frame series."""
-    return np.mean(np.abs(_frame_matrix(frames)) ** 2, axis=0)
+    power = np.abs(_frame_matrix(frames))
+    return np.mean(np.square(power, out=power), axis=0)
 
 
 def mean_delay(pdp_vec: np.ndarray, t_s: float) -> float:
@@ -83,17 +98,23 @@ class FrequencyStats:
 def frequency_response_stats(frames, fs: float) -> FrequencyStats:
     """Percentile levels (10/50/90 %) of pooled |H(f)| in dB."""
     m = _frame_matrix(frames)
-    spectra = np.fft.fft(m, axis=1)
-    mags = np.abs(spectra)
+    n = m.shape[1]
+    mags = np.empty(m.shape)
+    for rows in _batches(len(m)):
+        np.abs(np.fft.fft(m[rows], axis=1), out=mags[rows])
     if not mags.max() > 0:
         raise ValueError("all frames are zero; no magnitude statistics")
+    # Column blocks of at least two: numpy sums a one-column block
+    # pairwise, not row by row as it sums the whole matrix.
+    mean_psd = np.empty(n)
+    for cols in _batches(n, least=2):
+        mean_psd[cols] = np.mean(np.square(mags[:, cols]), axis=0)
     with np.errstate(divide="ignore"):
-        pooled_db = 20.0 * np.log10(mags).ravel()
-    h10, h50, h90 = np.percentile(pooled_db, [10.0, 50.0, 90.0])
-    n = m.shape[1]
+        pooled_db = np.multiply(np.log10(mags, out=mags), 20.0, out=mags).ravel()
+    h10, h50, h90 = np.percentile(pooled_db, [10.0, 50.0, 90.0], overwrite_input=True)
     return FrequencyStats(
         freqs_hz=np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs)),
-        mean_psd=np.fft.fftshift(np.mean(mags**2, axis=0)),
+        mean_psd=np.fft.fftshift(mean_psd),
         h10_db=float(h10),
         h50_db=float(h50),
         h90_db=float(h90),
@@ -178,23 +199,32 @@ def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
     m = series.h
     span = int(idx[-1] - idx[0]) + 1
     missing = span - len(series)
-    if missing:
-        if not zero_fill:
-            raise ValueError(
-                f"measurement grid has {missing} gap(s); pass zero_fill=True "
-                "to analyze anyway"
-            )
-        full = np.zeros((span, m.shape[1]), dtype=np.complex128)
-        full[idx - idx[0]] = m
-        m = full
+    if missing and not zero_fill:
+        raise ValueError(
+            f"measurement grid has {missing} gap(s); pass zero_fill=True "
+            "to analyze anyway"
+        )
 
-    spec = np.fft.fftshift(np.fft.fft(m, axis=0), axes=0)
-    freqs = np.fft.fftshift(np.fft.fftfreq(m.shape[0], d=t_seq))
+    # Each column batch is transformed in one reused block and its
+    # magnitudes go straight into their fftshifted rows: the lower half
+    # moves down by span // 2 rows, the upper half to the top.
+    n = m.shape[1]
+    power = np.empty((span, n))
+    shift = span // 2
+    scratch = np.empty((span, min(_BATCH, n)), dtype=np.complex128)
+    for cols in _batches(n):
+        block = scratch[:, : cols.stop - cols.start]
+        if missing:
+            block[:] = 0
+        block[idx - idx[0]] = m[:, cols]
+        np.fft.fft(block, axis=0, out=block)
+        np.abs(block[: span - shift], out=power[shift:, cols])
+        np.abs(block[span - shift :], out=power[:shift, cols])
     return DopplerMap(
-        power=np.abs(spec) ** 2,
-        freqs_hz=freqs,
+        power=np.square(power, out=power),
+        freqs_hz=np.fft.fftshift(np.fft.fftfreq(span, d=t_seq)),
         t_seq=t_seq,
-        n_frames=m.shape[0],
+        n_frames=span,
         zero_filled=missing,
     )
 

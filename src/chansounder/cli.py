@@ -142,11 +142,12 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
 
 
 def cmd_correlate(cfg: CampaignConfig) -> int:
+    profile = cfg.load_profile()  # a bad profile fails before the capture is read
     if cfg.endpoint:
         received = wire.consume_stream(cfg.endpoint, timeout=cfg.timeout)
     else:
         received = framestore.read_capture(_require(cfg.input, "--input"))
-    frames, total = sounder.correlate_received(cfg, *received)
+    frames, total = sounder.correlate_received(cfg, *received, profile)
     path = _write_series(cfg, _nonempty(frames), total)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     return 0
@@ -154,9 +155,7 @@ def cmd_correlate(cfg: CampaignConfig) -> int:
 
 def cmd_sound(cfg: CampaignConfig) -> int:
     out = _require(cfg.out, "--out")
-    seq, capture, events = sounder.capture_campaign(cfg)
-    frames, total = sounder.correlate_campaign(cfg, capture, seq, events)
-    del capture  # release the raw stream before characterization
+    frames, total, events = sounder.sound_campaign(cfg)
     # Characterize first: a setting only that stage checks then fails
     # before any file is written.
     text = _characterize(cfg, _nonempty(frames), cfg.sample_rate)

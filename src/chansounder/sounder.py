@@ -136,10 +136,7 @@ def correct_ftt(frames, profile: CalibrationProfile | None):
     """
     if profile is None:
         return frames
-    if profile.n_seq != frames.n_seq:
-        raise ValueError(
-            f"profile length {profile.n_seq} does not match frame length {frames.n_seq}"
-        )
+    profile.check_length(frames.n_seq)
     spec = np.fft.fft(frames.h, axis=-1).astype(np.complex128, copy=False)
     spec *= profile.spectrum()
     return replace(frames, h=np.fft.ifft(spec, axis=-1, out=spec), corrected=True)
@@ -261,6 +258,13 @@ class CaptureStream:
             # a block still in the capture format was cut, untouched, from the quantized period
             yield block if block.samples.dtype == CAPTURE_DTYPE else quantize_capture(block)
 
+    def capture(self) -> IqFrame:
+        """Every block, in one complex64 capture from absolute index 0."""
+        samples = np.empty(self.n_samples, dtype=CAPTURE_DTYPE)
+        for block in self:
+            samples[block.start_index : block.end_index] = block.samples
+        return IqFrame(samples, self.fs, self.f_c)
+
 
 def capture_stream(config) -> CaptureStream:
     """The configured campaign's capture as a :class:`CaptureStream`, once
@@ -298,23 +302,21 @@ def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
     :func:`capture_stream` in one array), and the injected trigger events
     re-stamped with the spans they corrupted."""
     stream = capture_stream(config)
-    samples = np.empty(stream.n_samples, dtype=CAPTURE_DTYPE)
-    for block in stream:
-        samples[block.start_index : block.end_index] = block.samples
-    return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
+    return stream.seq, stream.capture(), stream.events
 
 
 def correlate_campaign(
-    config, capture: IqFrame, seq: Sequence, events
+    config, capture: IqFrame, seq: Sequence, events, profile: CalibrationProfile | None
 ) -> tuple[FrameSeries, int]:
-    """Run :func:`frames_from_capture` with the configured profile,
-    first-period discard and DC-bias settings; return the frames and the
-    number of sequence periods from absolute sample 0 to the capture's end."""
+    """Run :func:`frames_from_capture` with the calibration ``profile`` and
+    the configured first-period discard and DC-bias settings; return the
+    frames and the number of sequence periods from absolute sample 0 to
+    the capture's end."""
     frames = frames_from_capture(
         capture,
         seq,
         events=events,
-        profile=config.load_profile(),
+        profile=profile,
         discard_first=config.discard_first,
         dc_suppression_hz=config.dc_suppression_hz,
         dc_position=config.dc_position,
@@ -322,20 +324,37 @@ def correlate_campaign(
     return frames, capture.end_index // seq.n_seq
 
 
-def correlate_received(config, capture: IqFrame, record) -> tuple[FrameSeries, int]:
+def correlate_received(
+    config, capture: IqFrame, record, profile: CalibrationProfile | None
+) -> tuple[FrameSeries, int]:
     """Correlate a capture read from a file or received on the wire, with
     the :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
     ``record`` that came with it: adopt its sample rate and sequence by
     the record's rules (:meth:`CampaignConfig.stream_sequence`), gate by
-    its triggers, and return :func:`correlate_campaign`'s frames and period count."""
+    its triggers, and return :func:`correlate_campaign`'s frames and
+    period count with the calibration ``profile``."""
     seq = config.stream_sequence(
         record.sequence_descriptor, capture.fs, record.source, record.mismatch_error, record.strict
     )
-    return correlate_campaign(config, capture, seq, record.triggers)
+    return correlate_campaign(config, capture, seq, record.triggers, profile)
+
+
+def sound_campaign(config) -> tuple[FrameSeries, int, list[TriggerEvent]]:
+    """Full single-process sounding run driven by a campaign config.
+
+    The calibration profile is read, and its length checked against the
+    sequence, before any capture block is made; then the capture of
+    :func:`capture_stream` goes through :func:`correlate_campaign`.
+    Returns the frames, the period count and the stamped trigger events.
+    """
+    profile = config.load_profile()
+    stream = capture_stream(config)
+    if profile is not None:
+        profile.check_length(stream.seq.n_seq)
+    frames, total = correlate_campaign(config, stream.capture(), stream.seq, stream.events, profile)
+    return frames, total, stream.events
 
 
 def run_sounding(config) -> FrameSeries:
-    """Full single-process sounding run driven by a campaign config:
-    :func:`capture_campaign`, then :func:`correlate_campaign`."""
-    seq, capture, events = capture_campaign(config)
-    return correlate_campaign(config, capture, seq, events)[0]
+    """The frames of :func:`sound_campaign`."""
+    return sound_campaign(config)[0]

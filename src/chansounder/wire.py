@@ -432,6 +432,7 @@ def consume_correlation(endpoint, config):
     match the peer's descriptor (otherwise the peer's descriptor is
     adopted).  Returns ``(frames, summary)``.
     """
+    profile = config.load_profile()  # a bad profile fails before anything is received
     capture, summary = consume_stream(endpoint, timeout=config.timeout)
-    frames, _ = sounder.correlate_received(config, capture, summary)
+    frames, _ = sounder.correlate_received(config, capture, summary, profile)
     return frames, summary

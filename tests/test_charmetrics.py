@@ -1,6 +1,7 @@
 """Characterization metric tests with closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chansounder import charmetrics as cm
-from chansounder.frames import ImpulseResponseFrame
+from chansounder.frames import FrameSeries, ImpulseResponseFrame
 
 
 def frames_from_matrix(m, t_seq=1e-3, indices=None):
@@ -384,3 +385,100 @@ class TestReport:
         assert (rep.coherence_bw_hz, rep.coherence_bw_crossed) == cm.coherence_bandwidth(
             cm.pdp(self.make_frames()), 1e6
         )
+
+
+def _whole_matrix_metrics(m, idx, fs, t_seq):
+    """pdp, frequency_response_stats and zero-filled doppler_map written
+    as whole-matrix formulas: each transforms the full (F, N) or (span, N)
+    matrix at once and keeps the complex spectrum."""
+    mags = np.abs(np.fft.fft(m, axis=1))
+    with np.errstate(divide="ignore"):
+        pooled_db = 20.0 * np.log10(mags).ravel()
+    span = int(idx[-1] - idx[0]) + 1
+    full = np.zeros((span, m.shape[1]), dtype=np.complex128)
+    full[idx - idx[0]] = m
+    spec = np.fft.fftshift(np.fft.fft(full, axis=0), axes=0)
+    return {
+        "pdp": np.mean(np.abs(m) ** 2, axis=0),
+        "mean_psd": np.fft.fftshift(np.mean(mags**2, axis=0)),
+        "levels": np.percentile(pooled_db, [10.0, 50.0, 90.0]),
+        "power": np.abs(spec) ** 2,
+        "doppler_freqs": np.fft.fftshift(np.fft.fftfreq(span, d=t_seq)),
+        "span": span,
+        "missing": span - len(m),
+    }
+
+
+@st.composite
+def _gapped_series(draw):
+    """A random (F, N) series on sorted sequence indices with random gaps,
+    some responses exactly zero."""
+    n_frames, n_seq = draw(st.integers(2, 40)), draw(st.integers(1, 40))
+    steps = draw(st.lists(st.integers(1, 3), min_size=n_frames - 1, max_size=n_frames - 1))
+    idx = draw(st.integers(0, 5)) + np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((n_frames, n_seq)) + 1j * rng.standard_normal((n_frames, n_seq))
+    h *= 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        h[rng.random(h.shape) < 0.3] = 0
+    return FrameSeries(h, idx, np.zeros(n_frames))
+
+
+# A level next to a -inf dB bin (a zero magnitude) can be nan, with this warning.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("batch", [1, 3, 1 << 20])  # one row, uneven cuts, one batch
+@settings(max_examples=60, deadline=None)
+@given(series=_gapped_series())
+def test_batched_metrics_equal_the_whole_matrix_formulas_bit_for_bit(batch, series):
+    fs, t_seq = 1e6, 1e-3
+    want = _whole_matrix_metrics(np.asarray(series.h), series.sequence_index, fs, t_seq)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cm, "_BATCH", batch)
+        p = cm.pdp(series)
+        stats = cm.frequency_response_stats(series, fs)
+        dmap = cm.doppler_map(series, t_seq, zero_fill=True)
+    assert np.array_equal(p, want["pdp"])
+    assert np.array_equal(stats.mean_psd, want["mean_psd"])
+    levels = [stats.h10_db, stats.h50_db, stats.h90_db]
+    assert np.array_equal(levels, want["levels"], equal_nan=True)  # nan on both sides
+    assert np.array_equal(dmap.power, want["power"])
+    assert np.array_equal(dmap.freqs_hz, want["doppler_freqs"])
+    assert (dmap.n_frames, dmap.zero_filled) == (want["span"], want["missing"])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBoundedMemory:
+    """Each (F, N) metric holds one float64 result matrix plus a batch."""
+
+    def test_characterize_allocates_at_most_26_bytes_per_sample(self, rng):
+        n_frames, n_seq = 199, 1024  # a doppler_sound frame series
+        h = rng.standard_normal((n_frames, n_seq)) + 1j * rng.standard_normal((n_frames, n_seq))
+        series = FrameSeries(h, np.arange(1, n_frames + 1), np.zeros(n_frames))
+        del h
+        cm.characterize(series[:4], fs=1e6)  # numpy imports its FFT helpers on first use
+        report, peak = _traced_peak(lambda: cm.characterize(series, fs=1e6))
+        assert report.doppler is not None
+        assert peak <= 26 * n_frames * n_seq, f"{peak / (n_frames * n_seq):.1f} B/sample"
+
+    def test_zero_filled_doppler_map_holds_one_grid_plus_one_batch(self, rng):
+        span, n_seq = 1000, 127
+        idx = np.sort(rng.choice(span, 900, replace=False))
+        idx[[0, -1]] = 0, span - 1
+        h = rng.standard_normal((len(idx), n_seq)) + 1j * rng.standard_normal((len(idx), n_seq))
+        series = FrameSeries(h, idx, np.zeros(len(idx)))
+        del h
+        cm.doppler_map(series[:4], 1e-3, zero_fill=True)
+        dmap, peak = _traced_peak(lambda: cm.doppler_map(series, 1e-3, zero_fill=True))
+        assert dmap.power.shape == (span, n_seq) and dmap.zero_filled == span - 900
+        batch = span * cm._BATCH * np.dtype(np.complex128).itemsize
+        ufunc_buffers = 256 * 1024  # numpy buffers 8192 elements per operand
+        assert peak <= dmap.power.nbytes + batch + ufunc_buffers, f"peak {peak} B"

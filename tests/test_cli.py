@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from chansounder import framestore
+from chansounder import framestore, sounder, wire
+from chansounder.calib import identity_profile
 from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import load_config
 from chansounder.frames import IqFrame
@@ -267,6 +268,79 @@ class TestWireFlow:
         b, _ = framestore.read_frames(offline + ".frames")
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.h, fb.h)
+
+
+class TestProfileBeforeCapture:
+    """A missing or wrong-length calibration profile fails before any
+    capture block is made, and before a capture is read or received."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        made = []
+        real = sounder.CaptureStream.__iter__
+
+        def counting(stream):
+            for block in real(stream):
+                made.append(block.start_index)
+                yield block
+
+        monkeypatch.setattr(sounder.CaptureStream, "__iter__", counting)
+        return made
+
+    @staticmethod
+    def profile(tmp_path, kind):
+        if kind == "missing":
+            return str(tmp_path / "nope.csp"), "No such file"
+        path = str(tmp_path / f"{kind}.csp")
+        n_seq = 64 if kind == "good" else 32
+        framestore.write_profile(path, identity_profile(n_seq))
+        return path, "profile length 32 does not match frame length 64"
+
+    @pytest.mark.parametrize("kind", ["missing", "short"])
+    def test_sound_makes_no_block_and_writes_nothing(self, tmp_path, capsys, blocks, kind):
+        prof, message = self.profile(tmp_path, kind)
+        argv = ["sound", "--config", small_config(tmp_path), "--calibration", prof]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        assert blocks == [] and not list(tmp_path.glob("run*"))
+
+    def test_sound_with_a_good_profile_makes_its_block(self, tmp_path, blocks):
+        prof, _ = self.profile(tmp_path, "good")
+        argv = ["sound", "--config", small_config(tmp_path), "--calibration", prof]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert blocks == [0]  # 12 periods of 64 samples in one 4096-sample block
+
+    @pytest.mark.parametrize("kind", ["missing", "short"])
+    def test_run_sounding_makes_no_block(self, tmp_path, blocks, kind):
+        prof, message = self.profile(tmp_path, kind)
+        cfg = load_config(small_config(tmp_path, f"calibration = {prof}\n"))
+        with pytest.raises((OSError, ValueError), match=message):
+            sounder.run_sounding(cfg)
+        assert blocks == []
+
+    def test_correlate_reads_no_capture(self, tmp_path, capsys, monkeypatch):
+        cfg = small_config(tmp_path)
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        reads = []
+        monkeypatch.setattr(framestore, "read_capture", lambda path: reads.append(path))
+        prof, message = self.profile(tmp_path, "missing")
+        argv = ["correlate", "--config", cfg, "--input", cap, "--calibration", prof]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        assert reads == [] and not list(tmp_path.glob("run*"))
+
+    def test_correlate_and_consume_correlation_receive_nothing(self, tmp_path, capsys, monkeypatch):
+        received = []
+        monkeypatch.setattr(wire, "consume_stream", lambda *a, **kw: received.append(a))
+        prof, message = self.profile(tmp_path, "missing")
+        argv = ["correlate", "--config", small_config(tmp_path), "--calibration", prof]
+        assert main(argv + ["--endpoint", "127.0.0.1:9", "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        cfg = load_config(small_config(tmp_path, f"calibration = {prof}\n"))
+        with pytest.raises(OSError):
+            wire.consume_correlation("127.0.0.1:9", cfg)
+        assert received == [] and not list(tmp_path.glob("run*"))
 
 
 class TestErrorPaths:

@@ -544,8 +544,8 @@ class TestOneCorrelationPath:
 
     def test_file_and_wire_records_give_the_same_frames(self):
         capture, meta, summary = self.campaign()
-        a, total_a = sounder.correlate_received(CampaignConfig(), capture, meta)
-        b, total_b = sounder.correlate_received(CampaignConfig(), capture, summary)
+        a, total_a = sounder.correlate_received(CampaignConfig(), capture, meta, None)
+        b, total_b = sounder.correlate_received(CampaignConfig(), capture, summary, None)
         assert total_a == total_b == 6
         assert a.sequence_index.tolist() == b.sequence_index.tolist() == [1, 3, 4, 5]
         assert np.array_equal(a.h, b.h) and np.array_equal(a.t_i, b.t_i)
@@ -554,7 +554,7 @@ class TestOneCorrelationPath:
         capture, meta, _ = self.campaign()
         local = CampaignConfig()
         local.sample_rate = 2e6
-        sounder.correlate_received(local, capture, meta)
+        sounder.correlate_received(local, capture, meta, None)
         assert local.sample_rate == capture.fs
 
     def test_a_capture_file_must_match_an_explicit_rate(self):
@@ -562,7 +562,7 @@ class TestOneCorrelationPath:
         local = CampaignConfig()
         local.set_key("sample_rate", "2e6", "--fs")
         with pytest.raises(ValueError, match="capture samples at 1000000.0 Hz"):
-            sounder.correlate_received(local, capture, meta)
+            sounder.correlate_received(local, capture, meta, None)
 
     def test_every_transport_holds_the_same_complex64_capture(self, tmp_path):
         capture, meta, _ = self.campaign()
@@ -581,7 +581,7 @@ class TestOneCorrelationPath:
         local = CampaignConfig()
         local.sample_rate = 2e6
         with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
-            sounder.correlate_received(local, capture, summary)
+            sounder.correlate_received(local, capture, summary, None)
 
 
 class TestStreamedCapture:
@@ -672,7 +672,7 @@ class TestReceiveMemory:
         tracemalloc.start()
         try:
             capture, summary = wire.consume_stream(endpoint, timeout=10.0)
-            frames, total = sounder.correlate_received(CampaignConfig(), capture, summary)
+            frames, total = sounder.correlate_received(CampaignConfig(), capture, summary, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
