@@ -90,8 +90,8 @@ def through_calibrate(
         Maximum per-bin inversion gain.  Bins whose inverse would exceed
         the cap are clamped to it (phase preserved) and flagged.
     """
-    if not gain_cap_db >= 0.0:
-        raise ValueError(f"gain cap must be a non-negative dB value, got {gain_cap_db}")
+    if not 0.0 <= gain_cap_db < np.inf:
+        raise ValueError(f"gain cap must be a finite non-negative dB value, got {gain_cap_db}")
     series = FrameSeries.of(frames)
     if not len(series):
         raise ValueError("through calibration needs at least one frame")

@@ -111,7 +111,11 @@ def frequency_response_stats(frames, fs: float) -> FrequencyStats:
         mean_psd[cols] = np.mean(np.square(mags[:, cols]), axis=0)
     with np.errstate(divide="ignore"):
         pooled_db = np.multiply(np.log10(mags, out=mags), 20.0, out=mags).ravel()
-    h10, h50, h90 = np.percentile(pooled_db, [10.0, 50.0, 90.0], overwrite_input=True)
+    with np.errstate(invalid="ignore"):
+        levels = np.percentile(pooled_db, [10.0, 50.0, 90.0], overwrite_input=True)
+    # A level that falls among the -inf of zero bins is -inf; numpy's
+    # interpolation makes it -inf + inf = nan there.
+    h10, h50, h90 = np.where(np.isnan(levels), -np.inf, levels)
     return FrequencyStats(
         freqs_hz=np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs)),
         mean_psd=np.fft.fftshift(mean_psd),

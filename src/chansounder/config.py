@@ -14,6 +14,7 @@ channel with a short cable, 200 repetitions, noise off.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -94,10 +95,28 @@ def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def _setting(key: str, parse, default=None, factory=None):
+def _checked(key: str, parse, test, rule: str):
+    """``parse``, rejecting a value that fails ``test`` with its ``rule``."""
+
+    def parse_checked(value: str):
+        v = parse(value)
+        if not test(v):
+            raise ValueError(f"{key} must {rule}, got {v}")
+        return v
+
+    return parse_checked
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
+
+
+def _setting(key: str, parse, default=None, factory=None, valid=None):
     """A :class:`CampaignConfig` field set by config key ``key`` through
-    ``parse``, defaulting to ``default`` (or to a fresh ``factory()``)."""
-    meta = {"key": key, "parse": parse}
+    ``parse``, defaulting to ``default`` (or to a fresh ``factory()``).
+    ``valid`` is an optional ``(test, rule)`` range check: a parsed value
+    that fails ``test`` is rejected as ``"<key> must <rule>"``."""
+    meta = {"key": key, "parse": parse if valid is None else _checked(key, parse, *valid)}
     if factory is not None:
         return field(default_factory=factory, metadata=meta)
     return field(default=default, metadata=meta)
@@ -133,23 +152,25 @@ class CampaignConfig:
 
     triggers: list[tuple[int, str, str]] = _setting("triggers", _parse_triggers, factory=list)
     trigger_log: str | None = _setting("trigger_log", _parse_optional_str)
-    corrupt_span: int = _setting("corrupt_span", int, 128)
+    corrupt_span: int = _setting("corrupt_span", int, 128, valid=_AT_LEAST_1)
 
     calibration: str | None = _setting("calibration", _parse_optional_str)
-    gain_cap_db: float = _setting("gain_cap_db", float, 40.0)
+    gain_cap_db: float = _setting(
+        "gain_cap_db", float, 40.0, valid=(lambda v: 0 <= v < math.inf, "be finite and non-negative")
+    )
     discard_first: bool = _setting("discard_first", _parse_bool, True)
-    dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0)
+    dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0, valid=_NON_NEGATIVE)
     dc_position: str = _setting(
         "dc_position", _parse_choice("dc_position", "before", "after"), "before"
     )
     doppler_zero_fill: bool = _setting("doppler_zero_fill", _parse_bool, False)
-    bc_threshold: float = _setting("bc_threshold", float, 0.5)
+    bc_threshold: float = _setting("bc_threshold", float, 0.5, valid=(lambda v: 0 < v < 1, "lie in (0, 1)"))
     max_distance_ref_m: float | None = _setting("max_distance_ref_m", _parse_optional_float)
 
     out: str | None = _setting("out", _parse_optional_str)
     input: str | None = _setting("input", _parse_optional_str)
     endpoint: str | None = _setting("endpoint", _parse_optional_str)
-    chunk_samples: int = _setting("chunk_samples", int, 4096)
+    chunk_samples: int = _setting("chunk_samples", int, 4096, valid=_AT_LEAST_1)
     timeout: float = _setting("timeout", float, 10.0)
 
     explicit: set = field(default_factory=set, repr=False, compare=False)

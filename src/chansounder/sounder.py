@@ -200,8 +200,10 @@ class CaptureStream:
     whole-stream composition bit for bit.  Without Doppler taps the
     taps and cable are computed once, over the ring-up plus one sequence
     period (the channel output repeats with the stimulus from sample
-    ``model.max_delay()`` on), and every block is cut from that; with no
-    CFO and no noise, from its quantized copy.  With a Doppler tap each
+    ``model.max_delay()`` on), and every block is a slice of one run that
+    repeats that period up to the longest block's reach; with no CFO and
+    no noise the run is quantized, so such blocks are read-only views of
+    one shared array (copy one before writing to it).  With a Doppler tap each
     block runs the channel over the ``model.max_delay()`` stimulus
     samples before it onward.  CFO, noise, the damage and quantization
     run per block.  ``fs`` and ``f_c`` describe every block, as they
@@ -216,28 +218,40 @@ class CaptureStream:
     events: list[TriggerEvent]
     chunk_samples: int
 
+    def _static_run(self, channel: chansim.ChannelModel, quantize: bool) -> np.ndarray:
+        """The static ``channel``'s output (quantized, when asked and
+        possible) from sample 0 to the end of the longest block that can
+        start in the ring-up plus one period, made read-only."""
+        n, lead = self.seq.n_seq, self.model.max_delay()
+        # The stimulus repeats with period n, so the output of static taps
+        # and the cable does too from sample `lead` on: the channel runs
+        # once, over the ring-up plus one period, and the rest repeats that.
+        x = stimulate_capture(self.seq, self.n_samples // n, self.fs, self.f_c, 0, min(self.n_samples, n + lead))
+        frame = chansim.apply_channel(x, channel)
+        del x
+        if quantize:
+            try:
+                frame = quantize_capture(frame)
+            except ValueError:
+                pass  # the block that holds the sample raises, as without the shortcut
+        run = np.empty(min(self.n_samples, lead + n + self.chunk_samples - 1), frame.samples.dtype)
+        run[: len(frame)] = frame.samples
+        for p in range(len(frame), len(run), n):
+            run[p : p + n] = run[p - n : p][: len(run) - p]
+        run.flags.writeable = False
+        return run
+
     def __iter__(self) -> Iterator[IqFrame]:
         n, lead = self.seq.n_seq, self.model.max_delay()
         n_reps = self.n_samples // n
         cfo, snr = self.model.cfo_hz, self.model.snr_db
         channel = replace(self.model, cfo_hz=0.0, snr_db=None)
-        period = None
+        run = None
         if all(tap.doppler_hz == 0 for tap in channel.taps):
-            # The stimulus repeats with period n, so the output of static
-            # taps and the cable does too from sample `lead` on: run the
-            # channel over the ring-up plus one period and cut every block
-            # from that.
-            x = stimulate_capture(self.seq, n_reps, self.fs, self.f_c, 0, min(self.n_samples, n + lead))
-            frame = chansim.apply_channel(x, channel)
-            if not cfo and snr is None:
-                try:
-                    frame = quantize_capture(frame)
-                except ValueError:
-                    pass  # the block that holds the sample raises, as without the shortcut
-            period = frame.samples
+            run = self._static_run(channel, quantize=not cfo and snr is None)
         for a in range(0, self.n_samples, self.chunk_samples):
             b = min(a + self.chunk_samples, self.n_samples)
-            if period is None:
+            if run is None:
                 s = max(0, a - lead)
                 # At least lead + 1 samples: a shorter frame would fail the tap
                 # check of apply_channel and reach np.convolve's path for inputs
@@ -247,15 +261,15 @@ class CaptureStream:
                 )
                 y = chansim.apply_channel(x, channel).samples[a - s : b - s]
             else:
-                i = np.arange(a, b)
-                y = period[np.where(i < lead, i, lead + (i - lead) % n)]
+                o = a if a < lead else lead + (a - lead) % n  # same sample of the stimulus
+                y = run[o : o + b - a]
             block = IqFrame(y, self.fs, self.f_c, a)
             if cfo:
                 block = chansim.apply_cfo(block, cfo)
             if snr is not None:
                 block = chansim.add_awgn(block, snr, self.model.seed)
             block = chansim.zero_spans(block, self.events)
-            # a block still in the capture format was cut, untouched, from the quantized period
+            # a block still in the capture format was cut, untouched, from the quantized run
             yield block if block.samples.dtype == CAPTURE_DTYPE else quantize_capture(block)
 
     def capture(self) -> IqFrame:

@@ -24,6 +24,13 @@ class TestThroughCalibrate:
         with pytest.raises(ValueError, match="gain cap"):
             through_calibrate([h], gain_cap_db=-1.0)
 
+    @pytest.mark.parametrize("cap", [float("inf"), float("nan")])
+    def test_rejects_non_finite_gain_cap(self, cap):
+        h = np.zeros(16, dtype=complex)
+        h[0] = 1.0
+        with pytest.raises(ValueError, match="gain cap must be a finite non-negative dB value"):
+            through_calibrate([h], gain_cap_db=cap)
+
     def test_inverts_known_response(self):
         n = 64
         h = np.zeros(n, dtype=complex)

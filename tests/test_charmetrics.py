@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,48 @@ def test_percentile_ordering_property(mags):
     assert stats.h10_db <= stats.h50_db <= stats.h90_db
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_percentiles_next_to_zero_bins_are_ordered_levels(data):
+    # Zero rows give whole rows of zero bins, constant rows zero every bin
+    # but DC, and a two-sample row [1, 1] the bin at fs/2.  A level whose
+    # position falls among the k -inf entries is -inf; every other level
+    # is numpy's percentile of the pooled dB values.
+    n = data.draw(st.integers(1, 16), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = data.draw(st.lists(st.sampled_from(["zero", "constant", "random"]), min_size=1, max_size=6))
+    rows = [
+        np.zeros(n) if kind == "zero"
+        else np.full(n, rng.standard_normal() + 1j * rng.standard_normal()) if kind == "constant"
+        else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for kind in kinds
+    ]
+    m = np.array(rows, dtype=complex)
+    if not np.abs(m).max() > 0:
+        m[0, 0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = cm.frequency_response_stats(frames_from_matrix(m), fs=1e6)
+    levels = [stats.h10_db, stats.h50_db, stats.h90_db]
+    assert not any(np.isnan(levels))
+    assert levels[0] <= levels[1] <= levels[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pooled = 20 * np.log10(np.abs(np.fft.fft(m, axis=1))).ravel()
+    k = np.count_nonzero(pooled == -np.inf)
+    for q, level in zip([10, 50, 90], levels):
+        pos = q / 100 * (len(pooled) - 1)
+        if pos < k - 1e-9:
+            assert level == -np.inf
+        elif pos > k + 1e-9:
+            assert level == np.percentile(pooled, q)
+
+
+def test_percentile_in_the_zero_bins_is_minus_inf():
+    stats = cm.frequency_response_stats(frames_from_matrix([[1, 1], [1, 1]]), fs=1e6)
+    assert (stats.h10_db, stats.h50_db) == (-np.inf, -np.inf)
+    assert stats.h90_db == pytest.approx(20 * math.log10(2))
+
+
 def _weights(shape):
     powers = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_subnormal=False)
     return hnp.arrays(np.float64, shape, elements=st.one_of(st.just(0.0), powers))
@@ -398,10 +441,16 @@ def _whole_matrix_metrics(m, idx, fs, t_seq):
     full = np.zeros((span, m.shape[1]), dtype=np.complex128)
     full[idx - idx[0]] = m
     spec = np.fft.fftshift(np.fft.fft(full, axis=0), axes=0)
+    # numpy's linear percentile interpolates from position (M - 1) * q; a
+    # level whose position falls among the k -inf entries is -inf
+    q = np.array([10.0, 50.0, 90.0])
+    k = np.count_nonzero(pooled_db == -np.inf)
+    with np.errstate(invalid="ignore"):
+        levels = np.percentile(pooled_db, q)
     return {
         "pdp": np.mean(np.abs(m) ** 2, axis=0),
         "mean_psd": np.fft.fftshift(np.mean(mags**2, axis=0)),
-        "levels": np.percentile(pooled_db, [10.0, 50.0, 90.0]),
+        "levels": np.where((len(pooled_db) - 1) * (q / 100) < k, -np.inf, levels),
         "power": np.abs(spec) ** 2,
         "doppler_freqs": np.fft.fftshift(np.fft.fftfreq(span, d=t_seq)),
         "span": span,
@@ -424,8 +473,6 @@ def _gapped_series(draw):
     return FrameSeries(h, idx, np.zeros(n_frames))
 
 
-# A level next to a -inf dB bin (a zero magnitude) can be nan, with this warning.
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("batch", [1, 3, 1 << 20])  # one row, uneven cuts, one batch
 @settings(max_examples=60, deadline=None)
 @given(series=_gapped_series())
@@ -440,7 +487,7 @@ def test_batched_metrics_equal_the_whole_matrix_formulas_bit_for_bit(batch, seri
     assert np.array_equal(p, want["pdp"])
     assert np.array_equal(stats.mean_psd, want["mean_psd"])
     levels = [stats.h10_db, stats.h50_db, stats.h90_db]
-    assert np.array_equal(levels, want["levels"], equal_nan=True)  # nan on both sides
+    assert np.array_equal(levels, want["levels"])
     assert np.array_equal(dmap.power, want["power"])
     assert np.array_equal(dmap.freqs_hz, want["doppler_freqs"])
     assert (dmap.n_frames, dmap.zero_filled) == (want["span"], want["missing"])

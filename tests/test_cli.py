@@ -28,6 +28,21 @@ def small_config(tmp_path, extra=""):
     return str(path)
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """The start index of every capture block made, in order."""
+    made = []
+    real = sounder.CaptureStream.__iter__
+
+    def counting(stream):
+        for block in real(stream):
+            made.append(block.start_index)
+            yield block
+
+    monkeypatch.setattr(sounder.CaptureStream, "__iter__", counting)
+    return made
+
+
 class TestSoundFlow:
     def test_calibrate_then_sound(self, tmp_path):
         cal_cfg = tmp_path / "cal.cfg"
@@ -274,19 +289,6 @@ class TestProfileBeforeCapture:
     """A missing or wrong-length calibration profile fails before any
     capture block is made, and before a capture is read or received."""
 
-    @pytest.fixture
-    def blocks(self, monkeypatch):
-        made = []
-        real = sounder.CaptureStream.__iter__
-
-        def counting(stream):
-            for block in real(stream):
-                made.append(block.start_index)
-                yield block
-
-        monkeypatch.setattr(sounder.CaptureStream, "__iter__", counting)
-        return made
-
     @staticmethod
     def profile(tmp_path, kind):
         if kind == "missing":
@@ -341,6 +343,44 @@ class TestProfileBeforeCapture:
         with pytest.raises(OSError):
             wire.consume_correlation("127.0.0.1:9", cfg)
         assert received == [] and not list(tmp_path.glob("run*"))
+
+
+class TestRangeChecksAtParseTime:
+    """A key whose value is out of range fails where it is set, before
+    any capture block is made or any file written."""
+
+    @pytest.mark.parametrize("command", ["sound", "calibrate", "stimulate"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bc_threshold", "2"),
+            ("bc_threshold", "0"),
+            ("bc_threshold", "nan"),
+            ("corrupt_span", "0"),
+            ("chunk_samples", "0"),
+            ("chunk_samples", "-4096"),
+            ("gain_cap_db", "inf"),
+            ("gain_cap_db", "-1"),
+            ("gain_cap_db", "nan"),
+            ("dc_suppression_hz", "-5"),
+            ("dc_suppression_hz", "nan"),
+        ],
+    )
+    def test_out_of_range_value_fails_at_its_line(self, tmp_path, capsys, blocks, command, key, value):
+        cfg = small_config(tmp_path, f"{key} = {value}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert f"camp.cfg:6: {key} must" in capsys.readouterr().err
+        assert blocks == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("bc_threshold", "0.999"), ("corrupt_span", "1"), ("chunk_samples", "1"),
+         ("gain_cap_db", "0"), ("dc_suppression_hz", "0")],
+    )
+    def test_edge_of_the_range_is_accepted(self, tmp_path, key, value):
+        cfg = small_config(tmp_path, f"{key} = {value}\n")
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
 
 class TestErrorPaths:

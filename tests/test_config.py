@@ -1,9 +1,12 @@
 """Campaign configuration parsing tests."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chansounder.config import _KEYS, CampaignConfig, load_config
 
@@ -274,6 +277,53 @@ class TestValueChecksAtTheirLine:
         ],
     )
     def test_bad_value_names_file_and_line(self, tmp_path, line, message):
+        path = write(tmp_path / "c.cfg", f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            load_config(path)
+
+
+#: The keys checked against a range where they are set, with that range.
+RANGES = {
+    "bc_threshold": lambda v: 0 < v < 1,
+    "corrupt_span": lambda v: v >= 1,
+    "chunk_samples": lambda v: v >= 1,
+    "gain_cap_db": lambda v: 0 <= v < math.inf,
+    "dc_suppression_hz": lambda v: v >= 0,
+}
+
+
+class TestRangeChecks:
+    @given(
+        key=st.sampled_from(sorted(RANGES)),
+        text=st.one_of(
+            st.integers(-5, 5).map(str),
+            st.floats().map(repr),
+            st.sampled_from(["inf", "-inf", "nan", "1e400", "0.5", "", "x"]),
+        ),
+    )
+    def test_any_text_sets_an_in_range_value_or_fails_at_its_flag(self, key, text):
+        cfg = CampaignConfig()
+        name, _ = _KEYS[key]
+        before = getattr(cfg, name)
+        try:
+            cfg.set_key(key, text, "--where")
+        except ValueError as exc:
+            assert str(exc).startswith("--where: ")
+            assert getattr(cfg, name) == before and key not in cfg.explicit
+        else:
+            assert RANGES[key](getattr(cfg, name))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bc_threshold = 1", "bc_threshold must lie in (0, 1), got 1.0"),
+            ("corrupt_span = 0", "corrupt_span must be at least 1, got 0"),
+            ("chunk_samples = -1", "chunk_samples must be at least 1, got -1"),
+            ("gain_cap_db = inf", "gain_cap_db must be finite and non-negative, got inf"),
+            ("dc_suppression_hz = nan", "dc_suppression_hz must be non-negative, got nan"),
+        ],
+    )
+    def test_out_of_range_value_names_file_and_line(self, tmp_path, line, message):
         path = write(tmp_path / "c.cfg", f"seed = 1\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             load_config(path)

@@ -1,6 +1,9 @@
 """Pipeline stage tests: stimulation, gating, correlation, normalization,
 timestamps, profile correction, and the composed offline run."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -526,12 +529,17 @@ class TestCaptureStream:
         # at the ring-up or one period past it find an off-by-one there
         cfg = draw_campaign(data, static=True, min_reps=2)
         n_seq, lead = cfg.make_sequence().n_seq, cfg.channel_model().max_delay()
+        total = cfg.num_sequences() * n_seq
         cfg.chunk_samples = data.draw(
             st.one_of(
                 st.sampled_from(
                     [max(1, c) for c in (lead - 1, lead, lead + 1, n_seq + lead - 1, n_seq + lead, n_seq + lead + 1)]
                 ),
                 st.integers(1, 3 * n_seq),
+                # about the whole stream: the run is capped at the stream's end
+                st.sampled_from([total - 1, total, total + 1]),
+                # just past the run's ring-up plus one period
+                st.integers(lead + n_seq, lead + n_seq + 8),
             ),
             label="chunk_samples",
         )
@@ -554,6 +562,56 @@ class TestCaptureStream:
         calls.clear()
         cfg.channel_taps = [(0, 1, 0.0), (40, 0.5j, 2000.0)]
         assert len(list(capture_stream(cfg))) == n_blocks == len(calls)
+
+    def test_static_blocks_are_read_only_views_of_one_run(self):
+        cfg = CampaignConfig(length=64, n_sequences=5, snr_db=None, chunk_samples=50)
+        blocks = list(capture_stream(cfg))
+        run = blocks[0].samples.base
+        assert run is not None and all(b.samples.base is run for b in blocks)
+        for b in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                b.samples[0] = 0
+
+    @staticmethod
+    def tcp_link_shaped(n_sequences):
+        cfg = CampaignConfig(length=4096, n_sequences=n_sequences, snr_db=None, chunk_samples=1000)
+        cfg.channel_taps = [(0, 1, 0.0), (5, 0.3j, 0.0), (40, 0.1, 0.0)]
+        return cfg
+
+    def test_static_stream_holds_the_run_and_a_constant_per_block(self):
+        list(capture_stream(self.tcp_link_shaped(2)))  # first-use allocations outside the trace
+        stream = capture_stream(self.tcp_link_shaped(40))
+        run_bytes = (stream.model.max_delay() + 4096 + 1000 - 1) * np.dtype(np.complex64).itemsize
+        tracemalloc.start()
+        try:
+            blocks = iter(stream)
+            next(blocks)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            n_blocks = 1 + sum(1 for _ in blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_blocks == 164
+        assert held <= run_bytes + 4096, f"{held} B held for a {run_bytes} B run"
+        # a block copied out of the run would take 8,000 B
+        assert peak - held <= 4096, f"{peak - held} B per block"
+
+    def test_a_block_longer_than_the_stream_holds_no_more_than_the_stream(self):
+        cfg = CampaignConfig(length=1024, n_sequences=4, snr_db=None, chunk_samples=2**40)
+        list(capture_stream(replace(cfg, n_sequences=1)))  # first-use allocations outside the trace
+        stream = capture_stream(cfg)
+        tracemalloc.start()
+        try:
+            blocks = list(stream)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(b) for b in blocks] == [4096]
+        # the complex64 stream itself, and at the peak the stream's size
+        # in the complex128 samples the channel works in
+        assert held <= 4096 * 8 + 2048, f"{held} B held"
+        assert peak <= 4096 * 16, f"{peak} B at the peak"
 
     def test_non_finite_sample_fails_in_its_own_block(self):
         # samples 0..4 see only the unit tap; the 1e40 tap overflows float32
