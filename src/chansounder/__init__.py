@@ -10,8 +10,6 @@ processes linked by a byte-exact IQ wire protocol.
 
 from .calib import (
     CalibrationProfile,
-    DownsampledResponse,
-    downsample_lowpass,
     identity_profile,
     remove_dc_bias,
     through_calibrate,
@@ -30,25 +28,21 @@ from .charmetrics import (
     mean_delay,
     measured_dynamic_range,
     pdp,
-    ple_estimate,
     rms_delay_spread,
 )
 from .config import CampaignConfig, load_config
-from .corrmath import CorrelationResult, acf, ccf, fast_pccf, pacf, pccf
+from .corrmath import fast_pccf
 from .frames import FrameSeries, ImpulseResponseFrame, IqFrame, TriggerEvent
 from .seqgen import (
     Sequence,
     bind_rate,
     descriptor,
-    dynamic_range_analytic,
     from_descriptor,
     generate_fzc,
     generate_mls,
-    papr,
 )
 from .sounder import (
     correct_ftt,
-    correlate_sequence,
     frames_from_capture,
     measurement_time,
     normalize,
@@ -65,31 +59,24 @@ __all__ = [
     "ChannelModel",
     "ChannelTap",
     "CharacterizationReport",
-    "CorrelationResult",
     "DopplerMap",
-    "DownsampledResponse",
     "FrameSeries",
     "ImpulseResponseFrame",
     "IqFrame",
     "Sequence",
     "TriggerEvent",
-    "acf",
     "add_awgn",
     "apply_cfo",
     "apply_channel",
     "bind_rate",
-    "ccf",
     "characterize",
     "coherence_bandwidth",
     "coherence_time",
     "correct_ftt",
-    "correlate_sequence",
     "descriptor",
     "doppler_map",
     "doppler_spread",
     "doppler_to_speed",
-    "downsample_lowpass",
-    "dynamic_range_analytic",
     "fast_pccf",
     "frames_from_capture",
     "from_descriptor",
@@ -103,11 +90,7 @@ __all__ = [
     "measured_dynamic_range",
     "measurement_time",
     "normalize",
-    "pacf",
-    "papr",
-    "pccf",
     "pdp",
-    "ple_estimate",
     "remove_dc_bias",
     "rms_delay_spread",
     "run_sounding",

@@ -10,12 +10,10 @@ Inversion gain is capped (default +40 dB) so near-zero bins do not blow
 up the noise floor; clamped bins keep their phase and are recorded in
 the profile.
 
-Two further clean-up steps live here because they are correction-side
-concerns: DC-bias removal (receiver LO leakage shows up as a spectral
-line at 0 Hz; the affected bins are faded out and linearly
-re-interpolated from their neighbours) and PSD-threshold down-sampling
-(keep only the contiguous occupied band around the spectral peak and
-reduce the effective rate accordingly).
+DC-bias removal lives here too, because it is a correction-side
+concern: receiver LO leakage shows up as a spectral line at 0 Hz, and
+the affected bins are faded out and linearly re-interpolated from their
+neighbours.
 """
 
 from __future__ import annotations
@@ -169,77 +167,3 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
     if is_frame:
         return replace(x, h=np.fft.ifft(spec, axis=-1, out=spec))
     return spec
-
-
-@dataclass
-class DownsampledResponse:
-    """Band-extracted impulse response at a reduced effective rate."""
-
-    h: np.ndarray
-    rate_hz: float
-    cutoff_hz: float
-    band_center_hz: float
-    band_bins: int
-
-
-def downsample_lowpass(x, threshold_db: float, fs: float) -> DownsampledResponse:
-    """Extract the occupied spectral band and drop the empty rest.
-
-    Starting from the PSD maximum, the band grows outward (circularly)
-    while the PSD stays within ``threshold_db`` of the maximum;
-    ``threshold_db`` must be negative.  The band's bins are cut out of
-    the centered spectrum and returned as a shorter response whose
-    effective rate is ``fs * band_bins / n``.  Amplitudes follow the
-    decimation convention (spectrum scaled by ``band_bins / n``), so a
-    tap that survives in-band keeps its time-domain gain and total
-    energy never grows.  A spectrally flat input comes back at full
-    rate, unchanged.
-    """
-    if not threshold_db < 0:
-        raise ValueError(f"threshold must be negative dB, got {threshold_db}")
-
-    h = np.asarray(x.h if isinstance(x, ImpulseResponseFrame) else x, dtype=np.complex128)
-    if h.ndim != 1 or len(h) == 0:
-        raise ValueError("response must be a non-empty 1-d vector")
-    n = len(h)
-
-    shifted = np.fft.fftshift(np.fft.fft(h))
-    psd = np.abs(shifted) ** 2
-    peak = psd.max()
-    if peak == 0.0:
-        raise ValueError("cannot locate an occupied band in an all-zero response")
-    limit = peak * 10.0 ** (threshold_db / 10.0)
-
-    p = int(np.argmax(psd))
-    lo = p
-    while psd[(lo - 1) % n] >= limit and p - lo < n - 1:
-        lo -= 1
-    hi = p
-    while psd[(hi + 1) % n] >= limit and (hi - lo) < n - 1:
-        hi += 1
-    band = np.arange(lo, hi + 1) % n
-    band_bins = len(band)
-
-    if band_bins == n:
-        # Fully occupied spectrum: nothing to cut, return as-is.
-        return DownsampledResponse(
-            h=h.copy(),
-            rate_hz=fs,
-            cutoff_hz=fs / 2.0,
-            band_center_hz=0.0,
-            band_bins=n,
-        )
-
-    segment = shifted[band]
-    # band_bins / n is the decimation gain: in-band tap amplitudes stay put.
-    h_out = np.fft.ifft(np.fft.ifftshift(segment)) * (band_bins / n)
-
-    df = fs / n
-    center_bin = (lo + hi) / 2.0 - n // 2
-    return DownsampledResponse(
-        h=h_out,
-        rate_hz=fs * band_bins / n,
-        cutoff_hz=band_bins * df / 2.0,
-        band_center_hz=center_bin * df,
-        band_bins=band_bins,
-    )

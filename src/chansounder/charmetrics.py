@@ -298,33 +298,6 @@ def max_distance_estimate(dynamic_range_db: float, d_ref_m: float) -> float:
     return d_ref_m * 10.0 ** (dynamic_range_db / 20.0)
 
 
-def ple_estimate(
-    distances_m,
-    gain_db,
-    tx_gain_dbi: float = 0.0,
-    rx_gain_dbi: float = 0.0,
-) -> float:
-    """Path-loss exponent from gain measurements at several distances.
-
-    ``gain_db`` holds the measured end-to-end channel gains (usually
-    negative); antenna gains are stripped before the fit.  The exponent
-    is the least-squares slope of path loss against ``10 * log10(d)``.
-    Needs at least two distinct distances.
-    """
-    d = np.asarray(distances_m, dtype=np.float64)
-    g = np.asarray(gain_db, dtype=np.float64)
-    if d.shape != g.shape or d.ndim != 1:
-        raise ValueError("distances and gains must be 1-d vectors of equal length")
-    if len(d) < 2 or np.unique(d).size < 2:
-        raise ValueError("path-loss fit needs at least two distinct distances")
-    if not np.all(d > 0):
-        raise ValueError("distances must be positive")
-    loss = tx_gain_dbi + rx_gain_dbi - g
-    x = 10.0 * np.log10(d)
-    slope, _ = np.polyfit(x, loss, 1)
-    return float(slope)
-
-
 @dataclass
 class CharacterizationReport:
     """Aggregate of the full metric suite for one frame series."""

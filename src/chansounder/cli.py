@@ -194,7 +194,7 @@ def cmd_calibrate(cfg: CampaignConfig) -> int:
 def cmd_characterize(cfg: CampaignConfig) -> int:
     path = _require(cfg.input, "--input")
     frames, meta = framestore.read_frames(path)
-    sys.stdout.write(_characterize(cfg, frames, 1.0 / meta.t_s))
+    sys.stdout.write(_characterize(cfg, frames, meta.sample_rate))
     return 0
 
 

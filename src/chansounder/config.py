@@ -109,6 +109,7 @@ def _checked(key: str, parse, test, rule: str):
 
 _AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
 _NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "be positive and finite")
 
 
 def _setting(key: str, parse, default=None, factory=None, valid=None):
@@ -136,7 +137,11 @@ class CampaignConfig:
     sample_rate: float = _setting("sample_rate", float, 1_000_000.0)
     center_frequency: float = _setting("center_frequency", float, 5.8e9)
     n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200)
-    duration: float | None = _setting("duration", _parse_optional_float)
+    duration: float | None = _setting(
+        "duration",
+        _parse_optional_float,
+        valid=(lambda v: v is None or 0 < v < math.inf, "be none or positive and finite"),
+    )
 
     channel_taps: list[tuple] = _setting(
         "channel.taps",
@@ -171,7 +176,7 @@ class CampaignConfig:
     input: str | None = _setting("input", _parse_optional_str)
     endpoint: str | None = _setting("endpoint", _parse_optional_str)
     chunk_samples: int = _setting("chunk_samples", int, 4096, valid=_AT_LEAST_1)
-    timeout: float = _setting("timeout", float, 10.0)
+    timeout: float = _setting("timeout", float, 10.0, valid=_POSITIVE_FINITE)
 
     explicit: set = field(default_factory=set, repr=False, compare=False)
 
@@ -238,7 +243,10 @@ class CampaignConfig:
             return self.n_sequences
         if self.duration is not None:
             t_seq = self.make_sequence().n_seq / self.sample_rate
-            n = int(round(self.duration / t_seq))
+            periods = self.duration / t_seq
+            if periods == math.inf:
+                raise ValueError(f"duration {self.duration} s is more sequence periods than a float holds")
+            n = int(round(periods))
             if n < 1:
                 raise ValueError(
                     f"duration {self.duration} s is shorter than one sequence period"

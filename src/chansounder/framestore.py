@@ -140,6 +140,19 @@ class FrameSeriesMeta:
     calibration: str
     total_sequences: int
 
+    @property
+    def sample_rate(self) -> float:
+        """The rate the series was written at: the header stores only its
+        reciprocal ``t_s``, so this is the shortest decimal (1 to 17
+        significant digits) whose reciprocal is ``t_s``, and ``1 / t_s``
+        when none is."""
+        rate = 1.0 / self.t_s
+        for digits in range(1, 18):
+            c = float(f"{rate:.{digits}g}")
+            if 1.0 / c == self.t_s:
+                return c
+        return rate
+
 
 def _record_dtype(n_seq: int) -> np.dtype:
     """One frame-series record; its fields are the :class:`FrameSeries` fields."""

@@ -16,8 +16,8 @@ Two families are provided, both with constant envelope (PAPR of one):
   under carrier frequency offset.
 
 The ``v_oop`` attribute of a generated :class:`Sequence` records the
-out-of-peak autocorrelation value (-1 for MLS, 0 for FZC); downstream
-stages use it to report the achievable dynamic range ``N - |v_oop|``.
+out-of-peak autocorrelation value (-1 for MLS, 0 for FZC), which sets
+the achievable dynamic range ``N - |v_oop|``.
 """
 
 from __future__ import annotations
@@ -227,20 +227,6 @@ def generate_fzc(n_seq: int, u: int) -> Sequence:
         params={"n": int(n_seq), "u": int(u)},
         v_oop=0.0,
     )
-
-
-def papr(seq: "Sequence | np.ndarray") -> float:
-    """Peak-to-average power ratio of a sequence (linear, not dB)."""
-    x = seq.samples if isinstance(seq, Sequence) else np.asarray(seq)
-    if len(x) == 0:
-        raise ValueError("cannot compute PAPR of an empty sequence")
-    p = np.abs(x) ** 2
-    return float(p.max() / p.mean())
-
-
-def dynamic_range_analytic(seq: Sequence) -> float:
-    """Achievable correlation dynamic range ``N - |v_oop|`` (linear)."""
-    return seq.n_seq - abs(seq.v_oop)
 
 
 def descriptor(seq: Sequence) -> str:

@@ -97,17 +97,6 @@ def sequence_gate(
     return (blocks if keep.all() else blocks[keep]), kept
 
 
-def correlate_sequence(block: np.ndarray, seq: Sequence) -> np.ndarray:
-    """Periodic cross-correlation of one period, or of each row of a
-    block matrix, against the reference."""
-    block = np.atleast_1d(block)
-    if block.shape[-1] != seq.n_seq:
-        raise ValueError(
-            f"period block has {block.shape[-1]} samples, sequence needs {seq.n_seq}"
-        )
-    return fast_pccf(block, seq.samples).values
-
-
 def normalize(y_corr: np.ndarray, n_seq: int, out: np.ndarray | None = None) -> np.ndarray:
     """Scale raw correlation to channel-gain units (divide by N).
 
@@ -172,7 +161,7 @@ def frames_from_capture(
     blocks, kept = sequence_gate(capture, events, n_seq)
     if discard_first and kept[:1] == [0]:
         blocks, kept = blocks[1:], kept[1:]
-    h = correlate_sequence(blocks, seq)
+    h = fast_pccf(blocks, seq.samples)
     index = np.asarray(kept, dtype=np.int64)
     series = FrameSeries(
         h=normalize(h, n_seq, out=h),
@@ -357,14 +346,20 @@ def sound_campaign(config) -> tuple[FrameSeries, int, list[TriggerEvent]]:
     """Full single-process sounding run driven by a campaign config.
 
     The calibration profile is read, and its length checked against the
-    sequence, before any capture block is made; then the capture of
-    :func:`capture_stream` goes through :func:`correlate_campaign`.
-    Returns the frames, the period count and the stamped trigger events.
+    sequence, and the DC suppression band against the sample rate, before
+    any capture block is made; then the capture of :func:`capture_stream`
+    goes through :func:`correlate_campaign`.  Returns the frames, the
+    period count and the stamped trigger events.
     """
     profile = config.load_profile()
     stream = capture_stream(config)
     if profile is not None:
         profile.check_length(stream.seq.n_seq)
+    if not config.dc_suppression_hz < stream.fs / 4:
+        raise ValueError(
+            f"dc_suppression_hz = {config.dc_suppression_hz} must lie below "
+            f"sample_rate / 4 = {stream.fs / 4}"
+        )
     frames, total = correlate_campaign(config, stream.capture(), stream.seq, stream.events, profile)
     return frames, total, stream.events
 

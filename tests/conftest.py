@@ -1,12 +1,15 @@
 """Shared test oracles and helpers.
 
-The correlation oracles below are deliberately written as plain Python
+The correlation oracles below are the package's only direct-sum
+reference forms.  They are deliberately written as plain Python
 loops over Python complex numbers, independent of the package's numpy
 implementations, so the two can disagree.
 """
 
 import numpy as np
 import pytest
+
+from chansounder.config import _KEYS
 
 
 def oracle_pccf(a, b):
@@ -28,21 +31,6 @@ def oracle_pacf(a):
     return oracle_pccf(a, a)
 
 
-def oracle_ccf(a, b):
-    """Aperiodic cross-correlation, lags -(Nb-1) .. (Na-1)."""
-    a = [complex(v) for v in a]
-    b = [complex(v) for v in b]
-    out = []
-    for k in range(-(len(b) - 1), len(a)):
-        acc = 0j
-        for i in range(len(a)):
-            j = i - k
-            if 0 <= j < len(b):
-                acc += a[i] * b[j].conjugate()
-        out.append(acc)
-    return out
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -50,3 +38,8 @@ def rng():
 
 def random_complex(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def range_checked_keys():
+    """The config keys whose parser carries a range check (``_setting(valid=)``)."""
+    return {key for key, (_, parse) in _KEYS.items() if parse.__qualname__.startswith("_checked.")}

@@ -1,12 +1,10 @@
-"""Calibration tests: spectral inversion with gain cap, DC-bias removal,
-PSD-threshold down-sampling."""
+"""Calibration tests: spectral inversion with gain cap and DC-bias removal."""
 
 import numpy as np
 import pytest
 
 from chansounder.calib import (
     CalibrationProfile,
-    downsample_lowpass,
     identity_profile,
     remove_dc_bias,
     through_calibrate,
@@ -161,41 +159,3 @@ class TestRemoveDcBias:
         assert out.t_i == 3e-3
         assert out.sequence_index == 7
         assert out.corrected
-
-
-class TestDownsample:
-    def test_brickwall_half_band(self):
-        n = 128
-        fs = 1e6
-        shifted = np.zeros(n, dtype=complex)
-        shifted[n // 4 : 3 * n // 4] = 1.0  # centered half band
-        h = np.fft.ifft(np.fft.ifftshift(shifted))
-        out = downsample_lowpass(h, -30.0, fs)
-        assert out.band_bins == n // 2
-        assert out.rate_hz == pytest.approx(fs / 2)
-        assert out.cutoff_hz == pytest.approx(fs / 4)
-        assert len(out.h) == n // 2
-        # decimation keeps the tap amplitude
-        assert abs(out.h[0] - h[0]) < 1e-12
-
-    def test_flat_spectrum_full_rate(self):
-        n = 64
-        h = np.zeros(n, dtype=complex)
-        h[0] = 1.0  # flat PSD
-        out = downsample_lowpass(h, -3.0, 1e6)
-        assert out.band_bins == n
-        assert out.rate_hz == 1e6
-        assert np.allclose(out.h, h, atol=1e-12)
-
-    def test_energy_never_increases(self, rng):
-        fs = 1e6
-        for _ in range(10):
-            h = random_complex(rng, 64)
-            out = downsample_lowpass(h, -6.0, fs)
-            assert np.sum(np.abs(out.h) ** 2) <= np.sum(np.abs(h) ** 2) * (1 + 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="negative"):
-            downsample_lowpass(np.ones(8, dtype=complex), 3.0, 1e6)
-        with pytest.raises(ValueError, match="all-zero"):
-            downsample_lowpass(np.zeros(8, dtype=complex), -3.0, 1e6)

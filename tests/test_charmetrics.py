@@ -217,18 +217,6 @@ class TestConversions:
         with pytest.raises(ValueError):
             cm.max_distance_estimate(40.0, 0.0)
 
-    def test_ple_recovers_synthetic_exponent(self):
-        d = np.array([1.0, 2.0, 5.0, 10.0, 50.0])
-        n_true = 2.7
-        loss = 40.0 + 10.0 * n_true * np.log10(d)
-        gains = -(loss - 2.0 - 3.0)  # antenna gains folded into measurement
-        got = cm.ple_estimate(d, gains, tx_gain_dbi=2.0, rx_gain_dbi=3.0)
-        assert got == pytest.approx(n_true, rel=1e-9)
-
-    def test_ple_needs_two_distances(self):
-        with pytest.raises(ValueError, match="two distinct"):
-            cm.ple_estimate(np.array([5.0, 5.0]), np.array([-40.0, -41.0]))
-
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -13,6 +13,8 @@ from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import load_config
 from chansounder.frames import IqFrame
 
+from conftest import range_checked_keys
+
 
 def small_config(tmp_path, extra=""):
     """A quick campaign: short sequence, few repetitions, static channel."""
@@ -99,6 +101,17 @@ class TestSoundFlow:
         text = capsys.readouterr().out
         assert "rms_delay_spread_s" in text
         assert open(rep + ".report.txt").read() == text
+
+    def test_characterize_reports_the_rate_sound_reported(self, tmp_path, capsys):
+        # 1 / t_s is 7000000.000000001 for 7 MS/s; the header's t_s must
+        # still give back the configured rate.
+        out = str(tmp_path / "run")
+        assert main(["sound", "--config", small_config(tmp_path, "sample_rate = 7e6\n"), "--out", out]) == 0
+        capsys.readouterr()
+        rep = str(tmp_path / "again")
+        assert main(["characterize", "--input", out + ".frames", "--out", rep]) == 0
+        assert "sample_rate_hz = 7000000.0\n" in capsys.readouterr().out
+        assert open(rep + ".report.txt", "rb").read() == open(out + ".report.txt", "rb").read()
 
 
 class TestStimulateCorrelate:
@@ -345,27 +358,36 @@ class TestProfileBeforeCapture:
         assert received == [] and not list(tmp_path.glob("run*"))
 
 
+#: Out-of-range values, at least one for every range-checked config key.
+OUT_OF_RANGE = [
+    ("bc_threshold", "2"),
+    ("bc_threshold", "0"),
+    ("bc_threshold", "nan"),
+    ("corrupt_span", "0"),
+    ("chunk_samples", "0"),
+    ("chunk_samples", "-4096"),
+    ("gain_cap_db", "inf"),
+    ("gain_cap_db", "-1"),
+    ("gain_cap_db", "nan"),
+    ("dc_suppression_hz", "-5"),
+    ("dc_suppression_hz", "nan"),
+    ("duration", "inf"),
+    ("duration", "0"),
+    ("duration", "-1"),
+    ("duration", "nan"),
+    ("timeout", "nan"),
+    ("timeout", "-1"),
+    ("timeout", "0"),
+    ("timeout", "inf"),
+]
+
+
 class TestRangeChecksAtParseTime:
     """A key whose value is out of range fails where it is set, before
     any capture block is made or any file written."""
 
     @pytest.mark.parametrize("command", ["sound", "calibrate", "stimulate"])
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("bc_threshold", "2"),
-            ("bc_threshold", "0"),
-            ("bc_threshold", "nan"),
-            ("corrupt_span", "0"),
-            ("chunk_samples", "0"),
-            ("chunk_samples", "-4096"),
-            ("gain_cap_db", "inf"),
-            ("gain_cap_db", "-1"),
-            ("gain_cap_db", "nan"),
-            ("dc_suppression_hz", "-5"),
-            ("dc_suppression_hz", "nan"),
-        ],
-    )
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
     def test_out_of_range_value_fails_at_its_line(self, tmp_path, capsys, blocks, command, key, value):
         cfg = small_config(tmp_path, f"{key} = {value}\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -373,13 +395,33 @@ class TestRangeChecksAtParseTime:
         assert blocks == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
 
+    def test_the_table_walks_every_range_checked_key(self):
+        assert {key for key, _ in OUT_OF_RANGE} == range_checked_keys()
+
     @pytest.mark.parametrize(
         "key, value",
         [("bc_threshold", "0.999"), ("corrupt_span", "1"), ("chunk_samples", "1"),
-         ("gain_cap_db", "0"), ("dc_suppression_hz", "0")],
+         ("gain_cap_db", "0"), ("dc_suppression_hz", "0"), ("duration", "1e-3"),
+         ("duration", "none"), ("timeout", "1e-9")],
     )
     def test_edge_of_the_range_is_accepted(self, tmp_path, key, value):
         cfg = small_config(tmp_path, f"{key} = {value}\n")
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("command", ["sound", "calibrate"])
+    @pytest.mark.parametrize("dc_hz", ["250000", "1e9"])
+    def test_dc_band_at_or_above_a_quarter_of_the_rate_fails_before_a_block(
+        self, tmp_path, capsys, blocks, command, dc_hz
+    ):
+        cfg = small_config(tmp_path, f"channel.taps = 0:1\ndc_suppression_hz = {dc_hz}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "dc_suppression_hz" in err and "sample_rate / 4 = 250000.0" in err
+        assert blocks == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    def test_dc_band_just_below_a_quarter_of_the_rate_runs(self, tmp_path):
+        cfg = small_config(tmp_path, "dc_suppression_hz = 249999\n")
         assert main(["sound", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
 

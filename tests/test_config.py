@@ -5,10 +5,12 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder.config import _KEYS, CampaignConfig, load_config
+
+from conftest import range_checked_keys
 
 
 def write(path, text):
@@ -289,10 +291,15 @@ RANGES = {
     "chunk_samples": lambda v: v >= 1,
     "gain_cap_db": lambda v: 0 <= v < math.inf,
     "dc_suppression_hz": lambda v: v >= 0,
+    "duration": lambda v: v is None or 0 < v < math.inf,
+    "timeout": lambda v: 0 < v < math.inf,
 }
 
 
 class TestRangeChecks:
+    def test_every_range_checked_key_has_its_range_here(self):
+        assert set(RANGES) == range_checked_keys()
+
     @given(
         key=st.sampled_from(sorted(RANGES)),
         text=st.one_of(
@@ -321,12 +328,46 @@ class TestRangeChecks:
             ("chunk_samples = -1", "chunk_samples must be at least 1, got -1"),
             ("gain_cap_db = inf", "gain_cap_db must be finite and non-negative, got inf"),
             ("dc_suppression_hz = nan", "dc_suppression_hz must be non-negative, got nan"),
+            ("duration = inf", "duration must be none or positive and finite, got inf"),
+            ("duration = 0", "duration must be none or positive and finite, got 0.0"),
+            ("timeout = nan", "timeout must be positive and finite, got nan"),
+            ("timeout = -1", "timeout must be positive and finite, got -1.0"),
         ],
     )
     def test_out_of_range_value_names_file_and_line(self, tmp_path, line, message):
         path = write(tmp_path / "c.cfg", f"seed = 1\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             load_config(path)
+
+
+class TestSetKey:
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    @settings(max_examples=40)
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.floats().map(repr),
+            st.integers().map(str),
+            st.sampled_from(["none", "inf", "nan", "1e400", "0:1:2", "5:overflow", "1,2", "fzc", "yes"]),
+        ),
+    )
+    def test_any_text_sets_the_field_or_raises_value_error(self, key, text):
+        cfg = CampaignConfig()
+        name, parse = _KEYS[key]
+        before = repr(getattr(cfg, name))
+        try:
+            cfg.set_key(key, text, "--where")
+        except ValueError as exc:
+            assert str(exc).startswith("--where: ")
+            assert repr(getattr(cfg, name)) == before and key not in cfg.explicit
+        else:
+            assert repr(getattr(cfg, name)) == repr(parse(text)) and key in cfg.explicit
+
+    def test_a_duration_too_long_to_count_fails_with_value_error(self):
+        cfg = CampaignConfig()
+        cfg.set_key("duration", "1e308", "--duration")
+        with pytest.raises(ValueError, match="more sequence periods than a float holds"):
+            cfg.num_sequences()
 
 
 class TestExplicitTracking:

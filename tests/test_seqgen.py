@@ -18,11 +18,9 @@ from chansounder.seqgen import (
     Sequence,
     bind_rate,
     descriptor,
-    dynamic_range_analytic,
     from_descriptor,
     generate_fzc,
     generate_mls,
-    papr,
 )
 
 from conftest import oracle_pacf
@@ -89,12 +87,6 @@ class TestMls:
         with pytest.raises(ValueError):
             generate_mls(5, taps=(0, 5))
 
-    def test_papr_exactly_one(self):
-        assert papr(generate_mls(10)) == 1.0
-
-    def test_dynamic_range(self):
-        assert dynamic_range_analytic(generate_mls(10)) == 1022.0
-
 
 class TestFzc:
     def test_n3_frozen_values(self):
@@ -149,15 +141,6 @@ class TestFzc:
             generate_fzc(8, 0)
         with pytest.raises(ValueError):
             generate_fzc(8, -3)
-
-    def test_papr_is_one(self):
-        assert papr(generate_fzc(1024, 7)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_papr_counterexample(self):
-        assert papr(np.array([1.0, 2.0])) == pytest.approx(1.6)
-
-    def test_dynamic_range_full(self):
-        assert dynamic_range_analytic(generate_fzc(1024, 7)) == 1024.0
 
     def test_long_sequence_phase_stays_exact(self):
         # The phase numerator is reduced in integer arithmetic, so even
