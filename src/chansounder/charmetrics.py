@@ -15,6 +15,7 @@ be rejected or zero-filled, chosen explicitly by the caller.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: Rows (or columns) per FFT call: each (F, N) metric holds its one
 #: float64 result matrix plus a complex batch of this many rows (columns).
 _BATCH = 32
+
+#: Numbers per call of the CSV text kernel, whatever a table's row width.
+_CSV_BATCH = 4096
 
 
 def _frame_matrix(frames) -> np.ndarray:
@@ -419,31 +423,53 @@ def report_text(report: CharacterizationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: str, header: str, first: np.ndarray, rows: np.ndarray) -> None:
-    """Write ``header``, then one line per row of ``rows`` led by the
-    matching entry of ``first``, each number as its ``repr``."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for lead, row in zip(first.tolist(), rows):
-            f.write(repr(lead) + "," + ",".join(map(repr, row.tolist())) + "\n")
+def _csv_lines(first: np.ndarray, rows: np.ndarray):
+    """Yield the text of one CSV line per row of ``rows``, led by the
+    matching entry of ``first``, ``_CSV_BATCH`` numbers at a time."""
+    # imported on first use, so that importing the package (every command
+    # and every run that writes no CSV) does not load or compile the kernel
+    from . import _floatrepr
+
+    width = rows.shape[1] + 1
+    total = len(first) * width
+    for start in range(0, total, _CSV_BATCH):
+        r, c = np.divmod(np.arange(start, min(start + _CSV_BATCH, total)), width)
+        values, inner = first[r], c > 0
+        values[inner] = rows[r[inner], c[inner] - 1]
+        yield _floatrepr.reprs(values, np.where(c == width - 1, np.uint8(ord("\n")), np.uint8(ord(","))))
+
+
+def _write_csv(path: str, header: bytes, first: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``header`` and the :func:`_csv_lines`, in binary.  Each number
+    is its ``repr`` (``float(field)`` restores it), by Schubfach (Giulietti
+    2020) with two deviations from Java's ``DoubleToDecimal``: the shorter
+    candidate tried at every length, and no scaling of small subnormals."""
+    with open(path, "wb") as f:
+        f.write(header)
+        f.writelines(_csv_lines(first, rows))
 
 
 def export_csv(report: CharacterizationReport, base_path: str) -> list[str]:
-    """Write PDP, PSD and (if present) Doppler-map CSV files.
+    """Write PDP, PSD and (if present) Doppler-map CSV files; without a
+    Doppler map, remove a stale ``.doppler.csv`` of an earlier run.
 
-    Returns the list of paths written.  Numbers are rendered with
-    ``repr`` so repeated runs produce byte-identical files.
+    Returns the list of paths written.  Numbers are their ``repr``, by
+    Schubfach with :func:`_write_csv`'s two deviations from Java (shorter
+    candidate at every length, no scaled subnormals), so repeated runs
+    produce byte-identical files.
     """
     t_s = 1.0 / report.fs
     delays = np.arange(len(report.pdp)) * t_s
     tables = [
-        (".pdp.csv", "delay_s,power", delays, report.pdp[:, None]),
-        (".psd.csv", "freq_hz,power", report.freq_stats.freqs_hz, report.freq_stats.mean_psd[:, None]),
+        (".pdp.csv", b"delay_s,power\n", delays, report.pdp[:, None]),
+        (".psd.csv", b"freq_hz,power\n", report.freq_stats.freqs_hz, report.freq_stats.mean_psd[:, None]),
     ]
     if report.doppler is not None:
         dm = report.doppler
-        header = "delay_s," + ",".join(map(repr, dm.freqs_hz.tolist()))
+        header = b"delay_s," + b"".join(_csv_lines(dm.freqs_hz[:1], dm.freqs_hz[None, 1:]))
         tables.append((".doppler.csv", header, delays, dm.power.T))
+    elif os.path.exists(base_path + ".doppler.csv"):
+        os.remove(base_path + ".doppler.csv")
     for suffix, header, first, rows in tables:
         _write_csv(base_path + suffix, header, first, rows)
     return [base_path + suffix for suffix, *_ in tables]

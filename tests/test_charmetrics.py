@@ -380,27 +380,13 @@ class TestReport:
         assert len(pdp_lines) == 17
 
     def test_export_csv_matches_per_value_repr(self, tmp_path):
-        # the rendering the one row writer replaced: one repr(float(v)) per
-        # value and the delay as i * t_s
-        rep = cm.characterize(self.make_frames(), fs=3e6)
-        paths = cm.export_csv(rep, str(tmp_path / "rep"))
-        t_s = 1.0 / rep.fs
-        dm = rep.doppler
-        want = [
-            "delay_s,power\n"
-            + "".join(f"{i * t_s!r},{float(v)!r}\n" for i, v in enumerate(rep.pdp)),
-            "freq_hz,power\n"
-            + "".join(
-                f"{float(f)!r},{float(v)!r}\n"
-                for f, v in zip(rep.freq_stats.freqs_hz, rep.freq_stats.mean_psd)
-            ),
-            "delay_s," + ",".join(repr(float(f)) for f in dm.freqs_hz) + "\n"
-            + "".join(
-                f"{tau * t_s!r}," + ",".join(repr(float(v)) for v in dm.power[:, tau]) + "\n"
-                for tau in range(dm.power.shape[1])
-            ),
-        ]
-        assert [open(p, encoding="utf-8").read() for p in paths] == want
+        # the rendering the kernel replaced: one repr(float(v)) per value
+        # and the delay as i * t_s; once on a characterized series, once on
+        # a hand-built report of zeros, subnormals, negatives, specials and
+        # values on both sides of the positional/scientific switch
+        for name, rep in (("rep", cm.characterize(self.make_frames(), fs=3e6)), ("awkward", awkward_report())):
+            paths = cm.export_csv(rep, str(tmp_path / name))
+            assert [open(p, "rb").read() for p in paths] == per_value_repr_csv(rep)
 
     def test_pdp_computed_once(self, monkeypatch):
         calls = []
@@ -416,6 +402,71 @@ class TestReport:
         assert (rep.coherence_bw_hz, rep.coherence_bw_crossed) == cm.coherence_bandwidth(
             cm.pdp(self.make_frames()), 1e6
         )
+
+
+AWKWARD = [
+    0.0, -0.0, 5e-324, 8e-323, 2.2250738585072014e-308, -1.5, 0.1, -7e-10, 1e-4, 9.999999999999999e-05,
+    1e-5, 0.00012345678901234567, 1e16, 9999999999999998.0, 1.2345678901234567e16, 1e22, -3e300,
+    123456.0, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+def awkward_report() -> cm.CharacterizationReport:
+    """A report whose tables hold every kind of text the CSV kernel lays out."""
+    values = np.array(AWKWARD)
+    n = len(values)
+    power = np.concatenate([values, -values[::-1], np.roll(values, 5)]).reshape(3, n)
+    stats = cm.FrequencyStats(freqs_hz=-values[::-1], mean_psd=values, h10_db=0.0, h50_db=0.0, h90_db=0.0)
+    dmap = cm.DopplerMap(power=power, freqs_hz=np.array([-1e-5, 0.0, 12.5]), t_seq=1e-3, n_frames=3)
+    return cm.CharacterizationReport(
+        n_frames=3, n_seq=n, fs=3e4, t_seq=n / 3e4, pdp=values, mean_delay_s=0.0,
+        rms_delay_spread_s=0.0, freq_stats=stats, coherence_bw_hz=0.0, coherence_bw_crossed=False,
+        dynamic_range_db=0.0, doppler=dmap,
+    )
+
+
+def per_value_repr_csv(rep: cm.CharacterizationReport) -> list[bytes]:
+    """The three CSV files of ``rep`` written one ``repr`` per value."""
+    t_s = 1.0 / rep.fs
+    dm = rep.doppler
+    texts = [
+        "delay_s,power\n"
+        + "".join(f"{i * t_s!r},{float(v)!r}\n" for i, v in enumerate(rep.pdp)),
+        "freq_hz,power\n"
+        + "".join(
+            f"{float(f)!r},{float(v)!r}\n"
+            for f, v in zip(rep.freq_stats.freqs_hz, rep.freq_stats.mean_psd)
+        ),
+        "delay_s," + ",".join(repr(float(f)) for f in dm.freqs_hz) + "\n"
+        + "".join(
+            f"{tau * t_s!r}," + ",".join(repr(float(v)) for v in dm.power[:, tau]) + "\n"
+            for tau in range(dm.power.shape[1])
+        ),
+    ]
+    return [t.encode("ascii") for t in texts]
+
+
+@pytest.mark.parametrize("batch", [1, 4, 7, cm._CSV_BATCH])
+@pytest.mark.parametrize("shape", [(1, 1), (9, 1), (1, 12), (5, 3), (4, 10)])
+def test_csv_rows_are_per_value_repr_at_every_batch_edge(tmp_path, monkeypatch, batch, shape):
+    # widths that do not divide the batch, rows wider than it, 1-column
+    # tables and one-row tables
+    monkeypatch.setattr(cm, "_CSV_BATCH", batch)
+    rng = np.random.default_rng(batch * 100 + shape[1])
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+    first = np.arange(shape[0]) / 3e4
+    cm._write_csv(str(tmp_path / "t.csv"), b"h\n", first, rows)
+    want = "h\n" + "".join(
+        ",".join(map(repr, [lead] + row)) + "\n" for lead, row in zip(first.tolist(), rows.tolist())
+    )
+    assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
+
+
+def test_row_wider_than_the_batch(tmp_path):
+    rows = np.random.default_rng(3).exponential(1e-6, (2, cm._CSV_BATCH + 5))
+    cm._write_csv(str(tmp_path / "t.csv"), b"", np.array([0.5, 1.5]), rows)
+    lines = (tmp_path / "t.csv").read_text(encoding="ascii").splitlines()
+    assert lines == [",".join(map(repr, [lead] + row)) for lead, row in zip([0.5, 1.5], rows.tolist())]
 
 
 def _whole_matrix_metrics(m, idx, fs, t_seq):
@@ -503,6 +554,22 @@ class TestBoundedMemory:
         report, peak = _traced_peak(lambda: cm.characterize(series, fs=1e6))
         assert report.doppler is not None
         assert peak <= 26 * n_frames * n_seq, f"{peak / (n_frames * n_seq):.1f} B/sample"
+
+    def test_export_csv_allocates_a_bounded_batch(self, tmp_path, rng):
+        # what export allocates above its inputs stays under 2 MiB and does
+        # not grow with the Doppler map: the CSV text goes out batch by batch
+        def traced_export(n_frames):
+            rep = awkward_report()
+            rep.pdp = rep.freq_stats.freqs_hz = rep.freq_stats.mean_psd = rng.exponential(1e-6, 1024)
+            rep.fs = 1e6
+            power = rng.exponential(1e-9, (n_frames, 1024))
+            rep.doppler = cm.DopplerMap(power, np.fft.fftshift(np.fft.fftfreq(n_frames, 1e-3)), 1e-3, n_frames)
+            return _traced_peak(lambda: cm.export_csv(rep, str(tmp_path / f"f{n_frames}")))[1]
+
+        traced_export(2)  # tables built on first use
+        small, large = traced_export(200), traced_export(800)
+        assert large < 2 * 2**20, f"peak {large} B"
+        assert large < 1.1 * small, f"peak {small} B at 200 frames, {large} B at 800"
 
     def test_zero_filled_doppler_map_holds_one_grid_plus_one_batch(self, rng):
         span, n_seq = 1000, 127

@@ -91,6 +91,20 @@ class TestSoundFlow:
             b2 = open(out2 + suffix, "rb").read()
             assert b1 == b2, f"{suffix} differs between identical runs"
 
+    def test_sound_without_doppler_leaves_no_stale_doppler_csv(self, tmp_path, capsys):
+        # a 6-period campaign writes a Doppler map; a 2-period one into the
+        # same --out keeps one frame, skips Doppler and must not leave the
+        # first run's .doppler.csv beside its report
+        out = str(tmp_path / "run")
+        for periods in (6, 2):
+            cfg = tmp_path / f"p{periods}.cfg"
+            cfg.write_text(f"sequence.length = 64\nn_sequences = {periods}\nchannel.taps = 0:1\nchannel.cable =\n")
+            assert main(["sound", "--config", str(cfg), "--out", out]) == 0
+            assert (tmp_path / "run.doppler.csv").exists() == (periods == 6)
+        report = open(out + ".report.txt").read()
+        assert "frames = 1\n" in report and "note = doppler: skipped, fewer than two frames" in report
+        assert (tmp_path / "run.pdp.csv").exists() and (tmp_path / "run.psd.csv").exists()
+
     def test_characterize_stored_frames(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         out = str(tmp_path / "run")
