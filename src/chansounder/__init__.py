@@ -8,12 +8,7 @@ stimulation and correlation halves can run in one process or as two
 processes linked by a byte-exact IQ wire protocol.
 """
 
-from .calib import (
-    CalibrationProfile,
-    identity_profile,
-    remove_dc_bias,
-    through_calibrate,
-)
+from .calib import CalibrationProfile, remove_dc_bias, through_calibrate
 from .chansim import ChannelModel, ChannelTap, add_awgn, apply_cfo, apply_channel, inject_disruption
 from .charmetrics import (
     CharacterizationReport,
@@ -82,7 +77,6 @@ __all__ = [
     "from_descriptor",
     "generate_fzc",
     "generate_mls",
-    "identity_profile",
     "inject_disruption",
     "load_config",
     "max_distance_estimate",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import FrameSeries, ImpulseResponseFrame
+from .frames import FrameSeries
 
 DEFAULT_GAIN_CAP_DB = 40.0
 
@@ -63,39 +63,28 @@ class CalibrationProfile:
         return np.fft.fft(self.h_ftt)
 
 
-def identity_profile(n_seq: int) -> CalibrationProfile:
-    """A do-nothing profile: unit impulse correction of length n_seq."""
-    if n_seq < 1:
-        raise ValueError("profile length must be positive")
-    h = np.zeros(n_seq, dtype=np.complex128)
-    h[0] = 1.0
-    return CalibrationProfile(h_ftt=h, source="identity", created_from=0)
-
-
 def through_calibrate(
-    frames, gain_cap_db: float = DEFAULT_GAIN_CAP_DB
+    frames: FrameSeries, gain_cap_db: float = DEFAULT_GAIN_CAP_DB
 ) -> CalibrationProfile:
     """Build a correction profile from through-connection measurements.
 
     Parameters
     ----------
-    frames : FrameSeries or iterable
-        Impulse-response frames (or bare vectors) measured with the
-        antennas replaced by a direct connection.  They are averaged
-        coherently before inversion, so the more frames the lower the
-        noise on the profile.
+    frames : FrameSeries
+        Impulse-response frames measured with the antennas replaced by a
+        direct connection.  They are averaged coherently before
+        inversion, so the more frames the lower the noise on the profile.
     gain_cap_db : float
         Maximum per-bin inversion gain.  Bins whose inverse would exceed
         the cap are clamped to it (phase preserved) and flagged.
     """
     if not 0.0 <= gain_cap_db < np.inf:
         raise ValueError(f"gain cap must be a finite non-negative dB value, got {gain_cap_db}")
-    series = FrameSeries.of(frames)
-    if not len(series):
+    if not len(frames):
         raise ValueError("through calibration needs at least one frame")
-    n = series.n_seq
+    n = frames.n_seq
 
-    avg = np.mean(series.h, axis=0)
+    avg = np.mean(frames.h, axis=0)
     h_freq = np.fft.fft(avg)
     cap = 10.0 ** (gain_cap_db / 20.0)
 
@@ -112,7 +101,7 @@ def through_calibrate(
         h_ftt=np.fft.ifft(inv),
         source="through",
         gain_cap_db=gain_cap_db,
-        created_from=len(series),
+        created_from=len(frames),
         clamped_bins=np.flatnonzero(clamped),
     )
 
@@ -133,9 +122,9 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
     band is untouched, and running the operation twice is a no-op the
     second time.
 
-    Accepts an :class:`ImpulseResponseFrame` or a :class:`FrameSeries`
-    (returns a new one with every row patched) or bare spectra in FFT
-    bin order along the last axis (returns the patched spectra).
+    Accepts a :class:`FrameSeries` (returns a new one with every row
+    patched) or bare spectra in FFT bin order along the last axis
+    (returns the patched spectra).
     """
     if not 0 < suppression_bw_hz < fs / 4:
         raise ValueError(
@@ -143,8 +132,8 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
             f"got {suppression_bw_hz}"
         )
 
-    is_frame = isinstance(x, (ImpulseResponseFrame, FrameSeries))
-    spec = np.fft.fft(x.h, axis=-1) if is_frame else np.array(x, dtype=np.complex128, ndmin=1)
+    is_series = isinstance(x, FrameSeries)
+    spec = np.fft.fft(x.h, axis=-1) if is_series else np.array(x, dtype=np.complex128, ndmin=1)
     n = spec.shape[-1]
     n_b = _dc_bin_count(suppression_bw_hz, fs, n)
 
@@ -164,6 +153,6 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
     gap, lo, hi = (idx - center) % n, (left - center) % n, (right - center) % n
     spec[..., gap] = (1.0 - w) * spec[..., lo, None] + w * spec[..., hi, None]
 
-    if is_frame:
+    if is_series:
         return replace(x, h=np.fft.ifft(spec, axis=-1, out=spec))
     return spec

@@ -1,7 +1,7 @@
 """Channel characterization metrics over an impulse-response series.
 
-All metrics consume the frame series produced by the sounding pipeline
-(a :class:`FrameSeries`, or a list of frames or bare vectors).
+All metrics consume the :class:`FrameSeries` produced by the sounding
+pipeline.
 Delay-domain statistics (power delay profile, mean delay, RMS delay
 spread, dynamic range) come from averaging |h|^2 over frames.
 Frequency-domain statistics (magnitude percentiles, coherence
@@ -33,12 +33,11 @@ _BATCH = 32
 _CSV_BATCH = 4096
 
 
-def _frame_matrix(frames) -> np.ndarray:
+def _frame_matrix(frames: FrameSeries) -> np.ndarray:
     """The (F, N) response matrix of a frame series of at least one frame."""
-    m = FrameSeries.of(frames).h
-    if not len(m):
+    if not len(frames):
         raise ValueError("metric needs at least one impulse-response frame")
-    return m
+    return frames.h
 
 
 def _batches(n: int, least: int = 1) -> list[slice]:
@@ -67,7 +66,7 @@ def _delay_moments(pdp_vec: np.ndarray, t_s: float) -> tuple[float, float]:
     return _weighted_moments(np.arange(len(p)) * t_s, p, "power delay profile")
 
 
-def pdp(frames) -> np.ndarray:
+def pdp(frames: FrameSeries) -> np.ndarray:
     """Power delay profile: mean of |h[tau]|^2 over the frame series."""
     power = np.abs(_frame_matrix(frames))
     return np.mean(np.square(power, out=power), axis=0)
@@ -99,7 +98,7 @@ class FrequencyStats:
     h90_db: float
 
 
-def frequency_response_stats(frames, fs: float) -> FrequencyStats:
+def frequency_response_stats(frames: FrameSeries, fs: float) -> FrequencyStats:
     """Percentile levels (10/50/90 %) of pooled |H(f)| in dB."""
     m = _frame_matrix(frames)
     n = m.shape[1]
@@ -187,7 +186,7 @@ class DopplerMap:
         return max_doppler(self.t_seq)
 
 
-def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
+def doppler_map(frames: FrameSeries, t_seq: float, zero_fill: bool = False) -> DopplerMap:
     """DFT across the frame axis on a uniform measurement grid.
 
     Frames must be in increasing sequence-index order.  Gaps (dropped
@@ -197,16 +196,15 @@ def doppler_map(frames, t_seq: float, zero_fill: bool = False) -> DopplerMap:
     """
     if not t_seq > 0:
         raise ValueError("sequence period must be positive")
-    series = FrameSeries.of(frames)
-    if len(series) < 2:
+    if len(frames) < 2:
         raise ValueError("Doppler analysis needs at least two frames")
-    idx = series.sequence_index
+    idx = frames.sequence_index
     if np.any(idx[1:] <= idx[:-1]):
         raise ValueError("frames must be sorted by sequence index, without duplicates")
 
-    m = series.h
+    m = frames.h
     span = int(idx[-1] - idx[0]) + 1
-    missing = span - len(series)
+    missing = span - len(frames)
     if missing and not zero_fill:
         raise ValueError(
             f"measurement grid has {missing} gap(s); pass zero_fill=True "
@@ -326,7 +324,7 @@ class CharacterizationReport:
 
 
 def characterize(
-    frames,
+    frames: FrameSeries,
     fs: float,
     f_c: float | None = None,
     bc_threshold: float = 0.5,
@@ -340,13 +338,12 @@ def characterize(
     is off.  ``d_ref_m`` enables the free-space range estimate;
     ``f_c`` enables the speed conversion of the Doppler spread.
     """
-    series = FrameSeries.of(frames)
-    p = pdp(series)
+    p = pdp(frames)
     n_seq = len(p)
     t_s = 1.0 / fs
     t_seq = n_seq * t_s
 
-    stats = frequency_response_stats(series, fs)
+    stats = frequency_response_stats(frames, fs)
     bc, crossed = coherence_bandwidth(p, fs, threshold=bc_threshold)
     dr = measured_dynamic_range(p)
 
@@ -355,11 +352,11 @@ def characterize(
     spread = None
     t_c = None
     speed = None
-    if len(series) < 2:
+    if len(frames) < 2:
         notes.append("doppler: skipped, fewer than two frames")
     else:
         try:
-            dmap = doppler_map(series, t_seq, zero_fill=doppler_zero_fill)
+            dmap = doppler_map(frames, t_seq, zero_fill=doppler_zero_fill)
         except ValueError as exc:
             notes.append(f"doppler: skipped, {exc}")
     if dmap is not None:
@@ -369,7 +366,7 @@ def characterize(
             speed = doppler_to_speed(spread, f_c)
 
     return CharacterizationReport(
-        n_frames=len(series),
+        n_frames=len(frames),
         n_seq=n_seq,
         fs=fs,
         t_seq=t_seq,

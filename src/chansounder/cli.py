@@ -97,9 +97,13 @@ def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
     return path
 
 
-def _nonempty(frames):
+def _nonempty(frames, total_sequences: int):
     if not frames:
-        raise ValueError("no sequence periods survived gating; nothing to write")
+        raise ValueError(
+            f"kept 0 of {total_sequences} sequence periods (discard_first drops period 0, "
+            "triggers gate the others, and a capture shorter than one period holds none); "
+            "nothing to write"
+        )
     return frames
 
 
@@ -148,7 +152,7 @@ def cmd_correlate(cfg: CampaignConfig) -> int:
     else:
         received = framestore.read_capture(_require(cfg.input, "--input"))
     frames, total = sounder.correlate_received(cfg, *received, profile)
-    path = _write_series(cfg, _nonempty(frames), total)
+    path = _write_series(cfg, _nonempty(frames, total), total)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     return 0
 
@@ -158,7 +162,7 @@ def cmd_sound(cfg: CampaignConfig) -> int:
     frames, total, events = sounder.sound_campaign(cfg)
     # Characterize first: a setting only that stage checks then fails
     # before any file is written.
-    text = _characterize(cfg, _nonempty(frames), cfg.sample_rate)
+    text = _characterize(cfg, _nonempty(frames, total), cfg.sample_rate)
     path = _write_series(cfg, frames, total)
     framestore.write_trigger_sidecar(out, events)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")

@@ -2,12 +2,14 @@
 
 An :class:`IqFrame` carries a block of complex baseband samples together
 with the sample rate and the absolute index of its first sample, so that
-any stage can reconstruct absolute time without extra bookkeeping.  An
-:class:`ImpulseResponseFrame` is one correlator output: a delay-domain
-snapshot of the channel stamped with its measurement time, and a
-:class:`FrameSeries` a whole run of them as one matrix.  A
-:class:`TriggerEvent` marks a receiver fault (buffer overflow or an
-external marker) at a known absolute sample index.
+any stage can reconstruct absolute time without extra bookkeeping.  A
+:class:`FrameSeries` is the correlator output, the one container every
+stage that takes frames is given: one delay-domain snapshot of the
+channel per row of a matrix, each stamped with its measurement time.
+An :class:`ImpulseResponseFrame` is one such row, as indexing or
+iterating a series yields it.  A :class:`TriggerEvent` marks a receiver
+fault (buffer overflow or an external marker) at a known absolute
+sample index.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class TriggerEvent:
 
 @dataclass
 class ImpulseResponseFrame:
-    """One correlator output: h[tau] at a single measurement instant.
+    """One row of a :class:`FrameSeries`: h[tau] at a single measurement
+    instant.
 
     Attributes
     ----------
@@ -115,17 +118,6 @@ class ImpulseResponseFrame:
     t_i: float
     sequence_index: int
     corrected: bool = False
-
-    def __post_init__(self) -> None:
-        self.h = np.asarray(self.h)
-        if self.h.ndim != 1:
-            raise ValueError("impulse response must be a 1-d vector")
-        if self.sequence_index < 0:
-            raise ValueError("sequence_index must be non-negative")
-
-    @property
-    def n_seq(self) -> int:
-        return len(self.h)
 
 
 @dataclass(eq=False)
@@ -160,27 +152,6 @@ class FrameSeries:
         self.sequence_index = np.broadcast_to(index, index.shape)
         self.t_i = np.broadcast_to(t_i, t_i.shape)
         self.corrected = np.broadcast_to(np.asarray(self.corrected, dtype=bool), (len(h),))
-
-    @classmethod
-    def of(cls, frames) -> "FrameSeries":
-        """The given series itself, or frames (or bare vectors, indexed
-        ``0 .. F-1`` at ``t_i = 0``) stacked into one, possibly empty, series."""
-        if isinstance(frames, FrameSeries):
-            return frames
-        rows = [
-            fr if isinstance(fr, ImpulseResponseFrame) else ImpulseResponseFrame(fr, 0.0, i)
-            for i, fr in enumerate(frames)
-        ]
-        if not rows:
-            return cls(np.empty((0, 0)), [], [])
-        if any(fr.n_seq != rows[0].n_seq for fr in rows):
-            raise ValueError("all frames in a series must share one length")
-        return cls(
-            h=np.stack([fr.h for fr in rows]),
-            sequence_index=[fr.sequence_index for fr in rows],
-            t_i=[fr.t_i for fr in rows],
-            corrected=[fr.corrected for fr in rows],
-        )
 
     def __len__(self) -> int:
         return len(self.h)

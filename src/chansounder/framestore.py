@@ -237,27 +237,25 @@ def _read_container(
 
 def write_frames(
     path: str,
-    frames,
+    frames: FrameSeries,
     t_s: float,
     calibration: str = "",
     total_sequences: int | None = None,
 ) -> None:
     """Write an impulse-response series with its grid metadata.
 
-    ``frames`` is a :class:`FrameSeries` or a list of frames.
     ``total_sequences`` records how many periods the stimulation run
     contained (including gated-out ones); it defaults to one past the
     highest stored index.
     """
-    series = FrameSeries.of(frames)
-    if not len(series):
+    if not len(frames):
         raise ValueError("refusing to write an empty frame series")
-    n_seq = series.n_seq
+    n_seq = frames.n_seq
     if total_sequences is None:
-        total_sequences = int(series.sequence_index.max()) + 1
+        total_sequences = int(frames.sequence_index.max()) + 1
 
     header = (
-        f"n_records={len(series)}\n"
+        f"n_records={len(frames)}\n"
         f"n_seq={n_seq}\n"
         f"t_s={t_s!r}\n"
         f"t_seq={n_seq * t_s!r}\n"
@@ -271,8 +269,8 @@ def write_frames(
         f.write(FRAMES_MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        for lo in range(0, len(series), step):
-            part = series[lo : lo + step]
+        for lo in range(0, len(frames), step):
+            part = frames[lo : lo + step]
             f.write(np.rec.fromarrays([getattr(part, n) for n in dtype.names], dtype=dtype))
 
 

@@ -115,12 +115,12 @@ def measurement_time(sequence_index: int, t_seq: float, t_s: float) -> float:
     return (sequence_index + 1) * t_seq - t_s
 
 
-def correct_ftt(frames, profile: CalibrationProfile | None):
-    """Apply a forward-transmission correction profile to one
-    :class:`ImpulseResponseFrame` or to every row of a :class:`FrameSeries`.
+def correct_ftt(frames: FrameSeries, profile: CalibrationProfile | None) -> FrameSeries:
+    """Apply a forward-transmission correction profile to every row of a
+    :class:`FrameSeries`.
 
-    With no profile the input passes through untouched (and keeps its
-    uncorrected flag).  Correction is circular convolution with the
+    With no profile the series passes through untouched (and keeps its
+    uncorrected flags).  Correction is circular convolution with the
     profile filter, done in the frequency domain.
     """
     if profile is None:
@@ -327,39 +327,48 @@ def correlate_campaign(
     return frames, capture.end_index // seq.n_seq
 
 
+def _check_corrections(config, profile: CalibrationProfile | None, n_seq: int, fs: float) -> None:
+    """Raise unless the calibration ``profile`` corrects ``n_seq``-sample
+    frames and the configured DC suppression band lies below ``fs / 4``:
+    every correlation path checks this before its first correlation."""
+    if profile is not None:
+        profile.check_length(n_seq)
+    if not config.dc_suppression_hz < fs / 4:
+        raise ValueError(
+            f"dc_suppression_hz = {config.dc_suppression_hz} must lie below "
+            f"sample_rate / 4 = {fs / 4}"
+        )
+
+
 def correlate_received(
     config, capture: IqFrame, record, profile: CalibrationProfile | None
 ) -> tuple[FrameSeries, int]:
     """Correlate a capture read from a file or received on the wire, with
     the :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
     ``record`` that came with it: adopt its sample rate and sequence by
-    the record's rules (:meth:`CampaignConfig.stream_sequence`), gate by
+    the record's rules (:meth:`CampaignConfig.stream_sequence`), check
+    the corrections against them (:func:`_check_corrections`), gate by
     its triggers, and return :func:`correlate_campaign`'s frames and
     period count with the calibration ``profile``."""
     seq = config.stream_sequence(
         record.sequence_descriptor, capture.fs, record.source, record.mismatch_error, record.strict
     )
+    _check_corrections(config, profile, seq.n_seq, capture.fs)
     return correlate_campaign(config, capture, seq, record.triggers, profile)
 
 
 def sound_campaign(config) -> tuple[FrameSeries, int, list[TriggerEvent]]:
     """Full single-process sounding run driven by a campaign config.
 
-    The calibration profile is read, and its length checked against the
-    sequence, and the DC suppression band against the sample rate, before
-    any capture block is made; then the capture of :func:`capture_stream`
-    goes through :func:`correlate_campaign`.  Returns the frames, the
-    period count and the stamped trigger events.
+    The calibration profile is read, and the corrections checked
+    (:func:`_check_corrections`), before any capture block is made; then
+    the capture of :func:`capture_stream` goes through
+    :func:`correlate_campaign`.  Returns the frames, the period count and
+    the stamped trigger events.
     """
     profile = config.load_profile()
     stream = capture_stream(config)
-    if profile is not None:
-        profile.check_length(stream.seq.n_seq)
-    if not config.dc_suppression_hz < stream.fs / 4:
-        raise ValueError(
-            f"dc_suppression_hz = {config.dc_suppression_hz} must lie below "
-            f"sample_rate / 4 = {stream.fs / 4}"
-        )
+    _check_corrections(config, profile, stream.seq.n_seq, stream.fs)
     frames, total = correlate_campaign(config, stream.capture(), stream.seq, stream.events, profile)
     return frames, total, stream.events
 

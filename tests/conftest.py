@@ -8,7 +8,9 @@ implementations, so the two can disagree.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from chansounder.calib import CalibrationProfile
 from chansounder.config import _KEYS
 
 
@@ -31,6 +33,11 @@ def oracle_pacf(a):
     return oracle_pccf(a, a)
 
 
+#: Registered, not loaded: ``--hypothesis-profile=wide`` runs every
+#: property (the transport property above all) at 1,000 examples.
+settings.register_profile("wide", max_examples=1000)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -38,6 +45,11 @@ def rng():
 
 def random_complex(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def unit_profile(n_seq):
+    """A profile that corrects nothing: a unit impulse of ``n_seq`` samples."""
+    return CalibrationProfile(np.eye(1, n_seq)[0])
 
 
 def range_checked_keys():

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from chansounder.calib import (
-    CalibrationProfile,
-    identity_profile,
-    remove_dc_bias,
-    through_calibrate,
-)
-from chansounder.calib import _dc_bin_count
-from chansounder.frames import ImpulseResponseFrame
+from chansounder.calib import CalibrationProfile, _dc_bin_count, remove_dc_bias, through_calibrate
+from chansounder.frames import FrameSeries
 
 from conftest import random_complex
+
+
+def series(*rows, t_i=0.0, sequence_index=0, corrected=False):
+    """The frame series of the given responses, one per row."""
+    index = sequence_index + np.arange(len(rows))
+    return FrameSeries(np.array(rows, dtype=complex, ndmin=2), index, np.full(len(rows), t_i), corrected)
 
 
 class TestThroughCalibrate:
@@ -20,20 +20,20 @@ class TestThroughCalibrate:
         h = np.zeros(16, dtype=complex)
         h[0] = 1.0
         with pytest.raises(ValueError, match="gain cap"):
-            through_calibrate([h], gain_cap_db=-1.0)
+            through_calibrate(series(h), gain_cap_db=-1.0)
 
     @pytest.mark.parametrize("cap", [float("inf"), float("nan")])
     def test_rejects_non_finite_gain_cap(self, cap):
         h = np.zeros(16, dtype=complex)
         h[0] = 1.0
         with pytest.raises(ValueError, match="gain cap must be a finite non-negative dB value"):
-            through_calibrate([h], gain_cap_db=cap)
+            through_calibrate(series(h), gain_cap_db=cap)
 
     def test_inverts_known_response(self):
         n = 64
         h = np.zeros(n, dtype=complex)
         h[0], h[2] = 1.0, 0.3 - 0.1j
-        profile = through_calibrate([h])
+        profile = through_calibrate(series(h))
         product = np.fft.fft(h) * profile.spectrum()
         assert np.allclose(product, 1.0, atol=1e-9)
         assert profile.source == "through"
@@ -46,7 +46,7 @@ class TestThroughCalibrate:
         h[0] = 1.0
         noise = random_complex(rng, n, scale=0.1)
         # two frames with opposite perturbations average back to the truth
-        profile = through_calibrate([h + noise, h - noise])
+        profile = through_calibrate(series(h + noise, h - noise))
         assert np.allclose(profile.spectrum(), 1.0, atol=1e-9)
         assert profile.created_from == 2
 
@@ -55,7 +55,7 @@ class TestThroughCalibrate:
         spec = np.ones(n, dtype=complex)
         spec[5] = 1e-4 * np.exp(0.7j)  # inverse would be 80 dB
         h = np.fft.ifft(spec)
-        profile = through_calibrate([h], gain_cap_db=40.0)
+        profile = through_calibrate(series(h), gain_cap_db=40.0)
         assert profile.clamped_bins.tolist() == [5]
         inv = profile.spectrum()
         assert abs(inv[5]) == pytest.approx(100.0, rel=1e-9)
@@ -67,30 +67,13 @@ class TestThroughCalibrate:
     def test_zero_bin_clamps_to_real_cap(self):
         # an all-zero frame has exactly-zero bins, so there is no phase to
         # keep and every inverse bin becomes the real-valued cap
-        profile = through_calibrate([np.zeros(8, dtype=complex)], gain_cap_db=40.0)
+        profile = through_calibrate(series(np.zeros(8)), gain_cap_db=40.0)
         assert profile.clamped_bins.tolist() == list(range(8))
         assert np.allclose(profile.spectrum(), 100.0 + 0j, atol=1e-9)
 
-    def test_accepts_frames_and_vectors(self):
-        h = np.zeros(8, dtype=complex)
-        h[0] = 2.0
-        fr = ImpulseResponseFrame(h, 0.0, 0)
-        p1 = through_calibrate([fr])
-        p2 = through_calibrate([h])
-        assert np.array_equal(p1.h_ftt, p2.h_ftt)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            through_calibrate([])
-        with pytest.raises(ValueError, match="one length"):
-            through_calibrate([np.ones(8), np.ones(9)])
-
-    def test_identity_profile(self):
-        p = identity_profile(16)
-        assert p.source == "identity"
-        assert np.allclose(p.spectrum(), 1.0)
-        with pytest.raises(ValueError):
-            identity_profile(0)
+            through_calibrate(FrameSeries(np.empty((0, 8)), [], []))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -110,8 +93,8 @@ class TestRemoveDcBias:
         h = np.zeros(n, dtype=complex)
         h[0] = 1.0
         h += 0.1  # additive DC offset
-        out = remove_dc_bias(ImpulseResponseFrame(h, 0.0, 0), 7810.0, fs)
-        residual_dc = abs(np.mean(out.h - np.where(np.arange(n) == 0, 1.0, 0.0)))
+        out = remove_dc_bias(series(h), 7810.0, fs)
+        residual_dc = abs(np.mean(out.h[0] - np.where(np.arange(n) == 0, 1.0, 0.0)))
         assert residual_dc <= 0.1 * 10 ** (-40 / 20)
 
     def test_out_of_band_bins_untouched(self, rng):
@@ -154,8 +137,8 @@ class TestRemoveDcBias:
             remove_dc_bias(np.ones(16, dtype=complex), 0.0, 1e6)
 
     def test_frame_metadata_preserved(self):
-        fr = ImpulseResponseFrame(np.ones(32, dtype=complex), 3e-3, 7, corrected=True)
-        out = remove_dc_bias(fr, 10e3, 1e6)
-        assert out.t_i == 3e-3
-        assert out.sequence_index == 7
-        assert out.corrected
+        out = remove_dc_bias(series(np.ones(32), t_i=3e-3, sequence_index=7, corrected=True), 10e3, 1e6)
+        assert isinstance(out, FrameSeries)
+        assert out.t_i.tolist() == [3e-3]
+        assert out.sequence_index.tolist() == [7]
+        assert out.corrected.tolist() == [True]

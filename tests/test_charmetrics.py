@@ -11,21 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chansounder import charmetrics as cm
-from chansounder.frames import FrameSeries, ImpulseResponseFrame
+from chansounder.frames import FrameSeries
 
 
 def frames_from_matrix(m, t_seq=1e-3, indices=None):
-    """Wrap matrix rows as a frame series on a uniform grid."""
-    if indices is None:
-        indices = range(len(m))
-    return [
-        ImpulseResponseFrame(
-            h=np.asarray(row, dtype=complex),
-            t_i=(i + 1) * t_seq,
-            sequence_index=i,
-        )
-        for i, row in zip(indices, m)
-    ]
+    """Wrap matrix rows as a frame series, on a uniform grid unless
+    ``indices`` name the rows' sequence periods."""
+    index = np.arange(len(m)) if indices is None else np.asarray(indices)
+    return FrameSeries(np.asarray(m, dtype=complex), index, (index + 1) * t_seq)
 
 
 class TestPdpAndDelays:
@@ -61,7 +54,7 @@ class TestPdpAndDelays:
         with pytest.raises(ValueError, match="no energy"):
             cm.mean_delay(np.zeros(8), 1e-6)
         with pytest.raises(ValueError, match="at least one"):
-            cm.pdp([])
+            cm.pdp(FrameSeries(np.empty((0, 8)), [], []))
 
 
 class TestFrequencyStats:
@@ -91,14 +84,14 @@ class TestCoherenceBandwidth:
         n, d, fs = 1024, 16, 1e6
         h = np.zeros(n, dtype=complex)
         h[0] = h[d] = 1.0 / math.sqrt(2)
-        bc, crossed = cm.coherence_bandwidth(cm.pdp([h]), fs, threshold=0.5)
+        bc, crossed = cm.coherence_bandwidth(cm.pdp(frames_from_matrix([h])), fs, threshold=0.5)
         assert crossed
         assert bc == pytest.approx(fs / (3 * d), rel=0.01)
 
     def test_single_tap_never_crosses(self):
         h = np.zeros(64, dtype=complex)
         h[3] = 1.0
-        bc, crossed = cm.coherence_bandwidth(cm.pdp([h]), 1e6)
+        bc, crossed = cm.coherence_bandwidth(cm.pdp(frames_from_matrix([h])), 1e6)
         assert not crossed
         assert bc == 5e5
 
@@ -106,7 +99,7 @@ class TestCoherenceBandwidth:
         h = np.zeros(8, dtype=complex)
         h[0] = 1.0
         with pytest.raises(ValueError, match="threshold"):
-            cm.coherence_bandwidth(cm.pdp([h]), 1e6, threshold=1.5)
+            cm.coherence_bandwidth(cm.pdp(frames_from_matrix([h])), 1e6, threshold=1.5)
 
     def test_narrower_spread_wider_coherence(self):
         fs = 1e6
@@ -114,7 +107,7 @@ class TestCoherenceBandwidth:
         for d in (4, 16):
             h = np.zeros(256, dtype=complex)
             h[0] = h[d] = 1.0
-            out.append(cm.coherence_bandwidth(cm.pdp([h]), fs)[0])
+            out.append(cm.coherence_bandwidth(cm.pdp(frames_from_matrix([h])), fs)[0])
         assert out[0] > out[1]
 
 
@@ -343,7 +336,8 @@ class TestReport:
 
     def test_gapped_grid_note(self):
         frames = self.make_frames()
-        frames = frames[:5] + frames[6:]
+        keep = np.r_[0:5, 6 : len(frames)]
+        frames = FrameSeries(frames.h[keep], frames.sequence_index[keep], frames.t_i[keep])
         rep = cm.characterize(frames, fs=1e6)
         assert rep.doppler is None
         assert any("gap" in n for n in rep.notes)

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from chansounder import framestore, sounder, wire
-from chansounder.calib import identity_profile
 from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import load_config
 from chansounder.frames import IqFrame
 
-from conftest import range_checked_keys
+from conftest import range_checked_keys, unit_profile
 
 
 def small_config(tmp_path, extra=""):
@@ -266,8 +265,29 @@ class TestCaptureSidecarFlow:
     def test_sound_with_no_surviving_period_has_nothing_to_write(self, tmp_path, capsys):
         out = str(tmp_path / "one")
         assert main(["sound", "--config", small_config(tmp_path, "n_sequences = 1\n"), "--out", out]) == 2
-        assert "nothing to write" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: kept 0 of 1 sequence periods (discard_first drops period 0")
+        assert err.rstrip().endswith("nothing to write")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    def test_correlate_of_one_period_counts_what_it_kept(self, tmp_path, capsys):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path, "n_sequences = 1\n"), "--out", cap]) == 0
+        capsys.readouterr()
+        assert main(["correlate", "--input", cap, "--out", str(tmp_path / "f")]) == 2
+        assert "error: kept 0 of 1 sequence periods (discard_first drops" in capsys.readouterr().err
+        assert not (tmp_path / "f.frames").exists()
+
+    def test_capture_shorter_than_one_period_holds_none(self, tmp_path, capsys):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path, "n_sequences = 1\n"), "--out", cap]) == 0
+        capture, meta = framestore.read_capture(cap)
+        framestore.write_capture(cap, IqFrame(capture.samples[:40], capture.fs, capture.f_c), meta.sequence_descriptor)
+        capsys.readouterr()
+        assert main(["correlate", "--input", cap, "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "kept 0 of 0 sequence periods" in err and "shorter than one period holds none" in err
+        assert not (tmp_path / "f.frames").exists()
 
     def test_sound_without_events_removes_a_stale_trigger_log(self, tmp_path):
         out = str(tmp_path / "s")
@@ -312,6 +332,68 @@ class TestWireFlow:
             assert np.array_equal(fa.h, fb.h)
 
 
+class TestCorrectionsCheckedBeforeCorrelating:
+    """``sound``, and ``correlate`` from a file or the wire, check the
+    profile length and the DC band against the stream's sequence and rate
+    with one message, before any period is correlated."""
+
+    @pytest.fixture
+    def pccf_calls(self, monkeypatch):
+        calls = []
+        real = sounder.fast_pccf
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sounder, "fast_pccf", counting)
+        return calls
+
+    @pytest.fixture(params=["dc band", "profile length"])
+    def bad_config(self, request, tmp_path):
+        if request.param == "dc band":
+            return small_config(tmp_path, "dc_suppression_hz = 300000\n"), (
+                "error: dc_suppression_hz = 300000.0 must lie below sample_rate / 4 = 250000.0\n"
+            )
+        prof = str(tmp_path / "short.csp")
+        framestore.write_profile(prof, unit_profile(32))
+        return small_config(tmp_path, f"calibration = {prof}\n"), (
+            "error: profile length 32 does not match frame length 64\n"
+        )
+
+    def test_sound_and_correlate_give_one_message(self, tmp_path, capsys, pccf_calls, bad_config):
+        cfg, message = bad_config
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == message
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        capsys.readouterr()
+        assert main(["correlate", "--config", cfg, "--input", cap, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == message
+        assert pccf_calls == []
+        assert not list(tmp_path.glob("run*"))
+
+    def test_correlate_over_the_wire_gives_the_same_message(self, tmp_path, capsys, pccf_calls, bad_config):
+        cfg, message = bad_config
+        lsock = socket.create_server(("127.0.0.1", 0))
+        port = lsock.getsockname()[1]
+        box = {}
+
+        def serve():
+            with lsock:
+                box["summary"] = wire.serve_stimulation(load_config(cfg), lsock)
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        argv = ["correlate", "--config", cfg, "--endpoint", f"127.0.0.1:{port}"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        t.join(timeout=10.0)
+        assert box["summary"].complete
+        assert capsys.readouterr().err == message
+        assert pccf_calls == []
+        assert not list(tmp_path.glob("run*"))
+
+
 class TestProfileBeforeCapture:
     """A missing or wrong-length calibration profile fails before any
     capture block is made, and before a capture is read or received."""
@@ -322,7 +404,7 @@ class TestProfileBeforeCapture:
             return str(tmp_path / "nope.csp"), "No such file"
         path = str(tmp_path / f"{kind}.csp")
         n_seq = 64 if kind == "good" else 32
-        framestore.write_profile(path, identity_profile(n_seq))
+        framestore.write_profile(path, unit_profile(n_seq))
         return path, "profile length 32 does not match frame length 64"
 
     @pytest.mark.parametrize("kind", ["missing", "short"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chansounder import framestore as fsio
 from chansounder.calib import CalibrationProfile, through_calibrate
-from chansounder.frames import FrameSeries, ImpulseResponseFrame, IqFrame, TriggerEvent
+from chansounder.frames import FrameSeries, IqFrame, TriggerEvent
 
 
 class TestCapture:
@@ -168,14 +168,14 @@ class TestCaptureSidecars:
 
 
 class TestFrameSeries:
-    def make_series(self, rng, n=8, count=5):
-        frames = []
-        for i in range(count):
-            h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            frames.append(
-                ImpulseResponseFrame(h=h, t_i=(i + 1) * 8e-6, sequence_index=i, corrected=(i % 2 == 0))
-            )
-        return frames
+    def make_series(self, rng, n=8, count=5, index=None):
+        rows = np.arange(count)
+        return FrameSeries(
+            h=rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)),
+            sequence_index=rows if index is None else index,
+            t_i=(rows + 1) * 8e-6,
+            corrected=rows % 2 == 0,
+        )
 
     def test_round_trip_bitwise_values(self, tmp_path, rng):
         frames = self.make_series(rng)
@@ -195,8 +195,7 @@ class TestFrameSeries:
         assert meta.total_sequences == 7
 
     def test_total_sequences_defaults_past_highest(self, tmp_path, rng):
-        frames = self.make_series(rng)
-        frames[-1].sequence_index = 11
+        frames = self.make_series(rng, index=[0, 1, 2, 3, 11])
         path = str(tmp_path / "run.frames")
         fsio.write_frames(path, frames, t_s=1e-6)
         _, meta = fsio.read_frames(path)
@@ -204,13 +203,7 @@ class TestFrameSeries:
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            fsio.write_frames(str(tmp_path / "x"), [], t_s=1e-6)
-
-    def test_mixed_lengths_rejected(self, tmp_path, rng):
-        frames = self.make_series(rng)
-        frames[2] = ImpulseResponseFrame(np.zeros(4, dtype=complex), 1.0, 2)
-        with pytest.raises(ValueError, match="one length"):
-            fsio.write_frames(str(tmp_path / "x"), frames, t_s=1e-6)
+            fsio.write_frames(str(tmp_path / "x"), FrameSeries(np.empty((0, 8)), [], []), t_s=1e-6)
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         frames = self.make_series(rng)
@@ -300,7 +293,7 @@ class TestProfile:
         spec = np.fft.fft(h)
         spec[5] = 1e-6
         spec[9] = 0.0
-        return through_calibrate([np.fft.ifft(spec)], gain_cap_db=40.0)
+        return through_calibrate(FrameSeries(np.fft.ifft(spec)[None], [0], [0.0]), gain_cap_db=40.0)
 
     def test_round_trip(self, tmp_path, rng):
         prof = self.make_profile(rng)
@@ -356,7 +349,7 @@ class TestProfile:
 
     def test_frames_magic_rejected_as_profile(self, tmp_path, rng):
         # a frame-series file must not parse as a profile
-        frames = [ImpulseResponseFrame(np.ones(4, dtype=complex), 1.0, 0)]
+        frames = FrameSeries(np.ones((1, 4)), [0], [1.0])
         path = str(tmp_path / "run.frames")
         fsio.write_frames(path, frames, t_s=1e-6)
         with pytest.raises(ValueError, match="magic"):
@@ -380,15 +373,12 @@ def record(index=0, n_seq=2):
 
 
 class TestFrameSeriesContainer:
-    def test_series_round_trip_keeps_flags_and_list_bytes(self, tmp_path, rng):
-        frames = TestFrameSeries().make_series(rng)
-        series = FrameSeries.of(frames)
-        from_list, from_series = str(tmp_path / "a.frames"), str(tmp_path / "b.frames")
-        fsio.write_frames(from_list, frames, t_s=1e-6, calibration="p.csp", total_sequences=9)
-        fsio.write_frames(from_series, series, t_s=1e-6, calibration="p.csp", total_sequences=9)
-        assert open(from_list, "rb").read() == open(from_series, "rb").read()
+    def test_series_round_trip_keeps_flags(self, tmp_path, rng):
+        series = TestFrameSeries().make_series(rng)
+        path = str(tmp_path / "a.frames")
+        fsio.write_frames(path, series, t_s=1e-6, calibration="p.csp", total_sequences=9)
 
-        back, meta = fsio.read_frames(from_series)
+        back, meta = fsio.read_frames(path)
         assert isinstance(back, FrameSeries)
         assert np.array_equal(back.h, series.h)
         assert np.array_equal(back.sequence_index, series.sequence_index)
@@ -494,7 +484,7 @@ class TestFrameSeriesContainer:
 
 
 def _valid_frames_blob(tmp_path):
-    frames = [ImpulseResponseFrame(np.arange(3) + 1j, 1e-6 * (i + 1), i, i == 1) for i in range(2)]
+    frames = FrameSeries(np.tile(np.arange(3) + 1j, (2, 1)), [0, 1], [1e-6, 2e-6], [False, True])
     path = str(tmp_path / "valid.frames")
     fsio.write_frames(path, frames, t_s=1e-6)
     return open(path, "rb").read()

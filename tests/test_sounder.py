@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import chansim
-from chansounder.calib import identity_profile, remove_dc_bias, through_calibrate
+from chansounder.calib import remove_dc_bias, through_calibrate
 from chansounder.config import CampaignConfig
 from chansounder.corrmath import fast_pccf
-from chansounder.frames import ImpulseResponseFrame, IqFrame, TriggerEvent
+from chansounder.frames import FrameSeries, IqFrame, TriggerEvent
 from chansounder.seqgen import generate_fzc, generate_mls
 from chansounder.sounder import (
     capture_campaign,
@@ -28,7 +28,7 @@ from chansounder.sounder import (
     stimulate_capture,
 )
 
-from conftest import random_complex
+from conftest import random_complex, unit_profile
 
 FS = 1e6
 
@@ -193,23 +193,22 @@ class TestMeasurementTime:
 
 class TestCorrectFtt:
     def test_no_profile_passthrough_keeps_flag(self):
-        fr = ImpulseResponseFrame(np.ones(8), 0.0, 0)
-        out = correct_ftt(fr, None)
-        assert out is fr
-        assert not out.corrected
+        series = FrameSeries(np.ones((1, 8)), [0], [0.0])
+        out = correct_ftt(series, None)
+        assert out is series
+        assert not out.corrected.any()
 
     def test_identity_profile_passthrough(self, rng):
-        h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        fr = ImpulseResponseFrame(h, 1e-3, 2)
-        out = correct_ftt(fr, identity_profile(16))
-        assert out.corrected
-        assert out.t_i == fr.t_i and out.sequence_index == 2
+        h = random_complex(rng, (2, 16))
+        series = FrameSeries(h, [2, 3], [1e-3, 2e-3])
+        out = correct_ftt(series, unit_profile(16))
+        assert out.corrected.all()
+        assert out.t_i.tolist() == [1e-3, 2e-3] and out.sequence_index.tolist() == [2, 3]
         assert np.allclose(out.h, h, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
-        fr = ImpulseResponseFrame(np.ones(8), 0.0, 0)
         with pytest.raises(ValueError, match="length"):
-            correct_ftt(fr, identity_profile(9))
+            correct_ftt(FrameSeries(np.ones((1, 8)), [0], [0.0]), unit_profile(9))
 
     def test_removes_known_cable(self, rng):
         # through response measured, inverted, then applied to a sounding
@@ -372,7 +371,7 @@ class TestBatchedEqualsPerFrame:
         dc_position = data.draw(st.sampled_from(["before", "after"]), label="dc_position")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         profile = (
-            through_calibrate([random_complex(rng, n_seq)])
+            through_calibrate(FrameSeries(random_complex(rng, (1, n_seq)), [0], [0.0]))
             if data.draw(st.booleans(), label="profile")
             else None
         )
@@ -406,19 +405,19 @@ class TestBatchedEqualsPerFrame:
         assert got.h.shape == (len(kept), n_seq)
         for k, fr in zip(kept, got):
             block = samples[k * n_seq - start : (k + 1) * n_seq - start].astype(np.complex128)
-            want = ImpulseResponseFrame(
-                h=normalize(fast_pccf(block, seq.samples), n_seq),
-                t_i=measurement_time(k, n_seq / FS, 1 / FS),
-                sequence_index=k,
+            want = FrameSeries(
+                h=normalize(fast_pccf(block, seq.samples), n_seq)[None],
+                sequence_index=[k],
+                t_i=[measurement_time(k, n_seq / FS, 1 / FS)],
             )
             if dc_hz and dc_position == "before":
                 want = remove_dc_bias(want, dc_hz, FS)
             want = correct_ftt(want, profile)
             if dc_hz and dc_position == "after":
                 want = remove_dc_bias(want, dc_hz, FS)
-            assert np.array_equal(fr.h.view(np.uint64), want.h.view(np.uint64))
-            assert fr.t_i == want.t_i
-            assert fr.corrected == want.corrected == (profile is not None)
+            assert np.array_equal(fr.h.view(np.uint64), want.h[0].view(np.uint64))
+            assert fr.t_i == want.t_i[0]
+            assert fr.corrected == want.corrected[0] == (profile is not None)
 
 
 def whole_stream_capture(cfg):

@@ -256,7 +256,8 @@ class TestFuzz:
 
 
 def run_raw_server(blobs, close_early=False):
-    """Serve raw bytes once on an ephemeral port; return (endpoint, thread)."""
+    """Serve raw bytes once on an ephemeral port, until the peer hangs up;
+    return (endpoint, thread)."""
     lsock = socket.create_server(("127.0.0.1", 0))
     port = lsock.getsockname()[1]
 
@@ -265,8 +266,11 @@ def run_raw_server(blobs, close_early=False):
             lsock.settimeout(5.0)
             conn, _ = lsock.accept()
             with conn:
-                for blob in blobs:
-                    conn.sendall(blob)
+                try:
+                    for blob in blobs:
+                        conn.sendall(blob)
+                except (BrokenPipeError, ConnectionResetError):
+                    return  # the peer gave up on a hostile stream
                 if not close_early:
                     try:
                         conn.shutdown(socket.SHUT_WR)
@@ -322,6 +326,97 @@ class TestConsumeStream:
         with pytest.raises(WireProtocolError, match="duplicate HELLO"):
             wire.consume_stream(endpoint, timeout=5.0)
         t.join(timeout=5.0)
+
+
+def clean_stream(step=40):
+    """A clean stream of a 6-period, 32-sample campaign with one trigger:
+    its messages as ``(kind, start, encoded)`` in the order
+    :func:`wire.serve_capture` sends them, its capture and the frames
+    its correlation gives."""
+    cfg = CampaignConfig(length=32, n_sequences=6, cable=None, corrupt_span=4)
+    cfg.channel_taps = [(0, 1 + 0j, 0.0), (2, 0.25j, 0.0)]
+    cfg.triggers = [(2 * 32 + 5, "overflow", "cut")]
+    seq, capture, events = sounder.capture_campaign(cfg)
+    hello = Hello(capture.fs, capture.f_c, descriptor(seq))
+    messages = [("hello", None, encode_hello(hello))]
+    for a in range(0, len(capture), step):
+        messages += [("trigger", ev.sample_index, encode_trigger(ev)) for ev in events if a <= ev.sample_index < a + step]
+        messages.append(("chunk", a, encode_iq_chunk(a, capture.samples[a : a + step])))
+    messages.append(("end", None, encode_end(len(capture))))
+    frames, _ = sounder.correlate_received(CampaignConfig(), capture, wire.ConsumeSummary(events, hello), None)
+    return messages, capture, frames
+
+
+CLEAN_MESSAGES, CLEAN_CAPTURE, CLEAN_FRAMES = clean_stream()
+
+
+def hostile(kind, data):
+    """The clean stream's bytes, changed as ``kind`` names."""
+    blobs = [m[2] for m in CLEAN_MESSAGES]
+    chunks = [i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "chunk"]
+    if kind == "swap two chunks":
+        i, j = data.draw(st.lists(st.sampled_from(chunks), min_size=2, max_size=2, unique=True))
+        blobs[i], blobs[j] = blobs[j], blobs[i]
+    elif kind == "repeat a chunk":
+        i = data.draw(st.sampled_from(chunks))
+        blobs.insert(i + 1, blobs[i])
+    elif kind == "overlap the chunk before":
+        i = data.draw(st.sampled_from(chunks[1:]))
+        a = CLEAN_MESSAGES[i][1] - data.draw(st.integers(1, 40))
+        blobs[i] = encode_iq_chunk(a, CLEAN_CAPTURE.samples[a : a + 40])
+    elif kind == "second HELLO":
+        blobs.insert(data.draw(st.integers(1, len(blobs))), blobs[0])
+    elif kind == "second END":
+        blobs.insert(data.draw(st.integers(1, len(blobs))), blobs[-1])
+    elif kind == "trigger after its chunk":
+        i = next(i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "trigger")
+        trigger = blobs.pop(i)
+        blobs.insert(data.draw(st.integers(i + 1, len(blobs) - 1)), trigger)  # still before END
+    else:
+        assert kind == "cut the stream"
+        stream = b"".join(blobs)
+        return [stream[: data.draw(st.integers(0, len(stream) - 1))]]
+    return blobs
+
+
+class TestHostileSequences:
+    """A message sequence built from a clean stream either raises
+    :class:`WireProtocolError` or gives the clean stream's frames."""
+
+    def test_clean_stream_gives_its_frames(self):
+        endpoint, t = run_raw_server([m[2] for m in CLEAN_MESSAGES])
+        frames, summary = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
+        t.join(timeout=5.0)
+        assert len(frames) == 4 and 2 not in frames.sequence_index
+        assert np.array_equal(frames.h, CLEAN_FRAMES.h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            [
+                "swap two chunks",
+                "repeat a chunk",
+                "overlap the chunk before",
+                "second HELLO",
+                "second END",
+                "trigger after its chunk",
+                "cut the stream",
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_raises_or_gives_the_clean_frames(self, kind, data):
+        endpoint, t = run_raw_server(hostile(kind, data))
+        try:
+            frames, _ = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
+        except WireProtocolError:
+            return
+        finally:
+            t.join(timeout=5.0)
+        assert kind in ("second HELLO", "second END", "trigger after its chunk")
+        assert np.array_equal(frames.h.view(np.uint64), CLEAN_FRAMES.h.view(np.uint64))
+        assert np.array_equal(frames.sequence_index, CLEAN_FRAMES.sequence_index)
+        assert np.array_equal(frames.t_i, CLEAN_FRAMES.t_i)
 
 
 def serve_in_thread(capture, desc, events=(), chunk_samples=4096):
