@@ -112,28 +112,15 @@ def _dc_bin_count(suppression_bw_hz: float, fs: float, n: int) -> int:
     return max(1, int(round(suppression_bw_hz / (fs / n))))
 
 
-def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
-    """Fade out the spectral band around 0 Hz and re-interpolate it.
-
-    ``suppression_bw_hz`` must be below ``fs / 4``.  The bins within the
-    band (in centered spectral order, around the DC bin) are replaced by
-    a straight line, separately in the real and imaginary parts, between
-    the nearest untouched bins on either side.  Everything outside the
-    band is untouched, and running the operation twice is a no-op the
-    second time.
-
-    Accepts a :class:`FrameSeries` (returns a new one with every row
-    patched) or bare spectra in FFT bin order along the last axis
-    (returns the patched spectra).
-    """
+def _patch_dc(spec: np.ndarray, suppression_bw_hz: float, fs: float) -> None:
+    """:func:`remove_dc_bias` on spectra in FFT bin order along the last
+    axis, written over them one gap bin at a time, so no temporary holds
+    more than one bin of every spectrum."""
     if not 0 < suppression_bw_hz < fs / 4:
         raise ValueError(
             f"suppression bandwidth must lie in (0, fs/4) = (0, {fs / 4}), "
             f"got {suppression_bw_hz}"
         )
-
-    is_series = isinstance(x, FrameSeries)
-    spec = np.fft.fft(x.h, axis=-1) if is_series else np.array(x, dtype=np.complex128, ndmin=1)
     n = spec.shape[-1]
     n_b = _dc_bin_count(suppression_bw_hz, fs, n)
 
@@ -151,8 +138,39 @@ def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
     w = (idx - left) / (right - left)
     # Centered position c is FFT bin (c - n // 2) mod n; patch in FFT order.
     gap, lo, hi = (idx - center) % n, (left - center) % n, (right - center) % n
-    spec[..., gap] = (1.0 - w) * spec[..., lo, None] + w * spec[..., hi, None]
+    for g, w_g in zip(gap, w):
+        column = spec[..., g]
+        np.multiply(1.0 - w_g, spec[..., lo], out=column)
+        column += w_g * spec[..., hi]
 
-    if is_series:
-        return replace(x, h=np.fft.ifft(spec, axis=-1, out=spec))
+
+def _remove_dc_bias_in_place(h: np.ndarray, suppression_bw_hz: float, fs: float) -> None:
+    """:func:`remove_dc_bias` on the rows of the complex128 response
+    matrix ``h``, written over them."""
+    np.fft.fft(h, axis=-1, out=h)
+    _patch_dc(h, suppression_bw_hz, fs)
+    np.fft.ifft(h, axis=-1, out=h)
+
+
+def remove_dc_bias(x, suppression_bw_hz: float, fs: float):
+    """Fade out the spectral band around 0 Hz and re-interpolate it.
+
+    ``suppression_bw_hz`` must be below ``fs / 4``.  The bins within the
+    band (in centered spectral order, around the DC bin) are replaced by
+    a straight line, separately in the real and imaginary parts, between
+    the nearest untouched bins on either side.  Everything outside the
+    band is untouched, and running the operation twice is a no-op the
+    second time.
+
+    Takes a :class:`FrameSeries` (returns a new one with every row
+    patched) or bare spectra in FFT bin order along the last axis
+    (returns the patched spectra).  Either way the result is a copy and
+    ``x`` is left as it was.
+    """
+    if isinstance(x, FrameSeries):
+        h = np.array(x.h)
+        _remove_dc_bias_in_place(h, suppression_bw_hz, fs)
+        return replace(x, h=h)
+    spec = np.array(x, dtype=np.complex128, ndmin=1)
+    _patch_dc(spec, suppression_bw_hz, fs)
     return spec

@@ -148,10 +148,11 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
 def cmd_correlate(cfg: CampaignConfig) -> int:
     profile = cfg.load_profile()  # a bad profile fails before the capture is read
     if cfg.endpoint:
-        received = wire.consume_stream(cfg.endpoint, timeout=cfg.timeout)
+        frames, total, _ = wire._correlate_stream(cfg.endpoint, cfg, profile)
     else:
         received = framestore.read_capture(_require(cfg.input, "--input"))
-    frames, total = sounder.correlate_received(cfg, *received, profile)
+        frames, total = sounder.correlate_received(cfg, *received, profile)
+        del received  # free the capture before the frames are written
     path = _write_series(cfg, _nonempty(frames, total), total)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     return 0

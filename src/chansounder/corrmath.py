@@ -21,8 +21,10 @@ def fast_pccf(a, b) -> np.ndarray:
 
     Matches the direct sum above to within ``1e-9 * N * max|a| * max|b|``
     absolute error.  ``a`` may be a stack (..., N), each row with the bits
-    of one call; it is copied once to complex128, the one widening of a
-    complex64 capture, and the FFTs transform that copy in place.
+    of one call, or anything ``np.array`` makes one of (such as
+    :class:`sounder.KeptPeriods`); it is copied once to complex128, the
+    one widening of a complex64 capture, and the FFTs transform that copy
+    in place, so ``a`` is never written to.
     """
     spec = np.array(a, dtype=np.complex128, ndmin=1)
     bv = np.asarray(b)

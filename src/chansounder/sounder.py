@@ -18,7 +18,9 @@ All stages are pure functions over immutable frames, so their
 composition is deterministic no matter how the stream is chunked or
 which process runs which half.  A capture is complex64 on every
 transport, from :func:`quantize_capture` to the correlator, and only
-:func:`corrmath.fast_pccf` widens it.
+:func:`corrmath.fast_pccf` widens it; :func:`frames_from_capture` then
+runs the normalization and the corrections in place on that one
+complex128 matrix, with the same bits as the pure stages.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterator, Sequence as SequenceType
 import numpy as np
 
 from . import chansim
-from .calib import CalibrationProfile, remove_dc_bias
+from .calib import CalibrationProfile, _remove_dc_bias_in_place
 from .charmetrics import max_doppler
 from .corrmath import fast_pccf
 from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_sample_rate
@@ -63,20 +65,50 @@ def quantize_capture(frame: IqFrame) -> IqFrame:
     return IqFrame(q, frame.fs, frame.f_c, frame.start_index)
 
 
+class KeptPeriods:
+    """Sequence periods kept by :func:`sequence_gate` that are not
+    consecutive: runs of rows of the (P, n_seq) block matrix of a capture
+    (a view of its samples), held without a copy.
+
+    ``np.array(kept, dtype)`` gathers them, run by run, into one new
+    (F, n_seq) array cast straight to ``dtype``, so
+    :func:`corrmath.fast_pccf`'s complex128 copy is the only copy of the
+    kept samples.
+    """
+
+    def __init__(self, blocks: np.ndarray, runs: np.ndarray) -> None:
+        self.blocks = blocks
+        self.runs = runs  # (R, 2) row ranges [a, b) of ``blocks``
+
+    def __len__(self) -> int:
+        return int((self.runs[:, 1] - self.runs[:, 0]).sum())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("kept periods that are not consecutive cannot be one array without a copy")
+        out = np.empty((len(self), self.blocks.shape[1]), self.blocks.dtype if dtype is None else dtype)
+        r = 0
+        for a, b in self.runs:
+            out[r : r + b - a] = self.blocks[a:b]
+            r += b - a
+        return out
+
+
 def sequence_gate(
     frame: IqFrame,
     events: SequenceType[TriggerEvent],
     n_seq: int,
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple["np.ndarray | KeptPeriods", list[int]]:
     """Cut the stream into sequence periods and drop damaged ones.
 
     A period is dropped when any trigger event's corrupted span
     ``[sample_index, sample_index + span)`` overlaps it, and also when
     the frame does not cover it completely.  Returns the surviving
-    periods as the rows of an (F, n_seq) block matrix (a view of the
-    samples when none is dropped) with their period indices (strictly
-    increasing).  Absolute sample index 0 is a period boundary by
-    construction of :func:`stimulate_capture`.
+    periods, without copying a sample, with their period indices
+    (strictly increasing): consecutive ones as the rows of an (F, n_seq)
+    view of the samples, others as :class:`KeptPeriods`.  Absolute sample
+    index 0 is a period boundary by construction of
+    :func:`stimulate_capture`.
     """
     if n_seq < 1:
         raise ValueError("sequence length must be positive")
@@ -94,7 +126,12 @@ def sequence_gate(
     a = first * n_seq - lo
     blocks = frame.samples[a : a + (last - first) * n_seq].reshape(last - first, n_seq)
     kept = (first + np.flatnonzero(keep)).tolist()
-    return (blocks if keep.all() else blocks[keep]), kept
+    # Row ranges [start, stop) of the runs of kept periods.
+    edged = np.concatenate(([False], keep, [False]))
+    runs = np.flatnonzero(edged[1:] != edged[:-1]).reshape(-1, 2)
+    if len(runs) > 1:
+        return KeptPeriods(blocks, runs), kept
+    return (blocks[runs[0, 0] : runs[0, 1]] if len(runs) else blocks[:0]), kept
 
 
 def normalize(y_corr: np.ndarray, n_seq: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -115,9 +152,18 @@ def measurement_time(sequence_index: int, t_seq: float, t_s: float) -> float:
     return (sequence_index + 1) * t_seq - t_s
 
 
+def _correct_ftt_in_place(h: np.ndarray, profile: CalibrationProfile) -> None:
+    """:func:`correct_ftt` on the rows of the complex128 response matrix
+    ``h``, written over them."""
+    profile.check_length(h.shape[-1])
+    np.fft.fft(h, axis=-1, out=h)
+    h *= profile.spectrum()
+    np.fft.ifft(h, axis=-1, out=h)
+
+
 def correct_ftt(frames: FrameSeries, profile: CalibrationProfile | None) -> FrameSeries:
     """Apply a forward-transmission correction profile to every row of a
-    :class:`FrameSeries`.
+    :class:`FrameSeries`, in a new series.
 
     With no profile the series passes through untouched (and keeps its
     uncorrected flags).  Correction is circular convolution with the
@@ -125,10 +171,9 @@ def correct_ftt(frames: FrameSeries, profile: CalibrationProfile | None) -> Fram
     """
     if profile is None:
         return frames
-    profile.check_length(frames.n_seq)
-    spec = np.fft.fft(frames.h, axis=-1).astype(np.complex128, copy=False)
-    spec *= profile.spectrum()
-    return replace(frames, h=np.fft.ifft(spec, axis=-1, out=spec), corrected=True)
+    h = np.array(frames.h)
+    _correct_ftt_in_place(h, profile)
+    return replace(frames, h=h, corrected=True)
 
 
 def frames_from_capture(
@@ -149,7 +194,11 @@ def frames_from_capture(
     ``dc_suppression_hz`` enables DC-bias removal on every frame (0 keeps
     it off; a negative or NaN value is rejected); ``dc_position`` chooses
     whether that happens before or after the profile correction.  Every
-    stage runs once over the whole (F, N) block matrix of kept periods.
+    stage runs once over the whole (F, N) matrix of kept periods: the
+    kept periods reach :func:`corrmath.fast_pccf` as views of the
+    capture, its complex128 copy is the one matrix made, and the
+    normalization and corrections write over it; the capture is never
+    written to.
     """
     if dc_position not in ("before", "after"):
         raise ValueError("dc_position must be 'before' or 'after'")
@@ -158,25 +207,21 @@ def frames_from_capture(
     n_seq = seq.n_seq
     t_s = 1.0 / capture.fs
 
-    blocks, kept = sequence_gate(capture, events, n_seq)
-    if discard_first and kept[:1] == [0]:
-        blocks, kept = blocks[1:], kept[1:]
-    h = fast_pccf(blocks, seq.samples)
+    if discard_first:  # period 0 goes as a trigger on its first sample would take it
+        events = [*events, TriggerEvent(0)]
+    periods, kept = sequence_gate(capture, events, n_seq)
     index = np.asarray(kept, dtype=np.int64)
-    series = FrameSeries(
-        h=normalize(h, n_seq, out=h),
-        sequence_index=index,
-        t_i=measurement_time(index, n_seq * t_s, t_s),
-    )
-    # Release the (possibly copied) blocks and the raw matrix, so each
-    # correction below holds only its input and output matrices.
-    del blocks, h
+    del kept  # 36 B per period as Python ints, 8 as the index
+    h = fast_pccf(periods, seq.samples)
+    del periods
+    normalize(h, n_seq, out=h)
     if dc_suppression_hz > 0.0 and dc_position == "before":
-        series = remove_dc_bias(series, dc_suppression_hz, capture.fs)
-    series = correct_ftt(series, profile)
+        _remove_dc_bias_in_place(h, dc_suppression_hz, capture.fs)
+    if profile is not None:
+        _correct_ftt_in_place(h, profile)
     if dc_suppression_hz > 0.0 and dc_position == "after":
-        series = remove_dc_bias(series, dc_suppression_hz, capture.fs)
-    return series
+        _remove_dc_bias_in_place(h, dc_suppression_hz, capture.fs)
+    return FrameSeries(h, index, measurement_time(index, n_seq * t_s, t_s), corrected=profile is not None)
 
 
 @dataclass
@@ -340,20 +385,30 @@ def _check_corrections(config, profile: CalibrationProfile | None, n_seq: int, f
         )
 
 
+def _adopt_stream(config, record, fs: float, profile: CalibrationProfile | None) -> Sequence:
+    """The sequence a capture file or wire peer was stimulated with: adopt
+    the sample rate ``fs`` and the sequence of the
+    :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
+    ``record`` by the record's rules
+    (:meth:`CampaignConfig.stream_sequence`), then check the corrections
+    against them (:func:`_check_corrections`)."""
+    seq = config.stream_sequence(
+        record.sequence_descriptor, fs, record.source, record.mismatch_error, record.strict
+    )
+    _check_corrections(config, profile, seq.n_seq, fs)
+    return seq
+
+
 def correlate_received(
     config, capture: IqFrame, record, profile: CalibrationProfile | None
 ) -> tuple[FrameSeries, int]:
     """Correlate a capture read from a file or received on the wire, with
     the :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
-    ``record`` that came with it: adopt its sample rate and sequence by
-    the record's rules (:meth:`CampaignConfig.stream_sequence`), check
-    the corrections against them (:func:`_check_corrections`), gate by
-    its triggers, and return :func:`correlate_campaign`'s frames and
-    period count with the calibration ``profile``."""
-    seq = config.stream_sequence(
-        record.sequence_descriptor, capture.fs, record.source, record.mismatch_error, record.strict
-    )
-    _check_corrections(config, profile, seq.n_seq, capture.fs)
+    ``record`` that came with it: adopt its sample rate and sequence and
+    check the corrections (:func:`_adopt_stream`), gate by its triggers,
+    and return :func:`correlate_campaign`'s frames and period count with
+    the calibration ``profile``."""
+    seq = _adopt_stream(config, record, capture.fs, profile)
     return correlate_campaign(config, capture, seq, record.triggers, profile)
 
 

@@ -6,15 +6,18 @@ message body; the first body byte is the message type:
 * HELLO (1): ``<u16 protocol_version> <f64 fs> <f64 f_c>
   <u16 desc_len> <descriptor utf-8>``.  Sent once by the stimulation
   side before any samples; the correlation side aborts on any mismatch
-  with its own configuration.
+  with its own configuration before it reads a chunk.
 * IQ_CHUNK (2): ``<i64 start_index> <u32 n_samples>`` then the samples
   as interleaved little-endian float32 IQ pairs, exactly the capture
   file payload encoding.  Chunks arrive with strictly increasing,
   gap-free start indices.
 * TRIGGER (3): ``<i64 sample_index> <u8 kind> <u32 span>
-  <u16 note_len> <note utf-8>``; kind 0 is overflow, 1 external.
+  <u16 note_len> <note utf-8>``; kind 0 is overflow, 1 external.  A
+  trigger comes before the chunk that holds its sample: one whose sample
+  has already been received is rejected.
 * END (4): ``<i64 total_samples>`` closing the stream; the receiver
-  cross-checks its sample count.
+  cross-checks its sample count.  END is final: the sender closes the
+  connection after it, and any message that follows is rejected.
 
 Anything that does not parse exactly raises :class:`WireProtocolError`
 (a handshake disagreement raises the :class:`HelloMismatchError`
@@ -32,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import sounder
-from .frames import CAPTURE_DTYPE, IqFrame, TriggerEvent
+from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent
 from .seqgen import descriptor as seq_descriptor
 
 PROTOCOL_VERSION = 1
@@ -375,34 +378,64 @@ def serve_stimulation(config, endpoint=None) -> StimulationSummary:
     )
 
 
+class Link:
+    """A connection to a stimulation peer whose HELLO has been read
+    (:attr:`hello`), so the receiver can check the stream's parameters
+    before any chunk arrives; :func:`consume_stream` reads the rest.
+    ``endpoint`` is a ``host:port`` string or a ``(host, port)`` pair.
+    Used as a context manager, it closes the connection on exit."""
+
+    def __init__(self, endpoint, timeout: float = 10.0) -> None:
+        host, port = parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self.stream = self._sock.makefile("rb")
+        try:
+            self._sock.settimeout(timeout)
+            hello = read_message(self.stream)
+            if hello is None:
+                raise WireProtocolError("peer closed the stream before HELLO")
+            if not isinstance(hello, Hello):
+                raise WireProtocolError(f"expected HELLO first, got {type(hello).__name__}")
+        except BaseException:
+            self.__exit__()
+            raise
+        self.hello = hello
+
+    def __enter__(self) -> "Link":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stream.close()
+        self._sock.close()
+
+
 def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSummary]:
     """Connect to a stimulation peer and collect the whole stream.
 
-    Verifies chunk contiguity and the END sample count.  Returns the
-    reassembled capture frame plus the stream summary (handshake and
-    trigger events).  The chunks are joined as received into one
-    complex64 capture, the capture format of every transport.
+    ``endpoint`` is a ``host:port`` string, a ``(host, port)`` pair or an
+    open :class:`Link`, which this closes.  Verifies chunk contiguity,
+    that each trigger comes before the chunk holding its sample, the END
+    sample count, and that nothing follows END before the peer closes.
+    Returns the reassembled capture frame plus the stream summary
+    (handshake and trigger events).  The chunks are joined as received
+    into one complex64 capture, the capture format of every transport.
     """
-    host, port = parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        stream = sock.makefile("rb")
-        hello = read_message(stream)
-        if hello is None:
-            raise WireProtocolError("peer closed the stream before HELLO")
-        if not isinstance(hello, Hello):
-            raise WireProtocolError(f"expected HELLO first, got {type(hello).__name__}")
-
+    with endpoint if isinstance(endpoint, Link) else Link(endpoint, timeout) as link:
         parts: list[np.ndarray] = []
         triggers: list[TriggerEvent] = []
         received = 0
         while True:
-            msg = read_message(stream)
+            msg = read_message(link.stream)
             if msg is None:
                 raise WireProtocolError("stream ended without an END message")
             if isinstance(msg, Hello):
                 raise WireProtocolError("duplicate HELLO mid-stream")
             if isinstance(msg, TriggerEvent):
+                if msg.sample_index < received:
+                    raise WireProtocolError(
+                        f"TRIGGER at sample {msg.sample_index} arrived after its chunk "
+                        f"({received} samples received)"
+                    )
                 triggers.append(msg)
                 continue
             if isinstance(msg, End):
@@ -418,21 +451,38 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
                 )
             parts.append(msg.samples)
             received += len(msg.samples)
+        late = read_message(link.stream)
+        if late is not None:
+            raise WireProtocolError(f"{type(late).__name__} message after END")
 
     samples = np.concatenate(parts) if parts else np.empty(0, dtype=CAPTURE_DTYPE)
-    return IqFrame(samples, hello.fs, hello.f_c, 0), ConsumeSummary(triggers, hello)
+    return IqFrame(samples, link.hello.fs, link.hello.f_c, 0), ConsumeSummary(triggers, link.hello)
+
+
+def _correlate_stream(endpoint, config, profile) -> tuple[FrameSeries, int, ConsumeSummary]:
+    """Receive a stimulation peer's stream and correlate it with the
+    calibration ``profile``: the HELLO's sample rate and sequence are
+    adopted and the corrections checked against them
+    (:func:`sounder._adopt_stream`) before any chunk is read.  Returns
+    :func:`sounder.correlate_campaign`'s frames and period count and the
+    stream summary."""
+    with Link(endpoint, config.timeout) as link:
+        seq = sounder._adopt_stream(config, ConsumeSummary(hello=link.hello), link.hello.fs, profile)
+        capture, summary = consume_stream(link)
+    frames, total = sounder.correlate_campaign(config, capture, seq, summary.triggers, profile)
+    return frames, total, summary
 
 
 def consume_correlation(endpoint, config):
-    """Receive a stimulation stream and run the correlation side on it
-    (:func:`sounder.correlate_received`).
+    """Receive a stimulation stream and run the correlation side on it.
 
-    The handshake is validated against the local configuration: sample
-    rates must agree, and if the configuration pins a sequence it must
-    match the peer's descriptor (otherwise the peer's descriptor is
-    adopted).  Returns ``(frames, summary)``.
+    The handshake is validated against the local configuration before
+    any chunk is read: sample rates must agree, and if the configuration
+    pins a sequence it must match the peer's descriptor (otherwise the
+    peer's descriptor is adopted); the calibration profile and the DC
+    band are checked against the adopted sequence and rate.  Returns
+    ``(frames, summary)``.
     """
     profile = config.load_profile()  # a bad profile fails before anything is received
-    capture, summary = consume_stream(endpoint, timeout=config.timeout)
-    frames, _ = sounder.correlate_received(config, capture, summary, profile)
+    frames, _, summary = _correlate_stream(endpoint, config, profile)
     return frames, summary

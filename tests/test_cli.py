@@ -373,24 +373,66 @@ class TestCorrectionsCheckedBeforeCorrelating:
         assert pccf_calls == []
         assert not list(tmp_path.glob("run*"))
 
-    def test_correlate_over_the_wire_gives_the_same_message(self, tmp_path, capsys, pccf_calls, bad_config):
-        cfg, message = bad_config
+    @pytest.fixture
+    def decoded_chunks(self, monkeypatch):
+        """The start index of every IQ chunk the wire decoder decoded."""
+        chunks = []
+        real = wire.decode_message
+
+        def counting(body):
+            msg = real(body)
+            if isinstance(msg, wire.IqChunk):
+                chunks.append(msg.start_index)
+            return msg
+
+        monkeypatch.setattr(wire, "decode_message", counting)
+        return chunks
+
+    @staticmethod
+    def correlate_over_the_wire(tmp_path, cfg, served):
+        """Serve the campaign ``served``, lengthened past what the socket
+        buffers hold, to ``correlate --config cfg --endpoint``; return the
+        exit status and the stimulation summary."""
+        served.n_sequences = 50_000  # 25.6 MB on the wire
         lsock = socket.create_server(("127.0.0.1", 0))
         port = lsock.getsockname()[1]
         box = {}
 
         def serve():
             with lsock:
-                box["summary"] = wire.serve_stimulation(load_config(cfg), lsock)
+                box["summary"] = wire.serve_stimulation(served, lsock)
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
         argv = ["correlate", "--config", cfg, "--endpoint", f"127.0.0.1:{port}"]
-        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        rc = main(argv + ["--out", str(tmp_path / "run")])
         t.join(timeout=10.0)
-        assert box["summary"].complete
+        assert not t.is_alive()
+        return rc, box["summary"]
+
+    def test_correlate_over_the_wire_gives_the_same_message(
+        self, tmp_path, capsys, pccf_calls, decoded_chunks, bad_config
+    ):
+        cfg, message = bad_config
+        rc, summary = self.correlate_over_the_wire(tmp_path, cfg, load_config(cfg))
+        assert rc == 2
+        assert not summary.complete  # the correlation side hung up after the HELLO
         assert capsys.readouterr().err == message
-        assert pccf_calls == []
+        assert pccf_calls == [] and decoded_chunks == []
+        assert not list(tmp_path.glob("run*"))
+
+    def test_correlate_over_the_wire_checks_the_rate_at_hello(
+        self, tmp_path, capsys, pccf_calls, decoded_chunks
+    ):
+        served = load_config(small_config(tmp_path))
+        cfg = small_config(tmp_path, "sample_rate = 2000000\n")
+        rc, summary = self.correlate_over_the_wire(tmp_path, cfg, served)
+        assert rc == 2
+        assert not summary.complete
+        assert capsys.readouterr().err == (
+            "error: peer samples at 1000000.0 Hz but the configuration expects 2000000.0 Hz\n"
+        )
+        assert pccf_calls == [] and decoded_chunks == []
         assert not list(tmp_path.glob("run*"))
 
 

@@ -420,6 +420,89 @@ class TestBatchedEqualsPerFrame:
             assert fr.corrected == want.corrected[0] == (profile is not None)
 
 
+class TestInputsUntouched:
+    """The correlator, the corrections and the whole pipeline leave the
+    bytes of every array they are given as they were: only the
+    pipeline's own frame matrix is written in place."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stages_leave_their_inputs(self, data):
+        n_seq = data.draw(st.sampled_from([16, 31]), label="n_seq")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows, ref, spec, h = (random_complex(rng, shape) for shape in ((3, n_seq), n_seq, (2, n_seq), (3, n_seq)))
+        profile = through_calibrate(FrameSeries(random_complex(rng, (1, n_seq)), [0], [0.0]))
+        series = FrameSeries(h, [0, 1, 2], [0.0, 1.0, 2.0])
+        inputs = [rows, ref, spec, h, profile.h_ftt]
+        before = [x.tobytes() for x in inputs]
+
+        fast_pccf(rows, ref)
+        remove_dc_bias(series, 3 * FS / n_seq, FS)
+        remove_dc_bias(spec, 3 * FS / n_seq, FS)
+        correct_ftt(series, profile)
+
+        assert [x.tobytes() for x in inputs] == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_frames_from_capture_leaves_the_capture(self, data):
+        n_seq = 31
+        seq = generate_mls(5)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        dtype = data.draw(st.sampled_from([np.complex64, np.complex128]), label="capture dtype")
+        capture = IqFrame(random_complex(rng, 8 * n_seq).astype(dtype), FS)
+        # none, a leading run, or periods in the middle dropped
+        events = data.draw(
+            st.sampled_from([[], [TriggerEvent(n_seq)], [TriggerEvent(2 * n_seq, span=n_seq + 1)]]),
+            label="triggers",
+        )
+        discard_first = data.draw(st.booleans(), label="discard_first")
+        profile = through_calibrate(FrameSeries(random_complex(rng, (1, n_seq)), [0], [0.0]))
+        inputs = [capture.samples, seq.samples, profile.h_ftt]
+        before = [x.tobytes() for x in inputs]
+
+        got = frames_from_capture(
+            capture,
+            seq,
+            events=events,
+            profile=profile,
+            discard_first=discard_first,
+            dc_suppression_hz=3 * FS / n_seq,
+        )
+
+        assert [x.tobytes() for x in inputs] == before
+        assert len(got) and not np.shares_memory(got.h, capture.samples)
+
+
+class TestCorrelationMemory:
+    def test_one_frame_matrix_above_the_capture(self):
+        # gated_split's shape: MLS-127, overflow triggers that drop periods
+        # in the middle of the stream, a profile and DC removal.  The
+        # periods reach the correlator as views of the capture and every
+        # stage after it works in the one complex128 matrix.  Four times
+        # gated_split's 1000 periods, so that numpy's fixed 128 KiB buffer
+        # of a broadcasting multiply stays a quarter of the 1 B/sample.
+        seq = generate_mls(7)
+        n = seq.n_seq
+        capture = quantize_capture(stimulate_capture(seq, 4000, FS))
+        events = [TriggerEvent(p * n + 60, "overflow", 128) for p in range(5, 4000, 97)]
+        profile = through_calibrate(FrameSeries(np.eye(1, n), [0], [0.0]))
+
+        def run():
+            return frames_from_capture(capture, seq, events, profile, dc_suppression_hz=20_000.0)
+
+        run()  # first-use allocations (FFT plans) outside the trace
+        tracemalloc.start()
+        try:
+            frames = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == 4000 - 1 - 2 * len(events)
+        matrix = frames.h.nbytes
+        assert peak <= matrix + len(capture), f"{(peak - matrix) / len(capture):.2f} B/sample above the matrix"
+
+
 def whole_stream_capture(cfg):
     """The reference capture: the channel over the whole stimulation
     stream in one pass, then the trigger damage and quantization."""

@@ -372,6 +372,9 @@ def hostile(kind, data):
         i = next(i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "trigger")
         trigger = blobs.pop(i)
         blobs.insert(data.draw(st.integers(i + 1, len(blobs) - 1)), trigger)  # still before END
+    elif kind == "trigger after END":
+        i = next(i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "trigger")
+        blobs.append(blobs.pop(i))
     else:
         assert kind == "cut the stream"
         stream = b"".join(blobs)
@@ -380,8 +383,8 @@ def hostile(kind, data):
 
 
 class TestHostileSequences:
-    """A message sequence built from a clean stream either raises
-    :class:`WireProtocolError` or gives the clean stream's frames."""
+    """A message sequence built from a clean stream by any change that
+    breaks the message order raises :class:`WireProtocolError`."""
 
     def test_clean_stream_gives_its_frames(self):
         endpoint, t = run_raw_server([m[2] for m in CLEAN_MESSAGES])
@@ -400,23 +403,32 @@ class TestHostileSequences:
                 "second HELLO",
                 "second END",
                 "trigger after its chunk",
+                "trigger after END",
                 "cut the stream",
             ]
         ),
         data=st.data(),
     )
-    def test_raises_or_gives_the_clean_frames(self, kind, data):
+    def test_raises_protocol_error(self, kind, data):
         endpoint, t = run_raw_server(hostile(kind, data))
         try:
-            frames, _ = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
-        except WireProtocolError:
-            return
+            with pytest.raises(WireProtocolError):
+                wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
         finally:
             t.join(timeout=5.0)
-        assert kind in ("second HELLO", "second END", "trigger after its chunk")
-        assert np.array_equal(frames.h.view(np.uint64), CLEAN_FRAMES.h.view(np.uint64))
-        assert np.array_equal(frames.sequence_index, CLEAN_FRAMES.sequence_index)
-        assert np.array_equal(frames.t_i, CLEAN_FRAMES.t_i)
+
+    def test_late_messages_are_named(self):
+        endpoint, t = run_raw_server(hostile("trigger after END", None))
+        with pytest.raises(WireProtocolError, match="TriggerEvent message after END"):
+            wire.consume_stream(endpoint, timeout=5.0)
+        t.join(timeout=5.0)
+        i = next(i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "trigger")
+        blobs = [m[2] for m in CLEAN_MESSAGES]
+        blobs.insert(i + 1, blobs.pop(i))  # right behind the chunk that holds its sample
+        endpoint, t = run_raw_server(blobs)
+        with pytest.raises(WireProtocolError, match="TRIGGER at sample 69 arrived after its chunk"):
+            wire.consume_stream(endpoint, timeout=5.0)
+        t.join(timeout=5.0)
 
 
 def serve_in_thread(capture, desc, events=(), chunk_samples=4096):

@@ -1,9 +1,12 @@
 """Compare the CSV number kernel with CPython's ``repr`` on random float64s.
 
-Draws ``--count`` random 64-bit patterns from ``--seed`` (a fresh one when
-none is given, printed either way so a failure can be replayed), views them
-as float64 and checks that ``chansounder._floatrepr.reprs`` writes exactly
-``repr`` of each, in chunks of 65,536 values.
+Draws ``--count`` random float64s from ``--seed`` (a fresh one when none
+is given, printed either way so a failure can be replayed) and checks that
+``chansounder._floatrepr.reprs`` writes exactly ``repr`` of each, in chunks
+of 65,536 values.  Half are random 64-bit patterns.  The other half have
+magnitudes log-uniform over 1e-7 to 1e18 and a random sign: they fall in
+the positional layouts (``0.000ddd``, ``ddd.0``) that the CSV tables
+mostly hold, which only about 3 % of random bit patterns reach.
 
     python3 tools/check_floatrepr.py --count 10000000 --seed 7
 
@@ -29,7 +32,7 @@ CHUNK = 1 << 16
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--count", type=int, default=1_000_000, help="random bit patterns to check")
+    p.add_argument("--count", type=int, default=1_000_000, help="random values to check")
     p.add_argument("--seed", type=int, help="seed of the bit patterns (default: a fresh one)")
     args = p.parse_args(argv)
     seed = random.SystemRandom().randrange(2**32) if args.seed is None else args.seed
@@ -39,6 +42,8 @@ def main(argv=None) -> int:
     for start in range(0, args.count, CHUNK):
         n = min(CHUNK, args.count - start)
         values = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+        scaled = values[1::2]
+        scaled[:] = rng.choice((-1.0, 1.0), len(scaled)) * 10.0 ** rng.uniform(-7.0, 18.0, len(scaled))
         got = reprs(values, newlines[:n]).decode("ascii")
         want = "".join(f"{v!r}\n" for v in values.tolist())
         if got != want:
