@@ -19,6 +19,9 @@ message body; the first body byte is the message type:
   cross-checks its sample count.  END is final: the sender closes the
   connection after it, and any message that follows is rejected.
 
+Messages leave in sends of 64 KiB or a little more, byte for byte as
+encoded; the receiver reads each IQ_CHUNK's samples into its capture.
+
 Anything that does not parse exactly raises :class:`WireProtocolError`
 (a handshake disagreement raises the :class:`HelloMismatchError`
 subtype), never a bare struct or index error.
@@ -56,6 +59,15 @@ _CHUNK_HEAD = struct.Struct("<qI")
 _TRIGGER_HEAD = struct.Struct("<qBIH")
 _END_BODY = struct.Struct("<q")
 _LENGTH = struct.Struct("<I")
+#: An IQ_CHUNK's length prefix, type byte and fixed header.
+_IQ_HEAD = struct.Struct("<IBqI")
+_IQ_BODY_HEAD = _IQ_HEAD.size - _LENGTH.size
+
+#: The sender passes its messages to the socket in sends of this many
+#: bytes or more; the receiver reads the socket through a buffer of
+#: ``_RECV_BUFFER`` bytes.
+_SEND_BYTES = 1 << 16
+_RECV_BUFFER = 1 << 18
 
 
 class WireProtocolError(ValueError):
@@ -100,9 +112,9 @@ def encode_hello(hello: Hello) -> bytes:
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
-    payload = np.asarray(samples, dtype=CAPTURE_DTYPE).tobytes()
-    body = bytes([MSG_IQ_CHUNK]) + _CHUNK_HEAD.pack(start_index, len(samples)) + payload
-    return _frame(body)
+    x = np.ascontiguousarray(samples, dtype=CAPTURE_DTYPE)
+    head = _IQ_HEAD.pack(_IQ_BODY_HEAD + x.nbytes, MSG_IQ_CHUNK, start_index, len(x))
+    return b"".join((head, x))
 
 
 def encode_trigger(event: TriggerEvent) -> bytes:
@@ -140,6 +152,20 @@ def _text_tail(payload: memoryview, head: struct.Struct, length: int, what: str)
         raise WireProtocolError(f"{what} is not valid utf-8: {exc}") from None
 
 
+def _chunk_head(payload: memoryview, payload_bytes: int) -> tuple[int, int]:
+    """The checked start index and sample count of an IQ_CHUNK header."""
+    start_index, count = _fixed_head(payload, _CHUNK_HEAD, "IQ_CHUNK")
+    if start_index < 0:
+        raise WireProtocolError(f"IQ_CHUNK start index {start_index} is negative")
+    if payload_bytes != CAPTURE_DTYPE.itemsize * count:
+        raise WireProtocolError(
+            f"IQ_CHUNK declares {count} samples but carries {payload_bytes} payload bytes"
+        )
+    if count == 0:
+        raise WireProtocolError("IQ_CHUNK with zero samples")
+    return start_index, count
+
+
 def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     """Decode one message body (without the length prefix); an IQ_CHUNK's
     samples are a :data:`frames.CAPTURE_DTYPE` view of it, the capture
@@ -169,17 +195,8 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
         return Hello(fs=fs, f_c=f_c, sequence_descriptor=text, protocol_version=version)
 
     if mtype == MSG_IQ_CHUNK:
-        start_index, count = _fixed_head(payload, _CHUNK_HEAD, "IQ_CHUNK")
-        if start_index < 0:
-            raise WireProtocolError(f"IQ_CHUNK start index {start_index} is negative")
-        data = payload[_CHUNK_HEAD.size :]
-        if len(data) != CAPTURE_DTYPE.itemsize * count:
-            raise WireProtocolError(
-                f"IQ_CHUNK declares {count} samples but carries {len(data)} payload bytes"
-            )
-        if count == 0:
-            raise WireProtocolError("IQ_CHUNK with zero samples")
-        return IqChunk(start_index=start_index, samples=np.frombuffer(data, dtype=CAPTURE_DTYPE))
+        start_index, _ = _chunk_head(payload, len(payload) - _CHUNK_HEAD.size)
+        return IqChunk(start_index, np.frombuffer(payload[_CHUNK_HEAD.size :], dtype=CAPTURE_DTYPE))
 
     if mtype == MSG_TRIGGER:
         sample_index, kind_code, span, note_len = _fixed_head(payload, _TRIGGER_HEAD, "TRIGGER")
@@ -210,12 +227,8 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     raise WireProtocolError(f"unknown message type {mtype}")
 
 
-def read_message(stream) -> "Hello | IqChunk | TriggerEvent | End | None":
-    """Read one framed message from a binary stream.
-
-    Returns None on a clean end-of-stream at a message boundary; raises
-    :class:`WireProtocolError` on truncation or garbage.
-    """
+def _read_length(stream) -> int | None:
+    """The next message's body length, or None at a clean end-of-stream."""
     head = stream.read(_LENGTH.size)
     if len(head) == 0:
         return None
@@ -224,12 +237,29 @@ def read_message(stream) -> "Hello | IqChunk | TriggerEvent | End | None":
     (length,) = _LENGTH.unpack(head)
     if length > MAX_MESSAGE_BYTES:
         raise WireProtocolError(f"declared message size {length} exceeds the limit")
-    body = stream.read(length)
-    if len(body) < length:
-        raise WireProtocolError(
-            f"stream ended inside a message body ({len(body)} of {length} bytes)"
-        )
-    return decode_message(body)
+    return length
+
+
+def _cut(got: int, length: int) -> WireProtocolError:
+    return WireProtocolError(f"stream ended inside a message body ({got} of {length} bytes)")
+
+
+def _read_body(stream, n: int, length: int, done: int = 0) -> bytes:
+    """The next ``n`` bytes of a ``length``-byte body, ``done`` bytes in."""
+    data = stream.read(n)
+    if len(data) < n:
+        raise _cut(done + len(data), length)
+    return data
+
+
+def read_message(stream) -> "Hello | IqChunk | TriggerEvent | End | None":
+    """Read one framed message from a binary stream.
+
+    Returns None on a clean end-of-stream at a message boundary; raises
+    :class:`WireProtocolError` on truncation or garbage.
+    """
+    length = _read_length(stream)
+    return None if length is None else decode_message(_read_body(stream, length, length))
 
 
 @dataclass
@@ -295,17 +325,18 @@ def serve_capture(
 
     ``capture`` is an :class:`IqFrame` or a stream of contiguous blocks
     with ``fs`` and ``f_c`` attributes (a :class:`sounder.CaptureStream`);
-    each block is sent as it is made, in chunks of at most
+    each block is encoded as it is made, in chunks of at most
     ``chunk_samples``, so a whole frame goes out in the same chunks as
-    the stream of its ``chunk_samples`` blocks.  The first block is made
-    before listening, so a capture that cannot be made fails before a
-    peer connects.  ``endpoint`` is a ``host:port`` string or an already-listening
-    socket (useful for tests on ephemeral ports).  Waits up to
-    ``timeout`` seconds for the peer; a peer that disconnects
-    mid-stream yields a summary with ``complete=False`` rather than an
-    exception.
+    the stream of its ``chunk_samples`` blocks.  The messages leave in
+    sends of 64 KiB or a little more, byte for byte as encoded.  The
+    first block is made before listening, so a capture that cannot be
+    made fails before a peer connects.  ``endpoint`` is a ``host:port``
+    string or an already-listening socket (useful for tests on ephemeral
+    ports).  Waits up to ``timeout`` seconds for the peer; a peer that
+    disconnects mid-stream yields a summary with ``complete=False``, which
+    counts the messages of the sends that completed, not an exception.
     """
-    max_chunk = (MAX_MESSAGE_BYTES - 1 - _CHUNK_HEAD.size) // CAPTURE_DTYPE.itemsize
+    max_chunk = (MAX_MESSAGE_BYTES - _IQ_BODY_HEAD) // CAPTURE_DTYPE.itemsize
     if not 1 <= chunk_samples <= max_chunk:
         raise ValueError(f"chunk_samples must lie in 1..{max_chunk}, got {chunk_samples}")
     blocks = iter([capture] if isinstance(capture, IqFrame) else capture)
@@ -325,36 +356,39 @@ def serve_capture(
             ) from None
         with conn:
             conn.settimeout(timeout)
+            # A message counts as sent once the sendall that carried it returns.
+            out = bytearray()
+            counted = (0, 0, 0)
             try:
-                conn.sendall(encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor)))
+                out += encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor))
                 for block in itertools.chain(first, blocks):
                     x = block.samples
                     # Each trigger goes out ahead of the chunk holding its sample.
                     for a in range(0, len(x), chunk_samples):
                         b = min(a + chunk_samples, len(x))
                         while triggers < len(evs) and evs[triggers].sample_index < block.start_index + b:
-                            conn.sendall(encode_trigger(evs[triggers]))
+                            out += encode_trigger(evs[triggers])
                             triggers += 1
-                        conn.sendall(encode_iq_chunk(block.start_index + a, x[a:b]))
+                        out += encode_iq_chunk(block.start_index + a, x[a:b])
                         chunks += 1
                         sent += b - a
+                        if len(out) >= _SEND_BYTES:
+                            conn.sendall(out)
+                            out.clear()
+                            counted = (sent, chunks, triggers)
                 for ev in evs[triggers:]:
-                    conn.sendall(encode_trigger(ev))
+                    out += encode_trigger(ev)
                     triggers += 1
-                conn.sendall(encode_end(sent))
+                out += encode_end(sent)
+                conn.sendall(out)
+                counted = (sent, chunks, triggers)
                 complete = True
             except (BrokenPipeError, ConnectionResetError, socket.timeout):
                 complete = False
     finally:
         if owned:
             lsock.close()
-    return StimulationSummary(
-        samples_sent=sent,
-        chunks_sent=chunks,
-        triggers_sent=triggers,
-        complete=complete,
-        endpoint=name,
-    )
+    return StimulationSummary(*counted, complete=complete, endpoint=name)
 
 
 def serve_stimulation(config, endpoint=None) -> StimulationSummary:
@@ -363,7 +397,7 @@ def serve_stimulation(config, endpoint=None) -> StimulationSummary:
     The stream is generated, passed through the configured channel,
     damaged by any configured trigger faults, and quantized to the wire
     sample format in blocks of ``chunk_samples``
-    (:func:`sounder.capture_stream`), each sent as it is made, so the
+    (:func:`sounder.capture_stream`), each encoded as it is made, so the
     peer receives exactly what a capture file of the same campaign would
     contain.
     """
@@ -388,7 +422,7 @@ class Link:
     def __init__(self, endpoint, timeout: float = 10.0) -> None:
         host, port = parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self.stream = self._sock.makefile("rb")
+        self.stream = self._sock.makefile("rb", buffering=_RECV_BUFFER)
         try:
             self._sock.settimeout(timeout)
             hello = read_message(self.stream)
@@ -416,21 +450,29 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
     open :class:`Link`, which this closes.  Verifies chunk contiguity,
     that each trigger comes before the chunk holding its sample, the END
     sample count, and that nothing follows END before the peer closes.
-    Returns the reassembled capture frame plus the stream summary
-    (handshake and trigger events).  The chunks are joined as received
-    into one complex64 capture, the capture format of every transport.
+    Returns the capture frame plus the stream summary (handshake and
+    trigger events); each chunk is read straight into the complex64
+    capture, the capture format of every transport, grown in place.
     """
     with endpoint if isinstance(endpoint, Link) else Link(endpoint, timeout) as link:
-        parts: list[np.ndarray] = []
+        capture = np.empty(0, dtype=CAPTURE_DTYPE)
         triggers: list[TriggerEvent] = []
         received = 0
         while True:
-            msg = read_message(link.stream)
-            if msg is None:
+            length = _read_length(link.stream)
+            if length is None:
                 raise WireProtocolError("stream ended without an END message")
-            if isinstance(msg, Hello):
-                raise WireProtocolError("duplicate HELLO mid-stream")
-            if isinstance(msg, TriggerEvent):
+            head = _read_body(link.stream, min(length, _IQ_BODY_HEAD), length)
+            if len(head) < _IQ_BODY_HEAD or head[0] != MSG_IQ_CHUNK:
+                msg = decode_message(head + _read_body(link.stream, length - len(head), length, len(head)))
+                if isinstance(msg, Hello):
+                    raise WireProtocolError("duplicate HELLO mid-stream")
+                if isinstance(msg, End):
+                    if msg.total_samples != received:
+                        raise WireProtocolError(
+                            f"END declares {msg.total_samples} samples but {received} were delivered"
+                        )
+                    break
                 if msg.sample_index < received:
                     raise WireProtocolError(
                         f"TRIGGER at sample {msg.sample_index} arrived after its chunk "
@@ -438,25 +480,31 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
                     )
                 triggers.append(msg)
                 continue
-            if isinstance(msg, End):
-                if msg.total_samples != received:
-                    raise WireProtocolError(
-                        f"END declares {msg.total_samples} samples but {received} were delivered"
-                    )
-                break
-            if msg.start_index != received:
+            try:
+                start_index, count = _chunk_head(memoryview(head)[1:], length - _IQ_BODY_HEAD)
+            except WireProtocolError:
+                # a cut stream is named first, as read_message names it
+                _read_body(link.stream, length - _IQ_BODY_HEAD, length, _IQ_BODY_HEAD)
+                raise
+            if received + count > len(capture):
+                # Grow by an eighth or more, in place: no view of the
+                # capture outlives the readinto call it is made for.
+                capture.resize(max(received + count, received + received // 8), refcheck=False)
+            got = link.stream.readinto(capture[received : received + count])
+            if got < CAPTURE_DTYPE.itemsize * count:
+                raise _cut(_IQ_BODY_HEAD + got, length)
+            if start_index != received:
                 raise WireProtocolError(
-                    f"IQ chunk starts at {msg.start_index}, expected {received}; "
+                    f"IQ chunk starts at {start_index}, expected {received}; "
                     "the stream is not contiguous"
                 )
-            parts.append(msg.samples)
-            received += len(msg.samples)
+            received += count
         late = read_message(link.stream)
         if late is not None:
             raise WireProtocolError(f"{type(late).__name__} message after END")
 
-    samples = np.concatenate(parts) if parts else np.empty(0, dtype=CAPTURE_DTYPE)
-    return IqFrame(samples, link.hello.fs, link.hello.f_c, 0), ConsumeSummary(triggers, link.hello)
+    capture.resize(received, refcheck=False)
+    return IqFrame(capture, link.hello.fs, link.hello.f_c, 0), ConsumeSummary(triggers, link.hello)
 
 
 def _correlate_stream(endpoint, config, profile) -> tuple[FrameSeries, int, ConsumeSummary]:

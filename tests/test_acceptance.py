@@ -11,6 +11,7 @@ import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,12 +274,12 @@ def test_criterion_11_wire_equivalence():
 
     offline = sounder.run_sounding(cfg)
 
-    lsock = socket.create_server(("127.0.0.1", 0))
-    port = lsock.getsockname()[1]
-    t = threading.Thread(target=wire.serve_stimulation, args=(cfg, lsock), daemon=True)
-    t.start()
-    frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
-    t.join(timeout=10.0)
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        port = lsock.getsockname()[1]
+        t = threading.Thread(target=wire.serve_stimulation, args=(cfg, lsock), daemon=True)
+        t.start()
+        frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
+        t.join(timeout=10.0)
 
     assert len(frames) == len(offline) == 19
     for a, b in zip(frames, offline):
@@ -312,7 +313,7 @@ def test_criterion_12_determinism(tmp_path):
     assert main(["sound", "--config", str(cfg_path), "--out", out2]) == 0
     suffixes = (".frames", ".report.txt", ".pdp.csv", ".psd.csv", ".doppler.csv")
     for suffix in suffixes:
-        b1 = open(out1 + suffix, "rb").read()
-        b2 = open(out2 + suffix, "rb").read()
+        b1 = Path(out1 + suffix).read_bytes()
+        b2 = Path(out2 + suffix).read_bytes()
         assert b1 == b2, f"{suffix} differs between identical runs"
     ok(12, f"two runs byte-identical across {len(suffixes)} output files")

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,9 +366,9 @@ class TestReport:
         assert len(paths) == 3 and all(
             p.endswith(s) for p, s in zip(paths, (".pdp.csv", ".psd.csv", ".doppler.csv"))
         )
-        blobs1 = [open(p, "rb").read() for p in paths]
+        blobs1 = [Path(p).read_bytes() for p in paths]
         cm.export_csv(rep, base)
-        blobs2 = [open(p, "rb").read() for p in paths]
+        blobs2 = [Path(p).read_bytes() for p in paths]
         assert blobs1 == blobs2
         pdp_lines = blobs1[0].decode().splitlines()
         assert pdp_lines[0] == "delay_s,power"
@@ -380,7 +381,7 @@ class TestReport:
         # values on both sides of the positional/scientific switch
         for name, rep in (("rep", cm.characterize(self.make_frames(), fs=3e6)), ("awkward", awkward_report())):
             paths = cm.export_csv(rep, str(tmp_path / name))
-            assert [open(p, "rb").read() for p in paths] == per_value_repr_csv(rep)
+            assert [Path(p).read_bytes() for p in paths] == per_value_repr_csv(rep)
 
     def test_pdp_computed_once(self, monkeypatch):
         calls = []

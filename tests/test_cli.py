@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestSoundFlow:
         h = frames[0].h
         assert abs(h[0] - 1.0) < 1e-5
         assert abs(h[2] - 0.25j) < 1e-5
-        assert open(out + ".report.txt").read().startswith("frames = 11")
+        assert Path(out + ".report.txt").read_text().startswith("frames = 11")
         for suffix in (".pdp.csv", ".psd.csv"):
             assert (tmp_path / ("run1" + suffix)).exists()
 
@@ -86,8 +87,8 @@ class TestSoundFlow:
         assert main(["sound", "--config", cfg, "--out", out1]) == 0
         assert main(["sound", "--config", cfg, "--out", out2]) == 0
         for suffix in (".frames", ".report.txt", ".pdp.csv", ".psd.csv", ".doppler.csv"):
-            b1 = open(out1 + suffix, "rb").read()
-            b2 = open(out2 + suffix, "rb").read()
+            b1 = Path(out1 + suffix).read_bytes()
+            b2 = Path(out2 + suffix).read_bytes()
             assert b1 == b2, f"{suffix} differs between identical runs"
 
     def test_sound_without_doppler_leaves_no_stale_doppler_csv(self, tmp_path, capsys):
@@ -100,7 +101,7 @@ class TestSoundFlow:
             cfg.write_text(f"sequence.length = 64\nn_sequences = {periods}\nchannel.taps = 0:1\nchannel.cable =\n")
             assert main(["sound", "--config", str(cfg), "--out", out]) == 0
             assert (tmp_path / "run.doppler.csv").exists() == (periods == 6)
-        report = open(out + ".report.txt").read()
+        report = Path(out + ".report.txt").read_text()
         assert "frames = 1\n" in report and "note = doppler: skipped, fewer than two frames" in report
         assert (tmp_path / "run.pdp.csv").exists() and (tmp_path / "run.psd.csv").exists()
 
@@ -113,7 +114,7 @@ class TestSoundFlow:
         assert main(["characterize", "--input", out + ".frames", "--out", rep]) == 0
         text = capsys.readouterr().out
         assert "rms_delay_spread_s" in text
-        assert open(rep + ".report.txt").read() == text
+        assert Path(rep + ".report.txt").read_text() == text
 
     def test_characterize_reports_the_rate_sound_reported(self, tmp_path, capsys):
         # 1 / t_s is 7000000.000000001 for 7 MS/s; the header's t_s must
@@ -124,7 +125,7 @@ class TestSoundFlow:
         rep = str(tmp_path / "again")
         assert main(["characterize", "--input", out + ".frames", "--out", rep]) == 0
         assert "sample_rate_hz = 7000000.0\n" in capsys.readouterr().out
-        assert open(rep + ".report.txt", "rb").read() == open(out + ".report.txt", "rb").read()
+        assert Path(rep + ".report.txt").read_bytes() == Path(out + ".report.txt").read_bytes()
 
 
 class TestStimulateCorrelate:
@@ -311,8 +312,8 @@ class TestWireFlow:
             import chansounder.config as cfgmod
             import chansounder.wire as wiremod
             conf = cfgmod.load_config(cfg)
-            rc_box["summary"] = wiremod.serve_stimulation(conf, lsock)
-            lsock.close()
+            with lsock:
+                rc_box["summary"] = wiremod.serve_stimulation(conf, lsock)
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
@@ -626,7 +627,7 @@ class TestErrorPaths:
     def test_characterize_rejects_zero_sample_period(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["sound", "--config", small_config(tmp_path), "--out", out]) == 0
-        blob = open(out + ".frames", "rb").read()
+        blob = Path(out + ".frames").read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, 4)
         header = blob[8 : 8 + header_len].replace(b"t_s=1e-06", b"t_s=0.000")
         with open(out + ".frames", "wb") as f:
@@ -646,8 +647,8 @@ class TestErrorPaths:
             import chansounder.config as cfgmod
             import chansounder.wire as wiremod
 
-            wiremod.serve_stimulation(cfgmod.load_config(cfg), lsock)
-            lsock.close()
+            with lsock:
+                wiremod.serve_stimulation(cfgmod.load_config(cfg), lsock)
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()

@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ class TestCapture:
         p1, p2 = str(tmp_path / "a.iq"), str(tmp_path / "b.iq")
         fsio.write_capture(p1, frame, "d", "s")
         fsio.write_capture(p2, frame, "d", "s")
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        assert open(p1 + ".meta", "rb").read() == open(p2 + ".meta", "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        assert Path(p1 + ".meta").read_bytes() == Path(p2 + ".meta").read_bytes()
 
     def test_missing_sidecar_rejected(self, tmp_path, rng):
         frame = self.make_frame(rng)
@@ -61,8 +62,8 @@ class TestCapture:
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
         fsio.write_capture(path, frame)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-3])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-3])
         with pytest.raises(ValueError, match="truncated"):
             fsio.read_capture(path)
 
@@ -70,8 +71,8 @@ class TestCapture:
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
         fsio.write_capture(path, frame)
-        meta = open(path + ".meta").read().replace("format_version=1", "format_version=9")
-        open(path + ".meta", "w").write(meta)
+        meta = Path(path + ".meta").read_text().replace("format_version=1", "format_version=9")
+        Path(path + ".meta").write_text(meta)
         with pytest.raises(ValueError, match="version 9"):
             fsio.read_capture(path)
 
@@ -209,9 +210,9 @@ class TestFrameSeries:
         frames = self.make_series(rng)
         path = str(tmp_path / "run.frames")
         fsio.write_frames(path, frames, t_s=1e-6)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"XXXX"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="magic"):
             fsio.read_frames(path)
 
@@ -219,8 +220,8 @@ class TestFrameSeries:
         frames = self.make_series(rng)
         path = str(tmp_path / "run.frames")
         fsio.write_frames(path, frames, t_s=1e-6)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-10])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-10])
         with pytest.raises(ValueError, match="truncated at record"):
             fsio.read_frames(path)
 
@@ -238,7 +239,7 @@ class TestFrameSeries:
         p1, p2 = str(tmp_path / "a.frames"), str(tmp_path / "b.frames")
         fsio.write_frames(p1, frames, t_s=1e-6)
         fsio.write_frames(p2, frames, t_s=1e-6)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestTriggerLog:
@@ -262,25 +263,25 @@ class TestTriggerLog:
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = str(tmp_path / "bad.triggers")
-        open(path, "w").write("# header\n12,overflow,1,ok\nnot-a-number,overflow,1\n")
+        Path(path).write_text("# header\n12,overflow,1,ok\nnot-a-number,overflow,1\n")
         with pytest.raises(ValueError, match=r"bad\.triggers:3"):
             fsio.read_trigger_log(path)
 
     def test_short_line_rejected(self, tmp_path):
         path = str(tmp_path / "bad.triggers")
-        open(path, "w").write("12,overflow\n")
+        Path(path).write_text("12,overflow\n")
         with pytest.raises(ValueError, match=":1"):
             fsio.read_trigger_log(path)
 
     def test_bad_kind_rejected_with_line(self, tmp_path):
         path = str(tmp_path / "bad.triggers")
-        open(path, "w").write("12,meteor,1,\n")
+        Path(path).write_text("12,meteor,1,\n")
         with pytest.raises(ValueError, match=":1"):
             fsio.read_trigger_log(path)
 
     def test_read_sorts_by_index(self, tmp_path):
         path = str(tmp_path / "log.triggers")
-        open(path, "w").write("50,external,1,b\n3,overflow,2,a\n")
+        Path(path).write_text("50,external,1,b\n3,overflow,2,a\n")
         back = fsio.read_trigger_log(path)
         assert [e.sample_index for e in back] == [3, 50]
 
@@ -323,9 +324,9 @@ class TestProfile:
     def test_bad_magic(self, tmp_path, rng):
         path = str(tmp_path / "cal.csp")
         fsio.write_profile(path, self.make_profile(rng))
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[0] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="magic"):
             fsio.read_profile(path)
 
@@ -342,8 +343,8 @@ class TestProfile:
     def test_payload_size_checked(self, tmp_path, rng):
         path = str(tmp_path / "cal.csp")
         fsio.write_profile(path, self.make_profile(rng))
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-16])
         with pytest.raises(ValueError, match="payload"):
             fsio.read_profile(path)
 
@@ -392,7 +393,7 @@ class TestFrameSeriesContainer:
         fsio.write_frames(whole, frames, t_s=1e-6)
         monkeypatch.setattr(fsio, "_SLICE_BYTES", 300)  # two records per slice
         fsio.write_frames(sliced, frames, t_s=1e-6)
-        assert open(whole, "rb").read() == open(sliced, "rb").read()
+        assert Path(whole).read_bytes() == Path(sliced).read_bytes()
 
     def test_sliced_read_gives_same_series(self, tmp_path, rng, monkeypatch):
         path = str(tmp_path / "a.frames")
@@ -487,13 +488,13 @@ def _valid_frames_blob(tmp_path):
     frames = FrameSeries(np.tile(np.arange(3) + 1j, (2, 1)), [0, 1], [1e-6, 2e-6], [False, True])
     path = str(tmp_path / "valid.frames")
     fsio.write_frames(path, frames, t_s=1e-6)
-    return open(path, "rb").read()
+    return Path(path).read_bytes()
 
 
 def _valid_profile_blob(tmp_path):
     path = str(tmp_path / "valid.csp")
     fsio.write_profile(path, TestProfile().make_profile(None))
-    return open(path, "rb").read()
+    return Path(path).read_bytes()
 
 
 def _parses_or_value_error(reader, path, blob):

@@ -328,6 +328,53 @@ class TestConsumeStream:
         t.join(timeout=5.0)
 
 
+def framed_chunk(start, count, payload):
+    """An IQ_CHUNK message with any header fields and payload."""
+    body = bytes([wire.MSG_IQ_CHUNK]) + struct.pack("<qI", start, count) + payload
+    return struct.pack("<I", len(body)) + body
+
+
+TWO_SAMPLES = np.arange(2, dtype=np.complex64).tobytes()
+
+#: Malformed IQ_CHUNK messages, sent after a good 4-sample chunk, with the
+#: exact message each is rejected with.  A cut stream is named before a
+#: bad header, as :func:`wire.read_message` names it.
+MALFORMED_CHUNKS = [
+    ("negative start", framed_chunk(-1, 2, TWO_SAMPLES), "IQ_CHUNK start index -1 is negative"),
+    ("count mismatch", framed_chunk(4, 3, TWO_SAMPLES), "IQ_CHUNK declares 3 samples but carries 16 payload bytes"),
+    ("zero samples", framed_chunk(4, 0, b""), "IQ_CHUNK with zero samples"),
+    (
+        "body shorter than the head",
+        struct.pack("<I", 6) + bytes([wire.MSG_IQ_CHUNK]) + bytes(5),
+        "IQ_CHUNK body is shorter than its fixed header",
+    ),
+    ("ends inside the head", framed_chunk(4, 2, TWO_SAMPLES)[:10], "stream ended inside a message body (6 of 29 bytes)"),
+    ("ends inside the payload", framed_chunk(4, 2, TWO_SAMPLES)[:-5], "stream ended inside a message body (24 of 29 bytes)"),
+    ("cut with a bad count", framed_chunk(4, 3, TWO_SAMPLES)[:-5], "stream ended inside a message body (24 of 29 bytes)"),
+    ("cut and not contiguous", framed_chunk(9, 2, TWO_SAMPLES)[:-5], "stream ended inside a message body (24 of 29 bytes)"),
+    (
+        "declared length over the limit",
+        struct.pack("<I", wire.MAX_MESSAGE_BYTES + 1) + bytes([wire.MSG_IQ_CHUNK]),
+        f"declared message size {wire.MAX_MESSAGE_BYTES + 1} exceeds the limit",
+    ),
+]
+
+
+@pytest.mark.parametrize("blob, message", [c[1:] for c in MALFORMED_CHUNKS], ids=[c[0] for c in MALFORMED_CHUNKS])
+def test_malformed_chunk_keeps_its_message_on_receipt(blob, message):
+    with pytest.raises(WireProtocolError) as info:
+        read_message(io.BytesIO(blob))
+    assert str(info.value) == message
+    endpoint, t = run_raw_server(
+        [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, np.ones(4, np.complex64)), blob]
+    )
+    with pytest.raises(WireProtocolError) as info:
+        wire.consume_stream(endpoint, timeout=5.0)
+    t.join(timeout=5.0)
+    assert not t.is_alive()
+    assert str(info.value) == message
+
+
 def clean_stream(step=40):
     """A clean stream of a 6-period, 32-sample campaign with one trigger:
     its messages as ``(kind, start, encoded)`` in the order
@@ -438,10 +485,26 @@ def serve_in_thread(capture, desc, events=(), chunk_samples=4096):
     box = {}
 
     def serve():
-        box["summary"] = wire.serve_capture(
-            capture, desc, lsock, events=list(events), chunk_samples=chunk_samples, timeout=10.0
-        )
-        lsock.close()
+        with lsock:
+            box["summary"] = wire.serve_capture(
+                capture, desc, lsock, events=list(events), chunk_samples=chunk_samples, timeout=10.0
+            )
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    return f"127.0.0.1:{port}", t, box
+
+
+def serve_config_in_thread(cfg):
+    """Start serve_stimulation for ``cfg`` on an ephemeral port; return
+    (endpoint, thread, box)."""
+    lsock = socket.create_server(("127.0.0.1", 0))
+    port = lsock.getsockname()[1]
+    box = {}
+
+    def serve():
+        with lsock:
+            box["summary"] = wire.serve_stimulation(cfg, lsock)
 
     t = threading.Thread(target=serve, daemon=True)
     t.start()
@@ -465,6 +528,81 @@ class TestServeArguments:
         # the ceiling itself passes the check and waits for a peer
         with pytest.raises(TimeoutError):
             wire.serve_capture(capture, "", "127.0.0.1:0", chunk_samples=ceiling, timeout=0.01)
+
+
+class Blocks:
+    """``x`` as a stream of ``size``-sample blocks, the way
+    :func:`wire.serve_capture` takes a :class:`sounder.CaptureStream`;
+    before block ``hold`` it waits until :attr:`resume` is set."""
+
+    fs = 1e6
+    f_c = 2.4e9
+
+    def __init__(self, x, size, hold=None):
+        self.x, self.size, self.hold = x, size, hold
+        self.resume = threading.Event()
+
+    def __iter__(self):
+        for i, a in enumerate(range(0, len(self.x), self.size)):
+            if i == self.hold:
+                self.resume.wait(10.0)
+            yield IqFrame(self.x[a : a + self.size], self.fs, self.f_c, a)
+
+    def chunks(self, chunk_samples):
+        """``(start, end)`` of each chunk, in the order they are sent."""
+        spans = []
+        for a in range(0, len(self.x), self.size):
+            end = min(a + self.size, len(self.x))
+            spans += [(c, min(c + chunk_samples, end)) for c in range(a, end, chunk_samples)]
+        return spans
+
+
+class TestSentBytes:
+    def test_messages_leave_in_order_with_their_own_bytes(self):
+        # 160 kB in 3000-sample blocks, each cut into 1024-sample chunks
+        x = (np.arange(20_000) % 97 - 1j * (np.arange(20_000) % 7)).astype(np.complex64)
+        blocks = Blocks(x, 3000)
+        events = [
+            TriggerEvent(i, "overflow", 8, f"t{i}") for i in (0, 2500, 2600, 3000, 19_999, 25_000)
+        ]
+        expected = [encode_hello(Hello(blocks.fs, blocks.f_c, "fzc:n=64:u=7"))]
+        pending = list(events)
+        for a, b in blocks.chunks(1024):
+            while pending and pending[0].sample_index < b:
+                expected.append(encode_trigger(pending.pop(0)))
+            expected.append(encode_iq_chunk(a, x[a:b]))
+        expected += [encode_trigger(ev) for ev in pending] + [encode_end(len(x))]
+
+        endpoint, t, box = serve_in_thread(blocks, "fzc:n=64:u=7", events[::-1], chunk_samples=1024)
+        got = bytearray()
+        with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
+            while data := peer.recv(1 << 16):
+                got += data
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert got == b"".join(expected)
+        summary = box["summary"]
+        assert summary.complete
+        assert (summary.samples_sent, summary.chunks_sent, summary.triggers_sent) == (20_000, 20, 6)
+
+    def test_a_peer_that_hangs_up_is_counted_what_was_sent(self):
+        x = (np.arange(600_000) % 251).astype(np.complex64)
+        blocks = Blocks(x, 3000, hold=4)  # 96 kB before the hold: one send at least
+        endpoint, t, box = serve_in_thread(blocks, "", chunk_samples=1024)
+        with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
+            with peer.makefile("rb") as stream:
+                assert isinstance(read_message(stream), Hello)
+                read = [read_message(stream) for _ in range(3)]
+        blocks.resume.set()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert [m.start_index for m in read] == [0, 1024, 2048]
+        summary = box["summary"]
+        assert not summary.complete
+        assert summary.chunks_sent >= 3
+        lengths = [b - a for a, b in blocks.chunks(1024)]
+        assert summary.samples_sent == sum(lengths[: summary.chunks_sent])
+        assert summary.samples_sent <= len(x)
 
 
 class TestLoopback:
@@ -502,13 +640,8 @@ class TestLoopback:
         capture = sounder.quantize_capture(capture)
         offline = sounder.frames_from_capture(capture, seq, discard_first=cfg.discard_first)
 
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        t = threading.Thread(
-            target=wire.serve_stimulation, args=(cfg, lsock), daemon=True
-        )
-        t.start()
-        frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
+        endpoint, t, _ = serve_config_in_thread(cfg)
+        frames, summary = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
 
         assert len(frames) == len(offline) == 5
@@ -525,13 +658,8 @@ class TestLoopback:
         cfg.triggers = [(3 * 64 + 10, "overflow", "buffer")]
         cfg.corrupt_span = 16
 
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        t = threading.Thread(
-            target=wire.serve_stimulation, args=(cfg, lsock), daemon=True
-        )
-        t.start()
-        frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
+        endpoint, t, _ = serve_config_in_thread(cfg)
+        frames, summary = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
 
         kept = [f.sequence_index for f in frames]
@@ -551,13 +679,7 @@ class TestHandshakeChecks:
         return cfg
 
     def start(self, cfg):
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        t = threading.Thread(
-            target=wire.serve_stimulation, args=(cfg, lsock), daemon=True
-        )
-        t.start()
-        return f"127.0.0.1:{port}", t
+        return serve_config_in_thread(cfg)[:2]
 
     def test_sample_rate_mismatch(self):
         served = self.make_served_config()
@@ -590,13 +712,7 @@ class TestHandshakeChecks:
 
     def start_without_descriptor(self, cfg):
         _, capture, events = sounder.capture_campaign(cfg)
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        t = threading.Thread(
-            target=wire.serve_capture, args=(capture, "", lsock, events), daemon=True
-        )
-        t.start()
-        return f"127.0.0.1:{port}", t
+        return serve_in_thread(capture, "", events)[:2]
 
     def test_pinned_sequence_needs_peer_descriptor(self):
         endpoint, t = self.start_without_descriptor(self.make_served_config())
@@ -701,14 +817,8 @@ class TestStreamedCapture:
         cfg.chunk_samples = 1
         offline = sounder.run_sounding(cfg)
 
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        box = {}
-        t = threading.Thread(
-            target=lambda: box.update(summary=wire.serve_stimulation(cfg, lsock)), daemon=True
-        )
-        t.start()
-        frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
+        endpoint, t, box = serve_config_in_thread(cfg)
+        frames, summary = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
         assert not t.is_alive()
 
@@ -749,11 +859,12 @@ def serve_raw_stream(x, desc="", step=4096):
 
 
 class TestReceiveMemory:
-    def test_stream_is_widened_once(self):
-        # The chunks are held in their 8-byte wire form and joined into the
-        # 8-byte complex64 capture: about 16 bytes per sample at the peak,
-        # where widening the capture to complex128 needs about 24.
-        n = 1 << 18
+    @pytest.mark.parametrize("n", [1 << 18, (1 << 18) + 1000])
+    def test_stream_is_widened_once(self, n):
+        # Each chunk is read straight into the 8-byte complex64 capture,
+        # which grows by at most an eighth at a time and is trimmed at END,
+        # next to the 256 KiB receive buffer: about 10 bytes per sample at
+        # the peak, where widening the capture to complex128 needs about 24.
         x = (np.arange(n) % 251 + 1j * (np.arange(n) % 13)).astype(np.complex64)
         endpoint, t = serve_raw_stream(x)
         tracemalloc.start()
@@ -766,7 +877,7 @@ class TestReceiveMemory:
         assert not t.is_alive()
         assert capture.samples.dtype == np.complex64
         assert np.array_equal(capture.samples, x)
-        assert peak / n < 18
+        assert peak / n < 12
 
     def test_receive_and_correlate_in_bounded_memory(self):
         # The complex64 capture (8 bytes per sample) plus fast_pccf's one
