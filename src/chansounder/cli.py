@@ -137,11 +137,11 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
         return 0 if summary.complete else 1
 
     out = _require(cfg.out, "--out")
-    seq, capture, events = sounder.capture_campaign(cfg)
+    stream = sounder.capture_stream(cfg)
     framestore.write_capture(
-        out, capture, seq_descriptor(seq), seed_note=f"seed={cfg.seed}", events=events
+        out, stream, seq_descriptor(stream.seq), seed_note=f"seed={cfg.seed}", events=stream.events
     )
-    print(f"wrote {len(capture)} samples to {out}")
+    print(f"wrote {stream.n_samples} samples to {out}")
     return 0
 
 

@@ -110,6 +110,7 @@ def _checked(key: str, parse, test, rule: str):
 _AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
 _NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
 _POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "be positive and finite")
+_NONE_OR_POSITIVE_FINITE = (lambda v: v is None or 0 < v < math.inf, "be none or positive and finite")
 
 
 def _setting(key: str, parse, default=None, factory=None, valid=None):
@@ -135,13 +136,9 @@ class CampaignConfig:
     taps: tuple[int, ...] | None = _setting("sequence.taps", _parse_mls_taps)
 
     sample_rate: float = _setting("sample_rate", float, 1_000_000.0)
-    center_frequency: float = _setting("center_frequency", float, 5.8e9)
+    center_frequency: float = _setting("center_frequency", float, 5.8e9, valid=_POSITIVE_FINITE)
     n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200)
-    duration: float | None = _setting(
-        "duration",
-        _parse_optional_float,
-        valid=(lambda v: v is None or 0 < v < math.inf, "be none or positive and finite"),
-    )
+    duration: float | None = _setting("duration", _parse_optional_float, valid=_NONE_OR_POSITIVE_FINITE)
 
     channel_taps: list[tuple] = _setting(
         "channel.taps",
@@ -170,7 +167,9 @@ class CampaignConfig:
     )
     doppler_zero_fill: bool = _setting("doppler_zero_fill", _parse_bool, False)
     bc_threshold: float = _setting("bc_threshold", float, 0.5, valid=(lambda v: 0 < v < 1, "lie in (0, 1)"))
-    max_distance_ref_m: float | None = _setting("max_distance_ref_m", _parse_optional_float)
+    max_distance_ref_m: float | None = _setting(
+        "max_distance_ref_m", _parse_optional_float, valid=_NONE_OR_POSITIVE_FINITE
+    )
 
     out: str | None = _setting("out", _parse_optional_str)
     input: str | None = _setting("input", _parse_optional_str)

@@ -7,8 +7,8 @@ The periodic cross-correlation convention used throughout the package is
 with the received signal as ``a`` and the reference sequence as ``b``,
 so a pure channel delay of ``d`` samples puts the correlation peak at
 lag ``d``.  ``fast_pccf`` evaluates this quantity through FFTs via the
-identity ``ifft(fft(a) * conj(fft(b)))`` and is the kernel the sounding
-pipeline runs on.
+identity ``ifft(fft(a) * conj(fft(b)))``; the sounding pipeline runs the
+same transforms in place on its frame matrix.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ def fast_pccf(a, b) -> np.ndarray:
 
     Matches the direct sum above to within ``1e-9 * N * max|a| * max|b|``
     absolute error.  ``a`` may be a stack (..., N), each row with the bits
-    of one call, or anything ``np.array`` makes one of (such as
-    :class:`sounder.KeptPeriods`); it is copied once to complex128, the
-    one widening of a complex64 capture, and the FFTs transform that copy
-    in place, so ``a`` is never written to.
+    of one call; it is copied once to complex128 and the FFTs transform
+    that copy in place, so ``a`` is never written to.
     """
-    spec = np.array(a, dtype=np.complex128, ndmin=1)
+    return _pccf_in_place(np.array(a, dtype=np.complex128, ndmin=1), b)
+
+
+def _pccf_in_place(spec: np.ndarray, b) -> np.ndarray:
+    """:func:`fast_pccf` of the complex128 rows ``spec``, written over them."""
     bv = np.asarray(b)
     if bv.ndim != 1 or len(bv) == 0:
         raise ValueError("b must be a non-empty 1-d vector")

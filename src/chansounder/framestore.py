@@ -71,20 +71,33 @@ def write_trigger_sidecar(path: str, events: list[TriggerEvent]) -> None:
 
 def write_capture(
     path: str,
-    frame: IqFrame,
+    capture: "IqFrame | sounder.CaptureStream",
     sequence_descriptor: str = "",
     seed_note: str = "",
     events: list[TriggerEvent] = (),
 ) -> None:
-    """Write an IQ capture: float32 payload, text sidecar and trigger log."""
-    with open(path, "wb") as f:
-        np.asarray(frame.samples, dtype=CAPTURE_DTYPE).tofile(f)
+    """Write an IQ capture: float32 payload, text sidecar and trigger log.
+
+    ``capture`` is an :class:`IqFrame` or a :class:`sounder.CaptureStream`,
+    written block by block to ``<path>.part``, which replaces ``path`` after
+    the last block: a failed capture leaves the earlier files as they were.
+    """
+    part = path + ".part"
+    try:
+        with open(part, "wb") as f:
+            for block in (capture,) if isinstance(capture, IqFrame) else capture:
+                np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
     with open(sidecar_path(path), "w", encoding="utf-8") as f:
         f.write(
             f"format_version={CAPTURE_VERSION}\n"
-            f"sample_rate={float(frame.fs)!r}\n"
-            f"center_frequency={float(frame.f_c)!r}\n"
-            f"start_index={frame.start_index}\n"
+            f"sample_rate={float(capture.fs)!r}\n"
+            f"center_frequency={float(capture.f_c)!r}\n"
+            f"start_index={capture.start_index}\n"
             f"sequence={sequence_descriptor}\n"
             f"seed_note={seed_note}\n"
         )

@@ -17,10 +17,11 @@ natural time axis for Doppler analysis across frames.
 All stages are pure functions over immutable frames, so their
 composition is deterministic no matter how the stream is chunked or
 which process runs which half.  A capture is complex64 on every
-transport, from :func:`quantize_capture` to the correlator, and only
-:func:`corrmath.fast_pccf` widens it; :func:`frames_from_capture` then
-runs the normalization and the corrections in place on that one
-complex128 matrix, with the same bits as the pure stages.
+transport, from :func:`quantize_capture` to the correlator.
+:func:`frames_from_capture` takes it as one block or as the blocks of a
+:class:`CaptureStream`, widens each block's kept periods straight into
+one complex128 matrix and runs the correlation, the normalization and
+the corrections in place on it, with the same bits as the pure stages.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import chansim
 from .calib import CalibrationProfile, _remove_dc_bias_in_place
 from .charmetrics import max_doppler
-from .corrmath import fast_pccf
+from .corrmath import _pccf_in_place
 from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_sample_rate
 from .seqgen import Sequence
 
@@ -65,49 +66,20 @@ def quantize_capture(frame: IqFrame) -> IqFrame:
     return IqFrame(q, frame.fs, frame.f_c, frame.start_index)
 
 
-class KeptPeriods:
-    """Sequence periods kept by :func:`sequence_gate` that are not
-    consecutive: runs of rows of the (P, n_seq) block matrix of a capture
-    (a view of its samples), held without a copy.
-
-    ``np.array(kept, dtype)`` gathers them, run by run, into one new
-    (F, n_seq) array cast straight to ``dtype``, so
-    :func:`corrmath.fast_pccf`'s complex128 copy is the only copy of the
-    kept samples.
-    """
-
-    def __init__(self, blocks: np.ndarray, runs: np.ndarray) -> None:
-        self.blocks = blocks
-        self.runs = runs  # (R, 2) row ranges [a, b) of ``blocks``
-
-    def __len__(self) -> int:
-        return int((self.runs[:, 1] - self.runs[:, 0]).sum())
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("kept periods that are not consecutive cannot be one array without a copy")
-        out = np.empty((len(self), self.blocks.shape[1]), self.blocks.dtype if dtype is None else dtype)
-        r = 0
-        for a, b in self.runs:
-            out[r : r + b - a] = self.blocks[a:b]
-            r += b - a
-        return out
-
-
 def sequence_gate(
-    frame: IqFrame,
+    frame: "IqFrame | CaptureStream",
     events: SequenceType[TriggerEvent],
     n_seq: int,
-) -> tuple["np.ndarray | KeptPeriods", list[int]]:
+) -> tuple[np.ndarray, list[int]]:
     """Cut the stream into sequence periods and drop damaged ones.
 
     A period is dropped when any trigger event's corrupted span
     ``[sample_index, sample_index + span)`` overlaps it, and also when
-    the frame does not cover it completely.  Returns the surviving
-    periods, without copying a sample, with their period indices
-    (strictly increasing): consecutive ones as the rows of an (F, n_seq)
-    view of the samples, others as :class:`KeptPeriods`.  Absolute sample
-    index 0 is a period boundary by construction of
+    the frame does not cover it completely.  ``frame`` is anything with
+    a ``start_index`` and an ``end_index``; no sample is read.  Returns
+    the runs of surviving periods, an (R, 2) array of period ranges
+    ``[first, stop)`` in sample order, and the surviving period indices.
+    Absolute sample index 0 is a period boundary by construction of
     :func:`stimulate_capture`.
     """
     if n_seq < 1:
@@ -123,15 +95,9 @@ def sequence_gate(
         k1 = (ev.sample_index + span - 1) // n_seq
         keep[max(k0 - first, 0) : max(k1 + 1 - first, 0)] = False
 
-    a = first * n_seq - lo
-    blocks = frame.samples[a : a + (last - first) * n_seq].reshape(last - first, n_seq)
     kept = (first + np.flatnonzero(keep)).tolist()
-    # Row ranges [start, stop) of the runs of kept periods.
     edged = np.concatenate(([False], keep, [False]))
-    runs = np.flatnonzero(edged[1:] != edged[:-1]).reshape(-1, 2)
-    if len(runs) > 1:
-        return KeptPeriods(blocks, runs), kept
-    return (blocks[runs[0, 0] : runs[0, 1]] if len(runs) else blocks[:0]), kept
+    return first + np.flatnonzero(edged[1:] != edged[:-1]).reshape(-1, 2), kept
 
 
 def normalize(y_corr: np.ndarray, n_seq: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -177,7 +143,7 @@ def correct_ftt(frames: FrameSeries, profile: CalibrationProfile | None) -> Fram
 
 
 def frames_from_capture(
-    capture: IqFrame,
+    capture: "IqFrame | CaptureStream",
     seq: Sequence,
     events: SequenceType[TriggerEvent] = (),
     profile: CalibrationProfile | None = None,
@@ -193,12 +159,12 @@ def frames_from_capture(
     rather than from the previous repetition).  A positive
     ``dc_suppression_hz`` enables DC-bias removal on every frame (0 keeps
     it off; a negative or NaN value is rejected); ``dc_position`` chooses
-    whether that happens before or after the profile correction.  Every
-    stage runs once over the whole (F, N) matrix of kept periods: the
-    kept periods reach :func:`corrmath.fast_pccf` as views of the
-    capture, its complex128 copy is the one matrix made, and the
-    normalization and corrections write over it; the capture is never
-    written to.
+    whether that happens before or after the profile correction.
+
+    ``capture`` is an :class:`IqFrame` or a :class:`CaptureStream`, gated
+    before a block is read.  Each block's kept samples are widened into
+    their rows of the (F, N) complex128 matrix, the one buffer made, as
+    the blocks come; every stage then runs in place on that matrix.
     """
     if dc_position not in ("before", "after"):
         raise ValueError("dc_position must be 'before' or 'after'")
@@ -209,11 +175,23 @@ def frames_from_capture(
 
     if discard_first:  # period 0 goes as a trigger on its first sample would take it
         events = [*events, TriggerEvent(0)]
-    periods, kept = sequence_gate(capture, events, n_seq)
+    runs, kept = sequence_gate(capture, events, n_seq)
     index = np.asarray(kept, dtype=np.int64)
     del kept  # 36 B per period as Python ints, 8 as the index
-    h = fast_pccf(periods, seq.samples)
-    del periods
+    h = np.empty((len(index), n_seq), dtype=np.complex128)
+    rows = h.reshape(-1)
+    spans = (runs * n_seq).tolist()  # the runs' sample ranges [s0, s1)
+    j = o = 0  # the first run not yet filled, and where it starts in ``rows``
+    for block in (capture,) if isinstance(capture, IqFrame) else capture:
+        a, b = block.start_index, block.end_index
+        while j < len(spans) and spans[j][0] < b:
+            s0, s1 = spans[j]
+            lo, hi = max(a, s0), min(b, s1)
+            rows[o + lo - s0 : o + hi - s0] = block.samples[lo - a : hi - a]
+            if s1 > b:
+                break  # the run goes on in the next block
+            j, o = j + 1, o + s1 - s0
+    _pccf_in_place(h, seq.samples)
     normalize(h, n_seq, out=h)
     if dc_suppression_hz > 0.0 and dc_position == "before":
         _remove_dc_bias_in_place(h, dc_suppression_hz, capture.fs)
@@ -241,7 +219,9 @@ class CaptureStream:
     block runs the channel over the ``model.max_delay()`` stimulus
     samples before it onward.  CFO, noise, the damage and quantization
     run per block.  ``fs`` and ``f_c`` describe every block, as they
-    would the whole capture.
+    would the whole capture, and ``start_index`` and ``end_index`` span
+    the whole stream, so :func:`frames_from_capture` takes the stream
+    where it takes one :class:`IqFrame`.
     """
 
     seq: Sequence
@@ -251,6 +231,12 @@ class CaptureStream:
     model: chansim.ChannelModel
     events: list[TriggerEvent]
     chunk_samples: int
+
+    start_index = 0
+
+    @property
+    def end_index(self) -> int:
+        return self.n_samples
 
     def _static_run(self, channel: chansim.ChannelModel, quantize: bool) -> np.ndarray:
         """The static ``channel``'s output (quantized, when asked and
@@ -306,13 +292,6 @@ class CaptureStream:
             # a block still in the capture format was cut, untouched, from the quantized run
             yield block if block.samples.dtype == CAPTURE_DTYPE else quantize_capture(block)
 
-    def capture(self) -> IqFrame:
-        """Every block, in one complex64 capture from absolute index 0."""
-        samples = np.empty(self.n_samples, dtype=CAPTURE_DTYPE)
-        for block in self:
-            samples[block.start_index : block.end_index] = block.samples
-        return IqFrame(samples, self.fs, self.f_c)
-
 
 def capture_stream(config) -> CaptureStream:
     """The configured campaign's capture as a :class:`CaptureStream`, once
@@ -344,17 +323,8 @@ def capture_stream(config) -> CaptureStream:
     )
 
 
-def capture_campaign(config) -> tuple[Sequence, IqFrame, list[TriggerEvent]]:
-    """The configured campaign's sequence, its quantized complex64
-    capture through the configured channel (the blocks of
-    :func:`capture_stream` in one array), and the injected trigger events
-    re-stamped with the spans they corrupted."""
-    stream = capture_stream(config)
-    return stream.seq, stream.capture(), stream.events
-
-
 def correlate_campaign(
-    config, capture: IqFrame, seq: Sequence, events, profile: CalibrationProfile | None
+    config, capture: "IqFrame | CaptureStream", seq: Sequence, events, profile: CalibrationProfile | None
 ) -> tuple[FrameSeries, int]:
     """Run :func:`frames_from_capture` with the calibration ``profile`` and
     the configured first-period discard and DC-bias settings; return the
@@ -417,14 +387,14 @@ def sound_campaign(config) -> tuple[FrameSeries, int, list[TriggerEvent]]:
 
     The calibration profile is read, and the corrections checked
     (:func:`_check_corrections`), before any capture block is made; then
-    the capture of :func:`capture_stream` goes through
-    :func:`correlate_campaign`.  Returns the frames, the period count and
-    the stamped trigger events.
+    the blocks of :func:`capture_stream` go through
+    :func:`correlate_campaign` as they are made.  Returns the frames, the
+    period count and the stamped trigger events.
     """
     profile = config.load_profile()
     stream = capture_stream(config)
     _check_corrections(config, profile, stream.seq.n_seq, stream.fs)
-    frames, total = correlate_campaign(config, stream.capture(), stream.seq, stream.events, profile)
+    frames, total = correlate_campaign(config, stream, stream.seq, stream.events, profile)
     return frames, total, stream.events
 
 

@@ -217,6 +217,27 @@ class TestCaptureSidecarFlow:
         assert "kept 19 of 20" in capsys.readouterr().out
         assert not (tmp_path / "cap.iq.triggers").exists()
 
+    def test_a_failed_stimulate_leaves_the_earlier_capture(self, tmp_path, capsys, monkeypatch):
+        cap = str(tmp_path / "cap.iq")
+        cfg = small_config(tmp_path, "triggers = 300:overflow:buf\nchunk_samples = 100\n")
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["camp.cfg", "cap.iq", "cap.iq.meta", "cap.iq.triggers"]
+        real = sounder.CaptureStream.__iter__
+
+        def failing(stream):
+            for i, block in enumerate(real(stream)):
+                if i == 3:
+                    raise ValueError("capture samples are not finite in 32-bit float precision")
+                yield block
+
+        monkeypatch.setattr(sounder.CaptureStream, "__iter__", failing)
+        # another seed note: a sidecar written after the failure would differ,
+        # as would a payload cut after three of the eight blocks
+        assert main(["stimulate", "--config", cfg, "--seed", "5", "--out", cap]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_capture_from_a_later_sample_counts_periods_from_sample_0(self, tmp_path, capsys):
         # A 6-period stream recorded from sample 64 on holds periods 1..5.
         cap = str(tmp_path / "cap.iq")
@@ -341,13 +362,13 @@ class TestCorrectionsCheckedBeforeCorrelating:
     @pytest.fixture
     def pccf_calls(self, monkeypatch):
         calls = []
-        real = sounder.fast_pccf
+        real = sounder._pccf_in_place
 
         def counting(*args, **kwargs):
             calls.append(len(args[0]))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sounder, "fast_pccf", counting)
+        monkeypatch.setattr(sounder, "_pccf_in_place", counting)
         return calls
 
     @pytest.fixture(params=["dc band", "profile length"])
@@ -502,12 +523,20 @@ OUT_OF_RANGE = [
     ("bc_threshold", "2"),
     ("bc_threshold", "0"),
     ("bc_threshold", "nan"),
+    ("center_frequency", "0"),
+    ("center_frequency", "-5"),
+    ("center_frequency", "inf"),
+    ("center_frequency", "nan"),
     ("corrupt_span", "0"),
     ("chunk_samples", "0"),
     ("chunk_samples", "-4096"),
     ("gain_cap_db", "inf"),
     ("gain_cap_db", "-1"),
     ("gain_cap_db", "nan"),
+    ("max_distance_ref_m", "-1"),
+    ("max_distance_ref_m", "0"),
+    ("max_distance_ref_m", "inf"),
+    ("max_distance_ref_m", "nan"),
     ("dc_suppression_hz", "-5"),
     ("dc_suppression_hz", "nan"),
     ("duration", "inf"),
@@ -541,7 +570,8 @@ class TestRangeChecksAtParseTime:
         "key, value",
         [("bc_threshold", "0.999"), ("corrupt_span", "1"), ("chunk_samples", "1"),
          ("gain_cap_db", "0"), ("dc_suppression_hz", "0"), ("duration", "1e-3"),
-         ("duration", "none"), ("timeout", "1e-9")],
+         ("duration", "none"), ("timeout", "1e-9"), ("center_frequency", "1"),
+         ("max_distance_ref_m", "1e-9"), ("max_distance_ref_m", "none")],
     )
     def test_edge_of_the_range_is_accepted(self, tmp_path, key, value):
         cfg = small_config(tmp_path, f"{key} = {value}\n")

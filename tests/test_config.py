@@ -287,6 +287,8 @@ class TestValueChecksAtTheirLine:
 #: The keys checked against a range where they are set, with that range.
 RANGES = {
     "bc_threshold": lambda v: 0 < v < 1,
+    "center_frequency": lambda v: 0 < v < math.inf,
+    "max_distance_ref_m": lambda v: v is None or 0 < v < math.inf,
     "corrupt_span": lambda v: v >= 1,
     "chunk_samples": lambda v: v >= 1,
     "gain_cap_db": lambda v: 0 <= v < math.inf,
@@ -332,6 +334,9 @@ class TestRangeChecks:
             ("duration = 0", "duration must be none or positive and finite, got 0.0"),
             ("timeout = nan", "timeout must be positive and finite, got nan"),
             ("timeout = -1", "timeout must be positive and finite, got -1.0"),
+            ("center_frequency = 0", "center_frequency must be positive and finite, got 0.0"),
+            ("center_frequency = inf", "center_frequency must be positive and finite, got inf"),
+            ("max_distance_ref_m = -1", "max_distance_ref_m must be none or positive and finite, got -1.0"),
         ],
     )
     def test_out_of_range_value_names_file_and_line(self, tmp_path, line, message):

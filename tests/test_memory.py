@@ -1,0 +1,24 @@
+"""Memory held by sounding and stimulating: the frame matrix and a
+constant, whatever the campaign's length (``tools/check_memory.py``
+checks the same bounds on longer campaigns)."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+
+from check_memory import SOUNDING_BOUND, STIMULATE_BOUND, sounding_peak, stimulate_peak  # noqa: E402
+
+
+@pytest.mark.parametrize("n_samples", [1 << 18, 1 << 21])
+def test_run_sounding_holds_little_above_its_frame_matrix(tmp_path, n_samples):
+    peak = sounding_peak(n_samples, str(tmp_path))
+    assert peak <= SOUNDING_BOUND, f"{peak} B above the frame matrix"
+
+
+@pytest.mark.parametrize("n_samples", [1 << 18, 1 << 21])
+def test_stimulate_to_a_file_holds_no_capture(tmp_path, n_samples):
+    peak = stimulate_peak(n_samples, str(tmp_path))
+    assert peak <= STIMULATE_BOUND, f"{peak} B at the peak"

@@ -375,6 +375,14 @@ def test_malformed_chunk_keeps_its_message_on_receipt(blob, message):
     assert str(info.value) == message
 
 
+def campaign_capture(cfg):
+    """The campaign's sequence, its capture blocks joined into one
+    capture, and its stamped trigger events."""
+    stream = sounder.capture_stream(cfg)
+    samples = np.concatenate([block.samples for block in stream])
+    return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
+
+
 def clean_stream(step=40):
     """A clean stream of a 6-period, 32-sample campaign with one trigger:
     its messages as ``(kind, start, encoded)`` in the order
@@ -383,7 +391,7 @@ def clean_stream(step=40):
     cfg = CampaignConfig(length=32, n_sequences=6, cable=None, corrupt_span=4)
     cfg.channel_taps = [(0, 1 + 0j, 0.0), (2, 0.25j, 0.0)]
     cfg.triggers = [(2 * 32 + 5, "overflow", "cut")]
-    seq, capture, events = sounder.capture_campaign(cfg)
+    seq, capture, events = campaign_capture(cfg)
     hello = Hello(capture.fs, capture.f_c, descriptor(seq))
     messages = [("hello", None, encode_hello(hello))]
     for a in range(0, len(capture), step):
@@ -711,7 +719,7 @@ class TestHandshakeChecks:
         assert len(frames) == 2
 
     def start_without_descriptor(self, cfg):
-        _, capture, events = sounder.capture_campaign(cfg)
+        _, capture, events = campaign_capture(cfg)
         return serve_in_thread(capture, "", events)[:2]
 
     def test_pinned_sequence_needs_peer_descriptor(self):
@@ -760,7 +768,7 @@ class TestOneCorrelationPath:
         cfg.cable = None
         cfg.triggers = [(2 * 64 + 5, "overflow", "")]
         cfg.corrupt_span = 4
-        seq, capture, events = sounder.capture_campaign(cfg)
+        seq, capture, events = campaign_capture(cfg)
         desc = descriptor(seq)
         summary = wire.ConsumeSummary(events, Hello(capture.fs, capture.f_c, desc))
         return capture, CaptureMeta(desc, "", events), summary
