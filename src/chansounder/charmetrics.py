@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import FrameSeries
+from .framestore import replacing
 
 #: Propagation speed used for Doppler-to-velocity and distance conversions.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -29,7 +30,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: float64 result matrix plus a complex batch of this many rows (columns).
 _BATCH = 32
 
-#: Numbers per call of the CSV text kernel, whatever a table's row width.
+#: Most numbers per call of the CSV text kernel: as many whole rows as fit,
+#: or one piece of a row wider than this.
 _CSV_BATCH = 4096
 
 
@@ -421,27 +423,34 @@ def report_text(report: CharacterizationReport) -> str:
 
 
 def _csv_lines(first: np.ndarray, rows: np.ndarray):
-    """Yield the text of one CSV line per row of ``rows``, led by the
-    matching entry of ``first``, ``_CSV_BATCH`` numbers at a time."""
+    """Yield the text of the CSV lines of ``rows``, each led by the
+    matching entry of ``first``, in whole lines of at most ``_CSV_BATCH``
+    numbers; a line wider than that goes out in pieces of ``_CSV_BATCH``."""
     # imported on first use, so that importing the package (every command
     # and every run that writes no CSV) does not load or compile the kernel
     from . import _floatrepr
 
     width = rows.shape[1] + 1
-    total = len(first) * width
-    for start in range(0, total, _CSV_BATCH):
-        r, c = np.divmod(np.arange(start, min(start + _CSV_BATCH, total)), width)
-        values, inner = first[r], c > 0
-        values[inner] = rows[r[inner], c[inner] - 1]
-        yield _floatrepr.reprs(values, np.where(c == width - 1, np.uint8(ord("\n")), np.uint8(ord(","))))
+    k = max(1, _CSV_BATCH // width)
+    block = np.empty((k, width))
+    ends = np.full((k, width), ord(","), dtype=np.uint8)
+    ends[:, -1] = ord("\n")
+    for r in range(0, len(first), k):
+        n = min(k, len(first) - r)
+        block[:n, 0] = first[r : r + n]
+        block[:n, 1:] = rows[r : r + n]
+        values, seps = block[:n].ravel(), ends[:n].ravel()
+        for c in range(0, n * width, _CSV_BATCH):
+            yield _floatrepr.reprs(values[c : c + _CSV_BATCH], seps[c : c + _CSV_BATCH])
 
 
 def _write_csv(path: str, header: bytes, first: np.ndarray, rows: np.ndarray) -> None:
     """Write ``header`` and the :func:`_csv_lines`, in binary.  Each number
     is its ``repr`` (``float(field)`` restores it), by Schubfach (Giulietti
     2020) with two deviations from Java's ``DoubleToDecimal``: the shorter
-    candidate tried at every length, and no scaling of small subnormals."""
-    with open(path, "wb") as f:
+    candidate tried at every length, and no scaling of small subnormals.
+    A failed write leaves the earlier file as it was (:func:`replacing`)."""
+    with replacing(path) as f:
         f.write(header)
         f.writelines(_csv_lines(first, rows))
 

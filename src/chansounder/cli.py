@@ -120,7 +120,7 @@ def _characterize(cfg: CampaignConfig, frames, fs: float) -> str:
     )
     text = charmetrics.report_text(report)
     if cfg.out:
-        with open(cfg.out + ".report.txt", "w", encoding="utf-8") as f:
+        with framestore.replacing(cfg.out + ".report.txt", "w", encoding="utf-8") as f:
             f.write(text)
         charmetrics.export_csv(report, cfg.out)
     return text

@@ -1,6 +1,8 @@
 """Characterization metric tests with closed-form oracles."""
 
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -457,6 +459,26 @@ def test_csv_rows_are_per_value_repr_at_every_batch_edge(tmp_path, monkeypatch, 
     assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_csv_batching_is_per_value_repr(n_rows, n_cols, batch, seed):
+    # whole-row batches of any size, rows wider than the batch among them,
+    # with every kind of text the kernel lays out
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-8, 20, (n_rows, n_cols))
+    rows.flat[rng.integers(0, rows.size, rows.size // 4)] = rng.choice(AWKWARD, rows.size // 4)
+    first = rng.exponential(1e-4, n_rows)
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(cm, "_CSV_BATCH", batch)
+        path = os.path.join(tmp, "t.csv")
+        cm._write_csv(path, b"h\n", first, rows)
+        got = Path(path).read_bytes()
+    want = "h\n" + "".join(
+        ",".join(map(repr, [lead] + row)) + "\n" for lead, row in zip(first.tolist(), rows.tolist())
+    )
+    assert got == want.encode("ascii")
+
+
 def test_row_wider_than_the_batch(tmp_path):
     rows = np.random.default_rng(3).exponential(1e-6, (2, cm._CSV_BATCH + 5))
     cm._write_csv(str(tmp_path / "t.csv"), b"", np.array([0.5, 1.5]), rows)
@@ -565,6 +587,19 @@ class TestBoundedMemory:
         small, large = traced_export(200), traced_export(800)
         assert large < 2 * 2**20, f"peak {large} B"
         assert large < 1.1 * small, f"peak {small} B at 200 frames, {large} B at 800"
+
+    def test_export_csv_of_doppler_sound_tables_peaks_under_0_9_mb(self, tmp_path, rng):
+        # doppler_sound's tables: a 1,024-row PDP and PSD, and a 199 x 1,024
+        # Doppler map; the export sets that workload's memory peak
+        rep = awkward_report()
+        rep.pdp, rep.freq_stats.mean_psd = rng.exponential(1e-6, (2, 1024))
+        rep.freq_stats.freqs_hz = np.fft.fftshift(np.fft.fftfreq(1024, 1e-6))
+        rep.fs = 1e6
+        freqs = np.fft.fftshift(np.fft.fftfreq(199, 1.024e-3))
+        rep.doppler = cm.DopplerMap(rng.exponential(1e-9, (199, 1024)), freqs, 1.024e-3, 199)
+        cm.export_csv(rep, str(tmp_path / "warm"))  # tables built on first use
+        peak = _traced_peak(lambda: cm.export_csv(rep, str(tmp_path / "run")))[1]
+        assert peak <= 0.9e6, f"peak {peak} B above the report"
 
     def test_zero_filled_doppler_map_holds_one_grid_plus_one_batch(self, rng):
         span, n_seq = 1000, 127

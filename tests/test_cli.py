@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
+import errno
+import os
 import socket
 import struct
 import threading
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chansounder import framestore, sounder, wire
+from chansounder import _floatrepr, charmetrics, framestore, sounder, wire
 from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import load_config
 from chansounder.frames import IqFrame
@@ -115,6 +117,38 @@ class TestSoundFlow:
         text = capsys.readouterr().out
         assert "rms_delay_spread_s" in text
         assert Path(rep + ".report.txt").read_text() == text
+
+    @pytest.mark.parametrize("command", ["sound", "characterize"])
+    def test_failed_csv_write_keeps_the_earlier_doppler_csv(self, tmp_path, monkeypatch, capsys, command):
+        # the disk fills at the third batch of the Doppler table: the run
+        # exits 2, the earlier .doppler.csv stays whole and no .part is left
+        cfg, out = small_config(tmp_path), str(tmp_path / "run")
+        assert main(["sound", "--config", cfg, "--out", out]) == 0
+        before = Path(out + ".doppler.csv").read_bytes()
+        real_write, real_reprs = charmetrics._write_csv, _floatrepr.reprs
+        state = {"path": "", "batches": 0}
+
+        def write(path, *table):
+            state["path"] = path
+            real_write(path, *table)
+
+        def reprs(values, seps):
+            if state["path"].endswith(".doppler.csv"):
+                state["batches"] += 1
+                if state["batches"] == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_reprs(values, seps)
+
+        monkeypatch.setattr(charmetrics, "_CSV_BATCH", 16)  # one 12-number row a batch
+        monkeypatch.setattr(charmetrics, "_write_csv", write)
+        monkeypatch.setattr(_floatrepr, "reprs", reprs)
+        capsys.readouterr()
+        args = ["--config", cfg] if command == "sound" else ["--input", out + ".frames"]
+        assert main([command, *args, "--out", out]) == 2
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert state["batches"] == 3
+        assert Path(out + ".doppler.csv").read_bytes() == before
+        assert not list(tmp_path.glob("*.part"))
 
     def test_characterize_reports_the_rate_sound_reported(self, tmp_path, capsys):
         # 1 / t_s is 7000000.000000001 for 7 MS/s; the header's t_s must
