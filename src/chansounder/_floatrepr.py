@@ -25,9 +25,14 @@ import functools
 import numpy as np
 
 _U64 = np.uint64
-_M32, _M52, _M63 = _U64(2**32 - 1), _U64(2**52 - 1), _U64(2**63 - 1)
-_NAN, _INF = 700, 720  # decpt table indices of nan and inf, up to 18 above
-_GROUP_AT = [np.int64(at << 32) for at in (4, 12, 0, 8, 16)]  # each group's first digit, in the high half
+_M32 = _U64(2**32 - 1)
+_M52 = _U64(2**52 - 1)
+_M63 = _U64(2**63 - 1)
+# decpt table indices of nan and inf, each up to 18 above
+_NAN = 700
+_INF = 720
+# the first digit of each four-digit group, in the high half
+_GROUP_AT = np.array([[4], [12], [0], [8], [16]], dtype=np.int64) << 32
 
 
 @functools.cache
@@ -50,21 +55,25 @@ def _tables():
     # value = c 2^q, subnormals sharing the exponent of biased exponent 1;
     # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) for irregular spacing,
     # by Java's fixed-point logarithms (exact over this range)
-    biased, irregular = np.arange(4096) >> 1, np.arange(4096) & 1 & (np.arange(4096) > 3)
+    index = np.arange(4096)
+    biased = index >> 1
+    irregular = index & 1 & (index > 3)
     q = np.maximum(biased, 1) - 1075
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = q + np.array(e)[k + 324] + 2
     g1, g0 = np.array([(x >> 63, x & 2**63 - 1) for x in g], dtype=_U64)[k + 324].T
-    g1[[1, 4094, 4095]] = g0[[1, 4094, 4095]] = 0  # zero, nan, inf
+    g1[[1, 4094, 4095]] = 0  # zero, nan, inf
+    g0[[1, 4094, 4095]] = 0
     kidx = k + 324
     kidx[[1, 4094, 4095]] = 325, _NAN, _INF
     ends = []
     for s in (h + 1 - irregular).astype(_U64), (h + 1).astype(_U64):
         low = (g1 << s - _U64(1) & _M63) + (g0 >> _U64(64) - s)
-        ends.append(((g1 >> _U64(64) - s) + (low >> _U64(63)), low & _M63, g0 << s))
-    (lh, ll, la), (rh, rl, ra) = ends
+        ends += [(g1 >> _U64(64) - s) + (low >> _U64(63)), low & _M63, g0 << s]
+    # the lower end's words negated: its borrow is one less the carry
+    ends = [~ends[0], _M63 - ends[1], ends[2] - _U64(1), ends[3], ends[4], ~ends[5]]
     rows = [g0 >> _U64(32), g1 >> _U64(32), g0 & _M32, g1 & _M32, h + 2, (biased > 0) << 52, kidx]
-    table = np.array(rows + [~lh, _M63 - ll, la - _U64(1), rh, rl, ~ra], dtype=_U64)
+    table = np.array(rows + ends, dtype=_U64)
 
     # classes: 0 scientific, z = 1..4 for 1 - decpt leading zeros, 4 + p
     # for a '.' after p = 1..16 digits, 21 nan, 22 inf
@@ -76,11 +85,13 @@ def _tables():
     c, shown = np.divmod(np.arange(23 * 18), 18)
     shown = np.maximum(shown, 1)
     places = [c == 0, c <= 4, c <= 20]
-    point = np.select(places, [1, 17, c - 4])
-    size = np.select(places, [shown + (shown > 1), shown, np.maximum(shown, c - 4) + 1 + (c - 4 >= shown)])
-    at, point, size = np.arange(24), point[:, None], size[:, None]
+    point = np.select(places, [1, 17, c - 4])[:, None]
+    positional = np.maximum(shown, c - 4) + 1 + (c - 4 >= shown)
+    size = np.select(places, [shown + (shown > 1), shown, positional])[:, None]
+    at = np.arange(24)
     const = np.where((at == point) & (point < size), ord("."), 0)
-    const[c == 21, :3], const[c == 22, :3] = list(b"nan"), list(b"inf")
+    const[c == 21, :3] = list(b"nan")
+    const[c == 22, :3] = list(b"inf")
     masks = np.stack([(at < np.minimum(point, size)) * 255, ((point < at) & (at < size)) * 255, const])
     masks = np.tile(masks.astype(np.uint8).view("<u8").transpose(0, 2, 1), 2).astype(_U64)
     pre = [b"-" * (neg and z != 21) + (b"0." + b"0" * (z - 1)) * (1 <= z <= 4) for neg, z in np.ndindex(2, 23)]
@@ -89,8 +100,9 @@ def _tables():
     last = np.where(four.any(axis=0), (np.arange(1, 5)[:, None] * (four != 0)).max(axis=0), -99)
     group = ((last << 32) + ((four + 0x30) << 8 * np.arange(4)[:, None]).sum(axis=0)).view(_U64)
     pre = np.repeat(np.array([int.from_bytes(x, "little") for x in pre], dtype=_U64), 18)
-    least = [len(str(2 ** (x - 1023))) if x >= 1023 else 0 for x in range(1081)]
-    digits, scale = np.array([least, [10**x for x in least]], dtype=_U64), 10 ** (17 - np.arange(18, dtype=_U64))
+    least = np.array([len(str(2 ** (x - 1023))) if x >= 1023 else 0 for x in range(1081)])
+    digits = np.array([least, 10**least], dtype=_U64)
+    scale = 10 ** (17 - np.arange(18, dtype=_U64))
     return table, np.array(cls) * 18, np.array(suffix, dtype=_U64), pre, masks, group, digits, scale
 
 
@@ -134,27 +146,30 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ch = c >> _U64(32)
     c &= _M32
     x1, x0 = _product(g[0], g[2], ch, c)
-    vh, vl = _product(g[1], g[3], ch, c)
+    vb, vl = _product(g[1], g[3], ch, c)
     del g, c, ch
     # Schubfach's g cp / 2^127 before rounding to odd, above and below 2^63
     vl >>= _U64(1)
     vl += x1
-    vh += vl >> _U64(63)
+    vb += vl >> _U64(63)
     vl &= _M63
     # both ends add the table's words (the lower end's negated: its borrow is one less the carry)
     ends = np.take(table[7:], idx, axis=1)
-    vbl, vbr = _end(vh, vl, x0, ends[:3]), _end(vh, vl, x0, ends[3:])
+    vbl = _end(vb, vl, x0, ends[:3])
+    vbr = _end(vb, vl, x0, ends[3:])
     del ends, x0, x1
-    vh |= vl != _U64(0)
-    vb, out = vh, bits & _U64(1)
+    vb |= vl != _U64(0)
+    out = bits & _U64(1)
     vbl += out
     vbr -= out
     # the shorter candidates sp10 and sp10 + 10, then s and s + 1, are in
     # the interval when above vbl or at most vbr
     s = vb >> _U64(2)
     sp10 = s // _U64(10) * _U64(10)
-    upin, wpin = vbl <= sp10 << _U64(2), (sp10 << _U64(2)) + _U64(40) <= vbr
-    below, win = vbl > s << _U64(2), (s << _U64(2)) + _U64(4) <= vbr
+    upin = vbl <= sp10 << _U64(2)
+    wpin = (sp10 << _U64(2)) + _U64(40) <= vbr
+    below = vbl > s << _U64(2)
+    win = (s << _U64(2)) + _U64(4) <= vbr
     # a tie rounds to the even digit: up for vb mod 8 in 3, 6, 7
     tie = _U64(0xC8) >> (vb & _U64(7)) & _U64(1) != _U64(0)
     s += below & win | tie & (below | win)
@@ -189,8 +204,7 @@ def _digits(d: np.ndarray, dix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.bitwise_and(q[4], _M32, out=text[2])
     # significant: up to the last nonzero digit
     q = q.view(np.int64)
-    for row, at in zip(q, _GROUP_AT):
-        row += at
+    q += _GROUP_AT
     shown = q.max(axis=0) >> np.int64(32)
     return text, np.maximum(shown, np.int64(0), out=shown)
 
@@ -210,7 +224,8 @@ def reprs(values: np.ndarray, seps: np.ndarray) -> bytes:
     moved = text << _U64(8)
     moved[1:] |= text[:-1] >> _U64(56)
     # the text words: digits before the '.', the '.', digits moved up a byte
-    out, mask = rows[:, 1:].T, np.empty_like(text)
+    out = rows[:, 1:].T
+    mask = np.empty_like(text)
     np.take(masks[0], key, axis=1, out=mask, mode="clip")
     np.bitwise_and(text, mask, out=out)
     del text

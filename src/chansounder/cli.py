@@ -120,8 +120,8 @@ def _characterize(cfg: CampaignConfig, frames, fs: float) -> str:
     )
     text = charmetrics.report_text(report)
     if cfg.out:
-        with framestore.replacing(cfg.out + ".report.txt", "w", encoding="utf-8") as f:
-            f.write(text)
+        with framestore.replacing(cfg.out + ".report.txt") as f:
+            f.write(text.encode("utf-8"))
         charmetrics.export_csv(report, cfg.out)
     return text
 

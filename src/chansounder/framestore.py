@@ -70,24 +70,19 @@ def write_trigger_sidecar(path: str, events: list[TriggerEvent]) -> None:
 
 
 @contextmanager
-def replacing(path: str, mode: str = "wb", **kwargs):
-    """Open ``<path>.part`` for writing; it takes the place of ``path``
-    when the block ends, and is removed when the block raises, so a failed
+def replacing(path: str):
+    """Open ``<path>.part`` for binary writing; it replaces ``path`` when
+    the block ends, and is removed when the block raises, so a failed
     write leaves the earlier file as it was."""
     part = path + ".part"
     try:
-        with open(part, mode, **kwargs) as f:
+        with open(part, "wb") as f:
             yield f
+        os.replace(part, path)
     except BaseException:
         if os.path.exists(part):
             os.remove(part)
         raise
-    # the earlier file is removed, not renamed over: ext4 starts writing a
-    # file renamed over another to disk at once, which tripled the time to
-    # write a 26 MB frames file
-    if os.path.exists(path):
-        os.remove(path)
-    os.rename(part, path)
 
 
 def write_capture(
