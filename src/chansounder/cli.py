@@ -18,6 +18,7 @@ wins over the config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import charmetrics, framestore, sounder, wire
@@ -46,7 +47,11 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused:
+    ``main`` may run many times in one process, and ``parse_args`` never
+    changes the parser."""
     parser = argparse.ArgumentParser(
         prog="chansounder",
         description="correlative channel sounding against a simulated channel",

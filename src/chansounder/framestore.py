@@ -95,20 +95,22 @@ def write_capture(
     """Write an IQ capture: float32 payload, text sidecar and trigger log.
 
     ``capture`` is an :class:`IqFrame` or a :class:`sounder.CaptureStream`,
-    written block by block through :func:`replacing`: a failed capture
-    leaves the earlier files as they were.
+    written block by block.  Each file goes through :func:`replacing`: a
+    failed write leaves the earlier file as it was.
     """
     with replacing(path) as f:
         for block in (capture,) if isinstance(capture, IqFrame) else capture:
             np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
-    with open(sidecar_path(path), "w", encoding="utf-8") as f:
+    with replacing(sidecar_path(path)) as f:
         f.write(
-            f"format_version={CAPTURE_VERSION}\n"
-            f"sample_rate={float(capture.fs)!r}\n"
-            f"center_frequency={float(capture.f_c)!r}\n"
-            f"start_index={capture.start_index}\n"
-            f"sequence={sequence_descriptor}\n"
-            f"seed_note={seed_note}\n"
+            (
+                f"format_version={CAPTURE_VERSION}\n"
+                f"sample_rate={float(capture.fs)!r}\n"
+                f"center_frequency={float(capture.f_c)!r}\n"
+                f"start_index={capture.start_index}\n"
+                f"sequence={sequence_descriptor}\n"
+                f"seed_note={seed_note}\n"
+            ).encode("utf-8")
         )
     write_trigger_sidecar(path, events)
 
@@ -335,11 +337,11 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
 
 
 def write_trigger_log(path: str, events: list[TriggerEvent]) -> None:
-    """Write trigger events as one text line each."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# sample_index,kind,span,note\n")
+    """Write trigger events as one text line each, through :func:`replacing`."""
+    with replacing(path) as f:
+        f.write(b"# sample_index,kind,span,note\n")
         for ev in sorted(events, key=lambda e: e.sample_index):
-            f.write(f"{ev.sample_index},{ev.kind},{ev.span},{ev.note}\n")
+            f.write(f"{ev.sample_index},{ev.kind},{ev.span},{ev.note}\n".encode("utf-8"))
 
 
 def read_trigger_log(path: str) -> list[TriggerEvent]:

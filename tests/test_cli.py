@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main()."""
 
+import argparse
 import errno
 import os
 import socket
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chansounder import _floatrepr, charmetrics, framestore, sounder, wire
-from chansounder.cli import _FLAGS, _build_parser, _config_from_args, main
+from chansounder.cli import _COMMANDS, _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import load_config
 from chansounder.frames import IqFrame
 
@@ -271,6 +274,45 @@ class TestCaptureSidecarFlow:
         assert main(["stimulate", "--config", cfg, "--seed", "5", "--out", cap]) == 2
         assert "not finite" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "sidecar, kept",
+        [(".meta", ["cap.iq.meta", "cap.iq.triggers"]), (".triggers", ["cap.iq.triggers"])],
+    )
+    def test_a_full_disk_leaves_the_earlier_sidecar(self, tmp_path, capsys, monkeypatch, sidecar, kept):
+        # the disk fills half way through the sidecar's text: the earlier
+        # sidecar stays whole (and so does the .triggers written after a
+        # .meta), and no .part is left
+        cap = str(tmp_path / "cap.iq")
+        cfg = small_config(tmp_path, "triggers = 300:overflow:buf\n")
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in kept}
+
+        class Full:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_open(file, *args, **kwargs):
+            f = open(file, *args, **kwargs)
+            return Full(f) if sidecar in os.path.basename(file) else f
+
+        monkeypatch.setattr(framestore, "open", full_open, raising=False)
+        cfg = small_config(tmp_path, "triggers = 400:overflow:other\n")
+        assert main(["stimulate", "--config", cfg, "--seed", "5", "--out", cap]) == 2
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in kept} == before
+        assert not list(tmp_path.glob("*.part"))
 
     def test_capture_from_a_later_sample_counts_periods_from_sample_0(self, tmp_path, capsys):
         # A 6-period stream recorded from sample 64 on holds periods 1..5.
@@ -817,3 +859,51 @@ class TestFlagTable:
         assert rc == 2
         assert err.startswith(f"error: {flag}: ")
         assert message in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    @staticmethod
+    def parsed(parser, argv):
+        cfg = _config_from_args(parser.parse_args(argv))
+        return cfg, cfg.explicit
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_COMMANDS)),
+                st.lists(st.sampled_from(sorted(FLAG_VALUES)), unique=True),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_reused_parser_gives_the_config_of_a_fresh_one(self, calls):
+        # the argv lists run in sequence, so state carried between calls would show
+        for command, flags in calls:
+            argv = [command] + [part for flag in flags for part in (flag, FLAG_VALUES[flag])]
+            assert self.parsed(_build_parser(), argv) == self.parsed(_build_parser.__wrapped__(), argv)
+
+    def test_two_calls_build_one_parser_tree(self, tmp_path, monkeypatch, capsys):
+        made = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["correlate", "--out", str(tmp_path / "x")]) == 2
+        assert made[0] == "chansounder"
+        assert len(made) == 1 + len(_COMMANDS)  # the root and one parser per subcommand
+
+    def test_out_of_one_call_is_not_carried_to_the_next(self, tmp_path, capsys):
+        cap, cfg = str(tmp_path / "cap.iq"), small_config(tmp_path)
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        assert main(["correlate", "--config", cfg, "--input", cap, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(["correlate", "--config", cfg, "--input", cap]) == 2
+        assert "this command needs --out" in capsys.readouterr().err

@@ -4,9 +4,11 @@ Builds two temporary trees, each with a copy of this checkout's
 ``perfbench/``: one with the base commit's ``src/``, one with this
 checkout's.  Then runs ``perfbench/run.py --trace 0`` for the workload and
 seed in both trees, once per pair, with the side that goes first
-alternating from pair to pair.  Prints each end-to-end metric of
-``BENCHMARK.json`` with its median and quartiles per side, and in how many
-pairs the head side was better.
+alternating from pair to pair, and prints each pair's end-to-end metrics
+to stderr as it completes.  Then prints each end-to-end metric of
+``BENCHMARK.json`` with its median and quartiles per side, in how many
+pairs the head side was better, and a verdict by the claim rule:
+``gain``, ``regression``, ``unresolved`` or ``no change`` (see ``verdict``).
 
     python3 tools/paired_bench.py BASE_COMMIT --workload doppler_sound --seed 11 --pairs 10 --seconds 10
 
@@ -43,20 +45,59 @@ def _run(tree: str, args) -> dict:
     return json.loads(lines[-1])
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """q1, median and q3 (all three the value itself for one run)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def _spread(values: list[float]) -> str:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return f"{statistics.median(values):.6g} [{q1:.6g}, {q3:.6g}]"
+    q1, median, q3 = _quartiles(values)
+    return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def verdict(metric: dict, base: list[float], head: list[float]) -> str:
+    """The claim rule on one metric's paired runs.
+
+    ``gain``: head is better in at least nine tenths of at least ten
+    pairs (ties count for neither) and its median is better by more than
+    the base's q3 - q1.  ``regression``: head's median is worse by more
+    than the metric's ``bound``, a fraction of the base median.
+    ``unresolved``: the base's q3 - q1 is wider than that bound and not
+    every head run is better than every base run.  Otherwise ``no change``.
+    """
+    sign = 1 if metric["better"] == "higher" else -1
+    q1, median, q3 = _quartiles(base)
+    better_by = sign * (statistics.median(head) - median)
+    bound = metric["bound"] * abs(median)
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    if len(base) >= 10 and 10 * wins >= 9 * len(base) and better_by > q3 - q1:
+        return "gain"
+    if -better_by > bound:
+        return "regression"
+    if q3 - q1 > bound and min(sign * h for h in head) <= max(sign * b for b in base):
+        return "unresolved"
+    return "no change"
 
 
 def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
-    """One line per end-to-end metric: median [q1, q3] per side and the
-    pairs in which head was better; then each side's failed campaigns."""
-    out = [f"{'metric':<24}{'better':<8}{'base median [q1, q3]':<40}{'head median [q1, q3]':<40}head better"]
+    """One line per end-to-end metric: median [q1, q3] per side, the
+    pairs in which head was better and the :func:`verdict`; then each
+    side's failed campaigns."""
+    out = [
+        f"{'metric':<24}{'better':<8}{'base median [q1, q3]':<40}{'head median [q1, q3]':<40}"
+        f"{'head better':<13}verdict"
+    ]
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         base, head = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("base", "head"))
         wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
-        out.append(f"{name:<24}{m['better']:<8}{_spread(base):<40}{_spread(head):<40}{wins}/{len(base)}")
+        out.append(
+            f"{name:<24}{m['better']:<8}{_spread(base):<40}{_spread(head):<40}"
+            f"{f'{wins}/{len(base)}':<13}{verdict(m, base, head)}"
+        )
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
         out.append(f"{side}: {failed} of {sum(r['attempted'] for r in results)} campaigns failed")
@@ -91,7 +132,11 @@ def main(argv=None) -> int:
                 except RuntimeError as exc:
                     print(f"{side} failed to run: {exc}", file=sys.stderr)
                     return 2
-            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+            base, head = (runs[side][-1]["metrics"] for side in ("base", "head"))
+            values = ", ".join(
+                f"{m['name']} {base[m['name']]['value']:.6g} -> {head[m['name']]['value']:.6g}" for m in metrics
+            )
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first), base -> head: {values}", file=sys.stderr)
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, base {args.base}")
     print("\n".join(report(metrics, runs)))
