@@ -151,13 +151,16 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
 
 
 def cmd_correlate(cfg: CampaignConfig) -> int:
-    profile = cfg.load_profile()  # a bad profile fails before the capture is read
     if cfg.endpoint:
-        frames, total, _ = wire._correlate_stream(cfg.endpoint, cfg, profile)
+        frames, total, _ = wire.consume_correlation(cfg.endpoint, cfg)
     else:
-        received = framestore.read_capture(_require(cfg.input, "--input"))
-        frames, total = sounder.correlate_received(cfg, *received, profile)
-        del received  # free the capture before the frames are written
+        profile = cfg.load_profile()  # a bad profile fails before the capture is read
+        capture, meta = framestore.read_capture(_require(cfg.input, "--input"))
+        # A capture file's rule: its rate and sequence are adopted unless the
+        # configuration states a rate or pins a sequence that differs.
+        seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "capture")
+        frames, total = sounder.correlate(cfg, capture, seq, meta.triggers, profile)
+        del capture  # free the capture before the frames are written
     path = _write_series(cfg, _nonempty(frames, total), total)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     return 0

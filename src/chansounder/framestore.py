@@ -25,7 +25,6 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -43,17 +42,12 @@ _SLICE_BYTES = 1 << 20
 @dataclass
 class CaptureMeta:
     """A capture file's sidecars: the ``.meta`` text and the events of the
-    optional ``.triggers`` log.  The class attributes are the rules by
-    which :func:`sounder.correlate_received` adopts its stream parameters."""
+    optional ``.triggers`` log."""
 
     sequence_descriptor: str
     seed_note: str
     triggers: list[TriggerEvent] = field(default_factory=list)
     version: int = CAPTURE_VERSION
-
-    source: ClassVar[str] = "capture"
-    mismatch_error: ClassVar[type] = ValueError
-    strict: ClassVar[bool] = False
 
 
 def sidecar_path(path: str) -> str:

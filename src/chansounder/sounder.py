@@ -323,13 +323,27 @@ def capture_stream(config) -> CaptureStream:
     )
 
 
-def correlate_campaign(
+def check_corrections(config, profile: CalibrationProfile | None, n_seq: int, fs: float) -> None:
+    """Raise unless the calibration ``profile`` corrects ``n_seq``-sample
+    frames and the configured DC suppression band lies below ``fs / 4``."""
+    if profile is not None:
+        profile.check_length(n_seq)
+    if not config.dc_suppression_hz < fs / 4:
+        raise ValueError(
+            f"dc_suppression_hz = {config.dc_suppression_hz} must lie below "
+            f"sample_rate / 4 = {fs / 4}"
+        )
+
+
+def correlate(
     config, capture: "IqFrame | CaptureStream", seq: Sequence, events, profile: CalibrationProfile | None
 ) -> tuple[FrameSeries, int]:
-    """Run :func:`frames_from_capture` with the calibration ``profile`` and
-    the configured first-period discard and DC-bias settings; return the
-    frames and the number of sequence periods from absolute sample 0 to
-    the capture's end."""
+    """Correlate a capture of any transport: check the corrections
+    (:func:`check_corrections`), then run :func:`frames_from_capture`
+    with the calibration ``profile`` and the configured first-period
+    discard and DC-bias settings.  Returns the frames and the number of
+    sequence periods from absolute sample 0 to the capture's end."""
+    check_corrections(config, profile, seq.n_seq, capture.fs)
     frames = frames_from_capture(
         capture,
         seq,
@@ -342,59 +356,17 @@ def correlate_campaign(
     return frames, capture.end_index // seq.n_seq
 
 
-def _check_corrections(config, profile: CalibrationProfile | None, n_seq: int, fs: float) -> None:
-    """Raise unless the calibration ``profile`` corrects ``n_seq``-sample
-    frames and the configured DC suppression band lies below ``fs / 4``:
-    every correlation path checks this before its first correlation."""
-    if profile is not None:
-        profile.check_length(n_seq)
-    if not config.dc_suppression_hz < fs / 4:
-        raise ValueError(
-            f"dc_suppression_hz = {config.dc_suppression_hz} must lie below "
-            f"sample_rate / 4 = {fs / 4}"
-        )
-
-
-def _adopt_stream(config, record, fs: float, profile: CalibrationProfile | None) -> Sequence:
-    """The sequence a capture file or wire peer was stimulated with: adopt
-    the sample rate ``fs`` and the sequence of the
-    :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
-    ``record`` by the record's rules
-    (:meth:`CampaignConfig.stream_sequence`), then check the corrections
-    against them (:func:`_check_corrections`)."""
-    seq = config.stream_sequence(
-        record.sequence_descriptor, fs, record.source, record.mismatch_error, record.strict
-    )
-    _check_corrections(config, profile, seq.n_seq, fs)
-    return seq
-
-
-def correlate_received(
-    config, capture: IqFrame, record, profile: CalibrationProfile | None
-) -> tuple[FrameSeries, int]:
-    """Correlate a capture read from a file or received on the wire, with
-    the :class:`framestore.CaptureMeta` or :class:`wire.ConsumeSummary`
-    ``record`` that came with it: adopt its sample rate and sequence and
-    check the corrections (:func:`_adopt_stream`), gate by its triggers,
-    and return :func:`correlate_campaign`'s frames and period count with
-    the calibration ``profile``."""
-    seq = _adopt_stream(config, record, capture.fs, profile)
-    return correlate_campaign(config, capture, seq, record.triggers, profile)
-
-
 def sound_campaign(config) -> tuple[FrameSeries, int, list[TriggerEvent]]:
     """Full single-process sounding run driven by a campaign config.
 
-    The calibration profile is read, and the corrections checked
-    (:func:`_check_corrections`), before any capture block is made; then
-    the blocks of :func:`capture_stream` go through
-    :func:`correlate_campaign` as they are made.  Returns the frames, the
-    period count and the stamped trigger events.
+    The calibration profile is read before any capture block is made, and
+    :func:`correlate` checks the corrections before it draws the first
+    block of :func:`capture_stream`.  Returns the frames, the period
+    count and the stamped trigger events.
     """
     profile = config.load_profile()
     stream = capture_stream(config)
-    _check_corrections(config, profile, stream.seq.n_seq, stream.fs)
-    frames, total = correlate_campaign(config, stream, stream.seq, stream.events, profile)
+    frames, total = correlate(config, stream, stream.seq, stream.events, profile)
     return frames, total, stream.events
 
 

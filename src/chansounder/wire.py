@@ -33,7 +33,6 @@ import itertools
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -281,17 +280,6 @@ class ConsumeSummary:
     triggers: list[TriggerEvent] = field(default_factory=list)
     hello: Hello | None = None
 
-    # The rules :func:`sounder.correlate_received` adopts a peer's stream
-    # parameters by: any local sample rate and a pinned sequence must be
-    # confirmed by the HELLO.
-    source: ClassVar[str] = "peer"
-    mismatch_error: ClassVar[type] = HelloMismatchError
-    strict: ClassVar[bool] = True
-
-    @property
-    def sequence_descriptor(self) -> str:
-        return self.hello.sequence_descriptor
-
 
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
@@ -507,30 +495,21 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
     return IqFrame(capture, link.hello.fs, link.hello.f_c, 0), ConsumeSummary(triggers, link.hello)
 
 
-def _correlate_stream(endpoint, config, profile) -> tuple[FrameSeries, int, ConsumeSummary]:
-    """Receive a stimulation peer's stream and correlate it with the
-    calibration ``profile``: the HELLO's sample rate and sequence are
-    adopted and the corrections checked against them
-    (:func:`sounder._adopt_stream`) before any chunk is read.  Returns
-    :func:`sounder.correlate_campaign`'s frames and period count and the
-    stream summary."""
-    with Link(endpoint, config.timeout) as link:
-        seq = sounder._adopt_stream(config, ConsumeSummary(hello=link.hello), link.hello.fs, profile)
-        capture, summary = consume_stream(link)
-    frames, total = sounder.correlate_campaign(config, capture, seq, summary.triggers, profile)
-    return frames, total, summary
-
-
-def consume_correlation(endpoint, config):
+def consume_correlation(endpoint, config) -> tuple[FrameSeries, int, ConsumeSummary]:
     """Receive a stimulation stream and run the correlation side on it.
 
-    The handshake is validated against the local configuration before
-    any chunk is read: sample rates must agree, and if the configuration
-    pins a sequence it must match the peer's descriptor (otherwise the
-    peer's descriptor is adopted); the calibration profile and the DC
-    band are checked against the adopted sequence and rate.  Returns
-    ``(frames, summary)``.
+    The peer's rule: after the HELLO and before any chunk is read, any
+    local sample rate and a pinned sequence must match the HELLO's
+    (otherwise the peer's descriptor is adopted), and the calibration
+    profile and the DC band are checked against the adopted sequence and
+    rate.  Returns :func:`sounder.correlate`'s frames and period count
+    and the stream summary.
     """
     profile = config.load_profile()  # a bad profile fails before anything is received
-    frames, _, summary = _correlate_stream(endpoint, config, profile)
-    return frames, summary
+    with Link(endpoint, config.timeout) as link:
+        hello = link.hello
+        seq = config.stream_sequence(hello.sequence_descriptor, hello.fs, "peer", HelloMismatchError, strict=True)
+        sounder.check_corrections(config, profile, seq.n_seq, hello.fs)
+        capture, summary = consume_stream(link)
+    frames, total = sounder.correlate(config, capture, seq, summary.triggers, profile)
+    return frames, total, summary

@@ -278,7 +278,7 @@ def test_criterion_11_wire_equivalence():
         port = lsock.getsockname()[1]
         t = threading.Thread(target=wire.serve_stimulation, args=(cfg, lsock), daemon=True)
         t.start()
-        frames, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
+        frames, _, summary = wire.consume_correlation(f"127.0.0.1:{port}", cfg)
         t.join(timeout=10.0)
 
     assert len(frames) == len(offline) == 19

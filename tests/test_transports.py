@@ -91,7 +91,9 @@ def stimulate_then_correlate(cfg, path):
     cfg.out = path
     assert cli.cmd_stimulate(cfg) == 0
     capture, meta = framestore.read_capture(path)
-    return sounder.correlate_received(cfg, capture, meta, cfg.load_profile())
+    # the adoption rule of cli.cmd_correlate for a capture file
+    seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "capture")
+    return sounder.correlate(cfg, capture, seq, meta.triggers, cfg.load_profile())
 
 
 def serve_then_consume(cfg):
@@ -105,7 +107,7 @@ def serve_then_consume(cfg):
     t = threading.Thread(target=serve, daemon=True)
     t.start()
     try:
-        frames, _ = wire.consume_correlation("127.0.0.1:%d" % lsock.getsockname()[1], cfg)
+        frames, _, _ = wire.consume_correlation("127.0.0.1:%d" % lsock.getsockname()[1], cfg)
     finally:
         t.join(timeout=20.0)
     assert box["summary"].complete

@@ -383,6 +383,15 @@ def campaign_capture(cfg):
     return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
 
 
+def correlate_peer(cfg, capture, summary, profile=None):
+    """Correlate a received ``capture`` by a peer's adoption rule, the one
+    :func:`wire.consume_correlation` states, with the triggers of the
+    stream ``summary``."""
+    desc = summary.hello.sequence_descriptor
+    seq = cfg.stream_sequence(desc, capture.fs, "peer", HelloMismatchError, strict=True)
+    return sounder.correlate(cfg, capture, seq, summary.triggers, profile)
+
+
 def clean_stream(step=40):
     """A clean stream of a 6-period, 32-sample campaign with one trigger:
     its messages as ``(kind, start, encoded)`` in the order
@@ -398,7 +407,7 @@ def clean_stream(step=40):
         messages += [("trigger", ev.sample_index, encode_trigger(ev)) for ev in events if a <= ev.sample_index < a + step]
         messages.append(("chunk", a, encode_iq_chunk(a, capture.samples[a : a + step])))
     messages.append(("end", None, encode_end(len(capture))))
-    frames, _ = sounder.correlate_received(CampaignConfig(), capture, wire.ConsumeSummary(events, hello), None)
+    frames, _ = correlate_peer(CampaignConfig(), capture, wire.ConsumeSummary(events, hello))
     return messages, capture, frames
 
 
@@ -443,7 +452,7 @@ class TestHostileSequences:
 
     def test_clean_stream_gives_its_frames(self):
         endpoint, t = run_raw_server([m[2] for m in CLEAN_MESSAGES])
-        frames, summary = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
+        frames, _, summary = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
         t.join(timeout=5.0)
         assert len(frames) == 4 and 2 not in frames.sequence_index
         assert np.array_equal(frames.h, CLEAN_FRAMES.h)
@@ -649,7 +658,7 @@ class TestLoopback:
         offline = sounder.frames_from_capture(capture, seq, discard_first=cfg.discard_first)
 
         endpoint, t, _ = serve_config_in_thread(cfg)
-        frames, summary = wire.consume_correlation(endpoint, cfg)
+        frames, _, summary = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
 
         assert len(frames) == len(offline) == 5
@@ -667,7 +676,7 @@ class TestLoopback:
         cfg.corrupt_span = 16
 
         endpoint, t, _ = serve_config_in_thread(cfg)
-        frames, summary = wire.consume_correlation(endpoint, cfg)
+        frames, _, summary = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
 
         kept = [f.sequence_index for f in frames]
@@ -713,7 +722,7 @@ class TestHandshakeChecks:
         endpoint, t = self.start(served)
         local = self.make_served_config()
         local.root = 5  # differs, but nothing is marked explicit
-        frames, summary = wire.consume_correlation(endpoint, local)
+        frames, _, summary = wire.consume_correlation(endpoint, local)
         t.join(timeout=10.0)
         assert summary.hello.sequence_descriptor == "fzc:n=64:u=7"
         assert len(frames) == 2
@@ -732,7 +741,7 @@ class TestHandshakeChecks:
 
     def test_unpinned_local_fills_in_missing_descriptor(self):
         endpoint, t = self.start_without_descriptor(self.make_served_config())
-        frames, summary = wire.consume_correlation(endpoint, self.make_served_config())
+        frames, _, summary = wire.consume_correlation(endpoint, self.make_served_config())
         t.join(timeout=10.0)
         assert summary.hello.sequence_descriptor == ""
         assert len(frames) == 2
@@ -757,8 +766,12 @@ class TestEndpointParsing:
 
 
 class TestOneCorrelationPath:
-    """``sounder.correlate_received`` correlates a capture file's and a wire
-    stream's capture alike; only the record's adoption rules differ."""
+    """``sounder.correlate`` correlates a capture file's and a wire stream's
+    capture alike; only the adoption rules differ, each stated where its
+    capture is read: ``cli.cmd_correlate`` adopts a file's rate and
+    sequence with ``stream_sequence(..., "capture")``, and
+    ``wire.consume_correlation`` a peer's with ``stream_sequence(...,
+    "peer", HelloMismatchError, strict=True)``."""
 
     def campaign(self):
         cfg = CampaignConfig()
@@ -773,10 +786,15 @@ class TestOneCorrelationPath:
         summary = wire.ConsumeSummary(events, Hello(capture.fs, capture.f_c, desc))
         return capture, CaptureMeta(desc, "", events), summary
 
+    @staticmethod
+    def correlate_file(cfg, capture, meta):
+        seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "capture")
+        return sounder.correlate(cfg, capture, seq, meta.triggers, None)
+
     def test_file_and_wire_records_give_the_same_frames(self):
         capture, meta, summary = self.campaign()
-        a, total_a = sounder.correlate_received(CampaignConfig(), capture, meta, None)
-        b, total_b = sounder.correlate_received(CampaignConfig(), capture, summary, None)
+        a, total_a = self.correlate_file(CampaignConfig(), capture, meta)
+        b, total_b = correlate_peer(CampaignConfig(), capture, summary)
         assert total_a == total_b == 6
         assert a.sequence_index.tolist() == b.sequence_index.tolist() == [1, 3, 4, 5]
         assert np.array_equal(a.h, b.h) and np.array_equal(a.t_i, b.t_i)
@@ -785,7 +803,7 @@ class TestOneCorrelationPath:
         capture, meta, _ = self.campaign()
         local = CampaignConfig()
         local.sample_rate = 2e6
-        sounder.correlate_received(local, capture, meta, None)
+        self.correlate_file(local, capture, meta)
         assert local.sample_rate == capture.fs
 
     def test_a_capture_file_must_match_an_explicit_rate(self):
@@ -793,7 +811,7 @@ class TestOneCorrelationPath:
         local = CampaignConfig()
         local.set_key("sample_rate", "2e6", "--fs")
         with pytest.raises(ValueError, match="capture samples at 1000000.0 Hz"):
-            sounder.correlate_received(local, capture, meta, None)
+            self.correlate_file(local, capture, meta)
 
     def test_every_transport_holds_the_same_complex64_capture(self, tmp_path):
         capture, meta, _ = self.campaign()
@@ -812,7 +830,7 @@ class TestOneCorrelationPath:
         local = CampaignConfig()
         local.sample_rate = 2e6
         with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
-            sounder.correlate_received(local, capture, summary, None)
+            correlate_peer(local, capture, summary)
 
 
 class TestStreamedCapture:
@@ -826,7 +844,7 @@ class TestStreamedCapture:
         offline = sounder.run_sounding(cfg)
 
         endpoint, t, box = serve_config_in_thread(cfg)
-        frames, summary = wire.consume_correlation(endpoint, cfg)
+        frames, _, summary = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
         assert not t.is_alive()
 
@@ -898,7 +916,7 @@ class TestReceiveMemory:
         tracemalloc.start()
         try:
             capture, summary = wire.consume_stream(endpoint, timeout=10.0)
-            frames, total = sounder.correlate_received(CampaignConfig(), capture, summary, None)
+            frames, total = correlate_peer(CampaignConfig(), capture, summary)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
