@@ -107,7 +107,10 @@ def frequency_response_stats(frames: FrameSeries, fs: float) -> FrequencyStats:
     mags = np.empty(m.shape)
     for rows in _batches(len(m)):
         np.abs(np.fft.fft(m[rows], axis=1), out=mags[rows])
-    if not mags.max() > 0:
+    peak = mags.max()
+    if not np.isfinite(peak):
+        raise ValueError("frames hold non-finite values; no magnitude statistics")
+    if not peak > 0:
         raise ValueError("all frames are zero; no magnitude statistics")
     # Column blocks of at least two: numpy sums a one-column block
     # pairwise, not row by row as it sums the whole matrix.

@@ -24,6 +24,27 @@ TRIGGER_KINDS = ("overflow", "external")
 #: capture file and a wire chunk carry and what the correlator is given.
 CAPTURE_DTYPE = np.dtype("<c8")
 
+#: Readers check that samples are finite this many at a time: few enough
+#: that the check's mask stays small, enough that a call costs little.
+FINITE_SPAN = 1 << 16
+
+
+def first_non_finite(x: np.ndarray) -> int | None:
+    """The index along the first axis of the first NaN or infinity in the
+    contiguous float or complex array ``x``, or None when it holds none."""
+    finite = np.isfinite(x.view(x.real.dtype))
+    return None if finite.all() else int(np.argmin(finite)) // (finite.size // len(x))
+
+
+def check_finite(samples: np.ndarray, start_index: int, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming the absolute index of the first NaN or
+    infinite sample of ``what``, whose ``samples`` start at absolute
+    index ``start_index``; checked :data:`FINITE_SPAN` samples at a time."""
+    for lo in range(0, len(samples), FINITE_SPAN):
+        bad = first_non_finite(samples[lo : lo + FINITE_SPAN])
+        if bad is not None:
+            raise error(f"{what} holds a non-finite sample at absolute index {start_index + lo + bad}")
+
 
 def check_sample_rate(fs: float) -> float:
     """``fs``, if it is a usable sample rate (positive and finite)."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import CalibrationProfile
-from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent
+from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_finite, first_non_finite
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
@@ -110,7 +110,8 @@ def write_capture(
 
 
 def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
-    """Read an IQ capture (complex64, as stored), its sidecar and trigger log."""
+    """Read an IQ capture (complex64, as stored), its sidecar and trigger
+    log; a NaN or infinite sample raises ``ValueError``."""
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as f:
             text = f.read()
@@ -140,6 +141,7 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
                 "whole number of float32 IQ pairs"
             )
         samples = np.fromfile(f, dtype=CAPTURE_DTYPE)
+    check_finite(samples, kv["start_index"], f"capture payload {path}")
     frame = IqFrame(samples, kv["sample_rate"], kv["center_frequency"], kv["start_index"])
     log = path + ".triggers"
     events = read_trigger_log(log) if os.path.exists(log) else []
@@ -294,7 +296,8 @@ def write_frames(
 
 def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
     """Read a frame series written by :func:`write_frames`, slice by
-    slice into the series' own arrays."""
+    slice into the series' own arrays; a NaN or infinity in a record's
+    time or response raises ``ValueError``."""
     fields = {
         "n_records": _finite(int, positive=True),
         "n_seq": _finite(int, positive=True),
@@ -316,9 +319,13 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
         step = max(1, _SLICE_BYTES // record.itemsize)
         for lo in range(0, n_records, step):
             part = np.fromfile(f, dtype=record, count=min(step, n_records - lo))
+            hi = lo + len(part)
             for name, column in columns.items():
-                column[lo : lo + len(part)] = part[name]
+                column[lo:hi] = part[name]
             del part  # before the next slice is read, so only one is held
+            bad = [i for name in ("t_i", "h") if (i := first_non_finite(columns[name][lo:hi])) is not None]
+            if bad:
+                raise ValueError(f"{path}: record {lo + min(bad)} holds a non-finite value")
     series = FrameSeries(**columns)
     meta = FrameSeriesMeta(
         n_seq=kv["n_seq"],

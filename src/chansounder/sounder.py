@@ -22,6 +22,14 @@ transport, from :func:`quantize_capture` to the correlator.
 :class:`CaptureStream`, widens each block's kept periods straight into
 one complex128 matrix and runs the correlation, the normalization and
 the corrections in place on it, with the same bits as the pure stages.
+
+Every transport correlates through :func:`correlate`, which checks the
+corrections and then runs :func:`frames_from_capture` with the
+configured settings.  ``sound`` gives it the campaign's own stream
+(:func:`sound_campaign`).  A received stream's sample rate and sequence
+are adopted by its reader first, each by a rule stated where it reads:
+``cli.cmd_correlate`` for a capture file, :func:`wire.consume_correlation`
+for a peer.
 """
 
 from __future__ import annotations

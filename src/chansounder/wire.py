@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sounder
-from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent
+from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_finite
 from .seqgen import descriptor as seq_descriptor
 
 PROTOCOL_VERSION = 1
@@ -437,7 +437,8 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
     ``endpoint`` is a ``host:port`` string, a ``(host, port)`` pair or an
     open :class:`Link`, which this closes.  Verifies chunk contiguity,
     that each trigger comes before the chunk holding its sample, the END
-    sample count, and that nothing follows END before the peer closes.
+    sample count, that nothing follows END before the peer closes, and
+    that every received sample is finite.
     Returns the capture frame plus the stream summary (handshake and
     trigger events); each chunk is read straight into the complex64
     capture, the capture format of every transport, grown in place.
@@ -492,6 +493,7 @@ def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSum
             raise WireProtocolError(f"{type(late).__name__} message after END")
 
     capture.resize(received, refcheck=False)
+    check_finite(capture, 0, "received stream", WireProtocolError)
     return IqFrame(capture, link.hello.fs, link.hello.f_c, 0), ConsumeSummary(triggers, link.hello)
 
 

@@ -79,6 +79,14 @@ class TestFrequencyStats:
         with pytest.raises(ValueError, match="zero"):
             cm.frequency_response_stats(frames_from_matrix(np.zeros((2, 8))), fs=1e6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_named(self, rng, bad):
+        # a NaN magnitude also fails "max > 0", which once read as all-zero frames
+        m = rng.standard_normal((4, 8)) + 0j
+        m[2, 5] = bad
+        with pytest.raises(ValueError, match="^frames hold non-finite values"):
+            cm.frequency_response_stats(frames_from_matrix(m), fs=1e6)
+
 
 class TestCoherenceBandwidth:
     def test_two_path_closed_form(self):

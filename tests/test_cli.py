@@ -534,6 +534,50 @@ class TestCorrectionsCheckedBeforeCorrelating:
         assert not list(tmp_path.glob("run*"))
 
 
+class TestOneCorrelationCall:
+    """Each command that correlates, whatever its transport, makes exactly
+    one ``sounder.correlate`` call and one ``frames_from_capture`` call,
+    so a second correlation path cannot come back unseen."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("correlate", "frames_from_capture"):
+            real = getattr(sounder, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(sounder, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("transport", ["sound", "correlate --input", "correlate --endpoint"])
+    def test_one_call_each(self, tmp_path, capsys, calls, transport):
+        cfg = small_config(tmp_path)
+        out = ["--out", str(tmp_path / "run")]
+        if transport == "sound":
+            assert main(["sound", "--config", cfg] + out) == 0
+        elif transport == "correlate --input":
+            cap = str(tmp_path / "cap.iq")
+            assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+            assert main(["correlate", "--config", cfg, "--input", cap] + out) == 0
+        else:
+            lsock = socket.create_server(("127.0.0.1", 0))
+            port = lsock.getsockname()[1]
+
+            def serve():
+                with lsock:
+                    wire.serve_stimulation(load_config(cfg), lsock)
+
+            t = threading.Thread(target=serve, daemon=True)
+            t.start()
+            assert main(["correlate", "--config", cfg, "--endpoint", f"127.0.0.1:{port}"] + out) == 0
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert calls == ["correlate", "frames_from_capture"]
+
+
 class TestProfileBeforeCapture:
     """A missing or wrong-length calibration profile fails before any
     capture block is made, and before a capture is read or received."""

@@ -34,6 +34,16 @@ class TestCapture:
         assert meta.seed_note == "seed=0"
         assert meta.version == fsio.CAPTURE_VERSION
 
+    @pytest.mark.parametrize("i, value", [(3, complex(0.0, -math.inf)), (70_000, complex(math.nan, 1.0))])
+    def test_non_finite_sample_named_by_absolute_index(self, tmp_path, i, value):
+        # the second case lies past the first span the reader checks
+        x = np.ones(80_000, dtype=np.complex64)
+        x[i] = value
+        path = str(tmp_path / "a.iq")
+        fsio.write_capture(path, IqFrame(x, fs=1e6, start_index=1024))
+        with pytest.raises(ValueError, match=f"^capture payload .* non-finite sample at absolute index {1024 + i}$"):
+            fsio.read_capture(path)
+
     def test_strided_samples_are_written_in_order(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
@@ -194,6 +204,19 @@ class TestFrameSeries:
         assert meta.t_seq == 8e-6
         assert meta.calibration == "prof.csp"
         assert meta.total_sequences == 7
+
+    @pytest.mark.parametrize("field", ["h", "t_i"])
+    @pytest.mark.parametrize("slice_bytes", [1 << 20, 300])
+    def test_non_finite_record_named(self, tmp_path, rng, monkeypatch, field, slice_bytes):
+        # 300-byte slices hold two 145-byte records, so record 3 is in the second
+        monkeypatch.setattr(fsio, "_SLICE_BYTES", slice_bytes)
+        frames = self.make_series(rng)
+        columns = {"h": np.array(frames.h), "t_i": np.array(frames.t_i)}
+        columns[field][3] = math.nan
+        path = str(tmp_path / "run.frames")
+        fsio.write_frames(path, FrameSeries(columns["h"], frames.sequence_index, columns["t_i"]), t_s=1e-6)
+        with pytest.raises(ValueError, match="record 3 holds a non-finite value"):
+            fsio.read_frames(path)
 
     def test_total_sequences_defaults_past_highest(self, tmp_path, rng):
         frames = self.make_series(rng, index=[0, 1, 2, 3, 11])

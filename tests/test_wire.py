@@ -1,6 +1,7 @@
 """Wire protocol tests: codecs, error handling, and live loopback."""
 
 import io
+import math
 import socket
 import struct
 import threading
@@ -882,6 +883,19 @@ def serve_raw_stream(x, desc="", step=4096):
         + [encode_end(len(x))]
     )
     return run_raw_server(blobs)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("i, value", [(0, complex(math.inf, 0.0)), (70_001, complex(0.0, math.nan))])
+    def test_named_by_absolute_index(self, i, value):
+        # checked over the received region after END, in spans of 64 Ki samples
+        x = np.ones(100_000, dtype=np.complex64)
+        x[i] = value
+        endpoint, t = serve_raw_stream(x)
+        with pytest.raises(WireProtocolError, match=f"^received stream holds a non-finite sample at absolute index {i}$"):
+            wire.consume_stream(endpoint, timeout=10.0)
+        t.join(timeout=5.0)
+        assert not t.is_alive()
 
 
 class TestReceiveMemory:
