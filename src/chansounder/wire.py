@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,8 +277,8 @@ class ConsumeSummary:
     """What a received stream carried besides its samples: the trigger
     events and the handshake."""
 
-    triggers: list[TriggerEvent] = field(default_factory=list)
-    hello: Hello | None = None
+    triggers: list[TriggerEvent]
+    hello: Hello
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
