@@ -8,7 +8,7 @@ stimulation and correlation halves can run in one process or as two
 processes linked by a byte-exact IQ wire protocol.
 """
 
-from .calib import CalibrationProfile, remove_dc_bias, through_calibrate
+from .calib import CalibrationProfile, through_calibrate
 from .chansim import ChannelModel, ChannelTap, add_awgn, apply_cfo, apply_channel, inject_disruption
 from .charmetrics import (
     CharacterizationReport,
@@ -37,7 +37,6 @@ from .seqgen import (
     generate_mls,
 )
 from .sounder import (
-    correct_ftt,
     frames_from_capture,
     measurement_time,
     normalize,
@@ -67,7 +66,6 @@ __all__ = [
     "characterize",
     "coherence_bandwidth",
     "coherence_time",
-    "correct_ftt",
     "descriptor",
     "doppler_map",
     "doppler_spread",
@@ -85,7 +83,6 @@ __all__ = [
     "measurement_time",
     "normalize",
     "pdp",
-    "remove_dc_bias",
     "rms_delay_spread",
     "run_sounding",
     "sequence_gate",

@@ -89,14 +89,15 @@ def write_capture(
     """Write an IQ capture: float32 payload, text sidecar and trigger log.
 
     ``capture`` is an :class:`IqFrame` or a :class:`sounder.CaptureStream`,
-    written block by block.  Each file goes through :func:`replacing`: a
-    failed write leaves the earlier file as it was.
+    written block by block.  Each file goes through :func:`replacing`, and
+    none is put in place before all three are written, so a failed write
+    leaves the earlier capture and its sidecars as they were.  A stale
+    trigger log is removed only after the new files are in place.
     """
-    with replacing(path) as f:
+    with replacing(path) as f, replacing(sidecar_path(path)) as meta:
         for block in (capture,) if isinstance(capture, IqFrame) else capture:
             np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
-    with replacing(sidecar_path(path)) as f:
-        f.write(
+        meta.write(
             (
                 f"format_version={CAPTURE_VERSION}\n"
                 f"sample_rate={float(capture.fs)!r}\n"
@@ -106,7 +107,10 @@ def write_capture(
                 f"seed_note={seed_note}\n"
             ).encode("utf-8")
         )
-    write_trigger_sidecar(path, events)
+        if events:  # the last file written, so the first put in place
+            write_trigger_log(path + ".triggers", events)
+    if not events and os.path.exists(path + ".triggers"):
+        os.remove(path + ".triggers")
 
 
 def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
@@ -389,7 +393,8 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
 
 
 def read_profile(path: str) -> CalibrationProfile:
-    """Read a calibration profile written by :func:`write_profile`."""
+    """Read a calibration profile written by :func:`write_profile`; a NaN
+    or infinity in the correction filter raises ``ValueError``."""
     fields = {
         "n_seq": _finite(int, positive=True),
         "source": str,
@@ -408,6 +413,9 @@ def read_profile(path: str) -> CalibrationProfile:
         if size != 16 * n_seq:
             raise ValueError(f"{path} payload is {size} bytes, expected {16 * n_seq}")
         h_ftt = np.fromfile(f, dtype="<c16").astype(np.complex128)
+    bad = first_non_finite(h_ftt)
+    if bad is not None:
+        raise ValueError(f"{path}: calibration-profile value h_ftt[{bad}] is not finite")
     return CalibrationProfile(
         h_ftt=h_ftt,
         source=kv["source"],

@@ -7,29 +7,30 @@ and each surviving period is periodically cross-correlated against the
 reference sequence.  Dividing by the sequence length turns the
 correlation peak into the channel gain estimate; an optional
 forward-transmission profile then removes the measured cable and
-front-end response.  Each output frame is stamped with the time
+front-end response, and optional DC-bias removal the LO leakage at 0 Hz.
+Each output frame is stamped with the time
 
     t_i = (i + 1) * T_seq - T_s
 
 (the instant of the last sample of sequence period ``i``), which is the
 natural time axis for Doppler analysis across frames.
 
-All stages are pure functions over immutable frames, so their
-composition is deterministic no matter how the stream is chunked or
-which process runs which half.  A capture is complex64 on every
+The composition is deterministic no matter how the stream is chunked
+or which process runs which half.  A capture is complex64 on every
 transport, from :func:`quantize_capture` to the correlator.
 :func:`frames_from_capture` takes it as one block or as the blocks of a
 :class:`CaptureStream`, widens each block's kept periods straight into
 one complex128 matrix and runs the correlation, the normalization and
-the corrections in place on it, with the same bits as the pure stages.
+the corrections in place on it, with the bits of each period alone.
 
-Every transport correlates through :func:`correlate`, which checks the
-corrections and then runs :func:`frames_from_capture` with the
-configured settings.  ``sound`` gives it the campaign's own stream
+Every transport correlates through :func:`correlate`, which runs
+:func:`frames_from_capture` with the configured settings; that checks
+every correction setting (:func:`check_corrections`) before a block is
+drawn.  ``sound`` gives it the campaign's own stream
 (:func:`sound_campaign`).  A received stream's sample rate and sequence
 are adopted by its reader first, each by a rule stated where it reads:
 ``cli.cmd_correlate`` for a capture file, :func:`wire.consume_correlation`
-for a peer.
+for a peer, which also checks the corrections at the HELLO.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterator, Sequence as SequenceType
 import numpy as np
 
 from . import chansim
-from .calib import CalibrationProfile, _remove_dc_bias_in_place
+from .calib import CalibrationProfile
 from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place
 from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_sample_rate
@@ -126,28 +127,70 @@ def measurement_time(sequence_index: int, t_seq: float, t_s: float) -> float:
     return (sequence_index + 1) * t_seq - t_s
 
 
+def _dc_gap(suppression_bw_hz: float, fs: float, n: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The DC band of ``n``-bin spectra at sample rate ``fs``: its FFT
+    bins (never fewer than one), their weights and the two anchor bins
+    either side.  Raises when the band leaves no anchor bin."""
+    n_b = max(1, int(round(suppression_bw_hz / (fs / n))))
+    center = n // 2  # DC bin position in centered order
+    g0 = center - n_b // 2
+    left, right = g0 - 1, g0 + n_b  # the anchors, just outside the gap
+    if left < 0 or right > n - 1:
+        raise ValueError(
+            f"suppression bandwidth {suppression_bw_hz} Hz covers {n_b} of {n} "
+            "bins and leaves no anchor bins"
+        )
+    idx = np.arange(g0, right)
+    # Centered position c is FFT bin (c - n // 2) mod n; patch in FFT order.
+    return (idx - center) % n, (idx - left) / (right - left), (left - center) % n, (right - center) % n
+
+
+def _patch_dc(spec: np.ndarray, suppression_bw_hz: float, fs: float) -> None:
+    """Replace the DC band (:func:`_dc_gap`) of spectra in FFT bin order
+    along the last axis by the straight line between its anchors, over
+    ``spec`` one gap bin at a time; a second run changes nothing."""
+    gap, w, lo, hi = _dc_gap(suppression_bw_hz, fs, spec.shape[-1])
+    for g, w_g in zip(gap, w):
+        column = spec[..., g]
+        np.multiply(1.0 - w_g, spec[..., lo], out=column)
+        column += w_g * spec[..., hi]
+
+
+def _remove_dc_bias_in_place(h: np.ndarray, suppression_bw_hz: float, fs: float) -> None:
+    """Fade out the 0 Hz band, where receiver LO leakage shows, of the rows
+    of the complex128 response matrix ``h`` and re-interpolate it, in place."""
+    np.fft.fft(h, axis=-1, out=h)
+    _patch_dc(h, suppression_bw_hz, fs)
+    np.fft.ifft(h, axis=-1, out=h)
+
+
 def _correct_ftt_in_place(h: np.ndarray, profile: CalibrationProfile) -> None:
-    """:func:`correct_ftt` on the rows of the complex128 response matrix
-    ``h``, written over them."""
-    profile.check_length(h.shape[-1])
+    """Circularly convolve the rows of the complex128 response matrix
+    ``h`` with the profile filter, in the frequency domain and in place."""
     np.fft.fft(h, axis=-1, out=h)
     h *= profile.spectrum()
     np.fft.ifft(h, axis=-1, out=h)
 
 
-def correct_ftt(frames: FrameSeries, profile: CalibrationProfile | None) -> FrameSeries:
-    """Apply a forward-transmission correction profile to every row of a
-    :class:`FrameSeries`, in a new series.
-
-    With no profile the series passes through untouched (and keeps its
-    uncorrected flags).  Correction is circular convolution with the
-    profile filter, done in the frequency domain.
-    """
-    if profile is None:
-        return frames
-    h = np.array(frames.h)
-    _correct_ftt_in_place(h, profile)
-    return replace(frames, h=h, corrected=True)
+def check_corrections(
+    profile: CalibrationProfile | None, n_seq: int, fs: float, dc_suppression_hz: float, dc_position: str
+) -> None:
+    """Raise unless the calibration ``profile`` corrects ``n_seq``-sample
+    frames, ``dc_position`` is 'before' or 'after', and the DC suppression
+    band is 0 (off) or lies below ``fs / 4`` with an anchor bin left on
+    each side of it."""
+    if profile is not None and profile.n_seq != n_seq:
+        raise ValueError(f"profile length {profile.n_seq} does not match frame length {n_seq}")
+    if dc_position not in ("before", "after"):
+        raise ValueError("dc_position must be 'before' or 'after'")
+    if not dc_suppression_hz >= 0.0:
+        raise ValueError(f"dc_suppression_hz must be non-negative, got {dc_suppression_hz}")
+    if not dc_suppression_hz < fs / 4:
+        raise ValueError(
+            f"dc_suppression_hz = {dc_suppression_hz} must lie below sample_rate / 4 = {fs / 4}"
+        )
+    if dc_suppression_hz > 0.0:
+        _dc_gap(dc_suppression_hz, fs, n_seq)
 
 
 def frames_from_capture(
@@ -172,13 +215,11 @@ def frames_from_capture(
     ``capture`` is an :class:`IqFrame` or a :class:`CaptureStream`, gated
     before a block is read.  Each block's kept samples are widened into
     their rows of the (F, N) complex128 matrix, the one buffer made, as
-    the blocks come; every stage then runs in place on that matrix.
+    the blocks come; every stage then runs in place on that matrix.  The
+    corrections are checked first (:func:`check_corrections`).
     """
-    if dc_position not in ("before", "after"):
-        raise ValueError("dc_position must be 'before' or 'after'")
-    if not dc_suppression_hz >= 0.0:
-        raise ValueError(f"dc_suppression_hz must be non-negative, got {dc_suppression_hz}")
     n_seq = seq.n_seq
+    check_corrections(profile, n_seq, capture.fs, dc_suppression_hz, dc_position)
     t_s = 1.0 / capture.fs
 
     if discard_first:  # period 0 goes as a trigger on its first sample would take it
@@ -331,27 +372,13 @@ def capture_stream(config) -> CaptureStream:
     )
 
 
-def check_corrections(config, profile: CalibrationProfile | None, n_seq: int, fs: float) -> None:
-    """Raise unless the calibration ``profile`` corrects ``n_seq``-sample
-    frames and the configured DC suppression band lies below ``fs / 4``."""
-    if profile is not None:
-        profile.check_length(n_seq)
-    if not config.dc_suppression_hz < fs / 4:
-        raise ValueError(
-            f"dc_suppression_hz = {config.dc_suppression_hz} must lie below "
-            f"sample_rate / 4 = {fs / 4}"
-        )
-
-
 def correlate(
     config, capture: "IqFrame | CaptureStream", seq: Sequence, events, profile: CalibrationProfile | None
 ) -> tuple[FrameSeries, int]:
-    """Correlate a capture of any transport: check the corrections
-    (:func:`check_corrections`), then run :func:`frames_from_capture`
+    """Correlate a capture of any transport: run :func:`frames_from_capture`
     with the calibration ``profile`` and the configured first-period
     discard and DC-bias settings.  Returns the frames and the number of
     sequence periods from absolute sample 0 to the capture's end."""
-    check_corrections(config, profile, seq.n_seq, capture.fs)
     frames = frames_from_capture(
         capture,
         seq,
@@ -368,8 +395,8 @@ def sound_campaign(config) -> tuple[FrameSeries, int, list[TriggerEvent]]:
     """Full single-process sounding run driven by a campaign config.
 
     The calibration profile is read before any capture block is made, and
-    :func:`correlate` checks the corrections before it draws the first
-    block of :func:`capture_stream`.  Returns the frames, the period
+    :func:`frames_from_capture` checks the corrections before it draws the
+    first block of :func:`capture_stream`.  Returns the frames, the period
     count and the stamped trigger events.
     """
     profile = config.load_profile()

@@ -511,7 +511,7 @@ def consume_correlation(endpoint, config) -> tuple[FrameSeries, int, ConsumeSumm
     with Link(endpoint, config.timeout) as link:
         hello = link.hello
         seq = config.stream_sequence(hello.sequence_descriptor, hello.fs, "peer", HelloMismatchError, strict=True)
-        sounder.check_corrections(config, profile, seq.n_seq, hello.fs)
+        sounder.check_corrections(profile, seq.n_seq, hello.fs, config.dc_suppression_hz, config.dc_position)
         capture, summary = consume_stream(link)
     frames, total = sounder.correlate(config, capture, seq, summary.triggers, profile)
     return frames, total, summary

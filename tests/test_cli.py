@@ -277,12 +277,15 @@ class TestCaptureSidecarFlow:
 
     @pytest.mark.parametrize(
         "sidecar, kept",
-        [(".meta", ["cap.iq.meta", "cap.iq.triggers"]), (".triggers", ["cap.iq.triggers"])],
+        [
+            (".meta", ["cap.iq", "cap.iq.meta", "cap.iq.triggers"]),
+            (".triggers", ["cap.iq", "cap.iq.meta", "cap.iq.triggers"]),
+        ],
     )
     def test_a_full_disk_leaves_the_earlier_sidecar(self, tmp_path, capsys, monkeypatch, sidecar, kept):
         # the disk fills half way through the sidecar's text: the earlier
-        # sidecar stays whole (and so does the .triggers written after a
-        # .meta), and no .part is left
+        # payload and both earlier sidecars stay whole, since no file is
+        # put in place before all three are written, and no .part is left
         cap = str(tmp_path / "cap.iq")
         cfg = small_config(tmp_path, "triggers = 300:overflow:buf\n")
         assert main(["stimulate", "--config", cfg, "--out", cap]) == 0

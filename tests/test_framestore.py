@@ -363,6 +363,15 @@ class TestProfile:
         with pytest.raises(ValueError, match=r"cal\.csp: calibration-profile header field gain_cap_db"):
             fsio.read_profile(str(path))
 
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_non_finite_filter_value_rejected(self, tmp_path, rng, value):
+        prof = self.make_profile(rng)
+        prof.h_ftt[5] = value
+        path = str(tmp_path / "cal.csp")
+        fsio.write_profile(path, prof)
+        with pytest.raises(ValueError, match=r"cal\.csp: calibration-profile value h_ftt\[5\] is not finite"):
+            fsio.read_profile(path)
+
     def test_payload_size_checked(self, tmp_path, rng):
         path = str(tmp_path / "cal.csp")
         fsio.write_profile(path, self.make_profile(rng))

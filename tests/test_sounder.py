@@ -1,6 +1,7 @@
 """Pipeline stage tests: stimulation, gating, correlation, normalization,
 timestamps, profile correction, and the composed offline run."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,20 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import chansim
-from chansounder.calib import remove_dc_bias, through_calibrate
+from chansounder.calib import through_calibrate
 from chansounder.config import CampaignConfig
 from chansounder.corrmath import fast_pccf
 from chansounder.frames import FrameSeries, IqFrame, TriggerEvent
 from chansounder.seqgen import generate_fzc, generate_mls
 from chansounder.sounder import (
+    CaptureStream,
+    _correct_ftt_in_place,
+    _dc_gap,
+    _patch_dc,
+    _remove_dc_bias_in_place,
     capture_stream,
-    correct_ftt,
+    check_corrections,
     frames_from_capture,
     measurement_time,
     normalize,
     quantize_capture,
     run_sounding,
     sequence_gate,
+    sound_campaign,
     stimulate_capture,
 )
 
@@ -190,23 +197,15 @@ class TestMeasurementTime:
 
 
 class TestCorrectFtt:
-    def test_no_profile_passthrough_keeps_flag(self):
-        series = FrameSeries(np.ones((1, 8)), [0], [0.0])
-        out = correct_ftt(series, None)
-        assert out is series
-        assert not out.corrected.any()
-
     def test_identity_profile_passthrough(self, rng):
         h = random_complex(rng, (2, 16))
-        series = FrameSeries(h, [2, 3], [1e-3, 2e-3])
-        out = correct_ftt(series, unit_profile(16))
-        assert out.corrected.all()
-        assert out.t_i.tolist() == [1e-3, 2e-3] and out.sequence_index.tolist() == [2, 3]
-        assert np.allclose(out.h, h, atol=1e-12)
+        out = h.copy()
+        _correct_ftt_in_place(out, unit_profile(16))
+        assert np.allclose(out, h, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            correct_ftt(FrameSeries(np.ones((1, 8)), [0], [0.0]), unit_profile(9))
+        with pytest.raises(ValueError, match="profile length 9 does not match frame length 8"):
+            check_corrections(unit_profile(9), 8, FS, 0.0, "before")
 
     def test_removes_known_cable(self, rng):
         # through response measured, inverted, then applied to a sounding
@@ -228,6 +227,128 @@ class TestCorrectFtt:
         assert abs(h[5] + 0.4j) < 1e-9
         assert np.max(np.abs(np.delete(h, [0, 5]))) < 1e-9
 
+
+
+def patched(spec, bw, fs):
+    """The spectra ``spec`` with their DC band patched, in a copy."""
+    out = np.array(spec, dtype=complex)
+    _patch_dc(out, bw, fs)
+    return out
+
+
+class TestRemoveDcBias:
+    def test_bin_count_rule(self):
+        # full-scale numbers: 781 kHz at 100 MSps over 1024 bins -> 8 bins
+        assert len(_dc_gap(781e3, 100e6, 1024)[0]) == 8
+        # never fewer than one bin
+        assert len(_dc_gap(1.0, 100e6, 1024)[0]) == 1
+
+    def test_dc_line_removed_from_delta(self):
+        n = 128
+        fs = 1e6
+        delta = np.where(np.arange(n) == 0, 1.0, 0.0)
+        h = (delta + 0.1)[None].astype(complex)  # additive DC offset
+        _remove_dc_bias_in_place(h, 7810.0, fs)
+        residual_dc = abs(np.mean(h[0] - delta))
+        assert residual_dc <= 0.1 * 10 ** (-40 / 20)
+
+    def test_out_of_band_bins_untouched(self, rng):
+        n = 64
+        fs = 1e6
+        spec = random_complex(rng, n)
+        out = patched(spec, 50e3, fs)
+        n_b = len(_dc_gap(50e3, fs, n)[0])
+        shifted_in = np.fft.fftshift(spec)
+        shifted_out = np.fft.fftshift(out)
+        g0 = n // 2 - n_b // 2
+        outside = np.r_[0:g0, g0 + n_b : n]
+        assert np.array_equal(shifted_out[outside], shifted_in[outside])
+
+    def test_gap_is_linear_interpolation(self, rng):
+        n = 32
+        fs = 1e6
+        spec = random_complex(rng, n)
+        bw = 4 * fs / n  # 4 bins
+        out = np.fft.fftshift(patched(spec, bw, fs))
+        g0 = n // 2 - 2
+        left, right = out[g0 - 1], out[g0 + 4]
+        for j in range(4):
+            w = (j + 1) / 5
+            want = (1 - w) * left + w * right
+            assert out[g0 + j] == pytest.approx(want, abs=1e-12)
+
+    def test_idempotent(self, rng):
+        n = 64
+        fs = 1e6
+        spec = random_complex(rng, n)
+        once = patched(spec, 30e3, fs)
+        twice = patched(once, 30e3, fs)
+        assert np.allclose(once, twice, atol=1e-15)
+
+
+class TestCheckCorrections:
+    """Every correction setting is checked in one place,
+    :func:`check_corrections`, before the first capture block."""
+
+    def test_bandwidth_bound(self):
+        with pytest.raises(ValueError, match=r"must lie below sample_rate / 4 = 250000.0"):
+            check_corrections(None, 16, 1e6, 2.6e5, "before")
+
+    def test_a_band_with_no_anchor_bin_is_rejected(self):
+        with pytest.raises(ValueError, match="covers 1 of 2 bins and leaves no anchor bins"):
+            check_corrections(None, 2, 1e6, 1000.0, "after")
+        check_corrections(None, 3, 1e6, 1000.0, "after")
+
+    def test_no_anchor_fails_before_a_block_is_drawn(self, monkeypatch):
+        drawn = []
+        real = CaptureStream.__iter__
+
+        def counting(stream):
+            for block in real(stream):
+                drawn.append(block.start_index)
+                yield block
+
+        monkeypatch.setattr(CaptureStream, "__iter__", counting)
+        cfg = CampaignConfig(
+            length=2, root=1, n_sequences=5000, channel_taps=[(0, 1, 0.0)], cable=None,
+            chunk_samples=1000, dc_suppression_hz=1000.0,
+        )
+        with pytest.raises(ValueError, match="leaves no anchor bins"):
+            sound_campaign(cfg)
+        assert drawn == []
+        cfg.dc_suppression_hz = 0.0
+        assert sound_campaign(cfg)[1] == 5000 and len(drawn) == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_raises_exactly_when_frames_from_capture_does(self, data):
+        n_seq = data.draw(st.integers(2, 40), label="n_seq")
+        fs = data.draw(st.sampled_from([1.0, 1e3, 1e6, 3.3e7]), label="fs")
+        band = data.draw(
+            st.one_of(
+                st.sampled_from([0.0, -1.0, math.nan, math.inf, fs / 4, fs / n_seq]),
+                st.floats(0.0, fs / 2),
+            ),
+            label="dc_suppression_hz",
+        )
+        position = data.draw(st.sampled_from(["before", "after", "middle"]), label="dc_position")
+        length = data.draw(st.none() | st.integers(max(1, n_seq - 2), n_seq + 2), label="profile length")
+        profile = None if length is None else unit_profile(length)
+        seq = generate_fzc(n_seq, 1)
+        capture = stimulate_capture(seq, 3, fs)
+
+        def error(call):
+            try:
+                call()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        want = error(lambda: check_corrections(profile, n_seq, fs, band, position))
+        got = error(
+            lambda: frames_from_capture(capture, seq, profile=profile, dc_suppression_hz=band, dc_position=position)
+        )
+        assert got == want
 
 class TestFramesFromCapture:
     def test_discard_first_default(self):
@@ -403,41 +524,34 @@ class TestBatchedEqualsPerFrame:
         assert got.h.shape == (len(kept), n_seq)
         for k, fr in zip(kept, got):
             block = samples[k * n_seq - start : (k + 1) * n_seq - start].astype(np.complex128)
-            want = FrameSeries(
-                h=normalize(fast_pccf(block, seq.samples), n_seq)[None],
-                sequence_index=[k],
-                t_i=[measurement_time(k, n_seq / FS, 1 / FS)],
-            )
+            # the same stages, in the same order, over this period alone
+            want = normalize(fast_pccf(block, seq.samples), n_seq)[None]
             if dc_hz and dc_position == "before":
-                want = remove_dc_bias(want, dc_hz, FS)
-            want = correct_ftt(want, profile)
+                _remove_dc_bias_in_place(want, dc_hz, FS)
+            if profile is not None:
+                _correct_ftt_in_place(want, profile)
             if dc_hz and dc_position == "after":
-                want = remove_dc_bias(want, dc_hz, FS)
-            assert np.array_equal(fr.h.view(np.uint64), want.h[0].view(np.uint64))
-            assert fr.t_i == want.t_i[0]
-            assert fr.corrected == want.corrected[0] == (profile is not None)
+                _remove_dc_bias_in_place(want, dc_hz, FS)
+            assert np.array_equal(fr.h.view(np.uint64), want[0].view(np.uint64))
+            assert fr.t_i == measurement_time(k, n_seq / FS, 1 / FS)
+            assert fr.corrected == (profile is not None)
 
 
 class TestInputsUntouched:
-    """The correlator, the corrections and the whole pipeline leave the
-    bytes of every array they are given as they were: only the
-    pipeline's own frame matrix is written in place."""
+    """The correlator and the whole pipeline leave the bytes of every
+    array they are given as they were: only the pipeline's own frame
+    matrix is written in place."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_stages_leave_their_inputs(self, data):
         n_seq = data.draw(st.sampled_from([16, 31]), label="n_seq")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        rows, ref, spec, h = (random_complex(rng, shape) for shape in ((3, n_seq), n_seq, (2, n_seq), (3, n_seq)))
-        profile = through_calibrate(FrameSeries(random_complex(rng, (1, n_seq)), [0], [0.0]))
-        series = FrameSeries(h, [0, 1, 2], [0.0, 1.0, 2.0])
-        inputs = [rows, ref, spec, h, profile.h_ftt]
+        rows, ref = random_complex(rng, (3, n_seq)), random_complex(rng, n_seq)
+        inputs = [rows, ref]
         before = [x.tobytes() for x in inputs]
 
         fast_pccf(rows, ref)
-        remove_dc_bias(series, 3 * FS / n_seq, FS)
-        remove_dc_bias(spec, 3 * FS / n_seq, FS)
-        correct_ftt(series, profile)
 
         assert [x.tobytes() for x in inputs] == before
 
