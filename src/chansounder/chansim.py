@@ -17,7 +17,7 @@ capture in blocks and still agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -197,7 +197,7 @@ def stamp_disruption(
         raise ValueError("corrupt_span must be at least 1")
     last_end = None
     stamped = []
-    for ev in sorted(events, key=lambda e: e.sample_index):
+    for ev in sorted(events):
         if not (lo <= ev.sample_index < hi):
             raise ValueError(
                 f"trigger at sample {ev.sample_index} lies outside the frame "

@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from . import framestore
+from .calib import DEFAULT_GAIN_CAP_DB
 from .chansim import ChannelModel, ChannelTap
 from .frames import TriggerEvent
 from .seqgen import Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
@@ -111,6 +112,9 @@ _AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
 _NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
 _POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "be positive and finite")
 _NONE_OR_POSITIVE_FINITE = (lambda v: v is None or 0 < v < math.inf, "be none or positive and finite")
+_FINITE = (math.isfinite, "be finite")
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and non-negative")
+_NONE_OR_FINITE = (lambda v: v is None or math.isfinite(v), "be none or finite")
 
 
 def _setting(key: str, parse, default=None, factory=None, valid=None):
@@ -135,7 +139,7 @@ class CampaignConfig:
     register_length: int = _setting("sequence.register_length", int, 10)
     taps: tuple[int, ...] | None = _setting("sequence.taps", _parse_mls_taps)
 
-    sample_rate: float = _setting("sample_rate", float, 1_000_000.0)
+    sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=_POSITIVE_FINITE)
     center_frequency: float = _setting("center_frequency", float, 5.8e9, valid=_POSITIVE_FINITE)
     n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200)
     duration: float | None = _setting("duration", _parse_optional_float, valid=_NONE_OR_POSITIVE_FINITE)
@@ -145,8 +149,8 @@ class CampaignConfig:
         _parse_channel_taps,
         factory=lambda: [(0, 1 + 0j, 0.0), (3, 0.5j, 0.0), (11, -0.2 + 0.1j, 0.0)],
     )
-    snr_db: float | None = _setting("channel.snr_db", _parse_optional_float)
-    cfo_hz: float = _setting("channel.cfo_hz", float, 0.0)
+    snr_db: float | None = _setting("channel.snr_db", _parse_optional_float, valid=_NONE_OR_FINITE)
+    cfo_hz: float = _setting("channel.cfo_hz", float, 0.0, valid=_FINITE)
     cable: list[complex] | None = _setting(
         "channel.cable", _parse_cable, factory=lambda: [1 + 0j, 0j, 0.25 + 0j]
     )
@@ -157,9 +161,7 @@ class CampaignConfig:
     corrupt_span: int = _setting("corrupt_span", int, 128, valid=_AT_LEAST_1)
 
     calibration: str | None = _setting("calibration", _parse_optional_str)
-    gain_cap_db: float = _setting(
-        "gain_cap_db", float, 40.0, valid=(lambda v: 0 <= v < math.inf, "be finite and non-negative")
-    )
+    gain_cap_db: float = _setting("gain_cap_db", float, DEFAULT_GAIN_CAP_DB, valid=_FINITE_NON_NEGATIVE)
     discard_first: bool = _setting("discard_first", _parse_bool, True)
     dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0, valid=_NON_NEGATIVE)
     dc_position: str = _setting(

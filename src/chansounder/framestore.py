@@ -47,7 +47,6 @@ class CaptureMeta:
     sequence_descriptor: str
     seed_note: str
     triggers: list[TriggerEvent] = field(default_factory=list)
-    version: int = CAPTURE_VERSION
 
 
 def sidecar_path(path: str) -> str:
@@ -149,9 +148,7 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
     frame = IqFrame(samples, kv["sample_rate"], kv["center_frequency"], kv["start_index"])
     log = path + ".triggers"
     events = read_trigger_log(log) if os.path.exists(log) else []
-    return frame, CaptureMeta(
-        kv.get("sequence", ""), kv.get("seed_note", ""), events, kv["format_version"]
-    )
+    return frame, CaptureMeta(kv.get("sequence", ""), kv.get("seed_note", ""), events)
 
 
 @dataclass
@@ -345,7 +342,7 @@ def write_trigger_log(path: str, events: list[TriggerEvent]) -> None:
     """Write trigger events as one text line each, through :func:`replacing`."""
     with replacing(path) as f:
         f.write(b"# sample_index,kind,span,note\n")
-        for ev in sorted(events, key=lambda e: e.sample_index):
+        for ev in sorted(events):
             f.write(f"{ev.sample_index},{ev.kind},{ev.span},{ev.note}\n".encode("utf-8"))
 
 
@@ -372,7 +369,7 @@ def read_trigger_log(path: str) -> list[TriggerEvent]:
                 events.append(TriggerEvent(index, parts[1], span, note))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return sorted(events, key=lambda e: e.sample_index)
+    return sorted(events)
 
 
 def write_profile(path: str, profile: CalibrationProfile) -> None:

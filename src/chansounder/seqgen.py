@@ -28,6 +28,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .frames import check_sample_rate
+
 #: Feedback tap exponents (including the register length itself) of a
 #: primitive polynomial for each register length.  Register length l
 #: gives a sequence of period 2**l - 1.
@@ -92,9 +94,7 @@ class Sequence:
 
 def bind_rate(seq: Sequence, fs: float) -> Sequence:
     """Return a copy of ``seq`` bound to sample rate ``fs`` (Hz)."""
-    if not fs > 0:
-        raise ValueError(f"sample rate must be positive, got {fs}")
-    return replace(seq, sample_period=1.0 / fs)
+    return replace(seq, sample_period=1.0 / check_sample_rate(fs))
 
 
 def _run_lfsr(l: int, taps: Iterable[int]) -> np.ndarray:

@@ -10,7 +10,7 @@ message body; the first body byte is the message type:
 * IQ_CHUNK (2): ``<i64 start_index> <u32 n_samples>`` then the samples
   as interleaved little-endian float32 IQ pairs, exactly the capture
   file payload encoding.  Chunks arrive with strictly increasing,
-  gap-free start indices.
+  gap-free start indices, each of 1 to :data:`MAX_CHUNK_SAMPLES` samples.
 * TRIGGER (3): ``<i64 sample_index> <u8 kind> <u32 span>
   <u16 note_len> <note utf-8>``; kind 0 is overflow, 1 external.  A
   trigger comes before the chunk that holds its sample: one whose sample
@@ -19,8 +19,10 @@ message body; the first body byte is the message type:
   cross-checks its sample count.  END is final: the sender closes the
   connection after it, and any message that follows is rejected.
 
-Messages leave in sends of 64 KiB or a little more, byte for byte as
-encoded; the receiver reads each IQ_CHUNK's samples into its capture.
+:func:`serve_capture` sends each capture block as one IQ_CHUNK, in sends
+of 64 KiB or a little more; :func:`connect` reads the HELLO, and
+:func:`consume_stream` reads each chunk's samples into its capture and
+returns a :class:`framestore.CaptureMeta`, as a capture file's reader does.
 
 Anything that does not parse exactly raises :class:`WireProtocolError`
 (a handshake disagreement raises the :class:`HelloMismatchError`
@@ -32,11 +34,13 @@ from __future__ import annotations
 import itertools
 import socket
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sounder
+from .framestore import CaptureMeta
 from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_finite
 from .seqgen import descriptor as seq_descriptor
 
@@ -61,6 +65,8 @@ _LENGTH = struct.Struct("<I")
 #: An IQ_CHUNK's length prefix, type byte and fixed header.
 _IQ_HEAD = struct.Struct("<IBqI")
 _IQ_BODY_HEAD = _IQ_HEAD.size - _LENGTH.size
+#: The most samples one IQ_CHUNK carries within :data:`MAX_MESSAGE_BYTES`.
+MAX_CHUNK_SAMPLES = (MAX_MESSAGE_BYTES - _IQ_BODY_HEAD) // CAPTURE_DTYPE.itemsize
 
 #: The sender passes its messages to the socket in sends of this many
 #: bytes or more; the receiver reads the socket through a buffer of
@@ -82,7 +88,6 @@ class Hello:
     fs: float
     f_c: float
     sequence_descriptor: str
-    protocol_version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -104,13 +109,15 @@ def encode_hello(hello: Hello) -> bytes:
     desc = hello.sequence_descriptor.encode("utf-8")
     body = (
         bytes([MSG_HELLO])
-        + _HELLO_HEAD.pack(hello.protocol_version, hello.fs, hello.f_c, len(desc))
+        + _HELLO_HEAD.pack(PROTOCOL_VERSION, hello.fs, hello.f_c, len(desc))
         + desc
     )
     return _frame(body)
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
+    if not 1 <= len(samples) <= MAX_CHUNK_SAMPLES:
+        raise ValueError(f"an IQ_CHUNK carries 1..{MAX_CHUNK_SAMPLES} samples, got {len(samples)}")
     x = np.ascontiguousarray(samples, dtype=CAPTURE_DTYPE)
     head = _IQ_HEAD.pack(_IQ_BODY_HEAD + x.nbytes, MSG_IQ_CHUNK, start_index, len(x))
     return b"".join((head, x))
@@ -191,7 +198,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
         text = _text_tail(payload, _HELLO_HEAD, desc_len, "HELLO descriptor")
         if not (fs > 0) or not np.isfinite(fs) or not np.isfinite(f_c):
             raise WireProtocolError(f"HELLO carries invalid stream parameters fs={fs} f_c={f_c}")
-        return Hello(fs=fs, f_c=f_c, sequence_descriptor=text, protocol_version=version)
+        return Hello(fs=fs, f_c=f_c, sequence_descriptor=text)
 
     if mtype == MSG_IQ_CHUNK:
         start_index, _ = _chunk_head(payload, len(payload) - _CHUNK_HEAD.size)
@@ -272,15 +279,6 @@ class StimulationSummary:
     endpoint: str
 
 
-@dataclass
-class ConsumeSummary:
-    """What a received stream carried besides its samples: the trigger
-    events and the handshake."""
-
-    triggers: list[TriggerEvent]
-    hello: Hello
-
-
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
@@ -294,11 +292,35 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     return host, port_no
 
 
-def _listening_socket(endpoint) -> tuple[socket.socket, bool]:
+@contextmanager
+def _listening(endpoint):
+    """A socket listening on ``endpoint``: a ``host:port`` string, closed
+    on exit, or an already-listening socket, left open."""
     if hasattr(endpoint, "accept"):
-        return endpoint, False
-    host, port = parse_endpoint(endpoint)
-    return socket.create_server((host, port)), True
+        yield endpoint
+    else:
+        with socket.create_server(parse_endpoint(endpoint)) as lsock:
+            yield lsock
+
+
+def _encoded(capture, events: list[TriggerEvent], out: bytearray):
+    """Append ``capture``'s messages to ``out``: each block as one IQ_CHUNK
+    behind the TRIGGERs of the samples before its end, then the remaining
+    TRIGGERs and END.  Yields the (samples, chunks, triggers) appended so
+    far after each block, and once more after END."""
+    sent = chunks = triggers = 0
+    for block in (capture,) if isinstance(capture, IqFrame) else capture:
+        while triggers < len(events) and events[triggers].sample_index < block.end_index:
+            out += encode_trigger(events[triggers])
+            triggers += 1
+        out += encode_iq_chunk(block.start_index, block.samples)
+        chunks += 1
+        sent += len(block)
+        yield sent, chunks, triggers
+    for ev in events[triggers:]:
+        out += encode_trigger(ev)
+    out += encode_end(sent)
+    yield sent, chunks, len(events)
 
 
 def serve_capture(
@@ -306,35 +328,28 @@ def serve_capture(
     sequence_descriptor: str,
     endpoint,
     events: list[TriggerEvent] = (),
-    chunk_samples: int = 4096,
     timeout: float = 10.0,
 ) -> StimulationSummary:
     """Serve one capture to a single correlation peer.
 
     ``capture`` is an :class:`IqFrame` or a stream of contiguous blocks
     with ``fs`` and ``f_c`` attributes (a :class:`sounder.CaptureStream`);
-    each block is encoded as it is made, in chunks of at most
-    ``chunk_samples``, so a whole frame goes out in the same chunks as
-    the stream of its ``chunk_samples`` blocks.  The messages leave in
-    sends of 64 KiB or a little more, byte for byte as encoded.  The
-    first block is made before listening, so a capture that cannot be
-    made fails before a peer connects.  ``endpoint`` is a ``host:port``
-    string or an already-listening socket (useful for tests on ephemeral
-    ports).  Waits up to ``timeout`` seconds for the peer; a peer that
-    disconnects mid-stream yields a summary with ``complete=False``, which
-    counts the messages of the sends that completed, not an exception.
+    each block goes out as one IQ_CHUNK, encoded as it is made.  The
+    messages leave in sends of 64 KiB or a little more, byte for byte as
+    encoded.  The first block is made and encoded before listening, so a
+    capture that cannot be made or sent fails before a peer connects.
+    ``endpoint`` is a ``host:port`` string or an already-listening socket
+    (useful for tests on ephemeral ports).  Waits up to ``timeout``
+    seconds for the peer; a peer that disconnects mid-stream yields a
+    summary with ``complete=False``, which counts the messages of the
+    sends that completed, not an exception.
     """
-    max_chunk = (MAX_MESSAGE_BYTES - _IQ_BODY_HEAD) // CAPTURE_DTYPE.itemsize
-    if not 1 <= chunk_samples <= max_chunk:
-        raise ValueError(f"chunk_samples must lie in 1..{max_chunk}, got {chunk_samples}")
-    blocks = iter([capture] if isinstance(capture, IqFrame) else capture)
-    first = list(itertools.islice(blocks, 1))
-    lsock, owned = _listening_socket(endpoint)
-    name = "%s:%d" % lsock.getsockname()[:2]
-    evs = sorted(events, key=lambda e: e.sample_index)
-    sent = chunks = triggers = 0
-    complete = False
-    try:
+    out = bytearray(encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor)))
+    progress = _encoded(capture, sorted(events), out)
+    progress = itertools.chain([next(progress)], progress)  # the first block, before listening
+    counted, complete = (0, 0, 0), False
+    with _listening(endpoint) as lsock:
+        name = "%s:%d" % lsock.getsockname()[:2]
         lsock.settimeout(timeout)
         try:
             conn, _ = lsock.accept()
@@ -345,37 +360,16 @@ def serve_capture(
         with conn:
             conn.settimeout(timeout)
             # A message counts as sent once the sendall that carried it returns.
-            out = bytearray()
-            counted = (0, 0, 0)
             try:
-                out += encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor))
-                for block in itertools.chain(first, blocks):
-                    x = block.samples
-                    # Each trigger goes out ahead of the chunk holding its sample.
-                    for a in range(0, len(x), chunk_samples):
-                        b = min(a + chunk_samples, len(x))
-                        while triggers < len(evs) and evs[triggers].sample_index < block.start_index + b:
-                            out += encode_trigger(evs[triggers])
-                            triggers += 1
-                        out += encode_iq_chunk(block.start_index + a, x[a:b])
-                        chunks += 1
-                        sent += b - a
-                        if len(out) >= _SEND_BYTES:
-                            conn.sendall(out)
-                            out.clear()
-                            counted = (sent, chunks, triggers)
-                for ev in evs[triggers:]:
-                    out += encode_trigger(ev)
-                    triggers += 1
-                out += encode_end(sent)
+                for counts in progress:
+                    if len(out) >= _SEND_BYTES:
+                        conn.sendall(out)
+                        out.clear()
+                        counted = counts
                 conn.sendall(out)
-                counted = (sent, chunks, triggers)
-                complete = True
+                counted, complete = counts, True
             except (BrokenPipeError, ConnectionResetError, socket.timeout):
-                complete = False
-    finally:
-        if owned:
-            lsock.close()
+                pass
     return StimulationSummary(*counted, complete=complete, endpoint=name)
 
 
@@ -395,109 +389,92 @@ def serve_stimulation(config, endpoint=None) -> StimulationSummary:
         seq_descriptor(stream.seq),
         endpoint if endpoint is not None else config.endpoint,
         events=stream.events,
-        chunk_samples=config.chunk_samples,
         timeout=config.timeout,
     )
 
 
-class Link:
-    """A connection to a stimulation peer whose HELLO has been read
-    (:attr:`hello`), so the receiver can check the stream's parameters
-    before any chunk arrives; :func:`consume_stream` reads the rest.
-    ``endpoint`` is a ``host:port`` string or a ``(host, port)`` pair.
-    Used as a context manager, it closes the connection on exit."""
-
-    def __init__(self, endpoint, timeout: float = 10.0) -> None:
-        host, port = parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self.stream = self._sock.makefile("rb", buffering=_RECV_BUFFER)
-        try:
-            self._sock.settimeout(timeout)
-            hello = read_message(self.stream)
+@contextmanager
+def connect(endpoint: str, timeout: float):
+    """Connect to the stimulation peer at ``endpoint`` (``host:port``) and
+    read its HELLO, so the receiver can check the stream's parameters
+    before any chunk arrives.  Yields ``(stream, hello)``, the arguments
+    of :func:`consume_stream`, and closes the connection on exit."""
+    with socket.create_connection(parse_endpoint(endpoint), timeout=timeout) as sock:
+        with sock.makefile("rb", buffering=_RECV_BUFFER) as stream:
+            hello = read_message(stream)
             if hello is None:
                 raise WireProtocolError("peer closed the stream before HELLO")
             if not isinstance(hello, Hello):
                 raise WireProtocolError(f"expected HELLO first, got {type(hello).__name__}")
-        except BaseException:
-            self.__exit__()
-            raise
-        self.hello = hello
-
-    def __enter__(self) -> "Link":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stream.close()
-        self._sock.close()
+            yield stream, hello
 
 
-def consume_stream(endpoint, timeout: float = 10.0) -> tuple[IqFrame, ConsumeSummary]:
-    """Connect to a stimulation peer and collect the whole stream.
+def consume_stream(stream, hello: Hello) -> tuple[IqFrame, CaptureMeta]:
+    """Collect the rest of a stream whose ``hello`` has been read
+    (:func:`connect`).
 
-    ``endpoint`` is a ``host:port`` string, a ``(host, port)`` pair or an
-    open :class:`Link`, which this closes.  Verifies chunk contiguity,
-    that each trigger comes before the chunk holding its sample, the END
-    sample count, that nothing follows END before the peer closes, and
-    that every received sample is finite.
-    Returns the capture frame plus the stream summary (handshake and
-    trigger events); each chunk is read straight into the complex64
+    Verifies chunk contiguity, that each trigger comes before the chunk
+    holding its sample, the END sample count, that nothing follows END
+    before the peer closes, and that every received sample is finite.
+    Returns the capture frame and, as :func:`framestore.read_capture`
+    does, its :class:`framestore.CaptureMeta` (the HELLO's descriptor and
+    the triggers); each chunk is read straight into the complex64
     capture, the capture format of every transport, grown in place.
     """
-    with endpoint if isinstance(endpoint, Link) else Link(endpoint, timeout) as link:
-        capture = np.empty(0, dtype=CAPTURE_DTYPE)
-        triggers: list[TriggerEvent] = []
-        received = 0
-        while True:
-            length = _read_length(link.stream)
-            if length is None:
-                raise WireProtocolError("stream ended without an END message")
-            head = _read_body(link.stream, min(length, _IQ_BODY_HEAD), length)
-            if len(head) < _IQ_BODY_HEAD or head[0] != MSG_IQ_CHUNK:
-                msg = decode_message(head + _read_body(link.stream, length - len(head), length, len(head)))
-                if isinstance(msg, Hello):
-                    raise WireProtocolError("duplicate HELLO mid-stream")
-                if isinstance(msg, End):
-                    if msg.total_samples != received:
-                        raise WireProtocolError(
-                            f"END declares {msg.total_samples} samples but {received} were delivered"
-                        )
-                    break
-                if msg.sample_index < received:
+    capture = np.empty(0, dtype=CAPTURE_DTYPE)
+    triggers: list[TriggerEvent] = []
+    received = 0
+    while True:
+        length = _read_length(stream)
+        if length is None:
+            raise WireProtocolError("stream ended without an END message")
+        head = _read_body(stream, min(length, _IQ_BODY_HEAD), length)
+        if len(head) < _IQ_BODY_HEAD or head[0] != MSG_IQ_CHUNK:
+            msg = decode_message(head + _read_body(stream, length - len(head), length, len(head)))
+            if isinstance(msg, Hello):
+                raise WireProtocolError("duplicate HELLO mid-stream")
+            if isinstance(msg, End):
+                if msg.total_samples != received:
                     raise WireProtocolError(
-                        f"TRIGGER at sample {msg.sample_index} arrived after its chunk "
-                        f"({received} samples received)"
+                        f"END declares {msg.total_samples} samples but {received} were delivered"
                     )
-                triggers.append(msg)
-                continue
-            try:
-                start_index, count = _chunk_head(memoryview(head)[1:], length - _IQ_BODY_HEAD)
-            except WireProtocolError:
-                # a cut stream is named first, as read_message names it
-                _read_body(link.stream, length - _IQ_BODY_HEAD, length, _IQ_BODY_HEAD)
-                raise
-            if received + count > len(capture):
-                # Grow by an eighth or more, in place: no view of the
-                # capture outlives the readinto call it is made for.
-                capture.resize(max(received + count, received + received // 8), refcheck=False)
-            got = link.stream.readinto(capture[received : received + count])
-            if got < CAPTURE_DTYPE.itemsize * count:
-                raise _cut(_IQ_BODY_HEAD + got, length)
-            if start_index != received:
+                break
+            if msg.sample_index < received:
                 raise WireProtocolError(
-                    f"IQ chunk starts at {start_index}, expected {received}; "
-                    "the stream is not contiguous"
+                    f"TRIGGER at sample {msg.sample_index} arrived after its chunk "
+                    f"({received} samples received)"
                 )
-            received += count
-        late = read_message(link.stream)
-        if late is not None:
-            raise WireProtocolError(f"{type(late).__name__} message after END")
+            triggers.append(msg)
+            continue
+        try:
+            start_index, count = _chunk_head(memoryview(head)[1:], length - _IQ_BODY_HEAD)
+        except WireProtocolError:
+            # a cut stream is named first, as read_message names it
+            _read_body(stream, length - _IQ_BODY_HEAD, length, _IQ_BODY_HEAD)
+            raise
+        if received + count > len(capture):
+            # Grow by an eighth or more, in place: no view of the
+            # capture outlives the readinto call it is made for.
+            capture.resize(max(received + count, received + received // 8), refcheck=False)
+        got = stream.readinto(capture[received : received + count])
+        if got < CAPTURE_DTYPE.itemsize * count:
+            raise _cut(_IQ_BODY_HEAD + got, length)
+        if start_index != received:
+            raise WireProtocolError(
+                f"IQ chunk starts at {start_index}, expected {received}; "
+                "the stream is not contiguous"
+            )
+        received += count
+    late = read_message(stream)
+    if late is not None:
+        raise WireProtocolError(f"{type(late).__name__} message after END")
 
     capture.resize(received, refcheck=False)
     check_finite(capture, 0, "received stream", WireProtocolError)
-    return IqFrame(capture, link.hello.fs, link.hello.f_c, 0), ConsumeSummary(triggers, link.hello)
+    return IqFrame(capture, hello.fs, hello.f_c, 0), CaptureMeta(hello.sequence_descriptor, "", triggers)
 
 
-def consume_correlation(endpoint, config) -> tuple[FrameSeries, int, ConsumeSummary]:
+def consume_correlation(endpoint: str, config) -> tuple[FrameSeries, int, CaptureMeta]:
     """Receive a stimulation stream and run the correlation side on it.
 
     The peer's rule: after the HELLO and before any chunk is read, any
@@ -505,13 +482,12 @@ def consume_correlation(endpoint, config) -> tuple[FrameSeries, int, ConsumeSumm
     (otherwise the peer's descriptor is adopted), and the calibration
     profile and the DC band are checked against the adopted sequence and
     rate.  Returns :func:`sounder.correlate`'s frames and period count
-    and the stream summary.
+    and the stream's :class:`framestore.CaptureMeta`.
     """
     profile = config.load_profile()  # a bad profile fails before anything is received
-    with Link(endpoint, config.timeout) as link:
-        hello = link.hello
+    with connect(endpoint, config.timeout) as (stream, hello):
         seq = config.stream_sequence(hello.sequence_descriptor, hello.fs, "peer", HelloMismatchError, strict=True)
         sounder.check_corrections(profile, seq.n_seq, hello.fs, config.dc_suppression_hz, config.dc_position)
-        capture, summary = consume_stream(link)
-    frames, total = sounder.correlate(config, capture, seq, summary.triggers, profile)
-    return frames, total, summary
+        capture, meta = consume_stream(stream, hello)
+    frames, total = sounder.correlate(config, capture, seq, meta.triggers, profile)
+    return frames, total, meta

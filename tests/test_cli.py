@@ -346,7 +346,8 @@ class TestCaptureSidecarFlow:
     def test_infinite_sample_rate_fails_before_writing(self, tmp_path, capsys, command):
         out = str(tmp_path / "r")
         assert main([command, "--config", small_config(tmp_path), "--fs", "inf", "--out", out]) == 2
-        assert "sample rate must be positive and finite" in capsys.readouterr().err
+        # the flag is range-checked where it is set, before any sequence is made
+        assert "--fs: sample_rate must be positive and finite, got inf" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
 
     def test_unpinned_correlate_adopts_the_capture_sample_rate(self, tmp_path):
@@ -670,6 +671,16 @@ OUT_OF_RANGE = [
     ("timeout", "-1"),
     ("timeout", "0"),
     ("timeout", "inf"),
+    ("sample_rate", "-5"),
+    ("sample_rate", "0"),
+    ("sample_rate", "inf"),
+    ("sample_rate", "nan"),
+    ("channel.snr_db", "inf"),
+    ("channel.snr_db", "-inf"),
+    ("channel.snr_db", "nan"),
+    ("channel.cfo_hz", "nan"),
+    ("channel.cfo_hz", "inf"),
+    ("channel.cfo_hz", "-inf"),
 ]
 
 
@@ -694,7 +705,8 @@ class TestRangeChecksAtParseTime:
         [("bc_threshold", "0.999"), ("corrupt_span", "1"), ("chunk_samples", "1"),
          ("gain_cap_db", "0"), ("dc_suppression_hz", "0"), ("duration", "1e-3"),
          ("duration", "none"), ("timeout", "1e-9"), ("center_frequency", "1"),
-         ("max_distance_ref_m", "1e-9"), ("max_distance_ref_m", "none")],
+         ("max_distance_ref_m", "1e-9"), ("max_distance_ref_m", "none"), ("sample_rate", "1e-3"),
+         ("channel.snr_db", "-300"), ("channel.snr_db", "none"), ("channel.cfo_hz", "-1e-300")],
     )
     def test_edge_of_the_range_is_accepted(self, tmp_path, key, value):
         cfg = small_config(tmp_path, f"{key} = {value}\n")

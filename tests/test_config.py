@@ -295,6 +295,9 @@ RANGES = {
     "dc_suppression_hz": lambda v: v >= 0,
     "duration": lambda v: v is None or 0 < v < math.inf,
     "timeout": lambda v: 0 < v < math.inf,
+    "sample_rate": lambda v: 0 < v < math.inf,
+    "channel.snr_db": lambda v: v is None or math.isfinite(v),
+    "channel.cfo_hz": math.isfinite,
 }
 
 
@@ -337,6 +340,9 @@ class TestRangeChecks:
             ("center_frequency = 0", "center_frequency must be positive and finite, got 0.0"),
             ("center_frequency = inf", "center_frequency must be positive and finite, got inf"),
             ("max_distance_ref_m = -1", "max_distance_ref_m must be none or positive and finite, got -1.0"),
+            ("sample_rate = -5", "sample_rate must be positive and finite, got -5.0"),
+            ("channel.snr_db = inf", "channel.snr_db must be none or finite, got inf"),
+            ("channel.cfo_hz = nan", "channel.cfo_hz must be finite, got nan"),
         ],
     )
     def test_out_of_range_value_names_file_and_line(self, tmp_path, line, message):

@@ -32,7 +32,6 @@ class TestCapture:
         assert back.start_index == 1024
         assert meta.sequence_descriptor == "fzc:n=1024:u=7"
         assert meta.seed_note == "seed=0"
-        assert meta.version == fsio.CAPTURE_VERSION
 
     @pytest.mark.parametrize("i, value", [(3, complex(0.0, -math.inf)), (70_000, complex(math.nan, 1.0))])
     def test_non_finite_sample_named_by_absolute_index(self, tmp_path, i, value):

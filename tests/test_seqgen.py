@@ -179,6 +179,12 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             bind_rate(generate_fzc(8, 3), 0.0)
 
+    @pytest.mark.parametrize("fs", [math.inf, math.nan, -1.0])
+    def test_bind_rate_rejects_an_unusable_rate(self, fs):
+        # an infinite rate would bind a sample period and duration of 0 s
+        with pytest.raises(ValueError, match=f"^sample rate must be positive and finite, got {fs}$"):
+            bind_rate(generate_fzc(8, 3), fs)
+
     def test_generation_is_fast(self):
         t0 = time.perf_counter()
         generate_fzc(1024, 7)

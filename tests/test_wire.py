@@ -1,5 +1,6 @@
 """Wire protocol tests: codecs, error handling, and live loopback."""
 
+import hashlib
 import io
 import math
 import socket
@@ -47,7 +48,6 @@ class TestRoundTrips:
         assert isinstance(back, Hello)
         assert back.fs == 1e6 and back.f_c == 5.8e9
         assert back.sequence_descriptor == "fzc:n=1024:u=7"
-        assert back.protocol_version == wire.PROTOCOL_VERSION
 
     def test_hello_empty_descriptor(self):
         h = Hello(fs=2.0, f_c=0.0, sequence_descriptor="")
@@ -283,6 +283,12 @@ def run_raw_server(blobs, close_early=False):
     return f"127.0.0.1:{port}", t
 
 
+def receive_stream(endpoint, timeout):
+    """The capture and :class:`CaptureMeta` of the stream served on ``endpoint``."""
+    with wire.connect(endpoint, timeout) as link:
+        return wire.consume_stream(*link)
+
+
 class TestConsumeStream:
     def test_contiguity_enforced(self):
         x = np.ones(4, dtype=complex)
@@ -294,7 +300,7 @@ class TestConsumeStream:
             ]
         )
         with pytest.raises(WireProtocolError, match="not contiguous"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
 
     def test_end_count_cross_checked(self):
@@ -303,7 +309,7 @@ class TestConsumeStream:
             [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x), encode_end(99)]
         )
         with pytest.raises(WireProtocolError, match="99 samples"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
 
     def test_missing_end_detected(self):
@@ -312,20 +318,20 @@ class TestConsumeStream:
             [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x)]
         )
         with pytest.raises(WireProtocolError, match="without an END"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
 
     def test_hello_must_come_first(self):
         endpoint, t = run_raw_server([encode_end(0)])
         with pytest.raises(WireProtocolError, match="HELLO first"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
 
     def test_duplicate_hello_rejected(self):
         h = encode_hello(Hello(1e6, 0.0, ""))
         endpoint, t = run_raw_server([h, h])
         with pytest.raises(WireProtocolError, match="duplicate HELLO"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
 
 
@@ -370,7 +376,7 @@ def test_malformed_chunk_keeps_its_message_on_receipt(blob, message):
         [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, np.ones(4, np.complex64)), blob]
     )
     with pytest.raises(WireProtocolError) as info:
-        wire.consume_stream(endpoint, timeout=5.0)
+        receive_stream(endpoint, 5.0)
     t.join(timeout=5.0)
     assert not t.is_alive()
     assert str(info.value) == message
@@ -384,13 +390,12 @@ def campaign_capture(cfg):
     return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
 
 
-def correlate_peer(cfg, capture, summary, profile=None):
+def correlate_peer(cfg, capture, meta, profile=None):
     """Correlate a received ``capture`` by a peer's adoption rule, the one
-    :func:`wire.consume_correlation` states, with the triggers of the
-    stream ``summary``."""
-    desc = summary.hello.sequence_descriptor
-    seq = cfg.stream_sequence(desc, capture.fs, "peer", HelloMismatchError, strict=True)
-    return sounder.correlate(cfg, capture, seq, summary.triggers, profile)
+    :func:`wire.consume_correlation` states, with the descriptor and
+    triggers of its ``meta``."""
+    seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "peer", HelloMismatchError, strict=True)
+    return sounder.correlate(cfg, capture, seq, meta.triggers, profile)
 
 
 def clean_stream(step=40):
@@ -408,7 +413,7 @@ def clean_stream(step=40):
         messages += [("trigger", ev.sample_index, encode_trigger(ev)) for ev in events if a <= ev.sample_index < a + step]
         messages.append(("chunk", a, encode_iq_chunk(a, capture.samples[a : a + step])))
     messages.append(("end", None, encode_end(len(capture))))
-    frames, _ = correlate_peer(CampaignConfig(), capture, wire.ConsumeSummary(events, hello))
+    frames, _ = correlate_peer(CampaignConfig(), capture, CaptureMeta(hello.sequence_descriptor, "", events))
     return messages, capture, frames
 
 
@@ -453,7 +458,7 @@ class TestHostileSequences:
 
     def test_clean_stream_gives_its_frames(self):
         endpoint, t = run_raw_server([m[2] for m in CLEAN_MESSAGES])
-        frames, _, summary = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
+        frames, _, _ = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
         t.join(timeout=5.0)
         assert len(frames) == 4 and 2 not in frames.sequence_index
         assert np.array_equal(frames.h, CLEAN_FRAMES.h)
@@ -485,18 +490,18 @@ class TestHostileSequences:
     def test_late_messages_are_named(self):
         endpoint, t = run_raw_server(hostile("trigger after END", None))
         with pytest.raises(WireProtocolError, match="TriggerEvent message after END"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
         i = next(i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "trigger")
         blobs = [m[2] for m in CLEAN_MESSAGES]
         blobs.insert(i + 1, blobs.pop(i))  # right behind the chunk that holds its sample
         endpoint, t = run_raw_server(blobs)
         with pytest.raises(WireProtocolError, match="TRIGGER at sample 69 arrived after its chunk"):
-            wire.consume_stream(endpoint, timeout=5.0)
+            receive_stream(endpoint, 5.0)
         t.join(timeout=5.0)
 
 
-def serve_in_thread(capture, desc, events=(), chunk_samples=4096):
+def serve_in_thread(capture, desc, events=()):
     """Start serve_capture on an ephemeral port; return (endpoint, thread, box)."""
     lsock = socket.create_server(("127.0.0.1", 0))
     port = lsock.getsockname()[1]
@@ -505,7 +510,7 @@ def serve_in_thread(capture, desc, events=(), chunk_samples=4096):
     def serve():
         with lsock:
             box["summary"] = wire.serve_capture(
-                capture, desc, lsock, events=list(events), chunk_samples=chunk_samples, timeout=10.0
+                capture, desc, lsock, events=list(events), timeout=10.0
             )
 
     t = threading.Thread(target=serve, daemon=True)
@@ -533,25 +538,27 @@ class TestServeArguments:
     def test_chunk_ceiling_checked_before_listening(self):
         # A chunk message body is 13 bytes plus 8 per sample, so this is the
         # largest chunk the peer accepts; one more sample and it would
-        # reject every chunk.  The check comes before the listener, so no
-        # peer is needed.
+        # reject every chunk.  A block goes out as one chunk, and the first
+        # is encoded before the listener, so no peer is needed.
         assert len(body_of(encode_iq_chunk(0, np.zeros(5, np.complex64)))) == 13 + 8 * 5
         ceiling = (wire.MAX_MESSAGE_BYTES - 13) // 8
-        capture = IqFrame(np.zeros(8, dtype=complex), 1e6)
+
+        def capture(n):
+            return IqFrame(np.broadcast_to(np.complex64(0), (n,)), 1e6)
+
         for bad in (0, ceiling + 1):
-            with pytest.raises(ValueError, match="chunk_samples"):
-                wire.serve_capture(
-                    capture, "", "127.0.0.1:0", chunk_samples=bad, timeout=0.01
-                )
+            with pytest.raises(ValueError, match=rf"^an IQ_CHUNK carries 1\.\.{ceiling} samples, got {bad}$"):
+                wire.serve_capture(capture(bad), "", "127.0.0.1:0", timeout=0.01)
         # the ceiling itself passes the check and waits for a peer
         with pytest.raises(TimeoutError):
-            wire.serve_capture(capture, "", "127.0.0.1:0", chunk_samples=ceiling, timeout=0.01)
+            wire.serve_capture(capture(ceiling), "", "127.0.0.1:0", timeout=0.01)
 
 
 class Blocks:
     """``x`` as a stream of ``size``-sample blocks, the way
-    :func:`wire.serve_capture` takes a :class:`sounder.CaptureStream`;
-    before block ``hold`` it waits until :attr:`resume` is set."""
+    :func:`wire.serve_capture` takes a :class:`sounder.CaptureStream`,
+    which sends each as one chunk; before block ``hold`` it waits until
+    :attr:`resume` is set."""
 
     fs = 1e6
     f_c = 2.4e9
@@ -566,36 +573,38 @@ class Blocks:
                 self.resume.wait(10.0)
             yield IqFrame(self.x[a : a + self.size], self.fs, self.f_c, a)
 
-    def chunks(self, chunk_samples):
-        """``(start, end)`` of each chunk, in the order they are sent."""
-        spans = []
-        for a in range(0, len(self.x), self.size):
-            end = min(a + self.size, len(self.x))
-            spans += [(c, min(c + chunk_samples, end)) for c in range(a, end, chunk_samples)]
-        return spans
+    def spans(self):
+        """``(start, end)`` of each block, in the order they are sent."""
+        return [(a, min(a + self.size, len(self.x))) for a in range(0, len(self.x), self.size)]
+
+
+def received_bytes(endpoint):
+    """Every byte the server on ``endpoint`` sends until it closes."""
+    got = bytearray()
+    with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
+        while data := peer.recv(1 << 16):
+            got += data
+    return bytes(got)
 
 
 class TestSentBytes:
     def test_messages_leave_in_order_with_their_own_bytes(self):
-        # 160 kB in 3000-sample blocks, each cut into 1024-sample chunks
+        # 160 kB in 1024-sample blocks
         x = (np.arange(20_000) % 97 - 1j * (np.arange(20_000) % 7)).astype(np.complex64)
-        blocks = Blocks(x, 3000)
+        blocks = Blocks(x, 1024)
         events = [
             TriggerEvent(i, "overflow", 8, f"t{i}") for i in (0, 2500, 2600, 3000, 19_999, 25_000)
         ]
         expected = [encode_hello(Hello(blocks.fs, blocks.f_c, "fzc:n=64:u=7"))]
         pending = list(events)
-        for a, b in blocks.chunks(1024):
+        for a, b in blocks.spans():
             while pending and pending[0].sample_index < b:
                 expected.append(encode_trigger(pending.pop(0)))
             expected.append(encode_iq_chunk(a, x[a:b]))
         expected += [encode_trigger(ev) for ev in pending] + [encode_end(len(x))]
 
-        endpoint, t, box = serve_in_thread(blocks, "fzc:n=64:u=7", events[::-1], chunk_samples=1024)
-        got = bytearray()
-        with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
-            while data := peer.recv(1 << 16):
-                got += data
+        endpoint, t, box = serve_in_thread(blocks, "fzc:n=64:u=7", events[::-1])
+        got = received_bytes(endpoint)
         t.join(timeout=10.0)
         assert not t.is_alive()
         assert got == b"".join(expected)
@@ -603,10 +612,27 @@ class TestSentBytes:
         assert summary.complete
         assert (summary.samples_sent, summary.chunks_sent, summary.triggers_sent) == (20_000, 20, 6)
 
+    def test_a_configured_campaign_sends_the_bytes_it_always_sent(self):
+        # MLS-31 through dyadic taps and the default cable, with no noise,
+        # CFO or Doppler, so every sample is exact and no platform's exp
+        # enters; 50-sample blocks cut the periods.  The digest of every
+        # byte sent was recorded at commit d480f89.
+        cfg = CampaignConfig(family="mls", register_length=5, n_sequences=6, chunk_samples=50, corrupt_span=8)
+        cfg.set_key("channel.taps", "0:1 ; 3:0.5j ; 7:-0.25", "test")
+        cfg.triggers = [(40, "overflow", "first"), (130, "external", "second")]
+        endpoint, t, box = serve_config_in_thread(cfg)
+        got = received_bytes(endpoint)
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        summary = box["summary"]
+        assert (summary.samples_sent, summary.chunks_sent, summary.triggers_sent) == (186, 4, 2)
+        assert len(got) == 1661
+        assert hashlib.sha256(got).hexdigest() == "6dd104623b5a3e75fd6adae238a855b9843446d8608339fefd9ce7c1a424952b"
+
     def test_a_peer_that_hangs_up_is_counted_what_was_sent(self):
         x = (np.arange(600_000) % 251).astype(np.complex64)
-        blocks = Blocks(x, 3000, hold=4)  # 96 kB before the hold: one send at least
-        endpoint, t, box = serve_in_thread(blocks, "", chunk_samples=1024)
+        blocks = Blocks(x, 1024, hold=12)  # 96 kB before the hold: one send at least
+        endpoint, t, box = serve_in_thread(blocks, "")
         with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
             with peer.makefile("rb") as stream:
                 assert isinstance(read_message(stream), Hello)
@@ -618,7 +644,7 @@ class TestSentBytes:
         summary = box["summary"]
         assert not summary.complete
         assert summary.chunks_sent >= 3
-        lengths = [b - a for a, b in blocks.chunks(1024)]
+        lengths = [b - a for a, b in blocks.spans()]
         assert summary.samples_sent == sum(lengths[: summary.chunks_sent])
         assert summary.samples_sent <= len(x)
 
@@ -629,17 +655,15 @@ class TestLoopback:
         capture = sounder.stimulate_capture(seq, 6, fs=1e6, f_c=2.4e9)
         capture = sounder.quantize_capture(capture)
         ev = TriggerEvent(2 * 64 + 5, "overflow", 12, "mid stream")
-        endpoint, t, box = serve_in_thread(
-            capture, descriptor(seq), events=[ev], chunk_samples=100
-        )
-        got, summary = wire.consume_stream(endpoint, timeout=10.0)
+        endpoint, t, box = serve_in_thread(Blocks(capture.samples, 100), descriptor(seq), events=[ev])
+        got, meta = receive_stream(endpoint, 10.0)
         t.join(timeout=10.0)
 
         assert np.array_equal(got.samples, capture.samples)
         assert got.fs == 1e6 and got.f_c == 2.4e9
-        assert summary.hello.sequence_descriptor == descriptor(seq)
-        assert summary.triggers == [ev]
-        assert summary.triggers[0].note == "mid stream"
+        assert meta.sequence_descriptor == descriptor(seq)
+        assert meta.triggers == [ev]
+        assert meta.triggers[0].note == "mid stream"
         assert box["summary"].complete
         assert box["summary"].samples_sent == len(capture.samples)
         assert box["summary"].chunks_sent == -(-len(capture.samples) // 100)
@@ -659,7 +683,7 @@ class TestLoopback:
         offline = sounder.frames_from_capture(capture, seq, discard_first=cfg.discard_first)
 
         endpoint, t, _ = serve_config_in_thread(cfg)
-        frames, _, summary = wire.consume_correlation(endpoint, cfg)
+        frames, _, _ = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
 
         assert len(frames) == len(offline) == 5
@@ -677,14 +701,14 @@ class TestLoopback:
         cfg.corrupt_span = 16
 
         endpoint, t, _ = serve_config_in_thread(cfg)
-        frames, _, summary = wire.consume_correlation(endpoint, cfg)
+        frames, _, meta = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
 
         kept = [f.sequence_index for f in frames]
         assert 3 not in kept
         assert kept == [1, 2, 4, 5, 6, 7]
-        assert len(summary.triggers) == 1
-        assert summary.triggers[0].span == 16
+        assert len(meta.triggers) == 1
+        assert meta.triggers[0].span == 16
 
 
 class TestHandshakeChecks:
@@ -723,9 +747,9 @@ class TestHandshakeChecks:
         endpoint, t = self.start(served)
         local = self.make_served_config()
         local.root = 5  # differs, but nothing is marked explicit
-        frames, _, summary = wire.consume_correlation(endpoint, local)
+        frames, _, meta = wire.consume_correlation(endpoint, local)
         t.join(timeout=10.0)
-        assert summary.hello.sequence_descriptor == "fzc:n=64:u=7"
+        assert meta.sequence_descriptor == "fzc:n=64:u=7"
         assert len(frames) == 2
 
     def start_without_descriptor(self, cfg):
@@ -742,9 +766,9 @@ class TestHandshakeChecks:
 
     def test_unpinned_local_fills_in_missing_descriptor(self):
         endpoint, t = self.start_without_descriptor(self.make_served_config())
-        frames, _, summary = wire.consume_correlation(endpoint, self.make_served_config())
+        frames, _, meta = wire.consume_correlation(endpoint, self.make_served_config())
         t.join(timeout=10.0)
-        assert summary.hello.sequence_descriptor == ""
+        assert meta.sequence_descriptor == ""
         assert len(frames) == 2
 
     def test_timeout_with_no_peer(self):
@@ -783,9 +807,7 @@ class TestOneCorrelationPath:
         cfg.triggers = [(2 * 64 + 5, "overflow", "")]
         cfg.corrupt_span = 4
         seq, capture, events = campaign_capture(cfg)
-        desc = descriptor(seq)
-        summary = wire.ConsumeSummary(events, Hello(capture.fs, capture.f_c, desc))
-        return capture, CaptureMeta(desc, "", events), summary
+        return capture, CaptureMeta(descriptor(seq), "", events)
 
     @staticmethod
     def correlate_file(cfg, capture, meta):
@@ -793,45 +815,45 @@ class TestOneCorrelationPath:
         return sounder.correlate(cfg, capture, seq, meta.triggers, None)
 
     def test_file_and_wire_records_give_the_same_frames(self):
-        capture, meta, summary = self.campaign()
+        capture, meta = self.campaign()
         a, total_a = self.correlate_file(CampaignConfig(), capture, meta)
-        b, total_b = correlate_peer(CampaignConfig(), capture, summary)
+        b, total_b = correlate_peer(CampaignConfig(), capture, meta)
         assert total_a == total_b == 6
         assert a.sequence_index.tolist() == b.sequence_index.tolist() == [1, 3, 4, 5]
         assert np.array_equal(a.h, b.h) and np.array_equal(a.t_i, b.t_i)
 
     def test_a_capture_file_sets_an_unstated_local_rate(self):
-        capture, meta, _ = self.campaign()
+        capture, meta = self.campaign()
         local = CampaignConfig()
         local.sample_rate = 2e6
         self.correlate_file(local, capture, meta)
         assert local.sample_rate == capture.fs
 
     def test_a_capture_file_must_match_an_explicit_rate(self):
-        capture, meta, _ = self.campaign()
+        capture, meta = self.campaign()
         local = CampaignConfig()
         local.set_key("sample_rate", "2e6", "--fs")
         with pytest.raises(ValueError, match="capture samples at 1000000.0 Hz"):
             self.correlate_file(local, capture, meta)
 
     def test_every_transport_holds_the_same_complex64_capture(self, tmp_path):
-        capture, meta, _ = self.campaign()
+        capture, meta = self.campaign()
         path = str(tmp_path / "c.iq")
         framestore.write_capture(path, capture, meta.sequence_descriptor)
         from_file, _ = framestore.read_capture(path)
-        endpoint, t, _ = serve_in_thread(capture, meta.sequence_descriptor, chunk_samples=100)
-        from_wire, _ = wire.consume_stream(endpoint, timeout=10.0)
+        endpoint, t, _ = serve_in_thread(Blocks(capture.samples, 100), meta.sequence_descriptor)
+        from_wire, _ = receive_stream(endpoint, 10.0)
         t.join(timeout=10.0)
         for got in (capture, from_file, from_wire):
             assert got.samples.dtype == np.complex64
             assert np.array_equal(got.samples.view(np.uint64), capture.samples.view(np.uint64))
 
     def test_the_wire_must_match_any_local_rate(self):
-        capture, _, summary = self.campaign()
+        capture, meta = self.campaign()
         local = CampaignConfig()
         local.sample_rate = 2e6
         with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
-            correlate_peer(local, capture, summary)
+            correlate_peer(local, capture, meta)
 
 
 class TestStreamedCapture:
@@ -845,12 +867,12 @@ class TestStreamedCapture:
         offline = sounder.run_sounding(cfg)
 
         endpoint, t, box = serve_config_in_thread(cfg)
-        frames, _, summary = wire.consume_correlation(endpoint, cfg)
+        frames, _, meta = wire.consume_correlation(endpoint, cfg)
         t.join(timeout=10.0)
         assert not t.is_alive()
 
         assert box["summary"].chunks_sent == 128 and box["summary"].complete
-        assert [(e.sample_index, e.span) for e in summary.triggers] == [(40, 30)]
+        assert [(e.sample_index, e.span) for e in meta.triggers] == [(40, 30)]
         assert len(frames) == len(offline) == 1
         assert np.array_equal(frames.h, offline.h)
         assert np.array_equal(frames.sequence_index, offline.sequence_index)
@@ -893,7 +915,7 @@ class TestNonFiniteSamples:
         x[i] = value
         endpoint, t = serve_raw_stream(x)
         with pytest.raises(WireProtocolError, match=f"^received stream holds a non-finite sample at absolute index {i}$"):
-            wire.consume_stream(endpoint, timeout=10.0)
+            receive_stream(endpoint, 10.0)
         t.join(timeout=5.0)
         assert not t.is_alive()
 
@@ -909,7 +931,7 @@ class TestReceiveMemory:
         endpoint, t = serve_raw_stream(x)
         tracemalloc.start()
         try:
-            capture, _ = wire.consume_stream(endpoint, timeout=10.0)
+            capture, _ = receive_stream(endpoint, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -929,8 +951,8 @@ class TestReceiveMemory:
         endpoint, t = serve_raw_stream(x, descriptor(seq))
         tracemalloc.start()
         try:
-            capture, summary = wire.consume_stream(endpoint, timeout=10.0)
-            frames, total = correlate_peer(CampaignConfig(), capture, summary)
+            capture, meta = receive_stream(endpoint, 10.0)
+            frames, total = correlate_peer(CampaignConfig(), capture, meta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
