@@ -21,8 +21,9 @@ from dataclasses import dataclass, field, fields
 from . import framestore
 from .calib import DEFAULT_GAIN_CAP_DB
 from .chansim import ChannelModel, ChannelTap
-from .frames import TriggerEvent
-from .seqgen import Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
+from .frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, NON_NEGATIVE, NONE_OR_FINITE, NONE_OR_POSITIVE_FINITE
+from .frames import POSITIVE_FINITE, TriggerEvent, checked, none_or
+from .seqgen import MAX_REGISTER_LENGTH, Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
 
 
 def _parse_bool(value: str) -> bool:
@@ -96,33 +97,17 @@ def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def _checked(key: str, parse, test, rule: str):
-    """``parse``, rejecting a value that fails ``test`` with its ``rule``."""
-
-    def parse_checked(value: str):
-        v = parse(value)
-        if not test(v):
-            raise ValueError(f"{key} must {rule}, got {v}")
-        return v
-
-    return parse_checked
-
-
-_AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
-_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
-_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "be positive and finite")
-_NONE_OR_POSITIVE_FINITE = (lambda v: v is None or 0 < v < math.inf, "be none or positive and finite")
-_FINITE = (math.isfinite, "be finite")
-_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and non-negative")
-_NONE_OR_FINITE = (lambda v: v is None or math.isfinite(v), "be none or finite")
+#: The register lengths :func:`seqgen.generate_mls` takes.
+_REGISTER_LENGTHS = (lambda v: 2 <= v <= MAX_REGISTER_LENGTH, f"lie in 2..{MAX_REGISTER_LENGTH}")
 
 
 def _setting(key: str, parse, default=None, factory=None, valid=None):
     """A :class:`CampaignConfig` field set by config key ``key`` through
     ``parse``, defaulting to ``default`` (or to a fresh ``factory()``).
-    ``valid`` is an optional ``(test, rule)`` range check: a parsed value
-    that fails ``test`` is rejected as ``"<key> must <rule>"``."""
-    meta = {"key": key, "parse": parse if valid is None else _checked(key, parse, *valid)}
+    ``valid`` is an optional ``(test, rule)`` range check, kept in the
+    metadata: a parsed value that fails ``test`` is rejected as
+    ``"<key> must <rule>"`` (:func:`frames.checked`)."""
+    meta = {"key": key, "parse": parse if valid is None else checked(parse, *valid, key), "valid": valid}
     if factory is not None:
         return field(default_factory=factory, metadata=meta)
     return field(default=default, metadata=meta)
@@ -134,50 +119,50 @@ class CampaignConfig:
     ``explicit`` is a setting declared with its config key and parser."""
 
     family: str = _setting("sequence.family", _parse_choice("sequence family", "fzc", "mls"), "fzc")
-    length: int = _setting("sequence.length", int, 1024)
-    root: int = _setting("sequence.root", int, 7)
-    register_length: int = _setting("sequence.register_length", int, 10)
+    length: int = _setting("sequence.length", int, 1024, valid=(lambda v: v >= 2, "be at least 2"))
+    root: int = _setting("sequence.root", int, 7, valid=AT_LEAST_1)
+    register_length: int = _setting("sequence.register_length", int, 10, valid=_REGISTER_LENGTHS)
     taps: tuple[int, ...] | None = _setting("sequence.taps", _parse_mls_taps)
 
-    sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=_POSITIVE_FINITE)
-    center_frequency: float = _setting("center_frequency", float, 5.8e9, valid=_POSITIVE_FINITE)
-    n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200)
-    duration: float | None = _setting("duration", _parse_optional_float, valid=_NONE_OR_POSITIVE_FINITE)
+    sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=POSITIVE_FINITE)
+    center_frequency: float = _setting("center_frequency", float, 5.8e9, valid=POSITIVE_FINITE)
+    n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200, valid=none_or(*AT_LEAST_1))
+    duration: float | None = _setting("duration", _parse_optional_float, valid=NONE_OR_POSITIVE_FINITE)
 
     channel_taps: list[tuple] = _setting(
         "channel.taps",
         _parse_channel_taps,
         factory=lambda: [(0, 1 + 0j, 0.0), (3, 0.5j, 0.0), (11, -0.2 + 0.1j, 0.0)],
     )
-    snr_db: float | None = _setting("channel.snr_db", _parse_optional_float, valid=_NONE_OR_FINITE)
-    cfo_hz: float = _setting("channel.cfo_hz", float, 0.0, valid=_FINITE)
+    snr_db: float | None = _setting("channel.snr_db", _parse_optional_float, valid=NONE_OR_FINITE)
+    cfo_hz: float = _setting("channel.cfo_hz", float, 0.0, valid=FINITE)
     cable: list[complex] | None = _setting(
         "channel.cable", _parse_cable, factory=lambda: [1 + 0j, 0j, 0.25 + 0j]
     )
-    seed: int = _setting("seed", int, 0)
+    seed: int = _setting("seed", int, 0, valid=(lambda v: 0 <= v < 2**128, "lie in 0..2**128 - 1"))
 
     triggers: list[tuple[int, str, str]] = _setting("triggers", _parse_triggers, factory=list)
     trigger_log: str | None = _setting("trigger_log", _parse_optional_str)
-    corrupt_span: int = _setting("corrupt_span", int, 128, valid=_AT_LEAST_1)
+    corrupt_span: int = _setting("corrupt_span", int, 128, valid=AT_LEAST_1)
 
     calibration: str | None = _setting("calibration", _parse_optional_str)
-    gain_cap_db: float = _setting("gain_cap_db", float, DEFAULT_GAIN_CAP_DB, valid=_FINITE_NON_NEGATIVE)
+    gain_cap_db: float = _setting("gain_cap_db", float, DEFAULT_GAIN_CAP_DB, valid=FINITE_NON_NEGATIVE)
     discard_first: bool = _setting("discard_first", _parse_bool, True)
-    dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0, valid=_NON_NEGATIVE)
+    dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0, valid=NON_NEGATIVE)
     dc_position: str = _setting(
         "dc_position", _parse_choice("dc_position", "before", "after"), "before"
     )
     doppler_zero_fill: bool = _setting("doppler_zero_fill", _parse_bool, False)
     bc_threshold: float = _setting("bc_threshold", float, 0.5, valid=(lambda v: 0 < v < 1, "lie in (0, 1)"))
     max_distance_ref_m: float | None = _setting(
-        "max_distance_ref_m", _parse_optional_float, valid=_NONE_OR_POSITIVE_FINITE
+        "max_distance_ref_m", _parse_optional_float, valid=NONE_OR_POSITIVE_FINITE
     )
 
     out: str | None = _setting("out", _parse_optional_str)
     input: str | None = _setting("input", _parse_optional_str)
     endpoint: str | None = _setting("endpoint", _parse_optional_str)
-    chunk_samples: int = _setting("chunk_samples", int, 4096, valid=_AT_LEAST_1)
-    timeout: float = _setting("timeout", float, 10.0, valid=_POSITIVE_FINITE)
+    chunk_samples: int = _setting("chunk_samples", int, 4096, valid=AT_LEAST_1)
+    timeout: float = _setting("timeout", float, 10.0, valid=POSITIVE_FINITE)
 
     explicit: set = field(default_factory=set, repr=False, compare=False)
 

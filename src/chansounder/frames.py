@@ -9,11 +9,13 @@ channel per row of a matrix, each stamped with its measurement time.
 An :class:`ImpulseResponseFrame` is one such row, as indexing or
 iterating a series yields it.  A :class:`TriggerEvent` marks a receiver
 fault (buffer overflow or an external marker) at a known absolute
-sample index.
+sample index.  The range rules (:data:`POSITIVE_FINITE` and the like)
+are stated here once, for config keys, file headers and arguments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +48,42 @@ def check_finite(samples: np.ndarray, start_index: int, what: str, error=ValueEr
             raise error(f"{what} holds a non-finite sample at absolute index {start_index + lo + bad}")
 
 
+#: The range rules of config keys, file headers and arguments, each a
+#: ``(test, rule)`` pair for :func:`check` and :func:`checked`.
+AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
+# isfinite first: a header integer too large for a float raises OverflowError, which
+# the header parser reports as it reports a bad value
+POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "be positive and finite")
+FINITE = (math.isfinite, "be finite")
+FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and non-negative")
+
+
+def none_or(test, rule: str) -> tuple:
+    """The rule that also lets None pass: "be none or <rule>"."""
+    return lambda v: v is None or test(v), "be none or " + rule.removeprefix("be ")
+
+
+NONE_OR_POSITIVE_FINITE = none_or(*POSITIVE_FINITE)
+NONE_OR_FINITE = none_or(*FINITE)
+
+
+def check(value, test, rule: str, name: str = ""):
+    """``value``, if it passes ``test``; otherwise raise ``ValueError``
+    as "[name ]must <rule>, got <value>"."""
+    if not test(value):
+        raise ValueError(f"{name + ' ' if name else ''}must {rule}, got {value}")
+    return value
+
+
+def checked(parse, test, rule: str, name: str = ""):
+    """``parse``, rejecting a parsed value that fails ``test`` (:func:`check`)."""
+    return lambda text: check(parse(text), test, rule, name)
+
+
 def check_sample_rate(fs: float) -> float:
     """``fs``, if it is a usable sample rate (positive and finite)."""
-    if not 0 < fs < np.inf:
-        raise ValueError(f"sample rate must be positive and finite, got {fs}")
-    return fs
+    return check(fs, *POSITIVE_FINITE, "sample rate")
 
 
 @dataclass

@@ -20,7 +20,6 @@ files.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from contextlib import contextmanager
@@ -29,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import CalibrationProfile
-from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_finite, first_non_finite
+from .frames import CAPTURE_DTYPE, FINITE, NON_NEGATIVE, POSITIVE_FINITE, FrameSeries, IqFrame, TriggerEvent
+from .frames import check_finite, checked, first_non_finite
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
@@ -125,8 +125,8 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
         ) from None
     fields = {
         "format_version": int,
-        "sample_rate": _finite(float, positive=True),
-        "center_frequency": _finite(float),
+        "sample_rate": checked(float, *POSITIVE_FINITE),
+        "center_frequency": checked(float, *FINITE),
         "start_index": _sample_index,
     }
     kv = _parse_header(text, sidecar_path(path), "capture sidecar", fields, {"start_index": "0"})
@@ -182,25 +182,8 @@ def _record_dtype(n_seq: int) -> np.dtype:
     )
 
 
-def _finite(parse, positive: bool = False):
-    """A header field parser that also demands a finite value (and, when
-    ``positive``, one above zero)."""
-
-    def parse_finite(text: str):
-        value = parse(text)
-        if not math.isfinite(value) or (positive and value <= 0):
-            raise ValueError(f"must be {'positive and ' if positive else ''}finite, got {value}")
-        return value
-
-    return parse_finite
-
-
-def _sample_index(text: str) -> int:
-    """A header field parser for an absolute sample index."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be non-negative, got {value}")
-    return value
+#: A header field parser for an absolute sample index.
+_sample_index = checked(int, *NON_NEGATIVE)
 
 
 def _bins(text: str) -> np.ndarray:
@@ -256,6 +239,12 @@ def _read_container(
         yield kv, f, size - header_end
 
 
+def _write_head(f, magic: bytes, header: str) -> None:
+    """Write the magic and length-prefixed header that :func:`_read_container` reads."""
+    text = header.encode("utf-8")
+    f.write(magic + struct.pack("<I", len(text)) + text)
+
+
 def write_frames(
     path: str,
     frames: FrameSeries,
@@ -282,14 +271,12 @@ def write_frames(
         f"t_seq={n_seq * t_s!r}\n"
         f"calibration={calibration}\n"
         f"total_sequences={total_sequences}\n"
-    ).encode("utf-8")
+    )
 
     dtype = _record_dtype(n_seq)
     step = max(1, _SLICE_BYTES // dtype.itemsize)
     with replacing(path) as f:
-        f.write(FRAMES_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
+        _write_head(f, FRAMES_MAGIC, header)
         for lo in range(0, len(frames), step):
             part = frames[lo : lo + step]
             f.write(np.rec.fromarrays([getattr(part, n) for n in dtype.names], dtype=dtype))
@@ -300,10 +287,10 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
     slice into the series' own arrays; a NaN or infinity in a record's
     time or response raises ``ValueError``."""
     fields = {
-        "n_records": _finite(int, positive=True),
-        "n_seq": _finite(int, positive=True),
-        "t_s": _finite(float, positive=True),
-        "t_seq": _finite(float, positive=True),
+        "n_records": checked(int, *POSITIVE_FINITE),
+        "n_seq": checked(int, *POSITIVE_FINITE),
+        "t_s": checked(float, *POSITIVE_FINITE),
+        "t_seq": checked(float, *POSITIVE_FINITE),
         "total_sequences": _sample_index,
     }
     with _read_container(path, FRAMES_MAGIC, "frame-series", fields) as (kv, f, size):
@@ -381,11 +368,9 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
         f"gain_cap_db={profile.gain_cap_db!r}\n"
         f"created_from={profile.created_from}\n"
         f"clamped_bins={clamped}\n"
-    ).encode("utf-8")
+    )
     with replacing(path) as f:
-        f.write(PROFILE_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
+        _write_head(f, PROFILE_MAGIC, header)
         f.write(np.asarray(profile.h_ftt).astype("<c16").tobytes())
 
 
@@ -393,9 +378,9 @@ def read_profile(path: str) -> CalibrationProfile:
     """Read a calibration profile written by :func:`write_profile`; a NaN
     or infinity in the correction filter raises ``ValueError``."""
     fields = {
-        "n_seq": _finite(int, positive=True),
+        "n_seq": checked(int, *POSITIVE_FINITE),
         "source": str,
-        "gain_cap_db": _finite(float),
+        "gain_cap_db": checked(float, *FINITE),
         "created_from": _sample_index,
         "clamped_bins": _bins,
     }

@@ -44,7 +44,8 @@ from . import chansim
 from .calib import CalibrationProfile
 from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place
-from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_sample_rate
+from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, FrameSeries, IqFrame, TriggerEvent, check
+from .frames import check_sample_rate
 from .seqgen import Sequence
 
 
@@ -183,8 +184,7 @@ def check_corrections(
         raise ValueError(f"profile length {profile.n_seq} does not match frame length {n_seq}")
     if dc_position not in ("before", "after"):
         raise ValueError("dc_position must be 'before' or 'after'")
-    if not dc_suppression_hz >= 0.0:
-        raise ValueError(f"dc_suppression_hz must be non-negative, got {dc_suppression_hz}")
+    check(dc_suppression_hz, *NON_NEGATIVE, "dc_suppression_hz")
     if not dc_suppression_hz < fs / 4:
         raise ValueError(
             f"dc_suppression_hz = {dc_suppression_hz} must lie below sample_rate / 4 = {fs / 4}"
@@ -365,8 +365,7 @@ def capture_stream(config) -> CaptureStream:
     events = config.trigger_events()
     if events:
         events = chansim.stamp_disruption(events, config.corrupt_span, 0, n_samples)
-    if config.chunk_samples < 1:
-        raise ValueError(f"chunk_samples must be at least 1, got {config.chunk_samples}")
+    check(config.chunk_samples, *AT_LEAST_1, "chunk_samples")
     return CaptureStream(
         seq, n_samples, fs, config.center_frequency, model, events, config.chunk_samples
     )

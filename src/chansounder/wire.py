@@ -41,7 +41,7 @@ import numpy as np
 
 from . import sounder
 from .framestore import CaptureMeta
-from .frames import CAPTURE_DTYPE, FrameSeries, IqFrame, TriggerEvent, check_finite
+from .frames import CAPTURE_DTYPE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent, check_finite
 from .seqgen import descriptor as seq_descriptor
 
 PROTOCOL_VERSION = 1
@@ -54,8 +54,8 @@ MSG_END = 4
 #: before allocation.
 MAX_MESSAGE_BYTES = 1 << 26
 
-_TRIGGER_KIND_CODES = {"overflow": 0, "external": 1}
-_TRIGGER_KIND_NAMES = {v: k for k, v in _TRIGGER_KIND_CODES.items()}
+#: A TRIGGER's kind code is the kind's place in :data:`frames.TRIGGER_KINDS`.
+_TRIGGER_KIND_CODES = {kind: code for code, kind in enumerate(TRIGGER_KINDS)}
 
 _HELLO_HEAD = struct.Struct("<HddH")
 _CHUNK_HEAD = struct.Struct("<qI")
@@ -101,18 +101,15 @@ class End:
     total_samples: int
 
 
-def _frame(body: bytes) -> bytes:
-    return _LENGTH.pack(len(body)) + body
+def _framed(mtype: int, head: struct.Struct, *fields, tail: bytes = b"") -> bytes:
+    """A message of type ``mtype``: its length prefix, type byte, fixed
+    header ``head`` packed from ``fields``, then ``tail``."""
+    return b"".join((_LENGTH.pack(1 + head.size + len(tail)), bytes([mtype]), head.pack(*fields), tail))
 
 
 def encode_hello(hello: Hello) -> bytes:
     desc = hello.sequence_descriptor.encode("utf-8")
-    body = (
-        bytes([MSG_HELLO])
-        + _HELLO_HEAD.pack(PROTOCOL_VERSION, hello.fs, hello.f_c, len(desc))
-        + desc
-    )
-    return _frame(body)
+    return _framed(MSG_HELLO, _HELLO_HEAD, PROTOCOL_VERSION, hello.fs, hello.f_c, len(desc), tail=desc)
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
@@ -125,18 +122,12 @@ def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
 
 def encode_trigger(event: TriggerEvent) -> bytes:
     note = event.note.encode("utf-8")
-    body = (
-        bytes([MSG_TRIGGER])
-        + _TRIGGER_HEAD.pack(
-            event.sample_index, _TRIGGER_KIND_CODES[event.kind], event.span, len(note)
-        )
-        + note
-    )
-    return _frame(body)
+    code = _TRIGGER_KIND_CODES[event.kind]
+    return _framed(MSG_TRIGGER, _TRIGGER_HEAD, event.sample_index, code, event.span, len(note), tail=note)
 
 
 def encode_end(total_samples: int) -> bytes:
-    return _frame(bytes([MSG_END]) + _END_BODY.pack(total_samples))
+    return _framed(MSG_END, _END_BODY, total_samples)
 
 
 def _fixed_head(payload: memoryview, head: struct.Struct, name: str) -> tuple:
@@ -207,7 +198,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     if mtype == MSG_TRIGGER:
         sample_index, kind_code, span, note_len = _fixed_head(payload, _TRIGGER_HEAD, "TRIGGER")
         note = _text_tail(payload, _TRIGGER_HEAD, note_len, "TRIGGER note")
-        if kind_code not in _TRIGGER_KIND_NAMES:
+        if kind_code >= len(TRIGGER_KINDS):
             raise WireProtocolError(f"unknown trigger kind code {kind_code}")
         if sample_index < 0 or span < 1:
             raise WireProtocolError(
@@ -215,7 +206,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
             )
         return TriggerEvent(
             sample_index=sample_index,
-            kind=_TRIGGER_KIND_NAMES[kind_code],
+            kind=TRIGGER_KINDS[kind_code],
             span=span,
             note=note,
         )
@@ -381,9 +372,13 @@ def serve_stimulation(config, endpoint=None) -> StimulationSummary:
     sample format in blocks of ``chunk_samples``
     (:func:`sounder.capture_stream`), each encoded as it is made, so the
     peer receives exactly what a capture file of the same campaign would
-    contain.
+    contain.  A block longer than one IQ_CHUNK carries fails before
+    listening, naming ``chunk_samples``.
     """
     stream = sounder.capture_stream(config)
+    if min(stream.chunk_samples, stream.n_samples) > MAX_CHUNK_SAMPLES:
+        limit = f"at most {MAX_CHUNK_SAMPLES} to go out as one IQ_CHUNK"
+        raise ValueError(f"chunk_samples must be {limit}, got {stream.chunk_samples}")
     return serve_capture(
         stream,
         seq_descriptor(stream.seq),

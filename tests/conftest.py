@@ -6,12 +6,14 @@ loops over Python complex numbers, independent of the package's numpy
 implementations, so the two can disagree.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from chansounder.calib import CalibrationProfile
-from chansounder.config import _KEYS
+from chansounder.config import CampaignConfig
 
 
 def oracle_pccf(a, b):
@@ -53,5 +55,6 @@ def unit_profile(n_seq):
 
 
 def range_checked_keys():
-    """The config keys whose parser carries a range check (``_setting(valid=)``)."""
-    return {key for key, (_, parse) in _KEYS.items() if parse.__qualname__.startswith("_checked.")}
+    """The config keys declared with a range check (``_setting(valid=)``),
+    read from the rule each keeps in its field's metadata."""
+    return {f.metadata["key"] for f in fields(CampaignConfig) if f.metadata.get("valid")}

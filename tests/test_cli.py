@@ -681,6 +681,16 @@ OUT_OF_RANGE = [
     ("channel.cfo_hz", "nan"),
     ("channel.cfo_hz", "inf"),
     ("channel.cfo_hz", "-inf"),
+    ("n_sequences", "0"),
+    ("n_sequences", "-3"),
+    ("sequence.length", "1"),
+    ("sequence.length", "-64"),
+    ("sequence.root", "0"),
+    ("sequence.root", "-7"),
+    ("sequence.register_length", "1"),
+    ("sequence.register_length", "25"),
+    ("seed", "-1"),
+    ("seed", str(2**128)),
 ]
 
 
@@ -706,10 +716,26 @@ class TestRangeChecksAtParseTime:
          ("gain_cap_db", "0"), ("dc_suppression_hz", "0"), ("duration", "1e-3"),
          ("duration", "none"), ("timeout", "1e-9"), ("center_frequency", "1"),
          ("max_distance_ref_m", "1e-9"), ("max_distance_ref_m", "none"), ("sample_rate", "1e-3"),
-         ("channel.snr_db", "-300"), ("channel.snr_db", "none"), ("channel.cfo_hz", "-1e-300")],
+         ("channel.snr_db", "-300"), ("channel.snr_db", "none"), ("channel.cfo_hz", "-1e-300"),
+         ("sequence.root", "1"), ("sequence.register_length", "2"), ("sequence.register_length", "24"),
+         ("seed", "0"), ("seed", str(2**128 - 1))],
     )
     def test_edge_of_the_range_is_accepted(self, tmp_path, key, value):
         cfg = small_config(tmp_path, f"{key} = {value}\n")
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        # one period is kept only when the first is not discarded; two samples hold one tap;
+        # the seed is used only with noise on
+        [
+            "n_sequences = 1\ndiscard_first = false\n",
+            "sequence.length = 2\nchannel.taps = 0:1\n",
+            f"seed = {2**128 - 1}\nchannel.snr_db = 20\n",
+        ],
+    )
+    def test_edge_of_the_range_is_accepted_where_other_keys_allow_it(self, tmp_path, extra):
+        cfg = small_config(tmp_path, extra)
         assert main(["sound", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
     @pytest.mark.parametrize("command", ["sound", "calibrate"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder.config import _KEYS, CampaignConfig, load_config
+from chansounder.seqgen import MAX_REGISTER_LENGTH
 
 from conftest import range_checked_keys
 
@@ -298,6 +299,11 @@ RANGES = {
     "sample_rate": lambda v: 0 < v < math.inf,
     "channel.snr_db": lambda v: v is None or math.isfinite(v),
     "channel.cfo_hz": math.isfinite,
+    "n_sequences": lambda v: v is None or v >= 1,
+    "sequence.length": lambda v: v >= 2,
+    "sequence.root": lambda v: v >= 1,
+    "sequence.register_length": lambda v: 2 <= v <= MAX_REGISTER_LENGTH,
+    "seed": lambda v: 0 <= v < 2**128,
 }
 
 
@@ -310,7 +316,7 @@ class TestRangeChecks:
         text=st.one_of(
             st.integers(-5, 5).map(str),
             st.floats().map(repr),
-            st.sampled_from(["inf", "-inf", "nan", "1e400", "0.5", "", "x"]),
+            st.sampled_from(["inf", "-inf", "nan", "1e400", "0.5", "", "x", str(2**128 - 1), str(2**128)]),
         ),
     )
     def test_any_text_sets_an_in_range_value_or_fails_at_its_flag(self, key, text):
@@ -343,6 +349,11 @@ class TestRangeChecks:
             ("sample_rate = -5", "sample_rate must be positive and finite, got -5.0"),
             ("channel.snr_db = inf", "channel.snr_db must be none or finite, got inf"),
             ("channel.cfo_hz = nan", "channel.cfo_hz must be finite, got nan"),
+            ("n_sequences = 0", "n_sequences must be none or at least 1, got 0"),
+            ("sequence.length = 1", "sequence.length must be at least 2, got 1"),
+            ("sequence.root = 0", "sequence.root must be at least 1, got 0"),
+            ("sequence.register_length = 25", "sequence.register_length must lie in 2..24, got 25"),
+            ("seed = -1", "seed must lie in 0..2**128 - 1, got -1"),
         ],
     )
     def test_out_of_range_value_names_file_and_line(self, tmp_path, line, message):

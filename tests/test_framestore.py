@@ -1,5 +1,6 @@
 """Round-trip and corruption tests for the on-disk formats."""
 
+import hashlib
 import math
 import os
 import struct
@@ -386,6 +387,35 @@ class TestProfile:
         fsio.write_frames(path, frames, t_s=1e-6)
         with pytest.raises(ValueError, match="magic"):
             fsio.read_profile(path)
+
+
+class TestWrittenBytes:
+    """Each writer's bytes, header included, from fixed inputs whose every
+    value is exact in binary.  The digests were recorded at commit 0fdb0c9."""
+
+    def digest(self, path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def test_frame_series_file(self, tmp_path):
+        h = np.array([[1, 0.5j, -0.25], [2 + 1j, 0, -1j]])
+        frames = FrameSeries(h, [1, 4], [3e-6, 12e-6], [False, True])
+        path = str(tmp_path / "a.frames")
+        fsio.write_frames(path, frames, t_s=1e-6, calibration="cal.csp", total_sequences=9)
+        assert self.digest(path) == "e29fe949c541dc310ac0ffc08b3c48e77f2992c8123436c6aff05a01b5703bc4"
+
+    def test_profile_file(self, tmp_path):
+        prof = CalibrationProfile(
+            np.array([1, 0.5j, -0.25, 0.125 + 0.125j]), "through", 40.0, 3, np.array([1, 2])
+        )
+        path = str(tmp_path / "cal.csp")
+        fsio.write_profile(path, prof)
+        assert self.digest(path) == "9258dbb29c2fd0e13ffd2ada3c4873a00d85af8353c072523a47835a4340b255"
+
+    def test_capture_sidecar(self, tmp_path):
+        frame = IqFrame(np.array([1, 0.5j, -0.25, 2 + 1j]), fs=1e6, f_c=5.8e9, start_index=7)
+        path = str(tmp_path / "a.iq")
+        fsio.write_capture(path, frame, "fzc:n=4:u=1", "seed=0")
+        assert self.digest(path + ".meta") == "0cfafc731044f5b691204d88ad06e51ae3bd425667ca34e048b3b2dd75a2243b"
 
 
 def container(magic, header, payload=b""):

@@ -553,6 +553,16 @@ class TestServeArguments:
         with pytest.raises(TimeoutError):
             wire.serve_capture(capture(ceiling), "", "127.0.0.1:0", timeout=0.01)
 
+    def test_a_block_above_the_chunk_ceiling_names_chunk_samples(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CHUNK_SAMPLES", 1000)
+        cfg = CampaignConfig(length=256, n_sequences=10, chunk_samples=2000, timeout=0.01)
+        with pytest.raises(ValueError, match=r"^chunk_samples must be at most 1000 to go out as one IQ_CHUNK, got 2000$"):
+            wire.serve_stimulation(cfg, "127.0.0.1:0")
+        # a campaign shorter than the ceiling is one block, which passes and waits for a peer
+        cfg.n_sequences = 3
+        with pytest.raises(TimeoutError):
+            wire.serve_stimulation(cfg, "127.0.0.1:0")
+
 
 class Blocks:
     """``x`` as a stream of ``size``-sample blocks, the way
