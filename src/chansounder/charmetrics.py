@@ -10,6 +10,12 @@ statistics (Doppler map, Doppler spread, coherence time) come from a
 DFT across the frame axis, which is only meaningful when the frames sit
 on a uniform measurement grid; gaps from gated-out periods must either
 be rejected or zero-filled, chosen explicitly by the caller.
+
+The FFTs of the frequency statistics (over rows) and of the Doppler map
+(over columns) run one contiguous slice of the matrix per usable CPU
+(:func:`frames.on_slices`).  The slices share one batch of ``_BATCH``
+rows or columns between them, each its share, so neither the output
+bits nor the memory held depend on the count.
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import FrameSeries
+from .frames import FrameSeries, on_slices
 from .framestore import replacing
 
 #: Propagation speed used for Doppler-to-velocity and distance conversions.
 SPEED_OF_LIGHT = 299_792_458.0
 
 #: Rows (or columns) per FFT call: each (F, N) metric holds its one
-#: float64 result matrix plus a complex batch of this many rows (columns).
+#: float64 result matrix plus a complex batch of this many rows (columns),
+#: shared out among its slices.
 _BATCH = 32
 
 #: Most numbers per call of the CSV text kernel: as many whole rows as fit,
@@ -42,14 +49,17 @@ def _frame_matrix(frames: FrameSeries) -> np.ndarray:
     return frames.h
 
 
-def _batches(n: int, least: int = 1) -> list[slice]:
-    """``range(n)`` cut into slices of ``_BATCH`` entries, but of at least
-    ``least``: a shorter last slice joins the one before it."""
-    step = max(_BATCH, least)
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] < least:
+def _batches(n: int, least: int = 1, part: slice | None = None) -> list[slice]:
+    """The slice ``part`` of ``range(n)`` (all of it by default) cut into
+    batches of ``_BATCH`` entries, or of the part's share of them, so that
+    the slices of :func:`on_slices` together hold one batch; but of at
+    least ``least``: a shorter last batch joins the one before it."""
+    part = part or slice(0, n)
+    step = max(least, _BATCH * (part.stop - part.start) // max(n, 1))
+    starts = list(range(part.start, part.stop, step))
+    if len(starts) > 1 and part.stop - starts[-1] < least:
         starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [part.stop])]
 
 
 def _weighted_moments(x: np.ndarray, w: np.ndarray, what: str) -> tuple[float, float]:
@@ -105,8 +115,12 @@ def frequency_response_stats(frames: FrameSeries, fs: float) -> FrequencyStats:
     m = _frame_matrix(frames)
     n = m.shape[1]
     mags = np.empty(m.shape)
-    for rows in _batches(len(m)):
-        np.abs(np.fft.fft(m[rows], axis=1), out=mags[rows])
+
+    def magnitudes(part: slice) -> None:
+        for rows in _batches(len(m), part=part):
+            np.abs(np.fft.fft(m[rows], axis=1), out=mags[rows])
+
+    on_slices(magnitudes, len(m))
     peak = mags.max()
     if not np.isfinite(peak):
         raise ValueError("frames hold non-finite values; no magnitude statistics")
@@ -222,15 +236,22 @@ def doppler_map(frames: FrameSeries, t_seq: float, zero_fill: bool = False) -> D
     n = m.shape[1]
     power = np.empty((span, n))
     shift = span // 2
-    scratch = np.empty((span, min(_BATCH, n)), dtype=np.complex128)
-    for cols in _batches(n):
-        block = scratch[:, : cols.stop - cols.start]
-        if missing:
-            block[:] = 0
-        block[idx - idx[0]] = m[:, cols]
-        np.fft.fft(block, axis=0, out=block)
-        np.abs(block[: span - shift], out=power[shift:, cols])
-        np.abs(block[span - shift :], out=power[:shift, cols])
+    rows = idx - idx[0]
+
+    def transform(part: slice) -> None:
+        batches = _batches(n, part=part)
+        width = max((cols.stop - cols.start for cols in batches), default=0)
+        scratch = np.empty((span, width), dtype=np.complex128)
+        for cols in batches:
+            block = scratch[:, : cols.stop - cols.start]
+            if missing:
+                block[:] = 0
+            block[rows] = m[:, cols]
+            np.fft.fft(block, axis=0, out=block)
+            np.abs(block[: span - shift], out=power[shift:, cols])
+            np.abs(block[span - shift :], out=power[:shift, cols])
+
+    on_slices(transform, n)
     return DopplerMap(
         power=np.square(power, out=power),
         freqs_hz=np.fft.fftshift(np.fft.fftfreq(span, d=t_seq)),

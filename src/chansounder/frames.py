@@ -11,11 +11,15 @@ iterating a series yields it.  A :class:`TriggerEvent` marks a receiver
 fault (buffer overflow or an external marker) at a known absolute
 sample index.  The range rules (:data:`POSITIVE_FINITE` and the like)
 are stated here once, for config keys, file headers and arguments.
+:func:`on_slices` runs a stage over contiguous slices of its rows (or
+columns), one slice per usable CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +88,50 @@ def checked(parse, test, rule: str, name: str = ""):
 def check_sample_rate(fs: float) -> float:
     """``fs``, if it is a usable sample rate (positive and finite)."""
     return check(fs, *POSITIVE_FINITE, "sample rate")
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def on_slices(fn, n: int) -> None:
+    """Call ``fn(part)`` once for each of the contiguous slices ``part``
+    that cut ``range(n)``: one slice per usable CPU, never more than ``n``
+    (and one, empty, when ``n`` is 0).
+
+    The first slice runs on the caller's thread and each other slice on
+    a thread of its own; every thread started is joined before this
+    returns or raises, and the error of the first slice that failed is
+    raised again here.  With one slice no thread starts.  ``fn`` must give each slice the bits it would give it alone.
+    """
+    k = max(1, min(n, usable_cpus()))
+    cuts = [n * i // k for i in range(k + 1)]
+    parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    errors: list[BaseException | None] = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            fn(parts[i])
+        except BaseException as exc:  # raised again on the caller's thread
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, k):
+            threads.append(threading.Thread(target=run, args=(i,)))
+            threads[-1].start()
+        fn(parts[0])
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 @dataclass

@@ -267,8 +267,8 @@ def write_frames(
     header = (
         f"n_records={len(frames)}\n"
         f"n_seq={n_seq}\n"
-        f"t_s={t_s!r}\n"
-        f"t_seq={n_seq * t_s!r}\n"
+        f"t_s={float(t_s)!r}\n"
+        f"t_seq={float(n_seq * t_s)!r}\n"
         f"calibration={calibration}\n"
         f"total_sequences={total_sequences}\n"
     )
@@ -365,7 +365,7 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
     header = (
         f"n_seq={profile.n_seq}\n"
         f"source={profile.source}\n"
-        f"gain_cap_db={profile.gain_cap_db!r}\n"
+        f"gain_cap_db={float(profile.gain_cap_db)!r}\n"
         f"created_from={profile.created_from}\n"
         f"clamped_bins={clamped}\n"
     )

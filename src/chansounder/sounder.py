@@ -22,6 +22,10 @@ transport, from :func:`quantize_capture` to the correlator.
 :class:`CaptureStream`, widens each block's kept periods straight into
 one complex128 matrix and runs the correlation, the normalization and
 the corrections in place on it, with the bits of each period alone.
+Those stages run on contiguous slices of the matrix's rows, one slice
+per usable CPU (:func:`frames.on_slices`), so the output bits do not
+depend on the count; each extra slice holds one more spectrum of the
+reference sequence (and of the profile), N values.
 
 Every transport correlates through :func:`correlate`, which runs
 :func:`frames_from_capture` with the configured settings; that checks
@@ -45,7 +49,7 @@ from .calib import CalibrationProfile
 from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place
 from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, FrameSeries, IqFrame, TriggerEvent, check
-from .frames import check_sample_rate
+from .frames import check_sample_rate, on_slices
 from .seqgen import Sequence
 
 
@@ -215,8 +219,9 @@ def frames_from_capture(
     ``capture`` is an :class:`IqFrame` or a :class:`CaptureStream`, gated
     before a block is read.  Each block's kept samples are widened into
     their rows of the (F, N) complex128 matrix, the one buffer made, as
-    the blocks come; every stage then runs in place on that matrix.  The
-    corrections are checked first (:func:`check_corrections`).
+    the blocks come; every stage then runs in place on that matrix, one
+    slice of rows per usable CPU.  The corrections are checked first
+    (:func:`check_corrections`).
     """
     n_seq = seq.n_seq
     check_corrections(profile, n_seq, capture.fs, dc_suppression_hz, dc_position)
@@ -240,14 +245,19 @@ def frames_from_capture(
             if s1 > b:
                 break  # the run goes on in the next block
             j, o = j + 1, o + s1 - s0
-    _pccf_in_place(h, seq.samples)
-    normalize(h, n_seq, out=h)
-    if dc_suppression_hz > 0.0 and dc_position == "before":
-        _remove_dc_bias_in_place(h, dc_suppression_hz, capture.fs)
-    if profile is not None:
-        _correct_ftt_in_place(h, profile)
-    if dc_suppression_hz > 0.0 and dc_position == "after":
-        _remove_dc_bias_in_place(h, dc_suppression_hz, capture.fs)
+
+    def correct(part: slice) -> None:
+        rows = h[part]
+        _pccf_in_place(rows, seq.samples)
+        normalize(rows, n_seq, out=rows)
+        if dc_suppression_hz > 0.0 and dc_position == "before":
+            _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
+        if profile is not None:
+            _correct_ftt_in_place(rows, profile)
+        if dc_suppression_hz > 0.0 and dc_position == "after":
+            _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
+
+    on_slices(correct, len(h))
     return FrameSeries(h, index, measurement_time(index, n_seq * t_s, t_s), corrected=profile is not None)
 
 

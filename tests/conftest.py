@@ -6,12 +6,14 @@ loops over Python complex numbers, independent of the package's numpy
 implementations, so the two can disagree.
 """
 
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from chansounder import frames
 from chansounder.calib import CalibrationProfile
 from chansounder.config import CampaignConfig
 
@@ -58,3 +60,12 @@ def range_checked_keys():
     """The config keys declared with a range check (``_setting(valid=)``),
     read from the rule each keeps in its field's metadata."""
     return {f.metadata["key"] for f in fields(CampaignConfig) if f.metadata.get("valid")}
+
+
+@contextmanager
+def on_cpus(count):
+    """Run the block as if the process could run on ``count`` CPUs: the
+    stages of :func:`frames.on_slices` cut their matrices that many ways."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "usable_cpus", lambda: count)
+        yield

@@ -16,6 +16,8 @@ from hypothesis.extra import numpy as hnp
 from chansounder import charmetrics as cm
 from chansounder.frames import FrameSeries
 
+from conftest import on_cpus
+
 
 def frames_from_matrix(m, t_seq=1e-3, indices=None):
     """Wrap matrix rows as a frame series, on a uniform grid unless
@@ -555,6 +557,32 @@ def test_batched_metrics_equal_the_whole_matrix_formulas_bit_for_bit(batch, seri
     assert np.array_equal(dmap.power, want["power"])
     assert np.array_equal(dmap.freqs_hz, want["doppler_freqs"])
     assert (dmap.n_frames, dmap.zero_filled) == (want["span"], want["missing"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_gapped_series(), data=st.data())
+def test_characterize_and_export_do_not_depend_on_the_cpu_count(series, data):
+    # frequency stats cut their rows and the Doppler map its columns one
+    # slice per usable CPU; a slice batches its share of _BATCH
+    series = series[: data.draw(st.integers(1, len(series)), label="frames")]
+    zero_fill = data.draw(st.booleans(), label="doppler_zero_fill")
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for count in (1, 2, 3):
+            with on_cpus(count):
+                rep = cm.characterize(series, fs=1e6, f_c=5.8e9, doppler_zero_fill=zero_fill, d_ref_m=2.0)
+                paths = cm.export_csv(rep, os.path.join(tmp, str(count)))
+            arrays = [rep.pdp, rep.freq_stats.freqs_hz, rep.freq_stats.mean_psd]
+            if rep.doppler is not None:
+                arrays += [rep.doppler.power, rep.doppler.freqs_hz]
+            runs.append(
+                (
+                    cm.report_text(rep),
+                    [a.tobytes() for a in arrays],
+                    [Path(p).read_bytes() for p in paths],
+                )
+            )
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def _traced_peak(fn):

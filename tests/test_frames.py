@@ -1,8 +1,14 @@
-"""FrameSeries: one matrix that reads as a sequence of frames."""
+"""FrameSeries: one matrix that reads as a sequence of frames; on_slices:
+one contiguous slice of a stage per usable CPU."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from chansounder import frames
 from chansounder.frames import FrameSeries, ImpulseResponseFrame
 
 from conftest import random_complex
@@ -58,3 +64,118 @@ class TestFrameSeries:
             FrameSeries(np.zeros((2, 4)), [0], [0.0, 1.0])
         with pytest.raises(ValueError, match="matrix"):
             FrameSeries(np.zeros(4), [0], [0.0])
+
+
+class TestOnSlices:
+    """on_slices runs a stage on one contiguous slice per usable CPU, the
+    first on the caller's thread, and joins every thread it starts."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 100])
+    def test_slices_cut_the_range_in_order(self, monkeypatch, count, n):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: count)
+        parts, lock = [], threading.Lock()
+
+        def record(part):
+            with lock:
+                parts.append(part)
+
+        frames.on_slices(record, n)
+        parts.sort(key=lambda p: p.start)
+        assert len(parts) == max(1, min(n, count))
+        assert [i for p in parts for i in range(p.start, p.stop)] == list(range(n))
+        widths = [p.stop - p.start for p in parts]
+        assert max(widths) - min(widths) <= 1
+
+    def test_first_slice_on_the_caller_and_each_other_on_its_own_thread(self, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 3)
+        baseline = threading.active_count()
+        threads = {}
+
+        def record(part):
+            threads[part.start] = threading.current_thread()
+
+        frames.on_slices(record, 9)
+        assert threads[0] is threading.current_thread()
+        assert len({id(threads[3]), id(threads[6]), id(threads[0])}) == 3
+        assert threading.active_count() == baseline
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 1)
+        baseline = threading.active_count()
+        seen = []
+
+        def record(part):
+            seen.append((part, threading.get_ident(), threading.active_count()))
+
+        frames.on_slices(record, 100)
+        assert seen == [(slice(0, 100), threading.get_ident(), baseline)]
+
+    def test_error_in_a_later_slice_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 3)
+        baseline = threading.active_count()
+        done = []
+
+        def fail_past_the_first(part):
+            if part.start:
+                raise ValueError(f"slice from {part.start}")
+            time.sleep(0.05)  # the others fail first
+            done.append(part)
+
+        with pytest.raises(ValueError, match="slice from 3$"):
+            frames.on_slices(fail_past_the_first, 9)
+        assert done == [slice(0, 3)]
+        assert threading.active_count() == baseline
+
+    def test_error_in_the_first_slice_waits_for_the_others(self, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 2)
+        baseline = threading.active_count()
+        done = []
+
+        def fail_first(part):
+            if not part.start:
+                raise KeyError("first")
+            time.sleep(0.05)
+            done.append(part)
+
+        with pytest.raises(KeyError, match="first"):
+            frames.on_slices(fail_first, 4)
+        assert done == [slice(2, 4)]
+        assert threading.active_count() == baseline
+
+
+def test_numpy_ffts_give_the_bits_of_one_thread_on_two():
+    # The slices rest on numpy's FFT giving each row the same bits on any
+    # thread, also while another thread plans other lengths: 24 lengths
+    # overflow pocketfft's cache of 16 plans, so plans are dropped and made
+    # again while the other thread may hold them.
+    rng = np.random.default_rng(11)
+    lengths = [8, 15, 16, 31, 64, 97, 127, 128, 199, 255, 256, 257,
+               500, 511, 512, 1000, 1021, 1023, 1024, 2047, 2048, 3000, 4093, 4096]
+    inputs = {n: random_complex(rng, (2, n)) for n in lengths}
+    want = {n: (np.fft.fft(x).view(np.uint64), np.fft.ifft(x).view(np.uint64)) for n, x in inputs.items()}
+    rounds = 63  # 2 threads x 63 rounds x 24 lengths x 2 transforms: 6,048 calls
+    mismatches, calls = [], [0, 0]
+
+    def hammer(t, order):
+        for _ in range(rounds):
+            for n in order:
+                forward, inverse = np.fft.fft(inputs[n]), np.fft.ifft(inputs[n])
+                calls[t] += 2
+                if not (np.array_equal(forward.view(np.uint64), want[n][0])
+                        and np.array_equal(inverse.view(np.uint64), want[n][1])):
+                    mismatches.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(t, rng.permutation(lengths).tolist())) for t in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [2 * rounds * len(lengths)] * 2
+    assert mismatches == []

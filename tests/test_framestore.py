@@ -411,6 +411,25 @@ class TestWrittenBytes:
         fsio.write_profile(path, prof)
         assert self.digest(path) == "9258dbb29c2fd0e13ffd2ada3c4873a00d85af8353c072523a47835a4340b255"
 
+    def test_numpy_scalars_write_the_bytes_of_floats(self, tmp_path):
+        # a numpy scalar's repr is "np.float64(...)": each header float is
+        # written as the repr of a Python float, which the readers take back
+        h = np.array([[1, 0.5j, -0.25], [2 + 1j, 0, -1j]])
+        frames = FrameSeries(h, [1, 4], [3e-6, 12e-6], [False, True])
+        prof = CalibrationProfile(
+            np.array([1, 0.5j, -0.25, 0.125 + 0.125j]), "through", np.float64(40.0), 3, np.array([1, 2])
+        )
+        fsio.write_frames(
+            str(tmp_path / "a.frames"), frames, t_s=np.float64(1e-6), calibration="cal.csp", total_sequences=9
+        )
+        fsio.write_profile(str(tmp_path / "cal.csp"), prof)
+        assert self.digest(tmp_path / "a.frames") == "e29fe949c541dc310ac0ffc08b3c48e77f2992c8123436c6aff05a01b5703bc4"
+        assert self.digest(tmp_path / "cal.csp") == "9258dbb29c2fd0e13ffd2ada3c4873a00d85af8353c072523a47835a4340b255"
+        _, meta = fsio.read_frames(str(tmp_path / "a.frames"))
+        assert (meta.t_s, meta.t_seq) == (1e-6, 3e-6)
+        assert type(meta.t_s) is float
+        assert fsio.read_profile(str(tmp_path / "cal.csp")).gain_cap_db == 40.0
+
     def test_capture_sidecar(self, tmp_path):
         frame = IqFrame(np.array([1, 0.5j, -0.25, 2 + 1j]), fs=1e6, f_c=5.8e9, start_index=7)
         path = str(tmp_path / "a.iq")

@@ -34,7 +34,7 @@ from chansounder.sounder import (
     stimulate_capture,
 )
 
-from conftest import random_complex, unit_profile
+from conftest import on_cpus, random_complex, unit_profile
 
 FS = 1e6
 
@@ -535,6 +535,46 @@ class TestBatchedEqualsPerFrame:
             assert np.array_equal(fr.h.view(np.uint64), want[0].view(np.uint64))
             assert fr.t_i == measurement_time(k, n_seq / FS, 1 / FS)
             assert fr.corrected == (profile is not None)
+
+
+class TestSlicesGiveTheSameBits:
+    """frames_from_capture runs its matrix stages on one slice of rows per
+    usable CPU; the series must not depend on how many there are."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_series_on_one_two_and_three_cpus(self, data):
+        n_seq = data.draw(st.sampled_from([15, 16, 31, 64]), label="n_seq")
+        n_frames = data.draw(st.integers(0, 9), label="frames")
+        dc_hz = data.draw(st.sampled_from([0.0, 3 * FS / n_seq]), label="dc_suppression_hz")
+        dc_position = data.draw(st.sampled_from(["before", "after"]), label="dc_position")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        profile = (
+            through_calibrate(FrameSeries(random_complex(rng, (1, n_seq)), [0], [0.0]))
+            if data.draw(st.booleans(), label="profile")
+            else None
+        )
+        seq = generate_fzc(n_seq, 1)
+        capture = IqFrame(random_complex(rng, n_frames * n_seq).astype(np.complex64), FS)
+
+        series = []
+        for count in (1, 2, 3):
+            with on_cpus(count):
+                series.append(
+                    frames_from_capture(
+                        capture,
+                        seq,
+                        profile=profile,
+                        discard_first=False,
+                        dc_suppression_hz=dc_hz,
+                        dc_position=dc_position,
+                    )
+                )
+
+        assert len(series[0]) == n_frames
+        for other in series[1:]:
+            for name in ("h", "sequence_index", "t_i", "corrected"):
+                assert getattr(other, name).tobytes() == getattr(series[0], name).tobytes()
 
 
 class TestInputsUntouched:
