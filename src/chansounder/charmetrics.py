@@ -12,10 +12,11 @@ on a uniform measurement grid; gaps from gated-out periods must either
 be rejected or zero-filled, chosen explicitly by the caller.
 
 The FFTs of the frequency statistics (over rows) and of the Doppler map
-(over columns) run one contiguous slice of the matrix per usable CPU
-(:func:`frames.on_slices`).  The slices share one batch of ``_BATCH``
-rows or columns between them, each its share, so neither the output
-bits nor the memory held depend on the count.
+(over columns) run one contiguous slice of the matrix per usable CPU,
+at most :data:`frames.MAX_SLICES` (:func:`frames.on_slices`).  The
+slices share one batch of ``_BATCH`` rows or columns between them, each
+its share, so neither the output bits nor the memory held depend on the
+count.
 """
 
 from __future__ import annotations

@@ -24,18 +24,26 @@ def fast_pccf(a, b) -> np.ndarray:
     of one call; it is copied once to complex128 and the FFTs transform
     that copy in place, so ``a`` is never written to.
     """
-    return _pccf_in_place(np.array(a, dtype=np.complex128, ndmin=1), b)
+    return _pccf_in_place(np.array(a, dtype=np.complex128, ndmin=1), reference_spectrum(b))
 
 
-def _pccf_in_place(spec: np.ndarray, b) -> np.ndarray:
-    """:func:`fast_pccf` of the complex128 rows ``spec``, written over them."""
+def reference_spectrum(b) -> np.ndarray:
+    """``conj(fft(b))`` of the reference ``b``, a non-empty 1-d vector:
+    what :func:`_pccf_in_place` multiplies the rows' spectra by."""
     bv = np.asarray(b)
     if bv.ndim != 1 or len(bv) == 0:
         raise ValueError("b must be a non-empty 1-d vector")
-    if spec.shape[-1] != len(bv):
+    return np.conj(np.fft.fft(bv))
+
+
+def _pccf_in_place(spec: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """:func:`fast_pccf` of the complex128 rows ``spec`` against the
+    reference of spectrum ``ref`` (:func:`reference_spectrum`), written
+    over them."""
+    if spec.shape[-1] != len(ref):
         raise ValueError(
-            f"periodic correlation requires equal lengths, got {spec.shape[-1]} and {len(bv)}"
+            f"periodic correlation requires equal lengths, got {spec.shape[-1]} and {len(ref)}"
         )
     np.fft.fft(spec, axis=-1, out=spec)
-    spec *= np.conj(np.fft.fft(bv))
+    spec *= ref
     return np.fft.ifft(spec, axis=-1, out=spec)

@@ -12,7 +12,7 @@ fault (buffer overflow or an external marker) at a known absolute
 sample index.  The range rules (:data:`POSITIVE_FINITE` and the like)
 are stated here once, for config keys, file headers and arguments.
 :func:`on_slices` runs a stage over contiguous slices of its rows (or
-columns), one slice per usable CPU.
+columns), one slice per usable CPU, at most :data:`MAX_SLICES`.
 """
 
 from __future__ import annotations
@@ -90,6 +90,15 @@ def check_sample_rate(fs: float) -> float:
     return check(fs, *POSITIVE_FINITE, "sample rate")
 
 
+#: Most slices :func:`on_slices` cuts, whatever the CPU count.  Each
+#: correlation slice holds numpy's fixed 128 KiB iteration buffer of a
+#: broadcasting multiply, so the matrix stages hold at most this many of
+#: them above the frame matrix.  Being below ``charmetrics._BATCH``, it
+#: also gives every slice of the characterization a share of one row or
+#: column or more, so the slices hold one batch between them.
+MAX_SLICES = 3
+
+
 def usable_cpus() -> int:
     """The number of CPUs this process may run on (its affinity mask)."""
     try:
@@ -101,14 +110,15 @@ def usable_cpus() -> int:
 def on_slices(fn, n: int) -> None:
     """Call ``fn(part)`` once for each of the contiguous slices ``part``
     that cut ``range(n)``: one slice per usable CPU, never more than ``n``
-    (and one, empty, when ``n`` is 0).
+    or :data:`MAX_SLICES` (and one, empty, when ``n`` is 0).
 
     The first slice runs on the caller's thread and each other slice on
     a thread of its own; every thread started is joined before this
     returns or raises, and the error of the first slice that failed is
-    raised again here.  With one slice no thread starts.  ``fn`` must give each slice the bits it would give it alone.
+    raised again here.  With one slice no thread starts.  ``fn`` must
+    give each slice the bits it would give it alone.
     """
-    k = max(1, min(n, usable_cpus()))
+    k = max(1, min(n, usable_cpus(), MAX_SLICES))
     cuts = [n * i // k for i in range(k + 1)]
     parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
     errors: list[BaseException | None] = [None] * k

@@ -23,9 +23,10 @@ transport, from :func:`quantize_capture` to the correlator.
 one complex128 matrix and runs the correlation, the normalization and
 the corrections in place on it, with the bits of each period alone.
 Those stages run on contiguous slices of the matrix's rows, one slice
-per usable CPU (:func:`frames.on_slices`), so the output bits do not
-depend on the count; each extra slice holds one more spectrum of the
-reference sequence (and of the profile), N values.
+per usable CPU and at most :data:`frames.MAX_SLICES`
+(:func:`frames.on_slices`), so the output bits do not depend on the
+count; the slices share one spectrum of the reference sequence (and of
+the profile), and each holds numpy's 128 KiB buffer of the multiply.
 
 Every transport correlates through :func:`correlate`, which runs
 :func:`frames_from_capture` with the configured settings; that checks
@@ -47,7 +48,7 @@ import numpy as np
 from . import chansim
 from .calib import CalibrationProfile
 from .charmetrics import max_doppler
-from .corrmath import _pccf_in_place
+from .corrmath import _pccf_in_place, reference_spectrum
 from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, FrameSeries, IqFrame, TriggerEvent, check
 from .frames import check_sample_rate, on_slices
 from .seqgen import Sequence
@@ -169,11 +170,13 @@ def _remove_dc_bias_in_place(h: np.ndarray, suppression_bw_hz: float, fs: float)
     np.fft.ifft(h, axis=-1, out=h)
 
 
-def _correct_ftt_in_place(h: np.ndarray, profile: CalibrationProfile) -> None:
+def _correct_ftt_in_place(h: np.ndarray, spectrum: np.ndarray) -> None:
     """Circularly convolve the rows of the complex128 response matrix
-    ``h`` with the profile filter, in the frequency domain and in place."""
+    ``h`` with the profile filter of frequency response ``spectrum``
+    (:meth:`CalibrationProfile.spectrum`), in the frequency domain and in
+    place."""
     np.fft.fft(h, axis=-1, out=h)
-    h *= profile.spectrum()
+    h *= spectrum
     np.fft.ifft(h, axis=-1, out=h)
 
 
@@ -245,15 +248,17 @@ def frames_from_capture(
             if s1 > b:
                 break  # the run goes on in the next block
             j, o = j + 1, o + s1 - s0
+    ref = reference_spectrum(seq.samples)
+    spectrum = None if profile is None else profile.spectrum()
 
     def correct(part: slice) -> None:
         rows = h[part]
-        _pccf_in_place(rows, seq.samples)
+        _pccf_in_place(rows, ref)
         normalize(rows, n_seq, out=rows)
         if dc_suppression_hz > 0.0 and dc_position == "before":
             _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
-        if profile is not None:
-            _correct_ftt_in_place(rows, profile)
+        if spectrum is not None:
+            _correct_ftt_in_place(rows, spectrum)
         if dc_suppression_hz > 0.0 and dc_position == "after":
             _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
 

@@ -599,6 +599,19 @@ class TestBoundedMemory:
     """Each (F, N) metric holds one float64 result matrix plus a batch."""
 
     def test_characterize_allocates_at_most_26_bytes_per_sample(self, rng):
+        self.check_characterize_allocates_at_most_26_bytes_per_sample(rng)
+
+    def test_zero_filled_doppler_map_holds_one_grid_plus_one_batch(self, rng):
+        self.check_zero_filled_doppler_map_holds_one_grid_plus_one_batch(rng)
+
+    def test_more_cpus_than_slices_hold_the_same_bounds(self, rng):
+        # at most frames.MAX_SLICES slices, which share the one batch
+        with on_cpus(8):
+            self.check_characterize_allocates_at_most_26_bytes_per_sample(rng)
+            self.check_zero_filled_doppler_map_holds_one_grid_plus_one_batch(rng)
+
+    @staticmethod
+    def check_characterize_allocates_at_most_26_bytes_per_sample(rng):
         n_frames, n_seq = 199, 1024  # a doppler_sound frame series
         h = rng.standard_normal((n_frames, n_seq)) + 1j * rng.standard_normal((n_frames, n_seq))
         series = FrameSeries(h, np.arange(1, n_frames + 1), np.zeros(n_frames))
@@ -637,7 +650,8 @@ class TestBoundedMemory:
         peak = _traced_peak(lambda: cm.export_csv(rep, str(tmp_path / "run")))[1]
         assert peak <= 0.9e6, f"peak {peak} B above the report"
 
-    def test_zero_filled_doppler_map_holds_one_grid_plus_one_batch(self, rng):
+    @staticmethod
+    def check_zero_filled_doppler_map_holds_one_grid_plus_one_batch(rng):
         span, n_seq = 1000, 127
         idx = np.sort(rng.choice(span, 900, replace=False))
         idx[[0, -1]] = 0, span - 1

@@ -67,8 +67,9 @@ class TestFrameSeries:
 
 
 class TestOnSlices:
-    """on_slices runs a stage on one contiguous slice per usable CPU, the
-    first on the caller's thread, and joins every thread it starts."""
+    """on_slices runs a stage on one contiguous slice per usable CPU (at
+    most MAX_SLICES), the first on the caller's thread, and joins every
+    thread it starts."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, 8])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 100])
@@ -82,7 +83,7 @@ class TestOnSlices:
 
         frames.on_slices(record, n)
         parts.sort(key=lambda p: p.start)
-        assert len(parts) == max(1, min(n, count))
+        assert len(parts) == max(1, min(n, count, frames.MAX_SLICES))
         assert [i for p in parts for i in range(p.start, p.stop)] == list(range(n))
         widths = [p.stop - p.start for p in parts]
         assert max(widths) - min(widths) <= 1

@@ -10,11 +10,19 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
 from check_memory import SOUNDING_BOUND, STIMULATE_BOUND, sounding_peak, stimulate_peak  # noqa: E402
+from conftest import on_cpus  # noqa: E402
 
 
 @pytest.mark.parametrize("n_samples", [1 << 18, 1 << 21])
 def test_run_sounding_holds_little_above_its_frame_matrix(tmp_path, n_samples):
     peak = sounding_peak(n_samples, str(tmp_path))
+    assert peak <= SOUNDING_BOUND, f"{peak} B above the frame matrix"
+
+
+def test_run_sounding_on_more_cpus_than_slices_holds_the_same_bound(tmp_path):
+    # the correlation stops at frames.MAX_SLICES slices, whatever the count
+    with on_cpus(8):
+        peak = sounding_peak(1 << 21, str(tmp_path))
     assert peak <= SOUNDING_BOUND, f"{peak} B above the frame matrix"
 
 

@@ -200,7 +200,7 @@ class TestCorrectFtt:
     def test_identity_profile_passthrough(self, rng):
         h = random_complex(rng, (2, 16))
         out = h.copy()
-        _correct_ftt_in_place(out, unit_profile(16))
+        _correct_ftt_in_place(out, unit_profile(16).spectrum())
         assert np.allclose(out, h, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
@@ -529,7 +529,7 @@ class TestBatchedEqualsPerFrame:
             if dc_hz and dc_position == "before":
                 _remove_dc_bias_in_place(want, dc_hz, FS)
             if profile is not None:
-                _correct_ftt_in_place(want, profile)
+                _correct_ftt_in_place(want, profile.spectrum())
             if dc_hz and dc_position == "after":
                 _remove_dc_bias_in_place(want, dc_hz, FS)
             assert np.array_equal(fr.h.view(np.uint64), want[0].view(np.uint64))
@@ -628,12 +628,23 @@ class TestInputsUntouched:
 
 class TestCorrelationMemory:
     def test_one_frame_matrix_above_the_capture(self):
+        self.check_one_frame_matrix_above_the_capture()
+
+    def test_more_cpus_than_slices_hold_the_same_bound(self):
+        # the slice count stops at frames.MAX_SLICES, each slice with its
+        # own iteration buffer; more CPUs start no more slices
+        with on_cpus(8):
+            self.check_one_frame_matrix_above_the_capture()
+
+    @staticmethod
+    def check_one_frame_matrix_above_the_capture():
         # gated_split's shape: MLS-127, overflow triggers that drop periods
         # in the middle of the stream, a profile and DC removal.  The kept
         # periods are widened straight into the one complex128 matrix and
         # every stage works in place on it.  Four times
         # gated_split's 1000 periods, so that numpy's fixed 128 KiB buffer
-        # of a broadcasting multiply stays a quarter of the 1 B/sample.
+        # of a broadcasting multiply, one per slice and at most three,
+        # stays under the 1 B/sample.
         seq = generate_mls(7)
         n = seq.n_seq
         capture = quantize_capture(stimulate_capture(seq, 4000, FS))
