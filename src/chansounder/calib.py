@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import FrameSeries
+from .frames import FINITE_NON_NEGATIVE, FrameSeries, check
 
 DEFAULT_GAIN_CAP_DB = 40.0
 
@@ -69,8 +69,7 @@ def through_calibrate(
         Maximum per-bin inversion gain.  Bins whose inverse would exceed
         the cap are clamped to it (phase preserved) and flagged.
     """
-    if not 0.0 <= gain_cap_db < np.inf:
-        raise ValueError(f"gain cap must be a finite non-negative dB value, got {gain_cap_db}")
+    check(gain_cap_db, *FINITE_NON_NEGATIVE, "gain cap")
     if not len(frames):
         raise ValueError("through calibration needs at least one frame")
     n = frames.n_seq

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .frames import IqFrame, TriggerEvent
+from .frames import AT_LEAST_1, FINITE, NON_NEGATIVE_INTEGER, IqFrame, TriggerEvent, check
 
 #: Uniform draws consumed per complex noise sample (fixed so noise for
 #: sample n is addressable regardless of chunking).
@@ -39,8 +39,7 @@ class ChannelTap:
     doppler_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delay, (int, np.integer)) or self.delay < 0:
-            raise ValueError(f"tap delay must be a non-negative integer, got {self.delay}")
+        check(self.delay, *NON_NEGATIVE_INTEGER, "tap delay")
         self.gain = complex(self.gain)
 
 
@@ -176,8 +175,7 @@ def add_awgn(frame: IqFrame, snr_db: float, seed: int = 0) -> IqFrame:
     value for a given absolute sample index depends only on (seed,
     index), never on frame boundaries.
     """
-    if not np.isfinite(snr_db):
-        raise ValueError(f"SNR must be finite, got {snr_db} dB")
+    check(snr_db, *FINITE, "SNR")
     sigma2 = 10.0 ** (-snr_db / 10.0)
     z = _complex_noise_at(seed, frame.start_index, len(frame.samples))
     y = np.asarray(frame.samples, dtype=np.complex128) + np.sqrt(sigma2) * z
@@ -193,8 +191,7 @@ def stamp_disruption(
     Returns them sorted by sample index.  Events must fall inside the
     stream and must not overlap each other.
     """
-    if corrupt_span < 1:
-        raise ValueError("corrupt_span must be at least 1")
+    check(corrupt_span, *AT_LEAST_1, "corrupt_span")
     last_end = None
     stamped = []
     for ev in sorted(events):

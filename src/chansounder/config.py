@@ -22,8 +22,8 @@ from . import framestore
 from .calib import DEFAULT_GAIN_CAP_DB
 from .chansim import ChannelModel, ChannelTap
 from .frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, NON_NEGATIVE, NONE_OR_FINITE, NONE_OR_POSITIVE_FINITE
-from .frames import POSITIVE_FINITE, TriggerEvent, checked, none_or
-from .seqgen import MAX_REGISTER_LENGTH, Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
+from .frames import OPEN_UNIT, POSITIVE_FINITE, TriggerEvent, check, checked, none_or
+from .seqgen import LENGTHS, REGISTER_LENGTHS, ROOTS, Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
 
 
 def _parse_bool(value: str) -> bool:
@@ -97,10 +97,6 @@ def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
     return out
 
 
-#: The register lengths :func:`seqgen.generate_mls` takes.
-_REGISTER_LENGTHS = (lambda v: 2 <= v <= MAX_REGISTER_LENGTH, f"lie in 2..{MAX_REGISTER_LENGTH}")
-
-
 def _setting(key: str, parse, default=None, factory=None, valid=None):
     """A :class:`CampaignConfig` field set by config key ``key`` through
     ``parse``, defaulting to ``default`` (or to a fresh ``factory()``).
@@ -119,9 +115,9 @@ class CampaignConfig:
     ``explicit`` is a setting declared with its config key and parser."""
 
     family: str = _setting("sequence.family", _parse_choice("sequence family", "fzc", "mls"), "fzc")
-    length: int = _setting("sequence.length", int, 1024, valid=(lambda v: v >= 2, "be at least 2"))
-    root: int = _setting("sequence.root", int, 7, valid=AT_LEAST_1)
-    register_length: int = _setting("sequence.register_length", int, 10, valid=_REGISTER_LENGTHS)
+    length: int = _setting("sequence.length", int, 1024, valid=LENGTHS)
+    root: int = _setting("sequence.root", int, 7, valid=ROOTS)
+    register_length: int = _setting("sequence.register_length", int, 10, valid=REGISTER_LENGTHS)
     taps: tuple[int, ...] | None = _setting("sequence.taps", _parse_mls_taps)
 
     sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=POSITIVE_FINITE)
@@ -153,7 +149,7 @@ class CampaignConfig:
         "dc_position", _parse_choice("dc_position", "before", "after"), "before"
     )
     doppler_zero_fill: bool = _setting("doppler_zero_fill", _parse_bool, False)
-    bc_threshold: float = _setting("bc_threshold", float, 0.5, valid=(lambda v: 0 < v < 1, "lie in (0, 1)"))
+    bc_threshold: float = _setting("bc_threshold", float, 0.5, valid=OPEN_UNIT)
     max_distance_ref_m: float | None = _setting(
         "max_distance_ref_m", _parse_optional_float, valid=NONE_OR_POSITIVE_FINITE
     )
@@ -224,9 +220,7 @@ class CampaignConfig:
 
     def num_sequences(self) -> int:
         if self.n_sequences is not None:
-            if self.n_sequences < 1:
-                raise ValueError("n_sequences must be positive")
-            return self.n_sequences
+            return check(self.n_sequences, *AT_LEAST_1, "n_sequences")
         if self.duration is not None:
             t_seq = self.make_sequence().n_seq / self.sample_rate
             periods = self.duration / t_seq

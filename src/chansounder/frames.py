@@ -10,7 +10,10 @@ An :class:`ImpulseResponseFrame` is one such row, as indexing or
 iterating a series yields it.  A :class:`TriggerEvent` marks a receiver
 fault (buffer overflow or an external marker) at a known absolute
 sample index.  The range rules (:data:`POSITIVE_FINITE` and the like)
-are stated here once, for config keys, file headers and arguments.
+are stated here once, and every config key, file header and library
+argument held to one checks it through :func:`check`, which names the
+value it rejects; the rules of the sequence parameters sit in
+:mod:`seqgen`.
 :func:`on_slices` runs a stage over contiguous slices of its rows (or
 columns), one slice per usable CPU, at most :data:`MAX_SLICES`.
 """
@@ -53,14 +56,19 @@ def check_finite(samples: np.ndarray, start_index: int, what: str, error=ValueEr
 
 
 #: The range rules of config keys, file headers and arguments, each a
-#: ``(test, rule)`` pair for :func:`check` and :func:`checked`.
+#: ``(test, rule)`` pair for :func:`check` and :func:`checked`.  NaN fails
+#: every one.
 AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
-NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")  # NaN fails
+NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
 # isfinite first: a header integer too large for a float raises OverflowError, which
 # the header parser reports as it reports a bad value
 POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "be positive and finite")
 FINITE = (math.isfinite, "be finite")
 FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and non-negative")
+POSITIVE = (lambda v: v > 0, "be positive")  # inf passes
+OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
+INTEGER = (lambda v: isinstance(v, (int, np.integer)), "be an integer")
+NON_NEGATIVE_INTEGER = (lambda v: INTEGER[0](v) and v >= 0, "be a non-negative integer")
 
 
 def none_or(test, rule: str) -> tuple:
@@ -170,8 +178,7 @@ class IqFrame:
         if self.samples.ndim != 1:
             raise ValueError("IqFrame samples must be a 1-d vector")
         check_sample_rate(self.fs)
-        if self.start_index < 0:
-            raise ValueError("start_index must be non-negative")
+        check(self.start_index, *NON_NEGATIVE, "start_index")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -196,14 +203,12 @@ class TriggerEvent:
     note: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if self.sample_index < 0:
-            raise ValueError("trigger sample_index must be non-negative")
+        check(self.sample_index, *NON_NEGATIVE, "trigger sample_index")
         if self.kind not in TRIGGER_KINDS:
             raise ValueError(
                 f"unknown trigger kind {self.kind!r}, expected one of {TRIGGER_KINDS}"
             )
-        if self.span < 1:
-            raise ValueError("trigger span must be at least 1 sample")
+        check(self.span, *AT_LEAST_1, "trigger span")
 
 
 @dataclass

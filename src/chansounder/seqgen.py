@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .frames import check_sample_rate
+from .frames import AT_LEAST_1, INTEGER, check, check_sample_rate
 
 #: Feedback tap exponents (including the register length itself) of a
 #: primitive polynomial for each register length.  Register length l
@@ -52,6 +52,13 @@ PRIMITIVE_TAPS: dict[int, tuple[int, ...]] = {
 }
 
 MAX_REGISTER_LENGTH = 24
+
+#: The range rules of the generation parameters (see :func:`frames.check`),
+#: shared with the ``sequence.*`` config keys: an FZC length and root, and
+#: an MLS register length.
+LENGTHS = (lambda v: v >= 2, "be at least 2")
+ROOTS = AT_LEAST_1
+REGISTER_LENGTHS = (lambda v: 2 <= v <= MAX_REGISTER_LENGTH, f"lie in 2..{MAX_REGISTER_LENGTH}")
 
 
 @dataclass
@@ -136,12 +143,8 @@ def generate_mls(l: int, taps: Iterable[int] | None = None) -> Sequence:
         Samples in {+1, -1} (bit 0 maps to +1, bit 1 to -1), stored as
         complex values.
     """
-    if not isinstance(l, (int, np.integer)):
-        raise ValueError("register length must be an integer")
-    if l < 2 or l > MAX_REGISTER_LENGTH:
-        raise ValueError(
-            f"register length must be in 2..{MAX_REGISTER_LENGTH}, got {l}"
-        )
+    check(l, *INTEGER, "register length")
+    check(l, *REGISTER_LENGTHS, "register length")
     if taps is None:
         if l not in PRIMITIVE_TAPS:
             raise ValueError(
@@ -201,10 +204,10 @@ def generate_fzc(n_seq: int, u: int) -> Sequence:
     complex exponential is formed, so long sequences do not lose phase
     precision.
     """
-    if not isinstance(n_seq, (int, np.integer)) or n_seq < 2:
-        raise ValueError(f"sequence length must be an integer >= 2, got {n_seq}")
-    if not isinstance(u, (int, np.integer)) or u < 1:
-        raise ValueError(f"root must be a positive integer, got {u}")
+    check(n_seq, *INTEGER, "sequence length")
+    check(n_seq, *LENGTHS, "sequence length")
+    check(u, *INTEGER, "root")
+    check(u, *ROOTS, "root")
     if math.gcd(int(u), int(n_seq)) != 1:
         raise ValueError(
             f"root {u} is not coprime to length {n_seq}; the sequence "

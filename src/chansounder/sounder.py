@@ -60,8 +60,7 @@ def stimulate_capture(
     """Samples ``start .. stop`` (by default all) of ``n_reps`` repetitions
     of the sequence from absolute index 0, so sequence period ``i``
     occupies absolute samples ``[i * n_seq, (i + 1) * n_seq)``."""
-    if n_reps < 1:
-        raise ValueError("need at least one sequence repetition")
+    check(n_reps, *AT_LEAST_1, "n_reps")
     total = n_reps * seq.n_seq
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
@@ -97,8 +96,7 @@ def sequence_gate(
     Absolute sample index 0 is a period boundary by construction of
     :func:`stimulate_capture`.
     """
-    if n_seq < 1:
-        raise ValueError("sequence length must be positive")
+    check(n_seq, *AT_LEAST_1, "sequence length")
     lo, hi = frame.start_index, frame.end_index
 
     first = -(-lo // n_seq)  # first period fully inside the frame
@@ -123,8 +121,7 @@ def normalize(y_corr: np.ndarray, n_seq: int, out: np.ndarray | None = None) -> 
     ``out`` receives the result when given (pass ``y_corr`` itself to
     scale in place).
     """
-    if n_seq < 1:
-        raise ValueError("sequence length must be positive")
+    check(n_seq, *AT_LEAST_1, "sequence length")
     return np.divide(np.asarray(y_corr), n_seq, out=out)
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -562,8 +563,8 @@ def test_batched_metrics_equal_the_whole_matrix_formulas_bit_for_bit(batch, seri
 @settings(max_examples=60, deadline=None)
 @given(series=_gapped_series(), data=st.data())
 def test_characterize_and_export_do_not_depend_on_the_cpu_count(series, data):
-    # frequency stats cut their rows and the Doppler map its columns one
-    # slice per usable CPU; a slice batches its share of _BATCH
+    # the Doppler map cuts its columns one slice per usable CPU; a slice
+    # batches its share of _BATCH
     series = series[: data.draw(st.integers(1, len(series)), label="frames")]
     zero_fill = data.draw(st.booleans(), label="doppler_zero_fill")
     runs = []
@@ -583,6 +584,49 @@ def test_characterize_and_export_do_not_depend_on_the_cpu_count(series, data):
                 )
             )
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _started_threads(fn):
+    """The threads that ``fn()`` starts."""
+    started, start = [], threading.Thread.start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+        fn()
+    return started
+
+
+def test_frequency_stats_run_on_the_callers_thread(rng):
+    # their slices cost more than they saved; the Doppler map keeps its own
+    series = frames_from_matrix(rng.standard_normal((97, 16)) + 0j)
+    with on_cpus(3):
+        assert _started_threads(lambda: cm.frequency_response_stats(series, 1e6)) == []
+        assert len(_started_threads(lambda: cm.doppler_map(series, 1e-3))) == 2
+
+
+@pytest.mark.parametrize("shape", [(199, 1024), (979, 127), (399, 4096)])  # the workloads' frame matrices
+def test_sorted_percentiles_equal_numpy_unsorted_at_the_workload_shapes(rng, shape):
+    # the whole-matrix formulas take np.percentile of the unsorted pooled dB values
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stats = cm.frequency_response_stats(frames_from_matrix(m), fs=1e6)
+    levels = [stats.h10_db, stats.h50_db, stats.h90_db]
+    assert np.array_equal(levels, _whole_matrix_metrics(m, np.arange(len(m)), 1e6, 1e-3)["levels"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 60), st.integers(1, 80)),
+    zero_share=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_percentiles_equal_numpy_unsorted_among_minus_inf(shape, zero_share, seed):
+    # all-zero rows put -inf among the pooled dB values
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m[rng.random(shape[0]) < zero_share] = 0
+    m[0, 0] = 1.0  # not every frame zero
+    stats = cm.frequency_response_stats(frames_from_matrix(m), fs=1e6)
+    levels = [stats.h10_db, stats.h50_db, stats.h90_db]
+    assert np.array_equal(levels, _whole_matrix_metrics(m, np.arange(len(m)), 1e6, 1e-3)["levels"])
 
 
 def _traced_peak(fn):

@@ -1,0 +1,168 @@
+"""Every range check on a library argument goes through ``frames.check``
+with a shared ``(test, rule)`` tuple: it raises ``ValueError`` as
+"<name> must <rule>, got <value>" exactly when the rule's test fails,
+and a setting that also has a config key states the key's rule text."""
+
+import math
+import sys
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chansounder import calib, chansim, charmetrics, seqgen, sounder
+from chansounder.config import CampaignConfig
+from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, NON_NEGATIVE
+from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE, FrameSeries, IqFrame, TriggerEvent
+
+TINY = 5e-324  # the least positive float
+BELOW_ONE = 1.0 - 2.0**-53  # the greatest float below 1
+FRAME = IqFrame(np.ones(16, dtype=complex), 1e6)
+SERIES = FrameSeries(np.ones((2, 4), dtype=complex), [0, 1], [0.0, 0.0])
+SEQ = seqgen.generate_fzc(8, 1)
+
+
+def _num_sequences(n):
+    cfg = CampaignConfig()
+    cfg.n_sequences = n
+    return cfg.num_sequences()
+
+
+@dataclass
+class Site:
+    """One argument check: the name its error gives, the rules it checks
+    in order, a call that passes ``value`` to it, and (accepted edge,
+    value just past it) pairs."""
+
+    id: str
+    name: str
+    rules: list
+    call: object
+    edges: list
+
+    def message(self, value):
+        """The error ``value`` must raise, or None when every rule passes."""
+        for test, rule in self.rules:
+            if not test(value):
+                return f"{self.name} must {rule}, got {value}"
+        return None
+
+
+SITES = [
+    # these eight settings also have a config key
+    Site("generate_mls", "register length", [INTEGER, seqgen.REGISTER_LENGTHS], seqgen.generate_mls,
+         [(2, 1), (24, 25), (2, 2.0)]),
+    # root 0 stops the call right after the length checks
+    Site("generate_fzc length", "sequence length", [INTEGER, seqgen.LENGTHS], lambda v: seqgen.generate_fzc(v, 0),
+         [(2, 1), (2, 2.0)]),
+    Site("generate_fzc root", "root", [INTEGER, seqgen.ROOTS], lambda v: seqgen.generate_fzc(2, v),
+         [(1, 0), (1, 1.0)]),
+    Site("coherence_bandwidth", "threshold", [OPEN_UNIT], lambda v: charmetrics.coherence_bandwidth(np.ones(4), 1e6, v),
+         [(TINY, 0.0), (BELOW_ONE, 1.0)]),
+    Site("stamp_disruption", "corrupt_span", [AT_LEAST_1], lambda v: chansim.stamp_disruption([], v, 0, 16),
+         [(1, 0)]),
+    Site("add_awgn", "SNR", [FINITE], lambda v: chansim.add_awgn(FRAME, v),
+         [(sys.float_info.max, math.inf), (-sys.float_info.max, -math.inf)]),
+    Site("through_calibrate", "gain cap", [FINITE_NON_NEGATIVE], lambda v: calib.through_calibrate(SERIES, v),
+         [(0.0, -TINY), (0, -1)]),
+    Site("num_sequences", "n_sequences", [AT_LEAST_1], _num_sequences, [(1, 0)]),
+    # these thirteen have a shared rule but no config key of their own
+    Site("doppler_map", "sequence period", [POSITIVE], lambda v: charmetrics.doppler_map(SERIES, v),
+         [(TINY, 0.0)]),
+    Site("max_doppler", "sequence period", [POSITIVE], charmetrics.max_doppler, [(TINY, 0.0)]),
+    Site("coherence_time", "Doppler spread", [NON_NEGATIVE], charmetrics.coherence_time, [(0.0, -TINY)]),
+    Site("doppler_resolution", "capture duration", [POSITIVE], charmetrics.doppler_resolution, [(TINY, 0.0)]),
+    Site("doppler_to_speed", "carrier frequency", [POSITIVE], lambda v: charmetrics.doppler_to_speed(1.0, v),
+         [(TINY, 0.0)]),
+    Site("max_distance_estimate", "reference distance", [POSITIVE],
+         lambda v: charmetrics.max_distance_estimate(10.0, v), [(TINY, 0.0)]),
+    Site("stimulate_capture", "n_reps", [AT_LEAST_1], lambda v: sounder.stimulate_capture(SEQ, v, 1e6, stop=0),
+         [(1, 0)]),
+    Site("sequence_gate", "sequence length", [AT_LEAST_1], lambda v: sounder.sequence_gate(FRAME, [], v), [(1, 0)]),
+    Site("normalize", "sequence length", [AT_LEAST_1], lambda v: sounder.normalize(np.ones(4), v), [(1, 0)]),
+    Site("IqFrame", "start_index", [NON_NEGATIVE], lambda v: IqFrame(np.ones(4), 1e6, 0.0, v), [(0, -1)]),
+    Site("TriggerEvent index", "trigger sample_index", [NON_NEGATIVE], TriggerEvent, [(0, -1)]),
+    Site("TriggerEvent span", "trigger span", [AT_LEAST_1], lambda v: TriggerEvent(0, span=v), [(1, 0)]),
+    Site("ChannelTap", "tap delay", [NON_NEGATIVE_INTEGER], lambda v: chansim.ChannelTap(v, 1.0),
+         [(0, -1), (0, 0.0)]),
+]
+SITES_BY_ID = {site.id: site for site in SITES}
+
+
+def rule_error(site, value):
+    """The text of the error ``site.call(value)`` raises when it is one of
+    the site's rule errors, else None.  Any other outcome of a value the
+    rules accept (an overflow further on, say) is not the check's."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            site.call(value)
+    except Exception as exc:
+        if isinstance(exc, ValueError) and str(exc).startswith(f"{site.name} must "):
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "site, edge, past",
+    [pytest.param(s, e, p, id=f"{s.id}-{e!r}-{p!r}") for s in SITES for e, p in s.edges],
+)
+def test_edge_is_accepted_and_the_value_past_it_raises_its_rule(site, edge, past):
+    assert site.message(edge) is None and rule_error(site, edge) is None
+    with pytest.raises(ValueError) as exc:
+        site.call(past)
+    assert str(exc.value) == site.message(past)
+    assert str(exc.value).startswith(f"{site.name} must ")
+
+
+#: Ints (bounded so that a float rule's test can convert them), floats,
+#: both infinities and NaN.
+VALUES = st.one_of(
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -0.0, 1, 2, -1]),
+)
+
+
+@pytest.mark.parametrize("site", SITES, ids=[s.id for s in SITES])
+@settings(max_examples=60, deadline=None)
+@given(value=VALUES)
+def test_a_call_raises_its_rule_if_and_only_if_the_rule_fails(site, value):
+    assert rule_error(site, value) == site.message(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, np.float64("nan")])
+@pytest.mark.parametrize("site", SITES, ids=[s.id for s in SITES])
+def test_nan_fails_every_rule(site, value):
+    assert rule_error(site, value) == site.message(value) is not None
+
+
+#: Each setting with a config key: the key, a text outside its range, the
+#: argument's site and the same value as the argument takes it.
+KEYED = [
+    ("sequence.register_length", "25", "generate_mls", 25),
+    ("sequence.length", "1", "generate_fzc length", 1),
+    ("sequence.root", "0", "generate_fzc root", 0),
+    ("bc_threshold", "1", "coherence_bandwidth", 1.0),
+    ("corrupt_span", "0", "stamp_disruption", 0),
+    ("channel.snr_db", "inf", "add_awgn", math.inf),
+    ("gain_cap_db", "-1", "through_calibrate", -1.0),
+    ("n_sequences", "0", "num_sequences", 0),
+]
+
+
+@pytest.mark.parametrize("key, text, site_id, value", KEYED, ids=[k[0] for k in KEYED])
+def test_key_and_argument_state_the_same_rule(key, text, site_id, value):
+    site = SITES_BY_ID[site_id]
+    with pytest.raises(ValueError) as key_exc:
+        CampaignConfig().set_key(key, text, "--where")
+    with pytest.raises(ValueError) as arg_exc:
+        site.call(value)
+    key_rule = str(key_exc.value).removeprefix(f"--where: {key} must ").removesuffix(f", got {value}")
+    arg_rule = str(arg_exc.value).removeprefix(f"{site.name} must ").removesuffix(f", got {value}")
+    assert arg_rule == site.rules[-1][1]
+    # an optional key also lets None pass: "be none or <rule>"
+    assert key_rule in (arg_rule, "be none or " + arg_rule.removeprefix("be "))

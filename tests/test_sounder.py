@@ -63,7 +63,7 @@ class TestStimulate:
         seq = generate_fzc(16, 3)
         cap = stimulate_capture(seq, 5, FS)
         assert np.array_equal(cap.samples, np.tile(seq.samples, 5))
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="n_reps must be at least 1, got 0"):
             stimulate_capture(seq, 0, FS)
 
     def test_range_is_a_slice_of_the_whole_stream(self):

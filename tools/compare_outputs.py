@@ -10,6 +10,11 @@ workload definitions, so only the program differs.
 
     python3 tools/compare_outputs.py BASE_COMMIT
 
+Each side first prints its numpy version and SIMD dispatch: the baseline
+features numpy was built for and the features it enabled on this CPU,
+which ``NPY_DISABLE_CPU_FEATURES`` narrows.  Some output bits depend on
+that dispatch, so a comparison holds for the dispatch it printed.
+
 Exits 0 when every file matches, 1 when a file differs or exists on one
 side only, and 2 when a side fails to run.
 """
@@ -39,6 +44,19 @@ def _digests(work_dir: str) -> dict[str, str]:
             with open(path, "rb") as f:
                 out[os.path.relpath(path, work_dir)] = hashlib.sha256(f.read()).hexdigest()
     return out
+
+
+def dispatch() -> str:
+    """This interpreter's numpy version, its baseline SIMD features and
+    the features it enabled, as one line."""
+    import numpy
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [name for name, on in umath.__cpu_features__.items() if on]
+    return (
+        f"numpy {numpy.__version__}, baseline {' '.join(umath.__cpu_baseline__)}, "
+        f"enabled {' '.join(enabled)}"
+    )
 
 
 def run_side(src: str, work_root: str) -> dict[str, str]:
@@ -96,7 +114,7 @@ def compare(base: dict[str, str], head: dict[str, str]) -> list[str]:
 # One side in a fresh interpreter: argv is this file's directory, src, work dir.
 _RUN_SIDE = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import compare_outputs; "
-    "print(json.dumps(compare_outputs.run_side(*sys.argv[2:])))"
+    "print(json.dumps([compare_outputs.dispatch(), compare_outputs.run_side(*sys.argv[2:])]))"
 )
 
 
@@ -121,7 +139,8 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 print(f"{name} ({src}) failed:\n{proc.stderr.strip()[-4000:]}", file=sys.stderr)
                 return 2
-            sides[name] = json.loads(proc.stdout.strip().splitlines()[-1])
+            info, sides[name] = json.loads(proc.stdout.strip().splitlines()[-1])
+            print(f"{name}: {info}")
 
     problems = compare(sides["base"], sides["head"])
     for line in problems:
