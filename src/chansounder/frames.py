@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -66,6 +67,9 @@ POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "be positive and finite
 FINITE = (math.isfinite, "be finite")
 FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and non-negative")
 POSITIVE = (lambda v: v > 0, "be positive")  # inf passes
+# 2.0**-1024 is 1 / (the greatest float), the greatest float whose reciprocal rounds to inf;
+# by comparisons, so a numpy scalar meets no warning and an int past float range no OverflowError
+INVERTIBLE = (lambda v: v == math.inf or 2.0**-1024 < v <= sys.float_info.max, "be positive with a finite reciprocal")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
 INTEGER = (lambda v: isinstance(v, (int, np.integer)), "be an integer")
 NON_NEGATIVE_INTEGER = (lambda v: INTEGER[0](v) and v >= 0, "be a non-negative integer")

@@ -6,6 +6,8 @@ loops over Python complex numbers, independent of the package's numpy
 implementations, so the two can disagree.
 """
 
+import socket
+import threading
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -69,3 +71,32 @@ def on_cpus(count):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(frames, "usable_cpus", lambda: count)
         yield
+
+
+@contextmanager
+def serving(serve, timeout=10.0):
+    """Run ``serve(lsock)`` on a daemon thread, ``lsock`` listening on an
+    ephemeral loopback port, and yield ``(endpoint, result)``: the
+    ``host:port`` of ``lsock`` and a list that holds what ``serve``
+    returned once the block has left.  On exit, also when the block
+    fails, join the thread within ``timeout`` s and close ``lsock``; then
+    raise again what ``serve`` raised, and fail if it is still running."""
+    lsock = socket.create_server(("127.0.0.1", 0))
+    result, raised = [], []
+
+    def run():
+        try:
+            result.append(serve(lsock))
+        except BaseException as exc:  # raised again on the caller's thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % lsock.getsockname()[1], result
+    finally:
+        thread.join(timeout)
+        lsock.close()
+        if raised:
+            raise raised[0]
+        assert not thread.is_alive(), f"the server still runs after {timeout} s"

@@ -3,9 +3,8 @@
 import argparse
 import errno
 import os
-import socket
+import re
 import struct
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from chansounder.cli import _COMMANDS, _FLAGS, _build_parser, _config_from_args,
 from chansounder.config import load_config
 from chansounder.frames import IqFrame
 
-from conftest import range_checked_keys, unit_profile
+from conftest import range_checked_keys, serving, unit_profile
 
 
 def small_config(tmp_path, extra=""):
@@ -342,6 +341,17 @@ class TestCaptureSidecarFlow:
         assert "sample_rate" in capsys.readouterr().err
         assert not (tmp_path / "f.frames").exists()
 
+    def test_unusable_sidecar_descriptor_fails_before_writing(self, tmp_path, capsys):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path), "--out", cap]) == 0
+        meta = tmp_path / "cap.iq.meta"
+        meta.write_text(meta.read_text().replace("sequence=fzc:n=64:u=7", "sequence=fzc:n=8:u=2"))
+        assert main(["correlate", "--input", cap, "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: capture sequence descriptor is unusable: root 2 is not coprime to length 8"
+        )
+        assert not (tmp_path / "f.frames").exists()
+
     @pytest.mark.parametrize("command", ["stimulate", "sound"])
     def test_infinite_sample_rate_fails_before_writing(self, tmp_path, capsys, command):
         out = str(tmp_path / "r")
@@ -403,28 +413,12 @@ class TestCaptureSidecarFlow:
 class TestWireFlow:
     def test_two_process_link(self, tmp_path):
         # stimulation side in a thread, correlation side in the foreground
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
         cfg = small_config(tmp_path)
-
-        rc_box = {}
-
-        def serve():
-            import chansounder.config as cfgmod
-            import chansounder.wire as wiremod
-            conf = cfgmod.load_config(cfg)
-            with lsock:
-                rc_box["summary"] = wiremod.serve_stimulation(conf, lsock)
-
-        t = threading.Thread(target=serve, daemon=True)
-        t.start()
         out = str(tmp_path / "live")
-        rc = main(
-            ["correlate", "--config", cfg, "--endpoint", f"127.0.0.1:{port}", "--out", out]
-        )
-        t.join(timeout=10.0)
+        with serving(lambda lsock: wire.serve_stimulation(load_config(cfg), lsock)) as (endpoint, summary):
+            rc = main(["correlate", "--config", cfg, "--endpoint", endpoint, "--out", out])
         assert rc == 0
-        assert rc_box["summary"].complete
+        assert summary[0].complete
 
         offline = str(tmp_path / "off")
         main(["sound", "--config", cfg, "--out", offline])
@@ -432,6 +426,37 @@ class TestWireFlow:
         b, _ = framestore.read_frames(offline + ".frames")
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.h, fb.h)
+
+    @staticmethod
+    def stimulate(monkeypatch, cfg):
+        """A server that runs ``stimulate --config cfg --endpoint`` on the
+        harness's listening socket."""
+        real = wire.serve_stimulation
+
+        def serve(lsock):
+            monkeypatch.setattr(wire, "serve_stimulation", lambda config: real(config, lsock))
+            return main(["stimulate", "--config", cfg, "--endpoint", "127.0.0.1:%d" % lsock.getsockname()[1]])
+
+        return serve
+
+    def test_stimulate_serves_the_whole_stream(self, tmp_path, capsys, monkeypatch):
+        cfg = small_config(tmp_path, "triggers = 300:overflow:buf\ncorrupt_span = 8\n")
+        with serving(self.stimulate(monkeypatch, cfg)) as (endpoint, rc):
+            assert main(["correlate", "--config", cfg, "--endpoint", endpoint, "--out", str(tmp_path / "live")]) == 0
+        assert rc == [0]
+        out = capsys.readouterr().out
+        assert f"served 768 samples in 1 chunks (1 triggers) on {endpoint}: complete\n" in out
+        assert "kept 10 of 12" in out
+
+    def test_stimulate_to_a_peer_that_hangs_up_exits_1(self, tmp_path, capsys, monkeypatch):
+        cfg = small_config(tmp_path, "n_sequences = 50000\n")  # 25.6 MB on the wire
+        with serving(self.stimulate(monkeypatch, cfg)) as (endpoint, rc):
+            with wire.connect(endpoint, 10.0) as (_, hello):
+                assert hello.sequence_descriptor == "fzc:n=64:u=7"
+        assert rc == [1]
+        served = r"served (\d+) samples in (\d+) chunks \(0 triggers\) on " + endpoint + ": interrupted"
+        ((samples, chunks),) = re.findall(served, capsys.readouterr().out)
+        assert int(samples) == 4096 * int(chunks) < 50_000 * 64
 
 
 class TestCorrectionsCheckedBeforeCorrelating:
@@ -496,21 +521,9 @@ class TestCorrectionsCheckedBeforeCorrelating:
         buffers hold, to ``correlate --config cfg --endpoint``; return the
         exit status and the stimulation summary."""
         served.n_sequences = 50_000  # 25.6 MB on the wire
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        box = {}
-
-        def serve():
-            with lsock:
-                box["summary"] = wire.serve_stimulation(served, lsock)
-
-        t = threading.Thread(target=serve, daemon=True)
-        t.start()
-        argv = ["correlate", "--config", cfg, "--endpoint", f"127.0.0.1:{port}"]
-        rc = main(argv + ["--out", str(tmp_path / "run")])
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-        return rc, box["summary"]
+        with serving(lambda lsock: wire.serve_stimulation(served, lsock)) as (endpoint, summary):
+            rc = main(["correlate", "--config", cfg, "--endpoint", endpoint, "--out", str(tmp_path / "run")])
+        return rc, summary[0]
 
     def test_correlate_over_the_wire_gives_the_same_message(
         self, tmp_path, capsys, pccf_calls, decoded_chunks, bad_config
@@ -567,18 +580,8 @@ class TestOneCorrelationCall:
             assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
             assert main(["correlate", "--config", cfg, "--input", cap] + out) == 0
         else:
-            lsock = socket.create_server(("127.0.0.1", 0))
-            port = lsock.getsockname()[1]
-
-            def serve():
-                with lsock:
-                    wire.serve_stimulation(load_config(cfg), lsock)
-
-            t = threading.Thread(target=serve, daemon=True)
-            t.start()
-            assert main(["correlate", "--config", cfg, "--endpoint", f"127.0.0.1:{port}"] + out) == 0
-            t.join(timeout=10.0)
-            assert not t.is_alive()
+            with serving(lambda lsock: wire.serve_stimulation(load_config(cfg), lsock)) as (endpoint, _):
+                assert main(["correlate", "--config", cfg, "--endpoint", endpoint] + out) == 0
         assert calls == ["correlate", "frames_from_capture"]
 
 
@@ -830,22 +833,10 @@ class TestErrorPaths:
     def test_wire_total_counts_periods_of_the_adopted_sequence(self, tmp_path, capsys):
         # The local side names no sequence, so it adopts the peer's
         # 64-sample one instead of its 1024-sample default.
-        lsock = socket.create_server(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        cfg = small_config(tmp_path)
-
-        def serve():
-            import chansounder.config as cfgmod
-            import chansounder.wire as wiremod
-
-            with lsock:
-                wiremod.serve_stimulation(cfgmod.load_config(cfg), lsock)
-
-        t = threading.Thread(target=serve, daemon=True)
-        t.start()
+        served = load_config(small_config(tmp_path))
         out = str(tmp_path / "live")
-        rc = main(["correlate", "--endpoint", f"127.0.0.1:{port}", "--out", out])
-        t.join(timeout=10.0)
+        with serving(lambda lsock: wire.serve_stimulation(served, lsock)) as (endpoint, _):
+            rc = main(["correlate", "--endpoint", endpoint, "--out", out])
         assert rc == 0
         assert "kept 11 of 12" in capsys.readouterr().out
         _, meta = framestore.read_frames(out + ".frames")

@@ -177,6 +177,13 @@ class TestCaptureSidecars:
         meta.write_text(meta.read_text().replace("start_index=64\n", ""))
         assert fsio.read_capture(path)[0].start_index == 0
 
+    def test_comment_lines_are_skipped(self, tmp_path):
+        path = self.write(tmp_path)
+        meta = tmp_path / "a.iq.meta"
+        meta.write_text("# written by hand\n" + meta.read_text().replace("\n", "\n#start_index=-1\n", 1))
+        frame, capture_meta = fsio.read_capture(path)
+        assert frame.start_index == 64 and capture_meta.sequence_descriptor == "fzc:n=8:u=3"
+
 
 class TestFrameSeries:
     def make_series(self, rng, n=8, count=5, index=None):
@@ -522,6 +529,23 @@ class TestFrameSeriesContainer:
         path.write_bytes(container(fsio.FRAMES_MAGIC, frames_header(**{field: value}), record()))
         with pytest.raises(ValueError, match=field):
             fsio.read_frames(str(path))
+
+    def test_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "a.frames"
+        header = "# written by hand\n" + frames_header() + "#n_seq=0\n"
+        path.write_bytes(container(fsio.FRAMES_MAGIC, header, record()))
+        back, meta = fsio.read_frames(str(path))
+        assert len(back) == 1 and meta.n_seq == 2 and meta.t_s == 1e-06
+        profile = tmp_path / "a.csp"
+        header = "#gain_cap_db=nan\nn_seq=2\nsource=x\ngain_cap_db=40.0\ncreated_from=1\nclamped_bins=\n"
+        profile.write_bytes(container(fsio.PROFILE_MAGIC, header, bytes(2 * 16)))
+        assert fsio.read_profile(str(profile)).gain_cap_db == 40.0
+
+    def test_sample_rate_without_a_short_decimal_is_the_reciprocal(self):
+        # no decimal of 1 to 17 significant digits has this t_s as its reciprocal
+        t_s = 0.0007887235624121622
+        assert all(1.0 / float(f"{1.0 / t_s:.{d}g}") != t_s for d in range(1, 18))
+        assert fsio.FrameSeriesMeta(2, t_s, 2 * t_s, "", 1).sample_rate == 1.0 / t_s
 
     def test_missing_header_key_rejected(self, tmp_path):
         path = tmp_path / "bad.frames"

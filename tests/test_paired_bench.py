@@ -1,4 +1,5 @@
-"""The verdict column of ``tools/paired_bench.py``'s report, on synthetic runs."""
+"""The verdict columns of ``tools/paired_bench.py``'s reports, on synthetic
+runs: each seed's, and the verdict over all seeds."""
 
 import os
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
-from paired_bench import report  # noqa: E402
+from paired_bench import overall, parse_args, report, summary  # noqa: E402
 
 CAMPAIGN_S = {"name": "campaign_s", "unit": "s", "better": "lower", "bound": 0.25}
 SAMPLES_PER_S = {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}
@@ -55,3 +56,46 @@ def test_verdict(metric, base, head, expected):
         f"base: 0 of {3 * len(base)} campaigns failed",
         f"head: 0 of {3 * len(head)} campaigns failed",
     ]
+
+
+@pytest.mark.parametrize(
+    "verdicts, expected",
+    [
+        (["gain"], "gain"),
+        (["gain", "gain", "gain"], "gain"),
+        # one seed's gain that another seed does not read is no gain
+        (["gain", "no change"], "no change"),
+        (["no change", "gain"], "no change"),
+        (["gain", "unresolved"], "unresolved"),
+        (["gain", "regression"], "regression"),
+        (["unresolved", "regression", "no change"], "regression"),
+        (["no change", "no change"], "no change"),
+    ],
+)
+def test_overall_verdict(verdicts, expected):
+    assert overall(verdicts) == expected
+
+
+def test_summary_gives_each_seed_and_the_overall_verdict():
+    metrics = [CAMPAIGN_S, SAMPLES_PER_S]
+    gain = [v - 0.1 for v in TIGHT]
+
+    def seed(base, head):
+        return {
+            side: [
+                {"metrics": {"campaign_s": {"value": v}, "samples_per_s": {"value": 1 / v}}} for v in values
+            ]
+            for side, values in (("base", base), ("head", head))
+        }
+
+    lines = summary(metrics, {89: seed(TIGHT, gain), 97: seed(TIGHT, TIGHT)})
+    assert lines[0].startswith("metric") and lines[0].endswith("overall")
+    assert lines[1].split() == ["campaign_s", "89:", "gain,", "97:", "no", "change", "no", "change"]
+    assert lines[2].split() == ["samples_per_s", "89:", "gain,", "97:", "no", "change", "no", "change"]
+    lines = summary(metrics, {89: seed(TIGHT, gain), 97: seed(TIGHT, gain)})
+    assert lines[1].endswith("  gain") and lines[2].endswith("  gain")
+
+
+def test_seed_repeats_and_defaults_to_0():
+    assert parse_args(["HEAD", "--workload", "tcp_link"]).seed == [0]
+    assert parse_args(["HEAD", "--workload", "tcp_link", "--seed", "89", "--seed", "97"]).seed == [89, 97]

@@ -15,10 +15,18 @@ from hypothesis import strategies as st
 
 from chansounder import calib, chansim, charmetrics, seqgen, sounder
 from chansounder.config import CampaignConfig
-from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, NON_NEGATIVE
+from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, INVERTIBLE, NON_NEGATIVE
 from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE, FrameSeries, IqFrame, TriggerEvent
 
 TINY = 5e-324  # the least positive float
+LEAST_INVERTIBLE = 5.56268464626801e-309  # the least float with a finite reciprocal
+#: The accepted edge of INVERTIBLE and values just past it: the float below,
+#: the least positive float, and that as a numpy scalar.
+INVERTIBLE_EDGES = [
+    (LEAST_INVERTIBLE, math.nextafter(LEAST_INVERTIBLE, 0.0)),
+    (LEAST_INVERTIBLE, TINY),
+    (np.float64(LEAST_INVERTIBLE), np.float64(TINY)),
+]
 BELOW_ONE = 1.0 - 2.0**-53  # the greatest float below 1
 FRAME = IqFrame(np.ones(16, dtype=complex), 1e6)
 SERIES = FrameSeries(np.ones((2, 4), dtype=complex), [0, 1], [0.0, 0.0])
@@ -70,11 +78,11 @@ SITES = [
          [(0.0, -TINY), (0, -1)]),
     Site("num_sequences", "n_sequences", [AT_LEAST_1], _num_sequences, [(1, 0)]),
     # these thirteen have a shared rule but no config key of their own
-    Site("doppler_map", "sequence period", [POSITIVE], lambda v: charmetrics.doppler_map(SERIES, v),
-         [(TINY, 0.0)]),
-    Site("max_doppler", "sequence period", [POSITIVE], charmetrics.max_doppler, [(TINY, 0.0)]),
+    Site("doppler_map", "sequence period", [INVERTIBLE], lambda v: charmetrics.doppler_map(SERIES, v),
+         INVERTIBLE_EDGES),
+    Site("max_doppler", "sequence period", [INVERTIBLE], charmetrics.max_doppler, INVERTIBLE_EDGES),
     Site("coherence_time", "Doppler spread", [NON_NEGATIVE], charmetrics.coherence_time, [(0.0, -TINY)]),
-    Site("doppler_resolution", "capture duration", [POSITIVE], charmetrics.doppler_resolution, [(TINY, 0.0)]),
+    Site("doppler_resolution", "capture duration", [INVERTIBLE], charmetrics.doppler_resolution, INVERTIBLE_EDGES),
     Site("doppler_to_speed", "carrier frequency", [POSITIVE], lambda v: charmetrics.doppler_to_speed(1.0, v),
          [(TINY, 0.0)]),
     Site("max_distance_estimate", "reference distance", [POSITIVE],
@@ -166,3 +174,15 @@ def test_key_and_argument_state_the_same_rule(key, text, site_id, value):
     assert arg_rule == site.rules[-1][1]
     # an optional key also lets None pass: "be none or <rule>"
     assert key_rule in (arg_rule, "be none or " + arg_rule.removeprefix("be "))
+
+
+def test_invertible_compares_without_a_warning_or_an_overflow():
+    # RuntimeWarning is an error in this suite; an int past float range,
+    # which no float division takes, is compared, not converted
+    test, _ = INVERTIBLE
+    assert 1.0 / LEAST_INVERTIBLE < math.inf == 1.0 / math.nextafter(LEAST_INVERTIBLE, 0.0)
+    assert all(test(v) for v in (2**1000, sys.float_info.max, math.inf, np.float64(LEAST_INVERTIBLE)))
+    assert not any(test(v) for v in (2**1024, -(2**2000), np.float64(TINY), np.float64("nan"), 0))
+    for call in (charmetrics.max_doppler, charmetrics.doppler_resolution):
+        with pytest.raises(ValueError, match=" must be positive with a finite reciprocal, got 1797"):
+            call(2**1024)

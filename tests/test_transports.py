@@ -1,7 +1,8 @@
 """Transport equivalence: a campaign sounded in one process, stimulated to a
 capture file and correlated from it, or served and correlated over TCP
 gives the same period count, the same frames bit for bit and the same
-``.frames`` bytes.
+``.frames`` bytes; both receive sides are ``cli.cmd_correlate``.  A
+campaign that keeps no period fails alike on all three.
 
 The property runs hypothesis's default number of examples; the ``wide``
 profile of ``conftest.py`` runs 1,000 (``--hypothesis-profile=wide``).
@@ -10,9 +11,7 @@ profile of ``conftest.py`` runs 1,000 (``--hypothesis-profile=wide``).
 import copy
 import math
 import os
-import socket
 import tempfile
-import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,6 +21,8 @@ from chansounder import cli, framestore, sounder, wire
 from chansounder.calib import through_calibrate
 from chansounder.config import CampaignConfig
 from chansounder.frames import FrameSeries
+
+from conftest import serving
 
 FS = 1e6
 
@@ -83,46 +84,40 @@ def write_profile(path, n, seed):
 
 
 def sound(cfg):
+    """The in-process side, writing its frames as ``cmd_sound`` does."""
     frames, total, _ = sounder.sound_campaign(cfg)
-    return frames, total
+    cli._write_series(cfg, cli._nonempty(frames, total), total)
 
 
-def stimulate_then_correlate(cfg, path):
-    cfg.out = path
+def stimulate_then_correlate(cfg):
+    out, cfg.out = cfg.out, cfg.out + ".iq"
     assert cli.cmd_stimulate(cfg) == 0
-    capture, meta = framestore.read_capture(path)
-    # the adoption rule of cli.cmd_correlate for a capture file
-    seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "capture")
-    return sounder.correlate(cfg, capture, seq, meta.triggers, cfg.load_profile())
+    cfg.input, cfg.out = cfg.out, out
+    cli.cmd_correlate(cfg)
 
 
-def serve_then_consume(cfg):
-    lsock = socket.create_server(("127.0.0.1", 0))
-    box = {}
+def serve_then_correlate(cfg):
+    served = copy.deepcopy(cfg)
+    with serving(lambda lsock: wire.serve_stimulation(served, lsock), timeout=20.0) as (endpoint, summary):
+        cfg.endpoint = endpoint
+        cli.cmd_correlate(cfg)
+    assert summary[0].complete
 
-    def serve():
-        with lsock:
-            box["summary"] = wire.serve_stimulation(copy.deepcopy(cfg), lsock)
 
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
+def written(side, cfg, out):
+    """The frames, header period total and bytes of the ``.frames`` file
+    that ``side`` writes for ``cfg`` to ``out``; None when it keeps no
+    period and fails as the commands do."""
+    cfg.out = out
     try:
-        frames, _, _ = wire.consume_correlation("127.0.0.1:%d" % lsock.getsockname()[1], cfg)
-    finally:
-        t.join(timeout=20.0)
-    assert box["summary"].complete
-    return frames, box["summary"].samples_sent // frames.n_seq
-
-
-def frames_bytes(frames, total, cfg, path):
-    """The ``.frames`` file of a non-empty series, else None."""
-    if not len(frames):
+        side(cfg)
+    except ValueError as exc:
+        if not str(exc).startswith(f"kept 0 of {cfg.n_sequences} sequence periods "):
+            raise
         return None
-    framestore.write_frames(
-        path, frames, t_s=1.0 / cfg.sample_rate, calibration=cfg.calibration or "", total_sequences=total
-    )
-    with open(path, "rb") as f:
-        return f.read()
+    frames, meta = framestore.read_frames(out + ".frames")
+    with open(out + ".frames", "rb") as f:
+        return frames, meta.total_sequences, f.read()
 
 
 @settings(deadline=None)
@@ -134,18 +129,19 @@ def test_three_transports_give_the_same_frames_and_bytes(campaign):
             n = cfg.make_sequence().n_seq
             cfg.calibration = os.path.join(tmp, "through.csp")
             write_profile(cfg.calibration, n, profile_seed)
-        results = [
-            sound(copy.deepcopy(cfg)),
-            stimulate_then_correlate(copy.deepcopy(cfg), os.path.join(tmp, "cap.iq")),
-            serve_then_consume(copy.deepcopy(cfg)),
-        ]
-        (want, want_total), *others = results
-        for frames, total in others:
-            assert total == want_total == cfg.n_sequences
+        sides = (sound, stimulate_then_correlate, serve_then_correlate)
+        results = [written(side, copy.deepcopy(cfg), os.path.join(tmp, side.__name__)) for side in sides]
+        if results[0] is None:  # sound kept no period
+            assert results == [None] * 3
+            return
+        assert None not in results
+        (want, want_total, want_bytes), *others = results
+        assert want_total == cfg.n_sequences
+        for frames, total, data in others:
+            assert total == want_total
             assert frames.h.shape == want.h.shape
             assert np.array_equal(frames.h.view(np.uint64), want.h.view(np.uint64))
             assert np.array_equal(frames.sequence_index, want.sequence_index)
             assert np.array_equal(frames.t_i.view(np.uint64), want.t_i.view(np.uint64))
             assert np.array_equal(frames.corrected, want.corrected)
-        files = [frames_bytes(f, t, cfg, os.path.join(tmp, f"{i}.frames")) for i, (f, t) in enumerate(results)]
-        assert files[1:] == files[:1] * 2
+            assert data == want_bytes

@@ -33,6 +33,8 @@ from chansounder.wire import (
     read_message,
 )
 
+from conftest import serving
+
 
 def body_of(framed: bytes) -> bytes:
     """Strip the length prefix from an encoded message."""
@@ -256,31 +258,25 @@ class TestFuzz:
             pass
 
 
-def run_raw_server(blobs, close_early=False):
-    """Serve raw bytes once on an ephemeral port, until the peer hangs up;
-    return (endpoint, thread)."""
-    lsock = socket.create_server(("127.0.0.1", 0))
-    port = lsock.getsockname()[1]
+def sending(blobs):
+    """Serve raw bytes once (:func:`conftest.serving`), until the peer
+    hangs up."""
 
-    def serve():
-        with lsock:
-            lsock.settimeout(5.0)
-            conn, _ = lsock.accept()
-            with conn:
-                try:
-                    for blob in blobs:
-                        conn.sendall(blob)
-                except (BrokenPipeError, ConnectionResetError):
-                    return  # the peer gave up on a hostile stream
-                if not close_early:
-                    try:
-                        conn.shutdown(socket.SHUT_WR)
-                    except OSError:
-                        pass
+    def serve(lsock):
+        lsock.settimeout(5.0)
+        conn, _ = lsock.accept()
+        with conn:
+            try:
+                for blob in blobs:
+                    conn.sendall(blob)
+            except (BrokenPipeError, ConnectionResetError):
+                return  # the peer gave up on a hostile stream
+            try:
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
 
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
-    return f"127.0.0.1:{port}", t
+    return serving(serve)
 
 
 def receive_stream(endpoint, timeout):
@@ -289,50 +285,34 @@ def receive_stream(endpoint, timeout):
         return wire.consume_stream(*link)
 
 
+def rejected(blobs, message):
+    """Assert that receiving the raw ``blobs`` raises a protocol error
+    that ``message`` matches."""
+    with sending(blobs) as (endpoint, _):
+        with pytest.raises(WireProtocolError, match=message):
+            receive_stream(endpoint, 5.0)
+
+
 class TestConsumeStream:
     def test_contiguity_enforced(self):
         x = np.ones(4, dtype=complex)
-        endpoint, t = run_raw_server(
-            [
-                encode_hello(Hello(1e6, 0.0, "")),
-                encode_iq_chunk(0, x),
-                encode_iq_chunk(9, x),  # gap: expected start 4
-            ]
-        )
-        with pytest.raises(WireProtocolError, match="not contiguous"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        gap = encode_iq_chunk(9, x)  # expected start 4
+        rejected([encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x), gap], "not contiguous")
 
     def test_end_count_cross_checked(self):
         x = np.ones(4, dtype=complex)
-        endpoint, t = run_raw_server(
-            [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x), encode_end(99)]
-        )
-        with pytest.raises(WireProtocolError, match="99 samples"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        rejected([encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x), encode_end(99)], "99 samples")
 
     def test_missing_end_detected(self):
         x = np.ones(4, dtype=complex)
-        endpoint, t = run_raw_server(
-            [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x)]
-        )
-        with pytest.raises(WireProtocolError, match="without an END"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        rejected([encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, x)], "without an END")
 
     def test_hello_must_come_first(self):
-        endpoint, t = run_raw_server([encode_end(0)])
-        with pytest.raises(WireProtocolError, match="HELLO first"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        rejected([encode_end(0)], "HELLO first")
 
     def test_duplicate_hello_rejected(self):
         h = encode_hello(Hello(1e6, 0.0, ""))
-        endpoint, t = run_raw_server([h, h])
-        with pytest.raises(WireProtocolError, match="duplicate HELLO"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        rejected([h, h], "duplicate HELLO")
 
 
 def framed_chunk(start, count, payload):
@@ -372,13 +352,10 @@ def test_malformed_chunk_keeps_its_message_on_receipt(blob, message):
     with pytest.raises(WireProtocolError) as info:
         read_message(io.BytesIO(blob))
     assert str(info.value) == message
-    endpoint, t = run_raw_server(
-        [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, np.ones(4, np.complex64)), blob]
-    )
-    with pytest.raises(WireProtocolError) as info:
-        receive_stream(endpoint, 5.0)
-    t.join(timeout=5.0)
-    assert not t.is_alive()
+    blobs = [encode_hello(Hello(1e6, 0.0, "")), encode_iq_chunk(0, np.ones(4, np.complex64)), blob]
+    with sending(blobs) as (endpoint, _):
+        with pytest.raises(WireProtocolError) as info:
+            receive_stream(endpoint, 5.0)
     assert str(info.value) == message
 
 
@@ -457,9 +434,8 @@ class TestHostileSequences:
     breaks the message order raises :class:`WireProtocolError`."""
 
     def test_clean_stream_gives_its_frames(self):
-        endpoint, t = run_raw_server([m[2] for m in CLEAN_MESSAGES])
-        frames, _, _ = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
-        t.join(timeout=5.0)
+        with sending([m[2] for m in CLEAN_MESSAGES]) as (endpoint, _):
+            frames, _, _ = wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
         assert len(frames) == 4 and 2 not in frames.sequence_index
         assert np.array_equal(frames.h, CLEAN_FRAMES.h)
 
@@ -480,58 +456,26 @@ class TestHostileSequences:
         data=st.data(),
     )
     def test_raises_protocol_error(self, kind, data):
-        endpoint, t = run_raw_server(hostile(kind, data))
-        try:
+        with sending(hostile(kind, data)) as (endpoint, _):
             with pytest.raises(WireProtocolError):
                 wire.consume_correlation(endpoint, CampaignConfig(timeout=5.0))
-        finally:
-            t.join(timeout=5.0)
 
     def test_late_messages_are_named(self):
-        endpoint, t = run_raw_server(hostile("trigger after END", None))
-        with pytest.raises(WireProtocolError, match="TriggerEvent message after END"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        rejected(hostile("trigger after END", None), "TriggerEvent message after END")
         i = next(i for i, m in enumerate(CLEAN_MESSAGES) if m[0] == "trigger")
         blobs = [m[2] for m in CLEAN_MESSAGES]
         blobs.insert(i + 1, blobs.pop(i))  # right behind the chunk that holds its sample
-        endpoint, t = run_raw_server(blobs)
-        with pytest.raises(WireProtocolError, match="TRIGGER at sample 69 arrived after its chunk"):
-            receive_stream(endpoint, 5.0)
-        t.join(timeout=5.0)
+        rejected(blobs, "TRIGGER at sample 69 arrived after its chunk")
 
 
-def serve_in_thread(capture, desc, events=()):
-    """Start serve_capture on an ephemeral port; return (endpoint, thread, box)."""
-    lsock = socket.create_server(("127.0.0.1", 0))
-    port = lsock.getsockname()[1]
-    box = {}
-
-    def serve():
-        with lsock:
-            box["summary"] = wire.serve_capture(
-                capture, desc, lsock, events=list(events), timeout=10.0
-            )
-
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
-    return f"127.0.0.1:{port}", t, box
+def serving_capture(capture, desc, events=()):
+    """Serve ``capture`` with :func:`wire.serve_capture` (:func:`conftest.serving`)."""
+    return serving(lambda lsock: wire.serve_capture(capture, desc, lsock, events=list(events), timeout=10.0))
 
 
-def serve_config_in_thread(cfg):
-    """Start serve_stimulation for ``cfg`` on an ephemeral port; return
-    (endpoint, thread, box)."""
-    lsock = socket.create_server(("127.0.0.1", 0))
-    port = lsock.getsockname()[1]
-    box = {}
-
-    def serve():
-        with lsock:
-            box["summary"] = wire.serve_stimulation(cfg, lsock)
-
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
-    return f"127.0.0.1:{port}", t, box
+def serving_config(cfg):
+    """Serve ``cfg``'s campaign with :func:`wire.serve_stimulation` (:func:`conftest.serving`)."""
+    return serving(lambda lsock: wire.serve_stimulation(cfg, lsock))
 
 
 class TestServeArguments:
@@ -613,12 +557,10 @@ class TestSentBytes:
             expected.append(encode_iq_chunk(a, x[a:b]))
         expected += [encode_trigger(ev) for ev in pending] + [encode_end(len(x))]
 
-        endpoint, t, box = serve_in_thread(blocks, "fzc:n=64:u=7", events[::-1])
-        got = received_bytes(endpoint)
-        t.join(timeout=10.0)
-        assert not t.is_alive()
+        with serving_capture(blocks, "fzc:n=64:u=7", events[::-1]) as (endpoint, served):
+            got = received_bytes(endpoint)
         assert got == b"".join(expected)
-        summary = box["summary"]
+        (summary,) = served
         assert summary.complete
         assert (summary.samples_sent, summary.chunks_sent, summary.triggers_sent) == (20_000, 20, 6)
 
@@ -630,11 +572,9 @@ class TestSentBytes:
         cfg = CampaignConfig(family="mls", register_length=5, n_sequences=6, chunk_samples=50, corrupt_span=8)
         cfg.set_key("channel.taps", "0:1 ; 3:0.5j ; 7:-0.25", "test")
         cfg.triggers = [(40, "overflow", "first"), (130, "external", "second")]
-        endpoint, t, box = serve_config_in_thread(cfg)
-        got = received_bytes(endpoint)
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-        summary = box["summary"]
+        with serving_config(cfg) as (endpoint, served):
+            got = received_bytes(endpoint)
+        (summary,) = served
         assert (summary.samples_sent, summary.chunks_sent, summary.triggers_sent) == (186, 4, 2)
         assert len(got) == 1661
         assert hashlib.sha256(got).hexdigest() == "6dd104623b5a3e75fd6adae238a855b9843446d8608339fefd9ce7c1a424952b"
@@ -642,16 +582,14 @@ class TestSentBytes:
     def test_a_peer_that_hangs_up_is_counted_what_was_sent(self):
         x = (np.arange(600_000) % 251).astype(np.complex64)
         blocks = Blocks(x, 1024, hold=12)  # 96 kB before the hold: one send at least
-        endpoint, t, box = serve_in_thread(blocks, "")
-        with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
-            with peer.makefile("rb") as stream:
-                assert isinstance(read_message(stream), Hello)
-                read = [read_message(stream) for _ in range(3)]
-        blocks.resume.set()
-        t.join(timeout=10.0)
-        assert not t.is_alive()
+        with serving_capture(blocks, "") as (endpoint, served):
+            with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
+                with peer.makefile("rb") as stream:
+                    assert isinstance(read_message(stream), Hello)
+                    read = [read_message(stream) for _ in range(3)]
+            blocks.resume.set()
         assert [m.start_index for m in read] == [0, 1024, 2048]
-        summary = box["summary"]
+        (summary,) = served
         assert not summary.complete
         assert summary.chunks_sent >= 3
         lengths = [b - a for a, b in blocks.spans()]
@@ -665,18 +603,18 @@ class TestLoopback:
         capture = sounder.stimulate_capture(seq, 6, fs=1e6, f_c=2.4e9)
         capture = sounder.quantize_capture(capture)
         ev = TriggerEvent(2 * 64 + 5, "overflow", 12, "mid stream")
-        endpoint, t, box = serve_in_thread(Blocks(capture.samples, 100), descriptor(seq), events=[ev])
-        got, meta = receive_stream(endpoint, 10.0)
-        t.join(timeout=10.0)
+        with serving_capture(Blocks(capture.samples, 100), descriptor(seq), events=[ev]) as (endpoint, served):
+            got, meta = receive_stream(endpoint, 10.0)
 
         assert np.array_equal(got.samples, capture.samples)
         assert got.fs == 1e6 and got.f_c == 2.4e9
         assert meta.sequence_descriptor == descriptor(seq)
         assert meta.triggers == [ev]
         assert meta.triggers[0].note == "mid stream"
-        assert box["summary"].complete
-        assert box["summary"].samples_sent == len(capture.samples)
-        assert box["summary"].chunks_sent == -(-len(capture.samples) // 100)
+        (summary,) = served
+        assert summary.complete
+        assert summary.samples_sent == len(capture.samples)
+        assert summary.chunks_sent == -(-len(capture.samples) // 100)
 
     def test_correlation_over_wire_equals_offline(self):
         cfg = CampaignConfig()
@@ -692,9 +630,8 @@ class TestLoopback:
         capture = sounder.quantize_capture(capture)
         offline = sounder.frames_from_capture(capture, seq, discard_first=cfg.discard_first)
 
-        endpoint, t, _ = serve_config_in_thread(cfg)
-        frames, _, _ = wire.consume_correlation(endpoint, cfg)
-        t.join(timeout=10.0)
+        with serving_config(cfg) as (endpoint, _):
+            frames, _, _ = wire.consume_correlation(endpoint, cfg)
 
         assert len(frames) == len(offline) == 5
         for a, b in zip(frames, offline):
@@ -710,9 +647,8 @@ class TestLoopback:
         cfg.triggers = [(3 * 64 + 10, "overflow", "buffer")]
         cfg.corrupt_span = 16
 
-        endpoint, t, _ = serve_config_in_thread(cfg)
-        frames, _, meta = wire.consume_correlation(endpoint, cfg)
-        t.join(timeout=10.0)
+        with serving_config(cfg) as (endpoint, _):
+            frames, _, meta = wire.consume_correlation(endpoint, cfg)
 
         kept = [f.sequence_index for f in frames]
         assert 3 not in kept
@@ -730,56 +666,54 @@ class TestHandshakeChecks:
         cfg.cable = None
         return cfg
 
-    def start(self, cfg):
-        return serve_config_in_thread(cfg)[:2]
-
     def test_sample_rate_mismatch(self):
-        served = self.make_served_config()
-        endpoint, t = self.start(served)
         local = self.make_served_config()
         local.sample_rate = 2e6
-        with pytest.raises(HelloMismatchError, match="expects 2000000"):
-            wire.consume_correlation(endpoint, local)
-        t.join(timeout=10.0)
+        with serving_config(self.make_served_config()) as (endpoint, _):
+            with pytest.raises(HelloMismatchError, match="expects 2000000"):
+                wire.consume_correlation(endpoint, local)
 
     def test_pinned_sequence_mismatch(self):
-        served = self.make_served_config()
-        endpoint, t = self.start(served)
         local = self.make_served_config()
         local.root = 5
         local.explicit.add("sequence.root")  # pin the local choice
-        with pytest.raises(HelloMismatchError, match="pins"):
-            wire.consume_correlation(endpoint, local)
-        t.join(timeout=10.0)
+        with serving_config(self.make_served_config()) as (endpoint, _):
+            with pytest.raises(HelloMismatchError, match="pins"):
+                wire.consume_correlation(endpoint, local)
 
     def test_unpinned_local_adopts_peer_descriptor(self):
-        served = self.make_served_config()
-        endpoint, t = self.start(served)
         local = self.make_served_config()
         local.root = 5  # differs, but nothing is marked explicit
-        frames, _, meta = wire.consume_correlation(endpoint, local)
-        t.join(timeout=10.0)
+        with serving_config(self.make_served_config()) as (endpoint, _):
+            frames, _, meta = wire.consume_correlation(endpoint, local)
         assert meta.sequence_descriptor == "fzc:n=64:u=7"
         assert len(frames) == 2
 
-    def start_without_descriptor(self, cfg):
-        _, capture, events = campaign_capture(cfg)
-        return serve_in_thread(capture, "", events)[:2]
+    def serving_descriptor(self, desc):
+        """Serve the served config's campaign under the HELLO descriptor ``desc``."""
+        _, capture, events = campaign_capture(self.make_served_config())
+        return serving_capture(capture, desc, events)
 
     def test_pinned_sequence_needs_peer_descriptor(self):
-        endpoint, t = self.start_without_descriptor(self.make_served_config())
         local = self.make_served_config()
         local.explicit.add("sequence.root")  # same sequence, but pinned
-        with pytest.raises(HelloMismatchError, match="pins"):
-            wire.consume_correlation(endpoint, local)
-        t.join(timeout=10.0)
+        with self.serving_descriptor("") as (endpoint, _):
+            with pytest.raises(HelloMismatchError, match="pins"):
+                wire.consume_correlation(endpoint, local)
 
     def test_unpinned_local_fills_in_missing_descriptor(self):
-        endpoint, t = self.start_without_descriptor(self.make_served_config())
-        frames, _, meta = wire.consume_correlation(endpoint, self.make_served_config())
-        t.join(timeout=10.0)
+        with self.serving_descriptor("") as (endpoint, _):
+            frames, _, meta = wire.consume_correlation(endpoint, self.make_served_config())
         assert meta.sequence_descriptor == ""
         assert len(frames) == 2
+
+    def test_unusable_peer_descriptor_fails_before_a_chunk(self, monkeypatch):
+        received = []
+        monkeypatch.setattr(wire, "consume_stream", lambda *a: received.append(a))
+        with self.serving_descriptor("fzc:n=8:u=2") as (endpoint, _):
+            with pytest.raises(HelloMismatchError, match="^peer sequence descriptor is unusable: root 2 is not coprime"):
+                wire.consume_correlation(endpoint, self.make_served_config())
+        assert received == []
 
     def test_timeout_with_no_peer(self):
         lsock = socket.create_server(("127.0.0.1", 0))
@@ -851,9 +785,8 @@ class TestOneCorrelationPath:
         path = str(tmp_path / "c.iq")
         framestore.write_capture(path, capture, meta.sequence_descriptor)
         from_file, _ = framestore.read_capture(path)
-        endpoint, t, _ = serve_in_thread(Blocks(capture.samples, 100), meta.sequence_descriptor)
-        from_wire, _ = receive_stream(endpoint, 10.0)
-        t.join(timeout=10.0)
+        with serving_capture(Blocks(capture.samples, 100), meta.sequence_descriptor) as (endpoint, _):
+            from_wire, _ = receive_stream(endpoint, 10.0)
         for got in (capture, from_file, from_wire):
             assert got.samples.dtype == np.complex64
             assert np.array_equal(got.samples.view(np.uint64), capture.samples.view(np.uint64))
@@ -876,12 +809,10 @@ class TestStreamedCapture:
         cfg.chunk_samples = 1
         offline = sounder.run_sounding(cfg)
 
-        endpoint, t, box = serve_config_in_thread(cfg)
-        frames, _, meta = wire.consume_correlation(endpoint, cfg)
-        t.join(timeout=10.0)
-        assert not t.is_alive()
+        with serving_config(cfg) as (endpoint, served):
+            frames, _, meta = wire.consume_correlation(endpoint, cfg)
 
-        assert box["summary"].chunks_sent == 128 and box["summary"].complete
+        assert served[0].chunks_sent == 128 and served[0].complete
         assert [(e.sample_index, e.span) for e in meta.triggers] == [(40, 30)]
         assert len(frames) == len(offline) == 1
         assert np.array_equal(frames.h, offline.h)
@@ -906,15 +837,14 @@ class TestStreamedCapture:
             wire.serve_stimulation(cfg, "127.0.0.1:0")
 
 
-def serve_raw_stream(x, desc="", step=4096):
-    """Serve ``x`` as one wire stream in ``step``-sample chunks; return
-    (endpoint, thread)."""
+def sending_stream(x, desc="", step=4096):
+    """Serve ``x`` as one wire stream in ``step``-sample chunks (:func:`sending`)."""
     blobs = (
         [encode_hello(Hello(1e6, 0.0, desc))]
         + [encode_iq_chunk(a, x[a : a + step]) for a in range(0, len(x), step)]
         + [encode_end(len(x))]
     )
-    return run_raw_server(blobs)
+    return sending(blobs)
 
 
 class TestNonFiniteSamples:
@@ -923,11 +853,9 @@ class TestNonFiniteSamples:
         # checked over the received region after END, in spans of 64 Ki samples
         x = np.ones(100_000, dtype=np.complex64)
         x[i] = value
-        endpoint, t = serve_raw_stream(x)
-        with pytest.raises(WireProtocolError, match=f"^received stream holds a non-finite sample at absolute index {i}$"):
-            receive_stream(endpoint, 10.0)
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+        with sending_stream(x) as (endpoint, _):
+            with pytest.raises(WireProtocolError, match=f"^received stream holds a non-finite sample at absolute index {i}$"):
+                receive_stream(endpoint, 10.0)
 
 
 class TestReceiveMemory:
@@ -938,15 +866,13 @@ class TestReceiveMemory:
         # next to the 256 KiB receive buffer: about 10 bytes per sample at
         # the peak, where widening the capture to complex128 needs about 24.
         x = (np.arange(n) % 251 + 1j * (np.arange(n) % 13)).astype(np.complex64)
-        endpoint, t = serve_raw_stream(x)
-        tracemalloc.start()
-        try:
-            capture, _ = receive_stream(endpoint, 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+        with sending_stream(x) as (endpoint, _):
+            tracemalloc.start()
+            try:
+                capture, _ = receive_stream(endpoint, 10.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert capture.samples.dtype == np.complex64
         assert np.array_equal(capture.samples, x)
         assert peak / n < 12
@@ -958,15 +884,13 @@ class TestReceiveMemory:
         seq = generate_fzc(1024, 7)
         n = 1 << 18
         x = sounder.quantize_capture(sounder.stimulate_capture(seq, n // 1024, 1e6)).samples
-        endpoint, t = serve_raw_stream(x, descriptor(seq))
-        tracemalloc.start()
-        try:
-            capture, meta = receive_stream(endpoint, 10.0)
-            frames, total = correlate_peer(CampaignConfig(), capture, meta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        t.join(timeout=5.0)
-        assert not t.is_alive()
+        with sending_stream(x, descriptor(seq)) as (endpoint, _):
+            tracemalloc.start()
+            try:
+                capture, meta = receive_stream(endpoint, 10.0)
+                frames, total = correlate_peer(CampaignConfig(), capture, meta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert total == 256 and len(frames) == 255
         assert peak / n < 26

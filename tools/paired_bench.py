@@ -2,15 +2,18 @@
 
 Builds two temporary trees, each with a copy of this checkout's
 ``perfbench/``: one with the base commit's ``src/``, one with this
-checkout's.  Then runs ``perfbench/run.py --trace 0`` for the workload and
-seed in both trees, once per pair, with the side that goes first
-alternating from pair to pair, and prints each pair's end-to-end metrics
-to stderr as it completes.  Then prints each end-to-end metric of
-``BENCHMARK.json`` with its median and quartiles per side, in how many
-pairs the head side was better, and a verdict by the claim rule:
-``gain``, ``regression``, ``unresolved`` or ``no change`` (see ``verdict``).
+checkout's.  Then, for each ``--seed`` in turn, runs ``perfbench/run.py
+--trace 0`` for the workload and seed in both trees, once per pair, with
+the side that goes first alternating from pair to pair, and prints each
+pair's end-to-end metrics to stderr as it completes.  Then prints, per
+seed, each end-to-end metric of ``BENCHMARK.json`` with its median and
+quartiles per side, in how many pairs the head side was better, and a
+verdict by the claim rule: ``gain``, ``regression``, ``unresolved`` or
+``no change`` (see ``verdict``).  Last comes each metric's verdict over
+all seeds (see ``overall``): one run of pairs can read a gain that
+another seed does not, so a gain holds only where every seed reads one.
 
-    python3 tools/paired_bench.py BASE_COMMIT --workload doppler_sound --seed 11 --pairs 10 --seconds 10
+    python3 tools/paired_bench.py BASE_COMMIT --workload doppler_sound --seed 11 --seed 12 --pairs 10 --seconds 10
 
 Exits 0 when every run passed its output checks, 1 when a campaign failed,
 and 2 when a side fails to run.
@@ -32,10 +35,10 @@ from compare_outputs import ROOT, WORKLOADS, _export_src
 _COPY_IGNORE = shutil.ignore_patterns("__pycache__", ".perfbench_out")
 
 
-def _run(tree: str, args) -> dict:
+def _run(tree: str, args, seed: int) -> dict:
     """The result line of one ``perfbench/run.py --trace 0`` run in ``tree``."""
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+        sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
         "--seconds", str(args.seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900 + 2 * args.seconds)
@@ -82,6 +85,23 @@ def verdict(metric: dict, base: list[float], head: list[float]) -> str:
     return "no change"
 
 
+def overall(verdicts: list[str]) -> str:
+    """One metric's verdict over the :func:`verdict` of each seed:
+    ``regression`` when any seed reads it, ``gain`` only when every seed
+    does, else ``unresolved`` when any seed does, else ``no change``."""
+    if "regression" in verdicts:
+        return "regression"
+    if all(v == "gain" for v in verdicts):
+        return "gain"
+    return "unresolved" if "unresolved" in verdicts else "no change"
+
+
+def _values(runs: dict[str, list[dict]], name: str) -> tuple[list[float], list[float]]:
+    """Metric ``name`` of each base run and of each head run."""
+    base, head = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("base", "head"))
+    return base, head
+
+
 def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per end-to-end metric: median [q1, q3] per side, the
     pairs in which head was better and the :func:`verdict`; then each
@@ -92,7 +112,7 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     ]
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
-        base, head = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("base", "head"))
+        base, head = _values(runs, name)
         wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
         out.append(
             f"{name:<24}{m['better']:<8}{_spread(base):<40}{_spread(head):<40}"
@@ -104,43 +124,64 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+def summary(metrics: list[dict], runs_by_seed: dict[int, dict[str, list[dict]]]) -> list[str]:
+    """One line per end-to-end metric: each seed's :func:`verdict` and the
+    :func:`overall` verdict."""
+    out = [f"{'metric':<24}{'verdict per seed':<48}overall"]
+    for m in metrics:
+        verdicts = [verdict(m, *_values(runs, m["name"])) for runs in runs_by_seed.values()]
+        per_seed = ", ".join(f"{seed}: {v}" for seed, v in zip(runs_by_seed, verdicts))
+        out.append(f"{m['name']:<24}{per_seed:<48}{overall(verdicts)}")
+    return out
+
+
+def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", help="commit to compare this checkout against")
     p.add_argument("--workload", required=True, choices=WORKLOADS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, action="append", help="a seed to run pairs for; repeat for more (default 0)")
+    p.add_argument("--pairs", type=int, default=10, help="pairs per seed")
     p.add_argument("--seconds", type=float, default=10.0, help="measured time per run")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    args.seed = list(dict.fromkeys(args.seed or [0]))
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         metrics = json.load(f)["end_to_end"]
 
-    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    runs_by_seed = {seed: {"base": [], "head": []} for seed in args.seed}
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        trees = {side: os.path.join(tmp, side) for side in runs}
+        trees = {side: os.path.join(tmp, side) for side in ("base", "head")}
         _export_src(args.base, trees["base"])
         shutil.copytree(os.path.join(ROOT, "src"), os.path.join(trees["head"], "src"), ignore=_COPY_IGNORE)
         for tree in trees.values():
             shutil.copytree(os.path.join(ROOT, "perfbench"), os.path.join(tree, "perfbench"), ignore=_COPY_IGNORE)
-        for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for side in order:
-                try:
-                    runs[side].append(_run(trees[side], args))
-                except RuntimeError as exc:
-                    print(f"{side} failed to run: {exc}", file=sys.stderr)
-                    return 2
-            base, head = (runs[side][-1]["metrics"] for side in ("base", "head"))
-            values = ", ".join(
-                f"{m['name']} {base[m['name']]['value']:.6g} -> {head[m['name']]['value']:.6g}" for m in metrics
-            )
-            print(f"pair {i + 1}/{args.pairs} ({order[0]} first), base -> head: {values}", file=sys.stderr)
+        for seed, runs in runs_by_seed.items():
+            for i in range(args.pairs):
+                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+                for side in order:
+                    try:
+                        runs[side].append(_run(trees[side], args, seed))
+                    except RuntimeError as exc:
+                        print(f"{side} failed to run: {exc}", file=sys.stderr)
+                        return 2
+                base, head = (runs[side][-1]["metrics"] for side in ("base", "head"))
+                values = ", ".join(
+                    f"{m['name']} {base[m['name']]['value']:.6g} -> {head[m['name']]['value']:.6g}" for m in metrics
+                )
+                print(f"seed {seed}, pair {i + 1}/{args.pairs} ({order[0]} first), base -> head: {values}", file=sys.stderr)
 
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, base {args.base}")
-    print("\n".join(report(metrics, runs)))
-    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
+    for seed, runs in runs_by_seed.items():
+        print(f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs, base {args.base}")
+        print("\n".join(report(metrics, runs)))
+    print(f"{args.workload}, over seeds {', '.join(map(str, args.seed))}")
+    print("\n".join(summary(metrics, runs_by_seed)))
+    return 0 if all(r["correct"] for runs in runs_by_seed.values() for side in runs.values() for r in side) else 1
 
 
 if __name__ == "__main__":
