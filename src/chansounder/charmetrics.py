@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import INVERTIBLE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, FrameSeries, check, on_slices
+from .frames import INVERTIBLE, NON_NEGATIVE, OPEN_UNIT, POSITIVE_FINITE, FrameSeries, check, on_slices
 from .framestore import replacing
 
 #: Propagation speed used for Doppler-to-velocity and distance conversions.
@@ -287,7 +287,7 @@ def doppler_resolution(capture_duration_s: float) -> float:
 
 def doppler_to_speed(doppler_hz: float, f_c: float) -> float:
     """Radial speed (m/s) corresponding to a Doppler shift at carrier ``f_c``."""
-    check(f_c, *POSITIVE, "carrier frequency")
+    check(f_c, *POSITIVE_FINITE, "carrier frequency")
     return doppler_hz * SPEED_OF_LIGHT / f_c
 
 
@@ -314,10 +314,13 @@ def max_distance_estimate(dynamic_range_db: float, d_ref_m: float) -> float:
     Free-space power falls with 20 dB per distance decade, so a link
     verified at ``d_ref_m`` with ``dynamic_range_db`` of headroom can be
     stretched to ``d_ref * 10**(D / 20)`` before the peak meets the
-    floor.
+    floor (``inf`` past float range, as for an infinite ``D``).
     """
-    check(d_ref_m, *POSITIVE, "reference distance")
-    return d_ref_m * 10.0 ** (dynamic_range_db / 20.0)
+    check(d_ref_m, *POSITIVE_FINITE, "reference distance")
+    try:
+        return d_ref_m * 10.0 ** (dynamic_range_db / 20.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass

@@ -65,36 +65,38 @@ def _parse_cable(value: str) -> list[complex] | None:
     return [complex(p.strip()) for p in value.split(",") if p.strip()] or None
 
 
+def _records(value: str, form: str, record, maxsplit: int = -1):
+    """``record(*fields)`` for each non-blank ``;``-separated record of
+    ``value``, split at ``:`` (at most ``maxsplit`` times) into two or three
+    ``fields``; any other record raises "<form>, got <record>"."""
+    for part in filter(None, map(str.strip, value.split(";"))):
+        fields = part.split(":", maxsplit)
+        if not 2 <= len(fields) <= 3:
+            raise ValueError(f"{form}, got {part!r}")
+        yield record(*fields)
+
+
+# A tap or a trigger is checked by the class it becomes as it is read, so
+# set_key adds the file and line; the config keeps the record's fields.
+def _tap(delay: str, gain: str, doppler_hz: str = "0") -> tuple[int, complex, float]:
+    tap = ChannelTap(int(delay.strip()), complex(gain.strip()), float(doppler_hz.strip()))
+    return tap.delay, tap.gain, tap.doppler_hz
+
+
+def _trigger(index: str, kind: str, note: str = "") -> tuple[int, str, str]:
+    event = TriggerEvent(int(index), kind.strip(), note=note)
+    return event.sample_index, event.kind, event.note
+
+
 def _parse_channel_taps(value: str) -> list[tuple]:
-    taps = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        items = [p.strip() for p in part.split(":")]
-        if len(items) not in (2, 3):
-            raise ValueError(f"channel tap must be delay:gain[:doppler_hz], got {part!r}")
-        tap = (int(items[0]), complex(items[1]), float(items[2]) if len(items) == 3 else 0.0)
-        ChannelTap(*tap)  # rejects a bad tap here, where set_key adds the file and line
-        taps.append(tap)
+    taps = list(_records(value, "channel tap must be delay:gain[:doppler_hz]", _tap))
     if not taps:
         raise ValueError("channel.taps must name at least one tap")
     return taps
 
 
 def _parse_triggers(value: str) -> list[tuple[int, str, str]]:
-    out = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        items = part.split(":", 2)
-        if len(items) < 2:
-            raise ValueError(f"trigger must be index:kind[:note], got {part!r}")
-        trigger = (int(items[0]), items[1].strip(), items[2] if len(items) > 2 else "")
-        TriggerEvent(*trigger[:2], note=trigger[2])  # likewise a bad index or kind
-        out.append(trigger)
-    return out
+    return list(_records(value, "trigger must be index:kind[:note]", _trigger, 2))
 
 
 def _setting(key: str, parse, default=None, factory=None, valid=None):

@@ -61,14 +61,12 @@ def check_finite(samples: np.ndarray, start_index: int, what: str, error=ValueEr
 #: every one.
 AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
 NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
-# isfinite first: a header integer too large for a float raises OverflowError, which
-# the header parser reports as it reports a bad value
-POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0, "be positive and finite")
-FINITE = (math.isfinite, "be finite")
-FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "be finite and non-negative")
-POSITIVE = (lambda v: v > 0, "be positive")  # inf passes
-# 2.0**-1024 is 1 / (the greatest float), the greatest float whose reciprocal rounds to inf;
-# by comparisons, so a numpy scalar meets no warning and an int past float range no OverflowError
+# Each float rule decides by comparisons, so a numpy scalar meets no warning
+# and an int past float range fails the rule instead of raising OverflowError.
+POSITIVE_FINITE = (lambda v: 0 < v <= sys.float_info.max, "be positive and finite")
+FINITE = (lambda v: -sys.float_info.max <= v <= sys.float_info.max, "be finite")
+FINITE_NON_NEGATIVE = (lambda v: 0 <= v <= sys.float_info.max, "be finite and non-negative")
+# 2.0**-1024 is 1 / (the greatest float), the greatest float whose reciprocal rounds to inf
 INVERTIBLE = (lambda v: v == math.inf or 2.0**-1024 < v <= sys.float_info.max, "be positive with a finite reciprocal")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
 INTEGER = (lambda v: isinstance(v, (int, np.integer)), "be an integer")

@@ -346,14 +346,8 @@ def read_trigger_log(path: str) -> list[TriggerEvent]:
                 raise ValueError(
                     f"{path}:{lineno}: expected sample_index,kind,span[,note], got {line!r}"
                 )
-            try:
-                index = int(parts[0])
-                span = int(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            note = parts[3] if len(parts) > 3 else ""
-            try:
-                events.append(TriggerEvent(index, parts[1], span, note))
+            try:  # the note, if any, is the fourth part
+                events.append(TriggerEvent(int(parts[0]), parts[1], int(parts[2]), *parts[3:]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return sorted(events)

@@ -50,7 +50,7 @@ from .calib import CalibrationProfile
 from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place, reference_spectrum
 from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, FrameSeries, IqFrame, TriggerEvent, check
-from .frames import check_sample_rate, on_slices
+from .frames import check_sample_rate, first_non_finite, on_slices
 from .seqgen import Sequence
 
 
@@ -72,11 +72,12 @@ def quantize_capture(frame: IqFrame) -> IqFrame:
     """Round samples to :data:`frames.CAPTURE_DTYPE`, the capture format of
     every transport: capture files and wire chunks carry it and the
     in-process path keeps it, so all three give the correlator the same
-    array."""
+    array; a sample not finite in it raises ``ValueError``."""
     with np.errstate(over="ignore"):
         q = np.asarray(frame.samples).astype(CAPTURE_DTYPE)
-    if not np.isfinite(q.view(np.float32)).all():
-        raise ValueError("capture samples are not finite in 32-bit float precision")
+    if (bad := first_non_finite(q)) is not None:
+        index = frame.start_index + bad
+        raise ValueError(f"capture samples are not finite in 32-bit float precision at absolute index {index}")
     return IqFrame(q, frame.fs, frame.f_c, frame.start_index)
 
 

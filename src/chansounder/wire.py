@@ -41,7 +41,8 @@ import numpy as np
 
 from . import sounder
 from .framestore import CaptureMeta
-from .frames import CAPTURE_DTYPE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent, check_finite
+from .frames import CAPTURE_DTYPE, FINITE, POSITIVE_FINITE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent
+from .frames import check_finite
 from .seqgen import descriptor as seq_descriptor
 
 PROTOCOL_VERSION = 1
@@ -187,7 +188,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
                 f"unsupported protocol version {version} (supported: {PROTOCOL_VERSION})"
             )
         text = _text_tail(payload, _HELLO_HEAD, desc_len, "HELLO descriptor")
-        if not (fs > 0) or not np.isfinite(fs) or not np.isfinite(f_c):
+        if not (POSITIVE_FINITE[0](fs) and FINITE[0](f_c)):  # a .meta sidecar's rules
             raise WireProtocolError(f"HELLO carries invalid stream parameters fs={fs} f_c={f_c}")
         return Hello(fs=fs, f_c=f_c, sequence_descriptor=text)
 
@@ -200,16 +201,10 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
         note = _text_tail(payload, _TRIGGER_HEAD, note_len, "TRIGGER note")
         if kind_code >= len(TRIGGER_KINDS):
             raise WireProtocolError(f"unknown trigger kind code {kind_code}")
-        if sample_index < 0 or span < 1:
-            raise WireProtocolError(
-                f"TRIGGER with invalid position {sample_index} or span {span}"
-            )
-        return TriggerEvent(
-            sample_index=sample_index,
-            kind=TRIGGER_KINDS[kind_code],
-            span=span,
-            note=note,
-        )
+        try:
+            return TriggerEvent(sample_index, TRIGGER_KINDS[kind_code], span, note)
+        except ValueError:  # its position or span
+            raise WireProtocolError(f"TRIGGER with invalid position {sample_index} or span {span}") from None
 
     if mtype == MSG_END:
         if len(payload) != _END_BODY.size:

@@ -6,7 +6,9 @@ loops over Python complex numbers, independent of the package's numpy
 implementations, so the two can disagree.
 """
 
+import os
 import socket
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import fields
@@ -18,6 +20,10 @@ from hypothesis import settings
 from chansounder import frames
 from chansounder.calib import CalibrationProfile
 from chansounder.config import CampaignConfig
+
+# the scripts of tools/ import as modules: check_memory's traced_peak is the
+# tracemalloc window of every memory bound in tier 1
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
 
 def oracle_pccf(a, b):

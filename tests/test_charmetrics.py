@@ -4,7 +4,6 @@ import math
 import os
 import tempfile
 import threading
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from chansounder import charmetrics as cm
 from chansounder.frames import FrameSeries
 
+from check_memory import traced_peak
 from conftest import on_cpus
 
 
@@ -564,14 +564,19 @@ def test_batched_metrics_equal_the_whole_matrix_formulas_bit_for_bit(batch, seri
 @given(series=_gapped_series(), data=st.data())
 def test_characterize_and_export_do_not_depend_on_the_cpu_count(series, data):
     # the Doppler map cuts its columns one slice per usable CPU; a slice
-    # batches its share of _BATCH
+    # batches its share of _BATCH.  Frames that are all zero (the first
+    # frame alone can be) fail alike on every count.
     series = series[: data.draw(st.integers(1, len(series)), label="frames")]
     zero_fill = data.draw(st.booleans(), label="doppler_zero_fill")
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for count in (1, 2, 3):
             with on_cpus(count):
-                rep = cm.characterize(series, fs=1e6, f_c=5.8e9, doppler_zero_fill=zero_fill, d_ref_m=2.0)
+                try:
+                    rep = cm.characterize(series, fs=1e6, f_c=5.8e9, doppler_zero_fill=zero_fill, d_ref_m=2.0)
+                except ValueError as exc:
+                    runs.append(str(exc))
+                    continue
                 paths = cm.export_csv(rep, os.path.join(tmp, str(count)))
             arrays = [rep.pdp, rep.freq_stats.freqs_hz, rep.freq_stats.mean_psd]
             if rep.doppler is not None:
@@ -629,16 +634,6 @@ def test_sorted_percentiles_equal_numpy_unsorted_among_minus_inf(shape, zero_sha
     assert np.array_equal(levels, _whole_matrix_metrics(m, np.arange(len(m)), 1e6, 1e-3)["levels"])
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 class TestBoundedMemory:
     """Each (F, N) metric holds one float64 result matrix plus a batch."""
 
@@ -661,7 +656,7 @@ class TestBoundedMemory:
         series = FrameSeries(h, np.arange(1, n_frames + 1), np.zeros(n_frames))
         del h
         cm.characterize(series[:4], fs=1e6)  # numpy imports its FFT helpers on first use
-        report, peak = _traced_peak(lambda: cm.characterize(series, fs=1e6))
+        report, peak = traced_peak(lambda: cm.characterize(series, fs=1e6))
         assert report.doppler is not None
         assert peak <= 26 * n_frames * n_seq, f"{peak / (n_frames * n_seq):.1f} B/sample"
 
@@ -674,7 +669,7 @@ class TestBoundedMemory:
             rep.fs = 1e6
             power = rng.exponential(1e-9, (n_frames, 1024))
             rep.doppler = cm.DopplerMap(power, np.fft.fftshift(np.fft.fftfreq(n_frames, 1e-3)), 1e-3, n_frames)
-            return _traced_peak(lambda: cm.export_csv(rep, str(tmp_path / f"f{n_frames}")))[1]
+            return traced_peak(lambda: cm.export_csv(rep, str(tmp_path / f"f{n_frames}")))[1]
 
         traced_export(2)  # tables built on first use
         small, large = traced_export(200), traced_export(800)
@@ -691,7 +686,7 @@ class TestBoundedMemory:
         freqs = np.fft.fftshift(np.fft.fftfreq(199, 1.024e-3))
         rep.doppler = cm.DopplerMap(rng.exponential(1e-9, (199, 1024)), freqs, 1.024e-3, 199)
         cm.export_csv(rep, str(tmp_path / "warm"))  # tables built on first use
-        peak = _traced_peak(lambda: cm.export_csv(rep, str(tmp_path / "run")))[1]
+        peak = traced_peak(lambda: cm.export_csv(rep, str(tmp_path / "run")))[1]
         assert peak <= 0.9e6, f"peak {peak} B above the report"
 
     @staticmethod
@@ -703,7 +698,7 @@ class TestBoundedMemory:
         series = FrameSeries(h, idx, np.zeros(len(idx)))
         del h
         cm.doppler_map(series[:4], 1e-3, zero_fill=True)
-        dmap, peak = _traced_peak(lambda: cm.doppler_map(series, 1e-3, zero_fill=True))
+        dmap, peak = traced_peak(lambda: cm.doppler_map(series, 1e-3, zero_fill=True))
         assert dmap.power.shape == (span, n_seq) and dmap.zero_filled == span - 900
         batch = span * cm._BATCH * np.dtype(np.complex128).itemsize
         ufunc_buffers = 256 * 1024  # numpy buffers 8192 elements per operand

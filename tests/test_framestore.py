@@ -4,7 +4,6 @@ import hashlib
 import math
 import os
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ from hypothesis import strategies as st
 from chansounder import framestore as fsio
 from chansounder.calib import CalibrationProfile, through_calibrate
 from chansounder.frames import FrameSeries, IqFrame, TriggerEvent
+
+from check_memory import traced_peak
 
 
 class TestCapture:
@@ -500,12 +501,7 @@ class TestFrameSeriesContainer:
         fsio.write_frames(path, series, t_s=1e-6)
         del series
         size = os.path.getsize(path)
-        tracemalloc.start()
-        try:
-            back, _ = fsio.read_frames(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (back, _), peak = traced_peak(lambda: fsio.read_frames(path))
         assert len(back) == n_records and back.h[-1, -1] == 1
         assert peak <= 1.1 * size, f"peak {peak} B for a {size} B file"
 
@@ -567,6 +563,8 @@ class TestFrameSeriesContainer:
             ("clamped_bins", "1.99", "bin 99 >= n_seq=8"),
             ("clamped_bins", "8", "bin 8 >= n_seq=8"),
             ("clamped_bins", "99999999999999999999", "too large"),
+            # an int past float range fails the rule, as infinity would
+            pytest.param("n_seq", str(2**1024), "must be positive and finite, got 1797", id="n_seq-2**1024"),
             ("created_from", "-4", "must be non-negative, got -4"),
         ],
     )

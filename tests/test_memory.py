@@ -2,15 +2,10 @@
 constant, whatever the campaign's length (``tools/check_memory.py``
 checks the same bounds on longer campaigns)."""
 
-import os
-import sys
-
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
-
-from check_memory import SOUNDING_BOUND, STIMULATE_BOUND, sounding_peak, stimulate_peak  # noqa: E402
-from conftest import on_cpus  # noqa: E402
+from check_memory import SOUNDING_BOUND, STIMULATE_BOUND, sounding_peak, stimulate_peak
+from conftest import on_cpus
 
 
 @pytest.mark.parametrize("n_samples", [1 << 18, 1 << 21])

@@ -1,14 +1,9 @@
 """The verdict columns of ``tools/paired_bench.py``'s reports, on synthetic
 runs: each seed's, and the verdict over all seeds."""
 
-import os
-import sys
-
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
-
-from paired_bench import overall, parse_args, report, summary  # noqa: E402
+from paired_bench import overall, parse_args, report, summary
 
 CAMPAIGN_S = {"name": "campaign_s", "unit": "s", "better": "lower", "bound": 0.25}
 SAMPLES_PER_S = {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from chansounder import calib, chansim, charmetrics, seqgen, sounder
 from chansounder.config import CampaignConfig
 from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, INVERTIBLE, NON_NEGATIVE
-from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE, FrameSeries, IqFrame, TriggerEvent
+from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE_FINITE, FrameSeries, IqFrame, TriggerEvent
 
 TINY = 5e-324  # the least positive float
 LEAST_INVERTIBLE = 5.56268464626801e-309  # the least float with a finite reciprocal
@@ -28,6 +28,18 @@ INVERTIBLE_EDGES = [
     (np.float64(LEAST_INVERTIBLE), np.float64(TINY)),
 ]
 BELOW_ONE = 1.0 - 2.0**-53  # the greatest float below 1
+BIG = sys.float_info.max
+#: The accepted edges of POSITIVE_FINITE and values just past them: zero,
+#: infinity and an int past float range.
+POSITIVE_FINITE_EDGES = [(TINY, 0.0), (BIG, math.inf), (BIG, 2**1024)]
+
+
+def label(value) -> str:
+    """A test id's text for ``value``: its repr, or a power of two whose
+    repr runs to 309 digits."""
+    return {2**1024: "2**1024", -(2**1024): "-2**1024"}.get(value, repr(value))
+
+
 FRAME = IqFrame(np.ones(16, dtype=complex), 1e6)
 SERIES = FrameSeries(np.ones((2, 4), dtype=complex), [0, 1], [0.0, 0.0])
 SEQ = seqgen.generate_fzc(8, 1)
@@ -60,7 +72,7 @@ class Site:
 
 
 SITES = [
-    # these eight settings also have a config key
+    # these twelve settings also have a config key, the sample rate two
     Site("generate_mls", "register length", [INTEGER, seqgen.REGISTER_LENGTHS], seqgen.generate_mls,
          [(2, 1), (24, 25), (2, 2.0)]),
     # root 0 stops the call right after the length checks
@@ -73,20 +85,23 @@ SITES = [
     Site("stamp_disruption", "corrupt_span", [AT_LEAST_1], lambda v: chansim.stamp_disruption([], v, 0, 16),
          [(1, 0)]),
     Site("add_awgn", "SNR", [FINITE], lambda v: chansim.add_awgn(FRAME, v),
-         [(sys.float_info.max, math.inf), (-sys.float_info.max, -math.inf)]),
+         [(BIG, math.inf), (-BIG, -math.inf), (BIG, 2**1024), (-BIG, -(2**1024))]),
     Site("through_calibrate", "gain cap", [FINITE_NON_NEGATIVE], lambda v: calib.through_calibrate(SERIES, v),
-         [(0.0, -TINY), (0, -1)]),
+         [(0.0, -TINY), (0, -1), (BIG, math.inf), (BIG, 2**1024)]),
     Site("num_sequences", "n_sequences", [AT_LEAST_1], _num_sequences, [(1, 0)]),
-    # these thirteen have a shared rule but no config key of their own
+    Site("IqFrame sample rate", "sample rate", [POSITIVE_FINITE], lambda v: IqFrame(np.ones(4), v),
+         POSITIVE_FINITE_EDGES),
+    Site("bind_rate", "sample rate", [POSITIVE_FINITE], lambda v: seqgen.bind_rate(SEQ, v), POSITIVE_FINITE_EDGES),
+    Site("doppler_to_speed", "carrier frequency", [POSITIVE_FINITE], lambda v: charmetrics.doppler_to_speed(1.0, v),
+         POSITIVE_FINITE_EDGES),
+    Site("max_distance_estimate", "reference distance", [POSITIVE_FINITE],
+         lambda v: charmetrics.max_distance_estimate(10.0, v), POSITIVE_FINITE_EDGES),
+    # these eleven have a shared rule but no config key of their own
     Site("doppler_map", "sequence period", [INVERTIBLE], lambda v: charmetrics.doppler_map(SERIES, v),
          INVERTIBLE_EDGES),
     Site("max_doppler", "sequence period", [INVERTIBLE], charmetrics.max_doppler, INVERTIBLE_EDGES),
     Site("coherence_time", "Doppler spread", [NON_NEGATIVE], charmetrics.coherence_time, [(0.0, -TINY)]),
     Site("doppler_resolution", "capture duration", [INVERTIBLE], charmetrics.doppler_resolution, INVERTIBLE_EDGES),
-    Site("doppler_to_speed", "carrier frequency", [POSITIVE], lambda v: charmetrics.doppler_to_speed(1.0, v),
-         [(TINY, 0.0)]),
-    Site("max_distance_estimate", "reference distance", [POSITIVE],
-         lambda v: charmetrics.max_distance_estimate(10.0, v), [(TINY, 0.0)]),
     Site("stimulate_capture", "n_reps", [AT_LEAST_1], lambda v: sounder.stimulate_capture(SEQ, v, 1e6, stop=0),
          [(1, 0)]),
     Site("sequence_gate", "sequence length", [AT_LEAST_1], lambda v: sounder.sequence_gate(FRAME, [], v), [(1, 0)]),
@@ -116,7 +131,7 @@ def rule_error(site, value):
 
 @pytest.mark.parametrize(
     "site, edge, past",
-    [pytest.param(s, e, p, id=f"{s.id}-{e!r}-{p!r}") for s in SITES for e, p in s.edges],
+    [pytest.param(s, e, p, id=f"{s.id}-{label(e)}-{label(p)}") for s in SITES for e, p in s.edges],
 )
 def test_edge_is_accepted_and_the_value_past_it_raises_its_rule(site, edge, past):
     assert site.message(edge) is None and rule_error(site, edge) is None
@@ -126,10 +141,9 @@ def test_edge_is_accepted_and_the_value_past_it_raises_its_rule(site, edge, past
     assert str(exc.value).startswith(f"{site.name} must ")
 
 
-#: Ints (bounded so that a float rule's test can convert them), floats,
-#: both infinities and NaN.
+#: Ints, also past float range, floats, both infinities and NaN.
 VALUES = st.one_of(
-    st.integers(-(2**64), 2**64),
+    st.integers(-(2**1100), 2**1100),
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -0.0, 1, 2, -1]),
 )
@@ -159,6 +173,10 @@ KEYED = [
     ("channel.snr_db", "inf", "add_awgn", math.inf),
     ("gain_cap_db", "-1", "through_calibrate", -1.0),
     ("n_sequences", "0", "num_sequences", 0),
+    ("sample_rate", "inf", "IqFrame sample rate", math.inf),
+    ("sample_rate", "inf", "bind_rate", math.inf),
+    ("center_frequency", "inf", "doppler_to_speed", math.inf),
+    ("max_distance_ref_m", "inf", "max_distance_estimate", math.inf),
 ]
 
 
@@ -186,3 +204,18 @@ def test_invertible_compares_without_a_warning_or_an_overflow():
     for call in (charmetrics.max_doppler, charmetrics.doppler_resolution):
         with pytest.raises(ValueError, match=" must be positive with a finite reciprocal, got 1797"):
             call(2**1024)
+
+
+@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, FINITE_NON_NEGATIVE, INVERTIBLE], ids=lambda r: r[1])
+def test_float_rules_compare_an_int_past_float_range(rule):
+    # no float conversion, so no OverflowError: the int is past the range
+    test, _ = rule
+    assert not any(test(v) for v in (2**1024, -(2**1024), 2**2000))
+
+
+def test_max_distance_past_float_range_is_infinite():
+    # 10**(6200 / 20) = 1e310 is past float range, as 10**(inf / 20) is
+    assert charmetrics.max_distance_estimate(6200.0, 1.0) == math.inf
+    assert charmetrics.max_distance_estimate(math.inf, 1.0) == math.inf
+    assert charmetrics.max_distance_estimate(6000.0, 1.0) == 1e300
+    assert charmetrics.max_distance_estimate(-7000.0, 1.0) == 0.0

@@ -34,6 +34,7 @@ from chansounder.sounder import (
     stimulate_capture,
 )
 
+from check_memory import traced_peak
 from conftest import on_cpus, random_complex, unit_profile
 
 FS = 1e6
@@ -83,6 +84,14 @@ class TestQuantize:
         x = np.array([1.0 + 0j, bad, 0.5j])
         with pytest.raises(ValueError, match="not finite"):
             quantize_capture(IqFrame(x, FS))
+
+    def test_names_the_absolute_index_of_the_first_bad_sample(self):
+        # a block that starts at sample 1000, as a capture stream's later blocks do
+        x = np.ones(8, dtype=complex)
+        x[[3, 5]] = 1e40, np.nan  # 1e40 is finite in float64 only
+        message = "^capture samples are not finite in 32-bit float precision at absolute index 1003$"
+        with pytest.raises(ValueError, match=message):
+            quantize_capture(IqFrame(x, FS, start_index=1000))
 
     def test_idempotent(self, rng):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -655,12 +664,7 @@ class TestCorrelationMemory:
             return frames_from_capture(capture, seq, events, profile, dc_suppression_hz=20_000.0)
 
         run()  # first-use allocations (FFT plans) outside the trace
-        tracemalloc.start()
-        try:
-            frames = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        frames, peak = traced_peak(run)
         assert len(frames) == 4000 - 1 - 2 * len(events)
         matrix = frames.h.nbytes
         assert peak <= matrix + len(capture), f"{(peak - matrix) / len(capture):.2f} B/sample above the matrix"

@@ -6,14 +6,13 @@ import math
 import socket
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chansounder import framestore, sounder, wire
+from chansounder import cli, framestore, sounder, wire
 from chansounder.chansim import apply_channel
 from chansounder.config import CampaignConfig
 from chansounder.framestore import CaptureMeta
@@ -33,6 +32,7 @@ from chansounder.wire import (
     read_message,
 )
 
+from check_memory import traced_peak
 from conftest import serving
 
 
@@ -367,19 +367,11 @@ def campaign_capture(cfg):
     return stream.seq, IqFrame(samples, stream.fs, stream.f_c), stream.events
 
 
-def correlate_peer(cfg, capture, meta, profile=None):
-    """Correlate a received ``capture`` by a peer's adoption rule, the one
-    :func:`wire.consume_correlation` states, with the descriptor and
-    triggers of its ``meta``."""
-    seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "peer", HelloMismatchError, strict=True)
-    return sounder.correlate(cfg, capture, seq, meta.triggers, profile)
-
-
 def clean_stream(step=40):
     """A clean stream of a 6-period, 32-sample campaign with one trigger:
     its messages as ``(kind, start, encoded)`` in the order
     :func:`wire.serve_capture` sends them, its capture and the frames
-    its correlation gives."""
+    its correlation with the campaign's own sequence gives."""
     cfg = CampaignConfig(length=32, n_sequences=6, cable=None, corrupt_span=4)
     cfg.channel_taps = [(0, 1 + 0j, 0.0), (2, 0.25j, 0.0)]
     cfg.triggers = [(2 * 32 + 5, "overflow", "cut")]
@@ -390,7 +382,7 @@ def clean_stream(step=40):
         messages += [("trigger", ev.sample_index, encode_trigger(ev)) for ev in events if a <= ev.sample_index < a + step]
         messages.append(("chunk", a, encode_iq_chunk(a, capture.samples[a : a + step])))
     messages.append(("end", None, encode_end(len(capture))))
-    frames, _ = correlate_peer(CampaignConfig(), capture, CaptureMeta(hello.sequence_descriptor, "", events))
+    frames, _ = sounder.correlate(cfg, capture, seq, events, None)
     return messages, capture, frames
 
 
@@ -737,10 +729,10 @@ class TestEndpointParsing:
 class TestOneCorrelationPath:
     """``sounder.correlate`` correlates a capture file's and a wire stream's
     capture alike; only the adoption rules differ, each stated where its
-    capture is read: ``cli.cmd_correlate`` adopts a file's rate and
-    sequence with ``stream_sequence(..., "capture")``, and
-    ``wire.consume_correlation`` a peer's with ``stream_sequence(...,
-    "peer", HelloMismatchError, strict=True)``."""
+    capture is read and run here through that receiver:
+    ``cli.cmd_correlate`` adopts a file's rate unless the configuration
+    states another, and ``wire.consume_correlation`` takes a peer's only
+    when it equals the local rate."""
 
     def campaign(self):
         cfg = CampaignConfig()
@@ -754,31 +746,36 @@ class TestOneCorrelationPath:
         return capture, CaptureMeta(descriptor(seq), "", events)
 
     @staticmethod
-    def correlate_file(cfg, capture, meta):
-        seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "capture")
-        return sounder.correlate(cfg, capture, seq, meta.triggers, None)
+    def correlate_file(local, capture, meta, tmp_path):
+        """Write ``capture`` with ``meta``'s descriptor and triggers to a
+        capture file, correlate it with ``cli.cmd_correlate`` under the
+        config ``local`` and return the ``.frames`` file's series and header."""
+        local.input, local.out = str(tmp_path / "c.iq"), str(tmp_path / "c")
+        framestore.write_capture(local.input, capture, meta.sequence_descriptor, events=meta.triggers)
+        assert cli.cmd_correlate(local) == 0
+        return framestore.read_frames(local.out + ".frames")
 
-    def test_file_and_wire_records_give_the_same_frames(self):
+    def test_file_and_wire_records_give_the_same_frames(self, tmp_path):
         capture, meta = self.campaign()
-        a, total_a = self.correlate_file(CampaignConfig(), capture, meta)
-        b, total_b = correlate_peer(CampaignConfig(), capture, meta)
-        assert total_a == total_b == 6
+        a, header = self.correlate_file(CampaignConfig(), capture, meta, tmp_path)
+        with serving_capture(capture, meta.sequence_descriptor, meta.triggers) as (endpoint, _):
+            b, total_b, _ = wire.consume_correlation(endpoint, CampaignConfig())
+        assert header.total_sequences == total_b == 6
         assert a.sequence_index.tolist() == b.sequence_index.tolist() == [1, 3, 4, 5]
         assert np.array_equal(a.h, b.h) and np.array_equal(a.t_i, b.t_i)
 
-    def test_a_capture_file_sets_an_unstated_local_rate(self):
+    def test_a_capture_file_sets_an_unstated_local_rate(self, tmp_path):
         capture, meta = self.campaign()
-        local = CampaignConfig()
-        local.sample_rate = 2e6
-        self.correlate_file(local, capture, meta)
-        assert local.sample_rate == capture.fs
+        local = CampaignConfig(sample_rate=2e6)
+        _, header = self.correlate_file(local, capture, meta, tmp_path)
+        assert local.sample_rate == capture.fs and header.t_s == 1 / capture.fs
 
-    def test_a_capture_file_must_match_an_explicit_rate(self):
+    def test_a_capture_file_must_match_an_explicit_rate(self, tmp_path):
         capture, meta = self.campaign()
         local = CampaignConfig()
         local.set_key("sample_rate", "2e6", "--fs")
         with pytest.raises(ValueError, match="capture samples at 1000000.0 Hz"):
-            self.correlate_file(local, capture, meta)
+            self.correlate_file(local, capture, meta, tmp_path)
 
     def test_every_transport_holds_the_same_complex64_capture(self, tmp_path):
         capture, meta = self.campaign()
@@ -793,10 +790,10 @@ class TestOneCorrelationPath:
 
     def test_the_wire_must_match_any_local_rate(self):
         capture, meta = self.campaign()
-        local = CampaignConfig()
-        local.sample_rate = 2e6
-        with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
-            correlate_peer(local, capture, meta)
+        local = CampaignConfig(sample_rate=2e6)  # not stated, as above
+        with serving_capture(capture, meta.sequence_descriptor, meta.triggers) as (endpoint, _):
+            with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
+                wire.consume_correlation(endpoint, local)
 
 
 class TestStreamedCapture:
@@ -867,30 +864,20 @@ class TestReceiveMemory:
         # the peak, where widening the capture to complex128 needs about 24.
         x = (np.arange(n) % 251 + 1j * (np.arange(n) % 13)).astype(np.complex64)
         with sending_stream(x) as (endpoint, _):
-            tracemalloc.start()
-            try:
-                capture, _ = receive_stream(endpoint, 10.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (capture, _), peak = traced_peak(lambda: receive_stream(endpoint, 10.0))
         assert capture.samples.dtype == np.complex64
         assert np.array_equal(capture.samples, x)
         assert peak / n < 12
 
     def test_receive_and_correlate_in_bounded_memory(self):
-        # The complex64 capture (8 bytes per sample) plus fast_pccf's one
-        # complex128 copy (16) stay below 26 bytes per sample; a capture
-        # widened on receipt needs about 33.
+        # The complex64 capture (8 bytes per sample) plus the complex128
+        # frame matrix its kept periods are widened into and correlated in
+        # place (16) stay below 26 bytes per sample; a capture widened on
+        # receipt needs about 33.
         seq = generate_fzc(1024, 7)
         n = 1 << 18
         x = sounder.quantize_capture(sounder.stimulate_capture(seq, n // 1024, 1e6)).samples
         with sending_stream(x, descriptor(seq)) as (endpoint, _):
-            tracemalloc.start()
-            try:
-                capture, meta = receive_stream(endpoint, 10.0)
-                frames, total = correlate_peer(CampaignConfig(), capture, meta)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (frames, total, _), peak = traced_peak(lambda: wire.consume_correlation(endpoint, CampaignConfig()))
         assert total == 256 and len(frames) == 255
         assert peak / n < 26

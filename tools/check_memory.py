@@ -54,7 +54,7 @@ def _config(directory: str, n_samples: int) -> str:
     return path
 
 
-def _peak(fn):
+def traced_peak(fn):
     """``fn()`` and the ``tracemalloc`` peak in bytes while it ran."""
     tracemalloc.start()
     try:
@@ -68,7 +68,7 @@ def sounding_peak(n_samples: int, directory: str) -> int:
     """``run_sounding``'s peak above its frame matrix, in bytes."""
     run_sounding(load_config(_config(directory, 2 * N_SEQ)))
     cfg = load_config(_config(directory, n_samples))
-    frames, peak = _peak(lambda: run_sounding(cfg))
+    frames, peak = traced_peak(lambda: run_sounding(cfg))
     return peak - frames.h.nbytes
 
 
@@ -84,7 +84,7 @@ def stimulate_peak(n_samples: int, directory: str) -> int:
 
     stimulate(_config(directory, 2 * N_SEQ))
     config = _config(directory, n_samples)
-    return _peak(lambda: stimulate(config))[1]
+    return traced_peak(lambda: stimulate(config))[1]
 
 
 def main(argv=None) -> int:
