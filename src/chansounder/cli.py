@@ -24,7 +24,6 @@ import sys
 from . import charmetrics, framestore, sounder, wire
 from .calib import through_calibrate
 from .config import CampaignConfig, load_config
-from .seqgen import descriptor as seq_descriptor
 
 
 #: Flags that set one config key each: flag -> (key, help).
@@ -143,9 +142,7 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
 
     out = _require(cfg.out, "--out")
     stream = sounder.capture_stream(cfg)
-    framestore.write_capture(
-        out, stream, seq_descriptor(stream.seq), seed_note=f"seed={cfg.seed}", events=stream.events
-    )
+    framestore.write_capture(out, stream, stream.meta)
     print(f"wrote {stream.n_samples} samples to {out}")
     return 0
 

@@ -22,7 +22,7 @@ from . import framestore
 from .calib import DEFAULT_GAIN_CAP_DB
 from .chansim import ChannelModel, ChannelTap
 from .frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, NON_NEGATIVE, NONE_OR_FINITE, NONE_OR_POSITIVE_FINITE
-from .frames import OPEN_UNIT, POSITIVE_FINITE, TriggerEvent, check, checked, none_or
+from .frames import OPEN_UNIT, POSITIVE_FINITE, RATE, TriggerEvent, check, checked, none_or
 from .seqgen import LENGTHS, REGISTER_LENGTHS, ROOTS, Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
 
 
@@ -122,7 +122,7 @@ class CampaignConfig:
     register_length: int = _setting("sequence.register_length", int, 10, valid=REGISTER_LENGTHS)
     taps: tuple[int, ...] | None = _setting("sequence.taps", _parse_mls_taps)
 
-    sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=POSITIVE_FINITE)
+    sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=RATE)
     center_frequency: float = _setting("center_frequency", float, 5.8e9, valid=POSITIVE_FINITE)
     n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200, valid=none_or(*AT_LEAST_1))
     duration: float | None = _setting("duration", _parse_optional_float, valid=NONE_OR_POSITIVE_FINITE)

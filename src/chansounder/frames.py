@@ -68,6 +68,9 @@ FINITE = (lambda v: -sys.float_info.max <= v <= sys.float_info.max, "be finite")
 FINITE_NON_NEGATIVE = (lambda v: 0 <= v <= sys.float_info.max, "be finite and non-negative")
 # 2.0**-1024 is 1 / (the greatest float), the greatest float whose reciprocal rounds to inf
 INVERTIBLE = (lambda v: v == math.inf or 2.0**-1024 < v <= sys.float_info.max, "be positive with a finite reciprocal")
+# The rule of a sample rate and of a sample period alike: each is the other's
+# reciprocal, so each needs a finite one.
+RATE = (lambda v: 2.0**-1024 < v <= sys.float_info.max, "be positive and finite with a finite reciprocal")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
 INTEGER = (lambda v: isinstance(v, (int, np.integer)), "be an integer")
 NON_NEGATIVE_INTEGER = (lambda v: INTEGER[0](v) and v >= 0, "be a non-negative integer")
@@ -96,8 +99,8 @@ def checked(parse, test, rule: str, name: str = ""):
 
 
 def check_sample_rate(fs: float) -> float:
-    """``fs``, if it is a usable sample rate (positive and finite)."""
-    return check(fs, *POSITIVE_FINITE, "sample rate")
+    """``fs``, if it is a usable sample rate (:data:`RATE`)."""
+    return check(fs, *RATE, "sample rate")
 
 
 #: Most slices :func:`on_slices` cuts, whatever the CPU count.  Each
@@ -163,7 +166,7 @@ class IqFrame:
     samples : np.ndarray
         Complex sample vector.
     fs : float
-        Sample rate in Hz.  Must be positive and finite.
+        Sample rate in Hz, held to :data:`RATE`.
     f_c : float
         Center frequency in Hz.  Zero for pure baseband work.
     start_index : int

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import CalibrationProfile
-from .frames import CAPTURE_DTYPE, FINITE, NON_NEGATIVE, POSITIVE_FINITE, FrameSeries, IqFrame, TriggerEvent
-from .frames import check_finite, checked, first_non_finite
+from .frames import CAPTURE_DTYPE, FINITE, NON_NEGATIVE, POSITIVE_FINITE, RATE, FrameSeries, IqFrame, TriggerEvent
+from .frames import check, check_finite, checked, first_non_finite
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
@@ -41,11 +41,11 @@ _SLICE_BYTES = 1 << 20
 
 @dataclass
 class CaptureMeta:
-    """A capture file's sidecars: the ``.meta`` text and the events of the
-    optional ``.triggers`` log."""
+    """A capture's record, carried beside its samples: a capture file's
+    ``.meta`` text and optional ``.triggers`` log, a wire stream's HELLO and TRIGGERs."""
 
-    sequence_descriptor: str
-    seed_note: str
+    sequence_descriptor: str = ""
+    seed_note: str = ""
     triggers: list[TriggerEvent] = field(default_factory=list)
 
 
@@ -78,14 +78,8 @@ def replacing(path: str):
         raise
 
 
-def write_capture(
-    path: str,
-    capture: "IqFrame | sounder.CaptureStream",
-    sequence_descriptor: str = "",
-    seed_note: str = "",
-    events: list[TriggerEvent] = (),
-) -> None:
-    """Write an IQ capture: float32 payload, text sidecar and trigger log.
+def write_capture(path: str, capture: "IqFrame | sounder.CaptureStream", meta: CaptureMeta) -> None:
+    """Write an IQ capture and its record: float32 payload, text sidecar and trigger log.
 
     ``capture`` is an :class:`IqFrame` or a :class:`sounder.CaptureStream`,
     written block by block.  Each file goes through :func:`replacing`, and
@@ -93,22 +87,22 @@ def write_capture(
     leaves the earlier capture and its sidecars as they were.  A stale
     trigger log is removed only after the new files are in place.
     """
-    with replacing(path) as f, replacing(sidecar_path(path)) as meta:
+    with replacing(path) as f, replacing(sidecar_path(path)) as text:
         for block in (capture,) if isinstance(capture, IqFrame) else capture:
             np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
-        meta.write(
+        text.write(
             (
                 f"format_version={CAPTURE_VERSION}\n"
                 f"sample_rate={float(capture.fs)!r}\n"
                 f"center_frequency={float(capture.f_c)!r}\n"
                 f"start_index={capture.start_index}\n"
-                f"sequence={sequence_descriptor}\n"
-                f"seed_note={seed_note}\n"
+                f"sequence={meta.sequence_descriptor}\n"
+                f"seed_note={meta.seed_note}\n"
             ).encode("utf-8")
         )
-        if events:  # the last file written, so the first put in place
-            write_trigger_log(path + ".triggers", events)
-    if not events and os.path.exists(path + ".triggers"):
+        if meta.triggers:  # the last file written, so the first put in place
+            write_trigger_log(path + ".triggers", meta.triggers)
+    if not meta.triggers and os.path.exists(path + ".triggers"):
         os.remove(path + ".triggers")
 
 
@@ -125,7 +119,7 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
         ) from None
     fields = {
         "format_version": int,
-        "sample_rate": checked(float, *POSITIVE_FINITE),
+        "sample_rate": checked(float, *RATE),
         "center_frequency": checked(float, *FINITE),
         "start_index": _sample_index,
     }
@@ -254,6 +248,7 @@ def write_frames(
 ) -> None:
     """Write an impulse-response series with its grid metadata.
 
+    ``t_s`` and ``n_seq * t_s`` meet :func:`read_frames`'s rules.
     ``total_sequences`` records how many periods the stimulation run
     contained (including gated-out ones); it defaults to one past the
     highest stored index.
@@ -261,6 +256,8 @@ def write_frames(
     if not len(frames):
         raise ValueError("refusing to write an empty frame series")
     n_seq = frames.n_seq
+    check(t_s, *RATE, "t_s")
+    t_seq = check(float(n_seq * t_s), *POSITIVE_FINITE, "t_seq")
     if total_sequences is None:
         total_sequences = int(frames.sequence_index.max()) + 1
 
@@ -268,7 +265,7 @@ def write_frames(
         f"n_records={len(frames)}\n"
         f"n_seq={n_seq}\n"
         f"t_s={float(t_s)!r}\n"
-        f"t_seq={float(n_seq * t_s)!r}\n"
+        f"t_seq={t_seq!r}\n"
         f"calibration={calibration}\n"
         f"total_sequences={total_sequences}\n"
     )
@@ -289,7 +286,7 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
     fields = {
         "n_records": checked(int, *POSITIVE_FINITE),
         "n_seq": checked(int, *POSITIVE_FINITE),
-        "t_s": checked(float, *POSITIVE_FINITE),
+        "t_s": checked(float, *RATE),
         "t_seq": checked(float, *POSITIVE_FINITE),
         "total_sequences": _sample_index,
     }

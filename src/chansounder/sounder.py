@@ -49,9 +49,10 @@ from . import chansim
 from .calib import CalibrationProfile
 from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place, reference_spectrum
+from .framestore import CaptureMeta
 from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, FrameSeries, IqFrame, TriggerEvent, check
 from .frames import check_sample_rate, first_non_finite, on_slices
-from .seqgen import Sequence
+from .seqgen import Sequence, descriptor
 
 
 def stimulate_capture(
@@ -299,6 +300,11 @@ class CaptureStream:
     @property
     def end_index(self) -> int:
         return self.n_samples
+
+    @property
+    def meta(self) -> CaptureMeta:
+        """The campaign's record: its sequence, noise seed and stamped events."""
+        return CaptureMeta(descriptor(self.seq), f"seed={self.model.seed}", self.events)
 
     def _static_run(self, channel: chansim.ChannelModel, quantize: bool) -> np.ndarray:
         """The static ``channel``'s output (quantized, when asked and

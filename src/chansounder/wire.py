@@ -19,10 +19,10 @@ message body; the first body byte is the message type:
   cross-checks its sample count.  END is final: the sender closes the
   connection after it, and any message that follows is rejected.
 
-:func:`serve_capture` sends each capture block as one IQ_CHUNK, in sends
-of 64 KiB or a little more; :func:`connect` reads the HELLO, and
-:func:`consume_stream` reads each chunk's samples into its capture and
-returns a :class:`framestore.CaptureMeta`, as a capture file's reader does.
+:func:`serve_capture` sends a capture, each block as one IQ_CHUNK, and its
+:class:`framestore.CaptureMeta` in sends of 64 KiB or a little more;
+:func:`connect` reads the HELLO, and :func:`consume_stream` reads each
+chunk's samples into its capture and returns both, as a capture file's reader does.
 
 Anything that does not parse exactly raises :class:`WireProtocolError`
 (a handshake disagreement raises the :class:`HelloMismatchError`
@@ -41,9 +41,8 @@ import numpy as np
 
 from . import sounder
 from .framestore import CaptureMeta
-from .frames import CAPTURE_DTYPE, FINITE, POSITIVE_FINITE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent
+from .frames import CAPTURE_DTYPE, FINITE, RATE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent
 from .frames import check_finite
-from .seqgen import descriptor as seq_descriptor
 
 PROTOCOL_VERSION = 1
 MSG_HELLO = 1
@@ -188,7 +187,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
                 f"unsupported protocol version {version} (supported: {PROTOCOL_VERSION})"
             )
         text = _text_tail(payload, _HELLO_HEAD, desc_len, "HELLO descriptor")
-        if not (POSITIVE_FINITE[0](fs) and FINITE[0](f_c)):  # a .meta sidecar's rules
+        if not (RATE[0](fs) and FINITE[0](f_c)):  # a .meta sidecar's rules
             raise WireProtocolError(f"HELLO carries invalid stream parameters fs={fs} f_c={f_c}")
         return Hello(fs=fs, f_c=f_c, sequence_descriptor=text)
 
@@ -310,13 +309,9 @@ def _encoded(capture, events: list[TriggerEvent], out: bytearray):
 
 
 def serve_capture(
-    capture: "IqFrame | sounder.CaptureStream",
-    sequence_descriptor: str,
-    endpoint,
-    events: list[TriggerEvent] = (),
-    timeout: float = 10.0,
+    capture: "IqFrame | sounder.CaptureStream", meta: CaptureMeta, endpoint, timeout: float = 10.0
 ) -> StimulationSummary:
-    """Serve one capture to a single correlation peer.
+    """Serve one capture and its record ``meta``, but its seed note, to a single correlation peer.
 
     ``capture`` is an :class:`IqFrame` or a stream of contiguous blocks
     with ``fs`` and ``f_c`` attributes (a :class:`sounder.CaptureStream`);
@@ -330,8 +325,8 @@ def serve_capture(
     summary with ``complete=False``, which counts the messages of the
     sends that completed, not an exception.
     """
-    out = bytearray(encode_hello(Hello(capture.fs, capture.f_c, sequence_descriptor)))
-    progress = _encoded(capture, sorted(events), out)
+    out = bytearray(encode_hello(Hello(capture.fs, capture.f_c, meta.sequence_descriptor)))
+    progress = _encoded(capture, sorted(meta.triggers), out)
     progress = itertools.chain([next(progress)], progress)  # the first block, before listening
     counted, complete = (0, 0, 0), False
     with _listening(endpoint) as lsock:
@@ -374,13 +369,7 @@ def serve_stimulation(config, endpoint=None) -> StimulationSummary:
     if min(stream.chunk_samples, stream.n_samples) > MAX_CHUNK_SAMPLES:
         limit = f"at most {MAX_CHUNK_SAMPLES} to go out as one IQ_CHUNK"
         raise ValueError(f"chunk_samples must be {limit}, got {stream.chunk_samples}")
-    return serve_capture(
-        stream,
-        seq_descriptor(stream.seq),
-        endpoint if endpoint is not None else config.endpoint,
-        events=stream.events,
-        timeout=config.timeout,
-    )
+    return serve_capture(stream, stream.meta, config.endpoint if endpoint is None else endpoint, config.timeout)
 
 
 @contextmanager
@@ -461,7 +450,7 @@ def consume_stream(stream, hello: Hello) -> tuple[IqFrame, CaptureMeta]:
 
     capture.resize(received, refcheck=False)
     check_finite(capture, 0, "received stream", WireProtocolError)
-    return IqFrame(capture, hello.fs, hello.f_c, 0), CaptureMeta(hello.sequence_descriptor, "", triggers)
+    return IqFrame(capture, hello.fs, hello.f_c, 0), CaptureMeta(hello.sequence_descriptor, triggers=triggers)
 
 
 def consume_correlation(endpoint: str, config) -> tuple[FrameSeries, int, CaptureMeta]:

@@ -322,7 +322,7 @@ class TestCaptureSidecarFlow:
         assert main(["stimulate", "--config", small_config(tmp_path, "n_sequences = 6\n"), "--out", cap]) == 0
         capture, meta = framestore.read_capture(cap)
         late = IqFrame(capture.samples[64:], capture.fs, capture.f_c, 64)
-        framestore.write_capture(cap, late, meta.sequence_descriptor, meta.seed_note)
+        framestore.write_capture(cap, late, meta)
         capsys.readouterr()
         out = str(tmp_path / "f")
         assert main(["correlate", "--input", cap, "--out", out]) == 0
@@ -357,7 +357,7 @@ class TestCaptureSidecarFlow:
         out = str(tmp_path / "r")
         assert main([command, "--config", small_config(tmp_path), "--fs", "inf", "--out", out]) == 2
         # the flag is range-checked where it is set, before any sequence is made
-        assert "--fs: sample_rate must be positive and finite, got inf" in capsys.readouterr().err
+        assert "--fs: sample_rate must be positive and finite with a finite reciprocal, got inf" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
 
     def test_unpinned_correlate_adopts_the_capture_sample_rate(self, tmp_path):
@@ -394,7 +394,7 @@ class TestCaptureSidecarFlow:
         cap = str(tmp_path / "cap.iq")
         assert main(["stimulate", "--config", small_config(tmp_path, "n_sequences = 1\n"), "--out", cap]) == 0
         capture, meta = framestore.read_capture(cap)
-        framestore.write_capture(cap, IqFrame(capture.samples[:40], capture.fs, capture.f_c), meta.sequence_descriptor)
+        framestore.write_capture(cap, IqFrame(capture.samples[:40], capture.fs, capture.f_c), meta)
         capsys.readouterr()
         assert main(["correlate", "--input", cap, "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
@@ -501,18 +501,19 @@ class TestCorrectionsCheckedBeforeCorrelating:
         assert not list(tmp_path.glob("run*"))
 
     @pytest.fixture
-    def decoded_chunks(self, monkeypatch):
-        """The start index of every IQ chunk the wire decoder decoded."""
+    def chunk_heads(self, monkeypatch):
+        """The start index of every IQ chunk header the receiver read: each
+        IQ_CHUNK goes through ``wire._chunk_head``, whether the receiver
+        reads it into its capture or decodes it as a message."""
         chunks = []
-        real = wire.decode_message
+        real = wire._chunk_head
 
-        def counting(body):
-            msg = real(body)
-            if isinstance(msg, wire.IqChunk):
-                chunks.append(msg.start_index)
-            return msg
+        def counting(payload, payload_bytes):
+            start_index, count = real(payload, payload_bytes)
+            chunks.append(start_index)
+            return start_index, count
 
-        monkeypatch.setattr(wire, "decode_message", counting)
+        monkeypatch.setattr(wire, "_chunk_head", counting)
         return chunks
 
     @staticmethod
@@ -526,18 +527,18 @@ class TestCorrectionsCheckedBeforeCorrelating:
         return rc, summary[0]
 
     def test_correlate_over_the_wire_gives_the_same_message(
-        self, tmp_path, capsys, pccf_calls, decoded_chunks, bad_config
+        self, tmp_path, capsys, pccf_calls, chunk_heads, bad_config
     ):
         cfg, message = bad_config
         rc, summary = self.correlate_over_the_wire(tmp_path, cfg, load_config(cfg))
         assert rc == 2
         assert not summary.complete  # the correlation side hung up after the HELLO
         assert capsys.readouterr().err == message
-        assert pccf_calls == [] and decoded_chunks == []
+        assert pccf_calls == [] and chunk_heads == []
         assert not list(tmp_path.glob("run*"))
 
     def test_correlate_over_the_wire_checks_the_rate_at_hello(
-        self, tmp_path, capsys, pccf_calls, decoded_chunks
+        self, tmp_path, capsys, pccf_calls, chunk_heads
     ):
         served = load_config(small_config(tmp_path))
         cfg = small_config(tmp_path, "sample_rate = 2000000\n")
@@ -547,7 +548,7 @@ class TestCorrectionsCheckedBeforeCorrelating:
         assert capsys.readouterr().err == (
             "error: peer samples at 1000000.0 Hz but the configuration expects 2000000.0 Hz\n"
         )
-        assert pccf_calls == [] and decoded_chunks == []
+        assert pccf_calls == [] and chunk_heads == []
         assert not list(tmp_path.glob("run*"))
 
 
@@ -829,6 +830,30 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["characterize", "--input", out + ".frames"]) == 2
         assert "t_s" in capsys.readouterr().err
+
+    def test_a_rate_or_period_with_an_infinite_reciprocal_exits_2(self, tmp_path, capsys):
+        # 5e-324 is positive and finite, but 1 / 5e-324 is inf
+        rule = "must be positive and finite with a finite reciprocal, got 5e-324"
+        cfg, out, cap = small_config(tmp_path), str(tmp_path / "run"), str(tmp_path / "cap.iq")
+        assert main(["sound", "--config", cfg, "--fs", "5e-324", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --fs: sample_rate {rule}\n"
+
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+        meta = tmp_path / "cap.iq.meta"
+        meta.write_text(meta.read_text().replace("sample_rate=1000000.0", "sample_rate=5e-324"))
+        capsys.readouterr()
+        assert main(["correlate", "--input", cap, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {meta}: capture sidecar field sample_rate: {rule}\n"
+
+        assert main(["sound", "--config", cfg, "--out", out]) == 0
+        blob = Path(out + ".frames").read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        header = blob[8 : 8 + header_len].replace(b"t_s=1e-06", b"t_s=5e-324")
+        with open(out + ".frames", "wb") as f:
+            f.write(blob[:4] + struct.pack("<I", len(header)) + header + blob[8 + header_len :])
+        capsys.readouterr()
+        assert main(["characterize", "--input", out + ".frames"]) == 2
+        assert capsys.readouterr().err == f"error: {out}.frames: frame-series header field t_s: {rule}\n"
 
     def test_wire_total_counts_periods_of_the_adopted_sequence(self, tmp_path, capsys):
         # The local side names no sequence, so it adopts the peer's

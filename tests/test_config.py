@@ -346,7 +346,7 @@ class TestRangeChecks:
             ("center_frequency = 0", "center_frequency must be positive and finite, got 0.0"),
             ("center_frequency = inf", "center_frequency must be positive and finite, got inf"),
             ("max_distance_ref_m = -1", "max_distance_ref_m must be none or positive and finite, got -1.0"),
-            ("sample_rate = -5", "sample_rate must be positive and finite, got -5.0"),
+            ("sample_rate = -5", "sample_rate must be positive and finite with a finite reciprocal, got -5.0"),
             ("channel.snr_db = inf", "channel.snr_db must be none or finite, got inf"),
             ("channel.cfo_hz = nan", "channel.cfo_hz must be finite, got nan"),
             ("n_sequences = 0", "n_sequences must be none or at least 1, got 0"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chansounder import framestore as fsio
 from chansounder.calib import CalibrationProfile, through_calibrate
+from chansounder.framestore import CaptureMeta
 from chansounder.frames import FrameSeries, IqFrame, TriggerEvent
 
 from check_memory import traced_peak
@@ -26,7 +27,7 @@ class TestCapture:
     def test_round_trip_bitwise(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, frame, sequence_descriptor="fzc:n=1024:u=7", seed_note="seed=0")
+        fsio.write_capture(path, frame, CaptureMeta("fzc:n=1024:u=7", "seed=0"))
         back, meta = fsio.read_capture(path)
         # payload is float32; the original was already float32-representable
         assert np.array_equal(back.samples, frame.samples)
@@ -41,14 +42,14 @@ class TestCapture:
         x = np.ones(80_000, dtype=np.complex64)
         x[i] = value
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, IqFrame(x, fs=1e6, start_index=1024))
+        fsio.write_capture(path, IqFrame(x, fs=1e6, start_index=1024), CaptureMeta())
         with pytest.raises(ValueError, match=f"^capture payload .* non-finite sample at absolute index {1024 + i}$"):
             fsio.read_capture(path)
 
     def test_strided_samples_are_written_in_order(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, IqFrame(frame.samples[::2], fs=1e6))
+        fsio.write_capture(path, IqFrame(frame.samples[::2], fs=1e6), CaptureMeta())
         back, _ = fsio.read_capture(path)
         assert back.samples.dtype == np.complex64
         assert np.array_equal(back.samples, frame.samples[::2])
@@ -56,15 +57,15 @@ class TestCapture:
     def test_write_is_deterministic(self, tmp_path, rng):
         frame = self.make_frame(rng)
         p1, p2 = str(tmp_path / "a.iq"), str(tmp_path / "b.iq")
-        fsio.write_capture(p1, frame, "d", "s")
-        fsio.write_capture(p2, frame, "d", "s")
+        fsio.write_capture(p1, frame, CaptureMeta("d", "s"))
+        fsio.write_capture(p2, frame, CaptureMeta("d", "s"))
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
         assert Path(p1 + ".meta").read_bytes() == Path(p2 + ".meta").read_bytes()
 
     def test_missing_sidecar_rejected(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, frame)
+        fsio.write_capture(path, frame, CaptureMeta())
         (tmp_path / "a.iq.meta").unlink()
         with pytest.raises(ValueError, match="sidecar"):
             fsio.read_capture(path)
@@ -72,7 +73,7 @@ class TestCapture:
     def test_truncated_payload_rejected(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, frame)
+        fsio.write_capture(path, frame, CaptureMeta())
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-3])
         with pytest.raises(ValueError, match="truncated"):
@@ -81,7 +82,7 @@ class TestCapture:
     def test_wrong_version_rejected(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, frame)
+        fsio.write_capture(path, frame, CaptureMeta())
         meta = Path(path + ".meta").read_text().replace("format_version=1", "format_version=9")
         Path(path + ".meta").write_text(meta)
         with pytest.raises(ValueError, match="version 9"):
@@ -90,7 +91,7 @@ class TestCapture:
     def test_malformed_sidecar_line(self, tmp_path, rng):
         frame = self.make_frame(rng)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, frame)
+        fsio.write_capture(path, frame, CaptureMeta())
         with open(path + ".meta", "a") as f:
             f.write("no equals sign here\n")
         with pytest.raises(ValueError, match="key=value"):
@@ -104,7 +105,7 @@ class TestCaptureSidecars:
     def write(self, tmp_path, events=()):
         path = str(tmp_path / "a.iq")
         frame = IqFrame(np.arange(8) + 1j, fs=1e6, f_c=5.8e9, start_index=64)
-        fsio.write_capture(path, frame, "fzc:n=8:u=3", "seed=0", events=events)
+        fsio.write_capture(path, frame, CaptureMeta("fzc:n=8:u=3", "seed=0", list(events)))
         return path
 
     def test_trigger_events_travel_in_the_meta(self, tmp_path):
@@ -236,6 +237,21 @@ class TestFrameSeries:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             fsio.write_frames(str(tmp_path / "x"), FrameSeries(np.empty((0, 8)), [], []), t_s=1e-6)
+
+    @pytest.mark.parametrize(
+        "t_s, message",
+        [
+            (5e-324, "t_s must be positive and finite with a finite reciprocal, got 5e-324"),
+            (math.inf, "t_s must be positive and finite with a finite reciprocal, got inf"),
+            # a t_s that read_frames takes, but 8 of it overflow the sequence period
+            (1e308, "t_seq must be positive and finite, got inf"),
+        ],
+    )
+    def test_write_rejects_a_header_the_reader_rejects(self, tmp_path, rng, t_s, message):
+        path = tmp_path / "run.frames"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fsio.write_frames(str(path), self.make_series(rng), t_s=t_s)
+        assert not list(tmp_path.iterdir())
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         frames = self.make_series(rng)
@@ -441,7 +457,7 @@ class TestWrittenBytes:
     def test_capture_sidecar(self, tmp_path):
         frame = IqFrame(np.array([1, 0.5j, -0.25, 2 + 1j]), fs=1e6, f_c=5.8e9, start_index=7)
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, frame, "fzc:n=4:u=1", "seed=0")
+        fsio.write_capture(path, frame, CaptureMeta("fzc:n=4:u=1", "seed=0"))
         assert self.digest(path + ".meta") == "0cfafc731044f5b691204d88ad06e51ae3bd425667ca34e048b3b2dd75a2243b"
 
 
@@ -611,7 +627,7 @@ def _parses_or_value_error(reader, path, blob):
 def _valid_capture_file(tmp_path, suffix):
     path = str(tmp_path / "valid.iq")
     frame = IqFrame(np.arange(4) + 1j, fs=1e6, f_c=5.8e9)
-    fsio.write_capture(path, frame, "fzc:n=4:u=1", "seed=0", events=[TriggerEvent(2, "external", 1, "x")])
+    fsio.write_capture(path, frame, CaptureMeta("fzc:n=4:u=1", "seed=0", [TriggerEvent(2, "external", 1, "x")]))
     return (tmp_path / f"valid.iq{suffix}").read_bytes()
 
 

@@ -29,6 +29,13 @@ def test_readme_lists_every_export():
     assert int(count) == len(chansounder.__all__)
 
 
+def test_readme_library_use_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "rms_delay_spread_s" in capsys.readouterr().out
+
+
 def _names_used(tree: ast.Module) -> set[str]:
     """Every name a module reads, also inside string annotations and
     ``__all__`` entries."""

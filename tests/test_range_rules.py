@@ -4,6 +4,7 @@ with a shared ``(test, rule)`` tuple: it raises ``ValueError`` as
 and a setting that also has a config key states the key's rule text."""
 
 import math
+import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chansounder import calib, chansim, charmetrics, seqgen, sounder
+from chansounder import calib, chansim, charmetrics, framestore, seqgen, sounder, wire
 from chansounder.config import CampaignConfig
 from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, INVERTIBLE, NON_NEGATIVE
-from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE_FINITE, FrameSeries, IqFrame, TriggerEvent
+from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE_FINITE, RATE, FrameSeries, IqFrame, TriggerEvent
 
 TINY = 5e-324  # the least positive float
 LEAST_INVERTIBLE = 5.56268464626801e-309  # the least float with a finite reciprocal
@@ -32,6 +33,9 @@ BIG = sys.float_info.max
 #: The accepted edges of POSITIVE_FINITE and values just past them: zero,
 #: infinity and an int past float range.
 POSITIVE_FINITE_EDGES = [(TINY, 0.0), (BIG, math.inf), (BIG, 2**1024)]
+#: The accepted edges of RATE and values just past them: INVERTIBLE's
+#: lower edges and POSITIVE_FINITE's upper ones.
+RATE_EDGES = INVERTIBLE_EDGES + POSITIVE_FINITE_EDGES[1:]
 
 
 def label(value) -> str:
@@ -89,9 +93,8 @@ SITES = [
     Site("through_calibrate", "gain cap", [FINITE_NON_NEGATIVE], lambda v: calib.through_calibrate(SERIES, v),
          [(0.0, -TINY), (0, -1), (BIG, math.inf), (BIG, 2**1024)]),
     Site("num_sequences", "n_sequences", [AT_LEAST_1], _num_sequences, [(1, 0)]),
-    Site("IqFrame sample rate", "sample rate", [POSITIVE_FINITE], lambda v: IqFrame(np.ones(4), v),
-         POSITIVE_FINITE_EDGES),
-    Site("bind_rate", "sample rate", [POSITIVE_FINITE], lambda v: seqgen.bind_rate(SEQ, v), POSITIVE_FINITE_EDGES),
+    Site("IqFrame sample rate", "sample rate", [RATE], lambda v: IqFrame(np.ones(4), v), RATE_EDGES),
+    Site("bind_rate", "sample rate", [RATE], lambda v: seqgen.bind_rate(SEQ, v), RATE_EDGES),
     Site("doppler_to_speed", "carrier frequency", [POSITIVE_FINITE], lambda v: charmetrics.doppler_to_speed(1.0, v),
          POSITIVE_FINITE_EDGES),
     Site("max_distance_estimate", "reference distance", [POSITIVE_FINITE],
@@ -206,7 +209,7 @@ def test_invertible_compares_without_a_warning_or_an_overflow():
             call(2**1024)
 
 
-@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, FINITE_NON_NEGATIVE, INVERTIBLE], ids=lambda r: r[1])
+@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, FINITE_NON_NEGATIVE, INVERTIBLE, RATE], ids=lambda r: r[1])
 def test_float_rules_compare_an_int_past_float_range(rule):
     # no float conversion, so no OverflowError: the int is past the range
     test, _ = rule
@@ -219,3 +222,51 @@ def test_max_distance_past_float_range_is_infinite():
     assert charmetrics.max_distance_estimate(math.inf, 1.0) == math.inf
     assert charmetrics.max_distance_estimate(6000.0, 1.0) == 1e300
     assert charmetrics.max_distance_estimate(-7000.0, 1.0) == 0.0
+
+
+def _sidecar_rate(path, v):
+    """``read_capture`` of a capture whose ``.meta`` gives sample rate ``v``."""
+    framestore.write_capture(path, IqFrame(np.ones(4), 1e6), framestore.CaptureMeta())
+    with open(path + ".meta") as f:
+        text = f.read().replace("sample_rate=1000000.0", f"sample_rate={v!r}")
+    with open(path + ".meta", "w") as f:
+        f.write(text)
+    return framestore.read_capture(path)
+
+
+def _header_t_s(path, v):
+    """``read_frames`` of a series whose header gives ``t_s=v``."""
+    framestore.write_frames(path, SERIES, 1e-6)
+    with open(path, "rb") as f:
+        magic, (size,) = f.read(4), struct.unpack("<I", f.read(4))
+        head, records = f.read(size).replace(b"t_s=1e-06", f"t_s={v!r}".encode()), f.read()
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I", len(head)) + head + records)
+    return framestore.read_frames(path)
+
+
+#: Each entry that takes a sample rate or a sample period, as a call that
+#: passes it ``v`` (a file it reads goes to ``path``), and the start of the
+#: message of the error that rejects ``v``.
+RATE_ENTRIES = {
+    "sample_rate key": (lambda path, v: CampaignConfig().set_key("sample_rate", repr(v), "--fs"), "--fs: sample_rate"),
+    "check_sample_rate": (lambda path, v: sounder.capture_stream(CampaignConfig(sample_rate=v)), "sample rate"),
+    ".meta sample_rate": (_sidecar_rate, "capture sidecar field sample_rate"),
+    "HELLO fs": (lambda path, v: wire.decode_message(wire.encode_hello(wire.Hello(v, 0.0, ""))[4:]), "HELLO carries"),
+    ".frames t_s": (_header_t_s, "frame-series header field t_s"),
+}
+
+
+@pytest.mark.parametrize("entry", RATE_ENTRIES)
+def test_every_sample_rate_and_period_entry_holds_to_the_rate_rule(tmp_path, entry):
+    call, name = RATE_ENTRIES[entry]
+    path = str(tmp_path / "f")
+    for v in (LEAST_INVERTIBLE, 1e6, BIG, TINY, math.nextafter(LEAST_INVERTIBLE, 0.0), 0.0, math.inf, math.nan):
+        try:
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                call(path, v)
+            raised = ""
+        except ValueError as exc:
+            raised = str(exc)
+        assert (name in raised) == (not RATE[0](v)), (v, raised)

@@ -179,10 +179,12 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             bind_rate(generate_fzc(8, 3), 0.0)
 
-    @pytest.mark.parametrize("fs", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("fs", [math.inf, math.nan, -1.0, 5e-324])
     def test_bind_rate_rejects_an_unusable_rate(self, fs):
-        # an infinite rate would bind a sample period and duration of 0 s
-        with pytest.raises(ValueError, match=f"^sample rate must be positive and finite, got {fs}$"):
+        # an infinite rate would bind a sample period and duration of 0 s,
+        # and a rate of 5e-324 a sample period of inf
+        rule = "positive and finite with a finite reciprocal"
+        with pytest.raises(ValueError, match=f"^sample rate must be {rule}, got {fs}$"):
             bind_rate(generate_fzc(8, 3), fs)
 
     def test_generation_is_fast(self):

@@ -186,6 +186,8 @@ MALFORMED = [
     (_hello_body((1, 1e6, 0.0, 0), b"abc"), "HELLO descriptor length 0 does not match body (3 bytes)"),
     (_hello_body((1, 0.0, 0.0, 0)), "HELLO carries invalid stream parameters fs=0.0 f_c=0.0"),
     (_hello_body((1, float("nan"), 0.0, 0)), "HELLO carries invalid stream parameters fs=nan f_c=0.0"),
+    # a rate whose period is infinite, as a .meta sidecar's rule rejects it
+    (_hello_body((1, 5e-324, 0.0, 0)), "HELLO carries invalid stream parameters fs=5e-324 f_c=0.0"),
     (_hello_body((1, 1e6, float("inf"), 0)), "HELLO carries invalid stream parameters fs=1000000.0 f_c=inf"),
     (
         _hello_body((1, 1e6, 0.0, 2), b"\xff\xfe"),
@@ -460,9 +462,10 @@ class TestHostileSequences:
         rejected(blobs, "TRIGGER at sample 69 arrived after its chunk")
 
 
-def serving_capture(capture, desc, events=()):
-    """Serve ``capture`` with :func:`wire.serve_capture` (:func:`conftest.serving`)."""
-    return serving(lambda lsock: wire.serve_capture(capture, desc, lsock, events=list(events), timeout=10.0))
+def serving_capture(capture, meta):
+    """Serve ``capture`` and its record ``meta`` with :func:`wire.serve_capture`
+    (:func:`conftest.serving`)."""
+    return serving(lambda lsock: wire.serve_capture(capture, meta, lsock, timeout=10.0))
 
 
 def serving_config(cfg):
@@ -484,10 +487,10 @@ class TestServeArguments:
 
         for bad in (0, ceiling + 1):
             with pytest.raises(ValueError, match=rf"^an IQ_CHUNK carries 1\.\.{ceiling} samples, got {bad}$"):
-                wire.serve_capture(capture(bad), "", "127.0.0.1:0", timeout=0.01)
+                wire.serve_capture(capture(bad), CaptureMeta(), "127.0.0.1:0", timeout=0.01)
         # the ceiling itself passes the check and waits for a peer
         with pytest.raises(TimeoutError):
-            wire.serve_capture(capture(ceiling), "", "127.0.0.1:0", timeout=0.01)
+            wire.serve_capture(capture(ceiling), CaptureMeta(), "127.0.0.1:0", timeout=0.01)
 
     def test_a_block_above_the_chunk_ceiling_names_chunk_samples(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_CHUNK_SAMPLES", 1000)
@@ -549,7 +552,7 @@ class TestSentBytes:
             expected.append(encode_iq_chunk(a, x[a:b]))
         expected += [encode_trigger(ev) for ev in pending] + [encode_end(len(x))]
 
-        with serving_capture(blocks, "fzc:n=64:u=7", events[::-1]) as (endpoint, served):
+        with serving_capture(blocks, CaptureMeta("fzc:n=64:u=7", triggers=events[::-1])) as (endpoint, served):
             got = received_bytes(endpoint)
         assert got == b"".join(expected)
         (summary,) = served
@@ -574,7 +577,7 @@ class TestSentBytes:
     def test_a_peer_that_hangs_up_is_counted_what_was_sent(self):
         x = (np.arange(600_000) % 251).astype(np.complex64)
         blocks = Blocks(x, 1024, hold=12)  # 96 kB before the hold: one send at least
-        with serving_capture(blocks, "") as (endpoint, served):
+        with serving_capture(blocks, CaptureMeta()) as (endpoint, served):
             with socket.create_connection(wire.parse_endpoint(endpoint), timeout=10.0) as peer:
                 with peer.makefile("rb") as stream:
                     assert isinstance(read_message(stream), Hello)
@@ -595,7 +598,7 @@ class TestLoopback:
         capture = sounder.stimulate_capture(seq, 6, fs=1e6, f_c=2.4e9)
         capture = sounder.quantize_capture(capture)
         ev = TriggerEvent(2 * 64 + 5, "overflow", 12, "mid stream")
-        with serving_capture(Blocks(capture.samples, 100), descriptor(seq), events=[ev]) as (endpoint, served):
+        with serving_capture(Blocks(capture.samples, 100), CaptureMeta(descriptor(seq), triggers=[ev])) as (endpoint, served):
             got, meta = receive_stream(endpoint, 10.0)
 
         assert np.array_equal(got.samples, capture.samples)
@@ -684,7 +687,7 @@ class TestHandshakeChecks:
     def serving_descriptor(self, desc):
         """Serve the served config's campaign under the HELLO descriptor ``desc``."""
         _, capture, events = campaign_capture(self.make_served_config())
-        return serving_capture(capture, desc, events)
+        return serving_capture(capture, CaptureMeta(desc, triggers=events))
 
     def test_pinned_sequence_needs_peer_descriptor(self):
         local = self.make_served_config()
@@ -712,7 +715,7 @@ class TestHandshakeChecks:
         with lsock:
             capture = IqFrame(np.ones(8, dtype=complex), fs=1e6)
             with pytest.raises(TimeoutError, match="no correlation peer"):
-                wire.serve_capture(capture, "", lsock, timeout=0.2)
+                wire.serve_capture(capture, CaptureMeta(), lsock, timeout=0.2)
 
 
 class TestEndpointParsing:
@@ -743,22 +746,22 @@ class TestOneCorrelationPath:
         cfg.triggers = [(2 * 64 + 5, "overflow", "")]
         cfg.corrupt_span = 4
         seq, capture, events = campaign_capture(cfg)
-        return capture, CaptureMeta(descriptor(seq), "", events)
+        return capture, CaptureMeta(descriptor(seq), triggers=events)
 
     @staticmethod
     def correlate_file(local, capture, meta, tmp_path):
-        """Write ``capture`` with ``meta``'s descriptor and triggers to a
-        capture file, correlate it with ``cli.cmd_correlate`` under the
-        config ``local`` and return the ``.frames`` file's series and header."""
+        """Write ``capture`` and its record ``meta`` to a capture file,
+        correlate it with ``cli.cmd_correlate`` under the config ``local``
+        and return the ``.frames`` file's series and header."""
         local.input, local.out = str(tmp_path / "c.iq"), str(tmp_path / "c")
-        framestore.write_capture(local.input, capture, meta.sequence_descriptor, events=meta.triggers)
+        framestore.write_capture(local.input, capture, meta)
         assert cli.cmd_correlate(local) == 0
         return framestore.read_frames(local.out + ".frames")
 
     def test_file_and_wire_records_give_the_same_frames(self, tmp_path):
         capture, meta = self.campaign()
         a, header = self.correlate_file(CampaignConfig(), capture, meta, tmp_path)
-        with serving_capture(capture, meta.sequence_descriptor, meta.triggers) as (endpoint, _):
+        with serving_capture(capture, meta) as (endpoint, _):
             b, total_b, _ = wire.consume_correlation(endpoint, CampaignConfig())
         assert header.total_sequences == total_b == 6
         assert a.sequence_index.tolist() == b.sequence_index.tolist() == [1, 3, 4, 5]
@@ -780,9 +783,9 @@ class TestOneCorrelationPath:
     def test_every_transport_holds_the_same_complex64_capture(self, tmp_path):
         capture, meta = self.campaign()
         path = str(tmp_path / "c.iq")
-        framestore.write_capture(path, capture, meta.sequence_descriptor)
+        framestore.write_capture(path, capture, meta)
         from_file, _ = framestore.read_capture(path)
-        with serving_capture(Blocks(capture.samples, 100), meta.sequence_descriptor) as (endpoint, _):
+        with serving_capture(Blocks(capture.samples, 100), meta) as (endpoint, _):
             from_wire, _ = receive_stream(endpoint, 10.0)
         for got in (capture, from_file, from_wire):
             assert got.samples.dtype == np.complex64
@@ -791,9 +794,46 @@ class TestOneCorrelationPath:
     def test_the_wire_must_match_any_local_rate(self):
         capture, meta = self.campaign()
         local = CampaignConfig(sample_rate=2e6)  # not stated, as above
-        with serving_capture(capture, meta.sequence_descriptor, meta.triggers) as (endpoint, _):
+        with serving_capture(capture, meta) as (endpoint, _):
             with pytest.raises(HelloMismatchError, match="peer samples at 1000000.0 Hz"):
                 wire.consume_correlation(endpoint, local)
+
+
+class TestCaptureRecord:
+    """A capture goes out as it came in: ``write_capture`` and
+    ``serve_capture`` take the :class:`CaptureMeta` record that
+    ``read_capture`` and ``consume_stream`` return beside the samples."""
+
+    @staticmethod
+    def write(path):
+        """Write a campaign with triggers of both kinds as ``stimulate`` does."""
+        cfg = CampaignConfig(length=64, n_sequences=6, cable=None, corrupt_span=4, seed=3)
+        cfg.triggers = [(2 * 64 + 5, "overflow", "buf"), (4 * 64, "external", "mark")]
+        stream = sounder.capture_stream(cfg)
+        framestore.write_capture(path, stream, stream.meta)
+
+    @staticmethod
+    def events(meta):
+        return [(e.sample_index, e.kind, e.span, e.note) for e in meta.triggers]
+
+    def test_a_read_record_writes_the_same_files(self, tmp_path):
+        p, q = str(tmp_path / "p.iq"), str(tmp_path / "q.iq")
+        self.write(p)
+        framestore.write_capture(q, *framestore.read_capture(p))
+        for suffix in ("", ".meta", ".triggers"):
+            assert (tmp_path / f"q.iq{suffix}").read_bytes() == (tmp_path / f"p.iq{suffix}").read_bytes()
+
+    def test_a_read_record_serves_the_same_stream(self, tmp_path):
+        p = str(tmp_path / "p.iq")
+        self.write(p)
+        capture, meta = framestore.read_capture(p)
+        with serving(lambda lsock: wire.serve_capture(*framestore.read_capture(p), lsock)) as (endpoint, _):
+            got, got_meta = receive_stream(endpoint, 10.0)
+        assert np.array_equal(got.samples.view(np.uint64), capture.samples.view(np.uint64))
+        assert got_meta.sequence_descriptor == meta.sequence_descriptor == "fzc:n=64:u=7"
+        assert self.events(got_meta) == self.events(meta) == [(133, "overflow", 4, "buf"), (256, "external", 4, "mark")]
+        # the seed note stays in the file's sidecar; the HELLO has no field for it
+        assert (meta.seed_note, got_meta.seed_note) == ("seed=3", "")
 
 
 class TestStreamedCapture:
