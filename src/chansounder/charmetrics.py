@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import INVERTIBLE, NON_NEGATIVE, OPEN_UNIT, POSITIVE_FINITE, FrameSeries, check, on_slices
+from .frames import NON_NEGATIVE, OPEN_UNIT, POSITIVE_FINITE, RATE, FrameSeries, check, on_slices
 from .framestore import replacing
 
 #: Propagation speed used for Doppler-to-velocity and distance conversions.
@@ -213,7 +213,7 @@ def doppler_map(frames: FrameSeries, t_seq: float, zero_fill: bool = False) -> D
     all-zero rows, otherwise they raise.  The unambiguous Doppler range
     is ``+-1 / (2 * t_seq)`` and the resolution ``1 / capture_length``.
     """
-    check(t_seq, *INVERTIBLE, "sequence period")
+    check(t_seq, *RATE, "sequence period")
     if len(frames) < 2:
         raise ValueError("Doppler analysis needs at least two frames")
     idx = frames.sequence_index
@@ -275,13 +275,13 @@ def coherence_time(spread_hz: float) -> float:
 
 def max_doppler(t_seq: float) -> float:
     """Unambiguous Doppler limit of a sounding at period ``t_seq``."""
-    check(t_seq, *INVERTIBLE, "sequence period")
+    check(t_seq, *RATE, "sequence period")
     return 1.0 / (2.0 * t_seq)
 
 
 def doppler_resolution(capture_duration_s: float) -> float:
     """Doppler bin width achievable from a capture of the given length."""
-    check(capture_duration_s, *INVERTIBLE, "capture duration")
+    check(capture_duration_s, *RATE, "capture duration")
     return 1.0 / capture_duration_s
 
 

@@ -111,10 +111,9 @@ def _nonempty(frames, total_sequences: int):
     return frames
 
 
-def _characterize(cfg: CampaignConfig, frames, fs: float) -> str:
-    """Run the configured metric suite and return the report text; with
-    an output path, also write the report and the CSV files."""
-    report = charmetrics.characterize(
+def _characterize(cfg: CampaignConfig, frames, fs: float) -> charmetrics.CharacterizationReport:
+    """Run the configured metric suite; this writes nothing."""
+    return charmetrics.characterize(
         frames,
         fs,
         f_c=cfg.center_frequency,
@@ -122,6 +121,10 @@ def _characterize(cfg: CampaignConfig, frames, fs: float) -> str:
         doppler_zero_fill=cfg.doppler_zero_fill,
         d_ref_m=cfg.max_distance_ref_m,
     )
+
+
+def _write_report(cfg: CampaignConfig, report: charmetrics.CharacterizationReport) -> str:
+    """The report's text; with an output path, also write it and the CSV files."""
     text = charmetrics.report_text(report)
     if cfg.out:
         with framestore.replacing(cfg.out + ".report.txt") as f:
@@ -167,9 +170,11 @@ def cmd_sound(cfg: CampaignConfig) -> int:
     out = _require(cfg.out, "--out")
     frames, total, events = sounder.sound_campaign(cfg)
     # Characterize first: a setting only that stage checks then fails
-    # before any file is written.
-    text = _characterize(cfg, _nonempty(frames, total), cfg.sample_rate)
+    # before any file is written.  The frames go next, so a failed write
+    # of them leaves the earlier report and tables beside the earlier frames.
+    report = _characterize(cfg, _nonempty(frames, total), cfg.sample_rate)
     path = _write_series(cfg, frames, total)
+    text = _write_report(cfg, report)
     framestore.write_trigger_sidecar(out, events)
     print(f"kept {len(frames)} of {total} sequence periods -> {path}")
     sys.stdout.write(text)
@@ -204,7 +209,7 @@ def cmd_calibrate(cfg: CampaignConfig) -> int:
 def cmd_characterize(cfg: CampaignConfig) -> int:
     path = _require(cfg.input, "--input")
     frames, meta = framestore.read_frames(path)
-    sys.stdout.write(_characterize(cfg, frames, meta.sample_rate))
+    sys.stdout.write(_write_report(cfg, _characterize(cfg, frames, meta.sample_rate)))
     return 0
 
 

@@ -224,7 +224,7 @@ class CampaignConfig:
         if self.n_sequences is not None:
             return check(self.n_sequences, *AT_LEAST_1, "n_sequences")
         if self.duration is not None:
-            t_seq = self.make_sequence().n_seq / self.sample_rate
+            t_seq = check(self.make_sequence().n_seq / self.sample_rate, *RATE, "sequence period")
             periods = self.duration / t_seq
             if periods == math.inf:
                 raise ValueError(f"duration {self.duration} s is more sequence periods than a float holds")

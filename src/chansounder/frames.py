@@ -20,7 +20,6 @@ columns), one slice per usable CPU, at most :data:`MAX_SLICES`.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import threading
@@ -66,11 +65,12 @@ NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
 POSITIVE_FINITE = (lambda v: 0 < v <= sys.float_info.max, "be positive and finite")
 FINITE = (lambda v: -sys.float_info.max <= v <= sys.float_info.max, "be finite")
 FINITE_NON_NEGATIVE = (lambda v: 0 <= v <= sys.float_info.max, "be finite and non-negative")
-# 2.0**-1024 is 1 / (the greatest float), the greatest float whose reciprocal rounds to inf
-INVERTIBLE = (lambda v: v == math.inf or 2.0**-1024 < v <= sys.float_info.max, "be positive with a finite reciprocal")
-# The rule of a sample rate and of a sample period alike: each is the other's
-# reciprocal, so each needs a finite one.
-RATE = (lambda v: 2.0**-1024 < v <= sys.float_info.max, "be positive and finite with a finite reciprocal")
+# The rule of every rate and period: each is another's reciprocal, so the rule
+# holds for a value only if it holds for the value's reciprocal.  2.0**-1024,
+# the reciprocal of the greatest float, is the greatest float whose reciprocal
+# rounds to inf; the division runs only on a value inside float range.
+RATE = (lambda v: 2.0**-1024 < v <= sys.float_info.max and 1 / v > 2.0**-1024,
+        "be positive and finite with a finite reciprocal whose reciprocal is finite")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
 INTEGER = (lambda v: isinstance(v, (int, np.integer)), "be an integer")
 NON_NEGATIVE_INTEGER = (lambda v: INTEGER[0](v) and v >= 0, "be a non-negative integer")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .calib import CalibrationProfile
 from .frames import CAPTURE_DTYPE, FINITE, NON_NEGATIVE, POSITIVE_FINITE, RATE, FrameSeries, IqFrame, TriggerEvent
-from .frames import check, check_finite, checked, first_non_finite
+from .frames import check_finite, checked, first_non_finite
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
@@ -37,6 +37,39 @@ PROFILE_MAGIC = b"CSP1"
 #: ``write_frames`` packs and ``read_frames`` unpacks records in slices
 #: of about this size, so neither holds a second copy of the whole series.
 _SLICE_BYTES = 1 << 20
+
+#: A header field parser for an absolute sample index.
+_sample_index = checked(int, *NON_NEGATIVE)
+
+
+def _bins(text: str) -> np.ndarray:
+    """A header field parser for ``.``-separated non-negative bin numbers."""
+    return np.array([_sample_index(t) for t in text.split(".")] if text else [], dtype=np.int64)
+
+
+#: Each container's header fields as its reader parses them (other keys
+#: stay text); its writer parses the header it is about to write with the
+#: same table (:func:`_header`).
+_CAPTURE_FIELDS = {
+    "format_version": int,
+    "sample_rate": checked(float, *RATE),
+    "center_frequency": checked(float, *FINITE),
+    "start_index": _sample_index,
+}
+_FRAMES_FIELDS = {
+    "n_records": checked(int, *POSITIVE_FINITE),
+    "n_seq": checked(int, *POSITIVE_FINITE),
+    "t_s": checked(float, *RATE),
+    "t_seq": checked(float, *RATE),
+    "total_sequences": _sample_index,
+}
+_PROFILE_FIELDS = {
+    "n_seq": checked(int, *POSITIVE_FINITE),
+    "source": str,
+    "gain_cap_db": checked(float, *FINITE),
+    "created_from": _sample_index,
+    "clamped_bins": _bins,
+}
 
 
 @dataclass
@@ -85,21 +118,22 @@ def write_capture(path: str, capture: "IqFrame | sounder.CaptureStream", meta: C
     written block by block.  Each file goes through :func:`replacing`, and
     none is put in place before all three are written, so a failed write
     leaves the earlier capture and its sidecars as they were.  A stale
-    trigger log is removed only after the new files are in place.
+    trigger log is removed only after the new files are in place.  Both
+    sidecars' texts meet their readers' rules before a file is opened.
     """
+    sidecar = _header(sidecar_path(path), "capture sidecar", _CAPTURE_FIELDS, {
+        "format_version": str(CAPTURE_VERSION),
+        "sample_rate": _float_text(capture.fs),
+        "center_frequency": _float_text(capture.f_c),
+        "start_index": str(capture.start_index),
+        "sequence": meta.sequence_descriptor,
+        "seed_note": meta.seed_note,
+    })
+    _trigger_log(path + ".triggers", meta.triggers)  # its notes, checked before a file is opened
     with replacing(path) as f, replacing(sidecar_path(path)) as text:
         for block in (capture,) if isinstance(capture, IqFrame) else capture:
             np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
-        text.write(
-            (
-                f"format_version={CAPTURE_VERSION}\n"
-                f"sample_rate={float(capture.fs)!r}\n"
-                f"center_frequency={float(capture.f_c)!r}\n"
-                f"start_index={capture.start_index}\n"
-                f"sequence={meta.sequence_descriptor}\n"
-                f"seed_note={meta.seed_note}\n"
-            ).encode("utf-8")
-        )
+        text.write(sidecar.encode("utf-8"))
         if meta.triggers:  # the last file written, so the first put in place
             write_trigger_log(path + ".triggers", meta.triggers)
     if not meta.triggers and os.path.exists(path + ".triggers"):
@@ -117,13 +151,7 @@ def read_capture(path: str) -> tuple[IqFrame, CaptureMeta]:
             f"capture {path} has no sidecar {sidecar_path(path)}; refusing to "
             "guess the sample rate"
         ) from None
-    fields = {
-        "format_version": int,
-        "sample_rate": checked(float, *RATE),
-        "center_frequency": checked(float, *FINITE),
-        "start_index": _sample_index,
-    }
-    kv = _parse_header(text, sidecar_path(path), "capture sidecar", fields, {"start_index": "0"})
+    kv = _parse_header(text, sidecar_path(path), "capture sidecar", _CAPTURE_FIELDS, {"start_index": "0"})
     if kv["format_version"] != CAPTURE_VERSION:
         raise ValueError(
             f"unsupported capture format version {kv['format_version']} "
@@ -176,15 +204,6 @@ def _record_dtype(n_seq: int) -> np.dtype:
     )
 
 
-#: A header field parser for an absolute sample index.
-_sample_index = checked(int, *NON_NEGATIVE)
-
-
-def _bins(text: str) -> np.ndarray:
-    """A header field parser for ``.``-separated non-negative bin numbers."""
-    return np.array([_sample_index(t) for t in text.split(".")] if text else [], dtype=np.int64)
-
-
 def _parse_header(
     text: str, where: str, kind: str, fields: dict, defaults: dict | None = None
 ) -> dict:
@@ -207,6 +226,29 @@ def _parse_header(
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: {kind} field {key}: {exc}") from None
     return kv
+
+
+def _one_line(text: str, name: str) -> str:
+    """``text``, if it holds no line break (:meth:`str.splitlines`, the readers' splitter)."""
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"{name}: must hold no line break, got {text!r}")
+    return text
+
+
+def _float_text(v) -> str:
+    """``repr(float(v))``, or the infinity of its sign for an int past float range."""
+    try:
+        return repr(float(v))
+    except OverflowError:
+        return "inf" if v > 0 else "-inf"
+
+
+def _header(where: str, kind: str, fields: dict, values: dict) -> str:
+    """The ``key=value`` lines of the texts ``values``, once each is one line
+    and the lines parse as the reader parses them, with its table ``fields``."""
+    text = "".join(f"{key}={_one_line(value, f'{where}: {kind} field {key}')}\n" for key, value in values.items())
+    _parse_header(text, where, kind, fields)
+    return text
 
 
 @contextmanager
@@ -248,7 +290,7 @@ def write_frames(
 ) -> None:
     """Write an impulse-response series with its grid metadata.
 
-    ``t_s`` and ``n_seq * t_s`` meet :func:`read_frames`'s rules.
+    The header (``t_s``, ``t_seq = n_seq * t_s``) meets :func:`read_frames`'s rules.
     ``total_sequences`` records how many periods the stimulation run
     contained (including gated-out ones); it defaults to one past the
     highest stored index.
@@ -256,19 +298,16 @@ def write_frames(
     if not len(frames):
         raise ValueError("refusing to write an empty frame series")
     n_seq = frames.n_seq
-    check(t_s, *RATE, "t_s")
-    t_seq = check(float(n_seq * t_s), *POSITIVE_FINITE, "t_seq")
     if total_sequences is None:
         total_sequences = int(frames.sequence_index.max()) + 1
-
-    header = (
-        f"n_records={len(frames)}\n"
-        f"n_seq={n_seq}\n"
-        f"t_s={float(t_s)!r}\n"
-        f"t_seq={t_seq!r}\n"
-        f"calibration={calibration}\n"
-        f"total_sequences={total_sequences}\n"
-    )
+    header = _header(path, "frame-series header", _FRAMES_FIELDS, {
+        "n_records": str(len(frames)),
+        "n_seq": str(n_seq),
+        "t_s": _float_text(t_s),
+        "t_seq": _float_text(n_seq * t_s),
+        "calibration": calibration,
+        "total_sequences": str(total_sequences),
+    })
 
     dtype = _record_dtype(n_seq)
     step = max(1, _SLICE_BYTES // dtype.itemsize)
@@ -283,14 +322,7 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
     """Read a frame series written by :func:`write_frames`, slice by
     slice into the series' own arrays; a NaN or infinity in a record's
     time or response raises ``ValueError``."""
-    fields = {
-        "n_records": checked(int, *POSITIVE_FINITE),
-        "n_seq": checked(int, *POSITIVE_FINITE),
-        "t_s": checked(float, *RATE),
-        "t_seq": checked(float, *POSITIVE_FINITE),
-        "total_sequences": _sample_index,
-    }
-    with _read_container(path, FRAMES_MAGIC, "frame-series", fields) as (kv, f, size):
+    with _read_container(path, FRAMES_MAGIC, "frame-series", _FRAMES_FIELDS) as (kv, f, size):
         n_records = kv["n_records"]
         record = _record_dtype(kv["n_seq"])
         whole = size // record.itemsize
@@ -322,12 +354,19 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
     return series, meta
 
 
+def _trigger_log(path: str, events: list[TriggerEvent]) -> bytes:
+    """The trigger log ``path`` of ``events``, one line each (:func:`_one_line` checks each note)."""
+    name = f"{path}: trigger note"
+    lines = ["# sample_index,kind,span,note\n"]
+    lines += [f"{ev.sample_index},{ev.kind},{ev.span},{_one_line(ev.note, name)}\n" for ev in sorted(events)]
+    return "".join(lines).encode("utf-8")
+
+
 def write_trigger_log(path: str, events: list[TriggerEvent]) -> None:
-    """Write trigger events as one text line each, through :func:`replacing`."""
+    """Write trigger events as one text line each (:func:`_trigger_log`) through :func:`replacing`."""
+    log = _trigger_log(path, events)
     with replacing(path) as f:
-        f.write(b"# sample_index,kind,span,note\n")
-        for ev in sorted(events):
-            f.write(f"{ev.sample_index},{ev.kind},{ev.span},{ev.note}\n".encode("utf-8"))
+        f.write(log)
 
 
 def read_trigger_log(path: str) -> list[TriggerEvent]:
@@ -351,15 +390,14 @@ def read_trigger_log(path: str) -> list[TriggerEvent]:
 
 
 def write_profile(path: str, profile: CalibrationProfile) -> None:
-    """Write a calibration profile (header plus float64 payload)."""
-    clamped = ".".join(str(int(b)) for b in profile.clamped_bins)
-    header = (
-        f"n_seq={profile.n_seq}\n"
-        f"source={profile.source}\n"
-        f"gain_cap_db={float(profile.gain_cap_db)!r}\n"
-        f"created_from={profile.created_from}\n"
-        f"clamped_bins={clamped}\n"
-    )
+    """Write a calibration profile (header, meeting :func:`read_profile`'s rules, plus float64 payload)."""
+    header = _header(path, "calibration-profile header", _PROFILE_FIELDS, {
+        "n_seq": str(profile.n_seq),
+        "source": profile.source,
+        "gain_cap_db": _float_text(profile.gain_cap_db),
+        "created_from": str(profile.created_from),
+        "clamped_bins": ".".join(str(int(b)) for b in profile.clamped_bins),
+    })
     with replacing(path) as f:
         _write_head(f, PROFILE_MAGIC, header)
         f.write(np.asarray(profile.h_ftt).astype("<c16").tobytes())
@@ -368,15 +406,8 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
 def read_profile(path: str) -> CalibrationProfile:
     """Read a calibration profile written by :func:`write_profile`; a NaN
     or infinity in the correction filter raises ``ValueError``."""
-    fields = {
-        "n_seq": checked(int, *POSITIVE_FINITE),
-        "source": str,
-        "gain_cap_db": checked(float, *FINITE),
-        "created_from": _sample_index,
-        "clamped_bins": _bins,
-    }
     with _read_container(
-        path, PROFILE_MAGIC, "calibration-profile", fields, {"clamped_bins": ""}
+        path, PROFILE_MAGIC, "calibration-profile", _PROFILE_FIELDS, {"clamped_bins": ""}
     ) as (kv, f, size):
         n_seq, clamped = kv["n_seq"], kv["clamped_bins"]
         if len(clamped) and clamped.max() >= n_seq:

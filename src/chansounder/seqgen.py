@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .frames import AT_LEAST_1, INTEGER, check, check_sample_rate
+from .frames import AT_LEAST_1, INTEGER, RATE, check, check_sample_rate
 
 #: Feedback tap exponents (including the register length itself) of a
 #: primitive polynomial for each register length.  Register length l
@@ -93,10 +93,10 @@ class Sequence:
 
     @property
     def duration(self) -> float:
-        """Sequence period in seconds.  Requires a bound sample rate."""
+        """Sequence period in seconds (:data:`frames.RATE`); needs a bound sample rate."""
         if self.sample_period is None:
             raise ValueError("sequence is not bound to a sample rate")
-        return self.n_seq * self.sample_period
+        return check(self.n_seq * self.sample_period, *RATE, "sequence period")
 
 
 def bind_rate(seq: Sequence, fs: float) -> Sequence:

@@ -29,9 +29,9 @@ count; the slices share one spectrum of the reference sequence (and of
 the profile), and each holds numpy's 128 KiB buffer of the multiply.
 
 Every transport correlates through :func:`correlate`, which runs
-:func:`frames_from_capture` with the configured settings; that checks
-every correction setting (:func:`check_corrections`) before a block is
-drawn.  ``sound`` gives it the campaign's own stream
+:func:`frames_from_capture` with the configured settings; that checks the
+sequence period and every correction setting (:func:`check_corrections`)
+before a block is drawn.  ``sound`` gives it the campaign's own stream
 (:func:`sound_campaign`).  A received stream's sample rate and sequence
 are adopted by its reader first, each by a rule stated where it reads:
 ``cli.cmd_correlate`` for a capture file, :func:`wire.consume_correlation`
@@ -50,7 +50,7 @@ from .calib import CalibrationProfile
 from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place, reference_spectrum
 from .framestore import CaptureMeta
-from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, FrameSeries, IqFrame, TriggerEvent, check
+from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, RATE, FrameSeries, IqFrame, TriggerEvent, check
 from .frames import check_sample_rate, first_non_finite, on_slices
 from .seqgen import Sequence, descriptor
 
@@ -182,10 +182,11 @@ def _correct_ftt_in_place(h: np.ndarray, spectrum: np.ndarray) -> None:
 def check_corrections(
     profile: CalibrationProfile | None, n_seq: int, fs: float, dc_suppression_hz: float, dc_position: str
 ) -> None:
-    """Raise unless the calibration ``profile`` corrects ``n_seq``-sample
-    frames, ``dc_position`` is 'before' or 'after', and the DC suppression
-    band is 0 (off) or lies below ``fs / 4`` with an anchor bin left on
-    each side of it."""
+    """Raise unless the sequence period, as :func:`frames_from_capture` stamps
+    it, meets :data:`frames.RATE`, the ``profile`` corrects ``n_seq``-sample
+    frames, ``dc_position`` is 'before' or 'after', and the DC suppression band
+    is 0 (off) or lies below ``fs / 4`` with an anchor bin left on each side."""
+    check(n_seq * (1.0 / fs), *RATE, "sequence period")
     if profile is not None and profile.n_seq != n_seq:
         raise ValueError(f"profile length {profile.n_seq} does not match frame length {n_seq}")
     if dc_position not in ("before", "after"):

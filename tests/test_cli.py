@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from chansounder import _floatrepr, charmetrics, framestore, sounder, wire
 from chansounder.cli import _COMMANDS, _FLAGS, _build_parser, _config_from_args, main
-from chansounder.config import load_config
+from chansounder.config import CampaignConfig, load_config
 from chansounder.frames import IqFrame
+from chansounder.seqgen import generate_fzc
 
 from conftest import range_checked_keys, serving, unit_profile
 
@@ -47,6 +48,37 @@ def blocks(monkeypatch):
 
     monkeypatch.setattr(sounder.CaptureStream, "__iter__", counting)
     return made
+
+
+@pytest.fixture
+def pccf_calls(monkeypatch):
+    """The row count of every block of periods correlated."""
+    calls = []
+    real = sounder._pccf_in_place
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sounder, "_pccf_in_place", counting)
+    return calls
+
+
+@pytest.fixture
+def chunk_heads(monkeypatch):
+    """The start index of every IQ chunk header the receiver read: each
+    IQ_CHUNK goes through ``wire._chunk_head``, whether the receiver
+    reads it into its capture or decodes it as a message."""
+    chunks = []
+    real = wire._chunk_head
+
+    def counting(payload, payload_bytes):
+        start_index, count = real(payload, payload_bytes)
+        chunks.append(start_index)
+        return start_index, count
+
+    monkeypatch.setattr(wire, "_chunk_head", counting)
+    return chunks
 
 
 class TestSoundFlow:
@@ -357,7 +389,8 @@ class TestCaptureSidecarFlow:
         out = str(tmp_path / "r")
         assert main([command, "--config", small_config(tmp_path), "--fs", "inf", "--out", out]) == 2
         # the flag is range-checked where it is set, before any sequence is made
-        assert "--fs: sample_rate must be positive and finite with a finite reciprocal, got inf" in capsys.readouterr().err
+        rule = "must be positive and finite with a finite reciprocal whose reciprocal is finite"
+        assert f"--fs: sample_rate {rule}, got inf" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
 
     def test_unpinned_correlate_adopts_the_capture_sample_rate(self, tmp_path):
@@ -373,6 +406,23 @@ class TestCaptureSidecarFlow:
         assert rc == 2
         assert "threshold" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+    def test_a_failed_frames_write_leaves_the_earlier_output_set(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "run")
+        cfg = small_config(tmp_path)
+        assert main(["sound", "--config", cfg, "--out", out]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert {"run.frames", "run.report.txt", "run.pdp.csv", "run.psd.csv"} <= before.keys()
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(framestore, "write_frames", full)
+        capsys.readouterr()
+        assert main(["sound", "--config", cfg, "--length", "128", "--out", out]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        # the report and the tables are written after the frames, so none is replaced
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_sound_with_no_surviving_period_has_nothing_to_write(self, tmp_path, capsys):
         out = str(tmp_path / "one")
@@ -464,18 +514,6 @@ class TestCorrectionsCheckedBeforeCorrelating:
     profile length and the DC band against the stream's sequence and rate
     with one message, before any period is correlated."""
 
-    @pytest.fixture
-    def pccf_calls(self, monkeypatch):
-        calls = []
-        real = sounder._pccf_in_place
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sounder, "_pccf_in_place", counting)
-        return calls
-
     @pytest.fixture(params=["dc band", "profile length"])
     def bad_config(self, request, tmp_path):
         if request.param == "dc band":
@@ -499,22 +537,6 @@ class TestCorrectionsCheckedBeforeCorrelating:
         assert capsys.readouterr().err == message
         assert pccf_calls == []
         assert not list(tmp_path.glob("run*"))
-
-    @pytest.fixture
-    def chunk_heads(self, monkeypatch):
-        """The start index of every IQ chunk header the receiver read: each
-        IQ_CHUNK goes through ``wire._chunk_head``, whether the receiver
-        reads it into its capture or decodes it as a message."""
-        chunks = []
-        real = wire._chunk_head
-
-        def counting(payload, payload_bytes):
-            start_index, count = real(payload, payload_bytes)
-            chunks.append(start_index)
-            return start_index, count
-
-        monkeypatch.setattr(wire, "_chunk_head", counting)
-        return chunks
 
     @staticmethod
     def correlate_over_the_wire(tmp_path, cfg, served):
@@ -833,7 +855,7 @@ class TestErrorPaths:
 
     def test_a_rate_or_period_with_an_infinite_reciprocal_exits_2(self, tmp_path, capsys):
         # 5e-324 is positive and finite, but 1 / 5e-324 is inf
-        rule = "must be positive and finite with a finite reciprocal, got 5e-324"
+        rule = "must be positive and finite with a finite reciprocal whose reciprocal is finite, got 5e-324"
         cfg, out, cap = small_config(tmp_path), str(tmp_path / "run"), str(tmp_path / "cap.iq")
         assert main(["sound", "--config", cfg, "--fs", "5e-324", "--out", out]) == 2
         assert capsys.readouterr().err == f"error: --fs: sample_rate {rule}\n"
@@ -854,6 +876,65 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["characterize", "--input", out + ".frames"]) == 2
         assert capsys.readouterr().err == f"error: {out}.frames: frame-series header field t_s: {rule}\n"
+
+    #: The rule of a sample rate and a sequence period, and the rate 6e-309,
+    #: which passes it, while 64 samples of it, 64 * (1 / 6e-309), are inf.
+    RATE_RULE = "must be positive and finite with a finite reciprocal whose reciprocal is finite"
+    PERIOD_ERROR = f"error: sequence period {RATE_RULE}, got inf\n"
+
+    @staticmethod
+    def fresh(tmp_path):
+        """An empty output directory and a base path in it."""
+        (tmp_path / "fresh").mkdir()
+        return tmp_path / "fresh", str(tmp_path / "fresh" / "run")
+
+    @pytest.mark.parametrize("fs", ["6e-309", "1.7976931348623157e308"])
+    def test_sound_at_a_rate_whose_period_is_unusable_exits_2(self, tmp_path, capsys, fs):
+        # the greatest float fails at the flag: its period 2**-1024 has an infinite reciprocal
+        fresh, out = self.fresh(tmp_path)
+        assert main(["sound", "--fs", fs, "--length", "64", "--out", out]) == 2
+        err = capsys.readouterr().err
+        if fs == "6e-309":
+            assert err == self.PERIOD_ERROR
+        else:
+            assert err == f"error: --fs: sample_rate {self.RATE_RULE}, got 1.7976931348623157e+308\n"
+        assert not list(fresh.iterdir())
+
+    def test_correlate_of_a_capture_whose_period_is_unusable_correlates_nothing(self, tmp_path, capsys, pccf_calls):
+        cap = str(tmp_path / "cap.iq")
+        assert main(["stimulate", "--config", small_config(tmp_path), "--out", cap]) == 0
+        meta = tmp_path / "cap.iq.meta"
+        meta.write_text(meta.read_text().replace("sample_rate=1000000.0", "sample_rate=6e-309"))
+        fresh, out = self.fresh(tmp_path)
+        capsys.readouterr()
+        assert main(["correlate", "--input", cap, "--out", out]) == 2
+        assert capsys.readouterr().err == self.PERIOD_ERROR
+        assert pccf_calls == []
+        assert not list(fresh.iterdir())
+
+    @staticmethod
+    def serve_tiny_rate(lsock):
+        """Serve three 64-sample periods at 6e-309 samples/s."""
+        return wire.serve_capture(IqFrame(np.ones(192), 6e-309), framestore.CaptureMeta("fzc:n=64:u=7"), lsock)
+
+    def test_correlate_from_a_peer_whose_period_is_unusable_reads_no_chunk(self, tmp_path, capsys, chunk_heads):
+        fresh, out = self.fresh(tmp_path)
+        with serving(self.serve_tiny_rate) as (endpoint, _):
+            assert main(["correlate", "--fs", "6e-309", "--endpoint", endpoint, "--out", out]) == 2
+        assert capsys.readouterr().err == self.PERIOD_ERROR
+        assert chunk_heads == []
+        assert not list(fresh.iterdir())
+
+    def test_library_correlation_at_a_rate_whose_period_is_unusable_raises(self, chunk_heads):
+        message = f"^sequence period {self.RATE_RULE}, got inf$"
+        with pytest.raises(ValueError, match=message):
+            sounder.frames_from_capture(IqFrame(np.ones(192), 6e-309), generate_fzc(64, 1))
+        config = CampaignConfig()
+        config.set_key("sample_rate", "6e-309", "--fs")
+        with serving(self.serve_tiny_rate) as (endpoint, _):
+            with pytest.raises(ValueError, match=message):
+                wire.consume_correlation(endpoint, config)
+        assert chunk_heads == []
 
     def test_wire_total_counts_periods_of_the_adopted_sequence(self, tmp_path, capsys):
         # The local side names no sequence, so it adopts the peer's

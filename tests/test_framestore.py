@@ -3,7 +3,9 @@
 import hashlib
 import math
 import os
+import re
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -239,18 +241,26 @@ class TestFrameSeries:
             fsio.write_frames(str(tmp_path / "x"), FrameSeries(np.empty((0, 8)), [], []), t_s=1e-6)
 
     @pytest.mark.parametrize(
-        "t_s, message",
+        "t_s, field, got",
         [
-            (5e-324, "t_s must be positive and finite with a finite reciprocal, got 5e-324"),
-            (math.inf, "t_s must be positive and finite with a finite reciprocal, got inf"),
-            # a t_s that read_frames takes, but 8 of it overflow the sequence period
-            (1e308, "t_seq must be positive and finite, got inf"),
+            (5e-324, "t_s", "5e-324"),
+            (math.inf, "t_s", "inf"),
+            (2**1024, "t_s", "inf"),  # an int past float range is written as inf
+            # t_s values read_frames takes, but 8 of the first overflow the
+            # sequence period, and 8 of the second, the greatest float, has
+            # a reciprocal whose reciprocal is inf
+            (1e308, "t_seq", "inf"),
+            (sys.float_info.max / 8, "t_seq", repr(sys.float_info.max)),
         ],
+        ids=["5e-324", "inf", "2**1024", "1e308", "max/8"],
     )
-    def test_write_rejects_a_header_the_reader_rejects(self, tmp_path, rng, t_s, message):
+    def test_write_rejects_a_header_the_reader_rejects(self, tmp_path, rng, t_s, field, got):
+        # the reader's own message, from the reader's own field table
         path = tmp_path / "run.frames"
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        rule = "must be positive and finite with a finite reciprocal whose reciprocal is finite"
+        with pytest.raises(ValueError) as exc:
             fsio.write_frames(str(path), self.make_series(rng), t_s=t_s)
+        assert str(exc.value) == f"{path}: frame-series header field {field}: {rule}, got {got}"
         assert not list(tmp_path.iterdir())
 
     def test_bad_magic_rejected(self, tmp_path, rng):
@@ -459,6 +469,77 @@ class TestWrittenBytes:
         path = str(tmp_path / "a.iq")
         fsio.write_capture(path, frame, CaptureMeta("fzc:n=4:u=1", "seed=0"))
         assert self.digest(path + ".meta") == "0cfafc731044f5b691204d88ad06e51ae3bd425667ca34e048b3b2dd75a2243b"
+
+
+def _capture(f_c=0.0):
+    return IqFrame(np.ones(8, dtype=complex), 1e6, f_c)
+
+
+#: Each writer's text field, as a write of a file at ``path`` whose field
+#: holds ``text``, and a tail that, after a line break, would be read back
+#: as a field (or a trigger) of its own.
+TEXT_FIELDS = {
+    ".frames calibration": (
+        lambda path, text: fsio.write_frames(path, FrameSeries(np.ones((2, 4)), [1, 2], [1e-6, 2e-6]), 1e-6, text),
+        "t_s=0.5",
+    ),
+    ".meta sequence": (lambda path, text: fsio.write_capture(path, _capture(), CaptureMeta(text)), "sample_rate=2.0"),
+    ".meta seed_note": (
+        lambda path, text: fsio.write_capture(path, _capture(), CaptureMeta(seed_note=text)),
+        "sample_rate=2.0",
+    ),
+    ".csp source": (
+        lambda path, text: fsio.write_profile(path, CalibrationProfile(np.ones(4), text)),
+        "gain_cap_db=1.0",
+    ),
+    "trigger log note": (
+        lambda path, text: fsio.write_trigger_log(path, [TriggerEvent(8, note=text)]),
+        "40,overflow,9",
+    ),
+    ".meta trigger note": (
+        lambda path, text: fsio.write_capture(path, _capture(), CaptureMeta(triggers=[TriggerEvent(8, note=text)])),
+        "40,overflow,9",
+    ),
+}
+LINE_BREAKS = {"LF": "\n", "CR": "\r", "FF": "\x0c", "LS": "\u2028"}
+
+
+def _bad_writes():
+    """(good write, bad write, part of the bad write's error), with an id,
+    of every header or log a reader would read differently from what was
+    given, or reject: a line break in each text field, two NaN header floats."""
+    for field, (write, tail) in TEXT_FIELDS.items():
+        for name, brk in LINE_BREAKS.items():
+            yield pytest.param(
+                lambda p, w=write: w(p, "buf"), lambda p, w=write, t=f"buf{brk}{tail}": w(p, t),
+                "must hold no line break, got 'buf", id=f"{field}-{name}",
+            )
+    yield pytest.param(
+        lambda p: fsio.write_profile(p, CalibrationProfile(np.ones(4))),
+        lambda p: fsio.write_profile(p, CalibrationProfile(np.ones(4), gain_cap_db=math.nan)),
+        "calibration-profile header field gain_cap_db: must be finite, got nan", id=".csp gain_cap_db-nan",
+    )
+    yield pytest.param(
+        lambda p: fsio.write_capture(p, _capture(), CaptureMeta()),
+        lambda p: fsio.write_capture(p, _capture(math.nan), CaptureMeta()),
+        "capture sidecar field center_frequency: must be finite, got nan", id=".meta center_frequency-nan",
+    )
+
+
+@pytest.mark.parametrize("good, bad, message", _bad_writes())
+def test_a_writer_refuses_a_file_its_reader_would_read_otherwise(tmp_path, good, bad, message):
+    # in a fresh directory: nothing is left, no .part either
+    (tmp_path / "fresh").mkdir()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bad(str(tmp_path / "fresh" / "f"))
+    assert not list((tmp_path / "fresh").iterdir())
+    # over an earlier file: it stays byte for byte as it was
+    (tmp_path / "old").mkdir()
+    good(str(tmp_path / "old" / "f"))
+    before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bad(str(tmp_path / "old" / "f"))
+    assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
 
 
 def container(magic, header, payload=b""):

@@ -16,26 +16,33 @@ from hypothesis import strategies as st
 
 from chansounder import calib, chansim, charmetrics, framestore, seqgen, sounder, wire
 from chansounder.config import CampaignConfig
-from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, INVERTIBLE, NON_NEGATIVE
+from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, NON_NEGATIVE
 from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE_FINITE, RATE, FrameSeries, IqFrame, TriggerEvent
 
 TINY = 5e-324  # the least positive float
-LEAST_INVERTIBLE = 5.56268464626801e-309  # the least float with a finite reciprocal
-#: The accepted edge of INVERTIBLE and values just past it: the float below,
-#: the least positive float, and that as a numpy scalar.
-INVERTIBLE_EDGES = [
-    (LEAST_INVERTIBLE, math.nextafter(LEAST_INVERTIBLE, 0.0)),
-    (LEAST_INVERTIBLE, TINY),
-    (np.float64(LEAST_INVERTIBLE), np.float64(TINY)),
-]
 BELOW_ONE = 1.0 - 2.0**-53  # the greatest float below 1
 BIG = sys.float_info.max
+LEAST_RATE = 5.56268464626801e-309  # the least float with a finite reciprocal
+#: The greatest float whose reciprocal (LEAST_RATE) has a finite reciprocal:
+#: the three floats above it, BIG among them, have 2**-1024 for reciprocal.
+GREATEST_RATE = 1.7976931348623151e308
+#: The accepted edges of RATE and values just past them: at the lower edge
+#: the float below, the least positive float and that as a numpy scalar; at
+#: the upper edge the float above, the greatest float (also as a numpy
+#: scalar), infinity and an int past float range.
+RATE_EDGES = [
+    (LEAST_RATE, math.nextafter(LEAST_RATE, 0.0)),
+    (LEAST_RATE, TINY),
+    (np.float64(LEAST_RATE), np.float64(TINY)),
+    (GREATEST_RATE, math.nextafter(GREATEST_RATE, math.inf)),
+    (GREATEST_RATE, BIG),
+    (np.float64(GREATEST_RATE), np.float64(BIG)),
+    (GREATEST_RATE, math.inf),
+    (GREATEST_RATE, 2**1024),
+]
 #: The accepted edges of POSITIVE_FINITE and values just past them: zero,
 #: infinity and an int past float range.
 POSITIVE_FINITE_EDGES = [(TINY, 0.0), (BIG, math.inf), (BIG, 2**1024)]
-#: The accepted edges of RATE and values just past them: INVERTIBLE's
-#: lower edges and POSITIVE_FINITE's upper ones.
-RATE_EDGES = INVERTIBLE_EDGES + POSITIVE_FINITE_EDGES[1:]
 
 
 def label(value) -> str:
@@ -100,11 +107,10 @@ SITES = [
     Site("max_distance_estimate", "reference distance", [POSITIVE_FINITE],
          lambda v: charmetrics.max_distance_estimate(10.0, v), POSITIVE_FINITE_EDGES),
     # these eleven have a shared rule but no config key of their own
-    Site("doppler_map", "sequence period", [INVERTIBLE], lambda v: charmetrics.doppler_map(SERIES, v),
-         INVERTIBLE_EDGES),
-    Site("max_doppler", "sequence period", [INVERTIBLE], charmetrics.max_doppler, INVERTIBLE_EDGES),
+    Site("doppler_map", "sequence period", [RATE], lambda v: charmetrics.doppler_map(SERIES, v), RATE_EDGES),
+    Site("max_doppler", "sequence period", [RATE], charmetrics.max_doppler, RATE_EDGES),
     Site("coherence_time", "Doppler spread", [NON_NEGATIVE], charmetrics.coherence_time, [(0.0, -TINY)]),
-    Site("doppler_resolution", "capture duration", [INVERTIBLE], charmetrics.doppler_resolution, INVERTIBLE_EDGES),
+    Site("doppler_resolution", "capture duration", [RATE], charmetrics.doppler_resolution, RATE_EDGES),
     Site("stimulate_capture", "n_reps", [AT_LEAST_1], lambda v: sounder.stimulate_capture(SEQ, v, 1e6, stop=0),
          [(1, 0)]),
     Site("sequence_gate", "sequence length", [AT_LEAST_1], lambda v: sounder.sequence_gate(FRAME, [], v), [(1, 0)]),
@@ -197,19 +203,37 @@ def test_key_and_argument_state_the_same_rule(key, text, site_id, value):
     assert key_rule in (arg_rule, "be none or " + arg_rule.removeprefix("be "))
 
 
-def test_invertible_compares_without_a_warning_or_an_overflow():
+def test_rate_compares_without_a_warning_or_an_overflow():
     # RuntimeWarning is an error in this suite; an int past float range,
     # which no float division takes, is compared, not converted
-    test, _ = INVERTIBLE
-    assert 1.0 / LEAST_INVERTIBLE < math.inf == 1.0 / math.nextafter(LEAST_INVERTIBLE, 0.0)
-    assert all(test(v) for v in (2**1000, sys.float_info.max, math.inf, np.float64(LEAST_INVERTIBLE)))
-    assert not any(test(v) for v in (2**1024, -(2**2000), np.float64(TINY), np.float64("nan"), 0))
+    test, _ = RATE
+    assert 1.0 / LEAST_RATE < math.inf == 1.0 / math.nextafter(LEAST_RATE, 0.0)
+    assert 1.0 / (1.0 / GREATEST_RATE) < math.inf == 1.0 / (1.0 / math.nextafter(GREATEST_RATE, math.inf))
+    assert all(test(v) for v in (2**1000, GREATEST_RATE, np.float64(GREATEST_RATE), np.float64(LEAST_RATE)))
+    assert not any(test(v) for v in (2**1024, -(2**2000), BIG, np.float64(BIG), math.inf, np.float64(TINY), 0))
+    assert not test(np.float64("nan"))
     for call in (charmetrics.max_doppler, charmetrics.doppler_resolution):
-        with pytest.raises(ValueError, match=" must be positive with a finite reciprocal, got 1797"):
+        with pytest.raises(ValueError, match=" must be positive and finite with a finite reciprocal whose "
+                           "reciprocal is finite, got 1797"):
             call(2**1024)
 
 
-@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, FINITE_NON_NEGATIVE, INVERTIBLE, RATE], ids=lambda r: r[1])
+#: Floats of either sign, subnormals and both edges of RATE among them.
+EDGE_FLOATS = [TINY, math.nextafter(LEAST_RATE, 0.0), LEAST_RATE, GREATEST_RATE, BIG, math.inf]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS + [-v for v in EDGE_FLOATS]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(-(2**1100), 2**1100)))
+def test_rate_holds_for_a_value_only_if_it_holds_for_its_reciprocal(value):
+    test, _ = RATE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails, as an OverflowError does
+        if test(value):
+            assert test(1 / value)
+
+
+@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, FINITE_NON_NEGATIVE, RATE], ids=lambda r: r[1])
 def test_float_rules_compare_an_int_past_float_range(rule):
     # no float conversion, so no OverflowError: the int is past the range
     test, _ = rule
@@ -261,7 +285,8 @@ RATE_ENTRIES = {
 def test_every_sample_rate_and_period_entry_holds_to_the_rate_rule(tmp_path, entry):
     call, name = RATE_ENTRIES[entry]
     path = str(tmp_path / "f")
-    for v in (LEAST_INVERTIBLE, 1e6, BIG, TINY, math.nextafter(LEAST_INVERTIBLE, 0.0), 0.0, math.inf, math.nan):
+    values = (LEAST_RATE, 1e6, GREATEST_RATE, TINY, math.nextafter(LEAST_RATE, 0.0), BIG, 0.0, math.inf, math.nan)
+    for v in values:
         try:
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore")
@@ -270,3 +295,33 @@ def test_every_sample_rate_and_period_entry_holds_to_the_rate_rule(tmp_path, ent
         except ValueError as exc:
             raised = str(exc)
         assert (name in raised) == (not RATE[0](v)), (v, raised)
+
+
+def _duration_config(fs):
+    """A campaign at sample rate ``fs`` whose length is set by a duration."""
+    cfg = CampaignConfig(sample_rate=fs)
+    cfg.set_key("duration", "1.0", "--duration")
+    return cfg
+
+
+#: Each entry that makes a sequence period from a sample rate it has
+#: accepted, as a call that passes it the rate ``fs`` and the period it makes.
+PERIOD_ENTRIES = {
+    "capture_stream": (lambda fs: sounder.capture_stream(CampaignConfig(sample_rate=fs)), lambda fs: 1024 / fs),
+    "check_corrections": (lambda fs: sounder.check_corrections(None, 64, fs, 0.0, "before"), lambda fs: 64 * (1 / fs)),
+    "Sequence.duration": (lambda fs: seqgen.bind_rate(SEQ, fs).duration, lambda fs: 8 * (1 / fs)),
+    "num_sequences": (lambda fs: _duration_config(fs).num_sequences(), lambda fs: 1024 / fs),
+}
+
+
+@pytest.mark.parametrize("entry", PERIOD_ENTRIES)
+def test_every_sequence_period_holds_to_the_rate_rule(entry):
+    call, period = PERIOD_ENTRIES[entry]
+    for fs in (LEAST_RATE, 6e-309, 1e-300, 1e6, 1e300, GREATEST_RATE):
+        assert RATE[0](fs)
+        try:
+            call(fs)
+            raised = ""
+        except ValueError as exc:
+            raised = str(exc)
+        assert raised.startswith("sequence period must ") == (not RATE[0](period(fs))), (fs, raised)

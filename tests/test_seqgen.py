@@ -7,6 +7,8 @@ polyphase formula for lengths 3 and 4) and are frozen here.
 
 import cmath
 import math
+import re
+import sys
 import time
 
 import numpy as np
@@ -179,12 +181,13 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             bind_rate(generate_fzc(8, 3), 0.0)
 
-    @pytest.mark.parametrize("fs", [math.inf, math.nan, -1.0, 5e-324])
+    @pytest.mark.parametrize("fs", [math.inf, math.nan, -1.0, 5e-324, sys.float_info.max])
     def test_bind_rate_rejects_an_unusable_rate(self, fs):
         # an infinite rate would bind a sample period and duration of 0 s,
-        # and a rate of 5e-324 a sample period of inf
-        rule = "positive and finite with a finite reciprocal"
-        with pytest.raises(ValueError, match=f"^sample rate must be {rule}, got {fs}$"):
+        # a rate of 5e-324 a sample period of inf, and the greatest float
+        # a sample period of 2**-1024, whose reciprocal is inf
+        rule = "positive and finite with a finite reciprocal whose reciprocal is finite"
+        with pytest.raises(ValueError, match=re.escape(f"sample rate must be {rule}, got {fs}") + "$"):
             bind_rate(generate_fzc(8, 3), fs)
 
     def test_generation_is_fast(self):
