@@ -8,8 +8,11 @@ converter ripple, leaving the over-the-air channel alone.
 
 Inversion gain is capped (default +40 dB) so near-zero bins do not blow
 up the noise floor; clamped bins keep their phase and are recorded in
-the profile.  :mod:`sounder` applies it, and checks its length against
-the sequence, on the correlation side.
+the profile.  A :class:`CalibrationProfile` holds the rules of its
+``.csp`` payload: :func:`framestore.write_profile` writes what it
+holds, and :func:`framestore.read_profile` builds one from what it
+reads.  :mod:`sounder` applies it, and checks its length against the
+sequence, on the correlation side.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import FINITE_NON_NEGATIVE, FrameSeries, check
+from .frames import GAIN_CAP_DB, FrameSeries, check, first_non_finite
 
 DEFAULT_GAIN_CAP_DB = 40.0
 
@@ -29,8 +32,10 @@ class CalibrationProfile:
 
     ``h_ftt`` is the time-domain correction (the inverse of the averaged
     through response); applying the profile means circular convolution
-    with it.  ``clamped_bins`` lists spectral bins where the inversion
-    hit the gain cap.
+    with it, so each of its values must be finite.  ``clamped_bins``
+    lists spectral bins where the inversion hit the gain cap, each in
+    ``[0, n_seq)``.  Both arrays are read-only views, as a
+    :class:`FrameSeries`'s are, so a profile keeps the rules it was built to.
     """
 
     h_ftt: np.ndarray
@@ -40,10 +45,22 @@ class CalibrationProfile:
     clamped_bins: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self) -> None:
-        self.h_ftt = np.asarray(self.h_ftt, dtype=np.complex128)
-        if self.h_ftt.ndim != 1 or len(self.h_ftt) == 0:
+        h_ftt = np.asarray(self.h_ftt, dtype=np.complex128)
+        if h_ftt.ndim != 1 or len(h_ftt) == 0:
             raise ValueError("correction filter must be a non-empty vector")
-        self.clamped_bins = np.asarray(self.clamped_bins, dtype=np.int64)
+        if (bad := first_non_finite(h_ftt)) is not None:
+            raise ValueError(f"calibration-profile value h_ftt[{bad}] is not finite")
+        bins = np.asarray(self.clamped_bins, dtype=np.int64)
+        if bins.ndim != 1:
+            raise ValueError("clamped bins must be a vector")
+        outside = bins[(bins < 0) | (bins >= len(h_ftt))]
+        if outside.size:
+            bound = "< 0" if outside[0] < 0 else f">= n_seq={len(h_ftt)}"
+            raise ValueError(f"calibration-profile header field clamped_bins: bin {outside[0]} {bound}")
+        check(self.gain_cap_db, *GAIN_CAP_DB, "gain cap")
+        # broadcast_to returns read-only views of the same memory.
+        self.h_ftt = np.broadcast_to(h_ftt, h_ftt.shape)
+        self.clamped_bins = np.broadcast_to(bins, bins.shape)
 
     @property
     def n_seq(self) -> int:
@@ -69,7 +86,7 @@ def through_calibrate(
         Maximum per-bin inversion gain.  Bins whose inverse would exceed
         the cap are clamped to it (phase preserved) and flagged.
     """
-    check(gain_cap_db, *FINITE_NON_NEGATIVE, "gain cap")
+    check(gain_cap_db, *GAIN_CAP_DB, "gain cap")
     if not len(frames):
         raise ValueError("through calibration needs at least one frame")
     n = frames.n_seq

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .frames import AT_LEAST_1, FINITE, NON_NEGATIVE_INTEGER, IqFrame, TriggerEvent, check
 
@@ -145,7 +144,11 @@ def _uniform_at(seed: int, start_draw: int, count: int) -> np.ndarray:
     Philox advances in blocks of four 64-bit words, so position the
     counter at the enclosing block and discard the lead draws.  The
     value of draw k is then independent of how the stream is chunked.
+    numpy.random is imported here, its only use, so a process that draws
+    no noise never loads it.
     """
+    from numpy.random import Generator, Philox
+
     block, lead = divmod(start_draw, 4)
     rng = Generator(Philox(key=seed))
     if block:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from . import framestore
 from .calib import DEFAULT_GAIN_CAP_DB
 from .chansim import ChannelModel, ChannelTap
-from .frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, NON_NEGATIVE, NONE_OR_FINITE, NONE_OR_POSITIVE_FINITE
+from .frames import AT_LEAST_1, FINITE, GAIN_CAP_DB, NON_NEGATIVE, NONE_OR_FINITE, NONE_OR_POSITIVE_FINITE
 from .frames import OPEN_UNIT, POSITIVE_FINITE, RATE, TriggerEvent, check, checked, none_or
 from .seqgen import LENGTHS, REGISTER_LENGTHS, ROOTS, Sequence, descriptor, from_descriptor, generate_fzc, generate_mls
 
@@ -144,7 +144,7 @@ class CampaignConfig:
     corrupt_span: int = _setting("corrupt_span", int, 128, valid=AT_LEAST_1)
 
     calibration: str | None = _setting("calibration", _parse_optional_str)
-    gain_cap_db: float = _setting("gain_cap_db", float, DEFAULT_GAIN_CAP_DB, valid=FINITE_NON_NEGATIVE)
+    gain_cap_db: float = _setting("gain_cap_db", float, DEFAULT_GAIN_CAP_DB, valid=GAIN_CAP_DB)
     discard_first: bool = _setting("discard_first", _parse_bool, True)
     dc_suppression_hz: float = _setting("dc_suppression_hz", float, 0.0, valid=NON_NEGATIVE)
     dc_position: str = _setting(

@@ -40,8 +40,9 @@ FINITE_SPAN = 1 << 16
 
 def first_non_finite(x: np.ndarray) -> int | None:
     """The index along the first axis of the first NaN or infinity in the
-    contiguous float or complex array ``x``, or None when it holds none."""
-    finite = np.isfinite(x.view(x.real.dtype))
+    float or complex array ``x``, or None when it holds none."""
+    # the float view of a last axis that allows one is the faster test
+    finite = np.isfinite(x.view(x.real.dtype) if x.strides[-1] == x.itemsize else x)
     return None if finite.all() else int(np.argmin(finite)) // (finite.size // len(x))
 
 
@@ -64,7 +65,6 @@ NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
 # and an int past float range fails the rule instead of raising OverflowError.
 POSITIVE_FINITE = (lambda v: 0 < v <= sys.float_info.max, "be positive and finite")
 FINITE = (lambda v: -sys.float_info.max <= v <= sys.float_info.max, "be finite")
-FINITE_NON_NEGATIVE = (lambda v: 0 <= v <= sys.float_info.max, "be finite and non-negative")
 # The rule of every rate and period: each is another's reciprocal, so the rule
 # holds for a value only if it holds for the value's reciprocal.  2.0**-1024,
 # the reciprocal of the greatest float, is the greatest float whose reciprocal
@@ -72,6 +72,11 @@ FINITE_NON_NEGATIVE = (lambda v: 0 <= v <= sys.float_info.max, "be finite and no
 RATE = (lambda v: 2.0**-1024 < v <= sys.float_info.max and 1 / v > 2.0**-1024,
         "be positive and finite with a finite reciprocal whose reciprocal is finite")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
+#: The greatest gain cap in dB whose linear cap ``10.0 ** (dB / 20.0)`` is a
+#: finite float; the float above it overflows.
+MAX_GAIN_CAP_DB = 6165.094311198334
+GAIN_CAP_DB = (lambda v: 0 <= v <= MAX_GAIN_CAP_DB,
+               f"lie in 0..{MAX_GAIN_CAP_DB!r}, where the linear cap 10**(dB/20) is finite")
 INTEGER = (lambda v: isinstance(v, (int, np.integer)), "be an integer")
 NON_NEGATIVE_INTEGER = (lambda v: INTEGER[0](v) and v >= 0, "be a non-negative integer")
 
@@ -96,6 +101,22 @@ def check(value, test, rule: str, name: str = ""):
 def checked(parse, test, rule: str, name: str = ""):
     """``parse``, rejecting a parsed value that fails ``test`` (:func:`check`)."""
     return lambda text: check(parse(text), test, rule, name)
+
+
+def capture_blocks(capture: "IqFrame | sounder.CaptureStream", what: str):
+    """The blocks of ``capture`` in the capture format, :data:`CAPTURE_DTYPE`.
+
+    A :class:`sounder.CaptureStream` is returned as it is: its blocks are
+    quantized and checked as they are made.  An :class:`IqFrame` is cast
+    at once, and a sample not finite in the capture format raises
+    ``ValueError`` naming ``what`` (:func:`check_finite`), before a
+    writer opens a file or a server a socket."""
+    if not isinstance(capture, IqFrame):
+        return capture
+    with np.errstate(over="ignore"):
+        samples = np.asarray(capture.samples).astype(CAPTURE_DTYPE, copy=False)
+    check_finite(samples, capture.start_index, what)
+    return (IqFrame(samples, capture.fs, capture.f_c, capture.start_index),)
 
 
 def check_sample_rate(fs: float) -> float:

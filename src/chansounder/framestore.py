@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import CalibrationProfile
-from .frames import CAPTURE_DTYPE, FINITE, NON_NEGATIVE, POSITIVE_FINITE, RATE, FrameSeries, IqFrame, TriggerEvent
-from .frames import check_finite, checked, first_non_finite
+from .frames import CAPTURE_DTYPE, FINITE, GAIN_CAP_DB, NON_NEGATIVE, POSITIVE_FINITE, RATE, FrameSeries, IqFrame
+from .frames import TriggerEvent, capture_blocks, check_finite, checked, first_non_finite
 
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
@@ -49,7 +49,11 @@ def _bins(text: str) -> np.ndarray:
 
 #: Each container's header fields as its reader parses them (other keys
 #: stay text); its writer parses the header it is about to write with the
-#: same table (:func:`_header`).
+#: same table (:func:`_header`).  The payload rules are stated once too,
+#: each run by the writer before or as it writes and by the reader on
+#: what it reads: :func:`frames.check_finite` for a capture,
+#: :func:`_check_records` for a frame series and
+#: :class:`calib.CalibrationProfile` for a profile.
 _CAPTURE_FIELDS = {
     "format_version": int,
     "sample_rate": checked(float, *RATE),
@@ -66,7 +70,7 @@ _FRAMES_FIELDS = {
 _PROFILE_FIELDS = {
     "n_seq": checked(int, *POSITIVE_FINITE),
     "source": str,
-    "gain_cap_db": checked(float, *FINITE),
+    "gain_cap_db": checked(float, *GAIN_CAP_DB),
     "created_from": _sample_index,
     "clamped_bins": _bins,
 }
@@ -119,8 +123,11 @@ def write_capture(path: str, capture: "IqFrame | sounder.CaptureStream", meta: C
     none is put in place before all three are written, so a failed write
     leaves the earlier capture and its sidecars as they were.  A stale
     trigger log is removed only after the new files are in place.  Both
-    sidecars' texts meet their readers' rules before a file is opened.
+    sidecars' texts, and an :class:`IqFrame`'s samples
+    (:func:`frames.capture_blocks`), meet their readers' rules before a
+    file is opened.
     """
+    blocks = capture_blocks(capture, f"capture payload {path}")
     sidecar = _header(sidecar_path(path), "capture sidecar", _CAPTURE_FIELDS, {
         "format_version": str(CAPTURE_VERSION),
         "sample_rate": _float_text(capture.fs),
@@ -131,7 +138,7 @@ def write_capture(path: str, capture: "IqFrame | sounder.CaptureStream", meta: C
     })
     _trigger_log(path + ".triggers", meta.triggers)  # its notes, checked before a file is opened
     with replacing(path) as f, replacing(sidecar_path(path)) as text:
-        for block in (capture,) if isinstance(capture, IqFrame) else capture:
+        for block in blocks:
             np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
         text.write(sidecar.encode("utf-8"))
         if meta.triggers:  # the last file written, so the first put in place
@@ -275,6 +282,16 @@ def _read_container(
         yield kv, f, size - header_end
 
 
+def _check_records(path: str, lo: int, t_i: np.ndarray, h: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of the frame-series records
+    from number ``lo`` on, with times ``t_i`` and responses ``h``, whose
+    time or response is not finite: the rule :func:`write_frames` runs on
+    each slice it packs and :func:`read_frames` on each slice it reads."""
+    bad = [i for x in (t_i, h) if (i := first_non_finite(x)) is not None]
+    if bad:
+        raise ValueError(f"{path}: record {lo + min(bad)} holds a non-finite value")
+
+
 def _write_head(f, magic: bytes, header: str) -> None:
     """Write the magic and length-prefixed header that :func:`_read_container` reads."""
     text = header.encode("utf-8")
@@ -290,7 +307,9 @@ def write_frames(
 ) -> None:
     """Write an impulse-response series with its grid metadata.
 
-    The header (``t_s``, ``t_seq = n_seq * t_s``) meets :func:`read_frames`'s rules.
+    The header (``t_s``, ``t_seq = n_seq * t_s``) and each record meet
+    :func:`read_frames`'s rules; a record whose time or response is not
+    finite raises ``ValueError`` and leaves no file.
     ``total_sequences`` records how many periods the stimulation run
     contained (including gated-out ones); it defaults to one past the
     highest stored index.
@@ -315,6 +334,7 @@ def write_frames(
         _write_head(f, FRAMES_MAGIC, header)
         for lo in range(0, len(frames), step):
             part = frames[lo : lo + step]
+            _check_records(path, lo, part.t_i, part.h)
             f.write(np.rec.fromarrays([getattr(part, n) for n in dtype.names], dtype=dtype))
 
 
@@ -340,9 +360,7 @@ def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:
             for name, column in columns.items():
                 column[lo:hi] = part[name]
             del part  # before the next slice is read, so only one is held
-            bad = [i for name in ("t_i", "h") if (i := first_non_finite(columns[name][lo:hi])) is not None]
-            if bad:
-                raise ValueError(f"{path}: record {lo + min(bad)} holds a non-finite value")
+            _check_records(path, lo, columns["t_i"][lo:hi], columns["h"][lo:hi])
     series = FrameSeries(**columns)
     meta = FrameSeriesMeta(
         n_seq=kv["n_seq"],
@@ -370,12 +388,14 @@ def write_trigger_log(path: str, events: list[TriggerEvent]) -> None:
 
 
 def read_trigger_log(path: str) -> list[TriggerEvent]:
-    """Read a trigger log, sorted by sample index."""
+    """Read a trigger log, sorted by sample index.  Only a line's break is
+    cut off, so a note reads back as it was written, its spaces included;
+    blank lines and ``#`` lines are skipped."""
     events: list[TriggerEvent] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.removesuffix("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split(",", 3)
             if len(parts) < 3:
@@ -390,7 +410,8 @@ def read_trigger_log(path: str) -> list[TriggerEvent]:
 
 
 def write_profile(path: str, profile: CalibrationProfile) -> None:
-    """Write a calibration profile (header, meeting :func:`read_profile`'s rules, plus float64 payload)."""
+    """Write a calibration profile: a header meeting :func:`read_profile`'s
+    rules, then the float64 payload, which met them when the profile was built."""
     header = _header(path, "calibration-profile header", _PROFILE_FIELDS, {
         "n_seq": str(profile.n_seq),
         "source": profile.source,
@@ -404,26 +425,18 @@ def write_profile(path: str, profile: CalibrationProfile) -> None:
 
 
 def read_profile(path: str) -> CalibrationProfile:
-    """Read a calibration profile written by :func:`write_profile`; a NaN
-    or infinity in the correction filter raises ``ValueError``."""
+    """Read a calibration profile written by :func:`write_profile`; one
+    that breaks a rule of :class:`calib.CalibrationProfile` (a NaN or
+    infinity in the correction filter, a clamped bin past ``n_seq``)
+    raises ``ValueError``."""
     with _read_container(
         path, PROFILE_MAGIC, "calibration-profile", _PROFILE_FIELDS, {"clamped_bins": ""}
     ) as (kv, f, size):
-        n_seq, clamped = kv["n_seq"], kv["clamped_bins"]
-        if len(clamped) and clamped.max() >= n_seq:
-            raise ValueError(
-                f"{path}: calibration-profile header field clamped_bins: bin {clamped.max()} >= n_seq={n_seq}"
-            )
+        n_seq = kv["n_seq"]
         if size != 16 * n_seq:
             raise ValueError(f"{path} payload is {size} bytes, expected {16 * n_seq}")
         h_ftt = np.fromfile(f, dtype="<c16").astype(np.complex128)
-    bad = first_non_finite(h_ftt)
-    if bad is not None:
-        raise ValueError(f"{path}: calibration-profile value h_ftt[{bad}] is not finite")
-    return CalibrationProfile(
-        h_ftt=h_ftt,
-        source=kv["source"],
-        gain_cap_db=kv["gain_cap_db"],
-        created_from=kv["created_from"],
-        clamped_bins=clamped,
-    )
+    try:
+        return CalibrationProfile(h_ftt, kv["source"], kv["gain_cap_db"], kv["created_from"], kv["clamped_bins"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -26,7 +26,10 @@ chunk's samples into its capture and returns both, as a capture file's reader do
 
 Anything that does not parse exactly raises :class:`WireProtocolError`
 (a handshake disagreement raises the :class:`HelloMismatchError`
-subtype), never a bare struct or index error.
+subtype), never a bare struct or index error.  The encoders refuse what
+the decoder would: a :class:`Hello` and a :class:`frames.TriggerEvent`
+check their fields as they are built, and a value too wide for its
+field raises ``ValueError`` naming the field (:func:`_packed`).
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import numpy as np
 
 from . import sounder
 from .framestore import CaptureMeta
-from .frames import CAPTURE_DTYPE, FINITE, RATE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent
-from .frames import check_finite
+from .frames import CAPTURE_DTYPE, FINITE, NON_NEGATIVE, RATE, TRIGGER_KINDS, FrameSeries, IqFrame, TriggerEvent
+from .frames import capture_blocks, check, check_finite
 
 PROTOCOL_VERSION = 1
 MSG_HELLO = 1
@@ -64,6 +67,10 @@ _END_BODY = struct.Struct("<q")
 _LENGTH = struct.Struct("<I")
 #: An IQ_CHUNK's length prefix, type byte and fixed header.
 _IQ_HEAD = struct.Struct("<IBqI")
+#: The names the encoders give the fields of each fixed header they pack.
+_HELLO_NAMES = ("HELLO protocol_version", "HELLO fs", "HELLO f_c", "HELLO descriptor length")
+_IQ_NAMES = ("IQ_CHUNK length", "IQ_CHUNK type", "IQ_CHUNK start_index", "IQ_CHUNK n_samples")
+_TRIGGER_NAMES = ("TRIGGER sample_index", "TRIGGER kind", "TRIGGER span", "TRIGGER note length")
 _IQ_BODY_HEAD = _IQ_HEAD.size - _LENGTH.size
 #: The most samples one IQ_CHUNK carries within :data:`MAX_MESSAGE_BYTES`.
 MAX_CHUNK_SAMPLES = (MAX_MESSAGE_BYTES - _IQ_BODY_HEAD) // CAPTURE_DTYPE.itemsize
@@ -85,9 +92,16 @@ class HelloMismatchError(WireProtocolError):
 
 @dataclass
 class Hello:
+    """The stream's parameters, held to a ``.meta`` sidecar's rules:
+    ``fs`` to :data:`frames.RATE` and ``f_c`` to :data:`frames.FINITE`."""
+
     fs: float
     f_c: float
     sequence_descriptor: str
+
+    def __post_init__(self) -> None:
+        if not (RATE[0](self.fs) and FINITE[0](self.f_c)):
+            raise ValueError(f"HELLO carries invalid stream parameters fs={self.fs} f_c={self.f_c}")
 
 
 @dataclass
@@ -100,34 +114,54 @@ class IqChunk:
 class End:
     total_samples: int
 
+    def __post_init__(self) -> None:
+        check(self.total_samples, *NON_NEGATIVE, "END total_samples")
 
-def _framed(mtype: int, head: struct.Struct, *fields, tail: bytes = b"") -> bytes:
+
+def _packed(head: struct.Struct, names: tuple[str, ...], *fields) -> bytes:
+    """``fields``, named ``names``, packed by ``head``; a field that does
+    not fit its struct code raises ``ValueError``, naming an integer too
+    wide for its field and the field's range."""
+    try:
+        return head.pack(*fields)
+    except struct.error as exc:
+        for name, code, value in zip(names, head.format[1:], fields):
+            bits = 8 * struct.calcsize(code)
+            hi = 2 ** (bits - code.islower()) - 1  # a signed code's sign takes a bit
+            lo = -hi - 1 if code.islower() else 0
+            if isinstance(value, (int, np.integer)) and not lo <= value <= hi:
+                raise ValueError(f"{name} must fit its {bits}-bit field ({lo}..{hi}), got {value}") from None
+        raise ValueError(str(exc)) from None
+
+
+def _framed(mtype: int, head: struct.Struct, names: tuple[str, ...], *fields, tail: bytes = b"") -> bytes:
     """A message of type ``mtype``: its length prefix, type byte, fixed
-    header ``head`` packed from ``fields``, then ``tail``."""
-    return b"".join((_LENGTH.pack(1 + head.size + len(tail)), bytes([mtype]), head.pack(*fields), tail))
+    header ``head`` packed from ``fields`` (:func:`_packed`), then ``tail``."""
+    return b"".join((_LENGTH.pack(1 + head.size + len(tail)), bytes([mtype]), _packed(head, names, *fields), tail))
 
 
 def encode_hello(hello: Hello) -> bytes:
     desc = hello.sequence_descriptor.encode("utf-8")
-    return _framed(MSG_HELLO, _HELLO_HEAD, PROTOCOL_VERSION, hello.fs, hello.f_c, len(desc), tail=desc)
+    fields = PROTOCOL_VERSION, hello.fs, hello.f_c, len(desc)
+    return _framed(MSG_HELLO, _HELLO_HEAD, _HELLO_NAMES, *fields, tail=desc)
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
     if not 1 <= len(samples) <= MAX_CHUNK_SAMPLES:
         raise ValueError(f"an IQ_CHUNK carries 1..{MAX_CHUNK_SAMPLES} samples, got {len(samples)}")
     x = np.ascontiguousarray(samples, dtype=CAPTURE_DTYPE)
-    head = _IQ_HEAD.pack(_IQ_BODY_HEAD + x.nbytes, MSG_IQ_CHUNK, start_index, len(x))
+    head = _packed(_IQ_HEAD, _IQ_NAMES, _IQ_BODY_HEAD + x.nbytes, MSG_IQ_CHUNK, start_index, len(x))
     return b"".join((head, x))
 
 
 def encode_trigger(event: TriggerEvent) -> bytes:
     note = event.note.encode("utf-8")
-    code = _TRIGGER_KIND_CODES[event.kind]
-    return _framed(MSG_TRIGGER, _TRIGGER_HEAD, event.sample_index, code, event.span, len(note), tail=note)
+    fields = event.sample_index, _TRIGGER_KIND_CODES[event.kind], event.span, len(note)
+    return _framed(MSG_TRIGGER, _TRIGGER_HEAD, _TRIGGER_NAMES, *fields, tail=note)
 
 
 def encode_end(total_samples: int) -> bytes:
-    return _framed(MSG_END, _END_BODY, total_samples)
+    return _framed(MSG_END, _END_BODY, ("END total_samples",), End(total_samples).total_samples)
 
 
 def _fixed_head(payload: memoryview, head: struct.Struct, name: str) -> tuple:
@@ -163,6 +197,15 @@ def _chunk_head(payload: memoryview, payload_bytes: int) -> tuple[int, int]:
     return start_index, count
 
 
+def _built(record, *fields):
+    """The decoded message ``record(*fields)``; a field its constructor
+    refuses raises :class:`WireProtocolError` with the constructor's message."""
+    try:
+        return record(*fields)
+    except ValueError as exc:
+        raise WireProtocolError(str(exc)) from None
+
+
 def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
     """Decode one message body (without the length prefix); an IQ_CHUNK's
     samples are a :data:`frames.CAPTURE_DTYPE` view of it, the capture
@@ -187,9 +230,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
                 f"unsupported protocol version {version} (supported: {PROTOCOL_VERSION})"
             )
         text = _text_tail(payload, _HELLO_HEAD, desc_len, "HELLO descriptor")
-        if not (RATE[0](fs) and FINITE[0](f_c)):  # a .meta sidecar's rules
-            raise WireProtocolError(f"HELLO carries invalid stream parameters fs={fs} f_c={f_c}")
-        return Hello(fs=fs, f_c=f_c, sequence_descriptor=text)
+        return _built(Hello, fs, f_c, text)
 
     if mtype == MSG_IQ_CHUNK:
         start_index, _ = _chunk_head(payload, len(payload) - _CHUNK_HEAD.size)
@@ -210,10 +251,7 @@ def decode_message(body: bytes) -> "Hello | IqChunk | TriggerEvent | End":
             raise WireProtocolError(
                 f"END body must be exactly {_END_BODY.size + 1} bytes, got {len(body)}"
             )
-        (total,) = _END_BODY.unpack(payload)
-        if total < 0:
-            raise WireProtocolError(f"END with negative sample count {total}")
-        return End(total_samples=total)
+        return _built(End, *_END_BODY.unpack(payload))
 
     raise WireProtocolError(f"unknown message type {mtype}")
 
@@ -288,22 +326,23 @@ def _listening(endpoint):
             yield lsock
 
 
-def _encoded(capture, events: list[TriggerEvent], out: bytearray):
-    """Append ``capture``'s messages to ``out``: each block as one IQ_CHUNK
-    behind the TRIGGERs of the samples before its end, then the remaining
-    TRIGGERs and END.  Yields the (samples, chunks, triggers) appended so
-    far after each block, and once more after END."""
+def _encoded(blocks, events: list[tuple[int, bytes]], out: bytearray):
+    """Append the messages of a capture's ``blocks`` to ``out``: each block
+    as one IQ_CHUNK behind the TRIGGERs of the samples before its end, then
+    the remaining TRIGGERs and END.  ``events`` are the encoded TRIGGERs,
+    each after its sample index, in order.  Yields the (samples, chunks,
+    triggers) appended so far after each block, and once more after END."""
     sent = chunks = triggers = 0
-    for block in (capture,) if isinstance(capture, IqFrame) else capture:
-        while triggers < len(events) and events[triggers].sample_index < block.end_index:
-            out += encode_trigger(events[triggers])
+    for block in blocks:
+        while triggers < len(events) and events[triggers][0] < block.end_index:
+            out += events[triggers][1]
             triggers += 1
         out += encode_iq_chunk(block.start_index, block.samples)
         chunks += 1
         sent += len(block)
         yield sent, chunks, triggers
-    for ev in events[triggers:]:
-        out += encode_trigger(ev)
+    for _, message in events[triggers:]:
+        out += message
     out += encode_end(sent)
     yield sent, chunks, len(events)
 
@@ -317,8 +356,10 @@ def serve_capture(
     with ``fs`` and ``f_c`` attributes (a :class:`sounder.CaptureStream`);
     each block goes out as one IQ_CHUNK, encoded as it is made.  The
     messages leave in sends of 64 KiB or a little more, byte for byte as
-    encoded.  The first block is made and encoded before listening, so a
-    capture that cannot be made or sent fails before a peer connects.
+    encoded.  The HELLO, every TRIGGER and the first block are made and
+    encoded before listening, and an :class:`IqFrame`'s samples are
+    checked finite (:func:`frames.capture_blocks`), so a capture that
+    cannot be made or sent fails before a peer connects.
     ``endpoint`` is a ``host:port`` string or an already-listening socket
     (useful for tests on ephemeral ports).  Waits up to ``timeout``
     seconds for the peer; a peer that disconnects mid-stream yields a
@@ -326,7 +367,8 @@ def serve_capture(
     sends that completed, not an exception.
     """
     out = bytearray(encode_hello(Hello(capture.fs, capture.f_c, meta.sequence_descriptor)))
-    progress = _encoded(capture, sorted(meta.triggers), out)
+    triggers = [(ev.sample_index, encode_trigger(ev)) for ev in sorted(meta.triggers)]
+    progress = _encoded(capture_blocks(capture, "served capture"), triggers, out)
     progress = itertools.chain([next(progress)], progress)  # the first block, before listening
     counted, complete = (0, 0, 0), False
     with _listening(endpoint) as lsock:

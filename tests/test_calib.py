@@ -1,12 +1,13 @@
 """Calibration tests: spectral inversion with gain cap."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from chansounder.calib import CalibrationProfile, through_calibrate
-from chansounder.frames import FrameSeries
+from chansounder.frames import GAIN_CAP_DB, MAX_GAIN_CAP_DB, FrameSeries
 
 from conftest import random_complex
 
@@ -28,8 +29,23 @@ class TestThroughCalibrate:
     def test_rejects_non_finite_gain_cap(self, cap):
         h = np.zeros(16, dtype=complex)
         h[0] = 1.0
-        with pytest.raises(ValueError, match=re.escape(f"gain cap must be finite and non-negative, got {cap}")):
+        with pytest.raises(ValueError, match=re.escape(f"gain cap must {GAIN_CAP_DB[1]}, got {cap}")):
             through_calibrate(series(h), gain_cap_db=cap)
+
+    def test_gain_cap_edge_is_the_last_with_a_finite_linear_cap(self):
+        # the rule's edge is where 10**(dB/20) stops being a float; past it
+        # the cap is refused by name, not met by an OverflowError
+        past = math.nextafter(MAX_GAIN_CAP_DB, math.inf)
+        assert math.isfinite(10.0 ** (MAX_GAIN_CAP_DB / 20.0))
+        with pytest.raises(OverflowError):
+            10.0 ** (past / 20.0)
+        h = np.zeros(16, dtype=complex)
+        h[0] = 1.0
+        profile = through_calibrate(series(h), gain_cap_db=MAX_GAIN_CAP_DB)
+        assert profile.gain_cap_db == MAX_GAIN_CAP_DB and profile.clamped_bins.size == 0
+        for value in (past, 1e10):
+            with pytest.raises(ValueError, match=re.escape(f"gain cap must {GAIN_CAP_DB[1]}, got {value}")):
+                through_calibrate(series(h), gain_cap_db=value)
 
     def test_inverts_known_response(self):
         n = 64
@@ -80,3 +96,30 @@ class TestThroughCalibrate:
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             CalibrationProfile(h_ftt=np.array([]))
+
+    @pytest.mark.parametrize(
+        "h_ftt, clamped_bins, gain_cap_db, message",
+        [
+            ([1, math.nan, 0, 0], [], 40.0, "calibration-profile value h_ftt[1] is not finite"),
+            ([1, 0, complex(0, math.inf), 0], [], 40.0, "calibration-profile value h_ftt[2] is not finite"),
+            ([1, 0, 0, 0], [7], 40.0, "calibration-profile header field clamped_bins: bin 7 >= n_seq=4"),
+            ([1, 0, 0, 0], [1, -2, 9], 40.0, "calibration-profile header field clamped_bins: bin -2 < 0"),
+            ([1, 0, 0, 0], 2, 40.0, "clamped bins must be a vector"),
+            ([1, 0, 0, 0], [], -1.0, f"gain cap must {GAIN_CAP_DB[1]}, got -1.0"),
+            ([1, 0, 0, 0], [], 1e10, f"gain cap must {GAIN_CAP_DB[1]}, got 10000000000.0"),
+        ],
+    )
+    def test_profile_payload_rules(self, h_ftt, clamped_bins, gain_cap_db, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CalibrationProfile(np.array(h_ftt, dtype=complex), "x", gain_cap_db, 0, clamped_bins)
+        # the last bin is in range
+        assert CalibrationProfile(np.ones(4), clamped_bins=[0, 3]).clamped_bins.tolist() == [0, 3]
+
+    def test_profile_arrays_are_read_only_views(self):
+        h = np.ones(4, dtype=complex)
+        profile = CalibrationProfile(h, clamped_bins=np.array([2]))
+        for array in (profile.h_ftt, profile.clamped_bins):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # the caller's array stays writable and is not copied
+        assert h.flags.writeable and np.shares_memory(profile.h_ftt, h)

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import math
 import os
 import re
 import struct
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from chansounder import _floatrepr, charmetrics, framestore, sounder, wire
 from chansounder.cli import _COMMANDS, _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import CampaignConfig, load_config
-from chansounder.frames import IqFrame
+from chansounder.framestore import read_profile
+from chansounder.frames import MAX_GAIN_CAP_DB, IqFrame
 from chansounder.seqgen import generate_fzc
 
 from conftest import range_checked_keys, serving, unit_profile
@@ -683,6 +685,7 @@ OUT_OF_RANGE = [
     ("gain_cap_db", "inf"),
     ("gain_cap_db", "-1"),
     ("gain_cap_db", "nan"),
+    ("gain_cap_db", "1e10"),  # its linear cap 10**(dB/20) is past float range
     ("max_distance_ref_m", "-1"),
     ("max_distance_ref_m", "0"),
     ("max_distance_ref_m", "inf"),
@@ -819,6 +822,28 @@ class TestErrorPaths:
         rc = main(["calibrate", "--config", cfg, "--out", str(tmp_path / "p.csp")])
         assert rc == 2
         assert "through connection" in capsys.readouterr().err
+
+    def test_calibrate_gain_cap_at_and_past_its_edge(self, tmp_path, capsys):
+        config = "sequence.length = 64\nn_sequences = 4\nchannel.taps = 0:1\nchannel.cable =\n"
+        (tmp_path / "cal.cfg").write_text(config + f"gain_cap_db = {MAX_GAIN_CAP_DB!r}\n")
+        out = str(tmp_path / "p.csp")
+        assert main(["calibrate", "--config", str(tmp_path / "cal.cfg"), "--out", out]) == 0
+        assert read_profile(out).gain_cap_db == MAX_GAIN_CAP_DB
+        past = math.nextafter(MAX_GAIN_CAP_DB, math.inf)
+        for value in (past, 1e10):
+            (tmp_path / "cal.cfg").write_text(config + f"gain_cap_db = {value!r}\n")
+            capsys.readouterr()
+            assert main(["calibrate", "--config", str(tmp_path / "cal.cfg"), "--out", str(tmp_path / "q.csp")]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'cal.cfg'}:5: gain_cap_db must ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.cfg", "p.csp"]
+
+    def test_stimulate_endpoint_with_a_note_too_long_for_its_field_exits_2(self, tmp_path, capsys):
+        # 70,000 UTF-8 bytes do not fit the TRIGGER's 16-bit note length; the
+        # send fails before it listens, so no peer is waited for
+        cfg = small_config(tmp_path, f"triggers = 300:overflow:{'x' * 70_000}\ntimeout = 1\n")
+        assert main(["stimulate", "--config", cfg, "--endpoint", "127.0.0.1:0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: TRIGGER note length must fit its 16-bit field (0..65535), got 70000\n"
 
     def test_calibrate_rejects_profile_key(self, tmp_path, capsys):
         cfg = tmp_path / "cal.cfg"

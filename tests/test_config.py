@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder.config import _KEYS, CampaignConfig, load_config
+from chansounder.frames import GAIN_CAP_DB, MAX_GAIN_CAP_DB
 from chansounder.seqgen import MAX_REGISTER_LENGTH
 
 from conftest import range_checked_keys
@@ -292,7 +293,7 @@ RANGES = {
     "max_distance_ref_m": lambda v: v is None or 0 < v < math.inf,
     "corrupt_span": lambda v: v >= 1,
     "chunk_samples": lambda v: v >= 1,
-    "gain_cap_db": lambda v: 0 <= v < math.inf,
+    "gain_cap_db": lambda v: 0 <= v <= MAX_GAIN_CAP_DB,
     "dc_suppression_hz": lambda v: v >= 0,
     "duration": lambda v: v is None or 0 < v < math.inf,
     "timeout": lambda v: 0 < v < math.inf,
@@ -337,7 +338,8 @@ class TestRangeChecks:
             ("bc_threshold = 1", "bc_threshold must lie in (0, 1), got 1.0"),
             ("corrupt_span = 0", "corrupt_span must be at least 1, got 0"),
             ("chunk_samples = -1", "chunk_samples must be at least 1, got -1"),
-            ("gain_cap_db = inf", "gain_cap_db must be finite and non-negative, got inf"),
+            ("gain_cap_db = inf", f"gain_cap_db must {GAIN_CAP_DB[1]}, got inf"),
+            ("gain_cap_db = 1e10", f"gain_cap_db must {GAIN_CAP_DB[1]}, got 10000000000.0"),
             ("dc_suppression_hz = nan", "dc_suppression_hz must be non-negative, got nan"),
             ("duration = inf", "duration must be none or positive and finite, got inf"),
             ("duration = 0", "duration must be none or positive and finite, got 0.0"),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from chansounder import framestore as fsio
 from chansounder.calib import CalibrationProfile, through_calibrate
 from chansounder.framestore import CaptureMeta
-from chansounder.frames import FrameSeries, IqFrame, TriggerEvent
+from chansounder.frames import GAIN_CAP_DB, FrameSeries, IqFrame, TriggerEvent
 
 from check_memory import traced_peak
 
@@ -40,13 +40,28 @@ class TestCapture:
 
     @pytest.mark.parametrize("i, value", [(3, complex(0.0, -math.inf)), (70_000, complex(math.nan, 1.0))])
     def test_non_finite_sample_named_by_absolute_index(self, tmp_path, i, value):
-        # the second case lies past the first span the reader checks
+        # the second case lies past the first span each side checks
         x = np.ones(80_000, dtype=np.complex64)
         x[i] = value
         path = str(tmp_path / "a.iq")
-        fsio.write_capture(path, IqFrame(x, fs=1e6, start_index=1024), CaptureMeta())
-        with pytest.raises(ValueError, match=f"^capture payload .* non-finite sample at absolute index {1024 + i}$"):
+        message = f"^capture payload {re.escape(path)} holds a non-finite sample at absolute index {1024 + i}$"
+        # the writer refuses the frame before it opens a file
+        with pytest.raises(ValueError, match=message):
+            fsio.write_capture(path, IqFrame(x, fs=1e6, start_index=1024), CaptureMeta())
+        assert not list(tmp_path.iterdir())
+        # the reader names the sample in a payload written by other means
+        fsio.write_capture(path, IqFrame(np.ones_like(x), fs=1e6, start_index=1024), CaptureMeta())
+        x.tofile(path)
+        with pytest.raises(ValueError, match=message):
             fsio.read_capture(path)
+
+    def test_sample_past_float32_range_is_refused(self, tmp_path):
+        # finite in complex128, infinite in the capture format
+        path = str(tmp_path / "a.iq")
+        frame = IqFrame(np.array([1.0, 1e39, 2.0]), fs=1e6, start_index=5)
+        with pytest.raises(ValueError, match=f"^capture payload {re.escape(path)} holds a non-finite sample at absolute index 6$"):
+            fsio.write_capture(path, frame, CaptureMeta())
+        assert not list(tmp_path.iterdir())
 
     def test_strided_samples_are_written_in_order(self, tmp_path, rng):
         frame = self.make_frame(rng)
@@ -225,8 +240,17 @@ class TestFrameSeries:
         columns = {"h": np.array(frames.h), "t_i": np.array(frames.t_i)}
         columns[field][3] = math.nan
         path = str(tmp_path / "run.frames")
-        fsio.write_frames(path, FrameSeries(columns["h"], frames.sequence_index, columns["t_i"]), t_s=1e-6)
-        with pytest.raises(ValueError, match="record 3 holds a non-finite value"):
+        bad = FrameSeries(columns["h"], frames.sequence_index, columns["t_i"])
+        message = f"^{re.escape(path)}: record 3 holds a non-finite value$"
+        # the writer refuses the series and leaves no file, no .part either
+        with pytest.raises(ValueError, match=message):
+            fsio.write_frames(path, bad, t_s=1e-6)
+        assert not list(tmp_path.iterdir())
+        # the reader names the record in a file written with the check off
+        with monkeypatch.context() as patch:
+            patch.setattr(fsio, "_check_records", lambda *args: None)
+            fsio.write_frames(path, bad, t_s=1e-6)
+        with pytest.raises(ValueError, match=message):
             fsio.read_frames(path)
 
     def test_total_sequences_defaults_past_highest(self, tmp_path, rng):
@@ -400,11 +424,20 @@ class TestProfile:
     @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
     def test_non_finite_filter_value_rejected(self, tmp_path, rng, value):
         prof = self.make_profile(rng)
-        prof.h_ftt[5] = value
-        path = str(tmp_path / "cal.csp")
-        fsio.write_profile(path, prof)
+        h_ftt = np.array(prof.h_ftt)
+        h_ftt[5] = value
+        # the profile refuses the value, so no writer is handed it
+        with pytest.raises(ValueError, match=r"^calibration-profile value h_ftt\[5\] is not finite$"):
+            CalibrationProfile(h_ftt, prof.source, prof.gain_cap_db, prof.created_from, prof.clamped_bins)
+        # the reader names it in a file written by other means
+        path = tmp_path / "cal.csp"
+        fsio.write_profile(str(path), prof)
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - 16 * (prof.n_seq - 5)
+        blob[at : at + 16] = np.array([value], dtype="<c16").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=r"cal\.csp: calibration-profile value h_ftt\[5\] is not finite"):
-            fsio.read_profile(path)
+            fsio.read_profile(str(path))
 
     def test_payload_size_checked(self, tmp_path, rng):
         path = str(tmp_path / "cal.csp")
@@ -517,7 +550,7 @@ def _bad_writes():
     yield pytest.param(
         lambda p: fsio.write_profile(p, CalibrationProfile(np.ones(4))),
         lambda p: fsio.write_profile(p, CalibrationProfile(np.ones(4), gain_cap_db=math.nan)),
-        "calibration-profile header field gain_cap_db: must be finite, got nan", id=".csp gain_cap_db-nan",
+        f"gain cap must {GAIN_CAP_DB[1]}, got nan", id=".csp gain_cap_db-nan",
     )
     yield pytest.param(
         lambda p: fsio.write_capture(p, _capture(), CaptureMeta()),

@@ -1,7 +1,10 @@
 """The package's public surface: its exports and the README's list of them."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import chansounder
@@ -65,3 +68,13 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_importing_the_cli_loads_neither_numpy_random_nor_argparse():
+    # each is imported where it is used: numpy.random where noise is drawn,
+    # argparse where the parser is built
+    src = str(Path(chansounder.__file__).resolve().parents[1])
+    code = "import sys, chansounder.cli; print(sorted({'numpy.random', 'argparse'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

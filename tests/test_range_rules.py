@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chansounder import calib, chansim, charmetrics, framestore, seqgen, sounder, wire
 from chansounder.config import CampaignConfig
-from chansounder.frames import AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, INTEGER, NON_NEGATIVE
+from chansounder.frames import AT_LEAST_1, FINITE, GAIN_CAP_DB, INTEGER, MAX_GAIN_CAP_DB, NON_NEGATIVE
 from chansounder.frames import NON_NEGATIVE_INTEGER, OPEN_UNIT, POSITIVE_FINITE, RATE, FrameSeries, IqFrame, TriggerEvent
 
 TINY = 5e-324  # the least positive float
@@ -97,8 +97,9 @@ SITES = [
          [(1, 0)]),
     Site("add_awgn", "SNR", [FINITE], lambda v: chansim.add_awgn(FRAME, v),
          [(BIG, math.inf), (-BIG, -math.inf), (BIG, 2**1024), (-BIG, -(2**1024))]),
-    Site("through_calibrate", "gain cap", [FINITE_NON_NEGATIVE], lambda v: calib.through_calibrate(SERIES, v),
-         [(0.0, -TINY), (0, -1), (BIG, math.inf), (BIG, 2**1024)]),
+    Site("through_calibrate", "gain cap", [GAIN_CAP_DB], lambda v: calib.through_calibrate(SERIES, v),
+         [(0.0, -TINY), (0, -1), (MAX_GAIN_CAP_DB, math.nextafter(MAX_GAIN_CAP_DB, math.inf)),
+          (MAX_GAIN_CAP_DB, BIG), (MAX_GAIN_CAP_DB, math.inf), (MAX_GAIN_CAP_DB, 2**1024)]),
     Site("num_sequences", "n_sequences", [AT_LEAST_1], _num_sequences, [(1, 0)]),
     Site("IqFrame sample rate", "sample rate", [RATE], lambda v: IqFrame(np.ones(4), v), RATE_EDGES),
     Site("bind_rate", "sample rate", [RATE], lambda v: seqgen.bind_rate(SEQ, v), RATE_EDGES),
@@ -233,7 +234,7 @@ def test_rate_holds_for_a_value_only_if_it_holds_for_its_reciprocal(value):
             assert test(1 / value)
 
 
-@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, FINITE_NON_NEGATIVE, RATE], ids=lambda r: r[1])
+@pytest.mark.parametrize("rule", [POSITIVE_FINITE, FINITE, GAIN_CAP_DB, RATE], ids=lambda r: r[1])
 def test_float_rules_compare_an_int_past_float_range(rule):
     # no float conversion, so no OverflowError: the int is past the range
     test, _ = rule

@@ -492,6 +492,16 @@ class TestServeArguments:
         with pytest.raises(TimeoutError):
             wire.serve_capture(capture(ceiling), CaptureMeta(), "127.0.0.1:0", timeout=0.01)
 
+    def test_a_non_finite_frame_or_a_note_too_long_fails_before_listening(self, monkeypatch):
+        monkeypatch.setattr(socket, "create_server", lambda *args, **kwargs: pytest.fail("listened"))
+        frame = IqFrame(np.array([1, 2, complex(0.0, math.nan)]), 1e6, start_index=4)
+        with pytest.raises(ValueError, match="^served capture holds a non-finite sample at absolute index 6$"):
+            wire.serve_capture(frame, CaptureMeta(), "127.0.0.1:0", timeout=0.01)
+        # the last TRIGGER goes out after the only block, and is encoded before listening too
+        meta = CaptureMeta(triggers=[TriggerEvent(0), TriggerEvent(99, note="x" * 70_000)])
+        with pytest.raises(ValueError, match=r"^TRIGGER note length must fit its 16-bit field \(0\.\.65535\), got 70000$"):
+            wire.serve_capture(IqFrame(np.ones(3), 1e6), meta, "127.0.0.1:0", timeout=0.01)
+
     def test_a_block_above_the_chunk_ceiling_names_chunk_samples(self, monkeypatch):
         monkeypatch.setattr(wire, "MAX_CHUNK_SAMPLES", 1000)
         cfg = CampaignConfig(length=256, n_sequences=10, chunk_samples=2000, timeout=0.01)
