@@ -17,6 +17,7 @@ wins over the config file.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import sys
 
@@ -49,10 +50,7 @@ _FLAGS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then reused:
     ``main`` may run many times in one process, and ``parse_args`` never
-    changes the parser.  argparse is imported here, so importing this
-    module, as a library caller or a benchmark does, never loads it."""
-    import argparse
-
+    changes the parser."""
     parser = argparse.ArgumentParser(
         prog="chansounder",
         description="correlative channel sounding against a simulated channel",

@@ -70,11 +70,11 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_importing_the_cli_loads_neither_numpy_random_nor_argparse():
-    # each is imported where it is used: numpy.random where noise is drawn,
-    # argparse where the parser is built
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy.random is imported where noise is drawn, so a process that
+    # draws none never pays for loading it
     src = str(Path(chansounder.__file__).resolve().parents[1])
-    code = "import sys, chansounder.cli; print(sorted({'numpy.random', 'argparse'} & set(sys.modules)))"
+    code = "import sys, chansounder.cli; print('numpy.random' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "False\n"
