@@ -13,6 +13,12 @@ so a stream processed in chunks, each with the channel's
 ``max_delay()`` samples of lead-in, yields bit-identical output to a
 single pass.  That property is what lets every transport produce its
 capture in blocks and still agree exactly.
+
+The per-block functions (:func:`apply_channel`, :func:`apply_cfo`,
+:func:`add_awgn`, :func:`zero_spans`) are pure: they change no input
+and share no state, so two threads may run them at once, as
+:class:`sounder.CaptureStream` does.  The noise and the rotation are
+made in place in the buffers each call allocates for itself.
 """
 
 from __future__ import annotations
@@ -77,10 +83,18 @@ class ChannelModel:
 
 
 def _rotate(samples: np.ndarray, freq_hz: float, fs: float, start_index: int) -> np.ndarray:
+    """``samples * exp(2j * pi * freq_hz * (idx / fs))`` in a new array;
+    the rotation is made in place in one complex buffer."""
     # Phase anchored to the absolute integer sample index so chunked and
     # whole-stream application agree bit for bit.
-    idx = start_index + np.arange(len(samples), dtype=np.int64)
-    return samples * np.exp(2j * np.pi * freq_hz * (idx / fs))
+    t = (start_index + np.arange(len(samples), dtype=np.int64)) / fs
+    z = np.multiply(2j * np.pi * freq_hz, t)
+    del t
+    np.exp(z, out=z)
+    # Not in place, nor is apply_channel's gain: numpy multiplies a
+    # one-sample complex array in place by another loop, which rounds
+    # differently (with AVX-512).
+    return samples * z
 
 
 def apply_channel(frame: IqFrame, model: ChannelModel) -> IqFrame:
@@ -162,12 +176,18 @@ def _complex_noise_at(seed: int, start_sample: int, count: int) -> np.ndarray:
     indices ``start_sample .. start_sample + count``.  Box-Muller with a
     fixed budget of two uniforms per sample."""
     u = _uniform_at(seed, NOISE_DRAWS_PER_SAMPLE * start_sample, NOISE_DRAWS_PER_SAMPLE * count)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    # 1 - u1 is in (0, 1], so the log is finite.
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    z = r * np.exp(2j * np.pi * u2)
-    return z / np.sqrt(2.0)
+    # r = sqrt(-2 * log1p(-u1)) and z = r * exp(2j * pi * u2) / sqrt(2),
+    # each made in place in its one buffer.  1 - u1 is in (0, 1], so the
+    # log is finite.
+    r = np.negative(u[0::2])
+    np.log1p(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    z = np.multiply(2j * np.pi, u[1::2])
+    del u
+    np.exp(z, out=z)
+    np.multiply(r, z, out=z)
+    return np.divide(z, np.sqrt(2.0), out=z)
 
 
 def add_awgn(frame: IqFrame, snr_db: float, seed: int = 0) -> IqFrame:
@@ -181,7 +201,8 @@ def add_awgn(frame: IqFrame, snr_db: float, seed: int = 0) -> IqFrame:
     check(snr_db, *FINITE, "SNR")
     sigma2 = 10.0 ** (-snr_db / 10.0)
     z = _complex_noise_at(seed, frame.start_index, len(frame.samples))
-    y = np.asarray(frame.samples, dtype=np.complex128) + np.sqrt(sigma2) * z
+    np.multiply(np.sqrt(sigma2), z, out=z)
+    y = np.add(np.asarray(frame.samples, dtype=np.complex128), z, out=z)
     return IqFrame(y, frame.fs, frame.f_c, frame.start_index)
 
 

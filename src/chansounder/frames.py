@@ -15,7 +15,8 @@ argument held to one checks it through :func:`check`, which names the
 value it rejects; the rules of the sequence parameters sit in
 :mod:`seqgen`.
 :func:`on_slices` runs a stage over contiguous slices of its rows (or
-columns), one slice per usable CPU, at most :data:`MAX_SLICES`.
+columns), one slice per usable CPU, at most :data:`MAX_SLICES`, and
+:func:`in_order` makes the items of a stream two at a time, in order.
 """
 
 from __future__ import annotations
@@ -176,6 +177,56 @@ def on_slices(fn, n: int) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def in_order(make, n: int):
+    """Yield ``make(0)``, ``make(1)``, ... ``make(n - 1)``, in order.
+
+    With two usable CPUs or more, the caller's thread makes the even
+    items and one helper thread the odd ones; the helper starts an item
+    once the caller has taken its last, so it holds at most one finished
+    item ahead.  An item's error is raised at that item's turn, after the
+    items before it.  The helper is joined when the iteration ends, raises
+    or is closed, or when the iterator is dropped part way.  With one
+    usable CPU, or fewer than two items, no thread starts.  ``make`` must
+    be safe to run on two threads at once.
+    """
+    if n < 2 or usable_cpus() < 2:
+        yield from map(make, range(n))
+        return
+    made: list = []  # the helper's finished items, oldest first
+    errors: list[BaseException] = []
+    ready = threading.Semaphore(0)  # the helper finished an item or failed
+    taken = threading.Semaphore(0)  # the caller took the item, or stopped
+    stop = False
+
+    def helper() -> None:
+        for i in range(1, n, 2):
+            try:
+                made.append(make(i))
+            except BaseException as exc:  # raised again at its turn
+                errors.append(exc)
+            ready.release()
+            taken.acquire()
+            if stop:
+                return
+
+    # a daemon, so a stream kept unfinished does not hold the interpreter open at exit
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        for i in range(0, n, 2):
+            yield make(i)
+            if i + 1 < n:
+                ready.acquire()
+                if errors:
+                    raise errors.pop()
+                taken.release()  # the helper may start its next item
+                yield made.pop(0)
+    finally:
+        stop = True
+        taken.release()
+        thread.join()
 
 
 @dataclass

@@ -51,7 +51,7 @@ from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place, reference_spectrum
 from .framestore import CaptureMeta
 from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, RATE, FrameSeries, IqFrame, TriggerEvent, check
-from .frames import check_sample_rate, first_non_finite, on_slices
+from .frames import check_sample_rate, first_non_finite, in_order, on_slices
 from .seqgen import Sequence, descriptor
 
 
@@ -282,7 +282,10 @@ class CaptureStream:
     one shared array (copy one before writing to it).  With a Doppler tap each
     block runs the channel over the ``model.max_delay()`` stimulus
     samples before it onward.  CFO, noise, the damage and quantization
-    run per block.  ``fs`` and ``f_c`` describe every block, as they
+    run per block.  Blocks with per-block work (a Doppler tap, CFO or
+    noise) are made two at a time on two usable CPUs or more
+    (:func:`frames.in_order`); slices of the quantized run are not.
+    ``fs`` and ``f_c`` describe every block, as they
     would the whole capture, and ``start_index`` and ``end_index`` span
     the whole stream, so :func:`frames_from_capture` takes the stream
     where it takes one :class:`IqFrame`.
@@ -338,7 +341,10 @@ class CaptureStream:
         run = None
         if all(tap.doppler_hz == 0 for tap in channel.taps):
             run = self._static_run(channel, quantize=not cfo and snr is None)
-        for a in range(0, self.n_samples, self.chunk_samples):
+        starts = range(0, self.n_samples, self.chunk_samples)
+
+        def make(i: int) -> IqFrame:
+            a = starts[i]
             b = min(a + self.chunk_samples, self.n_samples)
             if run is None:
                 s = max(0, a - lead)
@@ -349,17 +355,23 @@ class CaptureStream:
                     self.seq, n_reps, self.fs, self.f_c, s, min(self.n_samples, max(b, s + lead + 1))
                 )
                 y = chansim.apply_channel(x, channel).samples[a - s : b - s]
+                del x
             else:
                 o = a if a < lead else lead + (a - lead) % n  # same sample of the stimulus
                 y = run[o : o + b - a]
             block = IqFrame(y, self.fs, self.f_c, a)
+            del y  # each step below frees the samples of the step before
             if cfo:
                 block = chansim.apply_cfo(block, cfo)
             if snr is not None:
                 block = chansim.add_awgn(block, snr, self.model.seed)
             block = chansim.zero_spans(block, self.events)
             # a block still in the capture format was cut, untouched, from the quantized run
-            yield block if block.samples.dtype == CAPTURE_DTYPE else quantize_capture(block)
+            return block if block.samples.dtype == CAPTURE_DTYPE else quantize_capture(block)
+
+        # slices of the quantized run take no work worth a thread
+        inline = run is not None and run.dtype == CAPTURE_DTYPE
+        yield from map(make, range(len(starts))) if inline else in_order(make, len(starts))
 
 
 def capture_stream(config) -> CaptureStream:

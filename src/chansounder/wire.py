@@ -147,6 +147,7 @@ def encode_hello(hello: Hello) -> bytes:
 
 
 def encode_iq_chunk(start_index: int, samples: np.ndarray) -> bytes:
+    check(start_index, *NON_NEGATIVE, "IQ_CHUNK start_index")
     if not 1 <= len(samples) <= MAX_CHUNK_SAMPLES:
         raise ValueError(f"an IQ_CHUNK carries 1..{MAX_CHUNK_SAMPLES} samples, got {len(samples)}")
     x = np.ascontiguousarray(samples, dtype=CAPTURE_DTYPE)

@@ -1,9 +1,13 @@
 """Simulated channel tests: exact tap algebra, deterministic noise,
-chunk invariance, fault injection."""
+chunk invariance, fault injection, and the bits of the in-place noise,
+rotation and tap sums against their out-of-place forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chansounder import chansim
 from chansounder.chansim import (
     ChannelModel,
     ChannelTap,
@@ -21,6 +25,138 @@ FS = 1e6
 
 def frame_of(samples, start=0, fs=FS):
     return IqFrame(np.asarray(samples, dtype=np.complex128), fs, 0.0, start)
+
+
+# The out-of-place forms of the channel's arithmetic, the oracle of the
+# in-place ones: the same ufuncs on the same operands in the same order,
+# each product of two arrays taken from named arrays.  numpy reuses an
+# unnamed temporary of 256 KiB or more as the output of a product and
+# swaps the operands to do so, and a complex product of swapped operands
+# can round differently (seen with AVX-512).
+
+
+def oracle_rotate(samples, freq_hz, fs, start_index):
+    idx = start_index + np.arange(len(samples), dtype=np.int64)
+    rotation = np.exp(2j * np.pi * freq_hz * (idx / fs))
+    return samples * rotation
+
+
+def oracle_noise(seed, start_sample, count):
+    u = chansim._uniform_at(seed, 2 * start_sample, 2 * count)
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    phase = np.exp(2j * np.pi * u2)
+    z = r * phase
+    return z / np.sqrt(2.0)
+
+
+def oracle_awgn(frame, snr_db, seed):
+    noise = np.sqrt(10.0 ** (-snr_db / 10.0)) * oracle_noise(seed, frame.start_index, len(frame))
+    return np.asarray(frame.samples, dtype=np.complex128) + noise
+
+
+def oracle_cfo(frame, cfo_hz):
+    return oracle_rotate(np.asarray(frame.samples, dtype=np.complex128), cfo_hz, frame.fs, frame.start_index)
+
+
+def oracle_channel(frame, model):
+    x = np.asarray(frame.samples, dtype=np.complex128)
+    n = len(x)
+    y = np.zeros(n, dtype=np.complex128)
+    for tap in model.taps:
+        part = x[: n - tap.delay]
+        if tap.doppler_hz != 0.0:
+            part = oracle_rotate(part, tap.doppler_hz, frame.fs, frame.start_index + tap.delay)
+        y[tap.delay :] += tap.gain * part
+    if model.cable is not None:
+        y = np.convolve(y, model.cable)[:n]
+    out = IqFrame(y, frame.fs, frame.f_c, frame.start_index)
+    if model.cfo_hz:
+        out = IqFrame(oracle_cfo(out, model.cfo_hz), frame.fs, frame.f_c, frame.start_index)
+    if model.snr_db is not None:
+        out = IqFrame(oracle_awgn(out, model.snr_db, model.seed), frame.fs, frame.f_c, frame.start_index)
+    return out.samples
+
+
+def outcome(fn, *args):
+    """The dtype and bytes of ``fn(*args)``'s samples, or the type and
+    text of what it raised; numpy's float warnings are not raised."""
+    try:
+        with np.errstate(all="ignore"):
+            got = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    got = getattr(got, "samples", got)
+    return got.dtype.str, got.tobytes()
+
+
+MAX = 1.7976931348623157e308
+#: ±0, subnormals, the least normal and values near the float64 maximum,
+#: among plain values.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, MAX, -MAX, 1e308, -9.9e307]),
+    st.floats(-4.0, 4.0),
+)
+SAMPLE = st.builds(complex, PARTS, PARTS)
+#: Lengths 0, 1 and odd ones.
+LENGTH = st.one_of(st.sampled_from([0, 1]), st.integers(1, 60).map(lambda k: 2 * k + 1))
+START = st.integers(0, 2**53)
+RATES = st.sampled_from([FS, 7.0, 3.3e5, 2.0**-1000])
+
+
+@st.composite
+def frames(draw):
+    """Frames of normal samples from a drawn seed, which round as a
+    product's operands do, with drawn samples among them."""
+    n = draw(LENGTH)
+    samples = random_complex(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, max(0, n - 1)), SAMPLE), max_size=n)):
+        samples[i] = v
+    return IqFrame(samples, draw(RATES), 0.0, draw(START))
+
+
+def below_half(fs):
+    """Frequencies of magnitude below ``fs / 2``."""
+    return st.floats(-0.4999, 0.4999).map(lambda f: f * fs)
+
+
+class TestInPlaceBits:
+    """The in-place noise, rotation and tap sums give the bits of their
+    out-of-place forms, and leave their input frame as it was."""
+
+    @staticmethod
+    def same(fn, oracle, frame, *args):
+        before = frame.samples.tobytes()
+        assert outcome(fn, frame, *args) == outcome(oracle, frame, *args)
+        assert frame.samples.tobytes() == before
+
+    @settings(deadline=None)
+    @given(frame=frames(), snr_db=st.one_of(st.floats(-3000.0, 3000.0), st.sampled_from([-3100.0, 0.0, 20.0])),
+           seed=st.integers(0, 2**64 - 1))
+    def test_add_awgn(self, frame, snr_db, seed):
+        self.same(add_awgn, oracle_awgn, frame, snr_db, seed)
+
+    @settings(deadline=None)
+    @given(data=st.data(), frame=frames())
+    def test_apply_cfo(self, data, frame):
+        self.same(apply_cfo, oracle_cfo, frame, data.draw(below_half(frame.fs), label="cfo_hz"))
+
+    @settings(deadline=None)
+    @given(data=st.data(), frame=frames())
+    def test_apply_channel(self, data, frame):
+        reach = max(1, len(frame))
+        taps = data.draw(
+            st.lists(st.tuples(st.integers(0, reach - 1), SAMPLE, st.one_of(st.just(0.0), below_half(frame.fs))), min_size=1, max_size=3),
+            label="taps (delay, gain, Doppler)",
+        )
+        model = ChannelModel(
+            taps=[ChannelTap(*t) for t in taps],
+            snr_db=data.draw(st.one_of(st.none(), st.floats(-300.0, 300.0)), label="snr_db"),
+            cfo_hz=data.draw(st.one_of(st.just(0.0), below_half(frame.fs)), label="cfo_hz"),
+            cable=data.draw(st.one_of(st.none(), st.lists(SAMPLE, min_size=1, max_size=3)), label="cable"),
+            seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        )
+        self.same(apply_channel, oracle_channel, frame, model)
 
 
 class TestTaps:
@@ -92,6 +228,14 @@ class TestCfo:
         a = apply_cfo(frame_of(x[:37], start=0), 777.0).samples
         b = apply_cfo(frame_of(x[37:], start=37), 777.0).samples
         assert np.array_equal(whole, np.concatenate([a, b]))
+
+    def test_chunked_equals_whole_bitwise_past_256_kib(self, rng):
+        # numpy takes an unnamed 256 KiB temporary as a product's output and
+        # swaps the operands to do so, which changed a rotated frame's bits
+        x = random_complex(rng, 40_000)
+        whole = apply_cfo(frame_of(x), 777.0).samples
+        parts = [apply_cfo(frame_of(x[a : a + 8000], start=a), 777.0).samples for a in range(0, 40_000, 8000)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
 
     def test_unrepresentable_cfo_rejected(self):
         with pytest.raises(ValueError, match="not representable"):

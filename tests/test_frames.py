@@ -1,5 +1,6 @@
 """FrameSeries: one matrix that reads as a sequence of frames; on_slices:
-one contiguous slice of a stage per usable CPU."""
+one contiguous slice of a stage per usable CPU; in_order: a stream's
+items made two at a time and yielded in order."""
 
 import sys
 import threading
@@ -142,6 +143,100 @@ class TestOnSlices:
         with pytest.raises(KeyError, match="first"):
             frames.on_slices(fail_first, 4)
         assert done == [slice(2, 4)]
+        assert threading.active_count() == baseline
+
+
+class TestInOrder:
+    """in_order yields make(0) .. make(n - 1) in order: the even items made
+    on the caller's thread, the odd ones on one helper thread, which is
+    joined however the iteration ends."""
+
+    @staticmethod
+    def made_on(count, n):
+        """The items of in_order over ``n`` on ``count`` usable CPUs, each
+        with the thread that made it, and the threads alive after."""
+        items = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frames, "usable_cpus", lambda: count)
+            for i, thread in frames.in_order(lambda i: (i, threading.current_thread()), n):
+                items.append((i, thread))
+        return items
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+    def test_even_items_on_the_caller_and_odd_ones_on_one_helper(self, n):
+        baseline = threading.active_count()
+        items = self.made_on(2, n)
+        assert [i for i, _ in items] == list(range(n))
+        assert all(t is threading.current_thread() for i, t in items if i % 2 == 0)
+        helpers = {id(t) for i, t in items if i % 2}
+        assert len(helpers) == (n > 1) and threading.current_thread() not in [t for i, t in items if i % 2]
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_one_cpu_starts_no_thread(self, n, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda t: pytest.fail("a thread started"))
+        items = self.made_on(1, n)
+        assert [i for i, _ in items] == list(range(n))
+        assert all(t is threading.current_thread() for _, t in items)
+
+    def test_the_helper_holds_one_finished_item_ahead(self, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 2)
+        started = []
+        for i in frames.in_order(lambda i: started.append(i) or i, 9):
+            time.sleep(0.01)  # the helper runs as far ahead as it may
+            assert max(started) <= i + 1 + i % 2, (i, started)
+
+    @pytest.mark.parametrize("bad", [1, 4, 7])
+    def test_an_error_is_raised_at_its_own_turn(self, bad, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 2)
+        baseline = threading.active_count()
+
+        def make(i):
+            if i == bad:
+                raise ValueError(f"item {i}")
+            return i
+
+        got = []
+        with pytest.raises(ValueError, match=f"item {bad}$"):
+            for i in frames.in_order(make, 9):
+                got.append(i)
+        assert got == list(range(bad))
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("how", ["close", "drop"])
+    def test_a_stream_left_part_way_joins_its_helper(self, how, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 2)
+        baseline = threading.active_count()
+        items = frames.in_order(lambda i: i, 9)
+        assert next(items) == 0 and threading.active_count() == baseline + 1
+        if how == "close":
+            items.close()
+        else:
+            del items
+        assert threading.active_count() == baseline
+
+    def test_four_streams_at_once_each_give_their_items_in_order(self, monkeypatch):
+        # eight threads on the machine's CPUs, switching every microsecond:
+        # a lost or reordered hand-over shows as a list out of order
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 2)
+        baseline = threading.active_count()
+        got = [[] for _ in range(4)]
+
+        def drain(k):
+            got[k].extend(frames.in_order(lambda i: (k, i), 400))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drain, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[(k, i) for i in range(400)] for k in range(4)]
         assert threading.active_count() == baseline
 
 

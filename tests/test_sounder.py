@@ -2,6 +2,7 @@
 timestamps, profile correction, and the composed offline run."""
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -924,3 +925,71 @@ class TestCaptureStream:
         cfg.chunk_samples = 0
         with pytest.raises(ValueError, match="chunk_samples must be at least 1"):
             capture_stream(cfg)
+
+
+class TestBlocksOnTwoThreads:
+    """Blocks with per-block work are made two at a time on two usable
+    CPUs or more (frames.in_order): the same bits on any count, each
+    block's error at its own turn, and no thread left behind."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_blocks_are_the_same_bits_on_1_2_and_8_cpus(self, data):
+        cfg = draw_campaign(data)
+        n_seq = cfg.make_sequence().n_seq
+        total = cfg.num_sequences() * n_seq
+        cfg.chunk_samples = data.draw(
+            st.one_of(
+                st.just(1),
+                st.integers(2, 3 * n_seq).filter(lambda c: n_seq % c),  # does not divide the period
+                st.integers(total + 1, total + 40),  # longer than the stream
+            ),
+            label="chunk_samples",
+        )
+        runs = []
+        for count in (1, 2, 8):
+            with on_cpus(count):
+                runs.append([(b.start_index, b.samples.tobytes()) for b in capture_stream(cfg)])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @staticmethod
+    def stream(n_sequences=8, **settings):
+        cfg = CampaignConfig(length=16, n_sequences=n_sequences, cable=None, chunk_samples=16, **settings)
+        cfg.channel_taps = [(0, 1, 0.0), (3, 0.5j, 900.0)]
+        return capture_stream(cfg)
+
+    def test_a_block_that_fails_on_the_helper_raises_at_its_own_turn(self):
+        # noise of power 1e80 overflows float32 in every sample the first
+        # trigger's span leaves standing: first in block 3, made by the helper
+        stream = self.stream(snr_db=-800.0, triggers=[(0, "overflow", "")], corrupt_span=48)
+        baseline = threading.active_count()
+        got = []
+        with on_cpus(2), pytest.raises(ValueError, match="at absolute index 48$"):
+            for block in stream:
+                got.append(block.start_index)
+        assert got == [0, 16, 32]
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("how", ["close", "drop"])
+    def test_a_stream_left_part_way_leaves_no_thread(self, how):
+        baseline = threading.active_count()
+        with on_cpus(2):
+            blocks = iter(self.stream(snr_db=20.0))
+            assert next(blocks).start_index == 0
+            assert threading.active_count() == baseline + 1
+            if how == "close":
+                blocks.close()
+            else:
+                del blocks
+        assert threading.active_count() == baseline
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda t: pytest.fail("a thread started"))
+        with on_cpus(1):
+            assert len(list(self.stream(snr_db=20.0, cfo_hz=100.0))) == 8
+
+    def test_slices_of_the_quantized_run_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", lambda t: pytest.fail("a thread started"))
+        cfg = CampaignConfig(length=16, n_sequences=8, cable=None, snr_db=None, chunk_samples=16)
+        with on_cpus(2):
+            assert len(list(capture_stream(cfg))) == 8

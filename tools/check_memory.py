@@ -10,9 +10,12 @@ under ``tracemalloc``:
   stay at or below 1.5 MB.
 
 Each side first runs a two-period campaign outside the trace, so that
-first-use allocations (imports, FFT plans) are not counted.
+first-use allocations (imports, FFT plans) are not counted.  The peaks
+depend on the CPUs the process may run on: on two or more, a second
+noisy capture block is made on a helper thread, so run it pinned too.
 
     python3 tools/check_memory.py --samples 16777216
+    taskset -c 0 python3 tools/check_memory.py --samples 16777216
 
 Prints both peaks and exits 0 when both lie within their bounds, 1 when
 one does not.
