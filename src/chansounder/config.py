@@ -45,12 +45,10 @@ def _parse_choice(what: str, *choices: str):
     return parse
 
 
-def _parse_optional_float(value: str) -> float | None:
-    return None if value.strip().lower() in ("", "none") else float(value)
-
-
-def _parse_optional_int(value: str) -> int | None:
-    return None if value.strip().lower() == "none" else int(value)
+def _parse_optional(number):
+    """The parser of an optional ``number`` (``int`` or ``float``): empty
+    text and ``none`` read as None."""
+    return lambda value: None if value.strip().lower() in ("", "none") else number(value)
 
 
 def _parse_optional_str(value: str) -> str | None:
@@ -124,15 +122,15 @@ class CampaignConfig:
 
     sample_rate: float = _setting("sample_rate", float, 1_000_000.0, valid=RATE)
     center_frequency: float = _setting("center_frequency", float, 5.8e9, valid=POSITIVE_FINITE)
-    n_sequences: int | None = _setting("n_sequences", _parse_optional_int, 200, valid=none_or(*AT_LEAST_1))
-    duration: float | None = _setting("duration", _parse_optional_float, valid=NONE_OR_POSITIVE_FINITE)
+    n_sequences: int | None = _setting("n_sequences", _parse_optional(int), 200, valid=none_or(*AT_LEAST_1))
+    duration: float | None = _setting("duration", _parse_optional(float), valid=NONE_OR_POSITIVE_FINITE)
 
     channel_taps: list[tuple] = _setting(
         "channel.taps",
         _parse_channel_taps,
         factory=lambda: [(0, 1 + 0j, 0.0), (3, 0.5j, 0.0), (11, -0.2 + 0.1j, 0.0)],
     )
-    snr_db: float | None = _setting("channel.snr_db", _parse_optional_float, valid=NONE_OR_FINITE)
+    snr_db: float | None = _setting("channel.snr_db", _parse_optional(float), valid=NONE_OR_FINITE)
     cfo_hz: float = _setting("channel.cfo_hz", float, 0.0, valid=FINITE)
     cable: list[complex] | None = _setting(
         "channel.cable", _parse_cable, factory=lambda: [1 + 0j, 0j, 0.25 + 0j]
@@ -153,7 +151,7 @@ class CampaignConfig:
     doppler_zero_fill: bool = _setting("doppler_zero_fill", _parse_bool, False)
     bc_threshold: float = _setting("bc_threshold", float, 0.5, valid=OPEN_UNIT)
     max_distance_ref_m: float | None = _setting(
-        "max_distance_ref_m", _parse_optional_float, valid=NONE_OR_POSITIVE_FINITE
+        "max_distance_ref_m", _parse_optional(float), valid=NONE_OR_POSITIVE_FINITE
     )
 
     out: str | None = _setting("out", _parse_optional_str)
@@ -194,12 +192,12 @@ class CampaignConfig:
         self, stream_descriptor: str, fs: float, source: str, error=ValueError, strict=False
     ) -> Sequence:
         """Adopt the sample rate ``fs`` of a capture or peer (``source``) and
-        return the sequence it was stimulated with: its descriptor, or the
-        local sequence when that is empty (unknown).  An explicit (when
-        ``strict``, any) local rate other than ``fs``, a pinned sequence
-        that differs from the descriptor or, when ``strict``, that an empty
-        descriptor leaves unconfirmed, and an unusable descriptor raise
-        ``error``."""
+        return the sequence it was stimulated with: the local sequence when
+        the descriptor names it or is empty (unknown), else the descriptor's.
+        An explicit (when ``strict``, any) local rate other than ``fs``, a
+        pinned sequence that differs from the descriptor or, when
+        ``strict``, that an empty descriptor leaves unconfirmed, and an
+        unusable descriptor raise ``error``."""
         if (strict or "sample_rate" in self.explicit) and fs != self.sample_rate:
             raise error(
                 f"{source} samples at {fs} Hz but the configuration expects "
@@ -213,7 +211,7 @@ class CampaignConfig:
                 f"{source} was stimulated with {stream_descriptor!r} but the "
                 f"configuration pins {descriptor(local)!r}"
             )
-        if not stream_descriptor:
+        if stream_descriptor in ("", descriptor(local)):
             return local
         try:
             return from_descriptor(stream_descriptor)
@@ -224,7 +222,7 @@ class CampaignConfig:
         if self.n_sequences is not None:
             return check(self.n_sequences, *AT_LEAST_1, "n_sequences")
         if self.duration is not None:
-            t_seq = check(self.make_sequence().n_seq / self.sample_rate, *RATE, "sequence period")
+            t_seq = check(self.make_sequence().n_seq * (1.0 / self.sample_rate), *RATE, "sequence period")
             periods = self.duration / t_seq
             if periods == math.inf:
                 raise ValueError(f"duration {self.duration} s is more sequence periods than a float holds")

@@ -14,9 +14,11 @@ are stated here once, and every config key, file header and library
 argument held to one checks it through :func:`check`, which names the
 value it rejects; the rules of the sequence parameters sit in
 :mod:`seqgen`.
-:func:`on_slices` runs a stage over contiguous slices of its rows (or
-columns), one slice per usable CPU, at most :data:`MAX_SLICES`, and
-:func:`in_order` makes the items of a stream two at a time, in order.
+:func:`in_order` makes the items of a stream on the caller's thread and
+helper threads, two at a time unless asked for more, and yields them in
+order; :func:`on_slices` runs a stage over contiguous slices of its rows
+(or columns) through it, one slice per usable CPU, at most
+:data:`MAX_SLICES`.
 """
 
 from __future__ import annotations
@@ -147,86 +149,76 @@ def on_slices(fn, n: int) -> None:
     that cut ``range(n)``: one slice per usable CPU, never more than ``n``
     or :data:`MAX_SLICES` (and one, empty, when ``n`` is 0).
 
-    The first slice runs on the caller's thread and each other slice on
-    a thread of its own; every thread started is joined before this
-    returns or raises, and the error of the first slice that failed is
-    raised again here.  With one slice no thread starts.  ``fn`` must
-    give each slice the bits it would give it alone.
+    The slices are the items of :func:`in_order` with one worker each:
+    the first runs on the caller's thread and each other slice on a
+    helper thread, every helper is joined before this returns or raises,
+    and the error of the first failed slice, in slice order, is raised.
+    With one slice no thread starts.  ``fn`` must give each slice the
+    bits it would give it alone.
     """
     k = max(1, min(n, usable_cpus(), MAX_SLICES))
     cuts = [n * i // k for i in range(k + 1)]
-    parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    errors: list[BaseException | None] = [None] * k
-
-    def run(i: int) -> None:
-        try:
-            fn(parts[i])
-        except BaseException as exc:  # raised again on the caller's thread
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, k):
-            threads.append(threading.Thread(target=run, args=(i,)))
-            threads[-1].start()
-        fn(parts[0])
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for _ in in_order(lambda i: fn(slice(cuts[i], cuts[i + 1])), k, workers=k):
+        pass
 
 
-def in_order(make, n: int):
+def in_order(make, n: int, workers: int = 2):
     """Yield ``make(0)``, ``make(1)``, ... ``make(n - 1)``, in order.
 
-    With two usable CPUs or more, the caller's thread makes the even
-    items and one helper thread the odd ones; the helper starts an item
-    once the caller has taken its last, so it holds at most one finished
-    item ahead.  An item's error is raised at that item's turn, after the
-    items before it.  The helper is joined when the iteration ends, raises
-    or is closed, or when the iterator is dropped part way.  With one
-    usable CPU, or fewer than two items, no thread starts.  ``make`` must
-    be safe to run on two threads at once.
+    The work is shared by ``k = min(workers, n, usable_cpus())`` threads:
+    the caller's thread makes the items ``i`` with ``i % k == 0`` and
+    helper thread ``j`` those with ``i % k == j``.  A helper starts an
+    item once the caller has taken its last, so each holds at most one
+    finished item ahead.  An item's error is raised at that item's turn,
+    after the items before it.  Every helper is joined when the iteration
+    ends, raises or is closed, or when the iterator is dropped part way.
+    With ``k`` below 2 no thread starts.  ``make`` must be safe to run on
+    ``k`` threads at once.
     """
-    if n < 2 or usable_cpus() < 2:
+    k = min(workers, n, usable_cpus())
+    if k < 2:
         yield from map(make, range(n))
         return
-    made: list = []  # the helper's finished items, oldest first
-    errors: list[BaseException] = []
-    ready = threading.Semaphore(0)  # the helper finished an item or failed
-    taken = threading.Semaphore(0)  # the caller took the item, or stopped
+    made: list[list] = [[] for _ in range(k)]  # each helper's finished items, oldest first
+    errors: list[BaseException | None] = [None] * k
+    ready = [threading.Semaphore(0) for _ in range(k)]  # helper j finished an item or failed
+    taken = [threading.Semaphore(0) for _ in range(k)]  # the caller took its item, or stopped
     stop = False
 
-    def helper() -> None:
-        for i in range(1, n, 2):
+    def helper(j: int) -> None:
+        for i in range(j, n, k):
             try:
-                made.append(make(i))
+                made[j].append(make(i))
             except BaseException as exc:  # raised again at its turn
-                errors.append(exc)
-            ready.release()
-            taken.acquire()
+                errors[j] = exc
+            ready[j].release()
+            if errors[j] is not None or i + k >= n:  # no next item to wait for
+                return
+            taken[j].acquire()
             if stop:
                 return
 
-    # a daemon, so a stream kept unfinished does not hold the interpreter open at exit
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
+    # daemons, so a stream kept unfinished does not hold the interpreter open at exit
+    threads = [threading.Thread(target=helper, args=(j,), daemon=True) for j in range(1, k)]
     try:
-        for i in range(0, n, 2):
-            yield make(i)
-            if i + 1 < n:
-                ready.acquire()
-                if errors:
-                    raise errors.pop()
-                taken.release()  # the helper may start its next item
-                yield made.pop(0)
+        for thread in threads:
+            thread.start()
+        for i in range(n):
+            j = i % k
+            if not j:
+                yield make(i)
+                continue
+            ready[j].acquire()
+            if errors[j] is not None:
+                raise errors[j]
+            taken[j].release()  # helper j may start its next item
+            yield made[j].pop(0)
     finally:
         stop = True
-        taken.release()
-        thread.join()
+        for j, thread in enumerate(threads, 1):
+            if thread.ident is not None:  # started
+                taken[j].release()
+                thread.join()
 
 
 @dataclass

@@ -387,7 +387,7 @@ def capture_stream(config) -> CaptureStream:
             f"channel reaches back {model.max_delay()} samples, which wraps around "
             f"the {seq.n_seq}-sample sequence period"
         )
-    doppler_limit = max_doppler(seq.n_seq / fs)
+    doppler_limit = max_doppler(seq.n_seq * (1.0 / fs))
     for tap in model.taps:
         if not abs(tap.doppler_hz) < doppler_limit:
             raise ValueError(

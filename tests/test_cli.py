@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chansounder import _floatrepr, charmetrics, framestore, sounder, wire
+from chansounder import _floatrepr, charmetrics, framestore, seqgen, sounder, wire
 from chansounder.cli import _COMMANDS, _FLAGS, _build_parser, _config_from_args, main
 from chansounder.config import CampaignConfig, load_config
 from chansounder.framestore import read_profile
@@ -608,6 +608,29 @@ class TestOneCorrelationCall:
             with serving(lambda lsock: wire.serve_stimulation(load_config(cfg), lsock)) as (endpoint, _):
                 assert main(["correlate", "--config", cfg, "--endpoint", endpoint] + out) == 0
         assert calls == ["correlate", "frames_from_capture"]
+
+
+@pytest.mark.parametrize("family", ["mls", "fzc"])
+def test_correlate_of_a_capture_makes_its_sequence_once(tmp_path, monkeypatch, family):
+    # the capture's descriptor names the configured sequence, so the local one is used
+    cfg = small_config(tmp_path, f"sequence.family = {family}\nsequence.register_length = 6\n")
+    cap, out = str(tmp_path / "cap.iq"), str(tmp_path / "run")
+    assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+    # with no configuration the sequence is made from the capture's descriptor
+    assert main(["correlate", "--input", cap, "--out", out + "-adopted"]) == 0
+    made = []
+    for name in ("generate_fzc", "generate_mls"):
+        real = getattr(seqgen, name)
+
+        def counting(*args, _name=name, _real=real):
+            made.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(seqgen, name, counting)
+        monkeypatch.setattr(f"chansounder.config.{name}", counting)
+    assert main(["correlate", "--config", cfg, "--input", cap, "--out", out]) == 0
+    assert made == [f"generate_{family}"]
+    assert Path(out + ".frames").read_bytes() == Path(out + "-adopted.frames").read_bytes()
 
 
 class TestProfileBeforeCapture:

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,15 @@ endpoint = 127.0.0.1:7000
     def test_snr_none(self, tmp_path):
         path = write(tmp_path / "c.cfg", "channel.snr_db = none\n")
         assert load_config(path).snr_db is None
+
+    def test_every_optional_number_reads_empty_and_none_alike(self):
+        optional = [f.metadata["key"] for f in fields(CampaignConfig) if f.type in ("int | None", "float | None")]
+        assert sorted(optional) == ["channel.snr_db", "duration", "max_distance_ref_m", "n_sequences"]
+        for key in optional:
+            for text in ("", "none", " None "):
+                cfg = CampaignConfig()
+                cfg.set_key(key, text, "--flag")
+                assert getattr(cfg, _KEYS[key][0]) is None, (key, text)
 
 
 class TestIncludes:

@@ -240,6 +240,75 @@ class TestInOrder:
         assert threading.active_count() == baseline
 
 
+class TestInOrderOnThreeWorkers:
+    """in_order with three workers on three usable CPUs: the caller makes
+    the items i with i % 3 == 0 and helper j those with i % 3 == j."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_items_come_out_in_order_each_made_by_its_worker(self, n):
+        baseline = threading.active_count()
+        items = list(frames.in_order(lambda i: (i, threading.current_thread()), n, workers=3))
+        assert [i for i, _ in items] == list(range(n))
+        makers = [{id(t) for i, t in items if i % 3 == j} for j in range(3)]
+        assert makers[0] == {id(threading.current_thread())}
+        assert all(len(m) == 1 for m in makers) and len(set.union(*makers)) == 3
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers, cpus, n, threads", [(3, 2, 9, 2), (3, 3, 2, 2), (3, 3, 1, 1), (1, 3, 9, 1)])
+    def test_the_fewest_of_workers_items_and_cpus_make_them(self, monkeypatch, workers, cpus, n, threads):
+        monkeypatch.setattr(frames, "usable_cpus", lambda: cpus)
+        items = list(frames.in_order(lambda i: (i, threading.get_ident()), n, workers=workers))
+        assert [i for i, _ in items] == list(range(n))
+        assert len({ident for _, ident in items}) == threads
+
+    @pytest.mark.parametrize("bad", [2, 5, 8])
+    def test_an_error_of_helper_2_is_raised_at_its_turn(self, bad):
+        baseline = threading.active_count()
+
+        def make(i):
+            if i == bad:
+                raise ValueError(f"item {i}")
+            return i
+
+        got = []
+        with pytest.raises(ValueError, match=f"item {bad}$"):
+            for i in frames.in_order(make, 9, workers=3):
+                got.append(i)
+        assert got == list(range(bad))
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("how", ["close", "drop"])
+    def test_a_stream_left_part_way_joins_both_helpers(self, how):
+        baseline = threading.active_count()
+        items = frames.in_order(lambda i: i, 9, workers=3)
+        assert next(items) == 0 and threading.active_count() == baseline + 2
+        if how == "close":
+            items.close()
+        else:
+            del items
+        assert threading.active_count() == baseline
+
+    def test_no_helper_holds_more_than_one_finished_item_ahead(self):
+        started, lock = [], threading.Lock()
+
+        def make(i):
+            with lock:
+                started.append(i)
+            return i
+
+        for i in frames.in_order(make, 12, workers=3):
+            time.sleep(0.01)  # the helpers run as far ahead as they may
+            with lock:
+                for j in (1, 2):
+                    # helper j starts an item once the caller took its last one
+                    last_taken = i - (i - j) % 3
+                    assert max(m for m in started if m % 3 == j) <= last_taken + 3, (i, j, started)
+
+
 def test_numpy_ffts_give_the_bits_of_one_thread_on_two():
     # The slices rest on numpy's FFT giving each row the same bits on any
     # thread, also while another thread plans other lengths: 24 lengths

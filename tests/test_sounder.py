@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import chansim
+from chansounder.charmetrics import characterize
 from chansounder.calib import through_calibrate
 from chansounder.config import CampaignConfig
 from chansounder.corrmath import fast_pccf
@@ -452,6 +453,18 @@ class TestCampaignLimits:
                 run_sounding(cfg)
         cfg = self.small(channel_taps=[(0, 1, 0.0), (3, 0.5, -7812.0)])
         assert len(run_sounding(cfg)) == 3
+
+    def test_the_doppler_limit_is_the_one_the_report_prints(self):
+        # MLS-127 at the paper's 100 MS/s, where 127 / fs and 127 * (1 / fs)
+        # differ in the last bit: the report's doppler_max_hz is no valid tap
+        cfg = self.small(family="mls", register_length=7, sample_rate=1e8)
+        limit = characterize(run_sounding(cfg), cfg.sample_rate).doppler.max_hz
+        assert limit == 393700.7874015748
+        cfg.channel_taps = [(0, 1, 0.0), (3, 0.5, limit)]
+        with pytest.raises(ValueError, match=f"resolves \\|Doppler\\| < {limit} Hz$"):
+            capture_stream(cfg)
+        cfg.channel_taps = [(0, 1, 0.0), (3, 0.5, -math.nextafter(limit, 0))]
+        assert len(capture_stream(cfg).seq.samples) == 127
 
     def test_nan_doppler_is_rejected(self):
         cfg = self.small(channel_taps=[(0, 1, 0.0), (3, 0.5, float("nan"))])
