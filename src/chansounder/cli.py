@@ -101,7 +101,24 @@ def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
     return path
 
 
+def _series_writer(cfg: CampaignConfig):
+    """The ``.frames`` writer that ``correlate`` gives
+    :func:`sounder.frames_from_capture`: once the series keeps a period,
+    it opens the file :func:`_write_series` writes, with the same header
+    (:func:`framestore.writing_frames`)."""
+
+    def open_series(n_records: int, n_seq: int, total_sequences: int):
+        _nonempty(n_records, total_sequences)
+        path = _require(cfg.out, "--out") + ".frames"
+        return framestore.writing_frames(
+            path, n_records, n_seq, 1.0 / cfg.sample_rate, cfg.calibration or "", total_sequences
+        )
+
+    return open_series
+
+
 def _nonempty(frames, total_sequences: int):
+    """``frames``, a series or its length, once it keeps a period."""
     if not frames:
         raise ValueError(
             f"kept 0 of {total_sequences} sequence periods (discard_first drops period 0, "
@@ -151,18 +168,18 @@ def cmd_stimulate(cfg: CampaignConfig) -> int:
 
 
 def cmd_correlate(cfg: CampaignConfig) -> int:
+    # the frames are written as they are corrected
+    writer = _series_writer(cfg)
     if cfg.endpoint:
-        frames, total, _ = wire.consume_correlation(cfg.endpoint, cfg)
+        frames, total, _ = wire.consume_correlation(cfg.endpoint, cfg, writer)
     else:
         profile = cfg.load_profile()  # a bad profile fails before the capture is read
         capture, meta = framestore.read_capture(_require(cfg.input, "--input"))
         # A capture file's rule: its rate and sequence are adopted unless the
         # configuration states a rate or pins a sequence that differs.
         seq = cfg.stream_sequence(meta.sequence_descriptor, capture.fs, "capture")
-        frames, total = sounder.correlate(cfg, capture, seq, meta.triggers, profile)
-        del capture  # free the capture before the frames are written
-    path = _write_series(cfg, _nonempty(frames, total), total)
-    print(f"kept {len(frames)} of {total} sequence periods -> {path}")
+        frames, total = sounder.correlate(cfg, capture, seq, meta.triggers, profile, writer)
+    print(f"kept {len(frames)} of {total} sequence periods -> {cfg.out}.frames")
     return 0
 
 

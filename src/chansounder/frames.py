@@ -16,9 +16,10 @@ value it rejects; the rules of the sequence parameters sit in
 :mod:`seqgen`.
 :func:`in_order` makes the items of a stream on the caller's thread and
 helper threads, two at a time unless asked for more, and yields them in
-order; :func:`on_slices` runs a stage over contiguous slices of its rows
-(or columns) through it, one slice per usable CPU, at most
-:data:`MAX_SLICES`.
+order.  :func:`in_slices` runs a stage over contiguous slices of its
+rows (or columns) through it, one at a time per usable CPU and at most
+:data:`MAX_SLICES` at once, and yields each slice as it is done;
+:func:`on_slices` runs a stage over one slice per usable CPU.
 """
 
 from __future__ import annotations
@@ -147,19 +148,38 @@ def usable_cpus() -> int:
 def on_slices(fn, n: int) -> None:
     """Call ``fn(part)`` once for each of the contiguous slices ``part``
     that cut ``range(n)``: one slice per usable CPU, never more than ``n``
-    or :data:`MAX_SLICES` (and one, empty, when ``n`` is 0).
+    or :data:`MAX_SLICES` (and one, empty, when ``n`` is 0).  The slices
+    are those of :func:`in_slices`, drained."""
+    for _ in in_slices(fn, n):
+        pass
 
-    The slices are the items of :func:`in_order` with one worker each:
-    the first runs on the caller's thread and each other slice on a
-    helper thread, every helper is joined before this returns or raises,
-    and the error of the first failed slice, in slice order, is raised.
-    With one slice no thread starts.  ``fn`` must give each slice the
-    bits it would give it alone.
+
+def in_slices(fn, n: int, at_least: int = 1):
+    """Yield, in order, the contiguous slices ``part`` that cut
+    ``range(n)``, each once ``fn(part)`` has run.  Their sizes differ by
+    one at most, and their count is the least multiple of ``k`` that is
+    at least ``at_least``, but never more than ``n``; ``k`` is the usable
+    CPU count, at most ``n`` and :data:`MAX_SLICES` and at least 1 (so
+    ``n`` = 0 gives one empty slice).
+
+    The slices are the items of :func:`in_order` with ``k`` workers:
+    slice ``i`` runs on the caller's thread when ``i % k == 0`` and on
+    helper thread ``i % k`` otherwise, so at most ``k`` run at once.
+    Every helper is joined before the iteration ends or raises, or when
+    it is closed; the error of the first failed slice, in slice order,
+    is raised at its turn.  With one worker no thread starts.  ``fn``
+    must give each slice the bits it would give it alone.
     """
     k = max(1, min(n, usable_cpus(), MAX_SLICES))
-    cuts = [n * i // k for i in range(k + 1)]
-    for _ in in_order(lambda i: fn(slice(cuts[i], cuts[i + 1])), k, workers=k):
-        pass
+    m = max(k, min(n, -(-at_least // k) * k))  # whole rounds of k, so no worker idles in the last
+    cuts = [n * i // m for i in range(m + 1)]
+
+    def run(i: int) -> slice:
+        part = slice(cuts[i], cuts[i + 1])
+        fn(part)
+        return part
+
+    return in_order(run, m, workers=k)
 
 
 def in_order(make, n: int, workers: int = 2):

@@ -34,9 +34,12 @@ from .frames import TriggerEvent, capture_blocks, check_finite, checked, first_n
 CAPTURE_VERSION = 1
 FRAMES_MAGIC = b"CSF1"
 PROFILE_MAGIC = b"CSP1"
-#: ``write_frames`` packs and ``read_frames`` unpacks records in slices
-#: of about this size, so neither holds a second copy of the whole series.
+#: ``writing_frames`` checks and ``read_frames`` unpacks records in slices
+#: of about this size, so neither holds a second copy of the whole series;
+#: ``replacing`` starts each piece of this size out to disk once it is written.
 _SLICE_BYTES = 1 << 20
+#: Most buffers one ``os.writev`` call takes (Linux's ``IOV_MAX``).
+_IOV_MAX = 1024
 
 #: A header field parser for an absolute sample index.
 _sample_index = checked(int, *NON_NEGATIVE)
@@ -99,15 +102,69 @@ def write_trigger_sidecar(path: str, events: list[TriggerEvent]) -> None:
         os.remove(path + ".triggers")
 
 
+class _WrittenOut:
+    """The binary file ``f``, whose bytes start out to disk as they are
+    written: each piece of about :data:`_SLICE_BYTES` is flushed and its
+    write-out started (``POSIX_FADV_DONTNEED``, where the platform has
+    ``os.posix_fadvise``) as soon as it is written, and so is the rest by
+    :meth:`write_out`.  Every byte is in exactly one such range."""
+
+    def __init__(self, f):
+        self.f = f
+        self.start = self.end = 0  # bytes [start, end) are written, not yet sent out
+
+    def write(self, data) -> int:
+        n = self.f.write(data)
+        self.end += n
+        if self.end - self.start >= _SLICE_BYTES:
+            self.write_out()
+        return n
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+    def write_all(self, buffers: list) -> None:
+        """Write the contiguous byte arrays ``buffers``, at most
+        :data:`_IOV_MAX` of them, in order: gathered by ``os.writev``
+        where the platform has it, which may take more than one call."""
+        if not hasattr(os, "writev"):
+            self.writelines(buffers)
+            return
+        self.f.flush()
+        i = 0
+        while i < len(buffers):
+            n = os.writev(self.f.fileno(), buffers[i:])
+            self.end += n
+            while i < len(buffers) and n >= len(buffers[i]):  # what went out whole
+                n -= len(buffers[i])
+                i += 1
+            if n:
+                buffers[i] = buffers[i][n:]
+        if self.end - self.start >= _SLICE_BYTES:
+            self.write_out()
+
+    def write_out(self) -> None:
+        self.f.flush()
+        # a length of 0 would advise the rest of the file
+        if self.end > self.start and hasattr(os, "posix_fadvise"):
+            os.posix_fadvise(self.f.fileno(), self.start, self.end - self.start, os.POSIX_FADV_DONTNEED)
+        self.start = self.end
+
+
 @contextmanager
 def replacing(path: str):
-    """Open ``<path>.part`` for binary writing; it replaces ``path`` when
-    the block ends, and is removed when the block raises, so a failed
-    write leaves the earlier file as it was."""
+    """Open ``<path>.part`` for binary writing, its bytes written out to
+    disk as they are written (:class:`_WrittenOut`); it replaces ``path``
+    when the block ends, and is removed when the block raises, so a
+    failed write leaves the earlier file as it was.  The rename is the
+    commit: nothing is synced."""
     part = path + ".part"
     try:
         with open(part, "wb") as f:
-            yield f
+            out = _WrittenOut(f)
+            yield out
+            out.write_out()
         os.replace(part, path)
     except BaseException:
         if os.path.exists(part):
@@ -139,7 +196,7 @@ def write_capture(path: str, capture: "IqFrame | sounder.CaptureStream", meta: C
     _trigger_log(path + ".triggers", meta.triggers)  # its notes, checked before a file is opened
     with replacing(path) as f, replacing(sidecar_path(path)) as text:
         for block in blocks:
-            np.asarray(block.samples, dtype=CAPTURE_DTYPE).tofile(f)
+            f.write(np.ascontiguousarray(block.samples, dtype=CAPTURE_DTYPE))
         text.write(sidecar.encode("utf-8"))
         if meta.triggers:  # the last file written, so the first put in place
             write_trigger_log(path + ".triggers", meta.triggers)
@@ -204,11 +261,13 @@ class FrameSeriesMeta:
         return rate
 
 
+#: The head of a frame-series record: the fields before its response.
+_RECORD_HEAD = np.dtype([("sequence_index", "<i8"), ("t_i", "<f8"), ("corrected", "u1")])
+
+
 def _record_dtype(n_seq: int) -> np.dtype:
     """One frame-series record; its fields are the :class:`FrameSeries` fields."""
-    return np.dtype(
-        [("sequence_index", "<i8"), ("t_i", "<f8"), ("corrected", "u1"), ("h", "<c16", (n_seq,))]
-    )
+    return np.dtype(_RECORD_HEAD.descr + [("h", "<c16", (n_seq,))])
 
 
 def _parse_header(
@@ -285,8 +344,8 @@ def _read_container(
 def _check_records(path: str, lo: int, t_i: np.ndarray, h: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first of the frame-series records
     from number ``lo`` on, with times ``t_i`` and responses ``h``, whose
-    time or response is not finite: the rule :func:`write_frames` runs on
-    each slice it packs and :func:`read_frames` on each slice it reads."""
+    time or response is not finite: the rule :func:`writing_frames` runs on
+    each slice it writes and :func:`read_frames` on each slice it reads."""
     bad = [i for x in (t_i, h) if (i := first_non_finite(x)) is not None]
     if bad:
         raise ValueError(f"{path}: record {lo + min(bad)} holds a non-finite value")
@@ -298,6 +357,54 @@ def _write_head(f, magic: bytes, header: str) -> None:
     f.write(magic + struct.pack("<I", len(text)) + text)
 
 
+@contextmanager
+def writing_frames(path: str, n_records: int, n_seq: int, t_s: float, calibration: str, total_sequences: int):
+    """Open the frame-series file ``path`` of ``n_records`` records of
+    ``n_seq`` samples and yield ``write(frames)``, which writes the next
+    records, those of the :class:`FrameSeries` ``frames``.
+
+    The header (``t_s``, ``t_seq = n_seq * t_s``) meets
+    :func:`read_frames`'s rules before the file is opened.  Each record
+    meets them as it is written, checked by :func:`_check_records` in
+    slices of about :data:`_SLICE_BYTES`: a record whose time or response
+    is not finite raises ``ValueError`` naming its number in the file.
+    A record goes out as its head, packed into a small array per slice,
+    and a view of its response, so no packed copy of the responses is
+    made.  The file is put in place when the block ends with all
+    ``n_records`` written (:func:`replacing`); one that raises leaves the
+    earlier file as it was.
+    """
+    header = _header(path, "frame-series header", _FRAMES_FIELDS, {
+        "n_records": str(n_records),
+        "n_seq": str(n_seq),
+        "t_s": _float_text(t_s),
+        "t_seq": _float_text(n_seq * t_s),
+        "calibration": calibration,
+        "total_sequences": str(total_sequences),
+    })
+    # a slice's heads and responses are at most _IOV_MAX buffers
+    step = max(1, min(_SLICE_BYTES // _record_dtype(n_seq).itemsize, _IOV_MAX // 2))
+    written = 0
+
+    def write(frames: FrameSeries) -> None:
+        nonlocal written
+        for lo in range(0, len(frames), step):
+            rows = np.ascontiguousarray(frames.h[lo : lo + step], dtype="<c16")
+            _check_records(path, written, frames.t_i[lo : lo + step], rows)
+            heads = np.empty(len(rows), _RECORD_HEAD)
+            for name in _RECORD_HEAD.names:
+                heads[name] = getattr(frames, name)[lo : lo + step]
+            pairs = zip(heads.view(np.uint8).reshape(len(rows), -1), rows.view(np.uint8))
+            f.write_all([piece for pair in pairs for piece in pair])
+            written += len(rows)
+
+    with replacing(path) as f:
+        _write_head(f, FRAMES_MAGIC, header)
+        yield write
+        if written != n_records:
+            raise ValueError(f"{path}: {written} of {n_records} records written")
+
+
 def write_frames(
     path: str,
     frames: FrameSeries,
@@ -305,37 +412,19 @@ def write_frames(
     calibration: str = "",
     total_sequences: int | None = None,
 ) -> None:
-    """Write an impulse-response series with its grid metadata.
+    """Write an impulse-response series with its grid metadata, all at
+    once through :func:`writing_frames`.
 
-    The header (``t_s``, ``t_seq = n_seq * t_s``) and each record meet
-    :func:`read_frames`'s rules; a record whose time or response is not
-    finite raises ``ValueError`` and leaves no file.
     ``total_sequences`` records how many periods the stimulation run
     contained (including gated-out ones); it defaults to one past the
     highest stored index.
     """
     if not len(frames):
         raise ValueError("refusing to write an empty frame series")
-    n_seq = frames.n_seq
     if total_sequences is None:
         total_sequences = int(frames.sequence_index.max()) + 1
-    header = _header(path, "frame-series header", _FRAMES_FIELDS, {
-        "n_records": str(len(frames)),
-        "n_seq": str(n_seq),
-        "t_s": _float_text(t_s),
-        "t_seq": _float_text(n_seq * t_s),
-        "calibration": calibration,
-        "total_sequences": str(total_sequences),
-    })
-
-    dtype = _record_dtype(n_seq)
-    step = max(1, _SLICE_BYTES // dtype.itemsize)
-    with replacing(path) as f:
-        _write_head(f, FRAMES_MAGIC, header)
-        for lo in range(0, len(frames), step):
-            part = frames[lo : lo + step]
-            _check_records(path, lo, part.t_i, part.h)
-            f.write(np.rec.fromarrays([getattr(part, n) for n in dtype.names], dtype=dtype))
+    with writing_frames(path, len(frames), frames.n_seq, t_s, calibration, total_sequences) as write:
+        write(frames)
 
 
 def read_frames(path: str) -> tuple[FrameSeries, FrameSeriesMeta]:

@@ -22,11 +22,13 @@ transport, from :func:`quantize_capture` to the correlator.
 :class:`CaptureStream`, widens each block's kept periods straight into
 one complex128 matrix and runs the correlation, the normalization and
 the corrections in place on it, with the bits of each period alone.
-Those stages run on contiguous slices of the matrix's rows, one slice
-per usable CPU and at most :data:`frames.MAX_SLICES`
-(:func:`frames.on_slices`), so the output bits do not depend on the
-count; the slices share one spectrum of the reference sequence (and of
-the profile), and each holds numpy's 128 KiB buffer of the multiply.
+Those stages run on contiguous batches of the matrix's rows, never
+fewer than the usable CPUs and at most :data:`frames.MAX_SLICES` at once
+(:func:`frames.in_slices`), so the output bits do not depend on the
+count; the batches share one spectrum of the reference sequence (and of
+the profile), and each running batch holds numpy's 128 KiB buffer of the
+multiply.  Each finished batch can go, in row order, to a ``.frames``
+writer while the others are still corrected.
 
 Every transport correlates through :func:`correlate`, which runs
 :func:`frames_from_capture` with the configured settings; that checks the
@@ -40,6 +42,7 @@ for a peer, which also checks the corrections at the HELLO.
 
 from __future__ import annotations
 
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence as SequenceType
 
@@ -51,8 +54,14 @@ from .charmetrics import max_doppler
 from .corrmath import _pccf_in_place, reference_spectrum
 from .framestore import CaptureMeta
 from .frames import AT_LEAST_1, CAPTURE_DTYPE, NON_NEGATIVE, RATE, FrameSeries, IqFrame, TriggerEvent, check
-from .frames import check_sample_rate, first_non_finite, in_order, on_slices
+from .frames import check_sample_rate, first_non_finite, in_order, in_slices
 from .seqgen import Sequence, descriptor
+
+
+#: :func:`frames_from_capture` corrects its matrix in batches of about
+#: this many bytes of rows, so a ``.frames`` writer can put the finished
+#: batches on disk while the later ones are corrected.
+_BATCH_BYTES = 1 << 22
 
 
 def stimulate_capture(
@@ -208,6 +217,7 @@ def frames_from_capture(
     discard_first: bool = True,
     dc_suppression_hz: float = 0.0,
     dc_position: str = "before",
+    writer=None,
 ) -> FrameSeries:
     """Run the full correlation side over a captured stream.
 
@@ -222,9 +232,19 @@ def frames_from_capture(
     ``capture`` is an :class:`IqFrame` or a :class:`CaptureStream`, gated
     before a block is read.  Each block's kept samples are widened into
     their rows of the (F, N) complex128 matrix, the one buffer made, as
-    the blocks come; every stage then runs in place on that matrix, one
-    slice of rows per usable CPU.  The corrections are checked first
+    the blocks come.  Every stage then runs in place on that matrix, in
+    batches of rows of about :data:`_BATCH_BYTES`, never fewer than one
+    per usable CPU, at most :data:`frames.MAX_SLICES` at once
+    (:func:`frames.in_slices`).  The corrections are checked first
     (:func:`check_corrections`).
+
+    ``writer``, when given, is called once gating knows the record count
+    as ``writer(n_records, n_seq, total_sequences)``, with the number of
+    periods from absolute sample 0 to the capture's end; it returns a
+    context manager (:func:`framestore.writing_frames`) that yields
+    ``write(frames)``.  Each finished batch goes to ``write``, in row
+    order, while the later batches are still being corrected, and the
+    block ends once the last is written.
     """
     n_seq = seq.n_seq
     check_corrections(profile, n_seq, capture.fs, dc_suppression_hz, dc_position)
@@ -235,35 +255,40 @@ def frames_from_capture(
     runs, kept = sequence_gate(capture, events, n_seq)
     index = np.asarray(kept, dtype=np.int64)
     del kept  # 36 B per period as Python ints, 8 as the index
-    h = np.empty((len(index), n_seq), dtype=np.complex128)
-    rows = h.reshape(-1)
-    spans = (runs * n_seq).tolist()  # the runs' sample ranges [s0, s1)
-    j = o = 0  # the first run not yet filled, and where it starts in ``rows``
-    for block in (capture,) if isinstance(capture, IqFrame) else capture:
-        a, b = block.start_index, block.end_index
-        while j < len(spans) and spans[j][0] < b:
-            s0, s1 = spans[j]
-            lo, hi = max(a, s0), min(b, s1)
-            rows[o + lo - s0 : o + hi - s0] = block.samples[lo - a : hi - a]
-            if s1 > b:
-                break  # the run goes on in the next block
-            j, o = j + 1, o + s1 - s0
-    ref = reference_spectrum(seq.samples)
-    spectrum = None if profile is None else profile.spectrum()
+    with nullcontext() if writer is None else writer(len(index), n_seq, capture.end_index // n_seq) as write:
+        h = np.empty((len(index), n_seq), dtype=np.complex128)
+        rows = h.reshape(-1)
+        spans = (runs * n_seq).tolist()  # the runs' sample ranges [s0, s1)
+        j = o = 0  # the first run not yet filled, and where it starts in ``rows``
+        for block in (capture,) if isinstance(capture, IqFrame) else capture:
+            a, b = block.start_index, block.end_index
+            while j < len(spans) and spans[j][0] < b:
+                s0, s1 = spans[j]
+                lo, hi = max(a, s0), min(b, s1)
+                rows[o + lo - s0 : o + hi - s0] = block.samples[lo - a : hi - a]
+                if s1 > b:
+                    break  # the run goes on in the next block
+                j, o = j + 1, o + s1 - s0
+        ref = reference_spectrum(seq.samples)
+        spectrum = None if profile is None else profile.spectrum()
 
-    def correct(part: slice) -> None:
-        rows = h[part]
-        _pccf_in_place(rows, ref)
-        normalize(rows, n_seq, out=rows)
-        if dc_suppression_hz > 0.0 and dc_position == "before":
-            _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
-        if spectrum is not None:
-            _correct_ftt_in_place(rows, spectrum)
-        if dc_suppression_hz > 0.0 and dc_position == "after":
-            _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
+        def correct(part: slice) -> None:
+            rows = h[part]
+            _pccf_in_place(rows, ref)
+            normalize(rows, n_seq, out=rows)
+            if dc_suppression_hz > 0.0 and dc_position == "before":
+                _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
+            if spectrum is not None:
+                _correct_ftt_in_place(rows, spectrum)
+            if dc_suppression_hz > 0.0 and dc_position == "after":
+                _remove_dc_bias_in_place(rows, dc_suppression_hz, capture.fs)
 
-    on_slices(correct, len(h))
-    return FrameSeries(h, index, measurement_time(index, n_seq * t_s, t_s), corrected=profile is not None)
+        frames = FrameSeries(h, index, measurement_time(index, n_seq * t_s, t_s), corrected=profile is not None)
+        with closing(in_slices(correct, len(h), -(-h.nbytes // _BATCH_BYTES))) as batches:
+            for part in batches:
+                if write is not None:
+                    write(frames[part])
+    return frames
 
 
 @dataclass
@@ -404,12 +429,13 @@ def capture_stream(config) -> CaptureStream:
 
 
 def correlate(
-    config, capture: "IqFrame | CaptureStream", seq: Sequence, events, profile: CalibrationProfile | None
+    config, capture: "IqFrame | CaptureStream", seq: Sequence, events, profile: CalibrationProfile | None, writer=None
 ) -> tuple[FrameSeries, int]:
     """Correlate a capture of any transport: run :func:`frames_from_capture`
-    with the calibration ``profile`` and the configured first-period
-    discard and DC-bias settings.  Returns the frames and the number of
-    sequence periods from absolute sample 0 to the capture's end."""
+    with the calibration ``profile``, the configured first-period discard
+    and DC-bias settings and the ``.frames`` ``writer``, if any.  Returns
+    the frames and the number of sequence periods from absolute sample 0
+    to the capture's end."""
     frames = frames_from_capture(
         capture,
         seq,
@@ -418,6 +444,7 @@ def correlate(
         discard_first=config.discard_first,
         dc_suppression_hz=config.dc_suppression_hz,
         dc_position=config.dc_position,
+        writer=writer,
     )
     return frames, capture.end_index // seq.n_seq
 

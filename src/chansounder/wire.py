@@ -496,7 +496,7 @@ def consume_stream(stream, hello: Hello) -> tuple[IqFrame, CaptureMeta]:
     return IqFrame(capture, hello.fs, hello.f_c, 0), CaptureMeta(hello.sequence_descriptor, triggers=triggers)
 
 
-def consume_correlation(endpoint: str, config) -> tuple[FrameSeries, int, CaptureMeta]:
+def consume_correlation(endpoint: str, config, writer=None) -> tuple[FrameSeries, int, CaptureMeta]:
     """Receive a stimulation stream and run the correlation side on it.
 
     The peer's rule: after the HELLO and before any chunk is read, any
@@ -504,12 +504,13 @@ def consume_correlation(endpoint: str, config) -> tuple[FrameSeries, int, Captur
     (otherwise the peer's descriptor is adopted), and the calibration
     profile and the DC band are checked against the adopted sequence and
     rate.  Returns :func:`sounder.correlate`'s frames and period count
-    and the stream's :class:`framestore.CaptureMeta`.
+    and the stream's :class:`framestore.CaptureMeta`; the frames go to
+    the ``.frames`` ``writer``, if any, as they are corrected.
     """
     profile = config.load_profile()  # a bad profile fails before anything is received
     with connect(endpoint, config.timeout) as (stream, hello):
         seq = config.stream_sequence(hello.sequence_descriptor, hello.fs, "peer", HelloMismatchError, strict=True)
         sounder.check_corrections(profile, seq.n_seq, hello.fs, config.dc_suppression_hz, config.dc_position)
         capture, meta = consume_stream(stream, hello)
-    frames, total = sounder.correlate(config, capture, seq, meta.triggers, profile)
+    frames, total = sounder.correlate(config, capture, seq, meta.triggers, profile, writer)
     return frames, total, meta

@@ -462,6 +462,58 @@ class TestCaptureSidecarFlow:
         assert not (tmp_path / "s.triggers").exists()
 
 
+class TestCorrelateWritesAsItCorrelates:
+    """``correlate`` writes its ``.frames`` batch by batch as it corrects the
+    matrix; a failure in a later batch, after earlier batches went out,
+    leaves the earlier output whole and no ``.part``."""
+
+    @pytest.mark.parametrize("failure", ["non-finite record", "full disk"])
+    @pytest.mark.parametrize("transport", ["--input", "--endpoint"])
+    def test_a_failure_in_a_later_batch_leaves_the_earlier_frames(
+        self, tmp_path, capsys, monkeypatch, transport, failure
+    ):
+        cfg, cap, out = small_config(tmp_path), str(tmp_path / "cap.iq"), str(tmp_path / "run")
+        # the earlier output, of another sequence root, so a replaced file would differ
+        assert main(["stimulate", "--config", cfg, "--root", "5", "--out", cap]) == 0
+        assert main(["correlate", "--config", cfg, "--root", "5", "--input", cap, "--out", out]) == 0
+        before = Path(out + ".frames").read_bytes()
+        assert main(["stimulate", "--config", cfg, "--out", cap]) == 0
+
+        # 11 records kept, in batches of at most three rows, each one write
+        monkeypatch.setattr(sounder, "_BATCH_BYTES", 3 * 16 * 64)
+        writes, real_writev = [], os.writev
+
+        def writev(fd, buffers):
+            if failure == "full disk" and len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            writes.append(len(buffers))
+            return real_writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", writev)
+        real_time = sounder.measurement_time
+        if failure == "non-finite record":  # record 7 is sequence period 8
+            monkeypatch.setattr(
+                sounder, "measurement_time", lambda index, *args: np.where(index == 8, np.inf, real_time(index, *args))
+            )
+        capsys.readouterr()
+        if transport == "--input":
+            rc = main(["correlate", "--config", cfg, "--input", cap, "--out", out])
+        else:
+            with serving(lambda lsock: wire.serve_stimulation(load_config(cfg), lsock)) as (endpoint, summary):
+                rc = main(["correlate", "--config", cfg, "--endpoint", endpoint, "--out", out])
+            assert summary[0].complete
+        assert rc == 2
+        err = capsys.readouterr().err
+        if failure == "full disk":
+            assert os.strerror(errno.ENOSPC) in err
+        else:
+            assert err == f"error: {out}.frames: record 7 holds a non-finite value\n"
+        # earlier batches went out before the failure
+        assert len(writes) == 2 if failure == "full disk" else len(writes) >= 1
+        assert Path(out + ".frames").read_bytes() == before
+        assert not list(tmp_path.glob("*.part"))
+
+
 class TestWireFlow:
     def test_two_process_link(self, tmp_path):
         # stimulation side in a thread, correlation side in the foreground

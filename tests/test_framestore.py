@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chansounder import charmetrics
 from chansounder import framestore as fsio
 from chansounder.calib import CalibrationProfile, through_calibrate
 from chansounder.framestore import CaptureMeta
@@ -502,6 +503,57 @@ class TestWrittenBytes:
         path = str(tmp_path / "a.iq")
         fsio.write_capture(path, frame, CaptureMeta("fzc:n=4:u=1", "seed=0"))
         assert self.digest(path + ".meta") == "0cfafc731044f5b691204d88ad06e51ae3bd425667ca34e048b3b2dd75a2243b"
+
+
+class TestWriteOut:
+    """Every writer goes through ``replacing``, which starts each piece of
+    about ``_SLICE_BYTES`` out to disk (``os.posix_fadvise`` with
+    ``POSIX_FADV_DONTNEED``) as soon as it is written, and the rest before
+    the rename; the bytes do not depend on it."""
+
+    @staticmethod
+    def write_all(directory):
+        """Write one file of each kind into ``directory``; return their paths."""
+        rng = np.random.default_rng(5)
+        base = os.path.join(directory, "run")
+        samples = (rng.standard_normal(40_000) + 1j * rng.standard_normal(40_000)).astype(np.complex64)
+        events = [TriggerEvent(300, note="buffer overrun")]
+        fsio.write_capture(base + ".iq", IqFrame(samples, 1e6), CaptureMeta("fzc:n=64:u=7", "seed=1", events))
+        series = TestFrameSeries().make_series(rng, n=64, count=300)
+        fsio.write_frames(base + ".frames", series, t_s=1e-6, calibration="cal.csp", total_sequences=301)
+        fsio.write_profile(base + ".csp", CalibrationProfile(rng.standard_normal(64) + 0j))
+        charmetrics._write_csv(base + ".csv", b"delay_s,power\n", np.arange(2_000) * 1e-6, rng.random((2_000, 3)))
+        return [base + suffix for suffix in (".iq", ".iq.meta", ".iq.triggers", ".frames", ".csp", ".csv")]
+
+    @pytest.mark.parametrize("slice_bytes", [1 << 20, 4096, 300])
+    def test_every_byte_is_written_out_once_in_order(self, tmp_path, monkeypatch, slice_bytes):
+        monkeypatch.setattr(fsio, "_SLICE_BYTES", slice_bytes)
+        advised = []  # (inode, offset, length) of each call, in order
+
+        def posix_fadvise(fd, offset, length, advice):
+            assert advice == os.POSIX_FADV_DONTNEED
+            advised.append((os.fstat(fd).st_ino, offset, length))
+
+        monkeypatch.setattr(os, "posix_fadvise", posix_fadvise, raising=False)
+        for path in self.write_all(str(tmp_path)):
+            # the rename keeps the .part's inode
+            ranges = [(offset, length) for ino, offset, length in advised if ino == os.stat(path).st_ino]
+            assert ranges and ranges[0][0] == 0
+            for (offset, length), (following, _) in zip(ranges, ranges[1:]):
+                assert length >= slice_bytes and following == offset + length
+            assert sum(length for _, length in ranges) == os.path.getsize(path)
+            if slice_bytes < 1 << 20 and path.endswith((".frames", ".csv")):  # out as it is written
+                assert len(ranges) > 1
+        assert not list(tmp_path.glob("*.part"))
+
+    @pytest.mark.parametrize("missing", [("posix_fadvise",), ("posix_fadvise", "writev")])
+    def test_the_bytes_do_not_depend_on_the_write_out(self, tmp_path, monkeypatch, missing):
+        (tmp_path / "with").mkdir()
+        (tmp_path / "without").mkdir()
+        want = [Path(p).read_bytes() for p in self.write_all(str(tmp_path / "with"))]
+        for name in missing:
+            monkeypatch.delattr(os, name, raising=False)
+        assert [Path(p).read_bytes() for p in self.write_all(str(tmp_path / "without"))] == want
 
 
 def _capture(f_c=0.0):

@@ -2,16 +2,20 @@
 timestamps, profile correction, and the composed offline run."""
 
 import math
+import os
+import tempfile
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chansounder import chansim
+from chansounder import chansim, framestore, sounder
 from chansounder.charmetrics import characterize
 from chansounder.calib import through_calibrate
 from chansounder.config import CampaignConfig
@@ -598,6 +602,49 @@ class TestSlicesGiveTheSameBits:
         for other in series[1:]:
             for name in ("h", "sequence_index", "t_i", "corrected"):
                 assert getattr(other, name).tobytes() == getattr(series[0], name).tobytes()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_frames_written_while_correlating_are_write_frames_of_the_series(self, data):
+        # batches of ``rows`` rows: F = 1, a batch boundary +- 1 and several
+        # batches, each written as it is corrected, on 1, 2 and 3 CPUs
+        n_seq = data.draw(st.sampled_from([15, 16, 31]), label="n_seq")
+        rows = data.draw(st.integers(1, 4), label="rows per batch")
+        n_frames = data.draw(st.sampled_from([1, rows - 1, rows, rows + 1, 3 * rows + 2]).filter(bool), label="frames")
+        discard_first = data.draw(st.booleans(), label="discard_first")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        profile = through_calibrate(FrameSeries(random_complex(rng, (1, n_seq)), [0], [0.0]))
+        seq = generate_fzc(n_seq, 1)
+        n_periods = n_frames + discard_first
+        capture = IqFrame(random_complex(rng, n_periods * n_seq + 3).astype(np.complex64), FS)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sounder, "_BATCH_BYTES", rows * 16 * n_seq)
+            opened, batches = [], []
+
+            @contextmanager
+            def writer(n_records, n, total):
+                opened.append((n_records, n, total))
+                path = os.path.join(tmp, "live.frames")
+                with framestore.writing_frames(path, n_records, n, 1 / FS, "p", total) as write:
+                    yield lambda frames: batches.append(len(frames)) or write(frames)
+
+            for count in (1, 2, 3):
+                batches.clear()
+                with on_cpus(count):
+                    series = frames_from_capture(
+                        capture, seq, profile=profile, discard_first=discard_first, writer=writer
+                    )
+                framestore.write_frames(os.path.join(tmp, "whole.frames"), series, 1 / FS, "p", n_periods)
+                live, whole = (Path(tmp, name).read_bytes() for name in ("live.frames", "whole.frames"))
+                assert len(series) == n_frames
+                assert live == whole
+                # one write per batch, of ``rows`` rows at most, in whole rounds of one per CPU
+                k, needed = min(count, n_frames), -(-n_frames // rows)
+                assert sum(batches) == n_frames and max(batches) <= rows
+                assert len(batches) == max(k, min(n_frames, -(-needed // k) * k))
+            assert opened == [(n_frames, n_seq, n_periods)] * 3
 
 
 class TestInputsUntouched:

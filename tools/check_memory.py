@@ -1,18 +1,24 @@
-"""Check that sounding and stimulating hold memory that the campaign's length does not set.
+"""Check that sounding, stimulating and correlating hold memory that the campaign's length does not set.
 
 Runs one campaign of ``--samples`` samples (FZC-4096 over the default
-static channel and cable, SNR 20 dB, 4,096-sample capture blocks) twice
-under ``tracemalloc``:
+static channel and cable, SNR 20 dB, 4,096-sample capture blocks) three
+times under ``tracemalloc``:
 
 * ``run_sounding`` in process: its peak above its own (F, N) complex128
   frame matrix must stay at or below 1 MB;
 * the ``stimulate`` command writing a capture file: its whole peak must
-  stay at or below 1.5 MB.
+  stay at or below 1.5 MB;
+* the ``correlate --input`` command reading the capture that
+  ``stimulate`` wrote and writing its ``.frames`` as it correlates: its
+  peak above its frame matrix and its complex64 capture must stay at or
+  below 1 MB.
 
 Each side first runs a two-period campaign outside the trace, so that
 first-use allocations (imports, FFT plans) are not counted.  The peaks
 depend on the CPUs the process may run on: on two or more, a second
-noisy capture block is made on a helper thread, so run it pinned too.
+noisy capture block is made on a helper thread, and the correlation
+runs up to :data:`chansounder.frames.MAX_SLICES` batches at once, so run
+it pinned too.
 
     python3 tools/check_memory.py --samples 16777216
     taskset -c 0 python3 tools/check_memory.py --samples 16777216
@@ -42,6 +48,8 @@ N_SEQ = 4096
 SOUNDING_BOUND = 1_000_000
 #: Bytes of the ``stimulate`` command's peak.
 STIMULATE_BOUND = 1_500_000
+#: Bytes of the ``correlate --input`` command's peak above its frame matrix and its capture.
+CORRELATE_BOUND = 1_000_000
 
 
 def _config(directory: str, n_samples: int) -> str:
@@ -90,6 +98,28 @@ def stimulate_peak(n_samples: int, directory: str) -> int:
     return traced_peak(lambda: stimulate(config))[1]
 
 
+def correlate_peak(n_samples: int, directory: str) -> int:
+    """The peak of ``chansounder correlate --input`` on a capture file that
+    ``stimulate`` wrote in ``directory``, writing its ``.frames`` there,
+    above its (F, N) complex128 frame matrix and its complex64 capture, in bytes."""
+
+    def run(command: str, config: str, *args: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):  # the summary line
+            rc = cli_main([command, "--config", config, *args])
+        if rc != 0:
+            raise RuntimeError(f"{command} exited {rc}")
+
+    capture = os.path.join(directory, "mem.iq")
+    for n in (2 * N_SEQ, n_samples):
+        config = _config(directory, n)
+        run("stimulate", config, "--out", capture)
+        if n != n_samples:
+            run("correlate", config, "--input", capture, "--out", capture)
+    periods = max(1, n_samples // N_SEQ)
+    held = (periods - 1) * N_SEQ * 16 + periods * N_SEQ * 8  # period 0 is discarded
+    return traced_peak(lambda: run("correlate", config, "--input", capture, "--out", capture))[1] - held
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--samples", type=int, default=1 << 24, help="campaign length in samples")
@@ -99,6 +129,7 @@ def main(argv=None) -> int:
         for name, measure, bound in (
             ("run_sounding above its frame matrix", sounding_peak, SOUNDING_BOUND),
             ("stimulate", stimulate_peak, STIMULATE_BOUND),
+            ("correlate --input above its frame matrix and capture", correlate_peak, CORRELATE_BOUND),
         ):
             peak = measure(args.samples, directory)
             failed |= peak > bound
