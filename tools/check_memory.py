@@ -83,41 +83,36 @@ def sounding_peak(n_samples: int, directory: str) -> int:
     return peak - frames.h.nbytes
 
 
+def _command(command: str, config: str, *args: str) -> None:
+    """Run ``chansounder <command> --config <config> <args>``; raise unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()):  # the summary line
+        rc = cli_main([command, "--config", config, *args])
+    if rc != 0:
+        raise RuntimeError(f"{command} exited {rc}")
+
+
 def stimulate_peak(n_samples: int, directory: str) -> int:
     """The peak of ``chansounder stimulate`` writing the campaign to a
     capture file in ``directory``, in bytes."""
-
-    def stimulate(config: str) -> None:
-        with contextlib.redirect_stdout(io.StringIO()):  # the "wrote N samples" line
-            rc = cli_main(["stimulate", "--config", config, "--out", os.path.join(directory, "mem.iq")])
-        if rc != 0:
-            raise RuntimeError(f"stimulate exited {rc}")
-
-    stimulate(_config(directory, 2 * N_SEQ))
+    capture = os.path.join(directory, "mem.iq")
+    _command("stimulate", _config(directory, 2 * N_SEQ), "--out", capture)
     config = _config(directory, n_samples)
-    return traced_peak(lambda: stimulate(config))[1]
+    return traced_peak(lambda: _command("stimulate", config, "--out", capture))[1]
 
 
 def correlate_peak(n_samples: int, directory: str) -> int:
     """The peak of ``chansounder correlate --input`` on a capture file that
     ``stimulate`` wrote in ``directory``, writing its ``.frames`` there,
     above its (F, N) complex128 frame matrix and its complex64 capture, in bytes."""
-
-    def run(command: str, config: str, *args: str) -> None:
-        with contextlib.redirect_stdout(io.StringIO()):  # the summary line
-            rc = cli_main([command, "--config", config, *args])
-        if rc != 0:
-            raise RuntimeError(f"{command} exited {rc}")
-
     capture = os.path.join(directory, "mem.iq")
     for n in (2 * N_SEQ, n_samples):
         config = _config(directory, n)
-        run("stimulate", config, "--out", capture)
+        _command("stimulate", config, "--out", capture)
         if n != n_samples:
-            run("correlate", config, "--input", capture, "--out", capture)
+            _command("correlate", config, "--input", capture, "--out", capture)
     periods = max(1, n_samples // N_SEQ)
     held = (periods - 1) * N_SEQ * 16 + periods * N_SEQ * 8  # period 0 is discarded
-    return traced_peak(lambda: run("correlate", config, "--input", capture, "--out", capture))[1] - held
+    return traced_peak(lambda: _command("correlate", config, "--input", capture, "--out", capture))[1] - held
 
 
 def main(argv=None) -> int:
