@@ -88,31 +88,29 @@ def _require(value, flag: str):
     return value
 
 
+def _series_file(cfg: CampaignConfig) -> tuple[str, dict]:
+    """The ``.frames`` path of ``--out`` and its header's ``t_s`` and
+    ``calibration``, the same whether the series is written at once or
+    as it is corrected."""
+    path = _require(cfg.out, "--out") + ".frames"
+    return path, {"t_s": 1.0 / cfg.sample_rate, "calibration": cfg.calibration or ""}
+
+
 def _write_series(cfg: CampaignConfig, frames, total_sequences: int) -> str:
-    out = _require(cfg.out, "--out")
-    path = out + ".frames"
-    framestore.write_frames(
-        path,
-        frames,
-        t_s=1.0 / cfg.sample_rate,
-        calibration=cfg.calibration or "",
-        total_sequences=total_sequences,
-    )
+    path, header = _series_file(cfg)
+    framestore.write_frames(path, frames, total_sequences=total_sequences, **header)
     return path
 
 
 def _series_writer(cfg: CampaignConfig):
     """The ``.frames`` writer that ``correlate`` gives
     :func:`sounder.frames_from_capture`: once the series keeps a period,
-    it opens the file :func:`_write_series` writes, with the same header
-    (:func:`framestore.writing_frames`)."""
+    it opens the file (:func:`framestore.writing_frames`)."""
 
     def open_series(n_records: int, n_seq: int, total_sequences: int):
         _nonempty(n_records, total_sequences)
-        path = _require(cfg.out, "--out") + ".frames"
-        return framestore.writing_frames(
-            path, n_records, n_seq, 1.0 / cfg.sample_rate, cfg.calibration or "", total_sequences
-        )
+        path, header = _series_file(cfg)
+        return framestore.writing_frames(path, n_records, n_seq, total_sequences=total_sequences, **header)
 
     return open_series
 

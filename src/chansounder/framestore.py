@@ -107,7 +107,9 @@ class _WrittenOut:
     written: each piece of about :data:`_SLICE_BYTES` is flushed and its
     write-out started (``POSIX_FADV_DONTNEED``, where the platform has
     ``os.posix_fadvise``) as soon as it is written, and so is the rest by
-    :meth:`write_out`.  Every byte is in exactly one such range."""
+    :meth:`write_out`.  Every byte is in exactly one such range.  On
+    Linux the advice also evicts the range's pages that are already clean;
+    those just written are still dirty or being written, and stay cached."""
 
     def __init__(self, f):
         self.f = f
@@ -126,11 +128,8 @@ class _WrittenOut:
 
     def write_all(self, buffers: list) -> None:
         """Write the contiguous byte arrays ``buffers``, at most
-        :data:`_IOV_MAX` of them, in order: gathered by ``os.writev``
-        where the platform has it, which may take more than one call."""
-        if not hasattr(os, "writev"):
-            self.writelines(buffers)
-            return
+        :data:`_IOV_MAX` of them, in order, gathered by ``os.writev``,
+        which may take more than one call."""
         self.f.flush()
         i = 0
         while i < len(buffers):
